@@ -1,6 +1,5 @@
 (* Flag handling shared by every repro subcommand, so --csv-dir,
-   --domains, --only and --store cannot drift between commands (they
-   used to: --only existed on the checkers but not on objects/chaos). *)
+   --domains, --only and --store cannot drift between commands. *)
 
 open Cmdliner
 
@@ -33,63 +32,25 @@ let store =
    [?domains] argument — honours it. *)
 let set_domains n = if n > 0 then Engine.Runner.set_default_domains n
 
-type common = { csv_dir : string option; store : string option }
-
+(* The sink every artifact of the command goes through. *)
 let setup csv_dir domains store =
   set_domains domains;
   let store =
     match (store, csv_dir) with
     | Some s, _ -> Some s
-    | None, Some dir -> Some (Fleet.Emit.default_store ~csv_dir:dir)
+    | None, Some dir -> Some (Fleet.Sink.default_store ~csv_dir:dir)
     | None, None -> (
       match Sys.getenv_opt "REPRO_STORE" with
       | Some p when p <> "" -> Some p
       | _ -> None)
   in
-  { csv_dir; store }
+  { Fleet.Sink.csv_dir; store }
 
 let common = Term.(const setup $ csv_dir $ domains $ store)
 
 (* Where run/view look for the store when no flag names one. *)
-let store_path c =
+let store_path (c : Fleet.Sink.t) =
   match c.store with
   | Some s -> s
   | None ->
-    Fleet.Emit.default_store
-      ~csv_dir:(match c.csv_dir with Some d -> d | None -> "results")
-
-(* Legacy artifact file name -> (driver, kind) for records emitted
-   through the Report hooks (the hook only knows the file name). *)
-let classify name =
-  if name = "fig1.csv" then ("fig1", "FIG")
-  else if name = "ABLATION_LOCKS_results.json" then ("ablation-locks", "ABLATION_LOCKS")
-  else if name = "OBJECTS_results.json" then ("objects", "OBJECTS")
-  else if Filename.check_suffix name ".csv" then ("tsp", "FIG")
-  else (Filename.remove_extension name, "MISC")
-
-(* Store-only emit hook for the Report print functions (they write the
-   legacy file themselves). *)
-let report_hook c ~config : Experiments.Report.emit =
- fun ~name ~metrics ~payload ->
-  match c.store with
-  | None -> ()
-  | Some path ->
-    let driver, kind = classify name in
-    let (_ : Fleet.Store.record) =
-      Fleet.Emit.artifact ~store:path ~driver ~kind
-        ~config:(("artifact", name) :: config)
-        ~metrics ~payload ()
-    in
-    ()
-
-(* Store record + legacy file + the "wrote PATH" line the pre-store
-   CLI printed, for subcommands that produce their artifact bytes
-   directly. *)
-let emit_artifact c ~driver ~kind ~legacy ~config ~metrics ~payload =
-  let (_ : Fleet.Store.record) =
-    Fleet.Emit.artifact ?store:c.store ?csv_dir:c.csv_dir ~driver ~kind ~legacy
-      ~config ~metrics ~payload ()
-  in
-  match c.csv_dir with
-  | Some dir -> Printf.printf "wrote %s\n" (Filename.concat dir legacy)
-  | None -> ()
+    Fleet.Sink.default_store ~csv_dir:(Option.value c.csv_dir ~default:"results")

@@ -244,11 +244,9 @@ let domain_events_total () = !(Domain.DLS.get domain_events)
    delivery in subscription order, and with zero subscribers the
    emission path is a single empty-list branch. *)
 let add_trace_hook t hook = t.trace_hooks <- t.trace_hooks @ [ hook ]
-let set_trace_hook = add_trace_hook
 let clear_trace_hooks t = t.trace_hooks <- []
 let trace_hook_count t = List.length t.trace_hooks
 let add_event_hook t hook = t.event_hooks <- t.event_hooks @ [ hook ]
-let set_event_hook = add_event_hook
 let clear_event_hooks t = t.event_hooks <- []
 let event_hook_count t = List.length t.event_hooks
 let add_access_hook t hook = t.access_hooks <- t.access_hooks @ [ hook ]

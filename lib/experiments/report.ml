@@ -51,30 +51,15 @@ let print_table8 ?(out = std) () =
   print_lock_table out ~title:"Table 8: cost of lock configuration operations"
     ~paper:Paper.table8 (Lock_tables.table8 ())
 
-let with_csv csv_dir name f =
-  match csv_dir with
-  | None -> ()
-  | Some dir ->
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let path = Filename.concat dir name in
-    let oc = open_out path in
-    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> f oc)
-
 type emit = name:string -> metrics:(string * float) list -> payload:string -> unit
 
-(* Every artifact-producing section funnels through [deliver]: the
-   legacy file under --csv-dir is written from the exact payload bytes,
-   and the same bytes (plus a flat metric projection) are handed to the
-   caller's [emit] hook — the repro CLI points that hook at the
-   experiment-fleet store, so store records and legacy artifacts can
-   never drift apart. *)
-let deliver ?csv_dir ?emit ~name ~metrics payload =
-  with_csv csv_dir name (fun oc -> output_string oc payload);
-  match emit with
-  | None -> ()
-  | Some f -> f ~name ~metrics ~payload
+(* Every artifact-producing section hands its artifact to the caller's
+   [emit] hook: the name of its legacy file, a flat metric projection,
+   and the exact payload bytes. *)
+let deliver ?emit ~name ~metrics payload =
+  Option.iter (fun f -> f ~name ~metrics ~payload) emit
 
-let print_fig1 ?(out = std) ?csv_dir ?emit ?domains () =
+let print_fig1 ?(out = std) ?emit ?domains () =
   let curves = Fig1.run ?domains () in
   Format.fprintf out
     "Figure 1: critical-section length vs application execution time@.%s@."
@@ -91,7 +76,7 @@ let print_fig1 ?(out = std) ?csv_dir ?emit ?domains () =
           c.Fig1.points)
       curves
   in
-  deliver ?csv_dir ?emit ~name:"fig1.csv" ~metrics (Fig1.csv_string curves)
+  deliver ?emit ~name:"fig1.csv" ~metrics (Fig1.csv_string curves)
 
 let tsp_table_title = function
   | Tsp.Parallel.Centralized -> "Table 1: centralized implementation"
@@ -136,7 +121,7 @@ let print_tsp_table out (row : Tsp_experiments.table) =
   Format.fprintf out "%s@."
     (Repro_stats.Table.render ~title:(tsp_table_title row.Tsp_experiments.impl) tbl)
 
-let print_tsp ?(out = std) ?csv_dir ?emit ?spec ?domains () =
+let print_tsp ?(out = std) ?emit ?spec ?domains () =
   let t = Tsp_experiments.run_all ?spec ?domains () in
   Format.fprintf out
     "TSP setup: %d cities (seed %d), %d searchers, optimum %d, sequential expanded %d \
@@ -178,7 +163,7 @@ let print_tsp ?(out = std) ?csv_dir ?emit ?spec ?domains () =
         in
         Format.fprintf out "  peak waiting=%.0f, time-weighted mean=%.2f, samples=%d@.@."
           waiting_max waiting_mean (Engine.Series.length series);
-        deliver ?csv_dir ?emit
+        deliver ?emit
           ~name:(Printf.sprintf "fig%d.csv" number)
           ~metrics:
             [
@@ -370,7 +355,7 @@ let print_barriers ?(out = std) ?domains () =
           fixed spin/block)"
        tbl)
 
-let print_switch_locks ?(out = std) ?csv_dir ?emit ?domains () =
+let print_switch_locks ?(out = std) ?emit ?domains () =
   let rows = Ablations.switch_locks ?domains () in
   let tbl =
     Repro_stats.Table.create
@@ -454,15 +439,14 @@ let print_switch_locks ?(out = std) ?csv_dir ?emit ?domains () =
            ])
          rows)
   in
-  deliver ?csv_dir ?emit ~name:"ABLATION_LOCKS_results.json" ~metrics payload;
+  deliver ?emit ~name:"ABLATION_LOCKS_results.json" ~metrics payload;
   violations = []
 
-let print_objects ?(out = std) ?csv_dir ?emit ?only ?domains () =
+let print_objects ?(out = std) ?emit ?(spec = Workloads.Sync_objects.default) ?only ?domains
+    () =
   let r =
     List.hd
-      (Engine.Runner.map ?domains
-         (fun spec -> Workloads.Sync_objects.run spec)
-         [ Workloads.Sync_objects.default ])
+      (Engine.Runner.map ?domains (fun spec -> Workloads.Sync_objects.run spec) [ spec ])
   in
   (* [only] filters the registry dump (and its JSON) to one object by
      name — the same --only contract the checker subcommands have. *)
@@ -544,33 +528,5 @@ let print_objects ?(out = std) ?csv_dir ?emit ?only ?domains () =
                m.Adaptive_core.Registry.stats.Adaptive_core.Registry.adaptations ))
          r.Workloads.Sync_objects.snapshot
   in
-  deliver ?csv_dir ?emit ~name:"OBJECTS_results.json" ~metrics
+  deliver ?emit ~name:"OBJECTS_results.json" ~metrics
     (Adaptive_core.Registry.to_json r.Workloads.Sync_objects.snapshot)
-
-let print_everything ?(out = std) ?csv_dir ?emit ?domains () =
-  (* Sections render in paper order; inside each section the
-     simulations fan out across domains. Rendering stays on the
-     calling domain, so output bytes are independent of [domains]. *)
-  Format.fprintf out "=== Lock operation microbenchmarks (Tables 4-8) ===@.@.";
-  print_table4 ~out ?domains ();
-  print_table5 ~out ?domains ();
-  print_table6 ~out ?domains ();
-  print_table7 ~out ();
-  print_table8 ~out ();
-  Format.fprintf out "=== Figure 1 ===@.@.";
-  print_fig1 ~out ?csv_dir ?emit ?domains ();
-  Format.fprintf out "=== TSP application (Tables 1-3, Figures 4-9) ===@.@.";
-  print_tsp ~out ?csv_dir ?emit ?domains ();
-  Format.fprintf out "=== Ablations ===@.@.";
-  print_schedulers ~out ?domains ();
-  print_coupling ~out ?domains ();
-  print_sampling ~out ?domains ();
-  print_threshold ~out ?domains ();
-  print_phases ~out ?domains ();
-  print_barriers ~out ?domains ();
-  print_advisory ~out ?domains ();
-  print_architecture ~out ?domains ();
-  (let (_ : bool) = print_switch_locks ~out ?csv_dir ?emit ?domains () in
-   ());
-  Format.fprintf out "=== Adaptive-object registry ===@.@.";
-  print_objects ~out ?csv_dir ?emit ?domains ()

@@ -1,8 +1,10 @@
-(** Rendering of every experiment as paper-style text (and CSV files).
+(** Rendering of every experiment as paper-style text.
 
     Each [print_*] function runs the experiment and writes a formatted
-    paper-vs-measured table (or figure) to the given formatter. These
-    are shared by the [repro] CLI and the benchmark harness. *)
+    paper-vs-measured table (or figure) to the given formatter; a
+    section that produces an artifact (a figure CSV, a result JSON)
+    hands it to its [emit] hook. These are shared by the [repro] CLI,
+    the driver catalogue and the benchmark. *)
 
 val print_lock_table :
   Format.formatter -> title:string -> paper:Paper.lock_op_row list -> Lock_tables.row list -> unit
@@ -14,25 +16,22 @@ val print_table7 : ?out:Format.formatter -> unit -> unit
 val print_table8 : ?out:Format.formatter -> unit -> unit
 
 type emit = name:string -> metrics:(string * float) list -> payload:string -> unit
-(** Artifact hook: called once per produced artifact with its file
-    name, a flat metric projection, and the {e exact} bytes the legacy
-    [csv_dir] file is written from. The repro CLI points this at the
-    experiment-fleet results store, so store records and legacy
-    artifacts can never drift apart. *)
+(** Artifact hook: called once per produced artifact with its legacy
+    file name, a flat metric projection, and the {e exact} payload
+    bytes. The repro CLI points this at [Fleet.Sink], which stores the
+    record and writes the legacy file from those same bytes. *)
 
-val print_fig1 :
-  ?out:Format.formatter -> ?csv_dir:string -> ?emit:emit -> ?domains:int -> unit -> unit
+val print_fig1 : ?out:Format.formatter -> ?emit:emit -> ?domains:int -> unit -> unit
 
 val print_tsp :
   ?out:Format.formatter ->
-  ?csv_dir:string ->
   ?emit:emit ->
   ?spec:Tsp.Parallel.spec ->
   ?domains:int ->
   unit ->
   unit
-(** Tables 1–3 plus Figures 4–9 from one set of runs. With [csv_dir],
-    figure series are also written as CSV. *)
+(** Tables 1–3 plus Figures 4–9 from one set of runs; each figure
+    series is emitted as [figN.csv]. *)
 
 val print_schedulers : ?out:Format.formatter -> ?domains:int -> unit -> unit
 val print_coupling : ?out:Format.formatter -> ?domains:int -> unit -> unit
@@ -43,30 +42,23 @@ val print_advisory : ?out:Format.formatter -> ?domains:int -> unit -> unit
 val print_architecture : ?out:Format.formatter -> ?domains:int -> unit -> unit
 val print_barriers : ?out:Format.formatter -> ?domains:int -> unit -> unit
 
-val print_switch_locks :
-  ?out:Format.formatter -> ?csv_dir:string -> ?emit:emit -> ?domains:int -> unit -> bool
+val print_switch_locks : ?out:Format.formatter -> ?emit:emit -> ?domains:int -> unit -> bool
 (** The implementation-as-attribute ablation ({!Ablations.switch_locks})
-    as a table plus its acceptance gate; with [csv_dir], also write
+    as a table plus its acceptance gate; emits
     [ABLATION_LOCKS_results.json] (byte-identical at any [domains]).
     Returns whether the gate passed. *)
 
 val print_objects :
   ?out:Format.formatter ->
-  ?csv_dir:string ->
   ?emit:emit ->
+  ?spec:Workloads.Sync_objects.spec ->
   ?only:string ->
   ?domains:int ->
   unit ->
   unit
-(** Run the sync-objects workload and dump the adaptive-object registry
-    as a table; with [csv_dir], also write [OBJECTS_results.json]
+(** Run the sync-objects workload ([spec], default
+    {!Workloads.Sync_objects.default}) and dump the adaptive-object
+    registry as a table; emits [OBJECTS_results.json]
     ({!Adaptive_core.Registry.to_json} — byte-identical at any
     [domains]). [only] restricts the dump (and its JSON) to the object
     with that registry name. *)
-
-val print_everything :
-  ?out:Format.formatter -> ?csv_dir:string -> ?emit:emit -> ?domains:int -> unit -> unit
-(** All tables, figures and ablations, in paper order. The independent
-    simulations inside each section run in parallel across up to
-    [domains] host cores (default {!Engine.Runner.default_domains});
-    the rendered bytes are identical at every domain count. *)

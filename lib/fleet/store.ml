@@ -145,39 +145,35 @@ let rec mkdirs dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
+(* The batch goes out in one [Unix.write] on an O_APPEND descriptor
+   (the runtime splits it into 64 KiB system writes), so a crash can
+   tear only the end of the file; [load] skips a torn final line. *)
 let append ~path records =
   mkdirs (Filename.dirname path);
-  let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
+  let batch = String.concat "" (List.map (fun r -> to_line r ^ "\n") records) in
+  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
   Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      List.iter
-        (fun r ->
-          output_string oc (to_line r);
-          output_char oc '\n')
-        records)
+    ~finally:(fun () -> Unix.close fd)
+    (fun () -> ignore (Unix.write_substring fd batch 0 (String.length batch)))
 
 let load ~path =
   if not (Sys.file_exists path) then Ok []
   else begin
-    let ic = open_in path in
-    let lines = ref [] in
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () ->
-        try
-          while true do
-            lines := input_line ic :: !lines
-          done
-        with End_of_file -> ());
+    let text = In_channel.with_open_bin path In_channel.input_all in
+    let lines = String.split_on_char '\n' text in
+    let last = List.length lines in
     let rec go acc lineno = function
       | [] -> Ok (List.rev acc)
-      | line :: rest ->
+      | line :: rest -> (
         if String.trim line = "" then go acc (lineno + 1) rest
-        else (
+        else
           match of_line line with
           | Ok r -> go (r :: acc) (lineno + 1) rest
+          | Error e when lineno = last ->
+            (* No newline after it: an append cut short. *)
+            Printf.eprintf "%s:%d: skipping torn final line (%s)\n%!" path lineno e;
+            Ok (List.rev acc)
           | Error e -> Error (Printf.sprintf "%s:%d: %s" path lineno e))
     in
-    go [] 1 (List.rev !lines)
+    go [] 1 lines
   end

@@ -7,8 +7,8 @@
     general path), so the mix reflects both dispatch regimes. The
     virtual-time outcome — final time, event count, checksum — is a
     pure function of the spec, so any two runs (fast paths on or off,
-    any host) must agree exactly; the throughput trajectory in
-    [BENCH_results.json] tracks only how fast the host gets there. *)
+    any host) must agree exactly; the benchmark's [soak] workload
+    (perfbench) measures only how fast the host gets there. *)
 
 type spec = {
   processors : int;

@@ -84,6 +84,59 @@ let test_jsonv_canonical () =
       {|{"a":{"b":3,"y":2},"m":[{"p":5,"q":4}],"z":1}|}
       (to_string (canonical v))
 
+let gen_json =
+  let open QCheck.Gen in
+  let finite = map (fun f -> if Float.is_finite f then f else 0.) float in
+  let leaf =
+    oneof
+      [
+        return Fleet.Jsonv.Null;
+        map (fun b -> Fleet.Jsonv.Bool b) bool;
+        map (fun f -> Fleet.Jsonv.Num f) finite;
+        map (fun s -> Fleet.Jsonv.Str s) string_small;
+      ]
+  in
+  sized
+    (fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           let kids = list_size (0 -- 4) (self (n / 4)) in
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Fleet.Jsonv.Arr l) kids);
+               ( 1,
+                 map
+                   (fun l -> Fleet.Jsonv.Obj l)
+                   (list_size (0 -- 4) (pair string_small (self (n / 4)))) );
+             ]))
+
+let prop_jsonv_parse_print =
+  QCheck.Test.make ~name:"jsonv: parse . print is the identity" ~count:500
+    (QCheck.make ~print:Fleet.Jsonv.to_string gen_json)
+    (fun v -> Fleet.Jsonv.parse (Fleet.Jsonv.to_string v) = Ok v)
+
+(* Arbitrary bytes, and printed documents cut or with one byte changed:
+   the parsers answer Ok or Error and never raise. *)
+let prop_parsers_total =
+  let damaged =
+    QCheck.Gen.(
+      map3
+        (fun v cut c ->
+          let s = Fleet.Jsonv.to_string v in
+          let n = String.length s in
+          let s = String.sub s 0 (cut mod (n + 1)) in
+          if s = "" then s
+          else String.mapi (fun i x -> if i = cut mod String.length s then c else x) s)
+        gen_json nat char)
+  in
+  QCheck.Test.make ~name:"jsonv/spec: parsers never raise" ~count:2000
+    (QCheck.make ~print:String.escaped QCheck.Gen.(oneof [ string; damaged ]))
+    (fun s ->
+      ignore (Fleet.Jsonv.parse s);
+      ignore (Fleet.Spec.of_string s);
+      true)
+
 (* ------------------------------------------------------------------ *)
 (* Store                                                              *)
 
@@ -159,6 +212,26 @@ let test_store_schema_rejection () =
   close_out oc;
   (match Fleet.Store.load ~path with
   | Ok _ -> Alcotest.fail "load must propagate the unknown-schema error"
+  | Error e -> check bool "error names the line" true (contains e ":2:"));
+  Sys.remove path
+
+let test_store_torn_tail () =
+  let line = Fleet.Store.to_line (sample_record ()) in
+  let write text =
+    let path = tmp_file "store_torn.jsonl" in
+    Out_channel.with_open_bin path (fun oc -> output_string oc text);
+    path
+  in
+  (* A crash mid-append leaves a final line with no newline: skipped. *)
+  let path = write (line ^ "\n" ^ line ^ "\n" ^ String.sub line 0 40) in
+  (match Fleet.Store.load ~path with
+  | Ok records -> check int "complete records kept" 2 (List.length records)
+  | Error e -> Alcotest.failf "torn tail must be skipped: %s" e);
+  Sys.remove path;
+  (* The same bytes followed by a newline are a complete bad line. *)
+  let path = write (line ^ "\n" ^ String.sub line 0 40 ^ "\n" ^ line ^ "\n") in
+  (match Fleet.Store.load ~path with
+  | Ok _ -> Alcotest.fail "a complete bad line must be an error"
   | Error e -> check bool "error names the line" true (contains e ":2:"));
   Sys.remove path
 
@@ -361,20 +434,34 @@ let test_query_domains_determinism () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* Emit + legacy byte-identity                                        *)
+(* Sink + legacy byte-identity                                        *)
 
-let test_emit_writes_payload_verbatim () =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) "fleet_emit_test" in
+let test_sink_writes_payload_verbatim () =
+  let root = Filename.concat (Filename.get_temp_dir_name ()) "fleet_sink_test" in
+  let rec rm path =
+    if Sys.file_exists path then
+      if Sys.is_directory path then begin
+        Array.iter (fun f -> rm (Filename.concat path f)) (Sys.readdir path);
+        Sys.rmdir path
+      end
+      else Sys.remove path
+  in
+  rm root;
+  (* Neither the directory nor its parents exist yet. *)
+  let dir = Filename.concat (Filename.concat root "a") "b" in
   let store = Filename.concat dir "store.jsonl" in
-  if Sys.file_exists store then Sys.remove store;
   let payload = "line one\nline two \xc3\xa9\n" in
   let r =
-    Fleet.Emit.artifact ~store ~csv_dir:dir ~driver:"t" ~kind:"T"
-      ~legacy:"artifact.txt" ~config:[] ~metrics:[ ("m", 1.) ] ~payload ()
+    Fleet.Store.make ~driver:"t" ~kind:"T" ~config:[] ~metrics:[ ("m", 1.) ] ~payload ()
   in
-  let read_all path = In_channel.with_open_bin path In_channel.input_all in
+  let written =
+    Fleet.Sink.write { Fleet.Sink.store = Some store; csv_dir = Some dir }
+      ~legacy:"artifact.txt" r
+  in
+  let path = Filename.concat dir "artifact.txt" in
+  check bool "returns the legacy path" true (written = Some path);
   check string "legacy file holds the payload bytes" payload
-    (read_all (Filename.concat dir "artifact.txt"));
+    (In_channel.with_open_bin path In_channel.input_all);
   (match Fleet.Store.load ~path:store with
   | Ok [ stored ] ->
     check string "stored payload = file bytes" payload stored.Fleet.Store.r_payload;
@@ -382,8 +469,7 @@ let test_emit_writes_payload_verbatim () =
       (Fleet.Store.to_line stored)
   | Ok _ -> Alcotest.fail "expected exactly one record"
   | Error e -> Alcotest.fail e);
-  Sys.remove store;
-  Sys.remove (Filename.concat dir "artifact.txt")
+  rm root
 
 let test_series_csv_string_matches_output_csv () =
   let s1 = Engine.Series.create ~name:"waiting" () in
@@ -438,6 +524,8 @@ let suite =
     Alcotest.test_case "jsonv: malformed documents rejected" `Quick test_jsonv_errors;
     Alcotest.test_case "jsonv: canonical sorts keys recursively" `Quick
       test_jsonv_canonical;
+    QCheck_alcotest.to_alcotest prop_jsonv_parse_print;
+    QCheck_alcotest.to_alcotest prop_parsers_total;
     Alcotest.test_case "store: line round trip is byte-identical" `Quick
       test_store_line_roundtrip;
     Alcotest.test_case "store: append/load/reserialize round trip" `Quick
@@ -450,6 +538,8 @@ let suite =
       test_store_schema_rejection;
     Alcotest.test_case "store: malformed records rejected" `Quick
       test_store_rejects_garbage;
+    Alcotest.test_case "store: torn final line skipped, bad line located" `Quick
+      test_store_torn_tail;
     Alcotest.test_case "spec: cross-product expansion order" `Quick
       test_spec_expansion;
     Alcotest.test_case "spec: malformed specs rejected" `Quick test_spec_errors;
@@ -464,8 +554,8 @@ let suite =
       test_query_regressions;
     Alcotest.test_case "query: byte-identical at domains 1 vs 4" `Quick
       test_query_domains_determinism;
-    Alcotest.test_case "emit: store payload = legacy file bytes" `Quick
-      test_emit_writes_payload_verbatim;
+    Alcotest.test_case "sink: store payload = legacy file bytes" `Quick
+      test_sink_writes_payload_verbatim;
     Alcotest.test_case "series: csv_string matches output_csv" `Quick
       test_series_csv_string_matches_output_csv;
     Alcotest.test_case "fig1: csv_string matches to_csv" `Quick

@@ -33,17 +33,6 @@ let test_hook_counts_and_clear () =
   Sched.clear_trace_hooks sim;
   check_int "trace cleared" 0 (Sched.trace_hook_count sim)
 
-(* The single remaining pin on the deprecated [set_*_hook] aliases:
-   despite the historical names they append to the bus, never replace. *)
-let test_deprecated_set_aliases_append () =
-  let sim = Sched.create base_cfg in
-  Sched.add_event_hook sim (fun _ -> ());
-  (Sched.set_event_hook [@alert "-deprecated"]) sim (fun _ -> ());
-  check_int "set_event_hook appends" 2 (Sched.event_hook_count sim);
-  Sched.add_trace_hook sim (fun ~time:_ ~tid:_ _ -> ());
-  (Sched.set_trace_hook [@alert "-deprecated"]) sim (fun ~time:_ ~tid:_ _ -> ());
-  check_int "set_trace_hook appends" 2 (Sched.trace_hook_count sim)
-
 let test_event_bus_multiple_observers () =
   let sim = Sched.create base_cfg in
   let a = ref 0 and b = ref 0 in
@@ -132,8 +121,6 @@ let test_default_thread_names_are_per_machine () =
 let suite =
   [
     Alcotest.test_case "hook counts and clear" `Quick test_hook_counts_and_clear;
-    Alcotest.test_case "deprecated set aliases append" `Quick
-      test_deprecated_set_aliases_append;
     Alcotest.test_case "event bus fan-out" `Quick test_event_bus_multiple_observers;
     Alcotest.test_case "trace bus fan-out" `Quick test_trace_bus_multiple_sinks;
     Alcotest.test_case "annotations flag tracks subscribers" `Quick
