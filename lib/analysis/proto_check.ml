@@ -1,11 +1,11 @@
-(* Explicit-state model checker over Core.Protocol. Bounded BFS with
-   a hashed seen-set; liveness via backward reachability from the goal
-   states. Pure and deterministic throughout, so every state count,
-   verdict and counterexample — and the JSON built from them — is the
-   same bytes at any domain count. *)
+(* Explicit-state model checker over Core.Protocol. Bounded BFS over
+   a packed seen-set (varint-encoded states in one byte arena, found
+   through an open-addressing table of ids); liveness via backward
+   reachability from the goal states. Deterministic throughout, so
+   every state count, verdict and counterexample — and the JSON built
+   from them — is the same bytes at any domain count. *)
 
 module Protocol = Adaptive_core.Protocol
-
 
 type counterexample = { x_steps : (string * string) list; x_why : string; x_state : string }
 
@@ -20,9 +20,85 @@ type report = {
   r_verdict : verdict;
 }
 
-(* Growable state store: ids are BFS discovery order, which doubles as
-   the deterministic tiebreak (the earliest wedged state is the one
-   reported). *)
+(* -- packed states -- *)
+
+(* Zigzag varints: a small magnitude of either sign takes one byte, any
+   int at most nine, and the code is prefix-free, so a state's bytes
+   are equal exactly when its slots are. *)
+let max_varint = 9
+
+let put_varint b pos v =
+  let z = ref ((v lsl 1) lxor (v asr (Sys.int_size - 1))) and p = ref pos in
+  while !z land lnot 0x7f <> 0 do
+    Bytes.set b !p (Char.unsafe_chr (!z land 0x7f lor 0x80));
+    z := !z lsr 7;
+    incr p
+  done;
+  Bytes.set b !p (Char.unsafe_chr !z);
+  !p + 1
+
+let put_state b pos st =
+  let p = ref pos in
+  for i = 0 to Array.length st - 1 do
+    p := put_varint b !p st.(i)
+  done;
+  !p
+
+(* Decode [Array.length dst] varints starting at [pos] into [dst]. *)
+let get_state b pos dst =
+  let p = ref pos in
+  for i = 0 to Array.length dst - 1 do
+    let z = ref 0 and shift = ref 0 and c = ref (Char.code (Bytes.get b !p)) in
+    incr p;
+    while !c land 0x80 <> 0 do
+      z := !z lor ((!c land 0x7f) lsl !shift);
+      shift := !shift + 7;
+      c := Char.code (Bytes.get b !p);
+      incr p
+    done;
+    z := !z lor (!c lsl !shift);
+    dst.(i) <- (!z lsr 1) lxor (- (!z land 1))
+  done
+
+module Codec = struct
+  let pack st =
+    let b = Bytes.create (max_varint * Array.length st) in
+    Bytes.sub_string b 0 (put_state b 0 st)
+
+  let unpack s width =
+    let dst = Array.make width 0 in
+    get_state (Bytes.unsafe_of_string s) 0 dst;
+    dst
+end
+
+(* FNV-1a over the packed bytes, a word at a time, then a
+   multiply-xorshift finish so the low bits the table indexes by
+   depend on every byte. *)
+let hash_bytes b p len =
+  let h = ref len and i = ref 0 in
+  while !i + 8 <= len do
+    h := (!h lxor Int64.to_int (Bytes.get_int64_ne b (p + !i))) * 0x100000001b3;
+    i := !i + 8
+  done;
+  while !i < len do
+    h := (!h lxor Char.code (Bytes.get b (p + !i))) * 0x100000001b3;
+    incr i
+  done;
+  let h = !h lxor (!h lsr 33) in
+  let h = h * 0x2545f4914f6cdd1d in
+  h lxor (h lsr 29)
+
+let same_bytes b p q len =
+  let i = ref 0 in
+  while !i + 8 <= len && Int64.equal (Bytes.get_int64_ne b (p + !i)) (Bytes.get_int64_ne b (q + !i)) do
+    i := !i + 8
+  done;
+  while !i < len && Bytes.get b (p + !i) = Bytes.get b (q + !i) do
+    incr i
+  done;
+  !i = len
+
+(* Growable flat vector. *)
 type 'a vec = { mutable buf : 'a array; mutable len : int }
 
 let vec_make dummy = { buf = Array.make 1024 dummy; len = 0 }
@@ -36,41 +112,154 @@ let vec_push v x =
   v.buf.(v.len) <- x;
   v.len <- v.len + 1
 
-let vec_get v i = v.buf.(i)
+(* The seen-set. Ids are BFS discovery order, which doubles as the
+   deterministic tiebreak (the earliest wedged state is the one
+   reported). State [id] is the bytes [offs.(id)] .. [offs.(id + 1)]
+   of one arena; the table maps a hash to ids by linear probing
+   (-1 = empty) and is kept at most half full. The hash only places
+   ids in the table, so it orders nothing. A candidate is encoded at
+   the arena's tail and committed only when no equal bytes are
+   already there. *)
+type seen = {
+  mutable arena : Bytes.t;
+  offs : int vec;  (* one entry per state, plus the arena's end *)
+  hashes : int vec;  (* one entry per state *)
+  mutable table : int array;
+}
 
-(* Reconstruct the (role, label) path from the initial state to [id]
-   via parent pointers. *)
-let path_to parents id =
+let seen_make () =
+  let offs = vec_make 0 in
+  vec_push offs 0;
+  { arena = Bytes.create 65536; offs; hashes = vec_make 0; table = Array.make 2048 (-1) }
+
+let count s = s.hashes.len
+
+let rehash s =
+  let table = Array.make (2 * Array.length s.table) (-1) in
+  let mask = Array.length table - 1 in
+  for id = 0 to count s - 1 do
+    let i = ref (s.hashes.buf.(id) land mask) in
+    while table.(!i) >= 0 do
+      i := (!i + 1) land mask
+    done;
+    table.(!i) <- id
+  done;
+  s.table <- table
+
+(* The id of [st], adding it when new (then [count s] grows). *)
+let intern s st =
+  let pos = s.offs.buf.(count s) in
+  let need = pos + (max_varint * Array.length st) in
+  if need > Bytes.length s.arena then begin
+    let a = Bytes.create (2 * need) in
+    Bytes.blit s.arena 0 a 0 pos;
+    s.arena <- a
+  end;
+  let stop = put_state s.arena pos st in
+  let len = stop - pos in
+  let h = hash_bytes s.arena pos len in
+  let offs = s.offs.buf and mask = Array.length s.table - 1 in
+  let rec probe i =
+    let id = s.table.(i) in
+    if id < 0 then begin
+      let id = count s in
+      s.table.(i) <- id;
+      vec_push s.hashes h;
+      vec_push s.offs stop;
+      if 2 * count s > Array.length s.table then rehash s;
+      id
+    end
+    else if
+      s.hashes.buf.(id) = h
+      && offs.(id + 1) - offs.(id) = len
+      && same_bytes s.arena offs.(id) pos len
+    then id
+    else probe ((i + 1) land mask)
+  in
+  probe (h land mask)
+
+let decode s id dst = get_state s.arena s.offs.buf.(id) dst
+
+(* Parent pointers, one entry per state: the predecessor (-1 for the
+   initial state) and the transition taken from it. *)
+type parents = { p_pred : int vec; p_role : string vec; p_label : string vec }
+
+(* Reconstruct the (role, label) path from the initial state to [id]. *)
+let path_to ps id =
   let rec go acc id =
-    match vec_get parents id with
-    | None -> acc
-    | Some (pred, role, label) -> go ((role, label) :: acc) pred
+    let pred = ps.p_pred.buf.(id) in
+    if pred < 0 then acc else go ((ps.p_role.buf.(id), ps.p_label.buf.(id)) :: acc) pred
   in
   go [] id
 
+(* Backward reachability over CSR successor lists ([starts.(id)] ..
+   [starts.(id + 1)] index [targets]): the ids [goal] holds on, and
+   every id that reaches one, are ok. *)
+let reaches_goal n starts targets goal =
+  let m = starts.(n) in
+  let pstart = Array.make (n + 1) 0 in
+  for e = 0 to m - 1 do
+    pstart.(targets.(e) + 1) <- pstart.(targets.(e) + 1) + 1
+  done;
+  for id = 1 to n do
+    pstart.(id) <- pstart.(id) + pstart.(id - 1)
+  done;
+  let fill = Array.sub pstart 0 n in
+  let preds = Array.make m 0 in
+  for id = 0 to n - 1 do
+    for e = starts.(id) to starts.(id + 1) - 1 do
+      let t = targets.(e) in
+      preds.(fill.(t)) <- id;
+      fill.(t) <- fill.(t) + 1
+    done
+  done;
+  let ok = Array.make n false in
+  let queue = Array.make n 0 and tail = ref 0 in
+  for id = 0 to n - 1 do
+    if goal id then begin
+      ok.(id) <- true;
+      queue.(!tail) <- id;
+      incr tail
+    end
+  done;
+  let head = ref 0 in
+  while !head < !tail do
+    let id = queue.(!head) in
+    incr head;
+    for e = pstart.(id) to pstart.(id + 1) - 1 do
+      let p = preds.(e) in
+      if not ok.(p) then begin
+        ok.(p) <- true;
+        queue.(!tail) <- p;
+        incr tail
+      end
+    done
+  done;
+  ok
+
 let check ?(max_states = 2_000_000) model prop =
   let init = Protocol.init model in
-  let dummy_state = init in
-  let states = vec_make dummy_state in
-  let parents : (int * string * string) option vec = vec_make None in
-  (* Forward adjacency, only kept for liveness (the backward pass). *)
+  let seen = seen_make () in
+  let parents = { p_pred = vec_make 0; p_role = vec_make ""; p_label = vec_make "" } in
+  (* Forward adjacency in CSR form, only kept for liveness (the
+     backward pass). States are expanded in id order, so [starts]
+     gets one entry per expansion. *)
   let keep_edges = match prop with Protocol.Liveness _ -> true | _ -> false in
-  let succs_of : int list vec = vec_make [] in
-  let seen : (string, int) Hashtbl.t = Hashtbl.create 4096 in
+  let starts = vec_make 0 and targets = vec_make 0 in
   let edges = ref 0 in
   let violation = ref None in
   let truncated = ref false in
-  let intern st parent =
-    let k = Protocol.key model st in
-    match Hashtbl.find_opt seen k with
-    | Some id -> (id, false)
-    | None ->
-      let id = states.len in
-      Hashtbl.add seen k id;
-      vec_push states st;
-      vec_push parents parent;
-      if keep_edges then vec_push succs_of [];
-      (id, true)
+  let cur = Array.copy init in
+  (* Ids are dense, so [id] is new exactly when it is the next parent
+     entry; record how it was reached. *)
+  let is_new id pred role label =
+    let fresh = id = parents.p_pred.len in
+    if fresh then begin
+      vec_push parents.p_pred pred;
+      vec_push parents.p_role role;
+      vec_push parents.p_label label
+    end;
+    fresh
   in
   let bad_state id st =
     match prop with
@@ -96,29 +285,29 @@ let check ?(max_states = 2_000_000) model prop =
       | None -> false)
     | _ -> false
   in
-  let q = Queue.create () in
-  let id0, _ = intern init None in
-  if not (bad_state id0 init) then Queue.add id0 q;
+  ignore (is_new (intern seen init) (-1) "" "");
+  (* The queue is the id counter: every interned state is expanded, in
+     discovery order. *)
+  let next = ref 0 in
   (try
-     while not (Queue.is_empty q) do
-       let id = Queue.pop q in
-       let st = vec_get states id in
-       List.iter
-         (fun (role, label, st') ->
+     if bad_state 0 init then raise Exit;
+     while !next < count seen do
+       let id = !next in
+       incr next;
+       decode seen id cur;
+       if keep_edges then vec_push starts targets.len;
+       Protocol.iter_successors model cur (fun role label st' ->
            incr edges;
-           if bad_step id st role label then raise Exit;
-           let id', fresh = intern st' (Some (id, role, label)) in
-           if keep_edges then
-             succs_of.buf.(id) <- id' :: succs_of.buf.(id);
-           if fresh then begin
+           if bad_step id cur role label then raise Exit;
+           let id' = intern seen st' in
+           if keep_edges then vec_push targets id';
+           if is_new id' id role label then begin
              if bad_state id' st' then raise Exit;
-             if states.len >= max_states then begin
+             if count seen >= max_states then begin
                truncated := true;
                raise Exit
-             end;
-             Queue.add id' q
+             end
            end)
-         (Protocol.successors model st)
      done
    with Exit -> ());
   let verdict =
@@ -129,44 +318,29 @@ let check ?(max_states = 2_000_000) model prop =
       match prop with
       | Protocol.Safety _ | Protocol.Step _ -> Holds
       | Protocol.Liveness { q_goal; _ } ->
-        (* Backward reachability: every reachable state must be able
-           to reach a goal state. *)
-        let n = states.len in
-        let preds = Array.make n [] in
-        for id = 0 to n - 1 do
-          List.iter (fun id' -> preds.(id') <- id :: preds.(id')) (vec_get succs_of id)
-        done;
-        let ok = Array.make n false in
-        let bq = Queue.create () in
-        for id = 0 to n - 1 do
-          if q_goal model (vec_get states id) then begin
-            ok.(id) <- true;
-            Queue.add id bq
-          end
-        done;
-        while not (Queue.is_empty bq) do
-          let id = Queue.pop bq in
-          List.iter
-            (fun p ->
-              if not ok.(p) then begin
-                ok.(p) <- true;
-                Queue.add p bq
-              end)
-            preds.(id)
-        done;
+        (* Every reachable state must be able to reach a goal state. *)
+        let n = count seen in
+        vec_push starts targets.len;
+        let ok =
+          reaches_goal n starts.buf targets.buf (fun id ->
+              decode seen id cur;
+              q_goal model cur)
+        in
         let wedged = ref (-1) in
         for id = n - 1 downto 0 do
           if not ok.(id) then wedged := id
         done;
         if !wedged < 0 then Holds
-        else
+        else begin
+          decode seen !wedged cur;
           Violated
             { x_steps = path_to parents !wedged;
               x_why = "wedged: no path to a quiesced/goal state";
-              x_state = Protocol.describe model (vec_get states !wedged) })
+              x_state = Protocol.describe model cur }
+        end)
   in
   { r_model = Protocol.name model; r_property = Protocol.property_name prop;
-    r_desc = Protocol.property_desc prop; r_states = states.len; r_edges = !edges;
+    r_desc = Protocol.property_desc prop; r_states = count seen; r_edges = !edges;
     r_verdict = verdict }
 
 let check_all ?domains ?max_states ?only models =

@@ -1,7 +1,11 @@
 (** Explicit-state model checker for [Protocol] specs.
 
-    Bounded breadth-first exploration with a hashed seen-set — no
-    external tools. Safety properties are judged on every reachable
+    Bounded breadth-first exploration — no external tools. Visited
+    states are stored packed, each as the zigzag varints of its
+    {!Protocol.state} slots in one byte arena, and found through an
+    open-addressing hash table of state ids; a state is copied into
+    the arena only when it is new and decoded again when it is
+    expanded. Safety properties are judged on every reachable
     state (or transition, for [Step] properties) as it is discovered;
     liveness-as-absence-of-wedged-states does one full exploration,
     then a backward reachability pass from the goal states: any
@@ -38,7 +42,8 @@ type report = {
 
 val check : ?max_states:int -> Protocol.t -> Protocol.property -> report
 (** Check one property of one model. [max_states] defaults to
-    2_000_000. *)
+    2_000_000; discovering that many states without an answer stops
+    the check as [Out_of_bounds] with [r_states = max_states]. *)
 
 val check_all :
   ?domains:int ->
@@ -52,6 +57,15 @@ val check_all :
 
 val clean : report list -> bool
 (** No violation and nothing out of bounds. *)
+
+(** The seen-set's state encoding: the slots' zigzag varints, end to
+    end. One byte per slot of magnitude below 64, at most nine for any
+    int; prefix-free, so distinct arrays pack to distinct bytes. *)
+module Codec : sig
+  val pack : int array -> string
+  val unpack : string -> int -> int array
+  (** [unpack (pack a) (Array.length a) = a]. *)
+end
 
 (** {1 Seeded-bad fixtures} *)
 

@@ -1,8 +1,8 @@
 (* Small-step protocol IR + explicit-state semantics. See the .mli
    for the model: roles, shared words, guarded atomic rules, generated
-   crash transitions and an abstract clock. Everything is pure and
-   deterministic — successor order is declaration order — so the
-   checker's state counts and counterexamples are stable bytes. *)
+   crash transitions and an abstract clock. Everything is deterministic
+   — successor order is declaration order — so the checker's state
+   counts and counterexamples are stable bytes. *)
 
 module Spec = struct
   type flavor = Holder | Swapper | Spinning | Queued | Sleeping | Timed | Monitor
@@ -68,18 +68,11 @@ exception Ill_formed of string
 
 let ill fmt = Format.kasprintf (fun s -> raise (Ill_formed s)) fmt
 
-(* Compiled (indexed) forms: every name resolved to an array slot so
-   evaluation during exploration never touches a string. *)
+(* Compiled forms: every name resolved to a slot of the flat state
+   (see [state] below), so evaluation during exploration never touches
+   a string. The acting role's id ([Me]) is a constant by then. *)
 
-type cexpr =
-  | CK of int
-  | CS of int
-  | CL of int
-  | CMe
-  | CClock
-  | CStatus of int
-  | CAdd of cexpr * cexpr
-  | CSub of cexpr * cexpr
+type cexpr = CK of int | CV of int | CAdd of cexpr * cexpr | CSub of cexpr * cexpr
 
 type cguard =
   | CT
@@ -89,32 +82,45 @@ type cguard =
   | CNot of cguard
 
 type cact =
-  | CRead of int * int
-  | CWrite of int * cexpr
-  | CSet of int * cexpr
+  | CPut of int * cexpr  (* slot := e (a shared word or a local) *)
   | CIf of cguard * cact list * cact list
-  | CUnpark of int
+  | CUnpark of int * int  (* the woken role's status slot and wake slot *)
 
 type crule = {
-  c_role : int;
-  c_from : int;
+  c_role : string;
   c_label : string;
+  c_pc : int;  (* the acting role's pc, status and wake slots *)
+  c_st : int;
+  c_wk : int;
+  c_from : int;
   c_guard : cguard;
   c_acts : cact list;
   c_to : int;
   c_park : bool;
   c_done : bool;
-  c_timeout : bool;
 }
+
+(* A state is one flat int array, laid out at [compile] as
+   [clk; cr; shared...; pcs...; statuses...; wake bits...; locals...]
+   with each role's locals contiguous. *)
+type state = int array
+type slot = int
+
+let o_clk = 0
+let o_cr = 1
+let o_sh = 2
 
 type t = {
   t_spec : Spec.t;
   t_shared_names : string array;
-  t_shared_init : int array;
   t_role_names : string array;
   t_crashable : bool array;
   t_local_names : string array array;
-  t_local_init : int array array;
+  t_o_pc : int;
+  t_o_st : int;
+  t_o_wk : int;
+  t_o_loc : int array;  (* first local slot of each role *)
+  t_init : state;
   t_rules : crule array;
 }
 
@@ -149,28 +155,36 @@ let compile (s : Spec.t) : t =
   if s.Spec.p_crash_budget < 0 then ill "protocol %s: negative crash budget" s.Spec.p_name;
   if s.Spec.p_clock_max < 0 then ill "protocol %s: negative clock bound" s.Spec.p_name;
   let shared_names = Array.of_list (List.map fst s.Spec.p_shared) in
-  let shared_init = Array.of_list (List.map snd s.Spec.p_shared) in
   let role_names = Array.of_list (List.map (fun r -> r.Spec.r_name) s.Spec.p_roles) in
   let crashable = Array.of_list (List.map (fun r -> r.Spec.r_crashable) s.Spec.p_roles) in
   let local_names =
     Array.of_list (List.map (fun r -> Array.of_list (List.map fst r.Spec.r_locals)) s.Spec.p_roles)
   in
-  let local_init =
-    Array.of_list (List.map (fun r -> Array.of_list (List.map snd r.Spec.r_locals)) s.Spec.p_roles)
-  in
   check_dups s.Spec.p_name shared_names;
   check_dups s.Spec.p_name role_names;
   Array.iter (check_dups s.Spec.p_name) local_names;
-  let shared_ix n = index_of (s.Spec.p_name ^ " shared") shared_names n in
+  let nroles = Array.length role_names in
+  let o_pc = o_sh + Array.length shared_names in
+  let o_st = o_pc + nroles in
+  let o_wk = o_st + nroles in
+  let o_loc = Array.make nroles 0 in
+  let width = ref (o_wk + nroles) in
+  Array.iteri (fun r ls -> o_loc.(r) <- !width; width := !width + Array.length ls) local_names;
+  let init = Array.make !width 0 in
+  List.iteri (fun i (_, v) -> init.(o_sh + i) <- v) s.Spec.p_shared;
+  List.iteri
+    (fun r role -> List.iteri (fun j (_, v) -> init.(o_loc.(r) + j) <- v) role.Spec.r_locals)
+    s.Spec.p_roles;
+  let shared_ix n = o_sh + index_of (s.Spec.p_name ^ " shared") shared_names n in
   let role_ix n = index_of (s.Spec.p_name ^ " role") role_names n in
-  let local_ix role n = index_of (s.Spec.p_name ^ " local") local_names.(role) n in
+  let local_ix role n = o_loc.(role) + index_of (s.Spec.p_name ^ " local") local_names.(role) n in
   let rec cexpr role = function
     | Spec.K v -> CK v
-    | Spec.S n -> CS (shared_ix n)
-    | Spec.L n -> CL (local_ix role n)
-    | Spec.Me -> CMe
-    | Spec.Clock -> CClock
-    | Spec.Status n -> CStatus (role_ix n)
+    | Spec.S n -> CV (shared_ix n)
+    | Spec.L n -> CV (local_ix role n)
+    | Spec.Me -> CK (role + 1)
+    | Spec.Clock -> CV o_clk
+    | Spec.Status n -> CV (o_st + role_ix n)
     | Spec.Add (a, b) -> CAdd (cexpr role a, cexpr role b)
     | Spec.Sub (a, b) -> CSub (cexpr role a, cexpr role b)
   in
@@ -182,157 +196,154 @@ let compile (s : Spec.t) : t =
     | Spec.Not g -> CNot (cguard role g)
   in
   let rec cact role = function
-    | Spec.Read (l, w) -> CRead (local_ix role l, shared_ix w)
-    | Spec.Write (w, e) -> CWrite (shared_ix w, cexpr role e)
-    | Spec.Set (l, e) -> CSet (local_ix role l, cexpr role e)
+    | Spec.Read (l, w) -> CPut (local_ix role l, CV (shared_ix w))
+    | Spec.Write (w, e) -> CPut (shared_ix w, cexpr role e)
+    | Spec.Set (l, e) -> CPut (local_ix role l, cexpr role e)
     | Spec.If (g, a, b) -> CIf (cguard role g, List.map (cact role) a, List.map (cact role) b)
-    | Spec.Unpark n -> CUnpark (role_ix n)
+    | Spec.Unpark n ->
+      let r = role_ix n in
+      CUnpark (o_st + r, o_wk + r)
   in
   let crule (u : Spec.rule) =
     let role = role_ix u.Spec.u_role in
     if u.Spec.u_park && u.Spec.u_done then
       ill "%s rule %s: park and done are exclusive" s.Spec.p_name u.Spec.u_label;
-    { c_role = role; c_from = u.Spec.u_from; c_label = u.Spec.u_label;
+    { c_role = role_names.(role); c_label = u.Spec.u_label; c_pc = o_pc + role;
+      c_st = o_st + role; c_wk = o_wk + role; c_from = u.Spec.u_from;
       c_guard = cguard role u.Spec.u_guard; c_acts = List.map (cact role) u.Spec.u_acts;
-      c_to = u.Spec.u_to; c_park = u.Spec.u_park; c_done = u.Spec.u_done;
-      c_timeout = u.Spec.u_timeout }
+      c_to = u.Spec.u_to; c_park = u.Spec.u_park; c_done = u.Spec.u_done }
   in
-  { t_spec = s; t_shared_names = shared_names; t_shared_init = shared_init;
-    t_role_names = role_names; t_crashable = crashable; t_local_names = local_names;
-    t_local_init = local_init; t_rules = Array.of_list (List.map crule s.Spec.p_rules) }
+  { t_spec = s; t_shared_names = shared_names; t_role_names = role_names;
+    t_crashable = crashable; t_local_names = local_names; t_o_pc = o_pc; t_o_st = o_st;
+    t_o_wk = o_wk; t_o_loc = o_loc; t_init = init;
+    t_rules = Array.of_list (List.map crule s.Spec.p_rules) }
 
 let name t = t.t_spec.Spec.p_name
 let spec t = t.t_spec
 let role_names t = Array.to_list t.t_role_names
+let init t = Array.copy t.t_init
 
-type state = {
-  sh : int array;
-  pcs : int array;
-  regs : int array array;
-  sts : int array;
-  wk : int array;
-  clk : int;
-  cr : int;
-}
-
-let init t =
-  let n = Array.length t.t_role_names in
-  { sh = Array.copy t.t_shared_init;
-    pcs = Array.make n 0;
-    regs = Array.map Array.copy t.t_local_init;
-    sts = Array.make n st_running;
-    wk = Array.make n 0;
-    clk = 0;
-    cr = 0 }
-
-let rec eval st me = function
+let rec eval st = function
   | CK v -> v
-  | CS i -> st.sh.(i)
-  | CL i -> st.regs.(me).(i)
-  | CMe -> me + 1
-  | CClock -> st.clk
-  | CStatus r -> st.sts.(r)
-  | CAdd (a, b) -> eval st me a + eval st me b
-  | CSub (a, b) -> eval st me a - eval st me b
+  | CV i -> st.(i)
+  | CAdd (a, b) -> eval st a + eval st b
+  | CSub (a, b) -> eval st a - eval st b
 
-let cmp_op : Spec.cmp -> int -> int -> bool = function
-  | Spec.Eq -> ( = )
-  | Spec.Ne -> ( <> )
-  | Spec.Lt -> ( < )
-  | Spec.Le -> ( <= )
-  | Spec.Gt -> ( > )
-  | Spec.Ge -> ( >= )
-
-let rec holds st me = function
+let rec holds st = function
   | CT -> true
-  | CC (c, a, b) -> cmp_op c (eval st me a) (eval st me b)
-  | CAll gs -> List.for_all (holds st me) gs
-  | CAny gs -> List.exists (holds st me) gs
-  | CNot g -> not (holds st me g)
+  | CC (c, a, b) -> (
+    let x = eval st a and y = eval st b in
+    match c with
+    | Spec.Eq -> x = y
+    | Spec.Ne -> x <> y
+    | Spec.Lt -> x < y
+    | Spec.Le -> x <= y
+    | Spec.Gt -> x > y
+    | Spec.Ge -> x >= y)
+  | CAll gs -> all st gs
+  | CAny gs -> any st gs
+  | CNot g -> not (holds st g)
 
-let copy st =
-  { st with sh = Array.copy st.sh; pcs = Array.copy st.pcs;
-    regs = Array.map Array.copy st.regs; sts = Array.copy st.sts; wk = Array.copy st.wk }
+and all st = function [] -> true | g :: gs -> holds st g && all st gs
+and any st = function [] -> false | g :: gs -> holds st g || any st gs
 
-(* Actions mutate the copy in order: later actions observe earlier
-   writes within the same atomic rule. *)
-let rec apply_act st me = function
-  | CRead (l, w) -> st.regs.(me).(l) <- st.sh.(w)
-  | CWrite (w, e) -> st.sh.(w) <- eval st me e
-  | CSet (l, e) -> st.regs.(me).(l) <- eval st me e
-  | CIf (g, a, b) -> List.iter (apply_act st me) (if holds st me g then a else b)
-  | CUnpark r ->
-    (* Sticky wakeups: waking a parked role resumes it; waking a
-       running role leaves a token its next park consumes. Crashed and
-       finished roles ignore wakeups. *)
-    if st.sts.(r) = st_parked then st.sts.(r) <- st_running
-    else if st.sts.(r) = st_running then st.wk.(r) <- 1
+(* Actions mutate the successor in order: later actions observe
+   earlier writes within the same atomic rule. *)
+let rec apply_acts st = function
+  | [] -> ()
+  | a :: rest ->
+    (match a with
+    | CPut (i, e) -> st.(i) <- eval st e
+    | CIf (g, a, b) -> apply_acts st (if holds st g then a else b)
+    | CUnpark (s, w) ->
+      (* Sticky wakeups: waking a parked role resumes it; waking a
+         running role leaves a token its next park consumes. Crashed
+         and finished roles ignore wakeups. *)
+      if st.(s) = st_parked then st.(s) <- st_running
+      else if st.(s) = st_running then st.(w) <- 1);
+    apply_acts st rest
 
-let fire t st (r : crule) =
-  ignore t;
-  let st' = copy st in
-  List.iter (apply_act st' r.c_role) r.c_acts;
-  st'.pcs.(r.c_role) <- r.c_to;
-  if r.c_done then st'.sts.(r.c_role) <- st_done
-  else if r.c_park then begin
-    if st'.wk.(r.c_role) = 1 then st'.wk.(r.c_role) <- 0
-    else st'.sts.(r.c_role) <- st_parked
-  end;
-  st'
+(* Every successor is built in one scratch array, reset from [st]
+   before each; the scratch is private to this call, so concurrent
+   explorations of one model share nothing. *)
+let iter_successors t st f =
+  let n = Array.length st in
+  let sc = Array.make n 0 in
+  Array.iter
+    (fun r ->
+      if st.(r.c_st) = st_running && st.(r.c_pc) = r.c_from && holds st r.c_guard then begin
+        Array.blit st 0 sc 0 n;
+        apply_acts sc r.c_acts;
+        sc.(r.c_pc) <- r.c_to;
+        if r.c_done then sc.(r.c_st) <- st_done
+        else if r.c_park then begin
+          if sc.(r.c_wk) = 1 then sc.(r.c_wk) <- 0 else sc.(r.c_st) <- st_parked
+        end;
+        f r.c_role r.c_label sc
+      end)
+    t.t_rules;
+  if st.(o_cr) < t.t_spec.Spec.p_crash_budget then
+    Array.iteri
+      (fun i crashable ->
+        let s = st.(t.t_o_st + i) in
+        if crashable && (s = st_running || s = st_parked) then begin
+          Array.blit st 0 sc 0 n;
+          sc.(t.t_o_st + i) <- st_crashed;
+          sc.(o_cr) <- st.(o_cr) + 1;
+          f t.t_role_names.(i) "crash" sc
+        end)
+      t.t_crashable;
+  if st.(o_clk) < t.t_spec.Spec.p_clock_max then begin
+    Array.blit st 0 sc 0 n;
+    sc.(o_clk) <- st.(o_clk) + 1;
+    f "" "tick" sc
+  end
 
 let successors t st =
   let out = ref [] in
-  Array.iter
-    (fun r ->
-      if st.sts.(r.c_role) = st_running && st.pcs.(r.c_role) = r.c_from
-         && holds st r.c_role r.c_guard
-      then out := (t.t_role_names.(r.c_role), r.c_label, fire t st r) :: !out)
-    t.t_rules;
-  if st.cr < t.t_spec.Spec.p_crash_budget then
-    Array.iteri
-      (fun i crashable ->
-        if crashable && (st.sts.(i) = st_running || st.sts.(i) = st_parked) then begin
-          let st' = copy st in
-          st'.sts.(i) <- st_crashed;
-          out := (t.t_role_names.(i), "crash", { st' with cr = st.cr + 1 }) :: !out
-        end)
-      t.t_crashable;
-  if st.clk < t.t_spec.Spec.p_clock_max then
-    out := ("", "tick", { (copy st) with clk = st.clk + 1 }) :: !out;
+  iter_successors t st (fun role label st' -> out := (role, label, Array.copy st') :: !out);
   List.rev !out
 
-let key _t st = Marshal.to_string st []
+(* -- slots and accessors -- *)
 
-let shared t st n = st.sh.(index_of "shared" t.t_shared_names n)
+let shared_slot t n = o_sh + index_of "shared" t.t_shared_names n
+let role_ix t rn = index_of "role" t.t_role_names rn
 
-let local t st rn n =
-  let r = index_of "role" t.t_role_names rn in
-  st.regs.(r).(index_of "local" t.t_local_names.(r) n)
+let local_slot t rn n =
+  let r = role_ix t rn in
+  t.t_o_loc.(r) + index_of "local" t.t_local_names.(r) n
 
-let pc t st rn = st.pcs.(index_of "role" t.t_role_names rn)
-let status t st rn = status_of_code st.sts.(index_of "role" t.t_role_names rn)
-let wake_pending t st rn = st.wk.(index_of "role" t.t_role_names rn) = 1
-let clock _ st = st.clk
-let crashes _ st = st.cr
+let pc_slot t rn = t.t_o_pc + role_ix t rn
+let status_slot t rn = t.t_o_st + role_ix t rn
+let wake_slot t rn = t.t_o_wk + role_ix t rn
+let get (st : state) (s : slot) = st.(s)
+let status_at st s = status_of_code st.(s)
+let shared t st n = st.(shared_slot t n)
+let local t st rn n = st.(local_slot t rn n)
+let pc t st rn = st.(pc_slot t rn)
+let status t st rn = status_at st (status_slot t rn)
+let wake_pending t st rn = st.(wake_slot t rn) = 1
+let clock _ st = st.(o_clk)
+let crashes _ st = st.(o_cr)
 
 let describe t st =
   let b = Buffer.create 128 in
-  Buffer.add_string b (Printf.sprintf "clk=%d cr=%d" st.clk st.cr);
-  Array.iteri (fun i n -> Buffer.add_string b (Printf.sprintf " %s=%d" n st.sh.(i)))
+  Buffer.add_string b (Printf.sprintf "clk=%d cr=%d" st.(o_clk) st.(o_cr));
+  Array.iteri (fun i n -> Buffer.add_string b (Printf.sprintf " %s=%d" n st.(o_sh + i)))
     t.t_shared_names;
   Array.iteri
     (fun i rn ->
       let s =
-        match status_of_code st.sts.(i) with
+        match status_of_code st.(t.t_o_st + i) with
         | Running -> "run"
         | Parked -> "parked"
         | Crashed -> "crashed"
         | Done -> "done"
       in
-      Buffer.add_string b (Printf.sprintf " %s@%d:%s" rn st.pcs.(i) s);
-      if st.wk.(i) = 1 then Buffer.add_string b "+wake";
+      Buffer.add_string b (Printf.sprintf " %s@%d:%s" rn st.(t.t_o_pc + i) s);
+      if st.(t.t_o_wk + i) = 1 then Buffer.add_string b "+wake";
       Array.iteri
-        (fun j ln -> Buffer.add_string b (Printf.sprintf "[%s=%d]" ln st.regs.(i).(j)))
+        (fun j ln -> Buffer.add_string b (Printf.sprintf "[%s=%d]" ln st.(t.t_o_loc.(i) + j)))
         t.t_local_names.(i))
     t.t_role_names;
   Buffer.contents b

@@ -11,9 +11,9 @@
     deadlines and [swap_grace_ns]-style age-out) are generated by the
     semantics, not declared per rule.
 
-    [compile] checks the spec's names and produces an indexed form;
-    [init]/[successors] give the explicit-state transition relation
-    that [Analysis.Proto_check] explores. Everything here is pure and
+    [compile] checks the spec's names and fixes the layout of a flat
+    state; [init]/[iter_successors] give the explicit-state transition
+    relation that [Analysis.Proto_check] explores. Everything here is
     deterministic: successor order is declaration order, so state
     counts, counterexamples and JSON built from them are stable bytes
     on any host or [--domains] count. *)
@@ -117,22 +117,57 @@ val role_names : t -> string list
 
 (** {1 States} *)
 
-type state
+type state = int array
+(** One flat array whose layout is fixed at {!compile}:
+    [[clk; cr; shared...; pcs...; statuses...; wake bits...; locals...]],
+    shared words and roles in declaration order, each role's locals
+    contiguous. Read it through {!slot} handles rather than by
+    position.
+
+    A state handed to a property predicate or to an
+    {!iter_successors} callback is scratch: it is overwritten once the
+    call returns, so read it (or [Array.copy] it) there and never keep
+    it. *)
 
 type status = Running | Parked | Crashed | Done
 
 val init : t -> state
+(** A fresh copy of the initial state. *)
+
+val iter_successors : t -> state -> (string -> string -> state -> unit) -> unit
+(** [iter_successors t st f] calls [f role label st'] once per enabled
+    transition, in deterministic order: declared rules first, then
+    generated ["crash"] transitions (role declaration order), then the
+    clock ["tick"] (role [""]). Every [st'] of one call is the same
+    scratch array, private to that call. A state with no successors
+    is terminal. *)
 
 val successors : t -> state -> (string * string * state) list
-(** [(role, label, state')] for every enabled transition, in
-    deterministic order: declared rules first, then generated
-    ["crash"] transitions (role declaration order), then the clock
-    ["tick"] (role [""]). A state with no successors is terminal. *)
+(** {!iter_successors} as a list of copied states. *)
 
-val key : t -> state -> string
-(** Canonical bytes for hashing/equality of states. *)
+(** {1 Slots} Handles resolved once per model, for predicates that run
+    on every state. @raise Ill_formed on an unknown name. *)
 
-(** {1 Accessors} (for properties and reports) *)
+type slot
+
+val shared_slot : t -> string -> slot
+
+val local_slot : t -> string -> string -> slot
+(** [local_slot t role register]. *)
+
+val pc_slot : t -> string -> slot
+val status_slot : t -> string -> slot
+
+val wake_slot : t -> string -> slot
+(** Holds 1 while the role has a sticky wakeup pending. *)
+
+val get : state -> slot -> int
+
+val status_at : state -> slot -> status
+(** Decode a {!status_slot}. *)
+
+(** {1 Accessors} By name, resolving on every call: for tests and
+    reports. *)
 
 val shared : t -> state -> string -> int
 val local : t -> state -> string -> string -> int

@@ -14,6 +14,17 @@ let k = fun v -> K v
 
 (* ---- the Switch_lock quiescence swap ---- *)
 
+(* A waiter's slots, for the properties. *)
+type wslots = {
+  w_name : string;
+  w_status : Protocol.slot;
+  w_wake : Protocol.slot;
+  w_pc : Protocol.slot;
+  w_reg : Protocol.slot;
+  w_flag : Protocol.slot;
+  w_kick : Protocol.slot;
+}
+
 (* Cast: role 1 is the swapper (initially holding the lock), roles
    2..n+1 the waiters. Shared words mirror the implementation: [ctl]
    is the freeze word (0 = no swap, 1 = the swapper's freeze token),
@@ -235,81 +246,85 @@ let quiescence ?bug ~waiters () =
       p_clock_max = 2 }
   in
   let m = Protocol.compile spec in
-  let all_roles = Protocol.role_names m in
-  let in_cs t st r = Protocol.local t st r "cs" in
-  let holders t st = List.fold_left (fun acc r -> acc + in_cs t st r) 0 all_roles in
-  let grants t st =
-    List.fold_left
-      (fun acc j -> acc + if Protocol.shared t st (flag j) = 1 then 1 else 0)
-      0 widxs
+  (* Predicates run on every reachable state: resolve their slots once. *)
+  let slot = Protocol.shared_slot m in
+  let get = Protocol.get in
+  let ctl = slot "ctl" and impl = slot "impl" in
+  let swapper = Protocol.status_slot m "swapper" in
+  let cs = List.map (fun r -> Protocol.local_slot m r "cs") (Protocol.role_names m) in
+  let ws =
+    List.map
+      (fun j ->
+        let r = wname j in
+        { w_name = r; w_status = Protocol.status_slot m r; w_wake = Protocol.wake_slot m r;
+          w_pc = Protocol.pc_slot m r; w_reg = slot (reg j); w_flag = slot (flag j);
+          w_kick = slot (kick j) })
+      widxs
+  in
+  let holders st = List.fold_left (fun acc s -> acc + get st s) 0 cs in
+  let grants st = List.fold_left (fun acc w -> acc + if get st w.w_flag = 1 then 1 else 0) 0 ws in
+  let finished st s =
+    match Protocol.status_at st s with Protocol.Done | Protocol.Crashed -> true | _ -> false
   in
   let props =
     [ Protocol.Safety
         { q_name = "mutex"; q_desc = "at most one thread in the critical section";
           q_bad =
-            (fun t st ->
-              if holders t st >= 2 then
-                Some (Printf.sprintf "%d threads hold the lock" (holders t st))
+            (fun _ st ->
+              if holders st >= 2 then
+                Some (Printf.sprintf "%d threads hold the lock" (holders st))
               else None) };
       Protocol.Safety
         { q_name = "no-double-grant";
           q_desc = "never more than one grant outstanding or held";
           q_bad =
-            (fun t st ->
-              let g = holders t st + grants t st in
+            (fun _ st ->
+              let g = holders st + grants st in
               if g >= 2 then Some (Printf.sprintf "%d grants outstanding/held" g) else None) };
       Protocol.Step
         { q_name = "freeze-owned-commit";
           q_desc = "a swap commits only while it still owns the freeze word";
           q_bad =
-            (fun t ~role ~label st ->
-              if label = "commit" && Protocol.shared t st "ctl" <> 1 then
-                Some (Printf.sprintf "%s commits with ctl=%d" role (Protocol.shared t st "ctl"))
+            (fun _ ~role ~label st ->
+              if label = "commit" && get st ctl <> 1 then
+                Some (Printf.sprintf "%s commits with ctl=%d" role (get st ctl))
               else None) };
       Protocol.Safety
         { q_name = "no-lost-sleeper";
           q_desc = "a parked waiter always has a grant path (registered under blocking, or a wakeup/grant pending)";
           q_bad =
-            (fun t st ->
-              List.fold_left
-                (fun acc j ->
-                  match acc with
-                  | Some _ -> acc
-                  | None ->
-                    let r = wname j in
-                    if Protocol.status t st r = Protocol.Parked
-                       && (not (Protocol.wake_pending t st r))
-                       && Protocol.shared t st (flag j) = 0
-                       && (Protocol.shared t st (reg j) = 0 || Protocol.shared t st "impl" = 1)
-                    then
-                      Some
-                        (Printf.sprintf "%s parked with reg=%d impl=%d: nothing will wake it" r
-                           (Protocol.shared t st (reg j)) (Protocol.shared t st "impl"))
-                    else None)
-                None widxs) };
+            (fun _ st ->
+              List.find_map
+                (fun w ->
+                  if Protocol.status_at st w.w_status = Protocol.Parked
+                     && get st w.w_wake <> 1
+                     && get st w.w_flag = 0
+                     && (get st w.w_reg = 0 || get st impl = 1)
+                  then
+                    Some
+                      (Printf.sprintf "%s parked with reg=%d impl=%d: nothing will wake it"
+                         w.w_name (get st w.w_reg) (get st impl))
+                  else None)
+                ws) };
       Protocol.Liveness
         { q_name = "quiesce";
           q_desc =
             "every reachable state can reach a quiesced commit or rollback, even after one crash";
           q_goal =
-            (fun t st ->
-              (match Protocol.status t st "swapper" with
-              | Protocol.Done | Protocol.Crashed -> true
-              | _ -> false)
+            (fun _ st ->
+              finished st swapper
               && List.for_all
-                   (fun j ->
-                     let r = wname j in
-                     match Protocol.status t st r with
-                     | Protocol.Done | Protocol.Crashed -> true
-                     | s ->
-                       Protocol.shared t st (kick j) = 0
-                       && Protocol.shared t st (flag j) <> 2
-                       && Protocol.pc t st r <> 2
-                       && not (Protocol.pc t st r = 0 && Protocol.shared t st "ctl" <> 0)
-                       && (s = Protocol.Running || Protocol.wake_pending t st r
-                          || Protocol.shared t st (flag j) = 1
-                          || (Protocol.shared t st (reg j) = 1 && Protocol.shared t st "impl" = 0)))
-                   widxs) } ]
+                   (fun w ->
+                     finished st w.w_status
+                     || get st w.w_kick = 0
+                        && get st w.w_flag <> 2
+                        && get st w.w_pc <> 2
+                        && not (get st w.w_pc = 0 && get st ctl <> 0)
+                        && (Protocol.status_at st w.w_status = Protocol.Running
+                           || get st w.w_wake = 1
+                           || get st w.w_flag = 1
+                           || (get st w.w_reg = 1 && get st impl = 0)))
+                   ws) } ]
   in
   (m, props)
 
@@ -367,32 +382,33 @@ let mcs ?(contenders = 3) () =
       p_rules = List.concat_map rules_of idxs; p_crash_budget = 0; p_clock_max = 0 }
   in
   let m = Protocol.compile spec in
-  let holders t st =
-    List.fold_left (fun acc i -> acc + Protocol.local t st (name i) "cs") 0 idxs
-  in
-  let grants t st =
-    List.fold_left (fun acc i -> acc + if Protocol.shared t st (flag i) = 1 then 1 else 0) 0 idxs
+  let cs = List.map (fun i -> Protocol.local_slot m (name i) "cs") idxs in
+  let flags = List.map (fun i -> Protocol.shared_slot m (flag i)) idxs in
+  let statuses = List.map (fun i -> Protocol.status_slot m (name i)) idxs in
+  let holders st = List.fold_left (fun acc s -> acc + Protocol.get st s) 0 cs in
+  let grants st =
+    List.fold_left (fun acc s -> acc + if Protocol.get st s = 1 then 1 else 0) 0 flags
   in
   let props =
     [ Protocol.Safety
         { q_name = "mutex"; q_desc = "at most one contender in the critical section";
           q_bad =
-            (fun t st ->
-              if holders t st >= 2 then
-                Some (Printf.sprintf "%d contenders hold the lock" (holders t st))
+            (fun _ st ->
+              if holders st >= 2 then
+                Some (Printf.sprintf "%d contenders hold the lock" (holders st))
               else None) };
       Protocol.Safety
         { q_name = "no-double-grant";
           q_desc = "never more than one grant outstanding or held";
           q_bad =
-            (fun t st ->
-              let g = holders t st + grants t st in
+            (fun _ st ->
+              let g = holders st + grants st in
               if g >= 2 then Some (Printf.sprintf "%d grants outstanding/held" g) else None) };
       Protocol.Liveness
         { q_name = "all-served"; q_desc = "every contender eventually acquires and releases";
           q_goal =
-            (fun t st ->
-              List.for_all (fun i -> Protocol.status t st (name i) = Protocol.Done) idxs) } ]
+            (fun _ st ->
+              List.for_all (fun s -> Protocol.status_at st s = Protocol.Done) statuses) } ]
   in
   (m, props)
 
@@ -430,42 +446,40 @@ let guard ?(limit = 2) ?(cooldown = 2) () =
       p_clock_max = 0 }
   in
   let m = Protocol.compile spec in
+  let streak = Protocol.shared_slot m "streak" and cool = Protocol.shared_slot m "cool" in
+  let pc = Protocol.pc_slot m "monitor" in
+  let get = Protocol.get in
   let props =
     [ Protocol.Safety
         { q_name = "streak-bounded";
           q_desc = "the pathological streak never exceeds the declared limit";
           q_bad =
-            (fun t st ->
-              let s = Protocol.shared t st "streak" in
+            (fun _ st ->
+              let s = get st streak in
               if s > limit - 1 then Some (Printf.sprintf "streak=%d limit=%d" s limit)
               else None) };
       Protocol.Step
         { q_name = "fallback-at-limit";
           q_desc = "a fallback fires only at exactly limit consecutive pathological samples";
           q_bad =
-            (fun t ~role:_ ~label st ->
-              if label = "fallback"
-                 && not (Protocol.shared t st "streak" = limit - 1
-                        && Protocol.shared t st "cool" = 0)
-              then
+            (fun _ ~role:_ ~label st ->
+              if label = "fallback" && not (get st streak = limit - 1 && get st cool = 0) then
                 Some
-                  (Printf.sprintf "fallback with streak=%d cool=%d"
-                     (Protocol.shared t st "streak") (Protocol.shared t st "cool"))
+                  (Printf.sprintf "fallback with streak=%d cool=%d" (get st streak) (get st cool))
               else None) };
       Protocol.Step
         { q_name = "no-count-in-cooldown";
           q_desc = "cooldown suspends streak counting entirely";
           q_bad =
-            (fun t ~role:_ ~label st ->
+            (fun _ ~role:_ ~label st ->
               if (label = "obs-ok" || label = "obs-bad" || label = "fallback")
-                 && Protocol.shared t st "cool" > 0
+                 && get st cool > 0
               then Some (Printf.sprintf "%s during cooldown" label)
               else None) };
       Protocol.Liveness
         { q_name = "cooldown-terminates";
           q_desc = "the guard always returns to counting";
-          q_goal =
-            (fun t st -> Protocol.shared t st "cool" = 0 && Protocol.pc t st "monitor" = 0) } ]
+          q_goal = (fun _ st -> get st cool = 0 && get st pc = 0) } ]
   in
   (m, props)
 

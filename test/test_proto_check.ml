@@ -1,5 +1,7 @@
 (* Proto_check: the explicit-state protocol model checker. Shipped
-   protocol models verify clean; each seeded-bad variant produces a
+   protocol models verify clean with pinned state and edge counts and
+   reproduce the committed PROTO JSON; [max_states] truncates; the
+   seen-set's codec round-trips; each seeded-bad variant produces a
    counterexample for exactly its expected properties; counterexamples
    replay on their own model; checker output is byte-identical at any
    domain count; random walks of the model replay (model
@@ -16,27 +18,90 @@ module SL = Locks.Switch_lock
 let small_quiescence () = PM.quiescence ~waiters:[ PM.Wsleep; PM.Wtimed ] ()
 let small_models () = [ small_quiescence (); PM.mcs ~contenders:2 (); PM.guard () ]
 
+(* The shipped models' reports, shared by the tests that need the full
+   exploration. *)
+let shipped_reports = lazy (P.check_all (PM.shipped ()))
+
 (* -- shipped protocols verify clean at their checked sizes -- *)
 
 let test_shipped_clean () =
-  let reports = P.check_all (PM.shipped ()) in
+  let reports = Lazy.force shipped_reports in
   Alcotest.(check bool) "every property holds" true (P.clean reports);
+  (* Every property of a model explores the same state space: a seen-set
+     that merged two distinct states, or split one, moves these. *)
   List.iter
-    (fun r ->
-      Alcotest.(check bool)
-        (r.P.r_model ^ "/" ^ r.P.r_property ^ ": explored states")
-        true (r.P.r_states > 0))
-    reports;
-  (* Same model, same exploration: state/edge counts agree across its
-     properties. *)
-  let quiesce =
-    List.filter (fun r -> r.P.r_model = "quiescence-swap") reports
+    (fun (model, props, states, edges) ->
+      let mine = List.filter (fun r -> r.P.r_model = model) reports in
+      Alcotest.(check int) (model ^ ": properties") props (List.length mine);
+      List.iter
+        (fun r ->
+          let what = model ^ "/" ^ r.P.r_property in
+          Alcotest.(check int) (what ^ ": states") states r.P.r_states;
+          Alcotest.(check int) (what ^ ": edges") edges r.P.r_edges)
+        mine)
+    [ ("quiescence-swap", 5, 200_987, 665_063);
+      ("mcs-handoff", 3, 218, 324);
+      ("guard-cooldown", 4, 5, 8) ]
+
+(* -- the checker reproduces the committed PROTO artifact byte for byte -- *)
+
+let read_file path = In_channel.with_open_bin path In_channel.input_all
+
+let test_proto_json_committed () =
+  let fixtures =
+    List.map
+      (fun (name, model, expect) -> P.check_fixture ~name ~expect model)
+      (Analysis_suite.proto_fixtures ())
   in
-  Alcotest.(check int) "five quiescence properties" 5 (List.length quiesce);
-  let st = (List.hd quiesce).P.r_states in
+  let json =
+    P.to_json ~shipped:(Lazy.force shipped_reports) ~fixtures
+      ~lowered:(Analysis_suite.proto_lowerings ())
+    ^ "\n"
+  in
+  Alcotest.(check string) "results/PROTO_results.json"
+    (read_file "../results/PROTO_results.json") json
+
+(* -- max_states cuts the exploration off as Out_of_bounds -- *)
+
+let test_out_of_bounds () =
+  let model, props = List.hd (PM.shipped ()) in
   List.iter
-    (fun r -> Alcotest.(check int) "state count agrees" st r.P.r_states)
-    quiesce
+    (fun prop ->
+      let r = P.check ~max_states:1000 model prop in
+      Alcotest.(check bool) (r.P.r_property ^ ": out of bounds") true
+        (r.P.r_verdict = P.Out_of_bounds);
+      Alcotest.(check int) (r.P.r_property ^ ": states") 1000 r.P.r_states;
+      Alcotest.(check int) (r.P.r_property ^ ": edges") 2088 r.P.r_edges)
+    props
+
+(* -- the seen-set's state codec -- *)
+
+let prop_codec_roundtrip =
+  let slot =
+    QCheck.Gen.(
+      frequency
+        [ (4, small_signed_int); (2, int); (1, oneofl [ 0; max_int; min_int; -1; 63; -64; 64 ]) ])
+  in
+  let arr = QCheck.Gen.(array_size (int_range 0 40) slot) in
+  (* The second array is unrelated or differs from the first in one slot. *)
+  let near a =
+    QCheck.Gen.(
+      if a = [||] then return a
+      else
+        map2
+          (fun i v ->
+            let b = Array.copy a in
+            b.(i) <- v;
+            b)
+          (int_bound (Array.length a - 1))
+          slot)
+  in
+  let arrays = QCheck.Gen.(arr >>= fun a -> map (fun b -> (a, b)) (oneof [ arr; near a ])) in
+  QCheck.Test.make ~name:"codec: unpack . pack is the identity, pack is injective" ~count:1000
+    QCheck.(make ~print:Print.(pair (array int) (array int)) arrays)
+    (fun (a, b) ->
+      let pa = P.Codec.pack a and pb = P.Codec.pack b in
+      P.Codec.unpack pa (Array.length a) = a && (a = b) = (pa = pb))
 
 (* -- every seeded historical bug is caught, with exactly the expected
    property set -- *)
@@ -197,6 +262,10 @@ let test_lowerings_confirmed () =
 let suite =
   [
     Alcotest.test_case "shipped protocols verify clean" `Slow test_shipped_clean;
+    Alcotest.test_case "PROTO JSON matches the committed artifact" `Slow
+      test_proto_json_committed;
+    Alcotest.test_case "max_states stops as out of bounds" `Quick test_out_of_bounds;
+    QCheck_alcotest.to_alcotest prop_codec_roundtrip;
     Alcotest.test_case "seeded bugs all caught" `Quick test_fixtures_detected;
     Alcotest.test_case "counterexamples replay on the model" `Quick
       test_counterexample_replays;
