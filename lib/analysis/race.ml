@@ -1,11 +1,15 @@
 open Butterfly
 
 (* Word identity: addresses are (node, index) pairs and stable within
-   a run, so they key every table. *)
-type key = int * int
+   a run, so they key every table, packed into one int (node in the
+   high half) so that the per-access lookups hash an unboxed int and
+   allocate nothing. Int order on packed keys is (node, index) order. *)
+type key = int
 
-let key a = (Memory.node_of a, Memory.index_of a)
-let key_name (node, index) = Printf.sprintf "%d:%d" node index
+module Key_tbl = Hashtbl.Make (Int)
+
+let key a = (Memory.node_of a lsl 32) lor Memory.index_of a
+let key_name k = Printf.sprintf "%d:%d" (k lsr 32) (k land 0xffff_ffff)
 
 (* One prior access in epoch form: [comp] is the accessor's own
    vector-clock component at the access, so "that access happened
@@ -39,8 +43,8 @@ type state = {
          this one snapshot (for join edges); its live clock, pending
          tokens and lockset are dropped so detector state stays
          bounded by live threads, not by every thread that ever ran *)
-  words : (key, word_state) Hashtbl.t;
-  exempt : (key, unit) Hashtbl.t;
+  words : word_state Key_tbl.t;
+  exempt : unit Key_tbl.t;
   findings : (key * (int * key list) * (int * key list), finding) Hashtbl.t;
   mutable finding_order : finding list;  (* newest first *)
   names : int -> string;
@@ -66,25 +70,25 @@ let intersect a b = List.filter (fun k -> List.mem k b) a
    any word ever touched by an atomic operation (atomics are this
    machine's synchronization instructions). *)
 let prescan trace =
-  let exempt = Hashtbl.create 256 in
+  let exempt = Key_tbl.create 256 in
   Trace.iter
     (function
       | Trace.Annot { annotation = Ops.A_sync_word a; _ }
       | Trace.Annot { annotation = Ops.A_relaxed_word a; _ } ->
-        Hashtbl.replace exempt (key a) ()
+        Key_tbl.replace exempt (key a) ()
       | Trace.Annot _ -> ()
       | Trace.Access { access_kind = Memory.Atomic_access; access_addr; _ } ->
-        Hashtbl.replace exempt (key access_addr) ()
+        Key_tbl.replace exempt (key access_addr) ()
       | Trace.Access _ | Trace.Event _ -> ())
     trace;
   exempt
 
 let word_state st k =
-  match Hashtbl.find_opt st.words k with
+  match Key_tbl.find_opt st.words k with
   | Some w -> w
   | None ->
     let w = { last_write = None; reads = Hashtbl.create 4; candidates = None } in
-    Hashtbl.replace st.words k w;
+    Key_tbl.replace st.words k w;
     w
 
 (* Record a racing pair, deduped by (word, site pair, lock sets). The
@@ -132,7 +136,7 @@ let check_pair st word k ~cur ~prior =
 
 let on_access st (a : Sched.access) =
   let k = key a.access_addr in
-  if not (Hashtbl.mem st.exempt k) then begin
+  if not (Key_tbl.mem st.exempt k) then begin
     let tid = a.access_tid in
     let clock = clock_of st tid in
     let ls = lockset st tid in
@@ -251,7 +255,7 @@ let run ~names trace =
       release_clocks = Hashtbl.create 64;
       held = Hashtbl.create 64;
       finished = Hashtbl.create 64;
-      words = Hashtbl.create 1024;
+      words = Key_tbl.create 1024;
       exempt = prescan trace;
       findings = Hashtbl.create 64;
       finding_order = [];

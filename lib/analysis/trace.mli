@@ -6,7 +6,15 @@
     callback synchronously at the emitting operation, arrival order
     {e is} the global linearization of the run: identical runs produce
     identical traces, which is what makes the offline analysis passes
-    bit-for-bit reproducible. *)
+    bit-for-bit reproducible.
+
+    The recording is stored packed: accesses, nearly all the entries of
+    a long run, sit in unboxed columns (time; tid, proc and access kind
+    packed into one int; address), three words an access, while events
+    and annotations stay boxed beside them with their positions.
+    {!iter} and {!iteri} rebuild each [Access] entry as they reach it,
+    so consumers see the same entries in the same order as if they had
+    been stored boxed. *)
 
 open Butterfly
 
@@ -19,7 +27,10 @@ type t
 
 val attach : Sched.t -> t
 (** Subscribe a recorder to all three buses of a machine. Call before
-    [Sched.run]; other observers may subscribe alongside it. *)
+    [Sched.run]; other observers may subscribe alongside it. An access
+    whose tid or proc does not fit its packed field (proc at most
+    65535) raises [Invalid_argument] at recording time rather than
+    wrapping. *)
 
 val length : t -> int
 val iter : (entry -> unit) -> t -> unit
@@ -29,10 +40,10 @@ val iteri : (int -> entry -> unit) -> t -> unit
     linearization index the predictive passes use to relate events. *)
 
 val events : t -> int
-(** Number of scheduling events recorded. *)
+(** Number of scheduling events recorded. O(1). *)
 
 val accesses : t -> int
-(** Number of memory accesses recorded. *)
+(** Number of memory accesses recorded. O(1). *)
 
 type adaptation = {
   ad_time : int;  (** virtual time the reconfiguration applied *)

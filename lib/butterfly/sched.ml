@@ -171,7 +171,9 @@ type t = {
          exhausted; returns a candidate tid or -1 for the default
          pick *)
   mutable record_schedule : bool;
-  mutable schedule_log : int list;  (* dispatched tids, newest first *)
+  mutable schedule_log : Bytes.t;
+      (* dispatched tids, oldest first, as LEB128 varints *)
+  mutable schedule_len : int;  (* bytes of [schedule_log] in use *)
   mutable control_diverged : bool;
 }
 
@@ -211,7 +213,8 @@ let create (cfg : Config.t) =
     control = [];
     chooser = None;
     record_schedule = false;
-    schedule_log = [];
+    schedule_log = Bytes.empty;
+    schedule_len = 0;
     control_diverged = false;
   }
 
@@ -898,8 +901,26 @@ let slice_fast_ok t p =
   && (not t.record_schedule)
   && other_procs_idle t p
 
+(* Append one tid to the schedule log: seven bits a byte, low group
+   first, high bit set on every byte but the last. *)
+let log_dispatch t tid =
+  if t.schedule_len + 9 > Bytes.length t.schedule_log then begin
+    (* room for the longest varint: 63 bits in 7-bit groups *)
+    let log = Bytes.create (max 256 (2 * Bytes.length t.schedule_log)) in
+    Bytes.blit t.schedule_log 0 log 0 t.schedule_len;
+    t.schedule_log <- log
+  end;
+  let log = t.schedule_log and v = ref tid and n = ref t.schedule_len in
+  while !v >= 0x80 do
+    Bytes.set log !n (Char.chr (!v land 0x7f lor 0x80));
+    v := !v lsr 7;
+    incr n
+  done;
+  Bytes.set log !n (Char.chr !v);
+  t.schedule_len <- !n + 1
+
 let dispatch_thread t p th =
-  if t.record_schedule then t.schedule_log <- th.tid :: t.schedule_log;
+  if t.record_schedule then log_dispatch t th.tid;
   let st = t.st in
   if st.status.(th.tid) = Mstate.st_finished then ()
     (* a killed thread still queued: consume the slot, run nothing *)
@@ -988,9 +1009,27 @@ let set_dispatch_chooser t chooser = t.chooser <- chooser
 
 let set_record_schedule t flag =
   t.record_schedule <- flag;
-  if flag then t.schedule_log <- []
+  if flag then t.schedule_len <- 0
 
-let recorded_schedule t = List.rev t.schedule_log
+(* Decode the log from its end, so the list is built in dispatch order
+   without a reversal: a varint's last byte is the only one with the
+   high bit clear, so each tid spans the bytes after the previous
+   such byte. *)
+let recorded_schedule t =
+  let log = t.schedule_log in
+  let byte i = Char.code (Bytes.get log i) in
+  let rec decode acc last =
+    if last < 0 then acc
+    else begin
+      let first = ref last in
+      while !first > 0 && byte (!first - 1) >= 0x80 do decr first done;
+      let v = ref 0 in
+      for i = last downto !first do v := (!v lsl 7) lor (byte i land 0x7f) done;
+      decode (!v :: acc) (!first - 1)
+    end
+  in
+  decode [] (t.schedule_len - 1)
+
 let control_diverged t = t.control_diverged
 
 (* Every thread the machine could legally dispatch right now: each

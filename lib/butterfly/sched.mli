@@ -327,10 +327,14 @@ val set_dispatch_chooser : t -> (choice array -> int) option -> unit
 val set_record_schedule : t -> bool -> unit
 (** Enable schedule recording: every dispatch (including the no-op
     consumption of a killed thread's stale queue entry) appends the
-    dispatched tid to the log. Enabling resets any previous log. *)
+    dispatched tid to the log. Enabling resets any previous log. The
+    log is a growable byte buffer of varint tids (one byte for tids
+    below 128), so recording a long run costs about a byte a dispatch
+    rather than a list cell. *)
 
 val recorded_schedule : t -> int list
-(** The recorded dispatch log, oldest first. Feeding it to
+(** The recorded dispatch log, oldest first, decoded into a fresh list
+    on each call (O(dispatches)). Feeding it to
     {!set_schedule_control} on a fresh machine running the same
     program replays the run bit-for-bit. *)
 

@@ -41,6 +41,9 @@ let kill_fired injected =
     (fun line -> contains_sub line " kill tid=" && not (contains_sub line "(no-op"))
     injected
 
+(* One run under [plan], returning the machine with its result so the
+   caller decodes the recorded dispatch schedule only when it reads
+   it: to pin a failing run, or to check a controlled re-execution. *)
 let run_plan_once ?(max_events = default_max_events) ?control ~scenario ~seed ~plan ()
     =
   let open Analysis_suite in
@@ -124,28 +127,23 @@ let run_plan_once ?(max_events = default_max_events) ?control ~scenario ~seed ~p
       pinned_schedule = None;
     }
   in
-  let faithful =
-    match control with
-    | None -> true
-    | Some s ->
-      Sched.recorded_schedule sim = s
-      && (not (Sched.control_diverged sim))
-      && Sched.schedule_control_remaining sim = 0
-  in
-  (result, Sched.recorded_schedule sim, faithful)
+  (result, sim)
 
 let run_plan ?max_events ~scenario ~seed ~plan () =
-  let result, schedule, _ = run_plan_once ?max_events ~scenario ~seed ~plan () in
+  let result, sim = run_plan_once ?max_events ~scenario ~seed ~plan () in
   if passed result then result
   else begin
     (* Pin the failure: re-execute the same plan under the recorded
        dispatch schedule (the witness-replay machinery) and attach the
        decision list only if the failure reproduces bit for bit. *)
-    let replayed, _, faithful =
+    let schedule = Sched.recorded_schedule sim in
+    let replayed, replay_sim =
       run_plan_once ?max_events ~control:schedule ~scenario ~seed ~plan ()
     in
     let reproduced =
-      faithful
+      Sched.recorded_schedule replay_sim = schedule
+      && (not (Sched.control_diverged replay_sim))
+      && Sched.schedule_control_remaining replay_sim = 0
       && replayed.invariant_failures = result.invariant_failures
       && replayed.outcome = result.outcome
       && replayed.final_time_ns = result.final_time_ns

@@ -250,6 +250,61 @@ let test_race_detected_after_thread_churn () =
   let clean = Analysis.check (cfg ()) (program ~locked:true) in
   check_bool "locked variant stays clean after churn" true (Analysis.clean clean)
 
+(* --- packed trace ------------------------------------------------- *)
+
+(* A second recorder on the same machine keeps the raw bus records
+   boxed, in arrival order; the packed trace must give them back
+   unchanged. Four threads interleave locked updates (annotations and
+   scheduling events) with plain and atomic accesses, long enough for
+   both the access columns and the side array to grow several times. *)
+let test_trace_fidelity () =
+  let sim = Sched.create (cfg ()) in
+  let trace = Analysis.Trace.attach sim in
+  let raw = ref [] in
+  Sched.add_event_hook sim (fun ev -> raw := Analysis.Trace.Event ev :: !raw);
+  Sched.add_access_hook sim (fun a -> raw := Analysis.Trace.Access a :: !raw);
+  Sched.add_annot_hook sim (fun a -> raw := Analysis.Trace.Annot a :: !raw);
+  Sched.run sim (fun () ->
+      let words = Ops.alloc ~node:1 16 in
+      let m = Locks.Lock.create ~home:0 Locks.Lock.Blocking in
+      let worker w () =
+        for i = 1 to 400 do
+          Locks.Lock.lock m;
+          Ops.write words.(i mod 16) (Ops.read words.(w) + i);
+          Locks.Lock.unlock m;
+          ignore (Ops.fetch_and_add words.(15) 1);
+          if i mod 50 = 0 then Cthread.yield ()
+        done
+      in
+      Cthread.join_all
+        (List.init 4 (fun w -> Cthread.fork ~name:(Printf.sprintf "w%d" w) ~proc:w (worker w))));
+  let raw = Array.of_list (List.rev !raw) in
+  let count p = Array.fold_left (fun n e -> if p e then n + 1 else n) 0 raw in
+  let n_events = count (function Analysis.Trace.Event _ -> true | _ -> false) in
+  let n_accesses = count (function Analysis.Trace.Access _ -> true | _ -> false) in
+  let n_annots = count (function Analysis.Trace.Annot _ -> true | _ -> false) in
+  check_bool "accesses cross several column growths" true (n_accesses > 4 * 1024);
+  check_bool "events and annotations cross a side-array growth" true
+    (n_events + n_annots > 2 * 1024);
+  check_int "length" (Array.length raw) (Analysis.Trace.length trace);
+  check_int "events counter equals a scan" n_events (Analysis.Trace.events trace);
+  check_int "accesses counter equals a scan" n_accesses (Analysis.Trace.accesses trace);
+  let seen = ref 0 in
+  Analysis.Trace.iteri
+    (fun i e ->
+      if i <> !seen then Alcotest.failf "iteri position %d, expected %d" i !seen;
+      if e <> raw.(i) then Alcotest.failf "iteri entry %d differs from the bus record" i;
+      incr seen)
+    trace;
+  check_int "iteri visits every entry" (Array.length raw) !seen;
+  let pos = ref 0 in
+  Analysis.Trace.iter
+    (fun e ->
+      if e <> raw.(!pos) then Alcotest.failf "iter entry %d differs from the bus record" !pos;
+      incr pos)
+    trace;
+  check_int "iter visits every entry" (Array.length raw) !pos
+
 (* --- scenario suite ----------------------------------------------- *)
 
 let test_suite_verdicts () =
@@ -314,6 +369,7 @@ let suite =
     Alcotest.test_case "race reports deduped" `Quick test_race_reports_deduped;
     Alcotest.test_case "race detected after thread churn" `Quick
       test_race_detected_after_thread_churn;
+    Alcotest.test_case "packed trace replays the bus records" `Quick test_trace_fidelity;
     Alcotest.test_case "suite verdicts" `Slow test_suite_verdicts;
     Alcotest.test_case "deterministic report" `Quick test_deterministic_report;
     Alcotest.test_case "suite runner json deterministic" `Quick

@@ -525,6 +525,38 @@ let test_chaos_run_deterministic_and_invariant_checked () =
   check_int "replay reproduces the final clock" r1.Chaos.final_time_ns
     replayed.Chaos.final_time_ns
 
+let find_scenario name =
+  match
+    List.find_opt
+      (fun s -> s.Analysis_suite.scenario_name = name)
+      (Analysis_suite.all ())
+  with
+  | Some s -> s
+  | None -> Alcotest.failf "%s scenario missing" name
+
+(* A failing run is re-executed under its recorded schedule and
+   carries that schedule once the failure reproduces. *)
+let test_chaos_pins_failing_schedule () =
+  let r =
+    Chaos.replay ~scenario:(find_scenario "buggy-exit-holding")
+      ~plan:(Faults.Fault_plan.of_string "")
+  in
+  check_bool "kill-free held-lock invariant fails" true
+    (List.mem "lock held at exit on a kill-free completed run" r.Chaos.invariant_failures);
+  check_bool "failure carries its pinned schedule" true (r.Chaos.pinned_schedule <> None)
+
+(* Byte pin of one event-budget abort (985,112 recorded accesses, one
+   sanitizer diagnostic): the packed trace and schedule log must leave
+   its JSON unchanged. *)
+let test_chaos_budget_abort_bytes () =
+  let r =
+    Chaos.run_scenario ~swap_faults:true ~scenario:(find_scenario "primitives") ~seed:2 ()
+  in
+  check_string "aborted" "aborted" r.Chaos.outcome;
+  check_int "accesses" 985_112 r.Chaos.accesses;
+  check_string "JSON md5" "7caf5e1e85373587c445b67af9ee6704"
+    (Digest.to_hex (Digest.string (Chaos.to_json [ r ])))
+
 let test_chaos_json_shape () =
   let scenario = List.hd (Analysis_suite.shipped ()) in
   let results = Chaos.sweep ~domains:1 ~seeds:[ 1; 2 ] ~scenarios:[ scenario ] () in
@@ -573,4 +605,7 @@ let suite =
     Alcotest.test_case "chaos run deterministic" `Quick
       test_chaos_run_deterministic_and_invariant_checked;
     Alcotest.test_case "chaos sweep and json" `Quick test_chaos_json_shape;
+    Alcotest.test_case "chaos pins a failing schedule" `Quick
+      test_chaos_pins_failing_schedule;
+    Alcotest.test_case "chaos budget-abort bytes" `Quick test_chaos_budget_abort_bytes;
   ]

@@ -192,8 +192,38 @@ let test_yield_releases_processor () =
     sequence;
   check_bool "yield interleaves" true (!first_b >= 0 && !first_b < !last_a)
 
+(* The schedule log stores tids as varints: with 240 threads, tids
+   from 128 up take two bytes, and the log outgrows its first buffer.
+   Replaying the decoded log must reproduce the run exactly. *)
+let test_schedule_log_round_trip () =
+  let program () =
+    let word = Ops.alloc1 ~node:0 () in
+    Cthreads.Cthread.join_all
+      (List.init 240 (fun i ->
+           Cthreads.Cthread.fork ~proc:(i mod 4) (fun () ->
+               ignore (Ops.fetch_and_add word 1);
+               Cthreads.Cthread.yield ();
+               Ops.work (1_000 * (i mod 7)))))
+  in
+  let sim = Sched.create base_cfg in
+  Sched.set_record_schedule sim true;
+  Sched.run sim program;
+  let schedule = Sched.recorded_schedule sim in
+  check_bool "some tids need two varint bytes" true (List.exists (fun t -> t >= 128) schedule);
+  check_bool "log outgrows its first buffer" true (List.length schedule > 256);
+  let replay = Sched.create base_cfg in
+  Sched.set_schedule_control replay schedule;
+  Sched.set_record_schedule replay true;
+  Sched.run replay program;
+  check_bool "replay records the same schedule" true
+    (Sched.recorded_schedule replay = schedule);
+  check_bool "no divergence" false (Sched.control_diverged replay);
+  check_int "all decisions consumed" 0 (Sched.schedule_control_remaining replay);
+  check_int "same final clock" (Sched.final_time sim) (Sched.final_time replay)
+
 let suite =
   [
+    Alcotest.test_case "schedule log round trip" `Quick test_schedule_log_round_trip;
     Alcotest.test_case "busy accounting" `Quick test_busy_accounting;
     Alcotest.test_case "thread report" `Quick test_thread_report;
     Alcotest.test_case "round-robin placement" `Quick test_round_robin_placement;
