@@ -14,6 +14,7 @@ type node = {
 
 let bound t = t.node_bound
 let depth t = List.length t.edges
+let edges t = t.edges
 let active t = t.k
 
 (* Reduce rows then columns in place; returns the reduction total or
@@ -260,7 +261,13 @@ let brute_force inst =
           List.map (fun p -> x :: p) (permutations rest))
         xs
   in
+  (* A tour through a forbidden edge is no tour: saturate at [inf]
+     rather than let several sentinels overflow. *)
+  let rec cost acc = function
+    | a :: rest ->
+      let c = Instance.cost inst a (match rest with b :: _ -> b | [] -> 0) in
+      if c >= inf then inf else cost (acc + c) rest
+    | [] -> acc
+  in
   let cities = List.init (n - 1) (fun i -> i + 1) in
-  List.fold_left
-    (fun best perm -> min best (Instance.tour_cost inst (0 :: perm)))
-    max_int (permutations cities)
+  List.fold_left (fun best perm -> min best (cost 0 (0 :: perm))) inf (permutations cities)

@@ -20,6 +20,9 @@ val bound : node -> int
 val depth : node -> int
 (** Number of edges already included. *)
 
+val edges : node -> (int * int) list
+(** Edges already included, most recent first. *)
+
 val active : node -> int
 (** Cities not yet contracted (the subproblem's matrix dimension). *)
 
@@ -46,4 +49,6 @@ val solve_sequential :
     simulated sequential baseline charges virtual time there. *)
 
 val brute_force : Instance.t -> int
-(** Exact optimum by exhaustive permutation; for tests ([n] <= 10). *)
+(** Exact optimum by exhaustive permutation over the tours that avoid
+    forbidden ([>= max_int / 4]) edges, or [max_int / 4] when every tour
+    uses one; for tests ([n] <= 10). *)

@@ -128,6 +128,36 @@ let test_lmsk_work_positive () =
   let e = Tsp.Lmsk.expand inst (Tsp.Lmsk.root inst) in
   check_bool "work units positive" true (e.Tsp.Lmsk.work > 0)
 
+(* Pins the search itself, not just its optimum: every expansion's
+   bound, charged work, children's bounds and most recent edge (the
+   include child's is the chosen branch edge) feed one digest. A
+   different tie-break or a bound off by one changes it. *)
+let test_lmsk_search_pinned () =
+  let inst = Tsp.Instance.generate ~seed:1 31 in
+  let log = Buffer.create (1 lsl 18) in
+  let on_expand nd work =
+    Printf.bprintf log "%d/%d:" (Tsp.Lmsk.bound nd) work;
+    (match (Tsp.Lmsk.expand inst nd).Tsp.Lmsk.outcome with
+    | Tsp.Lmsk.Tour (tour, cost) ->
+      List.iter (Printf.bprintf log " %d") tour;
+      Printf.bprintf log " =%d" cost
+    | Tsp.Lmsk.Children children ->
+      List.iter
+        (fun c ->
+          Printf.bprintf log " %d" (Tsp.Lmsk.bound c);
+          match Tsp.Lmsk.edges c with
+          | (i, j) :: _ -> Printf.bprintf log "@%d>%d" i j
+          | [] -> ())
+        children);
+    Buffer.add_char log '\n'
+  in
+  let (_, cost), nodes = Tsp.Lmsk.solve_sequential ~on_expand inst in
+  check_int "tour cost" 167 cost;
+  check_int "nodes expanded" 4617 nodes;
+  Alcotest.(check string)
+    "expansion digest" "c925ed16298fa06d023eee02c6a72a02"
+    (Digest.to_hex (Digest.string (Buffer.contents log)))
+
 let run_and_optimum spec impl =
   let _, (opt, _) = Tsp.Parallel.run_sequential spec in
   (Tsp.Parallel.run impl spec, opt)
@@ -194,6 +224,27 @@ let prop_lmsk_optimal =
       let (_, cost), _ = Tsp.Lmsk.solve_sequential inst in
       cost = Tsp.Lmsk.brute_force inst)
 
+(* Random small instances of three kinds: uniform, Euclidean, and
+   uniform with forbidden (max_int / 4) entries, where LMSK and brute
+   force must also agree on whether any tour exists. *)
+let forbidden_instance ~seed n =
+  let rng = Random.State.make [| seed |] in
+  Tsp.Instance.of_matrix
+    (Array.init n (fun _ ->
+         Array.init n (fun _ ->
+             if Random.State.int rng 3 = 0 then max_int / 4
+             else 1 + Random.State.int rng 100)))
+
+let prop_lmsk_brute_force name make =
+  QCheck.Test.make ~name:("lmsk = brute force, n 4..9: " ^ name) ~count:40
+    QCheck.(pair (int_range 1 100_000) (int_range 4 9))
+    (fun (seed, n) ->
+      let inst = make ~seed n in
+      let opt = Tsp.Lmsk.brute_force inst in
+      match Tsp.Lmsk.solve_sequential inst with
+      | (tour, cost), _ -> cost = opt && Tsp.Instance.tour_cost inst tour = cost
+      | exception Invalid_argument _ -> opt >= max_int / 4)
+
 let suite =
   [
     Alcotest.test_case "instance deterministic" `Quick test_instance_deterministic;
@@ -210,6 +261,7 @@ let suite =
     Alcotest.test_case "root bound lower-bounds" `Quick test_lmsk_root_bound_is_lower_bound;
     Alcotest.test_case "child bounds monotonic" `Quick test_lmsk_children_bounds_monotonic;
     Alcotest.test_case "work positive" `Quick test_lmsk_work_positive;
+    Alcotest.test_case "search pinned" `Quick test_lmsk_search_pinned;
     Alcotest.test_case "centralized optimum" `Quick
       (test_parallel_finds_optimum Tsp.Parallel.Centralized);
     Alcotest.test_case "distributed optimum" `Quick
@@ -224,4 +276,10 @@ let suite =
     Alcotest.test_case "virtual time scales" `Quick test_sequential_virtual_time_scales;
     Alcotest.test_case "useless counted" `Quick test_useless_expansions_counted;
     QCheck_alcotest.to_alcotest prop_lmsk_optimal;
+    QCheck_alcotest.to_alcotest
+      (prop_lmsk_brute_force "uniform" (fun ~seed n -> Tsp.Instance.generate ~seed n));
+    QCheck_alcotest.to_alcotest
+      (prop_lmsk_brute_force "euclidean" (fun ~seed n ->
+           Tsp.Instance.generate_euclidean ~seed n));
+    QCheck_alcotest.to_alcotest (prop_lmsk_brute_force "forbidden" forbidden_instance);
   ]
