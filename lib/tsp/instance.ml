@@ -44,7 +44,10 @@ let of_matrix m =
   let costs = Array.make (n * n) infinity_cost in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
-      if i <> j then costs.((i * n) + j) <- m.(i).(j)
+      if i <> j then begin
+        if m.(i).(j) < 0 then invalid_arg "Instance.of_matrix: negative cost";
+        costs.((i * n) + j) <- m.(i).(j)
+      end
     done
   done;
   { n; costs }

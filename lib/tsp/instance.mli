@@ -20,8 +20,10 @@ val generate_euclidean : ?scale:float -> seed:int -> int -> t
     deeper search trees the parallel experiments need. *)
 
 val of_matrix : int array array -> t
-(** Build from an explicit cost matrix (diagonal ignored). Raises
-    [Invalid_argument] if not square or smaller than 3. *)
+(** Build from an explicit cost matrix (diagonal ignored). An entry of
+    [max_int / 4] or more forbids its edge. Raises [Invalid_argument]
+    if not square, smaller than 3, or an off-diagonal cost is negative:
+    LMSK's reduction bound assumes costs of at least zero. *)
 
 val size : t -> int
 

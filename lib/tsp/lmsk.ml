@@ -1,11 +1,10 @@
 let inf = max_int / 4
 
 type node = {
-  n : int;
-  m : int array;  (* reduced cost matrix, flattened; inf = forbidden *)
-  row_act : bool array;
-  col_act : bool array;
   k : int;  (* active rows (= active cols) *)
+  m : int array;  (* reduced k x k submatrix, row-major; inf = forbidden *)
+  rows : int array;  (* original city of each active row, ascending *)
+  cols : int array;  (* original city of each active column, ascending *)
   node_bound : int;
   edges : (int * int) list;
   path_start : int array;  (* start city of the included path through c *)
@@ -13,141 +12,141 @@ type node = {
 }
 
 let bound t = t.node_bound
-let depth t = List.length t.edges
 let edges t = t.edges
-let active t = t.k
+
+(* Subtract the minimum of the [k] entries [m.(start + (x * stride))]
+   from the feasible ones; returns that minimum ([inf] when none is
+   feasible). A row is [stride = 1], a column [stride = k]. *)
+let reduce_line m ~k ~start ~stride =
+  let mn = ref inf in
+  for x = 0 to k - 1 do
+    let v = m.(start + (x * stride)) in
+    if v < !mn then mn := v
+  done;
+  if !mn > 0 && !mn < inf then
+    for x = 0 to k - 1 do
+      let idx = start + (x * stride) in
+      if m.(idx) < inf then m.(idx) <- m.(idx) - !mn
+    done;
+  !mn
 
 (* Reduce rows then columns in place; returns the reduction total or
-   [None] when some active row/column has no feasible entry. *)
-let reduce ~n ~m ~row_act ~col_act =
-  let total = ref 0 in
-  let feasible = ref true in
-  for i = 0 to n - 1 do
-    if !feasible && row_act.(i) then begin
-      let mn = ref inf in
-      for j = 0 to n - 1 do
-        if col_act.(j) && m.((i * n) + j) < !mn then mn := m.((i * n) + j)
-      done;
-      if !mn >= inf then feasible := false
-      else if !mn > 0 then begin
-        for j = 0 to n - 1 do
-          if col_act.(j) && m.((i * n) + j) < inf then
-            m.((i * n) + j) <- m.((i * n) + j) - !mn
-        done;
-        total := !total + !mn
-      end
-    end
-  done;
-  for j = 0 to n - 1 do
-    if !feasible && col_act.(j) then begin
-      let mn = ref inf in
-      for i = 0 to n - 1 do
-        if row_act.(i) && m.((i * n) + j) < !mn then mn := m.((i * n) + j)
-      done;
-      if !mn >= inf then feasible := false
-      else if !mn > 0 then begin
-        for i = 0 to n - 1 do
-          if row_act.(i) && m.((i * n) + j) < inf then
-            m.((i * n) + j) <- m.((i * n) + j) - !mn
-        done;
-        total := !total + !mn
-      end
-    end
-  done;
-  if !feasible then Some !total else None
+   [None] when some row/column has no feasible entry. *)
+let reduce k m =
+  let rec go line total =
+    if line = 2 * k then Some total
+    else
+      let r =
+        if line < k then reduce_line m ~k ~start:(line * k) ~stride:1
+        else reduce_line m ~k ~start:(line - k) ~stride:k
+      in
+      if r >= inf then None else go (line + 1) (total + r)
+  in
+  go 0 0
 
 let root inst =
   let n = Instance.size inst in
   let m = Array.init (n * n) (fun idx -> Instance.cost inst (idx / n) (idx mod n)) in
-  let row_act = Array.make n true and col_act = Array.make n true in
   let reduction =
-    match reduce ~n ~m ~row_act ~col_act with
+    match reduce n m with
     | Some r -> r
     | None -> invalid_arg "Lmsk.root: infeasible instance"
   in
+  let ids = Array.init n Fun.id in
   {
-    n;
-    m;
-    row_act;
-    col_act;
     k = n;
+    m;
+    rows = ids;
+    cols = ids;
     node_bound = reduction;
     edges = [];
-    path_start = Array.init n (fun c -> c);
-    path_end = Array.init n (fun c -> c);
+    path_start = ids;
+    path_end = ids;
   }
 
 (* Maximum-penalty zero entry: the edge whose exclusion raises the
-   bound the most. *)
+   bound the most; the first in row-major order on ties. A zero is its
+   line's smallest entry, so the smallest of the others is the line's
+   second-smallest (counting repeats): one pass finds both for every
+   row and column. *)
 let choose_branch_edge t =
-  let n = t.n in
+  let k = t.k and m = t.m in
+  let row1 = Array.make k inf and row2 = Array.make k inf in
+  let col1 = Array.make k inf and col2 = Array.make k inf in
+  let note lo hi x (v : int) =
+    if v < lo.(x) then begin
+      hi.(x) <- lo.(x);
+      lo.(x) <- v
+    end
+    else if v < hi.(x) then hi.(x) <- v
+  in
+  for i = 0 to k - 1 do
+    for j = 0 to k - 1 do
+      let v = m.((i * k) + j) in
+      note row1 row2 i v;
+      note col1 col2 j v
+    done
+  done;
   let best = ref None in
-  for i = 0 to n - 1 do
-    if t.row_act.(i) then
-      for j = 0 to n - 1 do
-        if t.col_act.(j) && t.m.((i * n) + j) = 0 then begin
-          let row_min = ref inf and col_min = ref inf in
-          for j' = 0 to n - 1 do
-            if t.col_act.(j') && j' <> j && t.m.((i * n) + j') < !row_min then
-              row_min := t.m.((i * n) + j')
-          done;
-          for i' = 0 to n - 1 do
-            if t.row_act.(i') && i' <> i && t.m.((i' * n) + j) < !col_min then
-              col_min := t.m.((i' * n) + j)
-          done;
-          let penalty =
-            (if !row_min >= inf then inf else !row_min)
-            + if !col_min >= inf then inf else !col_min
-          in
-          match !best with
-          | Some (p, _, _) when p >= penalty -> ()
-          | _ -> best := Some (penalty, i, j)
-        end
-      done
+  for i = 0 to k - 1 do
+    for j = 0 to k - 1 do
+      if m.((i * k) + j) = 0 then begin
+        let penalty = row2.(i) + col2.(j) in
+        match !best with
+        | Some (p, _, _) when p >= penalty -> ()
+        | _ -> best := Some (penalty, i, j)
+      end
+    done
   done;
   !best
 
-let copy t =
-  {
-    t with
-    m = Array.copy t.m;
-    row_act = Array.copy t.row_act;
-    col_act = Array.copy t.col_act;
-    path_start = Array.copy t.path_start;
-    path_end = Array.copy t.path_end;
-  }
-
+(* The parent is reduced, so every other row and column keeps a zero
+   and only row [i] and column [j] can need re-reducing. *)
 let exclude_child t (i, j) penalty =
   if penalty >= inf then None
   else begin
-    let c = copy t in
-    c.m.((i * c.n) + j) <- inf;
-    match reduce ~n:c.n ~m:c.m ~row_act:c.row_act ~col_act:c.col_act with
-    | None -> None
-    | Some r ->
-      let b = t.node_bound + r in
-      if b >= inf then None else Some { c with node_bound = b }
+    let k = t.k and m = Array.copy t.m in
+    m.((i * k) + j) <- inf;
+    let r = reduce_line m ~k ~start:(i * k) ~stride:1 in
+    let b = t.node_bound + r + reduce_line m ~k ~start:j ~stride:k in
+    if b >= inf then None
+    else Some { t with m; node_bound = b }
   end
 
+let without a x = Array.init (Array.length a - 1) (fun y -> a.(if y < x then y else y + 1))
+
+let index a v =
+  let rec go x = if a.(x) = v then x else go (x + 1) in
+  go 0
+
 let include_child t (i, j) =
-  let c = copy t in
-  c.row_act.(i) <- false;
-  c.col_act.(j) <- false;
   let k = t.k - 1 in
-  (* Path bookkeeping: including i->j merges the path ending at i with
-     the path starting at j; closing that merged path back on itself
-     would create a subtour, so forbid its closing edge while the tour
-     is incomplete. *)
-  let s = c.path_start.(i) and e = c.path_end.(j) in
-  c.path_end.(s) <- e;
-  c.path_start.(e) <- s;
-  if k > 1 then c.m.((e * c.n) + s) <- inf;
-  match reduce ~n:c.n ~m:c.m ~row_act:c.row_act ~col_act:c.col_act with
+  let m = Array.make (k * k) 0 in
+  for r = 0 to k - 1 do
+    let from = (if r < i then r else r + 1) * t.k in
+    for c = 0 to k - 1 do
+      m.((r * k) + c) <- t.m.(from + if c < j then c else c + 1)
+    done
+  done;
+  let rows = without t.rows i and cols = without t.cols j in
+  let ci = t.rows.(i) and cj = t.cols.(j) in
+  (* Path bookkeeping: including ci->cj merges the path ending at ci
+     with the path starting at cj; closing that merged path back on
+     itself would create a subtour, so forbid its closing edge while
+     the tour is incomplete. *)
+  let path_start = Array.copy t.path_start and path_end = Array.copy t.path_end in
+  let s = path_start.(ci) and e = path_end.(cj) in
+  path_end.(s) <- e;
+  path_start.(e) <- s;
+  m.((index rows e * k) + index cols s) <- inf;
+  match reduce k m with
   | None -> None
   | Some r ->
     let b = t.node_bound + r in
     if b >= inf then None
-    else Some { c with k; node_bound = b; edges = (i, j) :: t.edges }
+    else
+      Some
+        { k; m; rows; cols; node_bound = b; edges = (ci, cj) :: t.edges; path_start; path_end }
 
 (* Reconstruct the closed tour (starting at city 0) from a complete
    edge set. Returns None if the edges do not form one Hamiltonian
@@ -173,28 +172,16 @@ let tour_of_edges n edges =
 (* With two active rows/columns the assignment is forced (up to the
    subtour-forbidden entries): try both pairings, keep valid tours. *)
 let complete inst t =
-  let rows = ref [] and cols = ref [] in
-  for i = t.n - 1 downto 0 do
-    if t.row_act.(i) then rows := i :: !rows;
-    if t.col_act.(i) then cols := i :: !cols
-  done;
-  match (!rows, !cols) with
-  | [ r1; r2 ], [ c1; c2 ] ->
-    let candidates = [ [ (r1, c1); (r2, c2) ]; [ (r1, c2); (r2, c1) ] ] in
-    let feasible pair =
-      List.for_all (fun (i, j) -> t.m.((i * t.n) + j) < inf) pair
-    in
-    List.filter_map
-      (fun pair ->
-        if not (feasible pair) then None
-        else
-          match tour_of_edges t.n (pair @ t.edges) with
-          | None -> None
-          | Some tour -> Some (tour, Instance.tour_cost inst tour))
-      candidates
-    |> List.sort (fun (_, a) (_, b) -> compare a b)
-    |> (function [] -> None | best :: _ -> Some best)
-  | _ -> None
+  List.filter_map
+    (fun pair ->
+      if List.exists (fun (r, c) -> t.m.((r * 2) + c) >= inf) pair then None
+      else
+        let pair = List.map (fun (r, c) -> (t.rows.(r), t.cols.(c))) pair in
+        tour_of_edges (Instance.size inst) (pair @ t.edges)
+        |> Option.map (fun tour -> (tour, Instance.tour_cost inst tour)))
+    [ [ (0, 0); (1, 1) ]; [ (0, 1); (1, 0) ] ]
+  |> List.sort (fun (_, a) (_, b) -> compare a b)
+  |> (function [] -> None | best :: _ -> Some best)
 
 type outcome = Children of node list | Tour of int list * int
 type expansion = { outcome : outcome; work : int }
@@ -214,13 +201,14 @@ let expand inst t =
           (fun c -> c)
           [ include_child t (i, j); exclude_child t (i, j) penalty ]
       in
-      (* Each child construction re-reduces a k x k matrix. *)
+      (* Charged as if each child re-reduced the whole k x k matrix. *)
       { outcome = Children children; work = work * 3 }
 
 let solve_sequential ?initial ?on_expand inst =
-  let open_nodes = Engine.Pqueue.create ~dummy:(root inst) () in
+  let start = root inst in
+  let open_nodes = Engine.Pqueue.create ~dummy:start () in
   let push nd = Engine.Pqueue.add open_nodes ~key:(bound nd) nd in
-  push (root inst);
+  push start;
   let best_cost, best_tour =
     match initial with
     | Some (tour, cost) -> (ref cost, ref tour)

@@ -17,14 +17,8 @@ val root : Instance.t -> node
 val bound : node -> int
 (** Lower bound on any tour completing this subproblem. *)
 
-val depth : node -> int
-(** Number of edges already included. *)
-
 val edges : node -> (int * int) list
 (** Edges already included, most recent first. *)
-
-val active : node -> int
-(** Cities not yet contracted (the subproblem's matrix dimension). *)
 
 type outcome =
   | Children of node list  (** 0, 1 or 2 feasible subproblems *)
@@ -32,7 +26,7 @@ type outcome =
 
 type expansion = { outcome : outcome; work : int }
 (** [work] is in abstract units proportional to the reduction effort
-    (about [active]^2). *)
+    (about [k]^2 on a subproblem with [k] cities left). *)
 
 val expand : Instance.t -> node -> expansion
 (** Branch a node: selects the maximum-penalty zero entry, builds the

@@ -56,6 +56,19 @@ let test_tour_cost () =
   check_int "0-1-2-0 tour" (1 + 2 + 3) (Tsp.Instance.tour_cost t [ 0; 1; 2 ]);
   check_int "0-2-1-0 tour" (9 + 9 + 9) (Tsp.Instance.tour_cost t [ 0; 2; 1 ])
 
+(* Reduction subtracts only positive minima, so a negative row would
+   leave LMSK no zero to branch on: the matrix is refused up front. *)
+let test_of_matrix_rejects_negative () =
+  let m = [| [| 0; -5; 3; 4 |]; [| 2; 0; -1; 7 |]; [| 6; 1; 0; -3 |]; [| -2; 8; 5; 0 |] |] in
+  check_bool "negative cost rejected" true
+    (try
+       ignore (Tsp.Instance.of_matrix m);
+       false
+     with Invalid_argument _ -> true);
+  let m = Array.map (Array.map abs) m in
+  m.(1).(1) <- -7;
+  check_int "negative diagonal ignored" 4 (Tsp.Instance.size (Tsp.Instance.of_matrix m))
+
 let test_tour_cost_validates () =
   let t = Tsp.Instance.generate ~seed:1 5 in
   check_bool "wrong length rejected" true
@@ -253,6 +266,7 @@ let suite =
     Alcotest.test_case "euclidean symmetric" `Quick test_euclidean_symmetric;
     Alcotest.test_case "tour cost" `Quick test_tour_cost;
     Alcotest.test_case "tour cost validates" `Quick test_tour_cost_validates;
+    Alcotest.test_case "negative cost rejected" `Quick test_of_matrix_rejects_negative;
     Alcotest.test_case "nearest neighbour valid" `Quick test_nearest_neighbour_valid;
     Alcotest.test_case "lmsk = brute force (uniform)" `Quick test_lmsk_matches_brute_force;
     Alcotest.test_case "lmsk = brute force (euclid)" `Quick
