@@ -1,5 +1,7 @@
 let inf = max_int / 4
 
+(* A node's arrays are never written once it is built, so children
+   share the ones they do not change. *)
 type node = {
   k : int;  (* active rows (= active cols) *)
   m : int array;  (* reduced k x k submatrix, row-major; inf = forbidden *)
@@ -205,10 +207,9 @@ let expand inst t =
       { outcome = Children children; work = work * 3 }
 
 let solve_sequential ?initial ?on_expand inst =
-  let start = root inst in
-  let open_nodes = Engine.Pqueue.create ~dummy:start () in
+  let open_nodes = Engine.Pqueue.create ~dummy:(root inst) () in
   let push nd = Engine.Pqueue.add open_nodes ~key:(bound nd) nd in
-  push start;
+  push (root inst);
   let best_cost, best_tour =
     match initial with
     | Some (tour, cost) -> (ref cost, ref tour)

@@ -229,14 +229,6 @@ let test_useless_expansions_counted () =
   check_bool "useless <= expanded" true
     (r.Tsp.Parallel.useless_expansions <= r.Tsp.Parallel.nodes_expanded)
 
-let prop_lmsk_optimal =
-  QCheck.Test.make ~name:"lmsk finds brute-force optimum" ~count:25
-    QCheck.(pair (int_range 1 1000) (int_range 5 8))
-    (fun (seed, n) ->
-      let inst = Tsp.Instance.generate ~seed n in
-      let (_, cost), _ = Tsp.Lmsk.solve_sequential inst in
-      cost = Tsp.Lmsk.brute_force inst)
-
 (* Random small instances of three kinds: uniform, Euclidean, and
    uniform with forbidden (max_int / 4) entries, where LMSK and brute
    force must also agree on whether any tour exists. *)
@@ -248,8 +240,8 @@ let forbidden_instance ~seed n =
              if Random.State.int rng 3 = 0 then max_int / 4
              else 1 + Random.State.int rng 100)))
 
-let prop_lmsk_brute_force name make =
-  QCheck.Test.make ~name:("lmsk = brute force, n 4..9: " ^ name) ~count:40
+let prop_lmsk_optimal ?(kind = "") make =
+  QCheck.Test.make ~name:("lmsk finds brute-force optimum" ^ kind) ~count:40
     QCheck.(pair (int_range 1 100_000) (int_range 4 9))
     (fun (seed, n) ->
       let inst = make ~seed n in
@@ -289,11 +281,11 @@ let suite =
     Alcotest.test_case "trace enabled" `Quick test_parallel_trace_enabled;
     Alcotest.test_case "virtual time scales" `Quick test_sequential_virtual_time_scales;
     Alcotest.test_case "useless counted" `Quick test_useless_expansions_counted;
-    QCheck_alcotest.to_alcotest prop_lmsk_optimal;
     QCheck_alcotest.to_alcotest
-      (prop_lmsk_brute_force "uniform" (fun ~seed n -> Tsp.Instance.generate ~seed n));
+      (prop_lmsk_optimal (fun ~seed n -> Tsp.Instance.generate ~seed n));
     QCheck_alcotest.to_alcotest
-      (prop_lmsk_brute_force "euclidean" (fun ~seed n ->
+      (prop_lmsk_optimal ~kind:" (euclidean)" (fun ~seed n ->
            Tsp.Instance.generate_euclidean ~seed n));
-    QCheck_alcotest.to_alcotest (prop_lmsk_brute_force "forbidden" forbidden_instance);
+    QCheck_alcotest.to_alcotest
+      (prop_lmsk_optimal ~kind:" (forbidden entries)" forbidden_instance);
   ]
