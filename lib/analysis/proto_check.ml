@@ -1,9 +1,10 @@
-(* Explicit-state model checker over Core.Protocol. Bounded BFS over
-   a packed seen-set (varint-encoded states in one byte arena, found
-   through an open-addressing table of ids); liveness via backward
-   reachability from the goal states. Deterministic throughout, so
-   every state count, verdict and counterexample — and the JSON built
-   from them — is the same bytes at any domain count. *)
+(* Explicit-state model checker over Core.Protocol. One bounded BFS
+   per model judges all of its properties, over a packed seen-set
+   (varint-encoded states in one byte arena, found through an
+   open-addressing table of ids); liveness via backward reachability
+   from the goal states. Deterministic throughout, so every state
+   count, verdict and counterexample — and the JSON built from them —
+   is the same bytes at any domain count. *)
 
 module Protocol = Adaptive_core.Protocol
 
@@ -237,18 +238,45 @@ let reaches_goal n starts targets goal =
   done;
   ok
 
-let check ?(max_states = 2_000_000) model prop =
+(* One exploration judges every property of a model. A property stays
+   open until its first violation or the bound, and its report keeps
+   the counts of that instant: discovery order does not depend on the
+   properties, so that is exactly where a pass checking it alone would
+   have stopped. *)
+let check_model ?(max_states = 2_000_000) model props =
+  if max_states < 1 then invalid_arg "Proto_check.check_model: max_states < 1";
+  let props = Array.of_list props in
+  let reports = Array.make (Array.length props) None in
+  let unresolved = ref (Array.length props) in
   let init = Protocol.init model in
   let seen = seen_make () in
   let parents = { p_pred = vec_make 0; p_role = vec_make ""; p_label = vec_make "" } in
   (* Forward adjacency in CSR form, only kept for liveness (the
      backward pass). States are expanded in id order, so [starts]
      gets one entry per expansion. *)
-  let keep_edges = match prop with Protocol.Liveness _ -> true | _ -> false in
+  let keep_edges = Array.exists (function Protocol.Liveness _ -> true | _ -> false) props in
   let starts = vec_make 0 and targets = vec_make 0 in
   let edges = ref 0 in
-  let violation = ref None in
-  let truncated = ref false in
+  (* The open safety and step predicates, in property-list order. *)
+  let open_of pick = List.filter_map Fun.id (List.mapi pick (Array.to_list props)) in
+  let safety =
+    ref (open_of (fun i -> function Protocol.Safety { q_bad; _ } -> Some (i, q_bad) | _ -> None))
+  in
+  let steps =
+    ref (open_of (fun i -> function Protocol.Step { q_bad; _ } -> Some (i, q_bad) | _ -> None))
+  in
+  let resolve i verdict =
+    let prop = props.(i) in
+    reports.(i) <-
+      Some
+        { r_model = Protocol.name model; r_property = Protocol.property_name prop;
+          r_desc = Protocol.property_desc prop; r_states = count seen; r_edges = !edges;
+          r_verdict = verdict };
+    decr unresolved;
+    safety := List.filter (fun (j, _) -> j <> i) !safety;
+    steps := List.filter (fun (j, _) -> j <> i) !steps
+  in
+  let stop_when_resolved () = if !unresolved = 0 then raise Exit in
   let cur = Array.copy init in
   (* Ids are dense, so [id] is new exactly when it is the next parent
      entry; record how it was reached. *)
@@ -261,36 +289,42 @@ let check ?(max_states = 2_000_000) model prop =
     end;
     fresh
   in
-  let bad_state id st =
-    match prop with
-    | Protocol.Safety { q_bad; _ } -> (
-      match q_bad model st with
-      | Some why ->
-        violation :=
-          Some { x_steps = path_to parents id; x_why = why;
-                 x_state = Protocol.describe model st };
-        true
-      | None -> false)
-    | _ -> false
+  (* A new state: judge it, then apply the bound. *)
+  let judge_state id st =
+    List.iter
+      (fun (i, q_bad) ->
+        match q_bad model st with
+        | Some why ->
+          resolve i
+            (Violated
+               { x_steps = path_to parents id; x_why = why;
+                 x_state = Protocol.describe model st })
+        | None -> ())
+      !safety;
+    if count seen >= max_states then
+      Array.iteri (fun i r -> if Option.is_none r then resolve i Out_of_bounds) reports;
+    stop_when_resolved ()
   in
-  let bad_step pre_id pre role label =
-    match prop with
-    | Protocol.Step { q_bad; _ } -> (
-      match q_bad model ~role ~label pre with
-      | Some why ->
-        violation :=
-          Some { x_steps = path_to parents pre_id @ [ (role, label) ]; x_why = why;
-                 x_state = Protocol.describe model pre };
-        true
-      | None -> false)
-    | _ -> false
+  let judge_step pre_id pre role label =
+    List.iter
+      (fun (i, q_bad) ->
+        match q_bad model ~role ~label pre with
+        | Some why ->
+          resolve i
+            (Violated
+               { x_steps = path_to parents pre_id @ [ (role, label) ]; x_why = why;
+                 x_state = Protocol.describe model pre })
+        | None -> ())
+      !steps;
+    stop_when_resolved ()
   in
-  ignore (is_new (intern seen init) (-1) "" "");
   (* The queue is the id counter: every interned state is expanded, in
      discovery order. *)
   let next = ref 0 in
   (try
-     if bad_state 0 init then raise Exit;
+     stop_when_resolved ();
+     ignore (is_new (intern seen init) (-1) "" "");
+     judge_state 0 init;
      while !next < count seen do
        let id = !next in
        incr next;
@@ -298,50 +332,45 @@ let check ?(max_states = 2_000_000) model prop =
        if keep_edges then vec_push starts targets.len;
        Protocol.iter_successors model cur (fun role label st' ->
            incr edges;
-           if bad_step id cur role label then raise Exit;
+           if !steps != [] then judge_step id cur role label;
            let id' = intern seen st' in
            if keep_edges then vec_push targets id';
-           if is_new id' id role label then begin
-             if bad_state id' st' then raise Exit;
-             if count seen >= max_states then begin
-               truncated := true;
-               raise Exit
-             end
-           end)
+           if is_new id' id role label then judge_state id' st')
      done
    with Exit -> ());
-  let verdict =
-    match (!violation, !truncated) with
-    | Some cex, _ -> Violated cex
-    | None, true -> Out_of_bounds
-    | None, false -> (
-      match prop with
-      | Protocol.Safety _ | Protocol.Step _ -> Holds
-      | Protocol.Liveness { q_goal; _ } ->
-        (* Every reachable state must be able to reach a goal state. *)
-        let n = count seen in
-        vec_push starts targets.len;
-        let ok =
-          reaches_goal n starts.buf targets.buf (fun id ->
-              decode seen id cur;
-              q_goal model cur)
-        in
-        let wedged = ref (-1) in
-        for id = n - 1 downto 0 do
-          if not ok.(id) then wedged := id
-        done;
-        if !wedged < 0 then Holds
-        else begin
-          decode seen !wedged cur;
-          Violated
-            { x_steps = path_to parents !wedged;
-              x_why = "wedged: no path to a quiesced/goal state";
-              x_state = Protocol.describe model cur }
-        end)
-  in
-  { r_model = Protocol.name model; r_property = Protocol.property_name prop;
-    r_desc = Protocol.property_desc prop; r_states = count seen; r_edges = !edges;
-    r_verdict = verdict }
+  (* A property still open has seen the whole graph: it holds, unless
+     it is a liveness property with a wedged state. *)
+  let n = count seen in
+  vec_push starts targets.len;
+  Array.iteri
+    (fun i r ->
+      if Option.is_none r then
+        match props.(i) with
+        | Protocol.Safety _ | Protocol.Step _ -> resolve i Holds
+        | Protocol.Liveness { q_goal; _ } ->
+          (* Every reachable state must be able to reach a goal state. *)
+          let ok =
+            reaches_goal n starts.buf targets.buf (fun id ->
+                decode seen id cur;
+                q_goal model cur)
+          in
+          let wedged = ref (-1) in
+          for id = n - 1 downto 0 do
+            if not ok.(id) then wedged := id
+          done;
+          if !wedged < 0 then resolve i Holds
+          else begin
+            decode seen !wedged cur;
+            resolve i
+              (Violated
+                 { x_steps = path_to parents !wedged;
+                   x_why = "wedged: no path to a quiesced/goal state";
+                   x_state = Protocol.describe model cur })
+          end)
+    reports;
+  Array.to_list (Array.map Option.get reports)
+
+let check ?max_states model prop = List.hd (check_model ?max_states model [ prop ])
 
 let check_all ?domains ?max_states ?only models =
   let models =
@@ -349,10 +378,8 @@ let check_all ?domains ?max_states ?only models =
     | None -> models
     | Some n -> List.filter (fun (m, _) -> Protocol.name m = n) models
   in
-  let tasks =
-    List.concat_map (fun (m, props) -> List.map (fun p -> (m, p)) props) models
-  in
-  Engine.Runner.map ?domains (fun (m, p) -> check ?max_states m p) tasks
+  List.concat
+    (Engine.Runner.map ?domains (fun (m, props) -> check_model ?max_states m props) models)
 
 let clean reports = List.for_all (fun r -> r.r_verdict = Holds) reports
 
@@ -361,21 +388,24 @@ type fixture_report = {
   f_expect : string list;
   f_found : string list;
   f_missing : string list;
+  f_unexpected : string list;
   f_reports : report list;
 }
 
 let check_fixture ?max_states ~name ~expect (model, props) =
-  let reports = List.map (check ?max_states model) props in
+  let reports = check_model ?max_states model props in
   let found =
     List.filter_map
       (fun r -> match r.r_verdict with Violated _ -> Some r.r_property | _ -> None)
       reports
   in
   let missing = List.filter (fun e -> not (List.mem e found)) expect in
+  let unexpected = List.filter (fun f -> not (List.mem f expect)) found in
   { f_name = name; f_expect = expect; f_found = found; f_missing = missing;
-    f_reports = reports }
+    f_unexpected = unexpected; f_reports = reports }
 
-let fixtures_ok fixtures = List.for_all (fun f -> f.f_missing = []) fixtures
+let fixtures_ok fixtures =
+  List.for_all (fun f -> f.f_missing = [] && f.f_unexpected = []) fixtures
 
 (* -- model fidelity -- *)
 

@@ -5,9 +5,10 @@
     {!Protocol.state} slots in one byte arena, and found through an
     open-addressing hash table of state ids; a state is copied into
     the arena only when it is new and decoded again when it is
-    expanded. Safety properties are judged on every reachable
-    state (or transition, for [Step] properties) as it is discovered;
-    liveness-as-absence-of-wedged-states does one full exploration,
+    expanded. One exploration judges all of a model's properties.
+    Safety properties are judged on every reachable state (or
+    transition, for [Step] properties) as it is discovered;
+    liveness-as-absence-of-wedged-states needs the full exploration,
     then a backward reachability pass from the goal states: any
     reachable state that cannot reach a goal state is wedged, and the
     BFS path to the earliest such state is the counterexample.
@@ -15,8 +16,8 @@
     Everything is deterministic — exploration order is the spec's
     declaration order — so state counts, verdicts, counterexample
     traces and the JSON built from them are identical bytes at any
-    [--domains] count. [check_all] fans one model × property pair per
-    task over [Engine.Runner]. *)
+    [--domains] count. [check_all] fans one model per task over
+    [Engine.Runner]. *)
 
 
 module Protocol = Adaptive_core.Protocol
@@ -40,10 +41,23 @@ type report = {
   r_verdict : verdict;
 }
 
+val check_model :
+  ?max_states:int -> Protocol.t -> Protocol.property list -> report list
+(** Check every property of one model in one exploration; one report
+    per property, in list order. A property resolves at its first
+    violation, and its [r_states] and [r_edges] are the states
+    discovered and transitions explored at that instant — what a pass
+    checking that property alone would report, since discovery order
+    does not depend on the properties. The exploration stops once
+    every property has resolved. [max_states] (default 2_000_000,
+    counting the initial state) bounds the seen-set: reaching it
+    resolves every open property as [Out_of_bounds] with
+    [r_states = max_states]. The properties still open when the graph
+    is exhausted hold, or, for liveness, are judged by the backward
+    pass. Raises [Invalid_argument] when [max_states < 1]. *)
+
 val check : ?max_states:int -> Protocol.t -> Protocol.property -> report
-(** Check one property of one model. [max_states] defaults to
-    2_000_000; discovering that many states without an answer stops
-    the check as [Out_of_bounds] with [r_states = max_states]. *)
+(** [check m p] is the one report of [check_model m [p]]. *)
 
 val check_all :
   ?domains:int ->
@@ -51,8 +65,8 @@ val check_all :
   ?only:string ->
   (Protocol.t * Protocol.property list) list ->
   report list
-(** Expand to model × property tasks and fan them over
-    [Engine.Runner.map]; [only] keeps just the models with that
+(** {!check_model} each model in one [Engine.Runner.map] task and
+    concatenate the reports; [only] keeps just the models with that
     name. Output order is input order regardless of [domains]. *)
 
 val clean : report list -> bool
@@ -74,6 +88,7 @@ type fixture_report = {
   f_expect : string list;  (** property names that must be violated *)
   f_found : string list;  (** property names actually violated *)
   f_missing : string list;  (** expected but not violated — a checker bug *)
+  f_unexpected : string list;  (** violated but not expected *)
   f_reports : report list;
 }
 
@@ -85,7 +100,8 @@ val check_fixture :
   fixture_report
 
 val fixtures_ok : fixture_report list -> bool
-(** Every seeded-bad fixture produced all its expected violations. *)
+(** Every seeded-bad fixture produced exactly its expected
+    violations: none missing and none unexpected. *)
 
 (** {1 Model fidelity} *)
 

@@ -1,13 +1,15 @@
 (* Proto_check: the explicit-state protocol model checker. Shipped
    protocol models verify clean with pinned state and edge counts and
-   reproduce the committed PROTO JSON; [max_states] truncates; the
-   seen-set's codec round-trips; each seeded-bad variant produces a
-   counterexample for exactly its expected properties; counterexamples
-   replay on their own model; checker output is byte-identical at any
-   domain count; random walks of the model replay (model
-   well-formedness); and an instrumented real [Switch_lock] swap's
-   transition log replays through the quiescence model step for step
-   (conformance: the model moves like the implementation). *)
+   reproduce the committed PROTO JSON; [max_states] truncates; one
+   shared pass reports what one pass per property does; the seen-set's
+   codec round-trips; each seeded-bad variant produces a counterexample
+   for exactly its expected properties, and the gate fails a fixture
+   that violates more; counterexamples replay on their own model;
+   checker output is byte-identical at any domain count; random walks
+   of the model replay (model well-formedness); and an instrumented
+   real [Switch_lock] swap's transition log replays through the
+   quiescence model step for step (conformance: the model moves like
+   the implementation). *)
 
 open Butterfly
 open Cthreads
@@ -72,7 +74,59 @@ let test_out_of_bounds () =
         (r.P.r_verdict = P.Out_of_bounds);
       Alcotest.(check int) (r.P.r_property ^ ": states") 1000 r.P.r_states;
       Alcotest.(check int) (r.P.r_property ^ ": edges") 2088 r.P.r_edges)
-    props
+    props;
+  (* The bound counts the initial state too, and a bound below one
+     state is an error. *)
+  List.iter
+    (fun (model, props) ->
+      List.iter
+        (fun r ->
+          let what = r.P.r_model ^ "/" ^ r.P.r_property in
+          Alcotest.(check bool) (what ^ ": out of bounds at 1") true
+            (r.P.r_verdict = P.Out_of_bounds);
+          Alcotest.(check int) (what ^ ": one state") 1 r.P.r_states;
+          Alcotest.(check int) (what ^ ": no edges") 0 r.P.r_edges)
+        (P.check_model ~max_states:1 model props);
+      List.iter
+        (fun m ->
+          Alcotest.check_raises
+            (Printf.sprintf "%s: max_states %d" (Adaptive_core.Protocol.name model) m)
+            (Invalid_argument "Proto_check.check_model: max_states < 1")
+            (fun () -> ignore (P.check ~max_states:m model (List.hd props))))
+        [ -1; 0 ])
+    (PM.shipped ())
+
+(* -- one shared pass reports what one pass per property reports -- *)
+
+let report =
+  Alcotest.testable
+    (fun ppf r ->
+      Format.pp_print_string ppf (P.to_json ~shipped:[ r ] ~fixtures:[] ~lowered:[]))
+    ( = )
+
+(* The shared pass's reports, once checked against single passes. *)
+let check_shared what ?max_states model props =
+  let shared = P.check_model ?max_states model props in
+  Alcotest.(check (list report)) what (List.map (P.check ?max_states model) props) shared;
+  shared
+
+let test_shared_pass () =
+  List.iter
+    (fun (model, props) -> ignore (check_shared (Adaptive_core.Protocol.name model) model props))
+    (PM.shipped ());
+  (* In a seeded-bad model the properties resolve at different
+     instants while the others keep exploring. *)
+  let staggered = ref 0 in
+  List.iter
+    (fun (name, (model, props), _) ->
+      let states = List.map (fun r -> r.P.r_states) (check_shared name model props) in
+      if List.length (List.sort_uniq compare states) > 1 then incr staggered)
+    (PM.seeded_bad ());
+  Alcotest.(check bool) "some fixture resolves at several instants" true (!staggered > 0);
+  let model, props = List.hd (PM.shipped ()) in
+  List.iter
+    (fun m -> ignore (check_shared (Printf.sprintf "max_states %d" m) ~max_states:m model props))
+    [ 1; 2; 1000 ]
 
 (* -- the seen-set's state codec -- *)
 
@@ -121,6 +175,18 @@ let test_fixtures_detected () =
         (List.sort compare f.P.f_expect)
         (List.sort compare f.P.f_found))
     fixtures
+
+(* -- the gate wants exactly the expected violations: a fixture that
+   also violates a property it does not expect fails it -- *)
+
+let test_unexpected_violation_fails () =
+  let name, mp, expect = List.hd (PM.seeded_bad ()) in
+  let dropped = List.hd expect in
+  let f = P.check_fixture ~name ~expect:(List.tl expect) mp in
+  Alcotest.(check (list string)) "nothing missing" [] f.P.f_missing;
+  Alcotest.(check (list string)) "the dropped property is unexpected" [ dropped ]
+    f.P.f_unexpected;
+  Alcotest.(check bool) "gate fails" false (P.fixtures_ok [ f ])
 
 (* -- a counterexample is a real trace: it replays on its model -- *)
 
@@ -265,8 +331,11 @@ let suite =
     Alcotest.test_case "PROTO JSON matches the committed artifact" `Slow
       test_proto_json_committed;
     Alcotest.test_case "max_states stops as out of bounds" `Quick test_out_of_bounds;
+    Alcotest.test_case "shared pass equals one pass per property" `Slow test_shared_pass;
     QCheck_alcotest.to_alcotest prop_codec_roundtrip;
     Alcotest.test_case "seeded bugs all caught" `Quick test_fixtures_detected;
+    Alcotest.test_case "unexpected fixture violation fails the gate" `Quick
+      test_unexpected_violation_fails;
     Alcotest.test_case "counterexamples replay on the model" `Quick
       test_counterexample_replays;
     Alcotest.test_case "byte-identical across domains" `Quick
