@@ -221,8 +221,129 @@ let test_schedule_log_round_trip () =
   check_int "all decisions consumed" 0 (Sched.schedule_control_remaining replay);
   check_int "same final clock" (Sched.final_time sim) (Sched.final_time replay)
 
+(* {2 Pinned multi-runnable run}
+
+   One run through every hot operation of the dispatcher, with several
+   processors runnable at once, pinned by a digest of everything the
+   run's outcome consists of: final time, event count, every counter,
+   per-thread cpu and per-processor busy time. A host-side change to
+   the dispatcher must leave both digests unchanged. (The fast-path A/B
+   tests compare modes of one dispatcher, so a change that moves every
+   mode alike passes them; this pin does not.) *)
+
+let digest_cfg = { Config.default with Config.processors = 4; quantum_ns = Some 20_000 }
+
+let spawn ~proc f = Ops.fork { Ops.f; proc = Some proc; prio = 0; name = "" }
+
+(* Counts the probe outcomes it saw, and notes whether its last phase
+   ran in fast mode, so the test can check that the run took the paths
+   it is meant to cover. *)
+let digest_program expired retried fast_seen () =
+  let words = Ops.alloc ~node:1 4 in
+  let lock = Ops.alloc1 ~node:2 () and flag = Ops.alloc1 ~node:3 () in
+  let mutator =
+    spawn ~proc:1 (fun () ->
+        for i = 1 to 4 do
+          ignore (Ops.read words.(0));
+          Ops.write words.(1) i;
+          ignore (Ops.fetch_and_or words.(2) i);
+          ignore (Ops.fetch_and_add words.(3) i);
+          ignore (Ops.swap words.(0) i);
+          let cur = Ops.read words.(1) in
+          ignore (Ops.compare_and_swap words.(1) ~expected:cur ~desired:(cur + 1));
+          ignore (Ops.compare_and_swap words.(1) ~expected:(-1) ~desired:0);
+          (* both cross the 20 us quantum and leave work debt *)
+          Ops.work 50_000;
+          Ops.work_instrs 500;
+          Ops.yield ()
+        done)
+  in
+  let holder =
+    spawn ~proc:2 (fun () ->
+        ignore (Ops.test_and_set lock);
+        Ops.work 300_000;
+        Ops.delay 50_000;
+        Ops.write lock 0)
+  in
+  let prober =
+    spawn ~proc:3 (fun () ->
+        Ops.work 1_000;
+        let until = Ops.now () + 60_000 in
+        let rec probe until =
+          match Ops.lock_probe_timed ~pre_instrs:4 ~retry_instrs:10 ~gap_ns:5_000 ~until lock with
+          | Ops.Probe_acquired -> ()
+          | Ops.Probe_expired ->
+            incr expired;
+            probe (-1)
+          | Ops.Probe_retrying ->
+            incr retried;
+            probe until
+        in
+        probe until;
+        Ops.write flag 1;
+        Ops.write lock 0)
+  in
+  let poller =
+    (* queued behind the mutator on processor 1 *)
+    spawn ~proc:1 (fun () ->
+        while Ops.read_hint ~pre_ns:1_000 ~gap_ns:2_000 ~expect:0 flag = 0 do
+          ()
+        done)
+  in
+  let sleeper = spawn ~proc:2 (fun () -> Ops.block ()) in
+  (* Woken before it blocks: the wakeup becomes a token it absorbs. *)
+  let early = spawn ~proc:3 (fun () -> Ops.block ()) in
+  Ops.wakeup early;
+  Ops.delay 1_000_000;
+  Ops.wakeup sleeper;
+  List.iter Ops.join [ mutator; holder; prober; poller; sleeper; early ];
+  (* Alone on the machine: fast slices when nothing records the run. *)
+  for i = 1 to 50 do
+    Ops.write words.(i mod 4) (Ops.read words.((i + 1) mod 4) + i);
+    Ops.work 3_000;
+    if (Mstate.get ()).fast then fast_seen := true
+  done
+
+let run_digest ~record =
+  let sim = Sched.create digest_cfg in
+  Sched.set_record_schedule sim record;
+  let expired = ref 0 and retried = ref 0 and fast_seen = ref false in
+  Sched.run sim (digest_program expired retried fast_seen);
+  let b = Buffer.create 1024 in
+  Printf.bprintf b "final=%d events=%d\n" (Sched.final_time sim) (Sched.events_executed sim);
+  List.iter
+    (fun (name, v) -> Printf.bprintf b "%s=%d\n" name v)
+    (Engine.Counters.to_list (Sched.counters sim));
+  List.iter (fun (tid, _, cpu) -> Printf.bprintf b "cpu %d=%d\n" tid cpu) (Sched.thread_report sim);
+  Array.iteri (fun pid ns -> Printf.bprintf b "busy %d=%d\n" pid ns) (Sched.processor_busy_ns sim);
+  if record then
+    List.iter (fun tid -> Printf.bprintf b "%d " tid) (Sched.recorded_schedule sim);
+  (Digest.to_hex (Digest.string (Buffer.contents b)), !expired, !retried, !fast_seen, sim)
+
+let test_pinned_digest () =
+  List.iter
+    (fun (record, pinned) ->
+      let digest, expired, retried, fast_seen, sim = run_digest ~record in
+      let counter = Engine.Counters.get (Sched.counters sim) in
+      check_int "one probe expiry" 1 expired;
+      check_bool "probes retried" true (retried > 0);
+      check_bool "work debt preempted" true (counter "sched.preemptions" > 0);
+      check_bool "threads blocked" true (counter "sched.blocks" >= 2);
+      check_bool "fast slices iff unrecorded" (not record) fast_seen;
+      (* tids 5 and 6: a real block charges [block_ns], an absorbed
+         token nothing *)
+      let cpu tid = List.find_map (fun (t, _, c) -> if t = tid then Some c else None) in
+      let report = Sched.thread_report sim in
+      Alcotest.(check (option int)) "sleeper blocked" (Some digest_cfg.block_ns) (cpu 5 report);
+      Alcotest.(check (option int)) "early wakeup absorbed" (Some 0) (cpu 6 report);
+      Alcotest.(check string)
+        (if record then "digest with the schedule" else "digest with fast slices")
+        pinned digest)
+    [ (true, "6b73a311aab3e495964e09d1ab68c9af"); (false, "f23eb64e8348a343e9979af752fb202a") ]
+
 let suite =
   [
+    Alcotest.test_case "pinned multi-runnable digest" `Quick test_pinned_digest;
     Alcotest.test_case "schedule log round trip" `Quick test_schedule_log_round_trip;
     Alcotest.test_case "busy accounting" `Quick test_busy_accounting;
     Alcotest.test_case "thread report" `Quick test_thread_report;
