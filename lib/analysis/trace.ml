@@ -11,17 +11,28 @@ type entry =
    and annotations stay boxed in a side array, each with its global
    position in [side_pos]. Entry [i] is side entry [s] if
    [side_pos.(s) = i]; otherwise it is access [i - s], where [s] counts
-   the side entries before [i]. *)
+   the side entries before [i].
+
+   Each access column is an array of chunks. The first chunk grows by
+   doubling up to [chunk_len] entries; after it, full [chunk_len]-entry
+   chunks are appended and never copied, so a long recording leaves no
+   outgrown columns behind for the major heap to reclaim, while the
+   many short recordings of a sweep stay small. Access [j] sits at
+   offset [j land chunk_mask] of chunk [j lsr chunk_bits]. *)
 
 let kind_bits = 2
 let proc_bits = 16
 let max_proc = (1 lsl proc_bits) - 1
 let max_tid = max_int lsr (proc_bits + kind_bits)
+let chunk_bits = 16
+let chunk_len = 1 lsl chunk_bits
+let chunk_mask = chunk_len - 1
 
 type t = {
-  mutable time : int array;
-  mutable meta : int array;
-  mutable addr : Memory.addr array;
+  mutable time : int array array;
+  mutable meta : int array array;
+  mutable addr : Memory.addr array array;
+  mutable cap : int;  (* accesses the chunks hold room for *)
   mutable n_acc : int;
   mutable side : entry array;
   mutable side_pos : int array;
@@ -29,7 +40,7 @@ type t = {
   mutable n_events : int;
 }
 
-let grown len = max 1024 (2 * len)
+let grown len = Int.max 1024 (2 * len)
 
 let kind_code = function
   | Memory.Read_access -> 0
@@ -50,25 +61,41 @@ let pack (a : Sched.access) =
   lor (a.access_proc lsl kind_bits)
   lor kind_code a.access_kind
 
-let push_access t (a : Sched.access) =
-  let meta = pack a in
+(* Make room for access [t.n_acc]. An address column has no neutral
+   element: it is filled with the address in hand, never read back
+   before it is overwritten. *)
+let grow_columns t (fill : Memory.addr) =
   let n = t.n_acc in
-  if n = Array.length t.time then begin
+  if n < chunk_len then begin
+    (* Still the first chunk: double it ([grown] steps through powers
+       of two from 1024, so it ends at exactly [chunk_len]). *)
     let cap = grown n in
-    let extend col fill =
-      let col' = Array.make cap fill in
-      Array.blit col 0 col' 0 n;
-      col'
+    let extend cols fill =
+      let col = Array.make cap fill in
+      if n > 0 then Array.blit cols.(0) 0 col 0 n;
+      [| col |]
     in
     t.time <- extend t.time 0;
     t.meta <- extend t.meta 0;
-    (* An address column has no neutral element: fill with the one in
-       hand, never read back before it is overwritten. *)
-    t.addr <- extend t.addr a.access_addr
-  end;
-  t.time.(n) <- a.access_time;
-  t.meta.(n) <- meta;
-  t.addr.(n) <- a.access_addr;
+    t.addr <- extend t.addr fill;
+    t.cap <- cap
+  end
+  else begin
+    let append cols fill = Array.append cols [| Array.make chunk_len fill |] in
+    t.time <- append t.time 0;
+    t.meta <- append t.meta 0;
+    t.addr <- append t.addr fill;
+    t.cap <- n + chunk_len
+  end
+
+let push_access t (a : Sched.access) =
+  let meta = pack a in
+  let n = t.n_acc in
+  if n = t.cap then grow_columns t a.access_addr;
+  let c = n lsr chunk_bits and j = n land chunk_mask in
+  t.time.(c).(j) <- a.access_time;
+  t.meta.(c).(j) <- meta;
+  t.addr.(c).(j) <- a.access_addr;
   t.n_acc <- n + 1
 
 let push_side t entry =
@@ -87,7 +114,7 @@ let push_side t entry =
 
 let attach sim =
   let t =
-    { time = [||]; meta = [||]; addr = [||]; n_acc = 0;
+    { time = [||]; meta = [||]; addr = [||]; cap = 0; n_acc = 0;
       side = [||]; side_pos = [||]; n_side = 0; n_events = 0 }
   in
   Sched.add_event_hook sim (fun ev ->
@@ -100,13 +127,14 @@ let attach sim =
 let length t = t.n_acc + t.n_side
 
 let access_at t j =
-  let m = t.meta.(j) in
+  let c = j lsr chunk_bits and j = j land chunk_mask in
+  let m = t.meta.(c).(j) in
   Access
     {
-      Sched.access_time = t.time.(j);
+      Sched.access_time = t.time.(c).(j);
       access_proc = (m lsr kind_bits) land max_proc;
       access_tid = m lsr (proc_bits + kind_bits);
-      access_addr = t.addr.(j);
+      access_addr = t.addr.(c).(j);
       access_kind = kind_of_code (m land ((1 lsl kind_bits) - 1));
     }
 

@@ -42,7 +42,7 @@ let alloc t ~node n =
   let needed = bank.used + n in
   if needed > index_mask then invalid_arg "Memory.alloc: module full";
   if needed > Array.length bank.words then begin
-    let capacity = max needed (Array.length bank.words * 2) in
+    let capacity = Int.max needed (Array.length bank.words * 2) in
     let words = Array.make capacity 0 in
     Array.blit bank.words 0 words 0 bank.used;
     bank.words <- words
@@ -106,26 +106,6 @@ let latency (cfg : Config.t) ~from_node a access =
     if local then cfg.local_read_ns + cfg.local_write_ns + cfg.atomic_extra_ns
     else cfg.remote_read_ns + cfg.local_write_ns + cfg.atomic_extra_ns
 
-(* Validity probe for the fast path: can this address be accessed at
-   all? (The effect path reaches the same answer through [bank_exn]'s
-   raise; the fast path must know beforehand, because an invalid
-   access has to fall back to the effect so the error surfaces
-   identically.) *)
-let is_allocated t a =
-  let node = node_of a in
-  (* [node_of]/[index_of] cannot be negative by construction. *)
-  node < Array.length t.banks && index_of a < t.banks.(node).used
-
-(* Pure preview of [reserve]: the completion time the access would
-   get, with no counter update and no bank-occupancy commitment. The
-   fast path quotes first (to check the preemption quantum), then
-   commits with [reserve]; the two must stay arithmetically
-   identical. *)
-let quote t (cfg : Config.t) ~from_node a access ~start =
-  let bank = t.banks.(node_of a) in
-  let wire = bank.degrade * latency cfg ~from_node a access in
-  if not cfg.contention then start + wire else max start bank.busy + wire
-
 let reserve t (cfg : Config.t) ~from_node a access ~start =
   let _ = bank_exn t a in
   t.total <- t.total + 1;
@@ -139,7 +119,7 @@ let reserve t (cfg : Config.t) ~from_node a access ~start =
   if not cfg.contention then start + wire
   else begin
     let bank = t.banks.(node_of a) in
-    let grant = max start bank.busy in
+    let grant = Int.max start bank.busy in
     let service =
       match access with
       | Atomic_access -> 2 * cfg.module_service_ns
@@ -149,10 +129,12 @@ let reserve t (cfg : Config.t) ~from_node a access ~start =
     grant + wire
   end
 
-(* The fast path's single-pass access: validity check, quote and
-   commitment fused, so one access costs one bank lookup and one
-   latency computation instead of three and two. Arithmetically this
-   is exactly [is_allocated] + [quote] + [reserve]; it must stay so. *)
+(* The fast path's single-pass access: validity check, the duration
+   the access would take, and its booking, in one bank lookup. The
+   validity check comes first because an invalid access must fall back
+   to the effect so the error surfaces as [bank_exn]'s. Once booked,
+   the arithmetic is exactly [reserve]'s; it must stay so. [node_of]
+   and [index_of] cannot be negative by construction. *)
 let try_reserve t (cfg : Config.t) ~from_node a access ~start ~budget =
   let node = node_of a in
   if node >= Array.length t.banks then -1
@@ -180,7 +162,7 @@ let try_reserve t (cfg : Config.t) ~from_node a access ~start ~budget =
         end
       end
       else begin
-        let grant = max start bank.busy in
+        let grant = Int.max start bank.busy in
         let ns = grant + wire - start in
         if ns >= budget then -1
         else begin

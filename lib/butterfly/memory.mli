@@ -13,8 +13,9 @@
 
 type t
 
-type addr
-(** An allocated word. *)
+type addr [@@immediate]
+(** An allocated word. Immediate, so an address stored into a field
+    or an array costs no write barrier. *)
 
 val node_of : addr -> int
 (** Owning node (memory module) of an address. *)
@@ -67,28 +68,16 @@ val reserve : t -> Config.t -> from_node:int -> addr -> access -> start:int -> i
     for the module to be free and occupies it for the configured
     service time. *)
 
-val quote : t -> Config.t -> from_node:int -> addr -> access -> start:int -> int
-(** Pure preview of {!reserve}: the completion time the access would
-    get, without booking it (no counter update, no occupancy change).
-    The scheduler's fast path quotes first — to check the access
-    against the preemption quantum — and only then commits with
-    {!reserve}. The address must be allocated (see {!is_allocated}). *)
-
-val is_allocated : t -> addr -> bool
-(** Whether the address denotes an allocated word. The accessors raise
-    [Invalid_argument] on unallocated addresses; the fast path checks
-    beforehand so it can fall back to the effect and surface the same
-    error. *)
-
 val try_reserve :
   t -> Config.t -> from_node:int -> addr -> access -> start:int -> budget:int -> int
-(** Single-pass fast-path charge: {!is_allocated}, {!quote} and
-    {!reserve} fused. Returns the access duration (completion minus
-    [start]) after booking it, or [-1] — with {e no} state change —
-    when the address is unallocated or the duration would reach
-    [budget] (the caller's remaining preemption slice), so the caller
-    can fall back to the effect path. Arithmetic is identical to
-    {!reserve}'s by construction. *)
+(** The fast path's charge: {!reserve}, but only when it may proceed.
+    Returns the access duration (completion minus [start]) after
+    booking it, or [-1] — with {e no} state change — when the address
+    is unallocated (the accessors would raise [Invalid_argument]) or
+    the duration would reach [budget] (the caller's remaining
+    preemption slice), so the caller can fall back to the effect path
+    and its error or preemption. A booked access's arithmetic is
+    identical to {!reserve}'s. *)
 
 (** {2 Fast-path value accessors}
 

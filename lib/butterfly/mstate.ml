@@ -92,7 +92,7 @@ let create ~(cfg : Config.t) ~mem =
 let ensure_thread st tid =
   let n = Array.length st.status in
   if tid >= n then begin
-    let n' = max (n * 2) (tid + 1) in
+    let n' = Int.max (n * 2) (tid + 1) in
     let grow fill a =
       let a' = Array.make n' fill in
       Array.blit a 0 a' 0 n;

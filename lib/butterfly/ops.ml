@@ -91,8 +91,8 @@ let fast_work (st : Mstate.t) ns =
      end
 
 (* Charge one memory access (timing only); the caller then applies the
-   word operation itself. The quote/commit split exists because the
-   quantum check needs the duration before the bank is booked. *)
+   word operation itself. [Memory.try_reserve] books the access only
+   if its duration stays inside the quantum's remaining budget. *)
 let fast_mem (st : Mstate.t) a kind =
   st.fast
   && st.events < st.max_events

@@ -156,6 +156,8 @@ type t = {
   mutable started : bool;
   mutable final : int;
   mutable place_cursor : int;
+  mutable pick_key : int;  (* dispatch key of the last [pick] *)
+  mutable runnable : int;  (* processors with a runnable thread, ditto *)
   timers : (int * int * (unit -> unit)) Engine.Pqueue.t;
       (* host-side virtual-time callbacks (fault injection), keyed by
          due time, carrying (time, insertion sequence, callback) so
@@ -207,6 +209,8 @@ let create (cfg : Config.t) =
     started = false;
     final = 0;
     place_cursor = 0;
+    pick_key = max_int;
+    runnable = 0;
     timers = Engine.Pqueue.create ~dummy:(0, 0, fun () -> ()) ();
     timer_seq = 0;
     abort = None;
@@ -360,7 +364,7 @@ let suspend_unit t th p ~ns k = charge_and_resume t th p ~ns (P_unit k)
    work components preempt identically to standalone [work] calls. *)
 let charge_work t th p ~ns pend =
   let st = t.st in
-  let chunk = min ns st.quantum in
+  let chunk = Int.min ns st.quantum in
   st.work_left.(th.tid) <- ns - chunk;
   charge_and_resume t th p ~ns:chunk pend
 
@@ -393,7 +397,7 @@ let new_thread t ~name ~proc ~prio fn =
   Mstate.ensure_thread st tid;
   if tid >= Array.length t.tarr then begin
     let n = Array.length t.tarr in
-    let grown = Array.make (max (n * 2) (tid + 1)) no_thread in
+    let grown = Array.make (Int.max (n * 2) (tid + 1)) no_thread in
     Array.blit t.tarr 0 grown 0 n;
     t.tarr <- grown
   end;
@@ -604,7 +608,7 @@ let handle_effect : type a. t -> a Effect.t -> ((a, unit) Effect.Deep.continuati
       (fun k ->
         let th = current_thread t in
         let p = proc_of t th in
-        let chunk = min ns t.st.quantum in
+        let chunk = Int.min ns t.st.quantum in
         t.st.work_left.(th.tid) <- ns - chunk;
         suspend_unit t th p ~ns:chunk k)
   | Ops.E_work_instrs n ->
@@ -613,7 +617,7 @@ let handle_effect : type a. t -> a Effect.t -> ((a, unit) Effect.Deep.continuati
         let th = current_thread t in
         let p = proc_of t th in
         let ns = Config.instrs cfg n in
-        let chunk = min ns t.st.quantum in
+        let chunk = Int.min ns t.st.quantum in
         t.st.work_left.(th.tid) <- ns - chunk;
         suspend_unit t th p ~ns:chunk k)
   | Ops.E_delay ns ->
@@ -844,27 +848,34 @@ let resume t th p pend =
 
 (* Pick the processor whose next runnable thread executes earliest.
    Ties break toward the lowest processor id, keeping runs
-   deterministic. Returns the dispatch key (the global next virtual
-   time) so the run loop can fire due fault timers first. *)
+   deterministic. Returns its id, or -1 when no processor has a
+   runnable thread. Leaves the dispatch key (the global next virtual
+   time, so the run loop can fire due fault timers first) in
+   [t.pick_key], and the number of processors with a runnable thread
+   in [t.runnable]. A plain loop with local refs: nothing is allocated
+   per dispatch. *)
 let pick t =
-  let st = t.st in
-  let best_key = ref max_int and best_pid = ref (-1) in
-  Array.iter
-    (fun p ->
+  let st = t.st and procs = t.procs in
+  let best_key = ref max_int and best_pid = ref (-1) and runnable = ref 0 in
+  for pid = 0 to Array.length procs - 1 do
+    let p = Array.unsafe_get procs pid in
+    let cont = p.cont in
+    if cont != no_thread || Engine.Pqueue.size p.runq > 0 then begin
+      incr runnable;
       let wake =
-        if p.cont != no_thread then st.wake_at.(p.cont.tid)
+        if cont != no_thread then st.wake_at.(cont.tid)
         else Engine.Pqueue.peek_min_key p.runq
       in
-      if wake < max_int then begin
-        let pn = st.pnow.(p.pid) in
-        let key = if pn > wake then pn else wake in
-        if key < !best_key then begin
-          best_key := key;
-          best_pid := p.pid
-        end
-      end)
-    t.procs;
-  if !best_pid < 0 then None else Some (!best_key, t.procs.(!best_pid))
+      let key = Int.max st.pnow.(pid) wake in
+      if key < !best_key then begin
+        best_key := key;
+        best_pid := pid
+      end
+    end
+  done;
+  t.pick_key <- !best_key;
+  t.runnable <- !runnable;
+  !best_pid
 
 (* May the dispatch slice about to start charge directly (no effects)?
    Only when nothing can observe or perturb the machine mid-slice:
@@ -872,24 +883,17 @@ let pick t =
    abort, no schedule control, and every *other* processor idle — a
    fast op advances only this processor's clock, so any runnable thread
    elsewhere could interleave in virtual time and must see the effect
-   path. (Threads queued on this same processor don't disqualify it:
+   path. [pick] counted the processors with a runnable thread, the
+   dispatched one among them, so "the others are idle" is a count of
+   one. (Threads queued on this same processor don't disqualify it:
    execution is non-preemptive and the quantum guard in [Ops] bails out
    before any preemption point.) Idleness of the other processors is
    stable for the duration of the slice because every op that could
    wake another processor — fork, wakeup, finish — suspends the fiber
    and ends the slice. *)
-let other_procs_idle t p =
-  let n = Array.length t.procs in
-  let rec go i =
-    i >= n
-    ||
-    let p' = t.procs.(i) in
-    (p' == p || (p'.cont == no_thread && Engine.Pqueue.size p'.runq = 0)) && go (i + 1)
-  in
-  go 0
-
-let slice_fast_ok t p =
-  Mstate.fast_paths_enabled ()
+let slice_fast_ok t =
+  t.runnable = 1
+  && Mstate.fast_paths_enabled ()
   && (match t.event_hooks with [] -> true | _ -> false)
   && (match t.access_hooks with [] -> true | _ -> false)
   && (match t.annot_hooks with [] -> true | _ -> false)
@@ -898,15 +902,14 @@ let slice_fast_ok t p =
   && (match t.abort with None -> true | Some _ -> false)
   && (match t.control with [] -> true | _ -> false)
   && (match t.chooser with None -> true | Some _ -> false)
-  && (not t.record_schedule)
-  && other_procs_idle t p
+  && not t.record_schedule
 
 (* Append one tid to the schedule log: seven bits a byte, low group
    first, high bit set on every byte but the last. *)
 let log_dispatch t tid =
   if t.schedule_len + 9 > Bytes.length t.schedule_log then begin
     (* room for the longest varint: 63 bits in 7-bit groups *)
-    let log = Bytes.create (max 256 (2 * Bytes.length t.schedule_log)) in
+    let log = Bytes.create (Int.max 256 (2 * Bytes.length t.schedule_log)) in
     Bytes.blit t.schedule_log 0 log 0 t.schedule_len;
     t.schedule_log <- log
   end;
@@ -926,7 +929,7 @@ let dispatch_thread t p th =
     (* a killed thread still queued: consume the slot, run nothing *)
   else begin
     let pid = p.pid in
-    let start = max st.pnow.(pid) st.wake_at.(th.tid) in
+    let start = Int.max st.pnow.(pid) st.wake_at.(th.tid) in
     let start =
       if st.last_tid.(pid) >= 0 && st.last_tid.(pid) <> th.tid then begin
         Engine.Counters.incr t.counters "sched.switches";
@@ -953,7 +956,7 @@ let dispatch_thread t p th =
     if st.work_left.(th.tid) > 0 then begin
       (* Preemption quantum: slice the remaining computation. *)
       let wl = st.work_left.(th.tid) in
-      let chunk = min wl st.quantum in
+      let chunk = Int.min wl st.quantum in
       st.work_left.(th.tid) <- wl - chunk;
       st.cpu.(th.tid) <- st.cpu.(th.tid) + chunk;
       st.busy.(pid) <- st.busy.(pid) + chunk;
@@ -966,7 +969,7 @@ let dispatch_thread t p th =
       t.current <- th;
       st.tid <- th.tid;
       st.pid <- pid;
-      st.fast <- slice_fast_ok t p;
+      st.fast <- slice_fast_ok t;
       (match th.pending with
       | P_none -> assert false
       | P_start fn ->
@@ -1044,14 +1047,14 @@ let dispatch_candidates t =
       if p.cont != no_thread then
         acc :=
           { choice_tid = p.cont.tid; choice_proc = p.pid;
-            choice_key = max st.pnow.(p.pid) st.wake_at.(p.cont.tid) }
+            choice_key = Int.max st.pnow.(p.pid) st.wake_at.(p.cont.tid) }
           :: !acc
       else
         Engine.Pqueue.iter p.runq (fun _ th ->
             if st.status.(th.tid) <> Mstate.st_finished then
               acc :=
                 { choice_tid = th.tid; choice_proc = p.pid;
-                  choice_key = max st.pnow.(p.pid) st.wake_at.(th.tid) }
+                  choice_key = Int.max st.pnow.(p.pid) st.wake_at.(th.tid) }
                 :: !acc))
     t.procs;
   let arr = Array.of_list !acc in
@@ -1089,12 +1092,13 @@ let extract_thread t p th =
    same applies to a chooser returning a non-candidate tid. *)
 let controlled_pick t =
   let default () =
-    match pick t with Some (key, p) -> Some (key, `Default p) | None -> None
+    let pid = pick t in
+    if pid < 0 then None else Some (t.pick_key, `Default t.procs.(pid))
   in
   match t.control with
   | tid :: _ -> (
     match locate_dispatchable t tid with
-    | Some (p, th) -> Some (max t.st.pnow.(p.pid) t.st.wake_at.(th.tid), `Forced (p, th, true))
+    | Some (p, th) -> Some (Int.max t.st.pnow.(p.pid) t.st.wake_at.(th.tid), `Forced (p, th, true))
     | None ->
       t.control <- [];
       t.control_diverged <- true;
@@ -1114,7 +1118,7 @@ let controlled_pick t =
         end
         else
           match locate_dispatchable t tid with
-          | Some (p, th) -> Some (max t.st.pnow.(p.pid) t.st.wake_at.(th.tid), `Forced (p, th, false))
+          | Some (p, th) -> Some (Int.max t.st.pnow.(p.pid) t.st.wake_at.(th.tid), `Forced (p, th, false))
           | None ->
             t.control_diverged <- true;
             default ()))
@@ -1273,11 +1277,11 @@ let run ?(main_name = "main") t main =
         if st.events > st.max_events then raise Event_limit_exceeded;
         if uncontrolled t then (
           (* the hot path: identical to the pre-control scheduler *)
-          match pick t with
-          | Some (key, p) ->
-            if Engine.Pqueue.peek_min_key t.timers <= key then fire_timers t ~upto:key
-            else dispatch t p
-          | None -> no_runnable ())
+          let pid = pick t in
+          if pid < 0 then no_runnable ()
+          else if Engine.Pqueue.peek_min_key t.timers <= t.pick_key then
+            fire_timers t ~upto:t.pick_key
+          else dispatch t t.procs.(pid))
         else
           match controlled_pick t with
           | Some (key, picked) ->
@@ -1290,6 +1294,9 @@ let run ?(main_name = "main") t main =
                   match t.control with
                   | _ :: rest -> t.control <- rest
                   | [] -> ());
+                (* No [pick] counted the runnable processors for this
+                   dispatch: keep its slice off the fast path. *)
+                t.runnable <- 0;
                 if extract_thread t p th then dispatch_thread t p th
                 else t.control_diverged <- true)
           | None -> no_runnable ()

@@ -69,7 +69,7 @@ module Guard = struct
      healthy observation still clears it). *)
   let fallback_failed t =
     t.cooldown_left <- 0;
-    t.streak <- max 0 (t.limit - 1)
+    t.streak <- Int.max 0 (t.limit - 1)
 end
 
 let guarded ~guard ~clamp ~fallback policy obs =
@@ -205,7 +205,7 @@ module Spec = struct
 
   let compile ?guard_state ~read ~apply ~metric spec =
     let ts = Array.of_list spec.s_transitions in
-    let counters = Array.make (max 1 (Array.length ts)) 0 in
+    let counters = Array.make (Int.max 1 (Array.length ts)) 0 in
     let last_cfg = ref None in
     let guard =
       match spec.s_guard with
@@ -261,7 +261,7 @@ module Spec = struct
       match guard with
       | None -> consult raw cur
       | Some (g, state) ->
-        let clamped = max g.g_clamp_lo (min g.g_clamp_hi raw) in
+        let clamped = Int.max g.g_clamp_lo (Int.min g.g_clamp_hi raw) in
         let wedged =
           match g.g_wedge with
           | Some w -> List.mem cur w.w_configs && matches w.w_cond raw

@@ -46,7 +46,7 @@ let period t = t.sample_period
 let set_period t p =
   if p < 1 then invalid_arg "Sensor.set_period: period must be >= 1";
   t.sample_period <- p;
-  t.countdown <- min t.countdown p
+  t.countdown <- Int.min t.countdown p
 
 let samples_taken t = t.samples
 let ticks_seen t = t.ticks

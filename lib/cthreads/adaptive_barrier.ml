@@ -23,7 +23,7 @@ let probe_gap_ns = Spin.probe_gap_ns
 (* Budget ladder shared with the default policy: each adaptation moves
    one step, so a misprediction costs one cycle of slightly-wrong
    spinning, not a swing to an extreme. *)
-let step_up ~max_spin b = if b = 0 then probe_gap_ns * 2 else min max_spin (b * 2)
+let step_up ~max_spin b = if b = 0 then probe_gap_ns * 2 else Int.min max_spin (b * 2)
 let step_down b = if b <= probe_gap_ns * 2 then 0 else b / 2
 
 (* The spread-driven spin-budget policy as a declarative spec:

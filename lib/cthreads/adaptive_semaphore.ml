@@ -16,7 +16,7 @@ type t = {
 
 let probe_gap_ns = Spin.probe_gap_ns
 let max_budget_ns = 19_200
-let step_up b = if b = 0 then probe_gap_ns * 2 else min max_budget_ns (b * 2)
+let step_up b = if b = 0 then probe_gap_ns * 2 else Int.min max_budget_ns (b * 2)
 let step_down b = if b <= probe_gap_ns * 2 then 0 else b / 2
 
 (* Permits turning over with nobody queued means waits are short —

@@ -31,7 +31,7 @@ let wait ~(policy : Waiting.t) ?(advice = fun () -> 0) ~since ~probe ~sleep () =
     else if probe ~gap_ns:gap then ()
     else begin
       let gap =
-        if Attribute.get policy.Waiting.backoff then min (max (gap * 2) 1) max_backoff_ns
+        if Attribute.get policy.Waiting.backoff then Int.min (Int.max (gap * 2) 1) max_backoff_ns
         else gap
       in
       wait_loop (attempts + 1) gap

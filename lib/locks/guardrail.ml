@@ -21,7 +21,7 @@ let create ?(params = default_params) () =
 
 type verdict = Sample of int | Fallback
 
-let clamp t waiting = max 0 (min t.p.clamp_max waiting)
+let clamp t waiting = Int.max 0 (Int.min t.p.clamp_max waiting)
 
 let classify t ~waiting ~wedged_low =
   let clamped = clamp t waiting in

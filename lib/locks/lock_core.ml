@@ -206,7 +206,7 @@ let lock_timeout t ~deadline_ns =
       | Ops.Probe_retrying ->
         let gap =
           if Attribute.get t.wait_policy.Waiting.backoff then
-            min (max (gap * 2) 1) max_backoff_ns
+            Int.min (Int.max (gap * 2) 1) max_backoff_ns
           else gap
         in
         wait_loop gap

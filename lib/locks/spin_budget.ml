@@ -4,7 +4,7 @@ type t = { threshold : int; n : int; cap : int; init : int; mutable spins : int 
 
 let create ~threshold ~n ~cap ~init =
   if threshold < 0 || n <= 0 || cap <= 0 then invalid_arg "Spin_budget.create";
-  let init = max 0 (min cap init) in
+  let init = Int.max 0 (Int.min cap init) in
   { threshold; n; cap; init; spins = init }
 
 let reset t = t.spins <- t.init
@@ -21,8 +21,8 @@ let mode t = mode_of ~cap:t.cap t.spins
 let step t ~waiting =
   let next =
     if waiting = 0 then t.cap
-    else if waiting <= t.threshold then min t.cap (t.spins + t.n)
-    else max 0 (t.spins - (2 * t.n))
+    else if waiting <= t.threshold then Int.min t.cap (t.spins + t.n)
+    else Int.max 0 (t.spins - (2 * t.n))
   in
   if next = t.spins then None
   else begin
@@ -30,20 +30,20 @@ let step t ~waiting =
     Some next
   end
 
-let set t v = t.spins <- max 0 (min t.cap v)
+let set t v = t.spins <- Int.max 0 (Int.min t.cap v)
 let init t = t.init
 
 (* The same step rule as {!step}, as a pure function of the budget
    value — used to enumerate the reachable configuration set. *)
 let step_value ~threshold ~n ~cap spins ~waiting =
   if waiting = 0 then cap
-  else if waiting <= threshold then min cap (spins + n)
-  else max 0 (spins - (2 * n))
+  else if waiting <= threshold then Int.min cap (spins + n)
+  else Int.max 0 (spins - (2 * n))
 
 let spec ?name:(spec_name = "adaptive-lock") ?attribute ~threshold ~n ~cap ~init ()
     =
   let module Spec = Adaptive_core.Policy.Spec in
-  let init = max 0 (min cap init) in
+  let init = Int.max 0 (Int.min cap init) in
   (* Reachable-budget closure from [init] under the three regions. *)
   let reps = [ 0; 1; threshold + 1 ] in
   let rec close seen frontier =

@@ -133,8 +133,8 @@ let profile t =
 let score t =
   let waiting = Ops.read t.nwait in
   if waiting = 0 then 0
-  else if t.hold_avg_ns > t.params.hold_ns_threshold then 100 + min waiting 99
-  else min waiting 99
+  else if t.hold_avg_ns > t.params.hold_ns_threshold then 100 + Int.min waiting 99
+  else Int.min waiting 99
 
 (* {1 The declarative implementation ladder} *)
 

@@ -115,6 +115,41 @@ let test_fig1_csv () =
           close_in ic;
           s))
 
+(* {2 Forced dispatch} *)
+
+let test_forced_dispatch () =
+  (* A timer kills a blocked thread, which readies its joiner on
+     processor 1, and forces the next dispatch to main. That dispatch
+     takes no [pick], so the runnable count of the pick before the
+     timer (main's processor alone) is stale: were the forced slice
+     fast on it, main's polls would run on past the joiner's write. *)
+  let cfg = { Config.default with Config.processors = 2 } in
+  ab "forced dispatch" (fun () ->
+      let sim = Sched.create cfg in
+      Sched.add_timer sim ~at:1_000_000 (fun () ->
+          ignore (Sched.kill_thread sim ~tid:1 ~at:1_000_000 : bool);
+          Sched.set_schedule_control sim [ 0 ]);
+      let polls = ref 0 in
+      Sched.run sim (fun () ->
+          let flag = Ops.alloc1 ~node:0 () in
+          let victim = Ops.fork { Ops.f = Ops.block; proc = Some 1; prio = 0; name = "" } in
+          let joiner =
+            Ops.fork
+              {
+                Ops.f = (fun () -> Ops.join victim; Ops.write flag 1);
+                proc = Some 1;
+                prio = 0;
+                name = "";
+              }
+          in
+          while Ops.read flag = 0 do
+            incr polls;
+            Ops.work 1_000
+          done;
+          Ops.join joiner);
+      Printf.sprintf "polls=%d events=%d final=%d diverged=%b" !polls
+        (Sched.events_executed sim) (Sched.final_time sim) (Sched.control_diverged sim))
+
 (* {2 Host-side allocation bound} *)
 
 let test_fast_path_allocation () =
@@ -142,6 +177,42 @@ let test_fast_path_allocation () =
         Alcotest.failf "fast spin iteration allocates: %.2f minor words/iter"
           !per_iter)
 
+let test_dispatch_allocation () =
+  (* Eight processors with three threads each keep several processors
+     runnable at once, so almost every event goes through the effect
+     path and a dispatch. Each one allocates its continuation and its
+     suspended operation; the bound catches the dispatcher's own
+     bookkeeping coming back (a closure or a boxed pick result per
+     dispatch adds several words per event). *)
+  with_modes ~fast:true ~fusion:true (fun () ->
+      let cfg = { Config.default with Config.processors = 8 } in
+      let sim = Sched.create cfg in
+      let before = Gc.minor_words () in
+      Sched.run sim (fun () ->
+          let words = Ops.alloc ~node:0 16 in
+          let workers =
+            List.init 24 (fun i ->
+                Ops.fork
+                  {
+                    Ops.f =
+                      (fun () ->
+                        for j = 1 to 200 do
+                          let a = words.((i + j) mod 16) in
+                          Ops.write a (Ops.read a + j);
+                          Ops.work 2_000
+                        done);
+                    proc = Some (i mod 8);
+                    prio = 0;
+                    name = "";
+                  })
+          in
+          List.iter Ops.join workers);
+      let per_event =
+        (Gc.minor_words () -. before) /. float_of_int (Sched.events_executed sim)
+      in
+      if per_event >= 20.0 then
+        Alcotest.failf "multi-runnable dispatch allocates %.1f minor words/event" per_event)
+
 let suite =
   [
     Alcotest.test_case "soak A/B" `Quick test_soak;
@@ -152,5 +223,7 @@ let suite =
     Alcotest.test_case "objects A/B" `Quick test_objects;
     Alcotest.test_case "table5 A/B" `Quick test_table5;
     Alcotest.test_case "fig1 csv A/B" `Quick test_fig1_csv;
+    Alcotest.test_case "forced dispatch A/B" `Quick test_forced_dispatch;
     Alcotest.test_case "fast path allocation" `Quick test_fast_path_allocation;
+    Alcotest.test_case "dispatch allocation" `Quick test_dispatch_allocation;
   ]
