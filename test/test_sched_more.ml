@@ -304,11 +304,9 @@ let digest_program expired retried fast_seen () =
     if (Mstate.get ()).fast then fast_seen := true
   done
 
-let run_digest ~record =
-  let sim = Sched.create digest_cfg in
-  Sched.set_record_schedule sim record;
-  let expired = ref 0 and retried = ref 0 and fast_seen = ref false in
-  Sched.run sim (digest_program expired retried fast_seen);
+(* Final time, event count, every counter, per-thread cpu, per-processor
+   busy time and, for a recorded run, the dispatch order. *)
+let outcome_digest ~record sim =
   let b = Buffer.create 1024 in
   Printf.bprintf b "final=%d events=%d\n" (Sched.final_time sim) (Sched.events_executed sim);
   List.iter
@@ -318,7 +316,14 @@ let run_digest ~record =
   Array.iteri (fun pid ns -> Printf.bprintf b "busy %d=%d\n" pid ns) (Sched.processor_busy_ns sim);
   if record then
     List.iter (fun tid -> Printf.bprintf b "%d " tid) (Sched.recorded_schedule sim);
-  (Digest.to_hex (Digest.string (Buffer.contents b)), !expired, !retried, !fast_seen, sim)
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let run_digest ~record =
+  let sim = Sched.create digest_cfg in
+  Sched.set_record_schedule sim record;
+  let expired = ref 0 and retried = ref 0 and fast_seen = ref false in
+  Sched.run sim (digest_program expired retried fast_seen);
+  (outcome_digest ~record sim, !expired, !retried, !fast_seen, sim)
 
 let test_pinned_digest () =
   List.iter
@@ -341,9 +346,87 @@ let test_pinned_digest () =
         pinned digest)
     [ (true, "6b73a311aab3e495964e09d1ab68c9af"); (false, "f23eb64e8348a343e9979af752fb202a") ]
 
+(* {2 Pinned fault-path run}
+
+   The same kind of pin for the host-side mutations of the dispatch
+   state that happen outside the dispatched processor: timers kill a
+   thread in its processor's continuation slot and one queued behind
+   another thread, and stall an idle processor and a busy one; forks,
+   wakeups and joins cross processors. The run then replays its own
+   recorded schedule, which forces every dispatch through the
+   controlled path. *)
+
+let fault_cfg = { Config.default with Config.processors = 4; quantum_ns = None }
+
+(* tids: 0 main (proc 0), 1 sleeper (proc 3), 2 spinner (proc 1, killed
+   in its continuation slot), 3 hog (proc 2), 4 queued (proc 2, killed
+   behind the hog). *)
+let fault_program () =
+  let word = Ops.alloc1 ~node:0 () in
+  let sleeper =
+    spawn ~proc:3 (fun () ->
+        Ops.block ();
+        ignore (Ops.fetch_and_add word 1);
+        Ops.work 20_000)
+  in
+  let churn n =
+    for _ = 1 to n do
+      ignore (Ops.fetch_and_add word 1);
+      Ops.work 5_000
+    done
+  in
+  let spinner = spawn ~proc:1 (fun () -> churn 1_000) in
+  let hog =
+    spawn ~proc:2 (fun () ->
+        churn 300;
+        Ops.wakeup sleeper;
+        churn 10)
+  in
+  let queued = spawn ~proc:2 (fun () -> churn 10) in
+  List.iter Ops.join [ spinner; queued; hog; sleeper ];
+  churn 20
+
+(* Arms the four fault timers; [seen] collects, per timer, whether the
+   target processor held the threads it is meant to (its slot plus
+   queue length). *)
+let arm_faults sim seen =
+  let at_time at expect_len pid fault =
+    Sched.add_timer sim ~at (fun () ->
+        seen := (Sched.runq_length sim pid = expect_len) :: !seen;
+        fault ())
+  in
+  at_time 800_000 0 3 (fun () -> Sched.stall_processor sim ~proc:3 ~ns:4_000_000);
+  at_time 1_000_000 1 1 (fun () -> ignore (Sched.kill_thread sim ~tid:2 ~at:1_000_000 : bool));
+  at_time 1_200_000 2 2 (fun () -> Sched.stall_processor sim ~proc:2 ~ns:100_000);
+  at_time 1_500_000 2 2 (fun () -> ignore (Sched.kill_thread sim ~tid:4 ~at:1_500_000 : bool))
+
+let run_faulted control =
+  let sim = Sched.create fault_cfg in
+  let seen = ref [] in
+  arm_faults sim seen;
+  Sched.set_record_schedule sim true;
+  Option.iter (Sched.set_schedule_control sim) control;
+  Sched.run sim fault_program;
+  (outcome_digest ~record:true sim, List.rev !seen, sim)
+
+let test_pinned_fault_digest () =
+  let digest, seen, sim = run_faulted None in
+  let counter = Engine.Counters.get (Sched.counters sim) in
+  Alcotest.(check (list bool)) "faults hit their targets" [ true; true; true; true ] seen;
+  check_int "two kills" 2 (counter "sched.kills");
+  check_int "one wakeup" 1 (counter "sched.wakeups");
+  let schedule = Sched.recorded_schedule sim in
+  let replay_digest, replay_seen, replay = run_faulted (Some schedule) in
+  check_bool "replay did not diverge" false (Sched.control_diverged replay);
+  check_int "replay consumed every decision" 0 (Sched.schedule_control_remaining replay);
+  Alcotest.(check (list bool)) "replay faults hit their targets" seen replay_seen;
+  Alcotest.(check string) "replay reproduces the run" digest replay_digest;
+  Alcotest.(check string) "fault-path digest" "e09170c85ddd25e01e92ba81e85e01aa" digest
+
 let suite =
   [
     Alcotest.test_case "pinned multi-runnable digest" `Quick test_pinned_digest;
+    Alcotest.test_case "pinned fault-path digest" `Quick test_pinned_fault_digest;
     Alcotest.test_case "schedule log round trip" `Quick test_schedule_log_round_trip;
     Alcotest.test_case "busy accounting" `Quick test_busy_accounting;
     Alcotest.test_case "thread report" `Quick test_thread_report;
