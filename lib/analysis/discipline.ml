@@ -15,7 +15,7 @@ let run ~names trace =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let holding tid = match Hashtbl.find_opt held tid with Some h -> h | None -> [] in
-  Trace.iter
+  Trace.iter_side
     (function
       | Trace.Annot
           { annotation = Ops.A_lock_acquire { lock; lock_name; spin_wait }; annot_tid; _ }

@@ -15,7 +15,7 @@ let edges ~names trace =
   let order = ref [] in
   (* edge keys, first-seen order *)
   let locknames : (key, string) Hashtbl.t = Hashtbl.create 64 in
-  Trace.iter
+  Trace.iter_side
     (function
       | Trace.Annot
           { annotation = Ops.A_lock_request { lock; lock_name }; annot_tid; annot_time; _ }

@@ -149,6 +149,12 @@ let iteri f t =
   done
 
 let iter f t = iteri (fun _ e -> f e) t
+
+let iter_side f t =
+  for s = 0 to t.n_side - 1 do
+    f t.side.(s)
+  done
+
 let events t = t.n_events
 let accesses t = t.n_acc
 

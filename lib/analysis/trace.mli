@@ -39,6 +39,11 @@ val iteri : (int -> entry -> unit) -> t -> unit
 (** Like {!iter} with the entry's position in the trace: the global
     linearization index the predictive passes use to relate events. *)
 
+val iter_side : (entry -> unit) -> t -> unit
+(** Like {!iter} over the events and annotations only, still in trace
+    order: no [Access] entry is rebuilt, so a pass that matches none
+    costs nothing per access. *)
+
 val events : t -> int
 (** Number of scheduling events recorded. O(1). *)
 

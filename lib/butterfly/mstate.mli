@@ -25,7 +25,7 @@ type t = {
   mutable abort_set : bool;  (** mirrors [Sched.request_abort] *)
   mutable fast : bool;
       (** the dispatch slice in progress may charge directly *)
-  mutable tid : int;  (** thread being dispatched *)
+  mutable tid : int;  (** thread being dispatched, -1 between slices *)
   mutable pid : int;  (** its processor *)
   pnow : int array;  (** per-processor clock, indexed by pid *)
   busy : int array;

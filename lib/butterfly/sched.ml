@@ -110,8 +110,7 @@ type thread = {
   mutable held_locks : string list;  (* lock names acquired and not yet released *)
 }
 
-(* Sentinel standing for "no thread" in processor slots, run queues and
-   the dense thread table, so those hot fields are unboxed. Never
+(* Sentinel filling the dense thread table's unused entries. Never
    scheduled, never mutated; shared across machines and domains. *)
 let no_thread =
   {
@@ -124,14 +123,15 @@ let no_thread =
     held_locks = [];
   }
 
+(* Slots and run queues hold tids, not thread records, so writing them
+   stores an immediate and never goes through the GC's write barrier. *)
 type proc = {
   pid : int;
-  runq : thread Engine.Pqueue.t;
-  mutable cont : thread;
-      (* non-preemptive continuation: the thread currently occupying
-         the processor, resumed ahead of queued threads until it
-         blocks, delays, yields or exhausts its quantum.
-         [no_thread] when vacant. *)
+  runq : int Engine.Pqueue.t;
+  mutable cont : int;
+      (* non-preemptive continuation: the tid occupying the processor,
+         resumed ahead of queued threads until it blocks, delays, yields
+         or exhausts its quantum. -1 when vacant. *)
 }
 
 type t = {
@@ -142,7 +142,6 @@ type t = {
   mutable tarr : thread array;  (* dense, indexed by tid; grown by doubling *)
   mutable next_tid : int;
   mutable live : int;
-  mutable current : thread;  (* [no_thread] outside dispatch *)
   counters : Engine.Counters.t;
   c_events : int ref;  (* cached cells of the four hottest counters *)
   c_read : int ref;
@@ -156,8 +155,12 @@ type t = {
   mutable started : bool;
   mutable final : int;
   mutable place_cursor : int;
+  keys : int array;
+      (* per processor, the virtual time its next runnable thread would
+         start, [max_int] when it has none; kept current by [refresh] *)
+  mutable nrunnable : int;  (* processors whose key is not [max_int] *)
   mutable pick_key : int;  (* dispatch key of the last [pick] *)
-  mutable runnable : int;  (* processors with a runnable thread, ditto *)
+  mutable runnable : int;  (* [nrunnable] as the last [pick] saw it *)
   timers : (int * int * (unit -> unit)) Engine.Pqueue.t;
       (* host-side virtual-time callbacks (fault injection), keyed by
          due time, carrying (time, insertion sequence, callback) so
@@ -191,11 +194,10 @@ let create (cfg : Config.t) =
     st = Mstate.create ~cfg ~mem;
     procs =
       Array.init cfg.processors (fun pid ->
-          { pid; runq = Engine.Pqueue.create ~dummy:no_thread (); cont = no_thread });
+          { pid; runq = Engine.Pqueue.create ~dummy:(-1) (); cont = -1 });
     tarr = Array.make 64 no_thread;
     next_tid = 0;
     live = 0;
-    current = no_thread;
     counters;
     c_events = Engine.Counters.cell counters "sched.events";
     c_read = Engine.Counters.cell counters "mem.read";
@@ -209,6 +211,8 @@ let create (cfg : Config.t) =
     started = false;
     final = 0;
     place_cursor = 0;
+    keys = Array.make cfg.processors max_int;
+    nrunnable = 0;
     pick_key = max_int;
     runnable = 0;
     timers = Engine.Pqueue.create ~dummy:(0, 0, fun () -> ()) ();
@@ -230,7 +234,7 @@ let events_executed t = t.st.events
 let processor_busy_ns t = Array.copy t.st.busy
 let runq_length t pid =
   let p = t.procs.(pid) in
-  Engine.Pqueue.size p.runq + if p.cont != no_thread then 1 else 0
+  Engine.Pqueue.size p.runq + if p.cont >= 0 then 1 else 0
 let live_threads t = t.live
 
 (* Fast-path switches, re-exported from the state module so experiment
@@ -293,9 +297,9 @@ let thread_report t =
   !acc
 
 let current_thread t =
-  if t.current == no_thread then
-    invalid_arg "Butterfly: operation performed outside a running thread"
-  else t.current
+  let tid = t.st.tid in
+  if tid < 0 then invalid_arg "Butterfly: operation performed outside a running thread"
+  else t.tarr.(tid)
 
 let proc_of t th = t.procs.(t.st.tproc.(th.tid))
 
@@ -314,34 +318,47 @@ let fold_accs t =
   st.acc_write <- 0;
   st.acc_atomic <- 0
 
-let make_ready t th ~at =
+(* Recompute a processor's entry in [t.keys] (and [t.nrunnable]) from
+   its slot, its run queue and its clock. Called wherever one of those
+   changes: the end of every dispatch, [make_ready], and the host-side
+   [kill_thread], [stall_processor] and [extract_thread]. *)
+let refresh t p =
+  let wake = if p.cont >= 0 then t.st.wake_at.(p.cont) else Engine.Pqueue.peek_min_key p.runq in
+  let key = if wake = max_int then max_int else Int.max t.st.pnow.(p.pid) wake in
+  let old = t.keys.(p.pid) in
+  t.keys.(p.pid) <- key;
+  t.nrunnable <- t.nrunnable + Bool.to_int (key < max_int) - Bool.to_int (old < max_int)
+
+let make_ready t tid ~at =
   let st = t.st in
-  st.status.(th.tid) <- Mstate.st_ready;
-  st.wake_at.(th.tid) <- at;
-  Engine.Pqueue.add t.procs.(st.tproc.(th.tid)).runq ~key:at th
+  st.status.(tid) <- Mstate.st_ready;
+  st.wake_at.(tid) <- at;
+  let p = t.procs.(st.tproc.(tid)) in
+  Engine.Pqueue.add p.runq ~key:at tid;
+  refresh t p
 
 (* The currently-running thread keeps its processor (non-preemptive
    execution), unless a preemption quantum is configured and its slice
    is exhausted — then it is demoted behind the queued threads.
    ([st.quantum] is [max_int] when no quantum is configured, so the
    comparison alone encodes the option.) *)
-let continue_on t p th ~at =
+let continue_on t p tid ~at =
   let st = t.st in
-  st.status.(th.tid) <- Mstate.st_ready;
-  st.wake_at.(th.tid) <- at;
+  st.status.(tid) <- Mstate.st_ready;
+  st.wake_at.(tid) <- at;
   if st.slice.(p.pid) >= st.quantum then begin
     st.slice.(p.pid) <- 0;
     Engine.Counters.incr t.counters "sched.preemptions";
-    emit t ~time:at ~proc:p.pid ~tid:th.tid ~other:(-1) Ev_preempt;
-    Engine.Pqueue.add p.runq ~key:at th
+    emit t ~time:at ~proc:p.pid ~tid ~other:(-1) Ev_preempt;
+    Engine.Pqueue.add p.runq ~key:at tid
   end
   else
     (* Under schedule control a forced dispatch may run a queued thread
        while another still occupies the continuation slot; queue behind
        it rather than overwrite (and lose) it. On the default path the
        slot is always vacant here. *)
-    if p.cont == no_thread then p.cont <- th
-    else Engine.Pqueue.add p.runq ~key:at th
+    if p.cont < 0 then p.cont <- tid
+    else Engine.Pqueue.add p.runq ~key:at tid
 
 (* Charge [ns] of processor occupancy ending at the thread's next wake
    time: the processor is busy until then (its clock advances), and the
@@ -353,7 +370,7 @@ let charge_and_resume t th p ~ns pend =
   st.busy.(p.pid) <- st.busy.(p.pid) + ns;
   st.pnow.(p.pid) <- st.pnow.(p.pid) + ns;
   st.slice.(p.pid) <- st.slice.(p.pid) + ns;
-  continue_on t p th ~at:st.pnow.(p.pid)
+  continue_on t p th.tid ~at:st.pnow.(p.pid)
 
 let suspend_unit t th p ~ns k = charge_and_resume t th p ~ns (P_unit k)
 
@@ -425,7 +442,7 @@ let finish ?at t th =
     (fun jtid ->
       if st.status.(jtid) = Mstate.st_joining then begin
         emit t ~time:wake_time ~proc:st.tproc.(jtid) ~tid:jtid ~other:th.tid Ev_join;
-        make_ready t t.tarr.(jtid) ~at:wake_time
+        make_ready t jtid ~at:wake_time
       end)
     th.joiners;
   th.joiners <- []
@@ -471,7 +488,8 @@ let stall_processor t ~proc ~ns =
     invalid_arg (Printf.sprintf "Sched.stall_processor: bad processor %d" proc);
   if ns < 0 then invalid_arg "Sched.stall_processor: negative stall";
   t.st.pnow.(proc) <- t.st.pnow.(proc) + ns;
-  t.st.slice.(proc) <- 0
+  t.st.slice.(proc) <- 0;
+  refresh t t.procs.(proc)
 
 let penalize_thread t ~tid ~ns =
   if ns < 0 then invalid_arg "Sched.penalize_thread: negative penalty";
@@ -496,7 +514,9 @@ let kill_thread t ~tid ~at =
       th.pending <- P_none;
       t.st.work_left.(tid) <- 0;
       t.st.fast <- false;
-      Array.iter (fun p -> if p.cont == th then p.cont <- no_thread) t.procs;
+      Array.iter
+        (fun p -> if p.cont = tid then begin p.cont <- -1; refresh t p end)
+        t.procs;
       Engine.Counters.incr t.counters "sched.kills";
       finish ~at t th;
       true
@@ -628,7 +648,7 @@ let handle_effect : type a. t -> a Effect.t -> ((a, unit) Effect.Deep.continuati
         let p = proc_of t th in
         t.st.slice.(p.pid) <- 0;
         th.pending <- P_unit k;
-        make_ready t th ~at:(t.st.pnow.(p.pid) + ns))
+        make_ready t th.tid ~at:(t.st.pnow.(p.pid) + ns))
   | Ops.E_now ->
     Some
       (fun k ->
@@ -651,7 +671,7 @@ let handle_effect : type a. t -> a Effect.t -> ((a, unit) Effect.Deep.continuati
         let child = new_thread t ~name:spec.name ~proc ~prio:spec.prio spec.f in
         let pnow = t.st.pnow.(p.pid) in
         emit t ~time:pnow ~proc ~tid:child.tid ~other:th.tid Ev_fork;
-        make_ready t child ~at:(pnow + cfg.fork_ns + cfg.wakeup_latency_ns);
+        make_ready t child.tid ~at:(pnow + cfg.fork_ns + cfg.wakeup_latency_ns);
         charge_and_resume t th p ~ns:cfg.fork_ns (P_value (k, child.tid)))
   | Ops.E_join tid ->
     Some
@@ -680,7 +700,7 @@ let handle_effect : type a. t -> a Effect.t -> ((a, unit) Effect.Deep.continuati
         st.busy.(p.pid) <- st.busy.(p.pid) + cfg.yield_ns;
         st.pnow.(p.pid) <- st.pnow.(p.pid) + cfg.yield_ns;
         st.slice.(p.pid) <- 0;
-        make_ready t th ~at:st.pnow.(p.pid))
+        make_ready t th.tid ~at:st.pnow.(p.pid))
   | Ops.E_block ->
     Some
       (fun k ->
@@ -724,7 +744,7 @@ let handle_effect : type a. t -> a Effect.t -> ((a, unit) Effect.Deep.continuati
         if code = Mstate.st_blocked then begin
           st.status.(tid) <- Mstate.st_ready;
           emit t ~time:pnow ~proc:st.tproc.(tid) ~tid ~other:th.tid Ev_wakeup;
-          make_ready t target ~at:(pnow + cfg.unblock_ns + cfg.wakeup_latency_ns)
+          make_ready t tid ~at:(pnow + cfg.unblock_ns + cfg.wakeup_latency_ns)
         end
         else if code = Mstate.st_finished then
           Engine.Counters.incr t.counters "sched.wakeups_late"
@@ -852,29 +872,20 @@ let resume t th p pend =
    runnable thread. Leaves the dispatch key (the global next virtual
    time, so the run loop can fire due fault timers first) in
    [t.pick_key], and the number of processors with a runnable thread
-   in [t.runnable]. A plain loop with local refs: nothing is allocated
-   per dispatch. *)
+   in [t.runnable]. A scan of the maintained [t.keys]: no processor
+   record is read and nothing is allocated per dispatch. *)
 let pick t =
-  let st = t.st and procs = t.procs in
-  let best_key = ref max_int and best_pid = ref (-1) and runnable = ref 0 in
-  for pid = 0 to Array.length procs - 1 do
-    let p = Array.unsafe_get procs pid in
-    let cont = p.cont in
-    if cont != no_thread || Engine.Pqueue.size p.runq > 0 then begin
-      incr runnable;
-      let wake =
-        if cont != no_thread then st.wake_at.(cont.tid)
-        else Engine.Pqueue.peek_min_key p.runq
-      in
-      let key = Int.max st.pnow.(pid) wake in
-      if key < !best_key then begin
-        best_key := key;
-        best_pid := pid
-      end
+  let keys = t.keys in
+  let best_key = ref max_int and best_pid = ref (-1) in
+  for pid = 0 to Array.length keys - 1 do
+    let key = Array.unsafe_get keys pid in
+    if key < !best_key then begin
+      best_key := key;
+      best_pid := pid
     end
   done;
   t.pick_key <- !best_key;
-  t.runnable <- !runnable;
+  t.runnable <- t.nrunnable;
   !best_pid
 
 (* May the dispatch slice about to start charge directly (no effects)?
@@ -922,18 +933,21 @@ let log_dispatch t tid =
   Bytes.set log !n (Char.chr !v);
   t.schedule_len <- !n + 1
 
-let dispatch_thread t p th =
-  if t.record_schedule then log_dispatch t th.tid;
+(* Run one slice of thread [tid], already taken from [p]'s slot or run
+   queue, then refresh [p]'s dispatch key: the slice moved its clock and
+   may have refilled its slot or queue. *)
+let dispatch_thread t p tid =
+  if t.record_schedule then log_dispatch t tid;
   let st = t.st in
-  if st.status.(th.tid) = Mstate.st_finished then ()
+  if st.status.(tid) = Mstate.st_finished then ()
     (* a killed thread still queued: consume the slot, run nothing *)
   else begin
     let pid = p.pid in
-    let start = Int.max st.pnow.(pid) st.wake_at.(th.tid) in
+    let start = Int.max st.pnow.(pid) st.wake_at.(tid) in
     let start =
-      if st.last_tid.(pid) >= 0 && st.last_tid.(pid) <> th.tid then begin
+      if st.last_tid.(pid) >= 0 && st.last_tid.(pid) <> tid then begin
         Engine.Counters.incr t.counters "sched.switches";
-        emit t ~time:start ~proc:pid ~tid:th.tid ~other:(-1) Ev_switch;
+        emit t ~time:start ~proc:pid ~tid ~other:(-1) Ev_switch;
         st.busy.(pid) <- st.busy.(pid) + t.cfg.switch_ns;
         st.slice.(pid) <- 0;
         start + t.cfg.switch_ns
@@ -941,33 +955,33 @@ let dispatch_thread t p th =
       else start
     in
     let start =
-      if st.penalty.(th.tid) > 0 then begin
+      if st.penalty.(tid) > 0 then begin
         (* A fault-injected stall (e.g. lock-holder delay): the thread is
            charged the penalty before it resumes. *)
-        let pen = st.penalty.(th.tid) in
-        st.penalty.(th.tid) <- 0;
+        let pen = st.penalty.(tid) in
+        st.penalty.(tid) <- 0;
         Engine.Counters.incr t.counters "sched.fault_stalls";
         start + pen
       end
       else start
     in
-    st.last_tid.(pid) <- th.tid;
+    st.last_tid.(pid) <- tid;
     st.pnow.(pid) <- start;
-    if st.work_left.(th.tid) > 0 then begin
+    if st.work_left.(tid) > 0 then begin
       (* Preemption quantum: slice the remaining computation. *)
-      let wl = st.work_left.(th.tid) in
+      let wl = st.work_left.(tid) in
       let chunk = Int.min wl st.quantum in
-      st.work_left.(th.tid) <- wl - chunk;
-      st.cpu.(th.tid) <- st.cpu.(th.tid) + chunk;
+      st.work_left.(tid) <- wl - chunk;
+      st.cpu.(tid) <- st.cpu.(tid) + chunk;
       st.busy.(pid) <- st.busy.(pid) + chunk;
       st.pnow.(pid) <- start + chunk;
       st.slice.(pid) <- st.slice.(pid) + chunk;
-      continue_on t p th ~at:st.pnow.(pid)
+      continue_on t p tid ~at:st.pnow.(pid)
     end
     else begin
-      st.status.(th.tid) <- Mstate.st_running;
-      t.current <- th;
-      st.tid <- th.tid;
+      let th = t.tarr.(tid) in
+      st.status.(tid) <- Mstate.st_running;
+      st.tid <- tid;
       st.pid <- pid;
       st.fast <- slice_fast_ok t;
       (match th.pending with
@@ -980,20 +994,18 @@ let dispatch_thread t p th =
         resume t th p pend);
       st.fast <- false;
       if st.acc_events <> 0 then fold_accs t;
-      t.current <- no_thread
+      st.tid <- -1
     end
-  end
+  end;
+  refresh t p
 
 let dispatch t p =
-  let th =
-    if p.cont != no_thread then begin
-      let th = p.cont in
-      p.cont <- no_thread;
-      th
-    end
-    else Engine.Pqueue.pop_min_value_exn p.runq
-  in
-  dispatch_thread t p th
+  let tid = p.cont in
+  if tid >= 0 then begin
+    p.cont <- -1;
+    dispatch_thread t p tid
+  end
+  else dispatch_thread t p (Engine.Pqueue.pop_min_value_exn p.runq)
 
 (* {2 Controlled scheduling}
 
@@ -1044,46 +1056,45 @@ let dispatch_candidates t =
   let acc = ref [] in
   Array.iter
     (fun p ->
-      if p.cont != no_thread then
+      if p.cont >= 0 then
         acc :=
-          { choice_tid = p.cont.tid; choice_proc = p.pid;
-            choice_key = Int.max st.pnow.(p.pid) st.wake_at.(p.cont.tid) }
+          { choice_tid = p.cont; choice_proc = p.pid;
+            choice_key = Int.max st.pnow.(p.pid) st.wake_at.(p.cont) }
           :: !acc
       else
-        Engine.Pqueue.iter p.runq (fun _ th ->
-            if st.status.(th.tid) <> Mstate.st_finished then
+        Engine.Pqueue.iter p.runq (fun _ tid ->
+            if st.status.(tid) <> Mstate.st_finished then
               acc :=
-                { choice_tid = th.tid; choice_proc = p.pid;
-                  choice_key = Int.max st.pnow.(p.pid) st.wake_at.(th.tid) }
+                { choice_tid = tid; choice_proc = p.pid;
+                  choice_key = Int.max st.pnow.(p.pid) st.wake_at.(tid) }
                 :: !acc))
     t.procs;
   let arr = Array.of_list !acc in
   Array.sort (fun a b -> compare a.choice_tid b.choice_tid) arr;
   arr
 
-(* Locate a dispatchable thread (continuation slot or run queue) without
+(* Locate a dispatchable thread's processor (slot or run queue) without
    extracting it: the run loop must know the dispatch key first, since a
    due fault timer fires instead and the decision is then re-evaluated. *)
 let locate_dispatchable t tid =
   if tid < 0 || tid >= t.next_tid then None
   else begin
-    let th = t.tarr.(tid) in
     let p = t.procs.(t.st.tproc.(tid)) in
-    if p.cont == th then Some (p, th)
-    else begin
-      let found = ref false in
-      Engine.Pqueue.iter p.runq (fun _ th' -> if th' == th then found := true);
-      if !found then Some (p, th) else None
-    end
+    let found = ref (p.cont = tid) in
+    Engine.Pqueue.iter p.runq (fun _ tid' -> if tid' = tid then found := true);
+    if !found then Some p else None
   end
 
-let extract_thread t p th =
-  ignore t;
-  if p.cont == th then begin
-    p.cont <- no_thread;
-    true
-  end
-  else Engine.Pqueue.remove p.runq (fun th' -> th' == th) <> None
+let extract_thread t p tid =
+  let found =
+    if p.cont = tid then begin
+      p.cont <- -1;
+      true
+    end
+    else Engine.Pqueue.remove p.runq (fun tid' -> tid' = tid) <> None
+  in
+  refresh t p;
+  found
 
 (* What the next scheduling step should be, under control. [`Forced]
    carries whether the pick consumes the head of the decision list. A
@@ -1095,10 +1106,13 @@ let controlled_pick t =
     let pid = pick t in
     if pid < 0 then None else Some (t.pick_key, `Default t.procs.(pid))
   in
+  let forced p tid consume =
+    Some (Int.max t.st.pnow.(p.pid) t.st.wake_at.(tid), `Forced (p, tid, consume))
+  in
   match t.control with
   | tid :: _ -> (
     match locate_dispatchable t tid with
-    | Some (p, th) -> Some (Int.max t.st.pnow.(p.pid) t.st.wake_at.(th.tid), `Forced (p, th, true))
+    | Some p -> forced p tid true
     | None ->
       t.control <- [];
       t.control_diverged <- true;
@@ -1118,7 +1132,7 @@ let controlled_pick t =
         end
         else
           match locate_dispatchable t tid with
-          | Some (p, th) -> Some (Int.max t.st.pnow.(p.pid) t.st.wake_at.(th.tid), `Forced (p, th, false))
+          | Some p -> forced p tid false
           | None ->
             t.control_diverged <- true;
             default ()))
@@ -1169,7 +1183,7 @@ let diagnostics t =
       Buffer.add_string buf
         (Printf.sprintf "  proc %d: now=%dns busy=%dns runq=%d\n" p.pid
            st.pnow.(p.pid) st.busy.(p.pid)
-           (Engine.Pqueue.size p.runq + if p.cont != no_thread then 1 else 0)))
+           (runq_length t p.pid)))
     t.procs;
   for tid = 0 to t.next_tid - 1 do
     let th = t.tarr.(tid) in
@@ -1246,7 +1260,7 @@ let run ?(main_name = "main") t main =
       total := !total + st.events)
     (fun () ->
       let main_thread = new_thread t ~name:main_name ~proc:0 ~prio:0 main in
-      make_ready t main_thread ~at:0;
+      make_ready t main_thread.tid ~at:0;
       let continue = ref true in
       let no_runnable () =
         if t.live = 0 then
@@ -1289,7 +1303,7 @@ let run ?(main_name = "main") t main =
             else (
               match picked with
               | `Default p -> dispatch t p
-              | `Forced (p, th, consume) ->
+              | `Forced (p, tid, consume) ->
                 if consume then (
                   match t.control with
                   | _ :: rest -> t.control <- rest
@@ -1297,7 +1311,7 @@ let run ?(main_name = "main") t main =
                 (* No [pick] counted the runnable processors for this
                    dispatch: keep its slice off the fast path. *)
                 t.runnable <- 0;
-                if extract_thread t p th then dispatch_thread t p th
+                if extract_thread t p tid then dispatch_thread t p tid
                 else t.control_diverged <- true)
           | None -> no_runnable ()
       done)

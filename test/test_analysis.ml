@@ -305,7 +305,12 @@ let test_trace_fidelity () =
       if e <> raw.(!pos) then Alcotest.failf "iter entry %d differs from the bus record" !pos;
       incr pos)
     trace;
-  check_int "iter visits every entry" (Array.length raw) !pos
+  check_int "iter visits every entry" (Array.length raw) !pos;
+  let side = List.filter (function Analysis.Trace.Access _ -> false | _ -> true) (Array.to_list raw) in
+  let visited = ref [] in
+  Analysis.Trace.iter_side (fun e -> visited := e :: !visited) trace;
+  check_bool "iter_side visits the events and annotations in order" true
+    (List.rev !visited = side)
 
 (* --- scenario suite ----------------------------------------------- *)
 
