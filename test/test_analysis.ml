@@ -306,7 +306,9 @@ let test_trace_fidelity () =
       incr pos)
     trace;
   check_int "iter visits every entry" (Array.length raw) !pos;
-  let side = List.filter (function Analysis.Trace.Access _ -> false | _ -> true) (Array.to_list raw) in
+  let side =
+    List.filter (function Analysis.Trace.Access _ -> false | _ -> true) (Array.to_list raw)
+  in
   let visited = ref [] in
   Analysis.Trace.iter_side (fun e -> visited := e :: !visited) trace;
   check_bool "iter_side visits the events and annotations in order" true
