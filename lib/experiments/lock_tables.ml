@@ -50,9 +50,10 @@ let kinds =
 let make_of = function
   | `Atomior ->
     fun ~home ->
+      let policy = Locks.Waiting.pure_spin ~node:home () in
+      Locks.Waiting.freeze policy;
       `Core
-        (Locks.Lock_core.create ~name:"atomior" ~home
-           ~policy:(Locks.Waiting.pure_spin ~node:home ())
+        (Locks.Lock_core.create ~name:"atomior" ~home ~policy
            ~costs:Locks.Lock_costs.atomior ())
   | `Kind kind -> fun ~home -> `Lock (Locks.Lock.create ~home kind)
 
@@ -128,47 +129,40 @@ let table6 ?domains () =
     static
 
 let table7 () =
-  let adaptive_configured configure ~home =
-    (* An adaptive lock pinned to one configuration: the no-op policy
-       keeps the feedback loop from re-tuning it mid-measurement. *)
-    let al =
-      Locks.Adaptive_lock.create ~home ~policy:Adaptive_core.Policy.no_op ()
-    in
-    let r = Locks.Adaptive_lock.reconfigurable al in
-    configure r;
-    `Reconf r
+  let spin_cfg c =
+    Locks.Lock_core.configure_waiting c ~spin_count:max_int ~sleep:false ()
   in
-  let spin_cfg r =
-    Locks.Reconfigurable_lock.configure_waiting r ~spin_count:max_int ~sleep:false ()
-  in
-  let block_cfg r =
-    Locks.Reconfigurable_lock.configure_waiting r ~spin_count:0 ~sleep:true ()
-  in
+  let block_cfg c = Locks.Lock_core.configure_waiting c ~spin_count:0 ~sleep:true () in
   let measure configure ~waiter_proc =
     let unlock_at = ref 0 and acquired_at = ref 0 in
     run (fun () ->
-        match adaptive_configured configure ~home:1 with
-        | `Reconf r ->
-          let owner_has_lock = ref false in
-          let owner =
-            Cthread.fork ~proc:3 (fun () ->
-                Locks.Reconfigurable_lock.lock r;
-                owner_has_lock := true;
-                Cthread.work 800_000;
-                unlock_at := Cthread.now ();
-                Locks.Reconfigurable_lock.unlock r)
-          in
-          let waiter =
-            Cthread.fork ~proc:waiter_proc (fun () ->
-                while not !owner_has_lock do
-                  Cthread.delay 5_000
-                done;
-                Locks.Reconfigurable_lock.lock r;
-                acquired_at := Cthread.now ();
-                Locks.Reconfigurable_lock.unlock r)
-          in
-          Cthread.join owner;
-          Cthread.join waiter);
+        (* An adaptive lock pinned to one configuration: the no-op policy
+           keeps the feedback loop from re-tuning it mid-measurement. *)
+        let c =
+          Locks.Adaptive_lock.core
+            (Locks.Adaptive_lock.create ~home:1 ~policy:Adaptive_core.Policy.no_op ())
+        in
+        configure c;
+        let owner_has_lock = ref false in
+        let owner =
+          Cthread.fork ~proc:3 (fun () ->
+              Locks.Lock_core.lock c;
+              owner_has_lock := true;
+              Cthread.work 800_000;
+              unlock_at := Cthread.now ();
+              Locks.Lock_core.unlock c)
+        in
+        let waiter =
+          Cthread.fork ~proc:waiter_proc (fun () ->
+              while not !owner_has_lock do
+                Cthread.delay 5_000
+              done;
+              Locks.Lock_core.lock c;
+              acquired_at := Cthread.now ();
+              Locks.Lock_core.unlock c)
+        in
+        Cthread.join owner;
+        Cthread.join waiter);
     float_of_int (!acquired_at - !unlock_at) /. 1000.0
   in
   [
@@ -188,7 +182,7 @@ let table8 () =
   let timed ~proc f =
     let dt = ref 0 in
     run (fun () ->
-        let r = Locks.Reconfigurable_lock.create ~home:1 () in
+        let r = Locks.Lock.core (Locks.Lock.create ~home:1 Locks.Lock.Reconfigurable) in
         let t =
           Cthread.fork ~proc (fun () ->
               let t0 = Cthread.now () in
@@ -198,17 +192,14 @@ let table8 () =
         Cthread.join t);
     float_of_int !dt /. 1000.0
   in
-  let acquisition r = ignore (Locks.Reconfigurable_lock.acquire_ownership r) in
-  let conf_waiting r = Locks.Reconfigurable_lock.configure_waiting r ~spin_count:5 () in
-  let conf_sched r =
-    Locks.Reconfigurable_lock.configure_scheduler r Locks.Lock_sched.Priority
-  in
+  let acquisition r = ignore (Locks.Lock_core.acquire_ownership r) in
+  let conf_waiting r = Locks.Lock_core.configure_waiting r ~spin_count:5 () in
+  let conf_sched r = Locks.Lock_core.configure_scheduler r Locks.Lock_sched.Priority in
   let monitor_sample r =
-    let core = Locks.Reconfigurable_lock.core r in
     let sensor =
       Adaptive_core.Sensor.make ~name:"no-of-waiting-threads"
         ~overhead_instrs:Locks.Lock_costs.monitor_sample_instrs (fun () ->
-          Locks.Lock_core.waiting_now core)
+          Locks.Lock_core.waiting_now r)
     in
     ignore (Adaptive_core.Sensor.force sensor)
   in

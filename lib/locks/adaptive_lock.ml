@@ -7,15 +7,11 @@ type params = { waiting_threshold : int; n : int; spin_cap : int; sample_period 
 let default_params = { waiting_threshold = 4; n = 16; spin_cap = 32; sample_period = 2 }
 
 type t = {
-  reconf : Reconfigurable_lock.t;
+  core : Lock_core.t;
   loop : int Adaptive.t;
   budget : Spin_budget.t;
-  mutable guard : Guardrail.t option;
+  guard : Guardrail.t option;
 }
-
-let apply_budget t =
-  Spin_budget.apply t.budget (Lock_core.policy (Reconfigurable_lock.core t.reconf));
-  Lock_stats.on_reconfigure (Reconfigurable_lock.stats t.reconf)
 
 (* The guardrail half of the policy spec: clamp observations into
    [0, clamp_max], treat "budget wedged at pure blocking while waiters
@@ -57,102 +53,72 @@ let policy_spec ?(params = default_params) ?guardrail ?name ?attribute () =
     }
 
 (* The [simple-adapt] step as a policy over any spin budget — the
-   plumbing shared by this closely-coupled lock and Monitoring's
-   loosely-coupled one, which differ only in how observations arrive
-   and how [apply] reaches the attributes. [apply] reports whether the
-   reconfiguration took effect: the closely-coupled path always
-   succeeds, the external-agent path can lose the ownership race (the
-   budget still advances, tracking the policy's intent — exactly the
-   pre-IR behavior, where [step] mutated at decision time). *)
-let compile_budget spec ~budget ~apply =
-  Policy.Spec.compile spec
+   plumbing Monitoring's loosely-coupled lock uses, which differs from
+   this closely-coupled one only in how observations arrive and how
+   [apply] reaches the attributes. [apply] reports whether the
+   reconfiguration took effect: the external-agent path can lose the
+   ownership race (the budget still advances, tracking the policy's
+   intent). *)
+let budget_policy ~budget ~apply =
+  Policy.Spec.compile (Spin_budget.spec_of budget)
     ~read:(fun () -> Spin_budget.spins budget)
     ~apply:(fun v ->
       Spin_budget.set budget v;
       apply ())
     ~metric:(fun (waiting : int) -> waiting)
 
-let budget_policy ~budget ~apply =
-  compile_budget (Spin_budget.spec_of budget) ~budget ~apply
-
-let simple_adapt _params t =
-  budget_policy ~budget:t.budget
-    ~apply:(fun () ->
-      apply_budget t;
-      true)
-
-(* Guardrail-filtered simple-adapt: the same spec with its guard
-   attached, sharing the [Guardrail.t]'s streak/cooldown state so its
-   accessors keep reporting. A pathological streak resets the budget
-   to its default combined value (one charged waiting-policy
-   reconfiguration) instead of feeding the policy. *)
-let guarded_adapt params guard t =
-  let spec =
-    policy_spec ~params ~guardrail:(Guardrail.config guard)
-      ~name:(Adaptive.name t.loop) ()
-  in
-  Policy.Spec.compile spec
-    ~guard_state:(Guardrail.guard guard)
-    ~read:(fun () -> Spin_budget.spins t.budget)
-    ~apply:(fun v ->
-      Spin_budget.set t.budget v;
-      apply_budget t;
-      true)
-    ~metric:(fun (waiting : int) -> waiting)
-
 let create ?name ?trace ?sched ?(params = default_params) ?policy ?guardrail ~home () =
   let name = match name with Some n -> n | None -> "adaptive-lock" in
   let waiting = Waiting.combined ~node:home ~spins:params.n () in
-  let reconf = Reconfigurable_lock.create ~name ?trace ?sched ~policy:waiting ~home () in
-  let core = Reconfigurable_lock.core reconf in
+  let core =
+    Lock_core.create ~name ?trace ?sched ~home ~policy:waiting
+      ~costs:Lock_costs.reconfigurable ()
+  in
   let sensor =
     Sensor.make ~name:(name ^ ".no-of-waiting-threads") ~period:params.sample_period
       ~overhead_instrs:40
       (fun () -> Lock_core.waiting_now core)
   in
-  (* The spec describes the default (possibly guardrailed) simple-adapt
-     policies; a caller-supplied policy is opaque, so no spec — the
-     registry then skips the formal log check rather than judging the
-     log against a space it does not follow. *)
-  let spec =
-    match policy with Some _ -> None | None -> Some (policy_spec ~params ?guardrail ~name ())
-  in
-  let loop =
-    Adaptive.create ~name ~kind:"lock" ?spec ~home ~sensor ~policy:Policy.no_op ()
-  in
   let budget =
     Spin_budget.create ~threshold:params.waiting_threshold ~n:params.n ~cap:params.spin_cap
       ~init:params.n
   in
-  let t = { reconf; loop; budget; guard = None } in
-  let policy =
+  (* The spec describes the default (possibly guardrailed) simple-adapt
+     policy and is exactly what runs; a caller-supplied policy is
+     opaque, so no spec — the registry then skips the formal log check
+     rather than judging the log against a space it does not follow. A
+     guardrail shares its [Guardrail.t]'s streak/cooldown state with
+     the compiled policy, so its accessors keep reporting. *)
+  let spec, guard, policy =
     match policy with
-    | Some p -> p
-    | None -> (
-      match guardrail with
-      | None -> simple_adapt params t
-      | Some gparams ->
-        let guard = Guardrail.create ~params:gparams () in
-        t.guard <- Some guard;
-        guarded_adapt params guard t)
+    | Some p -> (None, None, p)
+    | None ->
+      let spec = policy_spec ~params ?guardrail ~name () in
+      let guard = Option.map (fun params -> Guardrail.create ~params ()) guardrail in
+      let policy =
+        Policy.Spec.compile spec
+          ?guard_state:(Option.map Guardrail.guard guard)
+          ~read:(fun () -> Spin_budget.spins budget)
+          ~apply:(fun v ->
+            Spin_budget.set budget v;
+            Spin_budget.apply budget (Lock_core.policy core);
+            Lock_stats.on_reconfigure (Lock_core.stats core);
+            true)
+          ~metric:(fun (waiting : int) -> waiting)
+      in
+      (Some spec, guard, policy)
   in
-  Adaptive.set_policy loop policy;
-  t
+  let loop = Adaptive.create ~name ~kind:"lock" ?spec ~home ~sensor ~policy () in
+  { core; loop; budget; guard }
 
-let lock t = Reconfigurable_lock.lock t.reconf
-let try_lock t = Reconfigurable_lock.try_lock t.reconf
-let lock_timeout t ~deadline_ns = Reconfigurable_lock.lock_timeout t.reconf ~deadline_ns
-
-let lock_retrying t ~backoff ~max_attempts ~slice_ns =
-  Reconfigurable_lock.lock_retrying t.reconf ~backoff ~max_attempts ~slice_ns
+let lock t = Lock_core.lock t.core
 
 let unlock t =
-  Reconfigurable_lock.unlock t.reconf;
+  Lock_core.unlock t.core;
   ignore (Adaptive.tick t.loop)
 
-let name t = Reconfigurable_lock.name t.reconf
-let stats t = Reconfigurable_lock.stats t.reconf
-let reconfigurable t = t.reconf
+let stats t = Lock_core.stats t.core
+let core t = t.core
 let feedback t = t.loop
 let spins_now t = Spin_budget.spins t.budget
 let mode t = Spin_budget.mode t.budget

@@ -1,7 +1,7 @@
 (** Adaptive locks: the paper's headline object.
 
-    A reconfigurable lock plus a built-in, closely-coupled monitor
-    (a {!Adaptive_core.Sensor} on the waiting-thread count, sampled
+    A reconfigurable {!Lock_core} lock plus a built-in, closely-coupled
+    monitor (a {!Adaptive_core.Sensor} on the waiting-thread count, sampled
     once every [sample_period] unlock operations — the paper uses every
     other unlock) and a user-provided adaptation policy that retunes
     the waiting attributes.
@@ -55,23 +55,17 @@ val create :
     behaves bit-for-bit as before. *)
 
 val lock : t -> unit
-val try_lock : t -> bool
-
-val lock_timeout : t -> deadline_ns:int -> bool
-(** Timed acquisition (see {!Lock_core.lock_timeout}). *)
-
-val lock_retrying :
-  t -> backoff:Engine.Backoff.t -> max_attempts:int -> slice_ns:int -> bool
-(** Retried timed acquisition (see {!Lock_core.lock_retrying}). *)
 
 val unlock : t -> unit
 (** Releases the lock, then runs the monitor/adaptation tick (the
     closely-coupled feedback loop executes inside the application
     thread, not a separate monitoring thread). *)
 
-val name : t -> string
 val stats : t -> Lock_stats.t
-val reconfigurable : t -> Reconfigurable_lock.t
+
+val core : t -> Lock_core.t
+(** The engine, whose mutable policy the loop reconfigures. *)
+
 val feedback : t -> int Adaptive_core.Adaptive.t
 
 val spins_now : t -> int
@@ -98,10 +92,6 @@ val policy_spec :
     ([Analysis.Policy_check]) model-checks, and exactly what {!create}
     compiles into the running policy. Pure data; buildable outside a
     simulation. *)
-
-val simple_adapt : params -> t -> int Adaptive_core.Policy.t
-(** The paper's policy, exposed so ablations can wrap it (e.g. with
-    hysteresis) or sweep its constants. *)
 
 val budget_policy :
   budget:Spin_budget.t -> apply:(unit -> bool) -> int Adaptive_core.Policy.t

@@ -32,6 +32,5 @@ let observe t ~waiting ~wedged_low =
   if Policy.Guard.note t.g ~pathological then Fallback else Sample clamped
 
 let guard t = t.g
-let config t = t.p
 let streak t = Policy.Guard.streak t.g
 let fallbacks t = Policy.Guard.fallbacks t.g

@@ -55,17 +55,9 @@ val observe : t -> waiting:int -> wedged_low:bool -> verdict
     that the budget currently sits at the pure-blocking extreme and
     this sample would keep it there. *)
 
-val classify : t -> waiting:int -> wedged_low:bool -> int * bool
-(** The clamp half of {!observe} alone: the sanitized sample and
-    whether the raw one was pathological — the shape
-    [Policy.guarded]'s [clamp] argument wants, without advancing the
-    streak machine. *)
-
 val guard : t -> Adaptive_core.Policy.Guard.t
 (** The underlying streak/cooldown state machine, for composing with
     [Policy.guarded] directly. *)
-
-val config : t -> params
 
 val streak : t -> int
 (** Current consecutive pathological-sample count (for tests). *)

@@ -20,70 +20,48 @@ let kind_name = function
 
 let adaptive_default = Adaptive Adaptive_lock.default_params
 
-type impl =
-  | I_static of Lock_core.t
-  | I_reconf of Reconfigurable_lock.t
-  | I_adaptive of Adaptive_lock.t
-
-type t = { lock_kind : kind; impl : impl }
+type t = { lock_kind : kind; core : Lock_core.t; adaptive : Adaptive_lock.t option }
 
 let create ?name ?trace ?sched ~home lock_kind =
   let name = match name with Some n -> n | None -> kind_name lock_kind in
-  let static policy costs =
-    let core = Lock_core.create ~name ?trace ?sched ~home ~policy ~costs () in
-    Waiting.freeze policy;
-    I_static core
+  let make ?advisory policy costs =
+    Lock_core.create ~name ?trace ?sched ?advisory ~home ~policy ~costs ()
   in
-  let impl =
+  let static ?advisory policy costs =
+    Waiting.freeze policy;
+    make ?advisory policy costs
+  in
+  let core, adaptive =
     match lock_kind with
-    | Spin -> static (Waiting.pure_spin ~node:home ()) Lock_costs.spin
-    | Backoff -> static (Waiting.backoff_spin ~node:home ()) Lock_costs.backoff
-    | Blocking -> static (Waiting.pure_sleep ~node:home ()) Lock_costs.blocking
-    | Combined k -> static (Waiting.combined ~node:home ~spins:k ()) Lock_costs.combined
+    | Spin -> (static (Waiting.pure_spin ~node:home ()) Lock_costs.spin, None)
+    | Backoff -> (static (Waiting.backoff_spin ~node:home ()) Lock_costs.backoff, None)
+    | Blocking -> (static (Waiting.pure_sleep ~node:home ()) Lock_costs.blocking, None)
+    | Combined k ->
+      (static (Waiting.combined ~node:home ~spins:k ()) Lock_costs.combined, None)
     | Conditional ns ->
-      static (Waiting.conditional ~node:home ~timeout_ns:ns ()) Lock_costs.combined
+      (static (Waiting.conditional ~node:home ~timeout_ns:ns ()) Lock_costs.combined, None)
     | Advisory ->
       (* Advice may force sleeping, so the unlock path must check the
          queue: use the combined profile with a spin-leaning policy. *)
-      let policy = Waiting.combined ~node:home ~spins:8 () in
-      I_static
-        (Lock_core.create ~name ?trace ?sched ~advisory:true ~home ~policy
-           ~costs:Lock_costs.combined ())
-    | Reconfigurable -> I_reconf (Reconfigurable_lock.create ~name ?trace ?sched ~home ())
+      ( static ~advisory:true (Waiting.combined ~node:home ~spins:8 ()) Lock_costs.combined,
+        None )
+    | Reconfigurable ->
+      (make (Waiting.combined ~node:home ~spins:1 ()) Lock_costs.reconfigurable, None)
     | Adaptive params ->
-      I_adaptive (Adaptive_lock.create ~name ?trace ?sched ~params ~home ())
+      let a = Adaptive_lock.create ~name ?trace ?sched ~params ~home () in
+      (Adaptive_lock.core a, Some a)
   in
-  { lock_kind; impl }
+  { lock_kind; core; adaptive }
 
 let kind t = t.lock_kind
-
-let core t =
-  match t.impl with
-  | I_static c -> c
-  | I_reconf r -> Reconfigurable_lock.core r
-  | I_adaptive a -> Reconfigurable_lock.core (Adaptive_lock.reconfigurable a)
-
-let name t = Lock_core.name (core t)
-let home t = Lock_core.home (core t)
-let stats t = Lock_core.stats (core t)
-
-let lock t =
-  match t.impl with
-  | I_static c -> Lock_core.lock c
-  | I_reconf r -> Reconfigurable_lock.lock r
-  | I_adaptive a -> Adaptive_lock.lock a
+let core t = t.core
+let name t = Lock_core.name t.core
+let stats t = Lock_core.stats t.core
+let lock t = Lock_core.lock t.core
+let try_lock t = Lock_core.try_lock t.core
 
 let unlock t =
-  match t.impl with
-  | I_static c -> Lock_core.unlock c
-  | I_reconf r -> Reconfigurable_lock.unlock r
-  | I_adaptive a -> Adaptive_lock.unlock a
-
-let try_lock t =
-  match t.impl with
-  | I_static c -> Lock_core.try_lock c
-  | I_reconf r -> Reconfigurable_lock.try_lock r
-  | I_adaptive a -> Adaptive_lock.try_lock a
+  match t.adaptive with Some a -> Adaptive_lock.unlock a | None -> Lock_core.unlock t.core
 
 let with_lock t f =
   lock t;
@@ -95,13 +73,6 @@ let with_lock t f =
     unlock t;
     raise e
 
-let advise t advice = Lock_core.advise (core t) advice
-let set_successor t thread = Lock_core.set_successor (core t) (Cthreads.Cthread.id thread)
-let as_adaptive t = match t.impl with I_adaptive a -> Some a | _ -> None
-let as_reconfigurable t = match t.impl with I_reconf r -> Some r | _ -> None
-
-let describe t =
-  match t.impl with
-  | I_static c -> Waiting.describe (Lock_core.policy c)
-  | I_reconf r -> Reconfigurable_lock.describe r
-  | I_adaptive a -> Printf.sprintf "adaptive: %s" (Adaptive_lock.mode a)
+let advise t advice = Lock_core.advise t.core advice
+let set_successor t thread = Lock_core.set_successor t.core (Cthreads.Cthread.id thread)
+let as_adaptive t = t.adaptive

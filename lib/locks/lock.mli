@@ -2,7 +2,9 @@
 
     Applications (the TSP solvers, the workload generators) are
     parameterized by a lock {e kind}; this module builds any member of
-    the family and dispatches [lock]/[unlock] uniformly. *)
+    the family. Every kind is one {!Lock_core.t}, so [lock] and
+    [try_lock] go straight to the engine; only an adaptive lock's
+    [unlock] also ticks its feedback loop. *)
 
 type kind =
   | Spin  (** pure test-and-set spinning *)
@@ -11,7 +13,7 @@ type kind =
   | Combined of int  (** spin [k] probes, then sleep (Figure 1's locks) *)
   | Conditional of int  (** spin up to a deadline (ns), then sleep *)
   | Advisory  (** owner advises waiters to spin or sleep *)
-  | Reconfigurable  (** explicit dynamic reconfiguration, no monitor *)
+  | Reconfigurable  (** mutable policy, explicit reconfiguration, no monitor *)
   | Adaptive of Adaptive_lock.params  (** the full feedback loop *)
 
 val kind_name : kind -> string
@@ -27,7 +29,6 @@ val create : ?name:string -> ?trace:bool -> ?sched:Lock_sched.kind -> home:int -
 
 val kind : t -> kind
 val name : t -> string
-val home : t -> int
 val stats : t -> Lock_stats.t
 
 val lock : t -> unit
@@ -52,9 +53,6 @@ val set_successor : t -> Cthreads.Cthread.t -> unit
     scheduler). *)
 
 val as_adaptive : t -> Adaptive_lock.t option
-val as_reconfigurable : t -> Reconfigurable_lock.t option
 
 val core : t -> Lock_core.t
-(** The underlying engine (for monitors and tests). *)
-
-val describe : t -> string
+(** The underlying engine (for monitors, reconfiguration and tests). *)

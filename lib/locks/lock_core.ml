@@ -1,5 +1,6 @@
 open Butterfly
 module Attribute = Adaptive_core.Attribute
+module Cost = Adaptive_core.Cost
 
 type advice = Advise_spin | Advise_sleep
 
@@ -7,11 +8,11 @@ exception Misuse of string
 
 type t = {
   lock_name : string;
-  home_node : int;
   word : Memory.addr;  (* 0 free, 1 held *)
   guard : Memory.addr;  (* protects the registration queue *)
   nwait : Memory.addr;  (* waiting-thread count (the monitored variable) *)
   advice_word : Memory.addr;  (* 0 none, 1 spin, 2 sleep *)
+  scratch : Memory.addr option;  (* reconfiguration's scratch word; None when static *)
   queue : Lock_sched.t;
   wait_policy : Waiting.t;
   costs : Lock_costs.profile;
@@ -26,13 +27,23 @@ let create ?name ?(trace = false) ?(sched = Lock_sched.Fcfs) ?(advisory = false)
   let name = match name with Some n -> n | None -> "lock" in
   let words = Ops.alloc ~node:home 4 in
   Ops.mark_sync_words words;
+  (* [Waiting.freeze] freezes every attribute together, so one
+     attribute's mutability tells whether the policy is reconfigurable. *)
+  let scratch =
+    if Attribute.mutability policy.Waiting.spin_count then begin
+      let w = Ops.alloc1 ~node:home () in
+      Ops.mark_sync_words [| w |];
+      Some w
+    end
+    else None
+  in
   {
     lock_name = name;
-    home_node = home;
     word = words.(0);
     guard = words.(1);
     nwait = words.(2);
     advice_word = words.(3);
+    scratch;
     queue = Lock_sched.create sched;
     wait_policy = policy;
     costs;
@@ -43,10 +54,8 @@ let create ?name ?(trace = false) ?(sched = Lock_sched.Fcfs) ?(advisory = false)
   }
 
 let name t = t.lock_name
-let home t = t.home_node
 let stats t = t.lock_stats
 let policy t = t.wait_policy
-let scheduler t = t.queue
 let set_successor t tid = t.successor <- Some tid
 
 let advise t advice =
@@ -54,8 +63,6 @@ let advise t advice =
   Ops.write t.advice_word v
 
 let waiting_now t = Ops.read t.nwait
-let waiting_addr t = t.nwait
-let holder_check t = Ops.read t.word <> 0
 
 let guard_lock t =
   while not (Ops.test_and_set t.guard) do
@@ -223,20 +230,23 @@ let lock_retrying t ~backoff ~max_attempts ~slice_ns =
   Engine.Backoff.retry backoff ~max_attempts ~sleep:Ops.delay (fun () ->
       lock_timeout t ~deadline_ns:(Ops.now () + slice_ns))
 
-let unlock t =
+let check_unlock ~name owner =
   let me = Ops.self () in
-  (match t.owner with
+  match owner with
   | Some tid when tid = me -> ()
   | Some tid ->
     raise
       (Misuse
-         (Printf.sprintf "thread %s unlocked lock %s held by %s" (Ops.thread_name me)
-            t.lock_name (Ops.thread_name tid)))
+         (Printf.sprintf "thread %s unlocked lock %s held by %s" (Ops.thread_name me) name
+            (Ops.thread_name tid)))
   | None ->
     raise
       (Misuse
          (Printf.sprintf "thread %s unlocked lock %s, which is not held"
-            (Ops.thread_name me) t.lock_name)));
+            (Ops.thread_name me) name))
+
+let unlock t =
+  check_unlock ~name:t.lock_name t.owner;
   t.owner <- None;
   if Ops.annotations_enabled () then
     Ops.annotate (Ops.A_lock_release { lock = t.word; lock_name = t.lock_name });
@@ -260,3 +270,39 @@ let unlock t =
       guard_unlock t
   end
   else Ops.write t.word 0
+
+(* Reconfiguration (the paper's Psi), priced as Table 8 and only on a
+   lock whose waiting policy is mutable. *)
+
+let scratch_word t op =
+  match t.scratch with
+  | Some w -> w
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Lock_core.%s: lock %s has a fixed waiting policy" op t.lock_name)
+
+let configure_waiting t ?spin_count ?delay_ns ?backoff ?sleep ?timeout_ns () =
+  Cost.charge ~scratch:(scratch_word t "configure_waiting")
+    Lock_costs.configure_waiting_policy;
+  let p = t.wait_policy in
+  let update attr = function Some v -> Attribute.set attr v | None -> () in
+  update p.Waiting.spin_count spin_count;
+  update p.Waiting.delay_ns delay_ns;
+  update p.Waiting.backoff backoff;
+  update p.Waiting.sleep sleep;
+  update p.Waiting.timeout_ns timeout_ns;
+  Lock_stats.on_reconfigure t.lock_stats
+
+let configure_scheduler t kind =
+  Cost.charge ~scratch:(scratch_word t "configure_scheduler") Lock_costs.configure_scheduler;
+  Lock_sched.set_kind t.queue kind;
+  Lock_stats.on_reconfigure t.lock_stats
+
+let acquire_ownership t =
+  ignore (scratch_word t "acquire_ownership");
+  Ops.work_instrs Lock_costs.acquisition_instrs;
+  Attribute.acquire t.wait_policy.Waiting.spin_count
+
+let release_ownership t =
+  ignore (scratch_word t "release_ownership");
+  Attribute.release t.wait_policy.Waiting.spin_count

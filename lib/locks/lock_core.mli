@@ -6,10 +6,14 @@
     blocking, combined, advisory, reconfigurable, adaptive) is a
     configuration of this engine, which is exactly the paper's point.
 
+    A lock is reconfigurable exactly when its {!Waiting.t} is mutable
+    at {!create}; static flavours {!Waiting.freeze} it first.
+
     Layout: the lock word, a guard word (protecting the registration
     queue) and the waiting-thread count live in simulated memory at the
-    lock's home node, so callers on other nodes pay remote latencies
-    and hot locks exhibit module contention.
+    lock's home node (a reconfigurable lock adds a scratch word), so
+    callers on other nodes pay remote latencies and hot locks exhibit
+    module contention.
 
     Protocol: [lock] first test-and-sets the lock word (the
     uncontended fast path). A contended caller enters the waiting
@@ -46,10 +50,8 @@ val create :
     own ownership span only). *)
 
 val name : t -> string
-val home : t -> int
 val stats : t -> Lock_stats.t
 val policy : t -> Waiting.t
-val scheduler : t -> Lock_sched.t
 
 val lock : t -> unit
 val try_lock : t -> bool
@@ -74,6 +76,10 @@ val unlock : t -> unit
 (** Release the lock. Raises {!Misuse} if the caller is not the
     current owner. *)
 
+val check_unlock : name:string -> int option -> unit
+(** {!unlock}'s ownership check, shared with [Switch_lock]: raises
+    {!Misuse} unless the caller is [owner], the tid holding lock [name]. *)
+
 val set_successor : t -> int -> unit
 (** Designate the next owner (honoured by the Handoff scheduler at the
     next unlock, then cleared). *)
@@ -88,9 +94,31 @@ val waiting_now : t -> int
 (** Read the waiting-thread count word (a simulated read — this is
     what the lock monitor senses). *)
 
-val waiting_addr : t -> Butterfly.Memory.addr
-(** The waiting-count word itself, for sensors that read it raw. *)
+(** {1 Reconfiguration}
 
-val holder_check : t -> bool
-(** Whether the lock word is currently held (simulated read; for tests
-    and assertions). *)
+    Priced as the paper's Table 8. On a lock whose policy was frozen at
+    {!create} each operation raises [Invalid_argument] before charging
+    anything. Attributes owned by another thread refuse changes
+    ({!Adaptive_core.Attribute.Not_owner}). *)
+
+val configure_waiting :
+  t ->
+  ?spin_count:int ->
+  ?delay_ns:int ->
+  ?backoff:bool ->
+  ?sleep:bool ->
+  ?timeout_ns:int ->
+  unit ->
+  unit
+(** Apply the provided attribute changes as one waiting-policy
+    reconfiguration: 1R 1W plus procedure overhead. *)
+
+val configure_scheduler : t -> Lock_sched.kind -> unit
+(** Switch the scheduler kind: 5W — three sub-module writes plus
+    setting and resetting the changeover flag. *)
+
+val acquire_ownership : t -> bool
+(** Attribute ownership for the calling thread (an external monitoring
+    agent): a test-and-set plus overhead. *)
+
+val release_ownership : t -> unit

@@ -65,8 +65,6 @@ let reconfigurable =
     unlock_queue_check = true;
   }
 
-let adaptive = reconfigurable
-
 (* MCS-style queue lock: spin-lock entry overhead plus a handoff that
    costs one remote write into the waiter's local module; the unlock
    path always consults the registration queue. *)

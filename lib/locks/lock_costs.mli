@@ -29,7 +29,7 @@ val backoff : profile
 val blocking : profile
 val combined : profile
 val reconfigurable : profile
-val adaptive : profile
+(** Mutable-policy locks, the adaptive ones included. *)
 
 val mcs : profile
 (** MCS-style queue lock: spin-lock entry overhead; the handoff's one

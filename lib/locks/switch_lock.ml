@@ -574,19 +574,7 @@ and release_via_impl t =
   end
 
 and unlock t =
-  let me = Ops.self () in
-  (match t.owner with
-  | Some tid when tid = me -> ()
-  | Some tid ->
-    raise
-      (Lock_core.Misuse
-         (Printf.sprintf "thread %s unlocked lock %s held by %s" (Ops.thread_name me)
-            t.lock_name (Ops.thread_name tid)))
-  | None ->
-    raise
-      (Lock_core.Misuse
-         (Printf.sprintf "thread %s unlocked lock %s, which is not held"
-            (Ops.thread_name me) t.lock_name)));
+  Lock_core.check_unlock ~name:t.lock_name t.owner;
   let hold = Ops.now () - t.acquired_at in
   t.hold_avg_ns <- ((3 * t.hold_avg_ns) + hold) / 4;
   (* The adaptation point: only the holder may swap, so the feedback

@@ -33,9 +33,6 @@ let combined ?node ~spins () =
 let conditional ?node ~timeout_ns () =
   make ?node ~spin_count:max_int ~delay_ns:0 ~backoff:false ~sleep:true ~timeout_ns ()
 
-let mixed ?node ~spins ~delay_ns () =
-  make ?node ~spin_count:spins ~delay_ns ~backoff:true ~sleep:true ~timeout_ns:0 ()
-
 let describe t =
   let spin = Attribute.get t.spin_count in
   let sleep = Attribute.get t.sleep in

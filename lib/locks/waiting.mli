@@ -51,11 +51,9 @@ val combined : ?node:int -> spins:int -> unit -> t
 val conditional : ?node:int -> timeout_ns:int -> unit -> t
 (** Spin until the deadline, then block. *)
 
-val mixed : ?node:int -> spins:int -> delay_ns:int -> unit -> t
-
 val describe : t -> string
 (** The "resulting lock" name from the paper's table. *)
 
 val freeze : t -> unit
-(** Make every attribute immutable (static lock flavours do this so a
-    stray reconfiguration is an error). *)
+(** Make every attribute immutable. Static lock flavours do this
+    before {!Lock_core.create}, which then builds no reconfiguration. *)

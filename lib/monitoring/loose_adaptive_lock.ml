@@ -4,7 +4,7 @@ module Adaptive = Adaptive_core.Adaptive
 module Sensor = Adaptive_core.Sensor
 
 type t = {
-  reconf : Locks.Reconfigurable_lock.t;
+  core : Locks.Lock_core.t;
   ring : (int * int) Ring_buffer.t;
   monitor : (int * int) Monitor_thread.t;
   budget : Locks.Spin_budget.t;
@@ -13,13 +13,13 @@ type t = {
   mutable unlocks_until_sample : int;
 }
 
-let waiting_count reconf =
-  Locks.Lock_core.waiting_now (Locks.Reconfigurable_lock.core reconf)
-
 let create ?(name = "loose-adaptive-lock") ?trace ?(params = AL.default_params)
     ?ring_capacity ?poll_interval_ns ~home ~monitor_proc () =
   let waiting = Locks.Waiting.combined ~node:home ~spins:params.AL.n () in
-  let reconf = Locks.Reconfigurable_lock.create ~name ?trace ~policy:waiting ~home () in
+  let core =
+    Locks.Lock_core.create ~name ?trace ~home ~policy:waiting
+      ~costs:Locks.Lock_costs.reconfigurable ()
+  in
   let ring = Ring_buffer.create ?capacity:ring_capacity ~home () in
   let budget =
     Locks.Spin_budget.create ~threshold:params.AL.waiting_threshold ~n:params.AL.n
@@ -27,15 +27,14 @@ let create ?(name = "loose-adaptive-lock") ?trace ?(params = AL.default_params)
   in
   (* External agent path: the monitor thread must own the attributes
      to reconfigure them. The policy itself — stepping the budget and
-     mapping it onto the waiting attributes — is the exact
-     [simple-adapt] plumbing the closely-coupled lock uses
+     mapping it onto the waiting attributes — is the [simple-adapt]
+     spec the closely-coupled lock compiles
      ({!Locks.Adaptive_lock.budget_policy}); only the [apply] differs. *)
   let apply () =
-    if Locks.Reconfigurable_lock.acquire_ownership reconf then begin
-      Locks.Spin_budget.apply budget
-        (Locks.Lock_core.policy (Locks.Reconfigurable_lock.core reconf));
-      Locks.Lock_stats.on_reconfigure (Locks.Reconfigurable_lock.stats reconf);
-      Locks.Reconfigurable_lock.release_ownership reconf;
+    if Locks.Lock_core.acquire_ownership core then begin
+      Locks.Spin_budget.apply budget (Locks.Lock_core.policy core);
+      Locks.Lock_stats.on_reconfigure (Locks.Lock_core.stats core);
+      Locks.Lock_core.release_ownership core;
       true
     end
     else false (* lost the ownership race: nothing changed, don't count it *)
@@ -44,7 +43,7 @@ let create ?(name = "loose-adaptive-lock") ?trace ?(params = AL.default_params)
     Adaptive.create ~name ~kind:"lock" ~spec:(Locks.Spin_budget.spec_of budget) ~home
       ~sensor:
         (Sensor.make ~name:(name ^ ".no-of-waiting-threads") ~overhead_instrs:40
-           (fun () -> waiting_count reconf))
+           (fun () -> Locks.Lock_core.waiting_now core))
       ~policy:(AL.budget_policy ~budget ~apply)
       ()
   in
@@ -57,7 +56,7 @@ let create ?(name = "loose-adaptive-lock") ?trace ?(params = AL.default_params)
       ()
   in
   {
-    reconf;
+    core;
     ring;
     monitor;
     budget;
@@ -66,17 +65,17 @@ let create ?(name = "loose-adaptive-lock") ?trace ?(params = AL.default_params)
     unlocks_until_sample = params.AL.sample_period;
   }
 
-let lock t = Locks.Reconfigurable_lock.lock t.reconf
+let lock t = Locks.Lock_core.lock t.core
 
 let unlock t =
-  Locks.Reconfigurable_lock.unlock t.reconf;
+  Locks.Lock_core.unlock t.core;
   t.unlocks_until_sample <- t.unlocks_until_sample - 1;
   if t.unlocks_until_sample <= 0 then begin
     t.unlocks_until_sample <- t.sample_period;
-    Ring_buffer.publish t.ring (Ops.now (), waiting_count t.reconf)
+    Ring_buffer.publish t.ring (Ops.now (), Locks.Lock_core.waiting_now t.core)
   end
 
-let stats t = Locks.Reconfigurable_lock.stats t.reconf
+let stats t = Locks.Lock_core.stats t.core
 let shutdown t = Monitor_thread.stop t.monitor
 let feedback t = t.loop
 let adaptations t = Adaptive.adaptations t.loop

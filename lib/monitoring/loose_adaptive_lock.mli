@@ -6,8 +6,8 @@
     waiting-thread count) into a {!Ring_buffer}; a {!Monitor_thread} on
     a dedicated processor drains the buffer and feeds each (possibly
     stale) observation to a genuine [Adaptive_core.Adaptive] loop via
-    [Adaptive.feed] — the policy is the same [simple-adapt] plumbing
-    the closely-coupled lock uses
+    [Adaptive.feed] — the policy is the same [simple-adapt] spec the
+    closely-coupled lock compiles
     ({!Locks.Adaptive_lock.budget_policy}); only the [apply] differs,
     acquiring attribute ownership the way an external agent must. The
     paper found exactly this structure "too loosely coupled to be used

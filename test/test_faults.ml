@@ -283,22 +283,22 @@ let test_lock_retrying_recovers () =
   let got = ref None in
   let sim = Sched.create cfg in
   Sched.run sim (fun () ->
-      let lk = Locks.Reconfigurable_lock.create ~home:0 () in
-      Locks.Reconfigurable_lock.lock lk;
+      let lk = Locks.Lock.core (Locks.Lock.create ~home:0 Locks.Lock.Reconfigurable) in
+      Locks.Lock_core.lock lk;
       let waiter =
         Cthread.fork ~proc:1 (fun () ->
             let backoff = Engine.Backoff.create ~base_ns:5_000 ~seed:3 () in
             got :=
               Some
-                (Locks.Reconfigurable_lock.lock_retrying lk ~backoff ~max_attempts:20
+                (Locks.Lock_core.lock_retrying lk ~backoff ~max_attempts:20
                    ~slice_ns:30_000);
-            if !got = Some true then Locks.Reconfigurable_lock.unlock lk)
+            if !got = Some true then Locks.Lock_core.unlock lk)
       in
       Cthread.work 150_000;
-      Locks.Reconfigurable_lock.unlock lk;
+      Locks.Lock_core.unlock lk;
       Cthread.join waiter;
       check_bool "timeouts happened before success" true
-        (Locks.Lock_stats.timeouts (Locks.Reconfigurable_lock.stats lk) >= 1));
+        (Locks.Lock_stats.timeouts (Locks.Lock_core.stats lk) >= 1));
   check_bool "retrying waiter recovered the lock" (Some true = !got) true
 
 (* -- guardrails ---------------------------------------------------- *)

@@ -270,27 +270,31 @@ let test_handoff_successor () =
     Alcotest.failf "expected successor first, got %s"
       (String.concat "," (List.map string_of_int other))
 
+let reconfigurable_core () =
+  Locks.Lock.core (Locks.Lock.create ~home:0 Locks.Lock.Reconfigurable)
+
 let test_reconfigurable_waiting_change () =
   let before = ref "" and after = ref "" in
+  let describe lk = Locks.Waiting.describe (Locks.Lock_core.policy lk) in
   let (_ : Sched.t) =
     run (fun () ->
-        let lk = Locks.Reconfigurable_lock.create ~home:0 () in
-        before := Locks.Reconfigurable_lock.describe lk;
-        Locks.Reconfigurable_lock.configure_waiting lk ~spin_count:max_int ~sleep:false ();
-        after := Locks.Reconfigurable_lock.describe lk)
+        let lk = reconfigurable_core () in
+        before := describe lk;
+        Locks.Lock_core.configure_waiting lk ~spin_count:max_int ~sleep:false ();
+        after := describe lk)
   in
-  Alcotest.(check string) "starts mixed" "mixed sleep/spin / FCFS scheduler" !before;
-  Alcotest.(check string) "becomes pure spin" "pure spin / FCFS scheduler" !after
+  Alcotest.(check string) "starts mixed" "mixed sleep/spin" !before;
+  Alcotest.(check string) "becomes pure spin" "pure spin" !after
 
 let test_reconfigurable_scheduler_change_cost () =
   let dt_wait = ref 0 and dt_sched = ref 0 in
   let (_ : Sched.t) =
     run (fun () ->
-        let lk = Locks.Reconfigurable_lock.create ~home:0 () in
+        let lk = reconfigurable_core () in
         let t0 = Cthread.now () in
-        Locks.Reconfigurable_lock.configure_waiting lk ~spin_count:3 ();
+        Locks.Lock_core.configure_waiting lk ~spin_count:3 ();
         let t1 = Cthread.now () in
-        Locks.Reconfigurable_lock.configure_scheduler lk Locks.Lock_sched.Priority;
+        Locks.Lock_core.configure_scheduler lk Locks.Lock_sched.Priority;
         let t2 = Cthread.now () in
         dt_wait := t1 - t0;
         dt_sched := t2 - t1)
@@ -312,6 +316,59 @@ let test_static_lock_frozen () =
         with Adaptive_core.Attribute.Immutable_attribute _ -> raised := true)
   in
   Alcotest.(check bool) "static attributes frozen" true !raised
+
+(* A lock whose policy is frozen at creation has no reconfiguration
+   support: every reconfiguration operation raises before it charges
+   virtual time or ticks the reconfiguration count. *)
+let test_static_locks_refuse_reconfiguration () =
+  let frozen_core () =
+    let policy = Locks.Waiting.pure_spin ~node:0 () in
+    Locks.Waiting.freeze policy;
+    Locks.Lock_core.create ~home:0 ~policy ~costs:Locks.Lock_costs.spin ()
+  in
+  let of_kind kind () = Locks.Lock.core (Locks.Lock.create ~home:0 kind) in
+  let ops =
+    Locks.Lock_core.
+      [
+        (fun lk -> configure_waiting lk ~spin_count:3 ());
+        (fun lk -> configure_scheduler lk Locks.Lock_sched.Priority);
+        (fun lk -> ignore (acquire_ownership lk));
+        release_ownership;
+      ]
+  in
+  List.iter
+    (fun (what, make) ->
+      let raised = ref 0 and elapsed = ref (-1) and reconfs = ref (-1) in
+      let (_ : Sched.t) =
+        run (fun () ->
+            let lk = make () in
+            let t0 = Cthread.now () in
+            List.iter (fun op -> try op lk with Invalid_argument _ -> incr raised) ops;
+            elapsed := Cthread.now () - t0;
+            reconfs := Locks.Lock_stats.reconfigurations (Locks.Lock_core.stats lk))
+      in
+      Alcotest.(check int) (what ^ ": every operation raises") (List.length ops) !raised;
+      Alcotest.(check int) (what ^ ": no virtual time charged") 0 !elapsed;
+      Alcotest.(check int) (what ^ ": no reconfiguration counted") 0 !reconfs)
+    [
+      ("spin", of_kind Locks.Lock.Spin);
+      ("advisory", of_kind Locks.Lock.Advisory);
+      ("frozen core", frozen_core);
+    ]
+
+(* Simulated events over Tables 4-8. An allocation or sync-word mark is
+   an event, so a static lock that gained reconfiguration's scratch
+   word would move this count while leaving every table's bytes
+   unchanged. *)
+let test_lock_tables_event_count () =
+  let e0 = Sched.domain_events_total () in
+  let open Experiments.Lock_tables in
+  ignore (table4 ~domains:1 ());
+  ignore (table5 ~domains:1 ());
+  ignore (table6 ~domains:1 ());
+  ignore (table7 ());
+  ignore (table8 ());
+  Alcotest.(check int) "events over tables 4-8" 2_076 (Sched.domain_events_total () - e0)
 
 let test_adaptive_no_contention_becomes_spin () =
   let mode = ref "" and adaptations = ref 0 in
@@ -468,6 +525,9 @@ let suite =
     Alcotest.test_case "reconfigure costs (Table 8)" `Quick
       test_reconfigurable_scheduler_change_cost;
     Alcotest.test_case "static locks frozen" `Quick test_static_lock_frozen;
+    Alcotest.test_case "static locks refuse reconfiguration" `Quick
+      test_static_locks_refuse_reconfiguration;
+    Alcotest.test_case "tables 4-8 event count" `Quick test_lock_tables_event_count;
     Alcotest.test_case "adaptive: no contention -> spin" `Quick
       test_adaptive_no_contention_becomes_spin;
     Alcotest.test_case "adaptive: contention -> blocking" `Quick
