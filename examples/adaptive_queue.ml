@@ -73,30 +73,65 @@ let enqueue q task =
   Queue.add task q.tasks;
   Spin.unlock q.mutex
 
-let create ~home =
+(* The adaptation policy as a spec over the discipline attribute
+   (fifo = 0, best-first = 1): a deep backlog switches to best-first
+   (ordering pays), a shallow one back to FIFO (overhead does not).
+   The static baseline declares the same configurations with no
+   transitions: still monitored, never adapting. *)
+let policy_spec ~adaptive =
+  let module Spec = Policy.Spec in
+  let switch ~from ~cond ~target ~label =
+    {
+      Spec.t_from = from;
+      t_cond = cond;
+      t_target = target;
+      t_label = label;
+      t_repeats = 1;
+      t_cost = Adaptive_core.Cost.reads_writes 1 1;
+    }
+  in
+  {
+    Spec.s_name = "adaptive-queue";
+    s_kind = "queue";
+    s_attribute = "adaptive-queue.discipline";
+    s_metric = "backlog";
+    s_monotone = Spec.Up_at_high;
+    s_configs =
+      [ { Spec.c_name = "fifo"; c_value = 0 }; { Spec.c_name = "best-first"; c_value = 1 } ];
+    s_initial = 0;
+    s_transitions =
+      (if adaptive then
+         [
+           switch ~from:0 ~cond:(Spec.cond 13) ~target:1 ~label:"best-first";
+           switch ~from:1 ~cond:(Spec.cond 0 ~hi:3) ~target:0 ~label:"fifo";
+         ]
+       else []);
+    s_guard = None;
+  }
+
+let create ~home ~adaptive =
   let mutex = Spin.create ~node:home () in
   let tasks = Queue.create () in
   let discipline = Attribute.make_at ~name:"discipline" ~node:home Fifo in
   let sensor =
     Sensor.make ~name:"backlog" ~period:4 ~overhead_instrs:30 (fun () -> Queue.length tasks)
   in
-  let policy backlog =
-    let current = Attribute.get discipline in
-    if backlog > 12 && current = Fifo then
-      Policy.reconfigure ~label:"best-first" (fun () -> Attribute.set discipline Best_first)
-    else if backlog < 4 && current = Best_first then
-      Policy.reconfigure ~label:"fifo" (fun () -> Attribute.set discipline Fifo)
-    else Policy.No_change
+  let loop =
+    Adaptive.create ~name:"adaptive-queue" ~spec:(policy_spec ~adaptive) ~home ~sensor
+      ~read:(fun () -> match Attribute.get discipline with Fifo -> 0 | Best_first -> 1)
+      ~apply:(fun v ->
+        Attribute.set discipline (if v = 1 then Best_first else Fifo);
+        true)
+      ~metric:(fun backlog -> backlog)
+      ()
   in
-  let loop = Adaptive.create ~name:"adaptive-queue" ~home ~sensor ~policy () in
   { mutex; tasks; discipline; loop; served_value_early = 0; served = 0 }
 
 let run ~adaptive =
   let machine = Sched.create { Config.default with Config.processors = 7 } in
   let early_value = ref 0 and reconfigs = ref [] and final = ref "fifo" in
   Sched.run machine (fun () ->
-      let q = create ~home:0 in
-      if not adaptive then Adaptive.set_policy q.loop Policy.no_op;
+      let q = create ~home:0 ~adaptive in
       let total_tasks = 240 in
       let per_producer = total_tasks / 2 in
       (* Two bursty producers: flood the queue, then trickle. *)

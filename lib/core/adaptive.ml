@@ -3,7 +3,7 @@ type 'obs t = {
   obj_kind : string;
   mutable registry_id : int;
   sensor : 'obs Sensor.t;
-  mutable policy : 'obs Policy.t;
+  policy : 'obs Policy.t;
   scratch : Butterfly.Memory.addr;
   mutable policy_run_count : int;
   mutable adaptation_count : int;
@@ -51,7 +51,6 @@ let tick t =
 
 let feed t obs = decide t obs
 let poll t = decide t (Sensor.force t.sensor)
-let set_policy t p = t.policy <- p
 let samples t = Sensor.samples_taken t.sensor
 let policy_runs t = t.policy_run_count
 let adaptations t = t.adaptation_count
@@ -69,8 +68,8 @@ let stats t =
     log = log t;
   }
 
-let create ?(name = "adaptive-object") ?(kind = "object") ?spec ~home ~sensor ~policy
-    () =
+let create ?(name = "adaptive-object") ?(kind = "object") ~spec ~home ~sensor ~read
+    ~apply ~metric ?guard_state () =
   let scratch = Butterfly.Ops.alloc1 ~node:home () in
   Butterfly.Ops.mark_sync_words [| scratch |];
   let t =
@@ -79,7 +78,7 @@ let create ?(name = "adaptive-object") ?(kind = "object") ?spec ~home ~sensor ~p
       obj_kind = kind;
       registry_id = -1;
       sensor;
-      policy;
+      policy = Policy.Spec.compile ?guard_state ~read ~apply ~metric spec;
       scratch;
       policy_run_count = 0;
       adaptation_count = 0;
@@ -93,5 +92,5 @@ let create ?(name = "adaptive-object") ?(kind = "object") ?spec ~home ~sensor ~p
       ~stats:(fun () -> stats t)
       ~subscribe:(fun f -> subscribe t f)
       ~drive:(fun () -> poll t)
-      ?spec ();
+      ~spec ();
   t

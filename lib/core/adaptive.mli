@@ -1,11 +1,12 @@
 (** The adaptive-object feedback loop: monitor -> policy -> reconfigure.
 
     An ['obs t] ties together a {!Sensor} (the built-in monitor
-    module), a {!Policy} (user-provided adaptation policy) and the
-    reconfiguration mechanism (the decision's [apply] closure, charged
-    per its declared {!Cost} at the object's home node). The loop is
-    {b closely coupled}: {!tick} is called from within the object's own
-    methods (e.g. every unlock), so a decision always acts on the
+    module), a user-provided {!Policy.Spec} (the adaptation policy,
+    compiled here with {!Policy.Spec.compile}) and the reconfiguration
+    mechanism (the object's [apply], charged per the fired
+    transition's declared {!Cost} at the object's home node). The loop
+    is {b closely coupled}: {!tick} is called from within the object's
+    own methods (e.g. every unlock), so a decision always acts on the
     current object state — the property §3 argues is needed to avoid
     adaptation lag. The {b loosely coupled} alternative feeds
     observations from an external monitoring thread through {!feed}
@@ -27,19 +28,24 @@ type 'obs t
 val create :
   ?name:string ->
   ?kind:string ->
-  ?spec:Policy.Spec.t ->
+  spec:Policy.Spec.t ->
   home:int ->
   sensor:'obs Sensor.t ->
-  policy:'obs Policy.t ->
+  read:(unit -> int) ->
+  apply:(int -> bool) ->
+  metric:('obs -> int) ->
+  ?guard_state:Policy.Guard.t ->
   unit ->
   'obs t
 (** Must run inside a simulation: allocates the scratch word used to
     charge reconfiguration costs at [home]. [kind] names the object
     family for the registry and annotations (["lock"], ["barrier"],
-    ...; default ["object"]). The new loop registers itself in
-    {!Registry}; [spec] — the declarative policy spec the running
-    policy was compiled from — lets the registry formally check the
-    recorded adaptation log against the declared configuration space
+    ...; default ["object"]). The running policy is
+    [Policy.Spec.compile ?guard_state ~read ~apply ~metric spec]; a
+    spec without transitions gives a monitored object that never
+    adapts. The new loop registers itself, with [spec], in
+    {!Registry}, which formally checks the recorded adaptation log
+    against the declared configuration space
     ({!Registry.validate_log}). *)
 
 val name : 'obs t -> string
@@ -66,8 +72,6 @@ val poll : 'obs t -> bool
 (** Force one full sense-decide cycle regardless of the sensor's
     period (the registry's [drive] hook; what [Monitor_thread] uses to
     drive arbitrary registered objects). *)
-
-val set_policy : 'obs t -> 'obs Policy.t -> unit
 
 val samples : 'obs t -> int
 (** Samples actually taken by the sensor via this loop. *)

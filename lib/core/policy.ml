@@ -3,25 +3,6 @@ type decision =
   | Reconfigure of { label : string; cost : Cost.t; apply : unit -> bool }
 
 type 'obs t = 'obs -> decision
-type 'obs policy = 'obs t
-
-let no_op _ = No_change
-
-let reconfigure ~label ?(cost = Cost.reads_writes 1 1) apply =
-  Reconfigure
-    {
-      label;
-      cost;
-      apply =
-        (fun () ->
-          apply ();
-          true);
-    }
-
-let reconfigure_checked ~label ?(cost = Cost.reads_writes 1 1) apply =
-  Reconfigure { label; cost; apply }
-
-let compose p q obs = match p obs with No_change -> q obs | d -> d
 
 module Guard = struct
   type t = {
@@ -71,35 +52,6 @@ module Guard = struct
     t.cooldown_left <- 0;
     t.streak <- Int.max 0 (t.limit - 1)
 end
-
-let guarded ~guard ~clamp ~fallback policy obs =
-  let obs, pathological = clamp obs in
-  if Guard.note guard ~pathological then fallback obs else policy obs
-
-let with_hysteresis ~min_gap policy =
-  let last_applied = ref None in
-  fun obs ->
-    match policy obs with
-    | No_change -> No_change
-    | Reconfigure r ->
-      let now = Butterfly.Ops.now () in
-      let too_soon =
-        match !last_applied with Some t -> now - t < min_gap | None -> false
-      in
-      if too_soon then No_change
-      else
-        (* Stamp the window only when the apply reports success: a
-           no-op reconfiguration (lost ownership race) must not
-           suppress the retry for the next [min_gap]. *)
-        Reconfigure
-          {
-            r with
-            apply =
-              (fun () ->
-                let ok = r.apply () in
-                if ok then last_applied := Some now;
-                ok);
-          }
 
 module Spec = struct
   type cond = { lo : int; hi : int option }

@@ -1,13 +1,17 @@
 (** Adaptation policies and reconfiguration decisions.
 
-    A policy is the user-provided component of an adaptive object: it
-    consumes an observation from the monitor module and decides whether
-    (and how) to reconfigure. A decision carries the reconfiguration
-    closure (the paper's Psi operation) together with its declared
-    {!Cost.t}, which the feedback loop charges at the object's home
-    node when applying it. *)
+    The user-provided component of an adaptive object is a declarative
+    {!Spec.t}: a finite automaton over named configurations, driven by
+    threshold regions of one observed metric. {!Spec.compile} turns it
+    into the closure the feedback loop consults once per observation;
+    it is the only way to build one, because {!decision} is private.
+    So the policy that runs is always the policy the static checker
+    ([Analysis.Policy_check]) checked. A decision carries the
+    reconfiguration closure (the paper's Psi operation) together with
+    its declared {!Cost.t}, which the feedback loop charges at the
+    object's home node when applying it. *)
 
-type decision =
+type decision = private
   | No_change
   | Reconfigure of { label : string; cost : Cost.t; apply : unit -> bool }
       (** [label] names the transition for traces and tests; [apply]
@@ -17,36 +21,14 @@ type decision =
           feedback loop then counts, logs and announces nothing. *)
 
 type 'obs t = 'obs -> decision
-(** A policy maps monitor observations to decisions. *)
+(** A compiled policy maps monitor observations to decisions. *)
 
-type 'obs policy = 'obs t
-(** Alias so submodules (e.g. {!Spec}) can name the closure form. *)
-
-val no_op : 'obs t
-(** Never reconfigures (turns an adaptive object into a merely
-    monitored one — the baseline in overhead ablations). *)
-
-val reconfigure : label:string -> ?cost:Cost.t -> (unit -> unit) -> decision
-(** Convenience constructor for an apply that always takes effect;
-    [cost] defaults to the paper's simple waiting-policy
-    reconfiguration, 1R 1W. *)
-
-val reconfigure_checked :
-  label:string -> ?cost:Cost.t -> (unit -> bool) -> decision
-(** Like {!reconfigure} for an apply that can fail (e.g. an external
-    agent that must first win attribute ownership) and reports whether
-    it took effect. *)
-
-val compose : 'obs t -> 'obs t -> 'obs t
-(** [compose p q] consults [p] first and falls back to [q] when [p]
-    decides [No_change]. *)
-
-(** Guardrail state machine usable by any adaptive object: count
+(** Guardrail state machine behind a spec's [s_guard]: count
     consecutive pathological observations, order a fallback after a
     streak, then suspend counting for a cooldown (hysteresis, so the
-    fallback cannot immediately re-trigger). [Locks.Guardrail] wraps
-    this with lock-specific clamping; {!guarded} below composes it
-    into a policy directly. *)
+    fallback cannot immediately re-trigger). {!Spec.compile} feeds it
+    the clamp and wedge verdicts; [Locks.Guardrail] builds one from
+    lock-flavoured parameters. *)
 module Guard : sig
   type t
 
@@ -72,26 +54,6 @@ module Guard : sig
       {!Spec.compile} calls this automatically. *)
 end
 
-val guarded :
-  guard:Guard.t ->
-  clamp:('obs -> 'obs * bool) ->
-  fallback:'obs t ->
-  'obs t ->
-  'obs t
-(** [guarded ~guard ~clamp ~fallback p] filters every observation
-    before [p] sees it: [clamp] returns the sanitized observation and
-    whether the raw one was pathological; when [guard] reports a
-    pathological streak, [fallback] decides instead of [p] (typically
-    a reset to the object's default configuration). *)
-
-val with_hysteresis : min_gap:int -> 'obs t -> 'obs t
-(** Suppress reconfigurations closer than [min_gap] virtual ns to the
-    previous applied one (a guard against thrashing; must run inside
-    the simulation because it reads the virtual clock). Only an apply
-    that reports success advances the window: a no-op reconfiguration
-    (e.g. an external agent losing the attribute-ownership race) does
-    not suppress the retry. *)
-
 (** Declarative adaptation-policy IR.
 
     A {!Spec.t} reifies what an adaptation policy {e is} — a finite
@@ -101,8 +63,9 @@ val with_hysteresis : min_gap:int -> 'obs t -> 'obs t
     checker ([Analysis.Policy_check]) model-checks specs for thrash
     cycles, dead configurations, threshold faults, guardrail gaps and
     cross-object conflicts without running the simulator; {!Spec.compile}
-    turns the same spec into the executable closure form, so the
-    runtime policy and the checked artifact cannot drift apart.
+    turns the same spec into the executable closure form (what
+    [Adaptive.create] does with every object's spec), so the runtime
+    policy and the checked artifact cannot drift apart.
 
     Limits of the abstraction (soundness caveats): the metric is one
     scalar per observation; conditions are inclusive intervals on it;
@@ -200,7 +163,8 @@ module Spec : sig
     apply:(int -> bool) ->
     metric:('obs -> int) ->
     t ->
-    'obs policy
+    'obs ->
+    decision
   (** The executable form of a spec. [read] reports the current
       configuration (by value), [apply] performs a reconfiguration to
       the given value and reports whether it took effect, [metric]
@@ -215,7 +179,7 @@ module Spec : sig
       counter itself resets only when the fired apply reports
       success, so a no-op apply retries at the next enabled sample.
 
-      [guard_state] shares an externally owned {!Guard.t} (so
-      [Locks.Guardrail] accessors keep reporting streaks/fallbacks);
-      by default the guard state is created from the spec. *)
+      [guard_state] shares an externally owned {!Guard.t} (so its
+      owner can keep reading streaks and fallbacks); by default the
+      guard state is created from the spec. *)
 end

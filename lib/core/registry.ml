@@ -14,7 +14,7 @@ type metrics = {
   name : string;
   kind : string;
   stats : stats;
-  spec : Policy.Spec.t option;
+  spec : Policy.Spec.t;
 }
 
 type entry = {
@@ -24,7 +24,7 @@ type entry = {
   e_stats : unit -> stats;
   e_subscribe : (event -> unit) -> unit;
   e_drive : (unit -> bool) option;
-  e_spec : Policy.Spec.t option;
+  e_spec : Policy.Spec.t;
 }
 
 (* Per-domain state, like [Ops.annotations_flag]: each simulation runs
@@ -51,7 +51,7 @@ let reset () =
    remember to do it. *)
 let () = Butterfly.Sched.at_run_start reset
 
-let register ~name ~kind ~stats ?(subscribe = fun _ -> ()) ?drive ?spec () =
+let register ~name ~kind ~stats ?(subscribe = fun _ -> ()) ?drive ~spec () =
   let st = state () in
   let id = st.next_id in
   st.next_id <- id + 1;
@@ -72,9 +72,8 @@ let snapshot () =
     (entries ())
 
 (* Formal check (§3.1) of the recorded Ψ log against the declared
-   configuration space; [None] when the object declared no spec. *)
-let validate_log m =
-  match m.spec with None -> None | Some spec -> Some (Formal.check_log spec m.stats.log)
+   configuration space. *)
+let validate_log m = Formal.check_log m.spec m.stats.log
 
 let subscribe_all f = List.iter (fun e -> e.e_subscribe f) (entries ())
 
@@ -141,14 +140,11 @@ let metrics_json m =
         | Some l -> Printf.sprintf "\"%s\"" (json_escape l));
       Printf.sprintf "      \"log\": [%s]" log;
       Printf.sprintf "      \"policy_valid\": %s"
-        (match validate_log m with
-        | None -> "null"
-        | Some (Ok ()) -> "true"
-        | Some (Error _) -> "false");
+        (match validate_log m with Ok () -> "true" | Error _ -> "false");
       Printf.sprintf "      \"policy_violation\": %s"
         (match validate_log m with
-        | Some (Error why) -> Printf.sprintf "\"%s\"" (json_escape why)
-        | None | Some (Ok ()) -> "null");
+        | Error why -> Printf.sprintf "\"%s\"" (json_escape why)
+        | Ok () -> "null");
     ]
 
 let to_json ms =

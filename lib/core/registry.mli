@@ -41,10 +41,9 @@ type metrics = {
   name : string;
   kind : string;
   stats : stats;
-  spec : Policy.Spec.t option;
-      (** the declared adaptation-policy spec, when the object supplied
-          one at registration — what {!validate_log} checks the
-          recorded log against *)
+  spec : Policy.Spec.t;
+      (** the declared adaptation-policy spec the object's loop runs —
+          what {!validate_log} checks the recorded log against *)
 }
 (** [id] is the registration ordinal within the current run. *)
 
@@ -58,7 +57,7 @@ val register :
   stats:(unit -> stats) ->
   ?subscribe:((event -> unit) -> unit) ->
   ?drive:(unit -> bool) ->
-  ?spec:Policy.Spec.t ->
+  spec:Policy.Spec.t ->
   unit ->
   int
 (** Register an object; returns its registry id. [stats] is consulted
@@ -74,11 +73,10 @@ val snapshot : unit -> metrics list
 (** Current metrics of every registered object, in registration
     order. *)
 
-val validate_log : metrics -> (unit, string) result option
+val validate_log : metrics -> (unit, string) result
 (** {!Formal.check_log} of the object's recorded adaptation log
-    against its declared spec's configuration space ([None] when the
-    object registered without a spec). Surfaced per object in
-    {!to_json} as [policy_valid] / [policy_violation] — how
+    against its declared spec's configuration space. Surfaced per
+    object in {!to_json} as [policy_valid] / [policy_violation] — how
     [repro objects] reports protocol-level log violations. *)
 
 val subscribe_all : (event -> unit) -> unit

@@ -2,7 +2,6 @@ open Butterfly
 module Attribute = Adaptive_core.Attribute
 module Adaptive = Adaptive_core.Adaptive
 module Sensor = Adaptive_core.Sensor
-module Policy = Adaptive_core.Policy
 
 type observation = { spread_ns : int; budget_ns : int }
 
@@ -77,14 +76,11 @@ let create ?node ?(name = "adaptive-barrier") ?(period = 1) ?(spin_if_under = 80
               (Sensor.make ~name:"arrival-spread" ~period (fun () ->
                    let b = Lazy.force t in
                    { spread_ns = b.last_spread; budget_ns = Attribute.get b.spin_ns }))
-            ~policy:
-              (Policy.Spec.compile
-                 (policy_spec ~name ~spin_if_under ~block_if_over ~max_spin_ns ())
-                 ~read:(fun () -> Attribute.get (Lazy.force t).spin_ns)
-                 ~apply:(fun v ->
-                   Attribute.set (Lazy.force t).spin_ns v;
-                   true)
-                 ~metric:(fun obs -> obs.spread_ns))
+            ~read:(fun () -> Attribute.get (Lazy.force t).spin_ns)
+            ~apply:(fun v ->
+              Attribute.set (Lazy.force t).spin_ns v;
+              true)
+            ~metric:(fun obs -> obs.spread_ns)
             ();
       }
   in

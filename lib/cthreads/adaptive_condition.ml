@@ -2,7 +2,6 @@ open Butterfly
 module Attribute = Adaptive_core.Attribute
 module Adaptive = Adaptive_core.Adaptive
 module Sensor = Adaptive_core.Sensor
-module Policy = Adaptive_core.Policy
 
 type observation = { waiting : int; broadcast : bool }
 
@@ -89,15 +88,12 @@ let create ?node ?(name = "adaptive-condition") ?(period = 2) ?(broadcast_over =
                      waiting = List.length c.sleepers;
                      broadcast = Attribute.get c.broadcast_hint;
                    }))
-            ~policy:
-              (Policy.Spec.compile
-                 (policy_spec ~name ~broadcast_over ())
-                 ~read:(fun () ->
-                   if Attribute.get (Lazy.force t).broadcast_hint then 1 else 0)
-                 ~apply:(fun v ->
-                   Attribute.set (Lazy.force t).broadcast_hint (v = 1);
-                   true)
-                 ~metric:(fun obs -> obs.waiting))
+            ~read:(fun () ->
+              if Attribute.get (Lazy.force t).broadcast_hint then 1 else 0)
+            ~apply:(fun v ->
+              Attribute.set (Lazy.force t).broadcast_hint (v = 1);
+              true)
+            ~metric:(fun obs -> obs.waiting)
             ();
       }
   in

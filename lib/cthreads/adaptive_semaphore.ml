@@ -2,7 +2,6 @@ open Butterfly
 module Attribute = Adaptive_core.Attribute
 module Adaptive = Adaptive_core.Adaptive
 module Sensor = Adaptive_core.Sensor
-module Policy = Adaptive_core.Policy
 
 type observation = { waiting : int; budget_ns : int }
 
@@ -60,14 +59,11 @@ let create ?node ?(name = "adaptive-semaphore") ?(period = 2) ?(block_over = 2) 
                      waiting = Queue.length s.waiters;
                      budget_ns = Attribute.get s.spin_ns;
                    }))
-            ~policy:
-              (Policy.Spec.compile
-                 (policy_spec ~name ~block_over ())
-                 ~read:(fun () -> Attribute.get (Lazy.force t).spin_ns)
-                 ~apply:(fun v ->
-                   Attribute.set (Lazy.force t).spin_ns v;
-                   true)
-                 ~metric:(fun obs -> obs.waiting))
+            ~read:(fun () -> Attribute.get (Lazy.force t).spin_ns)
+            ~apply:(fun v ->
+              Attribute.set (Lazy.force t).spin_ns v;
+              true)
+            ~metric:(fun obs -> obs.waiting)
             ();
       }
   in

@@ -14,11 +14,10 @@ let ladder ~step_up ~step_down init =
   in
   close [ init ] [ init ]
 
-(* Transitions mirror the pre-IR closures exactly: per config the
-   spin-more step is tried first (the old if/else-if order), each step
-   costs one read + one write (the [Policy.reconfigure] default), and a
-   step that would not move the budget is omitted rather than emitted
-   as a self-loop. *)
+(* Per config the spin-more step is tried first, each step costs one
+   read + one write (the paper's simple waiting-policy
+   reconfiguration), and a step that would not move the budget is
+   omitted rather than emitted as a self-loop. *)
 let spec ~name ~kind ~attribute ~metric ~spin_if_under ~block_if_over ~step_up
     ~step_down ~max_spin init =
   let values = ladder ~step_up ~step_down init in

@@ -136,12 +136,11 @@ let table7 () =
   let measure configure ~waiter_proc =
     let unlock_at = ref 0 and acquired_at = ref 0 in
     run (fun () ->
-        (* An adaptive lock pinned to one configuration: the no-op policy
-           keeps the feedback loop from re-tuning it mid-measurement. *)
-        let c =
-          Locks.Adaptive_lock.core
-            (Locks.Adaptive_lock.create ~home:1 ~policy:Adaptive_core.Policy.no_op ())
-        in
+        (* An adaptive lock pinned to one configuration: the measurement
+           drives its [Lock_core] directly, so the feedback loop (ticked
+           only by [Adaptive_lock.unlock]) never runs. The whole adaptive
+           lock is still built: its allocations are simulated events. *)
+        let c = Locks.Adaptive_lock.core (Locks.Adaptive_lock.create ~home:1 ()) in
         configure c;
         let owner_has_lock = ref false in
         let owner =

@@ -494,29 +494,27 @@ let print_objects ?(out = std) ?emit ?(spec = Workloads.Sync_objects.default) ?o
        ~title:"Adaptive-object registry after the sync-objects workload" tbl);
   (* Formal check (§3.1): each recorded adaptation log must stay
      inside its object's declared configuration space. *)
-  let checked, violations =
-    List.fold_left
-      (fun (n, vs) (m : Adaptive_core.Registry.metrics) ->
+  let violations =
+    List.filter_map
+      (fun (m : Adaptive_core.Registry.metrics) ->
         match Adaptive_core.Registry.validate_log m with
-        | None -> (n, vs)
-        | Some (Ok ()) -> (n + 1, vs)
-        | Some (Error why) ->
-          (n + 1, (m.Adaptive_core.Registry.name, why) :: vs))
-      (0, []) r.Workloads.Sync_objects.snapshot
+        | Ok () -> None
+        | Error why -> Some (m.Adaptive_core.Registry.name, why))
+      r.Workloads.Sync_objects.snapshot
   in
   List.iter
     (fun (name, why) ->
       Format.fprintf out "policy-log VIOLATION %s: %s@." name why)
-    (List.rev violations);
+    violations;
+  let objects = List.length r.Workloads.Sync_objects.snapshot in
   Format.fprintf out
     "objects=%d adaptations=%d total=%s ms (logs formally checked: %d, violations: \
      %d)@."
-    (List.length r.Workloads.Sync_objects.snapshot)
-    r.Workloads.Sync_objects.adaptations
+    objects r.Workloads.Sync_objects.adaptations
     (Repro_stats.Table.ms_of_ns r.Workloads.Sync_objects.total_ns)
-    checked (List.length violations);
+    objects (List.length violations);
   let metrics =
-    ("objects", float_of_int (List.length r.Workloads.Sync_objects.snapshot))
+    ("objects", float_of_int objects)
     :: ("adaptations", float_of_int r.Workloads.Sync_objects.adaptations)
     :: ("total_ns", float_of_int r.Workloads.Sync_objects.total_ns)
     :: ("policy_violations", float_of_int (List.length violations))

@@ -10,7 +10,7 @@ type t = {
   core : Lock_core.t;
   loop : int Adaptive.t;
   budget : Spin_budget.t;
-  guard : Guardrail.t option;
+  guard : Policy.Guard.t option;
 }
 
 (* The guardrail half of the policy spec: clamp observations into
@@ -52,22 +52,7 @@ let policy_spec ?(params = default_params) ?guardrail ?name ?attribute () =
         Some (guard_spec ~params ~gparams ~init:spec.Policy.Spec.s_initial);
     }
 
-(* The [simple-adapt] step as a policy over any spin budget — the
-   plumbing Monitoring's loosely-coupled lock uses, which differs from
-   this closely-coupled one only in how observations arrive and how
-   [apply] reaches the attributes. [apply] reports whether the
-   reconfiguration took effect: the external-agent path can lose the
-   ownership race (the budget still advances, tracking the policy's
-   intent). *)
-let budget_policy ~budget ~apply =
-  Policy.Spec.compile (Spin_budget.spec_of budget)
-    ~read:(fun () -> Spin_budget.spins budget)
-    ~apply:(fun v ->
-      Spin_budget.set budget v;
-      apply ())
-    ~metric:(fun (waiting : int) -> waiting)
-
-let create ?name ?trace ?sched ?(params = default_params) ?policy ?guardrail ~home () =
+let create ?name ?trace ?sched ?(params = default_params) ?guardrail ~home () =
   let name = match name with Some n -> n | None -> "adaptive-lock" in
   let waiting = Waiting.combined ~node:home ~spins:params.n () in
   let core =
@@ -83,32 +68,22 @@ let create ?name ?trace ?sched ?(params = default_params) ?policy ?guardrail ~ho
     Spin_budget.create ~threshold:params.waiting_threshold ~n:params.n ~cap:params.spin_cap
       ~init:params.n
   in
-  (* The spec describes the default (possibly guardrailed) simple-adapt
-     policy and is exactly what runs; a caller-supplied policy is
-     opaque, so no spec — the registry then skips the formal log check
-     rather than judging the log against a space it does not follow. A
-     guardrail shares its [Guardrail.t]'s streak/cooldown state with
-     the compiled policy, so its accessors keep reporting. *)
-  let spec, guard, policy =
-    match policy with
-    | Some p -> (None, None, p)
-    | None ->
-      let spec = policy_spec ~params ?guardrail ~name () in
-      let guard = Option.map (fun params -> Guardrail.create ~params ()) guardrail in
-      let policy =
-        Policy.Spec.compile spec
-          ?guard_state:(Option.map Guardrail.guard guard)
-          ~read:(fun () -> Spin_budget.spins budget)
-          ~apply:(fun v ->
-            Spin_budget.set budget v;
-            Spin_budget.apply budget (Lock_core.policy core);
-            Lock_stats.on_reconfigure (Lock_core.stats core);
-            true)
-          ~metric:(fun (waiting : int) -> waiting)
-      in
-      (Some spec, guard, policy)
+  (* A guardrail shares its streak/cooldown state with the compiled
+     spec, so [guardrail] keeps reporting. *)
+  let guard = Option.map (fun params -> Guardrail.create ~params ()) guardrail in
+  let loop =
+    Adaptive.create ~name ~kind:"lock"
+      ~spec:(policy_spec ~params ?guardrail ~name ())
+      ~home ~sensor
+      ~read:(fun () -> Spin_budget.spins budget)
+      ~apply:(fun v ->
+        Spin_budget.set budget v;
+        Spin_budget.apply budget (Lock_core.policy core);
+        Lock_stats.on_reconfigure (Lock_core.stats core);
+        true)
+      ~metric:(fun (waiting : int) -> waiting)
+      ?guard_state:guard ()
   in
-  let loop = Adaptive.create ~name ~kind:"lock" ?spec ~home ~sensor ~policy () in
   { core; loop; budget; guard }
 
 let lock t = Lock_core.lock t.core

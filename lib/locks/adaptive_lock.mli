@@ -3,10 +3,10 @@
     A reconfigurable {!Lock_core} lock plus a built-in, closely-coupled
     monitor (a {!Adaptive_core.Sensor} on the waiting-thread count, sampled
     once every [sample_period] unlock operations — the paper uses every
-    other unlock) and a user-provided adaptation policy that retunes
-    the waiting attributes.
+    other unlock) and a user-provided adaptation policy, declared as a
+    spec ({!policy_spec}), that retunes the waiting attributes.
 
-    The default policy is the paper's [simple-adapt] (§4):
+    The policy is the paper's [simple-adapt] (§4):
 
     {v
     IF   no-of-waiting-threads = 0                 configure pure spin
@@ -37,22 +37,18 @@ val create :
   ?trace:bool ->
   ?sched:Lock_sched.kind ->
   ?params:params ->
-  ?policy:int Adaptive_core.Policy.t ->
   ?guardrail:Guardrail.params ->
   home:int ->
   unit ->
   t
-(** [policy] (observations are waiting-thread counts) replaces
-    [simple-adapt] entirely when given — this is the "user-provided
-    adaptation policy" hook. The lock starts in the combined
-    configuration with [n] spins.
+(** The lock starts in the combined configuration with [n] spins and
+    runs [policy_spec ~params ?guardrail ~name ()].
 
-    [guardrail] (ignored when [policy] is given) wraps [simple-adapt]
-    in a {!Guardrail}: observations are clamped, and a run of
-    pathological samples triggers a fallback to the default combined
-    configuration (charged as one reconfiguration) instead of wedging
-    the budget at an extreme. Off by default — without it the lock
-    behaves bit-for-bit as before. *)
+    [guardrail] adds a {!Guardrail} to [simple-adapt]: observations are
+    clamped, and a run of pathological samples triggers a fallback to
+    the default combined configuration (charged as one
+    reconfiguration) instead of wedging the budget at an extreme. Off
+    by default — without it the lock behaves bit-for-bit as before. *)
 
 val lock : t -> unit
 
@@ -77,8 +73,9 @@ val mode : t -> string
 val adaptations : t -> int
 val samples : t -> int
 
-val guardrail : t -> Guardrail.t option
-(** The installed guardrail, if any (for tests and reporting). *)
+val guardrail : t -> Adaptive_core.Policy.Guard.t option
+(** The installed guardrail's streak/cooldown state, if any (for tests
+    and reporting). *)
 
 val policy_spec :
   ?params:params ->
@@ -92,13 +89,3 @@ val policy_spec :
     ([Analysis.Policy_check]) model-checks, and exactly what {!create}
     compiles into the running policy. Pure data; buildable outside a
     simulation. *)
-
-val budget_policy :
-  budget:Spin_budget.t -> apply:(unit -> bool) -> int Adaptive_core.Policy.t
-(** The [simple-adapt] step over an arbitrary {!Spin_budget} and
-    reconfiguration action — the policy shared with the
-    loosely-coupled lock in [Monitoring], which supplies an [apply]
-    that acquires attribute ownership as an external agent must.
-    [apply] reports whether the reconfiguration took effect, so an
-    external agent that loses the ownership race is not counted as an
-    adaptation. *)

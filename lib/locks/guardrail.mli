@@ -1,4 +1,5 @@
-(** Adaptation-policy guardrails: clamp, wedge detection, fallback.
+(** Adaptation-policy guardrail parameters: clamp, wedge detection,
+    fallback.
 
     The paper's [simple-adapt] trusts its observations of the
     waiting-thread count. Under fault injection (stuck memory modules,
@@ -9,7 +10,9 @@
     (Motuzenko cs/0307035; Adjusted Objects arXiv:2504.19495) makes the
     same point: adaptation must stay stable under perturbed inputs.
 
-    The guardrail filters each observation before the policy sees it:
+    A guardrail is a spec's [s_guard] ([Adaptive_core.Policy.Spec]),
+    which [Spec.compile] runs on each observation before the
+    transitions see it:
 
     - {b clamp} — raw samples outside [\[0, clamp_max\]] are clamped
       (a perturbed sensor cannot inject an absurd magnitude), and the
@@ -26,12 +29,8 @@
 
     Guardrails are opt-in ({!Adaptive_lock.create}'s [?guardrail]):
     with none installed the adaptive lock behaves bit-for-bit as
-    before.
-
-    The streak/cooldown/fallback state machine itself is
-    [Adaptive_core.Policy.Guard] — reusable by any adaptive object via
-    the [Policy.guarded] combinator; this module is the lock-flavoured
-    wrapper adding waiting-count clamping and wedge vocabulary. *)
+    before. This module holds only the lock-flavoured parameters; the
+    streak/cooldown state machine is [Adaptive_core.Policy.Guard]. *)
 
 type params = {
   clamp_max : int;  (** samples clamped into [0, clamp_max] *)
@@ -42,25 +41,8 @@ type params = {
 val default_params : params
 (** clamp_max 64, pathological_limit 4, cooldown 8. *)
 
-type t
-
-val create : ?params:params -> unit -> t
-
-type verdict =
-  | Sample of int  (** feed this (possibly clamped) sample to the policy *)
-  | Fallback  (** reset to the default combined configuration instead *)
-
-val observe : t -> waiting:int -> wedged_low:bool -> verdict
-(** Filter one observation. [wedged_low] is the caller's statement
-    that the budget currently sits at the pure-blocking extreme and
-    this sample would keep it there. *)
-
-val guard : t -> Adaptive_core.Policy.Guard.t
-(** The underlying streak/cooldown state machine, for composing with
-    [Policy.guarded] directly. *)
-
-val streak : t -> int
-(** Current consecutive pathological-sample count (for tests). *)
-
-val fallbacks : t -> int
-(** Fallbacks ordered so far. *)
+val create : ?params:params -> unit -> Adaptive_core.Policy.Guard.t
+(** The streak/cooldown state for [params], to share with the compiled
+    spec (its [?guard_state]) so the owner can read streaks and
+    fallbacks. Raises [Invalid_argument] on a negative [clamp_max] or
+    cooldown, or a non-positive limit. *)

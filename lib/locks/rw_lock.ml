@@ -122,16 +122,17 @@ let create ?(name = "rw-lock") ?(preference = Reader_pref) ?(adaptive = false)
        writer, back to reader preference after [calm_repeats]
        consecutive writer-free samples (the spec's hysteresis
        counter). *)
-    let spec = policy_spec ~name ~preference () in
-    let policy =
-      Policy.Spec.compile spec
+    let loop =
+      Adaptive.create ~name ~kind:"rw-lock"
+        ~spec:(policy_spec ~name ~preference ())
+        ~home ~sensor
         ~read:(fun () -> pref_value (Attribute.get t.pref))
         ~apply:(fun v ->
           Attribute.set t.pref (if v = 1 then Writer_pref else Reader_pref);
           true)
         ~metric:(fun (waiting_writers : int) -> waiting_writers)
+        ()
     in
-    let loop = Adaptive.create ~name ~kind:"rw-lock" ~spec ~home ~sensor ~policy () in
     { t with loop = Some loop }
   end
 

@@ -95,7 +95,7 @@ type t = {
   mutable swap_rollbacks : int;
   mutable abandoned_recoveries : int;
   mutable loop : int Adaptive.t option;
-  mutable guard_state : Guardrail.t option;
+  mutable guard_state : Policy.Guard.t option;
   mutable probe : (int -> string -> unit) option;
       (* conformance instrumentation: one callback per protocol
          transition, labelled to match [Proto_models.quiescence] *)
@@ -746,21 +746,17 @@ let create ?name ?trace ?(params = default_params) ?(guardrail = default_guardra
         ~overhead_instrs:40
         (fun () -> score t)
     in
-    let spec = policy_spec ~params ~guardrail ~name () in
-    let loop =
-      Adaptive.create ~name ~kind:"lock-impl" ~spec ~home ~sensor ~policy:Policy.no_op
-        ()
-    in
     let guard_state = Guardrail.create ~params:guardrail () in
     t.guard_state <- Some guard_state;
-    let policy =
-      Policy.Spec.compile spec
-        ~guard_state:(Guardrail.guard guard_state)
+    let loop =
+      Adaptive.create ~name ~kind:"lock-impl"
+        ~spec:(policy_spec ~params ~guardrail ~name ())
+        ~home ~sensor
         ~read:(fun () -> impl_id t.impl)
         ~apply:(fun v -> apply_impl t v)
         ~metric:(fun (s : int) -> s)
+        ~guard_state ()
     in
-    Adaptive.set_policy loop policy;
     t.loop <- Some loop);
   t
 

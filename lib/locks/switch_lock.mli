@@ -124,4 +124,4 @@ val set_transition_probe : t -> (int -> string -> unit) option -> unit
 val adaptations : t -> int
 val samples : t -> int
 val feedback : t -> int Adaptive_core.Adaptive.t option
-val guardrail : t -> Guardrail.t option
+val guardrail : t -> Adaptive_core.Policy.Guard.t option

@@ -25,26 +25,27 @@ let create ?(name = "loose-adaptive-lock") ?trace ?(params = AL.default_params)
     Locks.Spin_budget.create ~threshold:params.AL.waiting_threshold ~n:params.AL.n
       ~cap:params.AL.spin_cap ~init:params.AL.n
   in
-  (* External agent path: the monitor thread must own the attributes
-     to reconfigure them. The policy itself — stepping the budget and
-     mapping it onto the waiting attributes — is the [simple-adapt]
-     spec the closely-coupled lock compiles
-     ({!Locks.Adaptive_lock.budget_policy}); only the [apply] differs. *)
-  let apply () =
-    if Locks.Lock_core.acquire_ownership core then begin
-      Locks.Spin_budget.apply budget (Locks.Lock_core.policy core);
-      Locks.Lock_stats.on_reconfigure (Locks.Lock_core.stats core);
-      Locks.Lock_core.release_ownership core;
-      true
-    end
-    else false (* lost the ownership race: nothing changed, don't count it *)
-  in
+  (* The policy is the [simple-adapt] spec the closely-coupled lock
+     runs; only the [apply] differs. It steps the budget (which tracks
+     the policy's intent even when the reconfiguration is lost), then
+     takes the path of an external agent: the monitor thread must own
+     the attributes to reconfigure them. *)
   let loop =
     Adaptive.create ~name ~kind:"lock" ~spec:(Locks.Spin_budget.spec_of budget) ~home
       ~sensor:
         (Sensor.make ~name:(name ^ ".no-of-waiting-threads") ~overhead_instrs:40
            (fun () -> Locks.Lock_core.waiting_now core))
-      ~policy:(AL.budget_policy ~budget ~apply)
+      ~read:(fun () -> Locks.Spin_budget.spins budget)
+      ~apply:(fun v ->
+        Locks.Spin_budget.set budget v;
+        if Locks.Lock_core.acquire_ownership core then begin
+          Locks.Spin_budget.apply budget (Locks.Lock_core.policy core);
+          Locks.Lock_stats.on_reconfigure (Locks.Lock_core.stats core);
+          Locks.Lock_core.release_ownership core;
+          true
+        end
+        else false (* lost the ownership race: nothing changed, don't count it *))
+      ~metric:(fun (waiting : int) -> waiting)
       ()
   in
   (* The loosely-coupled feedback path: the monitor thread drains the

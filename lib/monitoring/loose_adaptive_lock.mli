@@ -7,9 +7,9 @@
     a dedicated processor drains the buffer and feeds each (possibly
     stale) observation to a genuine [Adaptive_core.Adaptive] loop via
     [Adaptive.feed] — the policy is the same [simple-adapt] spec the
-    closely-coupled lock compiles
-    ({!Locks.Adaptive_lock.budget_policy}); only the [apply] differs,
-    acquiring attribute ownership the way an external agent must. The
+    closely-coupled lock runs ({!Locks.Adaptive_lock.policy_spec});
+    only the [apply] differs, acquiring attribute ownership the way an
+    external agent must. The
     paper found exactly this structure "too loosely coupled to be used
     in adaptive lock objects"; the coupling ablation quantifies that
     claim by comparing this lock against the built-in closely-coupled

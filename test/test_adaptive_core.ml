@@ -198,37 +198,34 @@ let test_sensor_sampling_costs_time () =
   in
   Alcotest.(check int) "overhead charged" (Config.instrs cfg 100) !dt
 
-let test_policy_compose () =
-  let p1 = function 1 -> Policy.reconfigure ~label:"one" (fun () -> ()) | _ -> Policy.No_change in
-  let p2 = function 2 -> Policy.reconfigure ~label:"two" (fun () -> ()) | _ -> Policy.No_change in
-  let p = Policy.compose p1 p2 in
-  let label = function
-    | Policy.No_change -> "none"
-    | Policy.Reconfigure { label; _ } -> label
+(* A toy two-configuration spec: configuration 0 ([lo]) moves to 1
+   ([hi]) on metrics in [up], and back on metrics in [down] when given.
+   Each transition is labelled with its target's name, fires on the
+   first enabled sample and costs 1R 1W. *)
+let toy_spec ~lo ~hi ~up ?down () =
+  let module Spec = Policy.Spec in
+  let move from target cond label =
+    {
+      Spec.t_from = from;
+      t_cond = cond;
+      t_target = target;
+      t_label = label;
+      t_repeats = 1;
+      t_cost = Cost.reads_writes 1 1;
+    }
   in
-  Alcotest.(check string) "first wins" "one" (label (p 1));
-  Alcotest.(check string) "fallback" "two" (label (p 2));
-  Alcotest.(check string) "neither" "none" (label (p 3))
-
-let test_policy_hysteresis () =
-  let applied = ref 0 in
-  let (_ : Sched.t) =
-    run (fun () ->
-        let base _ = Policy.reconfigure ~label:"r" (fun () -> incr applied) in
-        let p = Policy.with_hysteresis ~min_gap:100_000 base in
-        let fire () =
-          match p 0 with
-          | Policy.Reconfigure { apply; _ } -> ignore (apply () : bool)
-          | Policy.No_change -> ()
-        in
-        fire ();
-        Ops.work 10_000;
-        fire ();
-        (* suppressed: only 10us later *)
-        Ops.work 200_000;
-        fire ())
-  in
-  Alcotest.(check int) "two of three applied" 2 !applied
+  {
+    Spec.s_name = "toy";
+    s_kind = "object";
+    s_attribute = "toy.config";
+    s_metric = "obs";
+    s_monotone = Spec.Unordered;
+    s_configs = [ { Spec.c_name = lo; c_value = 0 }; { Spec.c_name = hi; c_value = 1 } ];
+    s_initial = 0;
+    s_transitions =
+      move 0 1 up hi :: (match down with Some c -> [ move 1 0 c lo ] | None -> []);
+    s_guard = None;
+  }
 
 let test_feedback_loop_adapts () =
   let observed_modes = ref [] in
@@ -236,16 +233,20 @@ let test_feedback_loop_adapts () =
     run (fun () ->
         let level = ref 0 in
         let sensor = Sensor.make ~name:"level" ~period:2 ~overhead_instrs:0 (fun () -> !level) in
-        let mode = ref "idle" in
-        let policy obs =
-          let next = if obs > 5 then "busy" else "idle" in
-          if next = !mode then Policy.No_change
-          else
-            Policy.reconfigure ~label:next (fun () ->
-                mode := next;
-                observed_modes := next :: !observed_modes)
+        let mode = ref 0 in
+        let spec =
+          toy_spec ~lo:"idle" ~hi:"busy" ~up:(Policy.Spec.cond 6)
+            ~down:(Policy.Spec.cond 0 ~hi:5) ()
         in
-        let loop = Adaptive.create ~name:"obj" ~home:0 ~sensor ~policy () in
+        let loop =
+          Adaptive.create ~name:"obj" ~spec ~home:0 ~sensor
+            ~read:(fun () -> !mode)
+            ~apply:(fun v ->
+              mode := v;
+              observed_modes := Policy.Spec.config_name spec v :: !observed_modes;
+              true)
+            ~metric:Fun.id ()
+        in
         (* ticks 1-4 at level 0 -> stays idle; raise level, ticks sample
            on even counts. *)
         for i = 1 to 8 do
@@ -268,11 +269,16 @@ let test_feedback_feed_bypasses_sensor () =
   let (_ : Sched.t) =
     run (fun () ->
         let sensor = Sensor.make ~name:"s" ~period:1000 ~overhead_instrs:0 (fun () -> 0) in
-        let policy obs =
-          if obs = 99 then Policy.reconfigure ~label:"x" (fun () -> adapted := true)
-          else Policy.No_change
+        let loop =
+          Adaptive.create
+            ~spec:(toy_spec ~lo:"idle" ~hi:"x" ~up:(Policy.Spec.cond 99 ~hi:99) ())
+            ~home:0 ~sensor
+            ~read:(fun () -> if !adapted then 1 else 0)
+            ~apply:(fun _ ->
+              adapted := true;
+              true)
+            ~metric:Fun.id ()
         in
-        let loop = Adaptive.create ~home:0 ~sensor ~policy () in
         ignore (Adaptive.feed loop 99);
         Alcotest.(check int) "no sensor samples" 0 (Adaptive.samples loop))
   in
@@ -283,11 +289,14 @@ let test_feedback_charges_cost () =
   let (_ : Sched.t) =
     run (fun () ->
         let sensor = Sensor.make ~name:"s" ~period:1 ~overhead_instrs:0 (fun () -> 0) in
-        let policy _ =
-          Policy.Reconfigure
-            { label = "x"; cost = Cost.reads_writes 1 1; apply = (fun () -> true) }
+        let loop =
+          Adaptive.create
+            ~spec:(toy_spec ~lo:"idle" ~hi:"x" ~up:(Policy.Spec.cond 0) ())
+            ~home:0 ~sensor
+            ~read:(fun () -> 0)
+            ~apply:(fun _ -> true)
+            ~metric:Fun.id ()
         in
-        let loop = Adaptive.create ~home:0 ~sensor ~policy () in
         let t0 = Ops.now () in
         ignore (Adaptive.tick loop);
         dt := Ops.now () - t0;
@@ -309,8 +318,14 @@ let test_feedback_failed_apply_not_counted () =
           Sensor.make ~name:"s" ~period:1 ~overhead_instrs:0 (fun () -> 0)
         in
         let ok = ref false in
-        let policy _ = Policy.reconfigure_checked ~label:"maybe" (fun () -> !ok) in
-        let loop = Adaptive.create ~home:0 ~sensor ~policy () in
+        let loop =
+          Adaptive.create
+            ~spec:(toy_spec ~lo:"idle" ~hi:"maybe" ~up:(Policy.Spec.cond 0) ())
+            ~home:0 ~sensor
+            ~read:(fun () -> 0)
+            ~apply:(fun _ -> !ok)
+            ~metric:Fun.id ()
+        in
         Adaptive.subscribe loop (fun _ -> incr events);
         Alcotest.(check bool) "failed apply reports false" false (Adaptive.tick loop);
         Alcotest.(check int) "policy ran" 1 (Adaptive.policy_runs loop);
@@ -340,8 +355,6 @@ let suite =
     Alcotest.test_case "sensor rate change" `Quick test_sensor_set_period;
     Alcotest.test_case "sensor history" `Quick test_sensor_history;
     Alcotest.test_case "sensor cost" `Quick test_sensor_sampling_costs_time;
-    Alcotest.test_case "policy compose" `Quick test_policy_compose;
-    Alcotest.test_case "policy hysteresis" `Quick test_policy_hysteresis;
     Alcotest.test_case "feedback adapts" `Quick test_feedback_loop_adapts;
     Alcotest.test_case "feedback feed" `Quick test_feedback_feed_bypasses_sensor;
     Alcotest.test_case "feedback charges cost" `Quick test_feedback_charges_cost;

@@ -304,30 +304,60 @@ let test_lock_retrying_recovers () =
 (* -- guardrails ---------------------------------------------------- *)
 
 let test_guardrail_clamp_and_fallback () =
+  (* The guardrailed simple-adapt spec, compiled and fed one sample at
+     a time. Threshold 2 makes a raw sample of 3 or more at the
+     pure-blocking budget (0) a wedge; budgets start at n = 4. *)
+  let module Guard = Adaptive_core.Policy.Guard in
   let params =
+    { Locks.Adaptive_lock.waiting_threshold = 2; n = 4; spin_cap = 16; sample_period = 1 }
+  in
+  let guardrail =
     { Locks.Guardrail.clamp_max = 10; pathological_limit = 3; cooldown = 2 }
   in
-  let g = Locks.Guardrail.create ~params () in
-  (match Locks.Guardrail.observe g ~waiting:50 ~wedged_low:false with
-  | Locks.Guardrail.Sample v -> check_int "absurd sample clamped" 10 v
-  | Locks.Guardrail.Fallback -> Alcotest.fail "fallback too early");
-  check_int "streak counted" 1 (Locks.Guardrail.streak g);
-  (match Locks.Guardrail.observe g ~waiting:3 ~wedged_low:true with
-  | Locks.Guardrail.Sample v -> check_int "wedged sample passes clamped" 3 v
-  | Locks.Guardrail.Fallback -> Alcotest.fail "fallback too early");
-  (match Locks.Guardrail.observe g ~waiting:99 ~wedged_low:false with
-  | Locks.Guardrail.Fallback -> ()
-  | Locks.Guardrail.Sample _ -> Alcotest.fail "third pathological sample must fall back");
-  check_int "one fallback" 1 (Locks.Guardrail.fallbacks g);
+  let g = Locks.Guardrail.create ~params:guardrail () in
+  let budget = ref params.Locks.Adaptive_lock.n in
+  let p =
+    Adaptive_core.Policy.Spec.compile
+      (Locks.Adaptive_lock.policy_spec ~params ~guardrail ())
+      ~guard_state:g
+      ~read:(fun () -> !budget)
+      ~apply:(fun v ->
+        budget := v;
+        true)
+      ~metric:(fun (waiting : int) -> waiting)
+  in
+  (* One sample: apply whatever is decided, return its label. *)
+  let feed waiting =
+    match p waiting with
+    | Adaptive_core.Policy.No_change -> "none"
+    | Adaptive_core.Policy.Reconfigure { label; apply; _ } ->
+      ignore (apply () : bool);
+      label
+  in
+  (* 50 is clamped to 10, which still reaches the transitions (above
+     the threshold: budget 4 - 2n = pure blocking) but counts as
+     pathological. *)
+  check_string "absurd sample clamped" "pure blocking" (feed 50);
+  check_int "streak counted" 1 (Guard.streak g);
+  (* 3 at budget 0 is inside the clamp but wedged: it passes to the
+     transitions (none leaves pure blocking upwards) and still counts. *)
+  check_string "wedged sample passes clamped" "none" (feed 3);
+  check_int "wedge counted" 2 (Guard.streak g);
+  check_string "third pathological sample must fall back" "guardrail-fallback"
+    (feed 99);
+  check_int "one fallback" 1 (Guard.fallbacks g);
+  check_int "fallback restores the initial budget" 4 !budget;
   (* cooldown: the next two pathological samples do not count *)
-  (match Locks.Guardrail.observe g ~waiting:99 ~wedged_low:true with
-  | Locks.Guardrail.Sample _ -> ()
-  | Locks.Guardrail.Fallback -> Alcotest.fail "cooldown must suppress fallback");
-  check_int "cooldown leaves streak at zero" 0 (Locks.Guardrail.streak g);
+  check_string "cooldown must suppress fallback" "pure blocking" (feed 99);
+  check_int "cooldown leaves streak at zero" 0 (Guard.streak g);
+  ignore (feed 99 : string);
+  check_int "cooldown still suppresses" 0 (Guard.streak g);
+  ignore (feed 99 : string);
+  check_int "streak resumes after cooldown" 1 (Guard.streak g);
   (* a healthy sample resets the streak *)
-  ignore (Locks.Guardrail.observe g ~waiting:99 ~wedged_low:false);
-  ignore (Locks.Guardrail.observe g ~waiting:2 ~wedged_low:false);
-  check_int "healthy sample resets" 0 (Locks.Guardrail.streak g);
+  ignore (feed 2 : string);
+  check_int "healthy sample resets" 0 (Guard.streak g);
+  check_int "still one fallback" 1 (Guard.fallbacks g);
   (* the fallback target: Spin_budget.reset returns to the initial
      (default combined) budget *)
   let b = Locks.Spin_budget.create ~threshold:2 ~n:4 ~cap:16 ~init:4 in
@@ -363,7 +393,7 @@ let test_adaptive_lock_guardrail_fallback () =
       Cthread.join_all ts;
       (match Locks.Adaptive_lock.guardrail lk with
       | None -> Alcotest.fail "guardrail not installed"
-      | Some g -> fallbacks := Locks.Guardrail.fallbacks g);
+      | Some g -> fallbacks := Adaptive_core.Policy.Guard.fallbacks g);
       spins := Locks.Adaptive_lock.spins_now lk;
       reconfs := Locks.Lock_stats.reconfigurations (Locks.Adaptive_lock.stats lk));
   check_bool "guardrail fell back" true (!fallbacks >= 1);

@@ -416,22 +416,19 @@ let test_adaptive_contention_becomes_blocking () =
 let test_adaptive_mutual_exclusion () =
   check_mutex "adaptive" Locks.Lock.adaptive_default ()
 
-let test_adaptive_custom_policy_used () =
-  let hits = ref 0 in
+let test_adaptive_policy_consulted () =
+  let runs = ref 0 in
   let (_ : Sched.t) =
     run (fun () ->
-        let policy _obs =
-          incr hits;
-          Adaptive_core.Policy.No_change
-        in
-        let lk = Locks.Adaptive_lock.create ~home:0 ~policy () in
+        let lk = Locks.Adaptive_lock.create ~home:0 () in
         for _ = 1 to 10 do
           Locks.Adaptive_lock.lock lk;
           Locks.Adaptive_lock.unlock lk
-        done)
+        done;
+        runs := Adaptive_core.Adaptive.policy_runs (Locks.Adaptive_lock.feedback lk))
   in
-  (* period 2 -> five samples, each running the custom policy. *)
-  Alcotest.(check int) "custom policy consulted" 5 !hits
+  (* period 2 -> five samples, each running the compiled spec. *)
+  Alcotest.(check int) "policy consulted" 5 !runs
 
 let test_trace_records_pattern () =
   let points = ref 0 in
@@ -532,7 +529,7 @@ let suite =
       test_adaptive_no_contention_becomes_spin;
     Alcotest.test_case "adaptive: contention -> blocking" `Quick
       test_adaptive_contention_becomes_blocking;
-    Alcotest.test_case "adaptive: custom policy" `Quick test_adaptive_custom_policy_used;
+    Alcotest.test_case "adaptive: custom policy" `Quick test_adaptive_policy_consulted;
     Alcotest.test_case "trace records pattern" `Quick test_trace_records_pattern;
     Alcotest.test_case "cost ordering (Tables 4/5)" `Quick test_lock_cost_ordering_table4;
     QCheck_alcotest.to_alcotest prop_mutual_exclusion_random_kinds;

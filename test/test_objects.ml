@@ -1,7 +1,7 @@
 (* Tests of the adaptive-object spine added by the registry PR: the
    per-domain registry (enumeration, subscriptions, driving, JSON
-   determinism), the adaptive barrier/condition/semaphore, the guarded
-   policy combinator, the registry monitor thread, watchdog adaptation
+   determinism), the adaptive barrier/condition/semaphore, the guard
+   state machine, the registry monitor thread, watchdog adaptation
    tracking, trace adaptation annotations, and the sync-objects
    workload. *)
 
@@ -23,13 +23,45 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
+(* A toy two-configuration spec: with [label], every observation flips
+   between configurations 0 and 1 under that label; without one, it has
+   no transitions (monitored, never adapting). *)
+let toy_spec ?label () =
+  let module Spec = Policy.Spec in
+  let flip label from =
+    {
+      Spec.t_from = from;
+      t_cond = Spec.cond 0;
+      t_target = 1 - from;
+      t_label = label;
+      t_repeats = 1;
+      t_cost = Adaptive_core.Cost.reads_writes 1 1;
+    }
+  in
+  {
+    Spec.s_name = "toy";
+    s_kind = "test";
+    s_attribute = "toy.config";
+    s_metric = "obs";
+    s_monotone = Spec.Unordered;
+    s_configs = [ { Spec.c_name = "a"; c_value = 0 }; { Spec.c_name = "b"; c_value = 1 } ];
+    s_initial = 0;
+    s_transitions =
+      (match label with Some l -> [ flip l 0; flip l 1 ] | None -> []);
+    s_guard = None;
+  }
+
 (* A trivially adaptable loop: every fed/polled observation applies a
    reconfiguration labelled [label]. *)
 let always_adapt ?(label = "flip") ?name ?kind () =
   let sensor = Sensor.make ~name:"s" ~period:1 ~overhead_instrs:0 (fun () -> 0) in
-  Adaptive.create ?name ?kind ~home:0 ~sensor
-    ~policy:(fun _ -> Policy.reconfigure ~label (fun () -> ()))
-    ()
+  let config = ref 0 in
+  Adaptive.create ?name ?kind ~spec:(toy_spec ~label ()) ~home:0 ~sensor
+    ~read:(fun () -> !config)
+    ~apply:(fun v ->
+      config := v;
+      true)
+    ~metric:Fun.id ()
 
 (* -- registry ------------------------------------------------------ *)
 
@@ -114,7 +146,7 @@ let test_registry_drive_all_skips_not_owner () =
           Registry.register ~name:"contended" ~kind:"test" ~stats:empty_stats
             ~drive:(fun () ->
               raise (Adaptive_core.Attribute.Not_owner "held elsewhere"))
-            ()
+            ~spec:(toy_spec ()) ()
         in
         let healthy = always_adapt ~name:"healthy" () in
         driven := Registry.drive_all ();
@@ -329,11 +361,7 @@ let test_adaptive_semaphore_budget_adapts () =
   in
   check_bool "uncontended turnover widens the budget" true (!budget > 0)
 
-(* -- guarded policies ---------------------------------------------- *)
-
-let decision_label = function
-  | Policy.No_change -> "none"
-  | Policy.Reconfigure { label; _ } -> label
+(* -- guard state machine ------------------------------------------- *)
 
 let test_policy_guard_streaks () =
   let g = Policy.Guard.create ~pathological_limit:2 ~cooldown:3 () in
@@ -346,27 +374,6 @@ let test_policy_guard_streaks () =
   (* Cooldown: the next pathological observations must not re-trigger. *)
   check_bool "cooldown suppresses" false (Policy.Guard.note g ~pathological:true);
   check_bool "still suppressed" false (Policy.Guard.note g ~pathological:true)
-
-let test_policy_guarded_combinator () =
-  let g = Policy.Guard.create ~pathological_limit:2 ~cooldown:2 () in
-  let base obs =
-    if obs = 100 then Policy.reconfigure ~label:"cap" (fun () -> ())
-    else Policy.No_change
-  in
-  let p =
-    Policy.guarded ~guard:g
-      ~clamp:(fun obs -> (min obs 100, obs > 100))
-      ~fallback:(fun _ -> Policy.reconfigure ~label:"reset" (fun () -> ()))
-      base
-  in
-  (* First outlier: clamped, base policy sees the sanitized value. *)
-  check_string "clamped to base" "cap" (decision_label (p 500));
-  (* Second consecutive outlier: the guard hands control to fallback. *)
-  check_string "streak falls back" "reset" (decision_label (p 500));
-  check_int "one fallback" 1 (Policy.Guard.fallbacks g);
-  (* Cooldown: outliers are still clamped but cannot re-trigger. *)
-  check_string "cooldown clamps only" "cap" (decision_label (p 500));
-  check_string "benign passes through" "none" (decision_label (p 7))
 
 (* -- registry monitor thread --------------------------------------- *)
 
@@ -382,8 +389,10 @@ let test_monitor_thread_drives_registry () =
               !counter)
         in
         let loop =
-          Adaptive.create ~name:"passive" ~home:0 ~sensor
-            ~policy:Policy.no_op ()
+          Adaptive.create ~name:"passive" ~spec:(toy_spec ()) ~home:0 ~sensor
+            ~read:(fun () -> 0)
+            ~apply:(fun _ -> true)
+            ~metric:Fun.id ()
         in
         let mt =
           Monitoring.Monitor_thread.start_registry ~proc:7
@@ -468,7 +477,6 @@ let suite =
     Alcotest.test_case "semaphore budget adapts" `Quick
       test_adaptive_semaphore_budget_adapts;
     Alcotest.test_case "guard streaks" `Quick test_policy_guard_streaks;
-    Alcotest.test_case "guarded combinator" `Quick test_policy_guarded_combinator;
     Alcotest.test_case "monitor drives registry" `Quick
       test_monitor_thread_drives_registry;
     Alcotest.test_case "watchdog tracks adaptations" `Quick

@@ -1,8 +1,8 @@
 (* Tests of the declarative policy IR (Spec validate/compile) and the
    static policy checker: shipped specs verify clean, seeded-bad
    fixtures are flagged, the compiled interpreter honours hysteresis
-   streaks across config changes and failed applies, and the
-   with_hysteresis/guard-cooldown interaction stays pinned. *)
+   streaks across config changes and failed applies, and the guard's
+   cooldown edges stay pinned. *)
 
 open Butterfly
 module Policy = Adaptive_core.Policy
@@ -223,120 +223,6 @@ let test_constructor_threshold_validation () =
   Alcotest.(check bool) "semaphore spec thrashes" true
     (thrashes (Cthreads.Adaptive_semaphore.policy_spec ~block_over:0 ()))
 
-(* -- with_hysteresis edge cases (need the virtual clock) -- *)
-
-let test_hysteresis_window_needs_successful_apply () =
-  let applied = ref 0 in
-  let decisions = ref [] in
-  let (_ : Sched.t) =
-    run (fun () ->
-        let ok = ref false in
-        let base _ =
-          Policy.reconfigure_checked ~label:"r" (fun () ->
-              if !ok then begin
-                incr applied;
-                true
-              end
-              else false)
-        in
-        let p = Policy.with_hysteresis ~min_gap:100_000 base in
-        let fire () =
-          match p 0 with
-          | Policy.Reconfigure { apply; _ } ->
-            decisions := (if apply () then "applied" else "lost") :: !decisions
-          | Policy.No_change -> decisions := "suppressed" :: !decisions
-        in
-        fire ();
-        (* the failed apply must not start the suppression window *)
-        Ops.work 10_000;
-        fire ();
-        ok := true;
-        Ops.work 10_000;
-        fire ();
-        (* now a success did land: the window suppresses this one *)
-        Ops.work 10_000;
-        fire ();
-        Ops.work 200_000;
-        fire ())
-  in
-  Alcotest.(check (list string))
-    "no-op applies never open the window"
-    [ "lost"; "lost"; "applied"; "suppressed"; "applied" ]
-    (List.rev !decisions);
-  Alcotest.(check int) "two applied" 2 !applied
-
-let test_min_gap_swallows_guard_fallback () =
-  (* Pin the min_gap x guard-cooldown interaction: a guard-ordered
-     fallback suppressed by the hysteresis window is consumed — the
-     guard starts its cooldown although nothing was applied — so the
-     fallback only lands after a fresh pathological streak outside the
-     window. *)
-  let spec =
-    {
-      Spec.s_name = "guarded";
-      s_kind = "fixture";
-      s_attribute = "guarded.attr";
-      s_metric = "m";
-      s_monotone = Spec.Up_at_high;
-      s_configs = [ { Spec.c_name = "lo"; c_value = 0 }; { Spec.c_name = "hi"; c_value = 1 } ];
-      s_initial = 0;
-      s_transitions =
-        [ trans 0 (Spec.cond 5 ~hi:9) 1 "up"; trans 1 (Spec.cond 0 ~hi:1) 0 "down" ];
-      s_guard =
-        Some
-          {
-            Spec.g_clamp_lo = 0;
-            g_clamp_hi = 10;
-            g_wedge = None;
-            g_limit = 2;
-            g_cooldown = 2;
-            g_fallback = 0;
-            g_fallback_label = "fallback";
-            g_fallback_cost = cost;
-          };
-    }
-  in
-  let seen = ref [] in
-  let (_ : Sched.t) =
-    run (fun () ->
-        let cfgv = ref 0 in
-        let p =
-          Policy.with_hysteresis ~min_gap:100_000
-            (Spec.compile spec
-               ~read:(fun () -> !cfgv)
-               ~apply:(fun v ->
-                 cfgv := v;
-                 true)
-               ~metric:(fun (m : int) -> m))
-        in
-        let feed m =
-          (match p m with
-          | Policy.Reconfigure { label; apply; _ } ->
-            ignore (apply () : bool);
-            seen := label :: !seen
-          | Policy.No_change -> seen := "-" :: !seen);
-          Ops.work 1_000
-        in
-        (* a normal adaptation opens the suppression window *)
-        feed 7;
-        (* pathological streak (metric beyond the clamp) orders a
-           fallback... which the window swallows *)
-        feed 50;
-        feed 50;
-        (* guard is now cooling down: more pathology is ignored *)
-        feed 50;
-        feed 50;
-        (* cooldown over; rebuild the streak outside the window *)
-        Ops.work 200_000;
-        feed 50;
-        feed 50;
-        Alcotest.(check int) "fallback finally applied" 0 !cfgv)
-  in
-  Alcotest.(check (list string))
-    "window swallows the first fallback; cooldown defers the second"
-    [ "up"; "-"; "-"; "-"; "-"; "-"; "fallback" ]
-    (List.rev !seen)
-
 (* -- Policy.Guard cooldown edges -- *)
 
 let test_guard_cooldown_resumes () =
@@ -377,9 +263,5 @@ let suite =
     Alcotest.test_case "inert off-spec" `Quick test_compiled_inert_off_spec;
     Alcotest.test_case "constructor threshold validation" `Quick
       test_constructor_threshold_validation;
-    Alcotest.test_case "hysteresis window needs success" `Quick
-      test_hysteresis_window_needs_successful_apply;
-    Alcotest.test_case "min_gap swallows guard fallback" `Quick
-      test_min_gap_swallows_guard_fallback;
     Alcotest.test_case "guard cooldown resumes" `Quick test_guard_cooldown_resumes;
   ]
