@@ -5,11 +5,12 @@
    One [t] belongs to one [Sched.t]. The scheduler publishes it to the
    running domain via {!current} for the duration of [Sched.run];
    [Ops] wrappers read it to decide, per operation, whether the
-   current dispatch slice is in {e fast mode} — the single-runnable,
-   unobserved, fault-free regime in which a memory access or work
-   charge can be applied directly to these arrays instead of
-   performing an effect. Everything here is plain mutable state; all
-   synchronization discipline lives in [Sched]. *)
+   current dispatch slice is in {e fast mode}, and whether the
+   operation completes before the slice's {!limit}: the earliest
+   virtual time at which the dispatcher would run anything but this
+   thread. Such an operation is applied directly to these arrays
+   instead of performing an effect. Everything here is plain mutable
+   state; all synchronization discipline lives in [Sched]. *)
 
 (* Thread status codes for the [status] array. *)
 let st_ready = 0
@@ -24,11 +25,13 @@ type t = {
   mutable quantum : int;  (* [cfg.quantum_ns], [max_int] when None *)
   mutable max_events : int;
   mutable events : int;  (* the machine's canonical event count *)
-  mutable abort_set : bool;  (* mirrors [Sched.request_abort] *)
   (* The dispatch slice in progress: set by the scheduler around every
      fiber resumption. [fast] is true only while the slice is eligible
-     for direct charging (see [Sched.dispatch_thread]). *)
+     for direct charging (see [Sched.dispatch_thread]); [limit] is the
+     slice's lookahead bound: an operation may be charged directly only
+     if it completes strictly before it. *)
   mutable fast : bool;
+  mutable limit : int;
   mutable tid : int;
   mutable pid : int;
   (* Per-processor clocks, indexed by pid. Fixed size. *)
@@ -53,6 +56,11 @@ type t = {
   mutable acc_read : int;
   mutable acc_write : int;
   mutable acc_atomic : int;
+  (* The scheduler's access-bus emitter, [None] while the bus has no
+     subscriber: a fast memory charge hands it the address and kind
+     before advancing the clock, so subscribers see the same record at
+     the same time as on the effect path. *)
+  mutable on_access : (Memory.addr -> Memory.access -> unit) option;
 }
 
 let dummy_cfg = { Config.default with Config.processors = 1 }
@@ -66,8 +74,8 @@ let create ~(cfg : Config.t) ~mem =
     quantum = (match cfg.Config.quantum_ns with Some q -> q | None -> max_int);
     max_events = cfg.Config.max_events;
     events = 0;
-    abort_set = false;
     fast = false;
+    limit = 0;
     tid = -1;
     pid = 0;
     pnow = Array.make p 0;
@@ -86,6 +94,7 @@ let create ~(cfg : Config.t) ~mem =
     acc_read = 0;
     acc_write = 0;
     acc_atomic = 0;
+    on_access = None;
   }
 
 (* Grow every per-thread array so [tid] is a valid index. *)

@@ -3,7 +3,9 @@
     The scheduler's hot per-processor and per-thread scalars live here
     as unboxed int arrays (one [t] per machine), and the domain-local
     {!current} binding is how [Ops]'s zero-effect fast paths find the
-    machine whose dispatch slice is executing. This module is
+    machine whose dispatch slice is executing. A fast slice charges an
+    operation directly when it completes strictly before the slice's
+    [limit]: the dispatcher would pick the same thread again anyway. This module is
     plumbing between the two; simulated code and experiment drivers
     never touch it directly — the public switches are re-exported as
     [Sched.set_fast_paths] and [Sched.set_op_fusion]. *)
@@ -22,9 +24,12 @@ type t = {
   mutable quantum : int;  (** [cfg.quantum_ns], [max_int] when [None] *)
   mutable max_events : int;
   mutable events : int;  (** the machine's canonical event count *)
-  mutable abort_set : bool;  (** mirrors [Sched.request_abort] *)
   mutable fast : bool;
       (** the dispatch slice in progress may charge directly *)
+  mutable limit : int;
+      (** the slice's lookahead bound: the earliest of the next time
+          another processor would be dispatched, the next fault timer
+          and the quantum boundary; fixed for the slice *)
   mutable tid : int;  (** thread being dispatched, -1 between slices *)
   mutable pid : int;  (** its processor *)
   pnow : int array;  (** per-processor clock, indexed by pid *)
@@ -44,6 +49,9 @@ type t = {
   mutable acc_read : int;
   mutable acc_write : int;
   mutable acc_atomic : int;
+  mutable on_access : (Memory.addr -> Memory.access -> unit) option;
+      (** the access-bus emitter, [None] with no subscriber; called by a
+          fast memory charge before the clock advances *)
 }
 
 val create : cfg:Config.t -> mem:Memory.t -> t

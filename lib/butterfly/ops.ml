@@ -46,23 +46,29 @@ type _ Effect.t +=
      op's linearization point are identical — fusion only removes the
      intermediate continuation captures. Payload fields:
      [E_lock_probe (word, pre_instrs, retry_instrs, gap_ns, until)],
-     [E_read_hint (addr, pre_ns, gap_ns, expect)]. *)
+     [E_read_hint (addr, pre_ns, gap_ns, expect)], and the retry tail of
+     a failed probe, [E_probe_retry (retry_instrs, gap_ns)]. *)
   | E_lock_probe : Memory.addr * int * int * int * int -> probe_result Effect.t
   | E_read_hint : Memory.addr * int * int * int -> int Effect.t
+  | E_probe_retry : int * int -> probe_result Effect.t
 
 (* {2 Fast paths}
 
    When the scheduler marks the current dispatch slice as fast
-   ([Mstate.fast] — single runnable processor, no hooks, no timers, no
-   control, no pending abort), memory and work charges are applied
-   directly to the flat machine state instead of performing an effect:
-   no continuation capture, no handler round trip, no dispatch. Each
-   fast charge replicates exactly what its effect would have done —
-   same clock advance, same event count, same counter totals (batched
-   in accumulators folded at slice end), same bank occupancy — and
-   bails out to the effect whenever the operation could be observed
-   differently: a preemption-quantum boundary, the event-limit
-   boundary, an unallocated address, a pending abort. *)
+   ([Mstate.fast] — no schedule control, no pending abort), a memory or
+   work charge that completes strictly before the slice's
+   [Mstate.limit] is applied directly to the flat machine state instead
+   of performing an effect: no continuation capture, no handler round
+   trip, no dispatch. The limit is the lookahead bound the dispatcher
+   computed for the slice: before it, the dispatcher would pick this
+   same thread again, with no fault timer due and no quantum expiry in
+   between, so each fast charge stands for exactly one dispatch. It
+   replicates what its effect would have done — same clock advance,
+   same event count, same access record to access subscribers, same
+   counter totals (batched in accumulators folded at slice end), same
+   bank occupancy — and bails out to the effect whenever the operation
+   would reach the limit, the event-limit boundary or an unallocated
+   address. *)
 
 (* [st.tid]/[st.pid] are set by the dispatcher from in-range values,
    so the per-op accumulator bumps skip the bounds checks. *)
@@ -77,14 +83,12 @@ let[@inline] fast_charge (st : Mstate.t) ns =
   st.events <- st.events + 1;
   st.acc_events <- st.acc_events + 1
 
-(* Charge [ns] of pure computation if the slice stays clear of the
-   quantum and event-limit boundaries; false = caller performs the
-   effect. *)
+(* Charge [ns] of pure computation if it completes before the slice's
+   limit and the event limit; false = caller performs the effect. *)
 let fast_work (st : Mstate.t) ns =
   st.fast
-  && Array.unsafe_get st.slice st.pid + ns < st.quantum
+  && Array.unsafe_get st.pnow st.pid + ns < st.limit
   && st.events < st.max_events
-  && (not st.abort_set)
   && begin
        fast_charge st ns;
        true
@@ -92,20 +96,20 @@ let fast_work (st : Mstate.t) ns =
 
 (* Charge one memory access (timing only); the caller then applies the
    word operation itself. [Memory.try_reserve] books the access only
-   if its duration stays inside the quantum's remaining budget. *)
+   if it completes before the slice's limit. *)
 let fast_mem (st : Mstate.t) a kind =
   st.fast
   && st.events < st.max_events
-  && (not st.abort_set)
   && begin
        let pid = st.pid in
+       let pnow = Array.unsafe_get st.pnow pid in
        let ns =
-         Memory.try_reserve st.mem st.cfg ~from_node:pid a kind
-           ~start:(Array.unsafe_get st.pnow pid)
-           ~budget:(st.quantum - Array.unsafe_get st.slice pid)
+         Memory.try_reserve st.mem st.cfg ~from_node:pid a kind ~start:pnow
+           ~budget:(st.limit - pnow)
        in
        ns >= 0
        && begin
+            (match st.on_access with None -> () | Some emit -> emit a kind);
             fast_charge st ns;
             true
           end
@@ -217,41 +221,83 @@ let trace msg = Effect.perform (E_trace msg)
    read [a], and charge a [gap_ns] wait when the value still equals
    [expect].
 
-   In fast mode (or with fusion disabled) both decompose into the
-   component wrappers above, which is the defining sequence — so the
-   fused encoding is unobservable by construction, and toggling
+   Both charge their components directly while they fit in a fast
+   slice. The first component that does not fit performs the fused
+   effect for the rest of the sequence ([E_lock_probe] with no entry
+   overhead once that is charged, [E_probe_retry] for the retry tail,
+   a plain [E_work] for a lone backoff); with fusion disabled it
+   performs the component's own effect and the sequence goes on
+   decomposed. Every route is the defining sequence — so the fused
+   encoding is unobservable by construction, and toggling
    [Mstate.set_op_fusion] must never change a simulated outcome. *)
 
-let lock_probe_timed ?(pre_instrs = 0) ?(retry_instrs = 0) ?(gap_ns = 0) ~until a =
-  let st = Mstate.get () in
-  if (not st.Mstate.fast) && Mstate.op_fusion_enabled () then
-    Effect.perform (E_lock_probe (a, pre_instrs, retry_instrs, gap_ns, until))
+(* The tail of a probe once its test-and-set returned [prev]. *)
+let probe_after (st : Mstate.t) prev ~retry_instrs ~gap_ns ~until =
+  if prev = 0 then Probe_acquired
+  else if until >= 0 && now () >= until then Probe_expired
   else begin
-    work_instrs pre_instrs;
-    if test_and_set a then Probe_acquired
-    else if until >= 0 && now () >= until then Probe_expired
+    let retry_ns = Config.instrs st.cfg retry_instrs in
+    if retry_ns > 0 && not (fast_work st retry_ns) then
+      if gap_ns > 0 && Mstate.op_fusion_enabled () then
+        Effect.perform (E_probe_retry (retry_instrs, gap_ns))
+      else begin
+        Effect.perform (E_work_instrs retry_instrs);
+        work gap_ns;
+        Probe_retrying
+      end
     else begin
-      work_instrs retry_instrs;
       work gap_ns;
       Probe_retrying
     end
   end
 
+let probe_tas (st : Mstate.t) a ~retry_instrs ~gap_ns ~until =
+  if fast_mem st a Memory.Atomic_access then begin
+    st.acc_atomic <- st.acc_atomic + 1;
+    probe_after st (Memory.fast_fetch_and_or st.mem a 1) ~retry_instrs ~gap_ns ~until
+  end
+  else if Mstate.op_fusion_enabled () then
+    Effect.perform (E_lock_probe (a, 0, retry_instrs, gap_ns, until))
+  else probe_after st (Effect.perform (E_fetch_and_or (a, 1))) ~retry_instrs ~gap_ns ~until
+
+let lock_probe_timed ?(pre_instrs = 0) ?(retry_instrs = 0) ?(gap_ns = 0) ~until a =
+  let st = Mstate.get () in
+  let pre_ns = Config.instrs st.cfg pre_instrs in
+  if pre_ns > 0 && not (fast_work st pre_ns) then
+    if Mstate.op_fusion_enabled () then
+      Effect.perform (E_lock_probe (a, pre_instrs, retry_instrs, gap_ns, until))
+    else begin
+      Effect.perform (E_work_instrs pre_instrs);
+      probe_tas st a ~retry_instrs ~gap_ns ~until
+    end
+  else probe_tas st a ~retry_instrs ~gap_ns ~until
+
 let lock_probe ?(pre_instrs = 0) ?(retry_instrs = 0) ?(gap_ns = 0) a =
   lock_probe_timed ~pre_instrs ~retry_instrs ~gap_ns ~until:(-1) a = Probe_acquired
 
+let hint_after v ~gap_ns ~expect =
+  if gap_ns > 0 && v = expect then work gap_ns;
+  v
+
+let hint_read (st : Mstate.t) a ~gap_ns ~expect =
+  if fast_mem st a Memory.Read_access then begin
+    st.acc_read <- st.acc_read + 1;
+    hint_after (Memory.fast_read st.mem a) ~gap_ns ~expect
+  end
+  else if gap_ns > 0 && Mstate.op_fusion_enabled () then
+    Effect.perform (E_read_hint (a, 0, gap_ns, expect))
+  else hint_after (Effect.perform (E_read a)) ~gap_ns ~expect
+
 let read_hint ?(pre_ns = 0) ?(gap_ns = 0) ~expect a =
   let st = Mstate.get () in
-  if (not st.Mstate.fast)
-     && (pre_ns > 0 || gap_ns > 0)
-     && Mstate.op_fusion_enabled ()
-  then Effect.perform (E_read_hint (a, pre_ns, gap_ns, expect))
-  else begin
-    work pre_ns;
-    let v = read a in
-    if gap_ns > 0 && v = expect then work gap_ns;
-    v
-  end
+  if pre_ns > 0 && not (fast_work st pre_ns) then
+    if Mstate.op_fusion_enabled () then
+      Effect.perform (E_read_hint (a, pre_ns, gap_ns, expect))
+    else begin
+      Effect.perform (E_work pre_ns);
+      hint_read st a ~gap_ns ~expect
+    end
+  else hint_read st a ~gap_ns ~expect
 
 (* Zero-subscriber fast path. The scheduler records here, per domain,
    whether the machine currently running has any annotation

@@ -87,6 +87,10 @@ type _ Effect.t +=
   | E_read_hint : Memory.addr * int * int * int -> int Effect.t
       (** [(addr, pre_ns, gap_ns, expect)]; one fused hint-spin
           iteration (see {!read_hint}). *)
+  | E_probe_retry : int * int -> probe_result Effect.t
+      (** [(retry_instrs, gap_ns)]; the retry tail of a failed probe
+          whose test-and-set was charged directly, answering
+          [Probe_retrying]. *)
 
 (** {1 Memory} *)
 
@@ -131,10 +135,12 @@ val now : unit -> int
 (** {1 Fused operations}
 
     One spin-loop iteration as a single effect. Semantically these are
-    {e exactly} their decomposed sequences (which is what they execute
-    in fast mode or with fusion disabled — see [Sched.set_op_fusion]);
-    the fused encoding only cuts the number of continuation captures
-    per iteration from up to four to one. *)
+    {e exactly} their decomposed sequences. In a fast slice they charge
+    their components directly while they fit, and the first component
+    that does not fit performs one fused effect for the rest; with
+    fusion disabled (see [Sched.set_op_fusion]) it performs the
+    component's own effect. The fused encoding only cuts the number of
+    continuation captures per iteration from up to four to one. *)
 
 val lock_probe_timed :
   ?pre_instrs:int -> ?retry_instrs:int -> ?gap_ns:int -> until:int ->

@@ -158,9 +158,10 @@ type t = {
   keys : int array;
       (* per processor, the virtual time its next runnable thread would
          start, [max_int] when it has none; kept current by [refresh] *)
-  mutable nrunnable : int;  (* processors whose key is not [max_int] *)
   mutable pick_key : int;  (* dispatch key of the last [pick] *)
-  mutable runnable : int;  (* [nrunnable] as the last [pick] saw it *)
+  mutable horizon : int;
+      (* lookahead of the last [pick]: the dispatched processor is picked
+         again while its clock stays below this *)
   timers : (int * int * (unit -> unit)) Engine.Pqueue.t;
       (* host-side virtual-time callbacks (fault injection), keyed by
          due time, carrying (time, insertion sequence, callback) so
@@ -212,9 +213,8 @@ let create (cfg : Config.t) =
     final = 0;
     place_cursor = 0;
     keys = Array.make cfg.processors max_int;
-    nrunnable = 0;
     pick_key = max_int;
-    runnable = 0;
+    horizon = 0;
     timers = Engine.Pqueue.create ~dummy:(0, 0, fun () -> ()) ();
     timer_seq = 0;
     abort = None;
@@ -260,8 +260,29 @@ let trace_hook_count t = List.length t.trace_hooks
 let add_event_hook t hook = t.event_hooks <- t.event_hooks @ [ hook ]
 let clear_event_hooks t = t.event_hooks <- []
 let event_hook_count t = List.length t.event_hooks
-let add_access_hook t hook = t.access_hooks <- t.access_hooks @ [ hook ]
-let clear_access_hooks t = t.access_hooks <- []
+let emit_access t ~time ~proc ~tid addr kind =
+  match t.access_hooks with
+  | [] -> ()
+  | hooks ->
+    let ev =
+      { access_time = time; access_proc = proc; access_tid = tid;
+        access_addr = addr; access_kind = kind }
+    in
+    List.iter (fun hook -> hook ev) hooks
+
+(* A fast memory charge emits through [Mstate.on_access], at the
+   slice's current clock, exactly what [mem_charge] emits. *)
+let add_access_hook t hook =
+  t.access_hooks <- t.access_hooks @ [ hook ];
+  let st = t.st in
+  st.on_access <-
+    Some
+      (fun addr kind ->
+        emit_access t ~time:st.pnow.(st.pid) ~proc:st.pid ~tid:st.tid addr kind)
+
+let clear_access_hooks t =
+  t.access_hooks <- [];
+  t.st.on_access <- None
 let access_hook_count t = List.length t.access_hooks
 let add_annot_hook t hook = t.annot_hooks <- t.annot_hooks @ [ hook ]
 let clear_annot_hooks t = t.annot_hooks <- []
@@ -276,16 +297,6 @@ let emit t ~time ~proc ~tid ~other kind =
   | [] -> ()
   | hooks ->
     let ev = { time; proc; tid; kind; other } in
-    List.iter (fun hook -> hook ev) hooks
-
-let emit_access t ~time ~proc ~tid addr kind =
-  match t.access_hooks with
-  | [] -> ()
-  | hooks ->
-    let ev =
-      { access_time = time; access_proc = proc; access_tid = tid;
-        access_addr = addr; access_kind = kind }
-    in
     List.iter (fun hook -> hook ev) hooks
 
 let thread_report t =
@@ -303,12 +314,35 @@ let current_thread t =
 
 let proc_of t th = t.procs.(t.st.tproc.(th.tid))
 
-(* Fold the fast-path accumulators into the real counter cells. Called
-   at the end of every dispatch slice (and on run teardown), before
-   anything outside the slice can observe the counters, so totals are
-   indistinguishable from the effect-per-op path. *)
+(* Append one tid to the schedule log: seven bits a byte, low group
+   first, high bit set on every byte but the last. *)
+let log_dispatch t tid =
+  if t.schedule_len + 9 > Bytes.length t.schedule_log then begin
+    (* room for the longest varint: 63 bits in 7-bit groups *)
+    let log = Bytes.create (Int.max 256 (2 * Bytes.length t.schedule_log)) in
+    Bytes.blit t.schedule_log 0 log 0 t.schedule_len;
+    t.schedule_log <- log
+  end;
+  let log = t.schedule_log and v = ref tid and n = ref t.schedule_len in
+  while !v >= 0x80 do
+    Bytes.set log !n (Char.chr (!v land 0x7f lor 0x80));
+    v := !v lsr 7;
+    incr n
+  done;
+  Bytes.set log !n (Char.chr !v);
+  t.schedule_len <- !n + 1
+
+(* Fold the fast-path accumulators into the real counter cells, and log
+   the slice's fast charges: each stands for one dispatch of the
+   slice's thread. Called at the end of every dispatch slice (and on
+   run teardown, which may cut a slice short), before anything outside
+   the slice can observe the counters or the schedule, so both are
+   indistinguishable from the effect-per-op path. Hooks that run inside
+   a slice read counter cells that lag its fast charges. *)
 let fold_accs t =
   let st = t.st in
+  if t.record_schedule then
+    for _ = 1 to st.acc_events do log_dispatch t st.tid done;
   t.c_events := !(t.c_events) + st.acc_events;
   t.c_read := !(t.c_read) + st.acc_read;
   t.c_write := !(t.c_write) + st.acc_write;
@@ -318,16 +352,14 @@ let fold_accs t =
   st.acc_write <- 0;
   st.acc_atomic <- 0
 
-(* Recompute a processor's entry in [t.keys] (and [t.nrunnable]) from
-   its slot, its run queue and its clock. Called wherever one of those
-   changes: the end of every dispatch, [make_ready], and the host-side
-   [kill_thread], [stall_processor] and [extract_thread]. *)
+(* Recompute a processor's entry in [t.keys] from its slot, its run
+   queue and its clock. Called wherever one of those changes: the end
+   of every dispatch, [make_ready], and the host-side [kill_thread],
+   [stall_processor] and [extract_thread]. *)
 let refresh t p =
   let wake = if p.cont >= 0 then t.st.wake_at.(p.cont) else Engine.Pqueue.peek_min_key p.runq in
   let key = if wake = max_int then max_int else Int.max t.st.pnow.(p.pid) wake in
-  let old = t.keys.(p.pid) in
-  t.keys.(p.pid) <- key;
-  t.nrunnable <- t.nrunnable + Bool.to_int (key < max_int) - Bool.to_int (old < max_int)
+  t.keys.(p.pid) <- key
 
 let make_ready t tid ~at =
   let st = t.st in
@@ -461,24 +493,32 @@ let machine_time t =
    All of these are host-side: the injector calls them from virtual-time
    timers (or annotation hooks), never from simulated code. On a
    machine with no timers and no penalties the scheduler's behaviour is
-   bit-for-bit the fault-free one. Each mutation also drops out of fast
-   mode for the slice in progress (if any): the conservative route is
-   the effect path, which observes host mutations at full fidelity. *)
+   bit-for-bit the fault-free one. Each mutation also voids the
+   lookahead: a hook can call one mid-slice or between [pick] and the
+   slice it chose, and the mutation may move that slice's limit or owe
+   its thread a stall at its next dispatch. So the slice in progress
+   (if any) leaves fast mode, and a slice about to start gets no
+   horizon; the next [pick] computes a fresh one. The conservative
+   route is the effect path, which observes host mutations at full
+   fidelity. *)
+
+let void_lookahead t =
+  t.st.fast <- false;
+  t.horizon <- 0
 
 let add_timer t ~at fn =
   if at < 0 then invalid_arg "Sched.add_timer: negative time";
   let seq = t.timer_seq in
   t.timer_seq <- seq + 1;
   Engine.Pqueue.add t.timers ~key:at (at, seq, fn);
-  t.st.fast <- false
+  void_lookahead t
 
 let pending_timers t = Engine.Pqueue.size t.timers
 
 let request_abort t reason =
   if t.abort = None then begin
     t.abort <- Some reason;
-    t.st.abort_set <- true;
-    t.st.fast <- false
+    void_lookahead t
   end
 
 let abort_requested t = t.abort
@@ -489,12 +529,14 @@ let stall_processor t ~proc ~ns =
   if ns < 0 then invalid_arg "Sched.stall_processor: negative stall";
   t.st.pnow.(proc) <- t.st.pnow.(proc) + ns;
   t.st.slice.(proc) <- 0;
+  void_lookahead t;
   refresh t t.procs.(proc)
 
 let penalize_thread t ~tid ~ns =
   if ns < 0 then invalid_arg "Sched.penalize_thread: negative penalty";
   if tid >= 0 && tid < t.next_tid && t.st.status.(tid) <> Mstate.st_finished then begin
     t.st.penalty.(tid) <- t.st.penalty.(tid) + ns;
+    void_lookahead t;
     true
   end
   else false
@@ -513,7 +555,7 @@ let kill_thread t ~tid ~at =
     else begin
       th.pending <- P_none;
       t.st.work_left.(tid) <- 0;
-      t.st.fast <- false;
+      void_lookahead t;
       Array.iter
         (fun p -> if p.cont = tid then begin p.cont <- -1; refresh t p end)
         t.procs;
@@ -542,6 +584,14 @@ let mem_charge t th p ~kind addr =
     Memory.reserve t.mem t.cfg ~from_node:p.pid addr (mem_access_kind kind) ~start:pnow
   in
   complete - pnow
+
+(* The retry tail of a failed probe: [retry] instructions of overhead
+   then a [gap] ns backoff, each charged at its own dispatch. *)
+let probe_retry t th p k ~retry ~gap =
+  let retry_ns = Config.instrs t.cfg retry in
+  if retry_ns > 0 then charge_work t th p ~ns:retry_ns (P_probe_gap (k, gap))
+  else if gap > 0 then charge_work t th p ~ns:gap (P_value (k, Ops.Probe_retrying))
+  else Effect.Deep.continue k Ops.Probe_retrying
 
 let handle_effect : type a. t -> a Effect.t -> ((a, unit) Effect.Deep.continuation -> unit) option =
  fun t eff ->
@@ -615,6 +665,11 @@ let handle_effect : type a. t -> a Effect.t -> ((a, unit) Effect.Deep.continuati
         else
           let ns = mem_charge t th p ~kind:`Read addr in
           charge_and_resume t th p ~ns (P_hint_val (k, addr, gap, expect)))
+  | Ops.E_probe_retry (retry, gap) ->
+    Some
+      (fun k ->
+        let th = current_thread t in
+        probe_retry t th (proc_of t th) k ~retry ~gap)
   | Ops.E_alloc (node, n) ->
     Some
       (fun k ->
@@ -849,12 +904,7 @@ let resume t th p pend =
     if prev = 0 then Effect.Deep.continue k Ops.Probe_acquired
     else if until >= 0 && t.st.pnow.(p.pid) >= until then
       Effect.Deep.continue k Ops.Probe_expired
-    else begin
-      let retry_ns = Config.instrs t.cfg retry in
-      if retry_ns > 0 then charge_work t th p ~ns:retry_ns (P_probe_gap (k, gap))
-      else if gap > 0 then charge_work t th p ~ns:gap (P_value (k, Ops.Probe_retrying))
-      else Effect.Deep.continue k Ops.Probe_retrying
-    end
+    else probe_retry t th p k ~retry ~gap
   | P_probe_gap (k, gap) ->
     if gap > 0 then charge_work t th p ~ns:gap (P_value (k, Ops.Probe_retrying))
     else Effect.Deep.continue k Ops.Probe_retrying
@@ -871,67 +921,60 @@ let resume t th p pend =
    deterministic. Returns its id, or -1 when no processor has a
    runnable thread. Leaves the dispatch key (the global next virtual
    time, so the run loop can fire due fault timers first) in
-   [t.pick_key], and the number of processors with a runnable thread
-   in [t.runnable]. A scan of the maintained [t.keys]: no processor
-   record is read and nothing is allocated per dispatch. *)
+   [t.pick_key], and in [t.horizon] the earliest clock at which the
+   winner would lose the tie-break: a processor below it wins at its
+   own key, one above it only past its key. A scan of the maintained
+   [t.keys]: no processor record is read and nothing is allocated per
+   dispatch. *)
 let pick t =
   let keys = t.keys in
-  let best_key = ref max_int and best_pid = ref (-1) in
+  let best_key = ref max_int and best_pid = ref (-1) and horizon = ref max_int in
   for pid = 0 to Array.length keys - 1 do
     let key = Array.unsafe_get keys pid in
     if key < !best_key then begin
+      (* every processor scanned so far is below the new winner; the
+         old winner holds their least key *)
+      horizon := !best_key;
       best_key := key;
       best_pid := pid
     end
+    else if key < !horizon then horizon := key + 1
   done;
   t.pick_key <- !best_key;
-  t.runnable <- t.nrunnable;
+  t.horizon <- !horizon;
   !best_pid
 
 (* May the dispatch slice about to start charge directly (no effects)?
-   Only when nothing can observe or perturb the machine mid-slice:
-   no subscriber on any instrumentation bus, no pending fault timer or
-   abort, no schedule control, and every *other* processor idle — a
-   fast op advances only this processor's clock, so any runnable thread
-   elsewhere could interleave in virtual time and must see the effect
-   path. [pick] counted the processors with a runnable thread, the
-   dispatched one among them, so "the others are idle" is a count of
-   one. (Threads queued on this same processor don't disqualify it:
-   execution is non-preemptive and the quantum guard in [Ops] bails out
-   before any preemption point.) Idleness of the other processors is
-   stable for the duration of the slice because every op that could
-   wake another processor — fork, wakeup, finish — suspends the fiber
-   and ends the slice. *)
+   Only when the default pick decides every dispatch: no schedule
+   control, no chooser, no pending abort. Which operations then qualify
+   is the slice's limit (see [slice_limit]): a fast op advances only
+   this processor's clock, and it is charged directly only if the
+   dispatcher would pick this thread again when it completes.
+   Observers do not disqualify a slice: a fast memory charge emits its
+   access record, the schedule log gains one entry per fast charge at
+   slice end, and annotation and trace effects continue the fiber in
+   place as they do on any slice. *)
 let slice_fast_ok t =
-  t.runnable = 1
-  && Mstate.fast_paths_enabled ()
-  && (match t.event_hooks with [] -> true | _ -> false)
-  && (match t.access_hooks with [] -> true | _ -> false)
-  && (match t.annot_hooks with [] -> true | _ -> false)
-  && (match t.trace_hooks with [] -> true | _ -> false)
-  && Engine.Pqueue.size t.timers = 0
+  Mstate.fast_paths_enabled ()
   && (match t.abort with None -> true | Some _ -> false)
   && (match t.control with [] -> true | _ -> false)
   && (match t.chooser with None -> true | Some _ -> false)
-  && not t.record_schedule
 
-(* Append one tid to the schedule log: seven bits a byte, low group
-   first, high bit set on every byte but the last. *)
-let log_dispatch t tid =
-  if t.schedule_len + 9 > Bytes.length t.schedule_log then begin
-    (* room for the longest varint: 63 bits in 7-bit groups *)
-    let log = Bytes.create (Int.max 256 (2 * Bytes.length t.schedule_log)) in
-    Bytes.blit t.schedule_log 0 log 0 t.schedule_len;
-    t.schedule_log <- log
-  end;
-  let log = t.schedule_log and v = ref tid and n = ref t.schedule_len in
-  while !v >= 0x80 do
-    Bytes.set log !n (Char.chr (!v land 0x7f lor 0x80));
-    v := !v lsr 7;
-    incr n
-  done;
-  Bytes.set log !n (Char.chr !v);
-  t.schedule_len <- !n + 1
+(* The lookahead bound of a slice starting at [start] on processor
+   [pid]: the earliest of [pick]'s horizon, the next fault timer and
+   the quantum boundary. Below it, the dispatcher would run this thread
+   again with nothing in between — another processor's thread, a timer
+   or a preemption — so each operation that completes before it can be
+   charged as its own dispatch would have charged it. The bound holds
+   for the whole slice: the other processors' keys change only at a
+   suspension, which ends the slice, or by a host-side mutation, which
+   ends fast mode; and [start + quantum - slice] moves with neither
+   clock nor slice, since a fast charge advances both alike. *)
+let slice_limit t pid start =
+  let st = t.st in
+  let room = st.quantum - st.slice.(pid) in
+  let quantum_end = if room > max_int - start then max_int else start + room in
+  Int.min (Int.min t.horizon (Engine.Pqueue.peek_min_key t.timers)) quantum_end
 
 (* Run one slice of thread [tid], already taken from [p]'s slot or run
    queue, then refresh [p]'s dispatch key: the slice moved its clock and
@@ -984,6 +1027,7 @@ let dispatch_thread t p tid =
       st.tid <- tid;
       st.pid <- pid;
       st.fast <- slice_fast_ok t;
+      if st.fast then st.limit <- slice_limit t pid start;
       (match th.pending with
       | P_none -> assert false
       | P_start fn ->
@@ -1018,9 +1062,15 @@ let dispatch t p =
    thread goes next — so any controlled schedule is a schedule the
    machine could have taken. *)
 
-let set_schedule_control t decisions = t.control <- decisions
+let set_schedule_control t decisions =
+  t.control <- decisions;
+  void_lookahead t
+
 let schedule_control_remaining t = List.length t.control
-let set_dispatch_chooser t chooser = t.chooser <- chooser
+
+let set_dispatch_chooser t chooser =
+  t.chooser <- chooser;
+  void_lookahead t
 
 let set_record_schedule t flag =
   t.record_schedule <- flag;
@@ -1308,9 +1358,9 @@ let run ?(main_name = "main") t main =
                   match t.control with
                   | _ :: rest -> t.control <- rest
                   | [] -> ());
-                (* No [pick] counted the runnable processors for this
-                   dispatch: keep its slice off the fast path. *)
-                t.runnable <- 0;
+                (* No [pick] set a horizon for this dispatch: admit no
+                   direct charge in its slice. *)
+                t.horizon <- 0;
                 if extract_thread t p tid then dispatch_thread t p tid
                 else t.control_diverged <- true)
           | None -> no_runnable ()

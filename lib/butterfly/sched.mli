@@ -150,12 +150,16 @@ val events_executed : t -> int
     the determinism test suite asserts exactly that. Both default on. *)
 
 val set_fast_paths : bool -> unit
-(** Allow dispatch slices to charge eligible operations directly on
-    flat machine state instead of performing an effect per operation.
-    A slice is eligible only when nothing can observe or perturb the
-    machine mid-slice: no instrumentation subscriber, no pending fault
-    timer or abort, no schedule control, and every other processor
-    idle. Global (all machines, all domains). *)
+(** Allow dispatch slices to charge operations directly on flat
+    machine state instead of performing an effect per operation. A
+    slice is eligible when the default pick decides every dispatch (no
+    schedule control or chooser, no pending abort), and an operation
+    qualifies when it completes before the slice's lookahead limit:
+    the earliest of the next time another processor would be
+    dispatched, the next fault timer and the quantum boundary.
+    Subscribers see the same streams either way, except that counter
+    cells read from inside a slice lag its direct charges: they are
+    folded at slice end. Global (all machines, all domains). *)
 
 val fast_paths_enabled : unit -> bool
 
@@ -254,6 +258,11 @@ type access = {
 }
 
 val add_access_hook : t -> (access -> unit) -> unit
+(** Subscribe an access observer. It must only observe: on a fast
+    slice the access is already booked when the hook runs, so a hook
+    that mutated the machine would act after the access instead of
+    before it. *)
+
 val clear_access_hooks : t -> unit
 val access_hook_count : t -> int
 

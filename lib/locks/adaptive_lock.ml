@@ -13,27 +13,6 @@ type t = {
   guard : Policy.Guard.t option;
 }
 
-(* The guardrail half of the policy spec: clamp observations into
-   [0, clamp_max], treat "budget wedged at pure blocking while waiters
-   pile past the threshold" as pathological, and fall back to the
-   default combined configuration after a streak. *)
-let guard_spec ~(params : params) ~(gparams : Guardrail.params) ~init =
-  {
-    Policy.Spec.g_clamp_lo = 0;
-    g_clamp_hi = gparams.Guardrail.clamp_max;
-    g_wedge =
-      Some
-        {
-          Policy.Spec.w_configs = [ 0 ];
-          w_cond = Policy.Spec.cond (params.waiting_threshold + 1);
-        };
-    g_limit = gparams.Guardrail.pathological_limit;
-    g_cooldown = gparams.Guardrail.cooldown;
-    g_fallback = init;
-    g_fallback_label = "guardrail-fallback";
-    g_fallback_cost = Lock_costs.configure_waiting_policy;
-  }
-
 (* The paper's [simple-adapt] (optionally guardrailed) as a
    declarative spec — what the static policy checker inspects and what
    [create] compiles into the running policy, so the two cannot
@@ -46,10 +25,18 @@ let policy_spec ?(params = default_params) ?guardrail ?name ?attribute () =
   match guardrail with
   | None -> spec
   | Some gparams ->
+    (* Budget wedged at pure blocking while waiters pile past the
+       threshold is pathological; the fallback is the default combined
+       configuration. *)
+    let wedge =
+      { Policy.Spec.w_configs = [ 0 ]; w_cond = Policy.Spec.cond (params.waiting_threshold + 1) }
+    in
     {
       spec with
       Policy.Spec.s_guard =
-        Some (guard_spec ~params ~gparams ~init:spec.Policy.Spec.s_initial);
+        Some
+          (Guardrail.spec gparams ~wedge:(Some wedge) ~fallback:spec.Policy.Spec.s_initial
+             ~label:"guardrail-fallback" ~cost:Lock_costs.configure_waiting_policy);
     }
 
 let create ?name ?trace ?sched ?(params = default_params) ?guardrail ~home () =

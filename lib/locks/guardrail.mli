@@ -29,8 +29,9 @@
 
     Guardrails are opt-in ({!Adaptive_lock.create}'s [?guardrail]):
     with none installed the adaptive lock behaves bit-for-bit as
-    before. This module holds only the lock-flavoured parameters; the
-    streak/cooldown state machine is [Adaptive_core.Policy.Guard]. *)
+    before. This module holds the lock-flavoured parameters and maps
+    them onto a spec's guard ({!spec}); the streak/cooldown state
+    machine is [Adaptive_core.Policy.Guard]. *)
 
 type params = {
   clamp_max : int;  (** samples clamped into [0, clamp_max] *)
@@ -40,6 +41,18 @@ type params = {
 
 val default_params : params
 (** clamp_max 64, pathological_limit 4, cooldown 8. *)
+
+val spec :
+  params ->
+  wedge:Adaptive_core.Policy.Spec.wedge option ->
+  fallback:int ->
+  label:string ->
+  cost:Adaptive_core.Cost.t ->
+  Adaptive_core.Policy.Spec.guard_spec
+(** The spec's guard for [params]: samples clamped into
+    [\[0, clamp_max\]], the given wedge, and after a pathological
+    streak a fallback to the configuration valued [fallback], labelled
+    [label] and charged [cost]. *)
 
 val create : ?params:params -> unit -> Adaptive_core.Policy.Guard.t
 (** The streak/cooldown state for [params], to share with the compiled

@@ -7,8 +7,6 @@ let create ~threshold ~n ~cap ~init =
   let init = Int.max 0 (Int.min cap init) in
   { threshold; n; cap; init; spins = init }
 
-let reset t = t.spins <- t.init
-
 let spins t = t.spins
 
 let mode_of ~cap v =
@@ -18,23 +16,11 @@ let mode_of ~cap v =
 
 let mode t = mode_of ~cap:t.cap t.spins
 
-let step t ~waiting =
-  let next =
-    if waiting = 0 then t.cap
-    else if waiting <= t.threshold then Int.min t.cap (t.spins + t.n)
-    else Int.max 0 (t.spins - (2 * t.n))
-  in
-  if next = t.spins then None
-  else begin
-    t.spins <- next;
-    Some next
-  end
-
 let set t v = t.spins <- Int.max 0 (Int.min t.cap v)
-let init t = t.init
 
-(* The same step rule as {!step}, as a pure function of the budget
-   value — used to enumerate the reachable configuration set. *)
+(* The paper's step rule, as a pure function of the budget value —
+   used to enumerate the reachable configurations and their
+   transitions. *)
 let step_value ~threshold ~n ~cap spins ~waiting =
   if waiting = 0 then cap
   else if waiting <= threshold then Int.min cap (spins + n)

@@ -1,9 +1,9 @@
-(** The state machine behind the paper's [simple-adapt] policy.
+(** The state behind the paper's [simple-adapt] policy.
 
     A saturating spin budget in [0, cap]: 0 denotes the pure-blocking
     configuration, [cap] (or more) pure spin, anything between a
-    combined spin-then-block lock. {!step} applies the paper's rule to
-    one observation of the waiting-thread count:
+    combined spin-then-block lock. The paper's rule, applied to one
+    observation of the waiting-thread count, lives in {!spec}:
 
     - waiting = 0: jump to [cap] (configure pure spin),
     - waiting <= threshold: budget += n,
@@ -23,14 +23,6 @@ val spins : t -> int
 val mode : t -> string
 (** ["pure spin"], ["pure blocking"] or ["combined(k)"]. *)
 
-val step : t -> waiting:int -> int option
-(** Feed one observation; [Some new_budget] when the budget changed
-    (a reconfiguration is due), [None] otherwise. *)
-
-val reset : t -> unit
-(** Return the budget to its initial (default combined) value — the
-    {!Guardrail} fallback target. *)
-
 val apply : t -> Waiting.t -> unit
 (** Write the waiting attributes corresponding to the current budget:
     pure spin disables sleeping and spins forever; otherwise the spin
@@ -38,10 +30,7 @@ val apply : t -> Waiting.t -> unit
 
 val set : t -> int -> unit
 (** Set the budget to an explicit value (clamped into [\[0, cap\]]) —
-    how the compiled {!spec} form drives the state machine. *)
-
-val init : t -> int
-(** The initial (default combined) budget, the {!reset} target. *)
+    how the compiled {!spec} drives it. *)
 
 val mode_of : cap:int -> int -> string
 (** {!mode} for an arbitrary budget value under the given cap. *)
@@ -57,7 +46,7 @@ val spec :
   Adaptive_core.Policy.Spec.t
 (** The [simple-adapt] state machine as a declarative policy spec:
     configurations are the budget values reachable from [init] under
-    {!step} (named by {!mode}), transitions carry the three threshold
+    the rule above (named by {!mode}), transitions carry the three threshold
     regions (waiting = 0 / 1..threshold / threshold+1..) and one
     waiting-policy reconfiguration cost each. Pure data — buildable
     outside any simulation, e.g. by the static policy checker. *)

@@ -163,20 +163,6 @@ let transitions ~(params : params) =
     t ~from:Blocking ~cond:queued ~target:Mcs;
   ]
 
-let guard_spec ~(gparams : Guardrail.params) =
-  {
-    Policy.Spec.g_clamp_lo = 0;
-    g_clamp_hi = gparams.Guardrail.clamp_max;
-    g_wedge = None;
-    g_limit = gparams.Guardrail.pathological_limit;
-    g_cooldown = gparams.Guardrail.cooldown;
-    (* The fallback is an implementation id, not a knob value: a
-       guardrailed ladder must land on a config the lock can run. *)
-    g_fallback = impl_id Tas;
-    g_fallback_label = "impl-guardrail-fallback";
-    g_fallback_cost = Lock_costs.swap_implementation;
-  }
-
 let policy_spec ?(params = default_params) ?(guardrail = default_guardrail)
     ?(name = "switch-lock") () =
   let module Spec = Policy.Spec in
@@ -194,7 +180,12 @@ let policy_spec ?(params = default_params) ?(guardrail = default_guardrail)
       ];
     s_initial = impl_id Tas;
     s_transitions = transitions ~params;
-    s_guard = Some (guard_spec ~gparams:guardrail);
+    (* The fallback is an implementation id, not a knob value: a
+       guardrailed ladder must land on a config the lock can run. *)
+    s_guard =
+      Some
+        (Guardrail.spec guardrail ~wedge:None ~fallback:(impl_id Tas)
+           ~label:"impl-guardrail-fallback" ~cost:Lock_costs.swap_implementation);
   }
 
 (* {1 Guard and waiting-count plumbing (as Lock_core)} *)

@@ -113,45 +113,65 @@ let test_sched_kind_change_keeps_queue () =
   | Some x -> check_int "now priority order" 2 x.Locks.Lock_sched.tid
   | None -> Alcotest.fail "expected a waiter")
 
-(* Spin-budget state machine (simple-adapt). *)
+(* Spin-budget state machine (simple-adapt), as the running objects
+   drive it: the compiled spec, fed one waiting count at a time. [feed]
+   returns the new budget when the policy reconfigured. *)
 
-let budget () = Locks.Spin_budget.create ~threshold:3 ~n:4 ~cap:16 ~init:4
+let budget () =
+  let spins = ref 4 in
+  let decide =
+    Adaptive_core.Policy.Spec.compile
+      (Locks.Spin_budget.spec ~threshold:3 ~n:4 ~cap:16 ~init:4 ())
+      ~read:(fun () -> !spins)
+      ~apply:(fun v ->
+        spins := v;
+        true)
+      ~metric:(fun (waiting : int) -> waiting)
+  in
+  let feed ~waiting =
+    match decide waiting with
+    | Adaptive_core.Policy.No_change -> None
+    | Adaptive_core.Policy.Reconfigure { apply; _ } ->
+      ignore (apply () : bool);
+      Some !spins
+  in
+  (spins, feed)
+
+let mode v = Locks.Spin_budget.mode_of ~cap:16 v
 
 let test_budget_zero_waiters_jumps_to_cap () =
-  let b = budget () in
-  check_bool "changed" true (Locks.Spin_budget.step b ~waiting:0 <> None);
-  check_int "at cap" 16 (Locks.Spin_budget.spins b);
-  check_string "pure spin" "pure spin" (Locks.Spin_budget.mode b)
+  let spins, feed = budget () in
+  check_bool "changed" true (feed ~waiting:0 <> None);
+  check_int "at cap" 16 !spins;
+  check_string "pure spin" "pure spin" (mode !spins)
 
 let test_budget_low_contention_increases () =
-  let b = budget () in
-  check_bool "increase" true (Locks.Spin_budget.step b ~waiting:2 = Some 8);
-  check_bool "again" true (Locks.Spin_budget.step b ~waiting:3 = Some 12);
-  check_string "combined" "combined(12)" (Locks.Spin_budget.mode b)
+  let spins, feed = budget () in
+  check_bool "increase" true (feed ~waiting:2 = Some 8);
+  check_bool "again" true (feed ~waiting:3 = Some 12);
+  check_string "combined" "combined(12)" (mode !spins)
 
 let test_budget_high_contention_decreases_to_blocking () =
-  let b = budget () in
-  check_bool "minus 2n" true (Locks.Spin_budget.step b ~waiting:10 = Some 0);
-  check_string "pure blocking" "pure blocking" (Locks.Spin_budget.mode b);
-  check_bool "no further change" true (Locks.Spin_budget.step b ~waiting:10 = None)
+  let spins, feed = budget () in
+  check_bool "minus 2n" true (feed ~waiting:10 = Some 0);
+  check_string "pure blocking" "pure blocking" (mode !spins);
+  check_bool "no further change" true (feed ~waiting:10 = None)
 
 let test_budget_saturates_at_cap () =
-  let b = budget () in
-  ignore (Locks.Spin_budget.step b ~waiting:0);
-  check_bool "no change at cap under low contention" true
-    (Locks.Spin_budget.step b ~waiting:1 = None)
+  let _, feed = budget () in
+  ignore (feed ~waiting:0);
+  check_bool "no change at cap under low contention" true (feed ~waiting:1 = None)
 
 let test_budget_apply_sets_attributes () =
   let (_ : Sched.t) =
     run (fun () ->
-        let b = budget () in
+        let b = Locks.Spin_budget.create ~threshold:3 ~n:4 ~cap:16 ~init:4 in
         let w = Locks.Waiting.combined ~spins:4 () in
-        ignore (Locks.Spin_budget.step b ~waiting:0);
+        Locks.Spin_budget.set b 16;
         Locks.Spin_budget.apply b w;
         check_int "spin forever" max_int (Adaptive_core.Attribute.get w.Locks.Waiting.spin_count);
         check_bool "no sleep" false (Adaptive_core.Attribute.get w.Locks.Waiting.sleep);
-        ignore (Locks.Spin_budget.step b ~waiting:10);
-        ignore (Locks.Spin_budget.step b ~waiting:10);
+        Locks.Spin_budget.set b 0;
         Locks.Spin_budget.apply b w;
         check_bool "sleep on" true (Adaptive_core.Attribute.get w.Locks.Waiting.sleep))
   in

@@ -297,7 +297,7 @@ let digest_program expired retried fast_seen () =
   Ops.delay 1_000_000;
   Ops.wakeup sleeper;
   List.iter Ops.join [ mutator; holder; prober; poller; sleeper; early ];
-  (* Alone on the machine: fast slices when nothing records the run. *)
+  (* Alone on the machine: fast slices, recorded or not. *)
   for i = 1 to 50 do
     Ops.write words.(i mod 4) (Ops.read words.((i + 1) mod 4) + i);
     Ops.work 3_000;
@@ -334,7 +334,7 @@ let test_pinned_digest () =
       check_bool "probes retried" true (retried > 0);
       check_bool "work debt preempted" true (counter "sched.preemptions" > 0);
       check_bool "threads blocked" true (counter "sched.blocks" >= 2);
-      check_bool "fast slices iff unrecorded" (not record) fast_seen;
+      check_bool "fast slices in both runs" true fast_seen;
       (* tids 5 and 6: a real block charges [block_ns], an absorbed
          token nothing *)
       let cpu tid = List.find_map (fun (t, _, c) -> if t = tid then Some c else None) in
