@@ -24,6 +24,10 @@ let cycles report = of_category Diag.Lock_order report
 let lints report = of_category Diag.Discipline report
 let clean report = report.diags = [] && report.aborted = None
 
+let sanitize ~names trace =
+  List.stable_sort Diag.compare
+    (Race.run ~names trace @ Lock_order.run ~names trace @ Discipline.run ~names trace)
+
 let check_trace cfg program =
   let sim = Sched.create cfg in
   let trace = Trace.attach sim in
@@ -47,20 +51,10 @@ let check_trace cfg program =
             (Printf.sprintf "the run deadlocked: %s" msg);
         ] )
   in
-  let name_table = Hashtbl.create 64 in
-  List.iter (fun (tid, name, _) -> Hashtbl.replace name_table tid name)
-    (Sched.thread_report sim);
-  let names tid =
-    match Hashtbl.find_opt name_table tid with
-    | Some n -> n
-    | None -> Printf.sprintf "t%d" tid
-  in
-  let diags =
-    Race.run ~names trace @ Lock_order.run ~names trace @ Discipline.run ~names trace
-    @ abort_diag
-  in
+  let names = Trace.thread_names sim in
+  let diags = List.merge Diag.compare (sanitize ~names trace) abort_diag in
   ( {
-      diags = List.stable_sort Diag.compare diags;
+      diags;
       events = Trace.events trace;
       accesses = Trace.accesses trace;
       aborted;

@@ -39,6 +39,10 @@ type report = {
           terminating normally *)
 }
 
+val sanitize : names:(int -> string) -> Trace.t -> Diag.t list
+(** The three sanitizers over a recorded run, findings sorted by
+    {!Diag.compare}: the one place the observed-trace passes run. *)
+
 val check : Butterfly.Config.t -> (unit -> unit) -> report
 
 val check_trace :

@@ -24,9 +24,95 @@ open Butterfly
    finding built on it comes from witness replay, not from the order
    itself. *)
 
-type key = int * int
+(* {2 Thread clocks over the hard edges}
 
-let key a = (Memory.node_of a, Memory.index_of a)
+   The one engine for the scheduler's edges, shared by this order and
+   by the observed race detector's happens-before (which adds only
+   release -> acquire on top). *)
+module Clocks = struct
+  type t = {
+    clocks : (int, Vclock.t) Hashtbl.t;
+    tokens : (int, int array Queue.t) Hashtbl.t;  (* pending wake-token snapshots *)
+    finished : (int, int array) Hashtbl.t;
+        (* epoch-collapse: a finished thread's clock survives only as
+           this one snapshot (for join edges); its live clock and
+           pending tokens are dropped so the state stays bounded by
+           live threads, not by every thread that ever ran *)
+  }
+
+  let create () =
+    { clocks = Hashtbl.create 64; tokens = Hashtbl.create 64; finished = Hashtbl.create 64 }
+
+  let clock t tid =
+    match Hashtbl.find_opt t.clocks tid with
+    | Some c -> c
+    | None ->
+      let c = Vclock.create () in
+      (* Own component starts at 1: "component 0 is known" must not
+         hold for threads that never synchronized. *)
+      Vclock.set c tid 1;
+      Hashtbl.replace t.clocks tid c;
+      c
+
+  let on_event t (ev : Sched.event) =
+    match ev.kind with
+    | Sched.Ev_fork ->
+      (* tid = child, other = parent: the child starts after the fork. *)
+      if ev.other >= 0 then begin
+        let pc = clock t ev.other in
+        let cc = clock t ev.tid in
+        Vclock.join cc (Vclock.snapshot pc);
+        Vclock.set cc ev.tid (Vclock.get cc ev.tid + 1);
+        Vclock.incr pc ev.other
+      end
+    | Sched.Ev_wakeup ->
+      (* tid = wakee, other = waker: everything the waker did is
+         visible to the wakee when it resumes. *)
+      if ev.other >= 0 then begin
+        let waker = clock t ev.other in
+        Vclock.join (clock t ev.tid) (Vclock.snapshot waker);
+        Vclock.incr waker ev.other
+      end
+    | Sched.Ev_token ->
+      (* A wakeup of a not-yet-blocked thread: the edge lands when the
+         token is absorbed, so snapshot the waker now. *)
+      if ev.other >= 0 then begin
+        let waker = clock t ev.other in
+        let q =
+          match Hashtbl.find_opt t.tokens ev.tid with
+          | Some q -> q
+          | None ->
+            let q = Queue.create () in
+            Hashtbl.replace t.tokens ev.tid q;
+            q
+        in
+        Queue.add (Vclock.snapshot waker) q;
+        Vclock.incr waker ev.other
+      end
+    | Sched.Ev_token_use -> (
+      match Hashtbl.find_opt t.tokens ev.tid with
+      | Some q when not (Queue.is_empty q) -> Vclock.join (clock t ev.tid) (Queue.pop q)
+      | Some _ | None -> ())
+    | Sched.Ev_join ->
+      (* tid = joiner, other = finished thread: join sees everything.
+         The target has usually finished already, so its clock lives
+         in the collapsed-snapshot table. *)
+      if ev.other >= 0 then begin
+        let snap =
+          match Hashtbl.find_opt t.finished ev.other with
+          | Some snap -> snap
+          | None -> Vclock.snapshot (clock t ev.other)
+        in
+        Vclock.join (clock t ev.tid) snap
+      end
+    | Sched.Ev_finish ->
+      Hashtbl.replace t.finished ev.tid (Vclock.snapshot (clock t ev.tid));
+      Hashtbl.remove t.clocks ev.tid;
+      Hashtbl.remove t.tokens ev.tid
+    | Sched.Ev_switch | Sched.Ev_preempt | Sched.Ev_block -> ()
+end
+
+type key = Trace.key
 
 (* An open critical section: the lock and the words its owner touched
    while inside (with a wrote-flag), recorded so the release can
@@ -34,10 +120,8 @@ let key a = (Memory.node_of a, Memory.index_of a)
 type cs = { cs_lock : key; cs_words : (key, bool) Hashtbl.t }
 
 type t = {
-  clocks : (int, Vclock.t) Hashtbl.t;
-  tokens : (int, int array Queue.t) Hashtbl.t;
-  finished : (int, int array) Hashtbl.t;
-  open_cs : (int, cs list) Hashtbl.t;  (* per thread, innermost first *)
+  clocks : Clocks.t;
+  open_cs : cs Trace.Held.t;  (* per thread, innermost first *)
   conflict_touch : (key * key, int array) Hashtbl.t;
       (* (lock, word) -> pointwise max of the release clocks of every
          closed section on [lock] that touched [word] *)
@@ -47,23 +131,13 @@ type t = {
 
 let create () =
   {
-    clocks = Hashtbl.create 64;
-    tokens = Hashtbl.create 64;
-    finished = Hashtbl.create 64;
-    open_cs = Hashtbl.create 64;
+    clocks = Clocks.create ();
+    open_cs = Trace.Held.create (fun cs -> cs.cs_lock);
     conflict_touch = Hashtbl.create 256;
     conflict_write = Hashtbl.create 256;
   }
 
-let clock_of t tid =
-  match Hashtbl.find_opt t.clocks tid with
-  | Some c -> c
-  | None ->
-    let c = Vclock.create () in
-    Vclock.set c tid 1;
-    Hashtbl.replace t.clocks tid c;
-    c
-
+let clock_of t tid = Clocks.clock t.clocks tid
 let epoch t tid = Vclock.get (clock_of t tid) tid
 let clock_get t tid comp_of = Vclock.get (clock_of t tid) comp_of
 let snapshot t tid = Vclock.snapshot (clock_of t tid)
@@ -93,88 +167,27 @@ let merge tbl cell snap =
 
 (* {2 Feeding the trace} *)
 
-let on_fork t ~parent ~child =
-  if parent >= 0 then begin
-    let pc = clock_of t parent in
-    let cc = clock_of t child in
-    Vclock.join cc (Vclock.snapshot pc);
-    Vclock.set cc child (Vclock.get cc child + 1);
-    Vclock.incr pc parent
-  end
-
 let on_event t (ev : Sched.event) =
-  match ev.kind with
-  | Sched.Ev_fork -> on_fork t ~parent:ev.other ~child:ev.tid
-  | Sched.Ev_wakeup ->
-    if ev.other >= 0 then begin
-      let waker = clock_of t ev.other in
-      Vclock.join (clock_of t ev.tid) (Vclock.snapshot waker);
-      Vclock.incr waker ev.other
-    end
-  | Sched.Ev_token ->
-    if ev.other >= 0 then begin
-      let waker = clock_of t ev.other in
-      let q =
-        match Hashtbl.find_opt t.tokens ev.tid with
-        | Some q -> q
-        | None ->
-          let q = Queue.create () in
-          Hashtbl.replace t.tokens ev.tid q;
-          q
-      in
-      Queue.add (Vclock.snapshot waker) q;
-      Vclock.incr waker ev.other
-    end
-  | Sched.Ev_token_use -> (
-    match Hashtbl.find_opt t.tokens ev.tid with
-    | Some q when not (Queue.is_empty q) -> Vclock.join (clock_of t ev.tid) (Queue.pop q)
-    | Some _ | None -> ())
-  | Sched.Ev_join ->
-    if ev.other >= 0 then begin
-      let snap =
-        match Hashtbl.find_opt t.finished ev.other with
-        | Some snap -> snap
-        | None -> Vclock.snapshot (clock_of t ev.other)
-      in
-      Vclock.join (clock_of t ev.tid) snap
-    end
-  | Sched.Ev_finish ->
-    Hashtbl.replace t.finished ev.tid (Vclock.snapshot (clock_of t ev.tid));
-    Hashtbl.remove t.clocks ev.tid;
-    Hashtbl.remove t.tokens ev.tid;
-    Hashtbl.remove t.open_cs ev.tid
-  | Sched.Ev_switch | Sched.Ev_preempt | Sched.Ev_block -> ()
+  Clocks.on_event t.clocks ev;
+  match ev.kind with Sched.Ev_finish -> Trace.Held.drop t.open_cs ev.tid | _ -> ()
 
 let on_acquire t ~tid ~lock =
   (* No release-clock join: that is exactly the HB edge this engine
      drops. The section opens and starts recording its word set. *)
-  let sections =
-    match Hashtbl.find_opt t.open_cs tid with Some l -> l | None -> []
-  in
-  Hashtbl.replace t.open_cs tid
-    ({ cs_lock = lock; cs_words = Hashtbl.create 8 } :: sections)
+  Trace.Held.push t.open_cs tid { cs_lock = lock; cs_words = Hashtbl.create 8 }
 
 let on_release t ~tid ~lock =
-  match Hashtbl.find_opt t.open_cs tid with
+  match Trace.Held.pop t.open_cs tid lock with
   | None -> ()
-  | Some sections ->
-    let rec split acc = function
-      | [] -> None
-      | cs :: rest when cs.cs_lock = lock -> Some (cs, List.rev_append acc rest)
-      | cs :: rest -> split (cs :: acc) rest
-    in
-    (match split [] sections with
-    | None -> ()
-    | Some (cs, rest) ->
-      Hashtbl.replace t.open_cs tid rest;
-      let clock = clock_of t tid in
-      let snap = Vclock.snapshot clock in
-      Hashtbl.iter
-        (fun w wrote ->
-          merge t.conflict_touch (lock, w) snap;
-          if wrote then merge t.conflict_write (lock, w) snap)
-        cs.cs_words;
-      Vclock.incr clock tid)
+  | Some cs ->
+    let clock = clock_of t tid in
+    let snap = Vclock.snapshot clock in
+    Hashtbl.iter
+      (fun w wrote ->
+        merge t.conflict_touch (lock, w) snap;
+        if wrote then merge t.conflict_write (lock, w) snap)
+      cs.cs_words;
+    Vclock.incr clock tid
 
 (* An access inside one or more open sections first absorbs the
    release clocks of every earlier conflicting section on the same
@@ -183,9 +196,9 @@ let on_release t ~tid ~lock =
    section neither create nor receive conflict edges — only the hard
    edges order them. *)
 let on_access t ~tid ~word ~write =
-  match Hashtbl.find_opt t.open_cs tid with
-  | None | Some [] -> ()
-  | Some sections ->
+  match Trace.Held.get t.open_cs tid with
+  | [] -> ()
+  | sections ->
     let clock = clock_of t tid in
     List.iter
       (fun cs ->

@@ -24,10 +24,24 @@
 
 open Butterfly
 
-type key = int * int
-(** Word identity: (node, index), stable within a run. *)
+(** Thread clocks fed the hard scheduler edges only: fork → child
+    start, waker → wakee, a wake token's sender → the thread that
+    absorbs it, finished thread → joiner. Thread finish collapses the
+    clock to one snapshot kept for joins. This order's engine below and
+    the observed race detector ({!Race}, which adds release → acquire)
+    each run one. *)
+module Clocks : sig
+  type t
 
-val key : Memory.addr -> key
+  val create : unit -> t
+
+  val clock : t -> int -> Vclock.t
+  (** The thread's live clock, created with its own component at 1. *)
+
+  val on_event : t -> Sched.event -> unit
+end
+
+type key = Trace.key
 
 type t
 

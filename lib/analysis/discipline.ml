@@ -1,41 +1,27 @@
 open Butterfly
 
-type key = int * int
-
-let key a = (Memory.node_of a, Memory.index_of a)
-
-type held = { h_key : key; h_name : string; h_spin : bool }
+type held = { h_key : Trace.key; h_name : string; h_spin : bool }
 
 (* Lock-usage lint over the merged stream: tracks the per-thread stack
    of held locks from the acquire/release annotations and flags
    blocking while holding a spin-mode lock, releases without a
    matching acquire, and locks still held at thread exit. *)
 let run ~names trace =
-  let held : (int, held list) Hashtbl.t = Hashtbl.create 64 in
+  let held = Trace.Held.create (fun e -> e.h_key) in
   let diags = ref [] in
   let add d = diags := d :: !diags in
-  let holding tid = match Hashtbl.find_opt held tid with Some h -> h | None -> [] in
+  let holding = Trace.Held.get held in
   Trace.iter_side
     (function
       | Trace.Annot
           { annotation = Ops.A_lock_acquire { lock; lock_name; spin_wait }; annot_tid; _ }
         ->
-        Hashtbl.replace held annot_tid
-          ({ h_key = key lock; h_name = lock_name; h_spin = spin_wait }
-          :: holding annot_tid)
+        Trace.Held.push held annot_tid
+          { h_key = Trace.key lock; h_name = lock_name; h_spin = spin_wait }
       | Trace.Annot
           { annotation = Ops.A_lock_release { lock; lock_name }; annot_tid; annot_time; _ }
         ->
-        let k = key lock in
-        let h = holding annot_tid in
-        if List.exists (fun e -> e.h_key = k) h then begin
-          let rec remove = function
-            | [] -> []
-            | e :: rest -> if e.h_key = k then rest else e :: remove rest
-          in
-          Hashtbl.replace held annot_tid (remove h)
-        end
-        else
+        if Trace.Held.pop held annot_tid (Trace.key lock) = None then
           add
             (Diag.make ~category:Diag.Discipline ~rule:"unlock-not-held" ~time:annot_time
                ~thread:(names annot_tid)
@@ -68,7 +54,7 @@ let run ~names trace =
                  ~thread:(names tid)
                  (Printf.sprintf "exited still holding lock %s" e.h_name)))
           (holding tid);
-        Hashtbl.remove held tid
+        Trace.Held.drop held tid
       | Trace.Annot _ | Trace.Event _ | Trace.Access _ -> ())
     trace;
   List.rev !diags

@@ -1,8 +1,6 @@
 open Butterfly
 
-type key = int * int
-
-let key a = (Memory.node_of a, Memory.index_of a)
+type key = Trace.key
 
 type witness = { w_thread : string; w_time : int; w_holding : string; w_acquiring : string }
 
@@ -10,7 +8,7 @@ type witness = { w_thread : string; w_time : int; w_holding : string; w_acquirin
    an edge H -> L for every acquisition of L by a thread holding H,
    keeping the first witness of each edge. *)
 let edges ~names trace =
-  let held : (int, (key * string) list) Hashtbl.t = Hashtbl.create 64 in
+  let held : (key * string) Trace.Held.t = Trace.Held.create fst in
   let edges : (key * key, witness) Hashtbl.t = Hashtbl.create 64 in
   let order = ref [] in
   (* edge keys, first-seen order *)
@@ -23,11 +21,8 @@ let edges ~names trace =
         (* Edges come from the request, not the completed acquisition:
            in a real deadlock the acquisition never completes, yet the
            request is exactly the evidence the graph needs. *)
-        let l = key lock in
+        let l = Trace.key lock in
         Hashtbl.replace locknames l lock_name;
-        let holding =
-          match Hashtbl.find_opt held annot_tid with Some h -> h | None -> []
-        in
         List.iter
           (fun (h, hname) ->
             if not (Hashtbl.mem edges (h, l)) then begin
@@ -40,24 +35,14 @@ let edges ~names trace =
                 };
               order := (h, l) :: !order
             end)
-          holding
+          (Trace.Held.get held annot_tid)
       | Trace.Annot
           { annotation = Ops.A_lock_acquire { lock; lock_name; _ }; annot_tid; _ } ->
-        let l = key lock in
+        let l = Trace.key lock in
         Hashtbl.replace locknames l lock_name;
-        let holding =
-          match Hashtbl.find_opt held annot_tid with Some h -> h | None -> []
-        in
-        Hashtbl.replace held annot_tid ((l, lock_name) :: holding)
+        Trace.Held.push held annot_tid (l, lock_name)
       | Trace.Annot { annotation = Ops.A_lock_release { lock; _ }; annot_tid; _ } ->
-        let l = key lock in
-        let rec remove = function
-          | [] -> []
-          | ((k, _) as e) :: rest -> if k = l then rest else e :: remove rest
-        in
-        (match Hashtbl.find_opt held annot_tid with
-        | Some h -> Hashtbl.replace held annot_tid (remove h)
-        | None -> ())
+        ignore (Trace.Held.pop held annot_tid (Trace.key lock) : (key * string) option)
       | Trace.Annot _ | Trace.Event _ | Trace.Access _ -> ())
     trace;
   (List.rev !order, edges, locknames)
@@ -92,7 +77,7 @@ let run ~names trace =
   let lock_name k =
     match Hashtbl.find_opt locknames k with
     | Some n -> n
-    | None -> Printf.sprintf "lock<%d:%d>" (fst k) (snd k)
+    | None -> Printf.sprintf "lock<%s>" (Trace.key_name k)
   in
   List.filter_map
     (fun (u, v) ->

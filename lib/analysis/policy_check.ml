@@ -642,25 +642,7 @@ let check_fixture ~name ~expect specs =
 
 (* ---- deterministic JSON (hand-rolled, like Analysis_suite) ---- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string_list l =
-  "["
-  ^ String.concat ", " (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) l)
-  ^ "]"
+open Engine.Text
 
 let finding_json f =
   Printf.sprintf

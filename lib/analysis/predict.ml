@@ -8,10 +8,7 @@ open Butterfly
    prediction carries the concrete sites (thread, time, per-thread
    occurrence index) a witness schedule is synthesized from. *)
 
-type key = int * int
-
-let key = Causality.key
-let key_name (node, index) = Printf.sprintf "%d:%d" node index
+type key = Trace.key
 
 (* One side of a predicted race, with enough coordinates to re-find
    the access in a fresh run of the same program: [s_nth] is the
@@ -110,7 +107,7 @@ let describe ~names = function
     in
     Printf.sprintf
       "word %s: %s is reorderable against %s (no common lock, weakly unordered)%s"
-      (key_name r.r_word) (side r.r_first) (side r.r_second)
+      (Trace.key_name r.r_word) (side r.r_first) (side r.r_second)
       (if r.r_count > 1 then Printf.sprintf "; %d occurrences of this site pair" r.r_count
        else "")
   | Deadlock d ->
@@ -140,22 +137,6 @@ let describe ~names = function
          the swap window and the lock is held twice"
         sw.sw_obj (names sw.sw_victim) sw.sw_time (names sw.sw_other))
 
-(* Same exemption rules as the observed-trace race detector: sync and
-   relaxed word marks, plus every word an atomic ever touched. *)
-let prescan trace =
-  let exempt = Hashtbl.create 256 in
-  Trace.iter
-    (function
-      | Trace.Annot { annotation = Ops.A_sync_word a; _ }
-      | Trace.Annot { annotation = Ops.A_relaxed_word a; _ } ->
-        Hashtbl.replace exempt (key a) ()
-      | Trace.Annot _ -> ()
-      | Trace.Access { access_kind = Memory.Atomic_access; access_addr; _ } ->
-        Hashtbl.replace exempt (key access_addr) ()
-      | Trace.Access _ | Trace.Event _ -> ())
-    trace;
-  exempt
-
 (* A prior access with its weak epoch, for the ordering test. *)
 type wprior = { w_site : site; w_comp : int }
 
@@ -168,8 +149,8 @@ type acquire_rec = { a_comp : int; a_snap : int array }
 
 type state = {
   cau : Causality.t;
-  exempt : (key, unit) Hashtbl.t;
-  held : (int, (key * string) list) Hashtbl.t;
+  exempt : Trace.exempt;
+  held : (key * string) Trace.Held.t;
   words : (key, word_state) Hashtbl.t;
   access_counts : (int * key, int) Hashtbl.t;
   request_counts : (int * key, int) Hashtbl.t;
@@ -196,7 +177,7 @@ type state = {
   mutable swaps : swap_prediction list;  (* newest first *)
 }
 
-let held st tid = match Hashtbl.find_opt st.held tid with Some l -> l | None -> []
+let held st tid = Trace.Held.get st.held tid
 
 let bump tbl k =
   let n = (match Hashtbl.find_opt tbl k with Some n -> n | None -> 0) + 1 in
@@ -238,7 +219,7 @@ let check_pair st word ~prior ~cur =
   end
 
 let on_access st idx (a : Sched.access) =
-  let k = key a.access_addr in
+  let k = Trace.key a.access_addr in
   let tid = a.access_tid in
   let write =
     match a.access_kind with
@@ -251,7 +232,7 @@ let on_access st idx (a : Sched.access) =
      counter, a semaphore's permits) are exactly what keeps correctly
      synchronized code weakly ordered. *)
   Causality.on_access st.cau ~tid ~word:k ~write;
-  if not (Hashtbl.mem st.exempt k) then begin
+  if not (Trace.is_exempt st.exempt k) then begin
     let nth = bump st.access_counts (tid, k) in
     let cur =
       {
@@ -287,7 +268,7 @@ let add_edge st edge site =
 
 let on_request st idx (an : Sched.annot) lock lock_name =
   let tid = an.annot_tid in
-  let k = key lock in
+  let k = Trace.key lock in
   let nth = bump st.request_counts (tid, k) in
   let site =
     {
@@ -477,20 +458,20 @@ let on_impl_acquire st (an : Sched.annot) k lock_name =
 let on_annot st idx (an : Sched.annot) =
   match an.annotation with
   | Ops.A_lock_request { lock; lock_name } ->
-    Hashtbl.replace st.waiting_on an.annot_tid (key lock, lock_name);
+    Hashtbl.replace st.waiting_on an.annot_tid (Trace.key lock, lock_name);
     on_request st idx an lock lock_name
   | Ops.A_lock_acquire { lock; lock_name; _ } ->
     let tid = an.annot_tid in
-    let k = key lock in
+    let k = Trace.key lock in
     Hashtbl.remove st.waiting_on tid;
     on_impl_acquire st an k lock_name;
     Causality.on_acquire st.cau ~tid ~lock:k;
     Hashtbl.replace st.acquires (tid, k)
       { a_comp = Causality.epoch st.cau tid; a_snap = Causality.snapshot st.cau tid };
-    Hashtbl.replace st.held tid ((k, lock_name) :: held st tid)
+    Trace.Held.push st.held tid (k, lock_name)
   | Ops.A_lock_release { lock; _ } ->
     let tid = an.annot_tid in
-    let k = key lock in
+    let k = Trace.key lock in
     (* A thread releasing a lock is certainly not parked inside an
        earlier [lock] call: drop any stale open request (a timed-out
        wait leaves one behind — there is no withdrawal annotation). *)
@@ -498,11 +479,7 @@ let on_annot st idx (an : Sched.annot) =
     (match Hashtbl.find_opt st.holders k with
     | Some l -> Hashtbl.replace st.holders k (List.filter (fun (t, _) -> t <> tid) l)
     | None -> ());
-    let rec remove = function
-      | [] -> []
-      | ((k', _) as e) :: rest -> if k' = k then rest else e :: remove rest
-    in
-    Hashtbl.replace st.held tid (remove (held st tid));
+    ignore (Trace.Held.pop st.held tid k : (key * string) option);
     Causality.on_release st.cau ~tid ~lock:k
   | Ops.A_adaptation { obj_name; kind; label } ->
     if kind = "lock-impl" then begin
@@ -563,8 +540,8 @@ let run trace =
   let st =
     {
       cau = Causality.create ();
-      exempt = prescan trace;
-      held = Hashtbl.create 64;
+      exempt = Trace.exempt trace;
+      held = Trace.Held.create fst;
       words = Hashtbl.create 1024;
       access_counts = Hashtbl.create 1024;
       request_counts = Hashtbl.create 256;

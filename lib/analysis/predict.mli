@@ -16,9 +16,7 @@
     are {e candidates}: zero false positives holds for the Confirmed
     set after witness replay, not for this list. *)
 
-type key = int * int
-
-val key_name : key -> string
+type key = Trace.key
 
 type site = {
   s_tid : int;

@@ -1,15 +1,6 @@
 open Butterfly
 
-(* Word identity: addresses are (node, index) pairs and stable within
-   a run, so they key every table, packed into one int (node in the
-   high half) so that the per-access lookups hash an unboxed int and
-   allocate nothing. Int order on packed keys is (node, index) order. *)
-type key = int
-
-module Key_tbl = Hashtbl.Make (Int)
-
-let key a = (Memory.node_of a lsl 32) lor Memory.index_of a
-let key_name k = Printf.sprintf "%d:%d" (k lsr 32) (k land 0xffff_ffff)
+type key = Trace.key
 
 (* One prior access in epoch form: [comp] is the accessor's own
    vector-clock component at the access, so "that access happened
@@ -33,62 +24,29 @@ type finding = {
   mutable f_count : int;
 }
 
+(* Happens-before is the hard-edge order of {!Causality.Clocks} plus
+   one kind of edge: lock release -> next acquire of the same lock. *)
 type state = {
-  clocks : (int, Vclock.t) Hashtbl.t;
-  tokens : (int, int array Queue.t) Hashtbl.t;  (* pending wake-token snapshots *)
+  clocks : Causality.Clocks.t;
   release_clocks : (key, int array) Hashtbl.t;  (* per lock: clock at last release *)
-  held : (int, key list) Hashtbl.t;  (* per thread: locks held, innermost first *)
-  finished : (int, int array) Hashtbl.t;
-      (* epoch-collapse: a finished thread's clock survives only as
-         this one snapshot (for join edges); its live clock, pending
-         tokens and lockset are dropped so detector state stays
-         bounded by live threads, not by every thread that ever ran *)
-  words : word_state Key_tbl.t;
-  exempt : unit Key_tbl.t;
+  held : key Trace.Held.t;  (* per thread: locks held, innermost first *)
+  words : word_state Trace.Key_tbl.t;
+  exempt : Trace.exempt;
   findings : (key * (int * key list) * (int * key list), finding) Hashtbl.t;
   mutable finding_order : finding list;  (* newest first *)
   names : int -> string;
 }
 
-let clock_of st tid =
-  match Hashtbl.find_opt st.clocks tid with
-  | Some c -> c
-  | None ->
-    let c = Vclock.create () in
-    (* Own component starts at 1: "component 0 is known" must not hold
-       for threads that never synchronized. *)
-    Vclock.set c tid 1;
-    Hashtbl.replace st.clocks tid c;
-    c
-
-let lockset st tid = match Hashtbl.find_opt st.held tid with Some l -> l | None -> []
+let clock_of st tid = Causality.Clocks.clock st.clocks tid
 
 let intersect a b = List.filter (fun k -> List.mem k b) a
 
-(* Scan the whole trace first for words the detector must ignore:
-   synchronization internals, words declared intentionally racy, and
-   any word ever touched by an atomic operation (atomics are this
-   machine's synchronization instructions). *)
-let prescan trace =
-  let exempt = Key_tbl.create 256 in
-  Trace.iter
-    (function
-      | Trace.Annot { annotation = Ops.A_sync_word a; _ }
-      | Trace.Annot { annotation = Ops.A_relaxed_word a; _ } ->
-        Key_tbl.replace exempt (key a) ()
-      | Trace.Annot _ -> ()
-      | Trace.Access { access_kind = Memory.Atomic_access; access_addr; _ } ->
-        Key_tbl.replace exempt (key access_addr) ()
-      | Trace.Access _ | Trace.Event _ -> ())
-    trace;
-  exempt
-
 let word_state st k =
-  match Key_tbl.find_opt st.words k with
+  match Trace.Key_tbl.find_opt st.words k with
   | Some w -> w
   | None ->
     let w = { last_write = None; reads = Hashtbl.create 4; candidates = None } in
-    Key_tbl.replace st.words k w;
+    Trace.Key_tbl.replace st.words k w;
     w
 
 (* Record a racing pair, deduped by (word, site pair, lock sets). The
@@ -111,7 +69,7 @@ let finding_diag st f =
     match f.f_candidates with
     | Some (_ :: _ as c) ->
       Printf.sprintf " (candidate locks left: %s)"
-        (String.concat ", " (List.map key_name c))
+        (String.concat ", " (List.map Trace.key_name c))
     | Some [] | None -> " (Eraser candidate set empty)"
   in
   let occurrences =
@@ -123,7 +81,7 @@ let finding_diag st f =
     (Printf.sprintf
        "word %s: access by %s at %d ns races with access by %s at %d ns; no common \
         lock and no happens-before order%s%s"
-       (key_name f.f_word) (st.names f.f_cur.p_tid) f.f_cur.p_time
+       (Trace.key_name f.f_word) (st.names f.f_cur.p_tid) f.f_cur.p_time
        (st.names f.f_prior.p_tid) f.f_prior.p_time candidates occurrences)
 
 let check_pair st word k ~cur ~prior =
@@ -135,11 +93,11 @@ let check_pair st word k ~cur ~prior =
   end
 
 let on_access st (a : Sched.access) =
-  let k = key a.access_addr in
-  if not (Key_tbl.mem st.exempt k) then begin
+  let k = Trace.key a.access_addr in
+  if not (Trace.is_exempt st.exempt k) then begin
     let tid = a.access_tid in
     let clock = clock_of st tid in
-    let ls = lockset st tid in
+    let ls = Trace.Held.get st.held tid in
     let cur = { p_tid = tid; p_comp = Vclock.get clock tid; p_time = a.access_time;
                 p_lockset = ls } in
     let word = word_state st k in
@@ -165,83 +123,22 @@ let on_access st (a : Sched.access) =
   end
 
 let on_event st (ev : Sched.event) =
-  match ev.kind with
-  | Sched.Ev_fork ->
-    (* tid = child, other = parent: the child starts after the fork. *)
-    if ev.other >= 0 then begin
-      let parent = clock_of st ev.other in
-      let child = clock_of st ev.tid in
-      Vclock.join child (Vclock.snapshot parent);
-      Vclock.set child ev.tid (Vclock.get child ev.tid + 1);
-      Vclock.incr parent ev.other
-    end
-  | Sched.Ev_wakeup ->
-    (* tid = wakee, other = waker: everything the waker did is visible
-       to the wakee when it resumes. *)
-    if ev.other >= 0 then begin
-      let waker = clock_of st ev.other in
-      Vclock.join (clock_of st ev.tid) (Vclock.snapshot waker);
-      Vclock.incr waker ev.other
-    end
-  | Sched.Ev_token ->
-    (* A wakeup of a not-yet-blocked thread: the edge lands when the
-       token is absorbed, so snapshot the waker now. *)
-    if ev.other >= 0 then begin
-      let waker = clock_of st ev.other in
-      let q =
-        match Hashtbl.find_opt st.tokens ev.tid with
-        | Some q -> q
-        | None ->
-          let q = Queue.create () in
-          Hashtbl.replace st.tokens ev.tid q;
-          q
-      in
-      Queue.add (Vclock.snapshot waker) q;
-      Vclock.incr waker ev.other
-    end
-  | Sched.Ev_token_use -> (
-    match Hashtbl.find_opt st.tokens ev.tid with
-    | Some q when not (Queue.is_empty q) ->
-      Vclock.join (clock_of st ev.tid) (Queue.pop q)
-    | Some _ | None -> ())
-  | Sched.Ev_join ->
-    (* tid = joiner, other = finished thread: join sees everything.
-       The target has usually finished already, so its clock lives in
-       the collapsed-snapshot table. *)
-    if ev.other >= 0 then begin
-      let snap =
-        match Hashtbl.find_opt st.finished ev.other with
-        | Some snap -> snap
-        | None -> Vclock.snapshot (clock_of st ev.other)
-      in
-      Vclock.join (clock_of st ev.tid) snap
-    end
-  | Sched.Ev_finish ->
-    (* Epoch-collapse: keep only the final snapshot (joiners may still
-       need the edge); drop the thread's live detector state. *)
-    Hashtbl.replace st.finished ev.tid (Vclock.snapshot (clock_of st ev.tid));
-    Hashtbl.remove st.clocks ev.tid;
-    Hashtbl.remove st.tokens ev.tid;
-    Hashtbl.remove st.held ev.tid
-  | Sched.Ev_switch | Sched.Ev_preempt | Sched.Ev_block -> ()
+  Causality.Clocks.on_event st.clocks ev;
+  match ev.kind with Sched.Ev_finish -> Trace.Held.drop st.held ev.tid | _ -> ()
 
 let on_annot st (an : Sched.annot) =
   match an.annotation with
   | Ops.A_lock_acquire { lock; _ } ->
-    let k = key lock in
+    let k = Trace.key lock in
     let tid = an.annot_tid in
     (match Hashtbl.find_opt st.release_clocks k with
     | Some snap -> Vclock.join (clock_of st tid) snap
     | None -> ());
-    Hashtbl.replace st.held tid (k :: lockset st tid)
+    Trace.Held.push st.held tid k
   | Ops.A_lock_release { lock; _ } ->
-    let k = key lock in
+    let k = Trace.key lock in
     let tid = an.annot_tid in
-    let rec remove = function
-      | [] -> []
-      | k' :: rest -> if k' = k then rest else k' :: remove rest
-    in
-    Hashtbl.replace st.held tid (remove (lockset st tid));
+    ignore (Trace.Held.pop st.held tid k : key option);
     let clock = clock_of st tid in
     Hashtbl.replace st.release_clocks k (Vclock.snapshot clock);
     Vclock.incr clock tid
@@ -250,13 +147,11 @@ let on_annot st (an : Sched.annot) =
 let run ~names trace =
   let st =
     {
-      clocks = Hashtbl.create 64;
-      tokens = Hashtbl.create 64;
+      clocks = Causality.Clocks.create ();
       release_clocks = Hashtbl.create 64;
-      held = Hashtbl.create 64;
-      finished = Hashtbl.create 64;
-      words = Key_tbl.create 1024;
-      exempt = prescan trace;
+      held = Trace.Held.create Fun.id;
+      words = Trace.Key_tbl.create 1024;
+      exempt = Trace.exempt trace;
       findings = Hashtbl.create 64;
       finding_order = [];
       names;

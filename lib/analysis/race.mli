@@ -4,15 +4,15 @@
     A pair of accesses to the same plain word is reported as a race
     only when {e both} tests fail: the threads hold no common lock
     around the accesses (lockset), and no chain of synchronization
-    edges orders them (happens-before). The edges are fork → child
-    start, finished thread → join, waker → wakee (block/wakeup and the
-    wake-token variants) and lock release → next acquire of the same
-    lock.
+    edges orders them (happens-before). The edges are the hard
+    scheduler edges of {!Causality.Clocks} (fork → child start,
+    finished thread → join, waker → wakee, including the wake-token
+    variants) plus lock release → next acquire of the same lock.
 
     Exempt words — never reported: words registered with
     [Ops.A_sync_word] (primitive internals) or [Ops.A_relaxed_word]
     (intentionally racy), and any word ever touched by an atomic
-    operation during the run.
+    operation during the run ({!Trace.exempt}).
 
     Findings are deduplicated per (word, site pair, lock sets): a loop
     hitting the same racy pair every iteration produces one diagnostic

@@ -28,6 +28,19 @@ let chunk_bits = 16
 let chunk_len = 1 lsl chunk_bits
 let chunk_mask = chunk_len - 1
 
+(* Word identity: addresses are (node, index) pairs and stable within
+   a run, so they key every pass's tables, packed into one int (node in
+   the high half) so that a per-access lookup hashes an unboxed int and
+   allocates nothing. Int order on packed keys is (node, index) order. *)
+type key = int
+
+module Key_tbl = Hashtbl.Make (Int)
+
+let key a = (Memory.node_of a lsl 32) lor Memory.index_of a
+let key_name k = Printf.sprintf "%d:%d" (k lsr 32) (k land 0xffff_ffff)
+
+type exempt = unit Key_tbl.t
+
 type t = {
   mutable time : int array array;
   mutable meta : int array array;
@@ -38,14 +51,19 @@ type t = {
   mutable side_pos : int array;
   mutable n_side : int;
   mutable n_events : int;
+  procs : int;  (* processors of the recorded machine, for [timeline] *)
+  mutable exempt : (int * exempt) option;
+      (* the exemption scan, memoized with the trace length it read *)
 }
 
 let grown len = Int.max 1024 (2 * len)
 
+let atomic_code = 2
+
 let kind_code = function
   | Memory.Read_access -> 0
   | Memory.Write_access -> 1
-  | Memory.Atomic_access -> 2
+  | Memory.Atomic_access -> atomic_code
 
 let kind_of_code = function
   | 0 -> Memory.Read_access
@@ -115,7 +133,8 @@ let push_side t entry =
 let attach sim =
   let t =
     { time = [||]; meta = [||]; addr = [||]; cap = 0; n_acc = 0;
-      side = [||]; side_pos = [||]; n_side = 0; n_events = 0 }
+      side = [||]; side_pos = [||]; n_side = 0; n_events = 0;
+      procs = (Sched.config sim).Config.processors; exempt = None }
   in
   Sched.add_event_hook sim (fun ev ->
       t.n_events <- t.n_events + 1;
@@ -189,3 +208,139 @@ let adaptations t =
     | _ -> ()
   done;
   List.rev !acc
+
+(* {2 State the passes share} *)
+
+(* The words no race rule may report: synchronization internals,
+   words declared intentionally racy, and any word an atomic operation
+   touched anywhere in the run (atomics are this machine's
+   synchronization instructions), so a word is exempt from its first
+   access on even when the atomic comes later. Atomic accesses are
+   found by reading the kind and address columns directly. *)
+let scan_exempt t =
+  let exempt = Key_tbl.create 256 in
+  for j = 0 to t.n_acc - 1 do
+    let c = j lsr chunk_bits and i = j land chunk_mask in
+    if t.meta.(c).(i) land ((1 lsl kind_bits) - 1) = atomic_code then
+      Key_tbl.replace exempt (key t.addr.(c).(i)) ()
+  done;
+  for s = 0 to t.n_side - 1 do
+    match t.side.(s) with
+    | Annot { annotation = Ops.A_sync_word a | Ops.A_relaxed_word a; _ } ->
+      Key_tbl.replace exempt (key a) ()
+    | Annot _ | Event _ | Access _ -> ()
+  done;
+  exempt
+
+let exempt t =
+  match t.exempt with
+  | Some (len, exempt) when len = length t -> exempt
+  | Some _ | None ->
+    let exempt = scan_exempt t in
+    t.exempt <- Some (length t, exempt);
+    exempt
+
+let is_exempt exempt k = Key_tbl.mem exempt k
+
+module Held = struct
+  type 'a t = { key_of : 'a -> key; stacks : (int, 'a list) Hashtbl.t }
+
+  let create key_of = { key_of; stacks = Hashtbl.create 64 }
+  let get h tid = match Hashtbl.find_opt h.stacks tid with Some l -> l | None -> []
+  let push h tid e = Hashtbl.replace h.stacks tid (e :: get h tid)
+
+  let pop h tid k =
+    let rec split acc = function
+      | [] -> None
+      | e :: rest when h.key_of e = k -> Some (e, List.rev_append acc rest)
+      | e :: rest -> split (e :: acc) rest
+    in
+    match split [] (get h tid) with
+    | None -> None
+    | Some (e, rest) ->
+      Hashtbl.replace h.stacks tid rest;
+      Some e
+
+  let drop h tid = Hashtbl.remove h.stacks tid
+end
+
+let thread_names sim =
+  let table = Hashtbl.create 64 in
+  List.iter (fun (tid, name, _) -> Hashtbl.replace table tid name) (Sched.thread_report sim);
+  fun tid ->
+    match Hashtbl.find_opt table tid with
+    | Some n -> n
+    | None -> Printf.sprintf "t%d" tid
+
+(* {2 Views of the scheduling events} *)
+
+let iter_events f t =
+  iter_side (function Event ev -> f ev | Access _ | Annot _ -> ()) t
+
+let count t kind =
+  let n = ref 0 in
+  iter_events (fun ev -> if ev.Sched.kind = kind then incr n) t;
+  !n
+
+let event_counts t =
+  String.concat ", "
+    (List.map
+       (fun k -> Printf.sprintf "%s=%d" (Sched.event_kind_name k) (count t k))
+       [ Sched.Ev_fork; Ev_switch; Ev_preempt; Ev_block; Ev_wakeup; Ev_token;
+         Ev_token_use; Ev_join; Ev_finish ])
+
+let blocked_spans t tid =
+  let spans = ref [] and pending = ref None in
+  iter_events
+    (fun ev ->
+      if ev.Sched.tid = tid then
+        match (ev.Sched.kind, !pending) with
+        | Sched.Ev_block, None -> pending := Some ev.Sched.time
+        | Sched.Ev_wakeup, Some t0 ->
+          spans := (t0, ev.Sched.time) :: !spans;
+          pending := None
+        | _ -> ())
+    t;
+  List.rev !spans
+
+let glyph tid =
+  let alphabet = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ" in
+  alphabet.[tid mod String.length alphabet]
+
+let timeline ?(width = 72) t ~horizon =
+  if horizon <= 0 then invalid_arg "Trace.timeline: horizon must be positive";
+  let lanes = Array.make_matrix t.procs width '.' in
+  (* Fill each lane forward from switch events. *)
+  let current = Array.make t.procs (-1) in
+  let bucket time = min (width - 1) (time * width / horizon) in
+  let cursor = Array.make t.procs 0 in
+  let advance_to proc b =
+    let c = cursor.(proc) in
+    if current.(proc) >= 0 then
+      for col = c to min (b - 1) (width - 1) do
+        lanes.(proc).(col) <- glyph current.(proc)
+      done;
+    cursor.(proc) <- max c b
+  in
+  iter_events
+    (fun ev ->
+      match ev.Sched.kind with
+      | Sched.Ev_switch when ev.Sched.time <= horizon ->
+        advance_to ev.Sched.proc (bucket ev.Sched.time);
+        current.(ev.Sched.proc) <- ev.Sched.tid
+      | _ -> ())
+    t;
+  for proc = 0 to t.procs - 1 do
+    advance_to proc width
+  done;
+  let buf = Buffer.create ((width + 16) * t.procs) in
+  Buffer.add_string buf
+    (Printf.sprintf "execution timeline (0 .. %.2f ms, one glyph per thread):\n"
+       (float_of_int horizon /. 1e6));
+  Array.iteri
+    (fun proc lane ->
+      Buffer.add_string buf (Printf.sprintf "p%-2d |" proc);
+      Buffer.add_string buf (String.init width (fun c -> lane.(c)));
+      Buffer.add_char buf '\n')
+    lanes;
+  Buffer.contents buf

@@ -63,3 +63,84 @@ val adaptations : t -> adaptation list
     every reconfiguration any adaptive object applied during the run,
     so analysis reports can relate flagged windows to the
     reconfigurations that preceded them. *)
+
+(** {1 State the analysis passes share}
+
+    Every pass over a trace names words and locks by the same {!key},
+    reads the same exemption set and tracks held locks with the same
+    {!Held} stack, so no pass rebuilds what another already defines. *)
+
+type key = int
+(** A word's or lock's identity within a run: its (node, index)
+    address packed into one int, node in the high half, so tables keyed
+    by it hash an unboxed int. Int order is (node, index) order. *)
+
+val key : Memory.addr -> key
+
+val key_name : key -> string
+(** ["node:index"], the form every diagnostic names a word by. *)
+
+module Key_tbl : Hashtbl.S with type key = key
+
+type exempt
+(** A set of word keys. *)
+
+val exempt : t -> exempt
+(** The words no race rule may report: words registered with
+    [Ops.A_sync_word] (primitive internals) or [Ops.A_relaxed_word]
+    (intentionally racy), and every word an atomic operation touched
+    {e anywhere} in the run, so a word is exempt even at accesses that
+    precede its first atomic. Computed by one scan of the access
+    columns and side entries, then kept: passes over the same finished
+    trace share one scan. *)
+
+val is_exempt : exempt -> key -> bool
+
+(** A per-thread stack of held locks, innermost first, fed from
+    [A_lock_acquire]/[A_lock_release] annotations by the pass that owns
+    it. Each pass keeps its own entries ['a] (a key, a name, an open
+    critical section...), identified by the lock key [key_of] reads. *)
+module Held : sig
+  type 'a t
+
+  val create : ('a -> key) -> 'a t
+
+  val get : 'a t -> int -> 'a list
+  (** The thread's held entries, innermost first ([[]] if none). *)
+
+  val push : 'a t -> int -> 'a -> unit
+  (** An acquisition: the entry becomes the innermost. *)
+
+  val pop : 'a t -> int -> key -> 'a option
+  (** A release: remove and return the innermost entry for the lock;
+      [None], with the stack unchanged, when the thread holds none. *)
+
+  val drop : 'a t -> int -> unit
+  (** Forget a finished thread's stack. *)
+end
+
+val thread_names : Sched.t -> int -> string
+(** The tid→name function of a machine's threads (from
+    [Sched.thread_report]); unknown tids print as ["t<tid>"]. *)
+
+(** {1 Views of the scheduling events}
+
+    The offline half of the general-purpose monitoring story [GS93]:
+    the recorded event stream, queried after the run. Each view walks
+    the events and annotations only. *)
+
+val count : t -> Sched.event_kind -> int
+(** Events of one kind. *)
+
+val event_counts : t -> string
+(** One line listing every event kind with its count. *)
+
+val blocked_spans : t -> int -> (int * int) list
+(** [(block-time, wakeup-time)] pairs for a thread, derived from its
+    block/wakeup events (an unmatched final block yields no pair). *)
+
+val timeline : ?width:int -> t -> horizon:int -> string
+(** ASCII execution timeline: one lane per processor, one column per
+    time bucket up to [horizon] ns; each cell shows the thread that
+    last switched onto the processor in that bucket ('.' when none,
+    digits/letters for tids modulo 62). *)

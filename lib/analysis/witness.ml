@@ -23,7 +23,7 @@ open Butterfly
    construction — steering never forces a transition the scheduler
    could not have taken on its own. *)
 
-type key = int * int
+type key = Trace.key
 
 (* {2 Milestones and plans} *)
 
@@ -76,7 +76,7 @@ let plan_of_race trace (r : Predict.race_prediction) =
     (fun idx entry ->
       match entry with
       | Trace.Annot { annot_tid; annotation = Ops.A_lock_request { lock; _ }; _ } ->
-        let k = Causality.key lock in
+        let k = Trace.key lock in
         if annot_tid = t2 && idx < r.Predict.r_second.Predict.s_idx then
           Hashtbl.replace t2_path_locks k ();
         if annot_tid = t1 && idx < r.Predict.r_first.Predict.s_idx then
@@ -166,7 +166,7 @@ type slot = { s_milestone : milestone; s_need : key list; s_hold : bool;
 type monitor = {
   plan : plan;
   slots : slot list;
-  lock_held : (int, key list) Hashtbl.t;  (* tracked ownership, by annot *)
+  lock_held : key Trace.Held.t;  (* tracked ownership, by annot *)
   acc : (int * key, int) Hashtbl.t;
   req : (int * key, int) Hashtbl.t;
   blk : (int, int) Hashtbl.t;
@@ -187,7 +187,7 @@ let make_monitor plan =
       @ List.map (fun (m, need) ->
             { s_milestone = m; s_need = need; s_hold = false; s_done = false })
           plan.p_waits;
-    lock_held = Hashtbl.create 16;
+    lock_held = Trace.Held.create Fun.id;
     acc = Hashtbl.create 64;
     req = Hashtbl.create 32;
     blk = Hashtbl.create 16;
@@ -197,9 +197,6 @@ let make_monitor plan =
     manifested = false;
     failure = None;
   }
-
-let tracked_held mon tid =
-  match Hashtbl.find_opt mon.lock_held tid with Some l -> l | None -> []
 
 let fail mon msg =
   if mon.failure = None && not mon.manifested then mon.failure <- Some msg;
@@ -255,20 +252,13 @@ let fire mon m =
       | None -> ()
       | Some slot ->
         let tid = milestone_tid m in
-        let holding = tracked_held mon tid in
+        let holding = Trace.Held.get mon.lock_held tid in
         if List.for_all (fun k -> List.mem k holding) slot.s_need then begin
           slot.s_done <- true;
           if slot.s_hold then mon.held_tids <- tid :: mon.held_tids;
           check_primed mon
         end
         else fail mon "milestone reached without the locks the plan requires"
-
-let remove_first k l =
-  let rec go = function
-    | [] -> []
-    | x :: rest -> if x = k then rest else x :: go rest
-  in
-  go l
 
 let install_hooks sim mon =
   let milestones =
@@ -279,7 +269,7 @@ let install_hooks sim mon =
     List.iter (fun m -> if pred m && nth_of m = n then fire mon m) milestones
   in
   Sched.add_access_hook sim (fun a ->
-      let k = Causality.key a.Sched.access_addr in
+      let k = Trace.key a.Sched.access_addr in
       let cell = (a.Sched.access_tid, k) in
       let n = 1 + (match Hashtbl.find_opt mon.acc cell with Some n -> n | None -> 0) in
       Hashtbl.replace mon.acc cell n;
@@ -292,7 +282,7 @@ let install_hooks sim mon =
   Sched.add_annot_hook sim (fun an ->
       match an.Sched.annotation with
       | Ops.A_lock_request { lock; _ } ->
-        let k = Causality.key lock in
+        let k = Trace.key lock in
         let cell = (an.Sched.annot_tid, k) in
         let n =
           1 + (match Hashtbl.find_opt mon.req cell with Some n -> n | None -> 0)
@@ -305,13 +295,9 @@ let install_hooks sim mon =
             | _ -> false)
           n
       | Ops.A_lock_acquire { lock; _ } ->
-        let tid = an.Sched.annot_tid in
-        Hashtbl.replace mon.lock_held tid
-          (Causality.key lock :: tracked_held mon tid)
+        Trace.Held.push mon.lock_held an.Sched.annot_tid (Trace.key lock)
       | Ops.A_lock_release { lock; _ } ->
-        let tid = an.Sched.annot_tid in
-        Hashtbl.replace mon.lock_held tid
-          (remove_first (Causality.key lock) (tracked_held mon tid))
+        ignore (Trace.Held.pop mon.lock_held an.Sched.annot_tid (Trace.key lock) : key option)
       | Ops.A_sync_word _ | Ops.A_relaxed_word _ | Ops.A_adaptation _ -> ());
   Sched.add_event_hook sim (fun ev ->
       match ev.Sched.kind with
@@ -399,15 +385,6 @@ let capture_outcome sim program =
     Crashed (Printf.sprintf "thread %s crashed" thread)
   | exception e -> Crashed (Printexc.to_string e)
 
-let names_of sim =
-  let table = Hashtbl.create 64 in
-  List.iter (fun (tid, name, _) -> Hashtbl.replace table tid name)
-    (Sched.thread_report sim);
-  fun tid ->
-    match Hashtbl.find_opt table tid with
-    | Some n -> n
-    | None -> Printf.sprintf "t%d" tid
-
 let steered_run cfg program mon =
   let sim = Sched.create (witness_cfg cfg) in
   let trace = Trace.attach sim in
@@ -419,7 +396,7 @@ let steered_run cfg program mon =
     ri_outcome = outcome;
     ri_schedule = Sched.recorded_schedule sim;
     ri_trace = trace;
-    ri_names = names_of sim;
+    ri_names = Trace.thread_names sim;
     ri_time = Sched.machine_time sim;
     ri_diverged = Sched.control_diverged sim;
   }
@@ -442,32 +419,27 @@ let replay_matches cfg program info =
   faithful && outcome = info.ri_outcome && time = info.ri_time
   && Trace.length trace = Trace.length info.ri_trace
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec at i = i + nn <= nh && (String.sub hay i nn = needle || at (i + 1)) in
-  nn = 0 || at 0
-
 (* The belt-and-suspenders check behind a race Confirmed: the
    manifested witness trace must also be flagged by the independent
    observed-trace race detector on the same word. *)
 let detector_flags_race info (r : Predict.race_prediction) =
-  let needle = Printf.sprintf "word %s:" (Predict.key_name r.Predict.r_word) in
+  let needle = Printf.sprintf "word %s:" (Trace.key_name r.Predict.r_word) in
   List.exists
-    (fun (d : Diag.t) -> contains d.Diag.message needle)
+    (fun (d : Diag.t) -> Engine.Text.contains d.Diag.message needle)
     (Race.run ~names:info.ri_names info.ri_trace)
 
 (* The independent check behind a double-grant Confirmed: the witness
    trace itself must show two unreleased acquires of the word at once. *)
 let trace_shows_double_hold info (sw : Predict.swap_prediction) =
   let holding = ref 0 and overlap = ref false in
-  Trace.iter
+  Trace.iter_side
     (function
       | Trace.Annot { annotation = Ops.A_lock_acquire { lock; _ }; _ }
-        when Causality.key lock = sw.Predict.sw_lock ->
+        when Trace.key lock = sw.Predict.sw_lock ->
         incr holding;
         if !holding > 1 then overlap := true
       | Trace.Annot { annotation = Ops.A_lock_release { lock; _ }; _ }
-        when Causality.key lock = sw.Predict.sw_lock ->
+        when Trace.key lock = sw.Predict.sw_lock ->
         decr holding
       | _ -> ())
     info.ri_trace;

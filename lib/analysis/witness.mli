@@ -22,7 +22,7 @@
     lined up (steering gives up, a milestone fires in the wrong state,
     the run ends first) yields {!Unconfirmed}, never a false claim. *)
 
-type key = int * int
+type key = Trace.key
 
 type milestone =
   | M_access of { m_tid : int; m_word : key; m_nth : int }

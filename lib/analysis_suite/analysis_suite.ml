@@ -643,25 +643,7 @@ let run_all ?domains ?(predict = false) ?(confirm = false) scenarios =
 (* -- JSON rendering, hand-rolled like Chaos.to_json: deterministic
    bytes, no host state -- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string_list l =
-  "["
-  ^ String.concat ", " (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) l)
-  ^ "]"
+open Engine.Text
 
 let json_int_list l = "[" ^ String.concat ", " (List.map string_of_int l) ^ "]"
 

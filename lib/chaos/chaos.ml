@@ -31,14 +31,10 @@ let default_max_events = 2_000_000
 (* A kill that actually fired (not a no-op) legitimately strands the
    victim's locks, so the held-at-exit lint is only an invariant on
    kill-free runs. *)
-let contains_sub s sub =
-  let n = String.length sub and m = String.length s in
-  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
-  go 0
-
 let kill_fired injected =
   List.exists
-    (fun line -> contains_sub line " kill tid=" && not (contains_sub line "(no-op"))
+    (fun line ->
+      Engine.Text.contains line " kill tid=" && not (Engine.Text.contains line "(no-op"))
     injected
 
 (* One run under [plan], returning the machine with its result so the
@@ -67,21 +63,7 @@ let run_plan_once ?(max_events = default_max_events) ?control ~scenario ~seed ~p
     Monitoring.Watchdog.stop wd
   in
   let outcome = Sched.run_outcome ~main_name:"main" sim wrapped in
-  let name_table = Hashtbl.create 64 in
-  List.iter
-    (fun (tid, name, _) -> Hashtbl.replace name_table tid name)
-    (Sched.thread_report sim);
-  let names tid =
-    match Hashtbl.find_opt name_table tid with
-    | Some n -> n
-    | None -> Printf.sprintf "t%d" tid
-  in
-  let diags =
-    List.stable_sort Analysis.Diag.compare
-      (Analysis.Race.run ~names trace
-      @ Analysis.Lock_order.run ~names trace
-      @ Analysis.Discipline.run ~names trace)
-  in
+  let diags = Analysis.sanitize ~names:(Analysis.Trace.thread_names sim) trace in
   let injected = Faults.Injector.applied injector in
   let outcome_str, abort_reason, diagnostics =
     match outcome with
@@ -183,22 +165,7 @@ let sweep ?domains ?horizon_ns ?swap_faults ~seeds ~scenarios () =
 (* -- JSON rendering (hand-rolled like Experiments.Perf: no host state,
    no wall-clock, deterministic bytes) -- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 32 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let json_string_list l =
-  "[" ^ String.concat ", " (List.map (fun s -> Printf.sprintf "\"%s\"" (json_escape s)) l) ^ "]"
+open Engine.Text
 
 let json_opt = function
   | None -> "null"

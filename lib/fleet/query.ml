@@ -21,22 +21,18 @@ type t =
 (* ------------------------------------------------------------------ *)
 (* Metric polarity                                                    *)
 
-let contains hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
-  nn > 0 && go 0
-
 let has_suffix s suf =
   let ns = String.length s and nf = String.length suf in
   ns >= nf && String.sub s (ns - nf) nf = suf
 
 let higher_is_better name =
   let name = String.lowercase_ascii name in
-  if contains name "per_sec" || contains name "improvement" then Some true
+  let has sub = Engine.Text.contains name sub in
+  if has "per_sec" || has "improvement" then Some true
   else if
     has_suffix name "_ns" || has_suffix name "_us" || has_suffix name "_ms"
-    || has_suffix name "_s" || contains name "wait" || contains name "fail"
-    || contains name "block" || contains name "violation" || contains name "miss"
+    || has_suffix name "_s" || has "wait" || has "fail" || has "block"
+    || has "violation" || has "miss"
   then Some false
   else None
 

@@ -65,28 +65,69 @@ let test_fork_join_orders () =
   let r = Analysis.check (cfg ()) fork_join_orders in
   check_bool "fork and join edges order parent and child" true (Analysis.clean r)
 
-(* --- event-log bus ------------------------------------------------ *)
+(* A wakeup sent before the wakee blocks is a wake token: the wakee's
+   later block absorbs it (an [Ev_token_use], no sleep), and the
+   absorption must carry the waker's clock just as a wakeup of a
+   sleeper does. Without the hand-off the same accesses race. *)
+let wake_token_orders ~wake () =
+  let x = Ops.alloc1 ~node:0 () in
+  let t =
+    Cthread.fork ~name:"wakee" ~proc:1 (fun () ->
+        Cthread.work 200_000;
+        if wake then Cthread.block ();
+        ignore (Ops.read x))
+  in
+  Ops.write x 1;
+  if wake then Cthread.wakeup t;
+  Cthread.join t
+
+let test_wake_token_orders () =
+  let r, trace, _ = Analysis.check_trace (cfg ()) (wake_token_orders ~wake:true) in
+  check_bool "the wakeup arrived as a token" true
+    (Analysis.Trace.count trace Sched.Ev_token = 1
+    && Analysis.Trace.count trace Sched.Ev_token_use = 1
+    && Analysis.Trace.count trace Sched.Ev_block = 0);
+  check_bool "the absorbed token orders write before read" true (Analysis.clean r);
+  let r = Analysis.check (cfg ()) (wake_token_orders ~wake:false) in
+  check_bool "without the wakeup the race is real" true (List.mem "data-race" (rules r))
+
+(* A word touched atomically anywhere in the run is exempt everywhere,
+   also at the plain accesses that precede its first atomic. *)
+let late_atomic ~atomic () =
+  let x = Ops.alloc1 ~node:0 () in
+  let ts =
+    List.init 2 (fun i -> Cthread.fork ~proc:(1 + i) (fun () -> Ops.write x (i + 1)))
+  in
+  Cthread.join_all ts;
+  if atomic then ignore (Ops.fetch_and_add x 1)
+
+let test_late_atomic_exempts () =
+  let r = Analysis.check (cfg ()) (late_atomic ~atomic:true) in
+  check_bool "a later atomic exempts the earlier plain writes" true (Analysis.clean r);
+  let r = Analysis.check (cfg ()) (late_atomic ~atomic:false) in
+  check_bool "without the atomic the writes race" true (List.mem "data-race" (rules r))
+
+(* --- event bus ---------------------------------------------------- *)
 
 (* Two recorders on one machine: attaching the second must not detach
    the first (the hook slot is a bus, not a single cell). *)
 let test_two_observers () =
   let sim = Sched.create (cfg ()) in
-  let log1 = Monitoring.Event_log.attach sim in
-  let log2 = Monitoring.Event_log.attach sim in
+  let log1 = Analysis.Trace.attach sim in
+  let log2 = Analysis.Trace.attach sim in
   Sched.run sim (fun () ->
       let ts =
         List.init 3 (fun i ->
             Cthread.fork ~proc:(1 + i) (fun () -> Cthread.work 10_000))
       in
       Cthread.join_all ts);
-  check_bool "first observer saw events" true (Monitoring.Event_log.length log1 > 0);
+  check_bool "first observer saw events" true (Analysis.Trace.events log1 > 0);
   check_int "both observers saw the same stream"
-    (Monitoring.Event_log.length log1)
-    (Monitoring.Event_log.length log2)
+    (Analysis.Trace.length log1) (Analysis.Trace.length log2)
 
 let test_blocked_spans_unmatched_final_block () =
   let sim = Sched.create (cfg ()) in
-  let log = Monitoring.Event_log.attach sim in
+  let log = Analysis.Trace.attach sim in
   let tid = ref (-1) in
   (* The blocker's second block is never answered, so the run ends in
      a deadlock; its span list must contain only the matched pair. *)
@@ -103,7 +144,7 @@ let test_blocked_spans_unmatched_final_block () =
          Cthread.work 1_000_000;
          Cthread.wakeup t)
    with Sched.Deadlock _ -> ());
-  let spans = Monitoring.Event_log.blocked_spans log !tid in
+  let spans = Analysis.Trace.blocked_spans log !tid in
   check_int "unmatched final block yields no pair" 1 (List.length spans);
   (match spans with
   | [ (b, w) ] -> check_bool "wakeup after block" true (w > b)
@@ -365,6 +406,8 @@ let suite =
     Alcotest.test_case "release-acquire orders" `Quick test_release_acquire_orders;
     Alcotest.test_case "missing edge is a race" `Quick test_missing_edge_is_a_race;
     Alcotest.test_case "fork-join orders" `Quick test_fork_join_orders;
+    Alcotest.test_case "wake token orders" `Quick test_wake_token_orders;
+    Alcotest.test_case "late atomic exempts the word" `Quick test_late_atomic_exempts;
     Alcotest.test_case "two observers share the bus" `Quick test_two_observers;
     Alcotest.test_case "blocked_spans unmatched block" `Quick
       test_blocked_spans_unmatched_final_block;

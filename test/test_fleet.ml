@@ -66,6 +66,31 @@ let test_jsonv_num_idempotent () =
       Float.pi; 1_000_000.5; 2.5e20;
     ]
 
+(* The one JSON string escape every artifact printer and the store
+   share: each control character below 0x20 gets its short escape
+   (newline, carriage return, tab) or a [\u00XX] escape, the quote and
+   the backslash are escaped, and the result parses back to the input. *)
+let test_json_escape_controls () =
+  for code = 0 to 0x1f do
+    let c = Char.chr code in
+    let want =
+      match c with
+      | '\n' -> "\\n"
+      | '\r' -> "\\r"
+      | '\t' -> "\\t"
+      | _ -> Printf.sprintf "\\u%04x" code
+    in
+    check string (Printf.sprintf "escape of 0x%02x" code) want
+      (Engine.Text.json_escape (String.make 1 c))
+  done;
+  check string "quote and backslash" "a\\\"b\\\\c" (Engine.Text.json_escape "a\"b\\c");
+  let all = String.init 0x20 Char.chr ^ "\"\\ plain" in
+  check string "Jsonv.escape is the shared escape" (Engine.Text.json_escape all)
+    (Fleet.Jsonv.escape all);
+  match Fleet.Jsonv.parse ("\"" ^ Engine.Text.json_escape all ^ "\"") with
+  | Ok (Fleet.Jsonv.Str s) -> check string "escape parses back" all s
+  | Ok _ | Error _ -> Alcotest.fail "escaped control characters do not parse back"
+
 let test_jsonv_errors () =
   let open Fleet.Jsonv in
   List.iter
@@ -522,6 +547,8 @@ let suite =
     Alcotest.test_case "jsonv: float printing is idempotent" `Quick
       test_jsonv_num_idempotent;
     Alcotest.test_case "jsonv: malformed documents rejected" `Quick test_jsonv_errors;
+    Alcotest.test_case "json escape: every control character" `Quick
+      test_json_escape_controls;
     Alcotest.test_case "jsonv: canonical sorts keys recursively" `Quick
       test_jsonv_canonical;
     QCheck_alcotest.to_alcotest prop_jsonv_parse_print;
