@@ -61,7 +61,7 @@ module Clocks = struct
       if ev.other >= 0 then begin
         let pc = clock t ev.other in
         let cc = clock t ev.tid in
-        Vclock.join cc (Vclock.snapshot pc);
+        Vclock.join_clock cc pc;
         Vclock.set cc ev.tid (Vclock.get cc ev.tid + 1);
         Vclock.incr pc ev.other
       end
@@ -70,7 +70,7 @@ module Clocks = struct
          visible to the wakee when it resumes. *)
       if ev.other >= 0 then begin
         let waker = clock t ev.other in
-        Vclock.join (clock t ev.tid) (Vclock.snapshot waker);
+        Vclock.join_clock (clock t ev.tid) waker;
         Vclock.incr waker ev.other
       end
     | Sched.Ev_token ->
@@ -98,12 +98,9 @@ module Clocks = struct
          The target has usually finished already, so its clock lives
          in the collapsed-snapshot table. *)
       if ev.other >= 0 then begin
-        let snap =
-          match Hashtbl.find_opt t.finished ev.other with
-          | Some snap -> snap
-          | None -> Vclock.snapshot (clock t ev.other)
-        in
-        Vclock.join (clock t ev.tid) snap
+        match Hashtbl.find_opt t.finished ev.other with
+        | Some snap -> Vclock.join (clock t ev.tid) snap
+        | None -> Vclock.join_clock (clock t ev.tid) (clock t ev.other)
       end
     | Sched.Ev_finish ->
       Hashtbl.replace t.finished ev.tid (Vclock.snapshot (clock t ev.tid));

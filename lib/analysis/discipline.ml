@@ -11,8 +11,8 @@ let run ~names trace =
   let diags = ref [] in
   let add d = diags := d :: !diags in
   let holding = Trace.Held.get held in
-  Trace.iter_side
-    (function
+  Trace.iteri_side
+    (fun _ -> function
       | Trace.Annot
           { annotation = Ops.A_lock_acquire { lock; lock_name; spin_wait }; annot_tid; _ }
         ->

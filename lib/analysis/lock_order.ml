@@ -13,8 +13,8 @@ let edges ~names trace =
   let order = ref [] in
   (* edge keys, first-seen order *)
   let locknames : (key, string) Hashtbl.t = Hashtbl.create 64 in
-  Trace.iter_side
-    (function
+  Trace.iteri_side
+    (fun _ -> function
       | Trace.Annot
           { annotation = Ops.A_lock_request { lock; lock_name }; annot_tid; annot_time; _ }
         ->

@@ -92,35 +92,34 @@ let check_pair st word k ~cur ~prior =
       note_race st word k ~cur ~prior
   end
 
+(* Exempt words never reach here: [run] skips them in the walk. *)
 let on_access st (a : Sched.access) =
   let k = Trace.key a.access_addr in
-  if not (Trace.is_exempt st.exempt k) then begin
-    let tid = a.access_tid in
-    let clock = clock_of st tid in
-    let ls = Trace.Held.get st.held tid in
-    let cur = { p_tid = tid; p_comp = Vclock.get clock tid; p_time = a.access_time;
-                p_lockset = ls } in
-    let word = word_state st k in
-    (* Eraser refinement: the candidate set narrows on every access;
-       an empty candidate set alone is only a suspicion — the
-       happens-before test in [check_pair] confirms or clears it. *)
-    word.candidates <-
-      Some (match word.candidates with None -> ls | Some c -> intersect c ls);
-    (match a.access_kind with
-    | Memory.Read_access ->
-      (match word.last_write with
-      | Some w -> check_pair st word k ~cur ~prior:w
-      | None -> ());
-      Hashtbl.replace word.reads tid cur
-    | Memory.Write_access ->
-      (match word.last_write with
-      | Some w -> check_pair st word k ~cur ~prior:w
-      | None -> ());
-      Hashtbl.iter (fun _ r -> check_pair st word k ~cur ~prior:r) word.reads;
-      Hashtbl.reset word.reads;
-      word.last_write <- Some cur
-    | Memory.Atomic_access -> ())
-  end
+  let tid = a.access_tid in
+  let clock = clock_of st tid in
+  let ls = Trace.Held.get st.held tid in
+  let cur = { p_tid = tid; p_comp = Vclock.get clock tid; p_time = a.access_time;
+              p_lockset = ls } in
+  let word = word_state st k in
+  (* Eraser refinement: the candidate set narrows on every access;
+     an empty candidate set alone is only a suspicion — the
+     happens-before test in [check_pair] confirms or clears it. *)
+  word.candidates <-
+    Some (match word.candidates with None -> ls | Some c -> intersect c ls);
+  match a.access_kind with
+  | Memory.Read_access ->
+    (match word.last_write with
+    | Some w -> check_pair st word k ~cur ~prior:w
+    | None -> ());
+    Hashtbl.replace word.reads tid cur
+  | Memory.Write_access ->
+    (match word.last_write with
+    | Some w -> check_pair st word k ~cur ~prior:w
+    | None -> ());
+    Hashtbl.iter (fun _ r -> check_pair st word k ~cur ~prior:r) word.reads;
+    Hashtbl.reset word.reads;
+    word.last_write <- Some cur
+  | Memory.Atomic_access -> ()
 
 let on_event st (ev : Sched.event) =
   Causality.Clocks.on_event st.clocks ev;
@@ -157,7 +156,7 @@ let run ~names trace =
       names;
     }
   in
-  Trace.iter
+  Trace.iter ~skip:st.exempt
     (function
       | Trace.Event ev -> on_event st ev
       | Trace.Access a -> on_access st a

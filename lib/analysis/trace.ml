@@ -39,7 +39,23 @@ module Key_tbl = Hashtbl.Make (Int)
 let key a = (Memory.node_of a lsl 32) lor Memory.index_of a
 let key_name k = Printf.sprintf "%d:%d" (k lsr 32) (k land 0xffff_ffff)
 
-type exempt = unit Key_tbl.t
+(* The exemption set with a one-entry memo of the last key asked
+   about: the passes ask once per access, and a spin loop asks about
+   the same word over and over. *)
+type exempt = {
+  words : unit Key_tbl.t;
+  mutable last : key;  (* -1 (no word's key) until the first question *)
+  mutable last_exempt : bool;
+}
+
+let is_exempt e k =
+  if k = e.last then e.last_exempt
+  else begin
+    let x = Key_tbl.mem e.words k in
+    e.last <- k;
+    e.last_exempt <- x;
+    x
+  end
 
 type t = {
   mutable time : int array array;
@@ -157,21 +173,38 @@ let access_at t j =
       access_kind = kind_of_code (m land ((1 lsl kind_bits) - 1));
     }
 
-let iteri f t =
-  let s = ref 0 in
-  for i = 0 to length t - 1 do
-    if !s < t.n_side && t.side_pos.(!s) = i then begin
-      f i t.side.(!s);
-      incr s
-    end
-    else f i (access_at t (i - !s))
-  done
-
-let iter f t = iteri (fun _ e -> f e) t
-
-let iter_side f t =
+(* One walk: the side entries in order, each preceded by the run of
+   accesses recorded before it, read straight from the columns. With
+   [skip], an access to an exempt word is passed over before its entry
+   is rebuilt. *)
+let iteri ?skip f t =
+  let accesses_upto ~from ~upto ~before =
+    (* Accesses [from, upto), with [before] side entries ahead of them. *)
+    match skip with
+    | None ->
+      for j = from to upto - 1 do
+        f (j + before) (access_at t j)
+      done
+    | Some e ->
+      for j = from to upto - 1 do
+        if not (is_exempt e (key t.addr.(j lsr chunk_bits).(j land chunk_mask))) then
+          f (j + before) (access_at t j)
+      done
+  in
+  let from = ref 0 in
   for s = 0 to t.n_side - 1 do
-    f t.side.(s)
+    let pos = t.side_pos.(s) in
+    accesses_upto ~from:!from ~upto:(pos - s) ~before:s;
+    from := pos - s;
+    f pos t.side.(s)
+  done;
+  accesses_upto ~from:!from ~upto:t.n_acc ~before:t.n_side
+
+let iter ?skip f t = iteri ?skip (fun _ e -> f e) t
+
+let iteri_side f t =
+  for s = 0 to t.n_side - 1 do
+    f t.side_pos.(s) t.side.(s)
   done
 
 let events t = t.n_events
@@ -216,21 +249,28 @@ let adaptations t =
    touched anywhere in the run (atomics are this machine's
    synchronization instructions), so a word is exempt from its first
    access on even when the atomic comes later. Atomic accesses are
-   found by reading the kind and address columns directly. *)
+   found by reading the kind and address columns directly; a run of
+   atomics on one word, a spin loop's, costs one table update. *)
 let scan_exempt t =
-  let exempt = Key_tbl.create 256 in
+  let words = Key_tbl.create 256 in
+  let prev = ref (-1) in
   for j = 0 to t.n_acc - 1 do
     let c = j lsr chunk_bits and i = j land chunk_mask in
-    if t.meta.(c).(i) land ((1 lsl kind_bits) - 1) = atomic_code then
-      Key_tbl.replace exempt (key t.addr.(c).(i)) ()
+    if t.meta.(c).(i) land ((1 lsl kind_bits) - 1) = atomic_code then begin
+      let k = key t.addr.(c).(i) in
+      if k <> !prev then begin
+        Key_tbl.replace words k ();
+        prev := k
+      end
+    end
   done;
   for s = 0 to t.n_side - 1 do
     match t.side.(s) with
     | Annot { annotation = Ops.A_sync_word a | Ops.A_relaxed_word a; _ } ->
-      Key_tbl.replace exempt (key a) ()
+      Key_tbl.replace words (key a) ()
     | Annot _ | Event _ | Access _ -> ()
   done;
-  exempt
+  { words; last = -1; last_exempt = false }
 
 let exempt t =
   match t.exempt with
@@ -239,8 +279,6 @@ let exempt t =
     let exempt = scan_exempt t in
     t.exempt <- Some (length t, exempt);
     exempt
-
-let is_exempt exempt k = Key_tbl.mem exempt k
 
 module Held = struct
   type 'a t = { key_of : 'a -> key; stacks : (int, 'a list) Hashtbl.t }
@@ -275,7 +313,7 @@ let thread_names sim =
 (* {2 Views of the scheduling events} *)
 
 let iter_events f t =
-  iter_side (function Event ev -> f ev | Access _ | Annot _ -> ()) t
+  iteri_side (fun _ -> function Event ev -> f ev | Access _ | Annot _ -> ()) t
 
 let count t kind =
   let n = ref 0 in

@@ -33,16 +33,23 @@ val attach : Sched.t -> t
     wrapping. *)
 
 val length : t -> int
-val iter : (entry -> unit) -> t -> unit
 
-val iteri : (int -> entry -> unit) -> t -> unit
+type exempt
+(** A set of word keys: see {!val-exempt}. *)
+
+val iter : ?skip:exempt -> (entry -> unit) -> t -> unit
+(** Every entry in trace order. With [skip], an access to a word in
+    the set is passed over before its [Access] entry is rebuilt, so a
+    pass that ignores those words pays one key test for each. *)
+
+val iteri : ?skip:exempt -> (int -> entry -> unit) -> t -> unit
 (** Like {!iter} with the entry's position in the trace: the global
     linearization index the predictive passes use to relate events. *)
 
-val iter_side : (entry -> unit) -> t -> unit
-(** Like {!iter} over the events and annotations only, still in trace
-    order: no [Access] entry is rebuilt, so a pass that matches none
-    costs nothing per access. *)
+val iteri_side : (int -> entry -> unit) -> t -> unit
+(** Like {!iteri} over the events and annotations only, still in trace
+    order and with their positions: no [Access] entry is rebuilt, so a
+    pass that matches none costs nothing per access. *)
 
 val events : t -> int
 (** Number of scheduling events recorded. O(1). *)
@@ -82,9 +89,6 @@ val key_name : key -> string
 
 module Key_tbl : Hashtbl.S with type key = key
 
-type exempt
-(** A set of word keys. *)
-
 val exempt : t -> exempt
 (** The words no race rule may report: words registered with
     [Ops.A_sync_word] (primitive internals) or [Ops.A_relaxed_word]
@@ -95,6 +99,8 @@ val exempt : t -> exempt
     trace share one scan. *)
 
 val is_exempt : exempt -> key -> bool
+(** One table lookup, or one int comparison when [key] is the one the
+    previous call on this set asked about (the set keeps that answer). *)
 
 (** A per-thread stack of held locks, innermost first, fed from
     [A_lock_acquire]/[A_lock_release] annotations by the pass that owns

@@ -8,7 +8,12 @@
     The happens-before test used by the race detector is the epoch
     form: an access by thread [u] with own-component value [c]
     happened before the current point of thread [v] iff
-    [c <= get v_clock u]. *)
+    [c <= get v_clock u].
+
+    A clock grows only to the length an update needs: [set t i] to
+    [i + 1] components, [join t snap] to [Array.length snap]. So no
+    clock or snapshot is ever longer than the highest tid its owner
+    has heard of, plus one. *)
 
 type t
 
@@ -27,3 +32,7 @@ val snapshot : t -> int array
 
 val join : t -> int array -> unit
 (** Pointwise max with a published snapshot (an incoming edge). *)
+
+val join_clock : t -> t -> unit
+(** [join_clock t u] is [join t (snapshot u)] without the copy: an
+    incoming edge from a clock that is still live. *)

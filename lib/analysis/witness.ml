@@ -72,7 +72,7 @@ let plan_of_race trace (r : Predict.race_prediction) =
   let t2 = r.Predict.r_second.Predict.s_tid in
   let t2_path_locks = Hashtbl.create 8 in
   let t1_req_counts = Hashtbl.create 8 in
-  Trace.iteri
+  Trace.iteri_side
     (fun idx entry ->
       match entry with
       | Trace.Annot { annot_tid; annotation = Ops.A_lock_request { lock; _ }; _ } ->
@@ -432,8 +432,8 @@ let detector_flags_race info (r : Predict.race_prediction) =
    trace itself must show two unreleased acquires of the word at once. *)
 let trace_shows_double_hold info (sw : Predict.swap_prediction) =
   let holding = ref 0 and overlap = ref false in
-  Trace.iter_side
-    (function
+  Trace.iteri_side
+    (fun _ -> function
       | Trace.Annot { annotation = Ops.A_lock_acquire { lock; _ }; _ }
         when Trace.key lock = sw.Predict.sw_lock ->
         incr holding;

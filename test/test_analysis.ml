@@ -92,20 +92,145 @@ let test_wake_token_orders () =
   check_bool "without the wakeup the race is real" true (List.mem "data-race" (rules r))
 
 (* A word touched atomically anywhere in the run is exempt everywhere,
-   also at the plain accesses that precede its first atomic. *)
+   also at the plain accesses that precede its first atomic. Two words,
+   each touched atomically twice in a row, one run after the other:
+   the scan must record the word of every run, the last one included. *)
 let late_atomic ~atomic () =
-  let x = Ops.alloc1 ~node:0 () in
+  let x = Ops.alloc1 ~node:0 () and y = Ops.alloc1 ~node:1 () in
   let ts =
-    List.init 2 (fun i -> Cthread.fork ~proc:(1 + i) (fun () -> Ops.write x (i + 1)))
+    List.init 2 (fun i ->
+        Cthread.fork ~proc:(1 + i) (fun () ->
+            Ops.write x (i + 1);
+            Ops.write y (i + 1)))
   in
   Cthread.join_all ts;
-  if atomic then ignore (Ops.fetch_and_add x 1)
+  if atomic then List.iter (fun w -> ignore (Ops.fetch_and_add w 1)) [ x; x; y; y ]
 
 let test_late_atomic_exempts () =
   let r = Analysis.check (cfg ()) (late_atomic ~atomic:true) in
   check_bool "a later atomic exempts the earlier plain writes" true (Analysis.clean r);
   let r = Analysis.check (cfg ()) (late_atomic ~atomic:false) in
   check_bool "without the atomic the writes race" true (List.mem "data-race" (rules r))
+
+(* Two clocks that absorb each other's snapshots in turn, as two
+   threads passing a lock back and forth do, stay exactly as long as
+   the highest tid they have heard of plus one. A clock that grew by
+   doubling would double on every exchange; the check inside the loop
+   stops such a clock at its first overgrowth. *)
+let test_clock_length_bound () =
+  let module V = Analysis.Vclock in
+  let a = V.create () and b = V.create () in
+  V.set a 2 1;
+  V.set b 4 1;
+  for i = 1 to 1_000 do
+    V.join a (V.snapshot b);
+    V.incr a 2;
+    V.join b (V.snapshot a);
+    V.incr b 4;
+    let la = Array.length (V.snapshot a) and lb = Array.length (V.snapshot b) in
+    if la <> 5 || lb <> 5 then
+      Alcotest.failf "exchange %d: clock lengths %d and %d, expected 5" i la lb
+  done;
+  check_int "a's own component" 1_001 (V.get a 2);
+  check_int "b has seen a's last release" 1_001 (V.get b 2);
+  check_int "a has seen all but b's last release" 1_000 (V.get a 4);
+  check_bool "components past the end read 0" true
+    (List.for_all (fun i -> V.get a i = 0 && V.get b i = 0) [ 5; 6; 64; 1 lsl 20 ])
+
+(* Each thread's accesses alternate between a word touched atomically
+   (exempt) and a plain word the two threads race on, so the exemption
+   set is asked about each word both right after the other word and
+   right after itself.
+   The remembered answer for the exempt word must not leak onto the
+   plain one: both detectors report the race, with the diagnostic they
+   gave before the exemption test remembered anything. *)
+let alternating_race () =
+  let flag = Ops.alloc1 ~node:0 () and x = Ops.alloc1 ~node:1 () in
+  let ts =
+    List.init 2 (fun i ->
+        Cthread.fork ~name:(Printf.sprintf "w%d" i) ~proc:(1 + i) (fun () ->
+            for j = 1 to 4 do
+              ignore (Ops.fetch_and_add flag 1);
+              Ops.write x (Ops.read x + j)
+            done))
+  in
+  Cthread.join_all ts
+
+let test_exempt_memo_keeps_race () =
+  let pv = Analysis.check_predictive (cfg ()) alternating_race in
+  let observed =
+    List.filter_map
+      (fun d ->
+        if d.Analysis.Diag.rule = "data-race" then Some (Analysis.Diag.to_string d) else None)
+      pv.Analysis.observed.Analysis.diags
+  in
+  let predicted =
+    List.filter_map
+      (fun p -> if p.Analysis.rule = "predicted-race" then Some p.Analysis.description else None)
+      pv.Analysis.predictions
+  in
+  Alcotest.(check (list string)) "the observed detector reports the race"
+    [ "[366550 ns] race/data-race (thread w1): word 1:0: access by w1 at 366550 ns races \
+       with access by w0 at 267250 ns; no common lock and no happens-before order \
+       (Eraser candidate set empty); 2 occurrences of this site pair" ]
+    observed;
+  Alcotest.(check (list string)) "the predictor reports the race"
+    [ "word 1:0: write by w0 at 267250 ns holding {} is reorderable against read by w1 at \
+       366550 ns holding {} (no common lock, weakly unordered); 2 occurrences of this \
+       site pair" ]
+    predicted
+
+(* The csweep-spin swap-fault chaos run at seed 1, rebuilt as the
+   chaos harness runs it so its trace can be kept. *)
+let csweep_spin_chaos_trace () =
+  let scenario =
+    List.find
+      (fun s -> s.Analysis_suite.scenario_name = "csweep-spin")
+      (Analysis_suite.shipped ())
+  in
+  let plan =
+    Faults.Fault_plan.generate ~swap_faults:true
+      ~seed:(1 + (1_000_003 * Hashtbl.hash "csweep-spin"))
+      ~cfg:scenario.Analysis_suite.config ~horizon_ns:3_000_000 ()
+  in
+  let sim = Sched.create scenario.Analysis_suite.config in
+  Sched.set_record_schedule sim true;
+  let trace = Analysis.Trace.attach sim in
+  ignore (Faults.Injector.install sim ~plan : Faults.Injector.t);
+  ignore
+    (Sched.run_outcome ~main_name:"main" sim (fun () ->
+         let wd = Monitoring.Watchdog.start ~sched:sim () in
+         scenario.Analysis_suite.program ();
+         Monitoring.Watchdog.stop wd)
+      : Sched.outcome);
+  (scenario, trace, Analysis.Trace.thread_names sim)
+
+(* Host-side allocation bound for the sanitizer passes, on the run
+   where clocks that grew by doubling reached 65,536 components: every
+   release snapshot copied one. Words are counted from [Gc.counters] as
+   minor + major - promoted, since an array that large is allocated
+   straight into the major heap and [Gc.minor_words] never sees it.
+   Measured over the run's 483 entries: 3,335 words per entry with
+   doubling clocks, 4.2 with exact-length clocks and the exemption
+   test memoized; the bound is 32. *)
+let test_sanitize_allocation () =
+  let scenario, trace, names = csweep_spin_chaos_trace () in
+  let chaos = Chaos.run_scenario ~swap_faults:true ~scenario ~seed:1 () in
+  check_int "the rebuilt run is the chaos run: events" chaos.Chaos.events
+    (Analysis.Trace.events trace);
+  check_int "the rebuilt run is the chaos run: accesses" chaos.Chaos.accesses
+    (Analysis.Trace.accesses trace);
+  let allocated () =
+    let minor, promoted, major = Gc.counters () in
+    minor +. major -. promoted
+  in
+  let before = allocated () in
+  let diags = Analysis.sanitize ~names trace in
+  let per_entry = (allocated () -. before) /. float_of_int (Analysis.Trace.length trace) in
+  Alcotest.(check (list string)) "the sanitizers' findings are the chaos run's"
+    chaos.Chaos.sanitizer_diags (List.map Analysis.Diag.to_string diags);
+  if per_entry >= 32.0 then
+    Alcotest.failf "sanitize allocates %.1f words per trace entry" per_entry
 
 (* --- event bus ---------------------------------------------------- *)
 
@@ -347,13 +472,37 @@ let test_trace_fidelity () =
       incr pos)
     trace;
   check_int "iter visits every entry" (Array.length raw) !pos;
-  let side =
-    List.filter (function Analysis.Trace.Access _ -> false | _ -> true) (Array.to_list raw)
+  let positions keep =
+    List.filter (fun i -> keep raw.(i)) (List.init (Array.length raw) Fun.id)
   in
-  let visited = ref [] in
-  Analysis.Trace.iter_side (fun e -> visited := e :: !visited) trace;
-  check_bool "iter_side visits the events and annotations in order" true
-    (List.rev !visited = side)
+  let walk iteri =
+    let visited = ref [] in
+    iteri
+      (fun i e ->
+        if e <> raw.(i) then Alcotest.failf "entry at position %d differs from the bus record" i;
+        visited := i :: !visited)
+      trace;
+    List.rev !visited
+  in
+  check_bool "iteri_side visits the events and annotations in order, at their positions"
+    true
+    (walk Analysis.Trace.iteri_side
+    = positions (function Analysis.Trace.Access _ -> false | _ -> true));
+  (* [skip] passes over exactly the accesses to exempt words: the
+     fetch-and-add word and the lock's internals, not the plain words. *)
+  let exempt = Analysis.Trace.exempt trace in
+  let to_exempt = function
+    | Analysis.Trace.Access a ->
+      Analysis.Trace.is_exempt exempt (Analysis.Trace.key a.Sched.access_addr)
+    | _ -> false
+  in
+  let kept = walk (Analysis.Trace.iteri ~skip:exempt) in
+  check_bool "iteri ~skip visits every entry but the exempt accesses, at their positions"
+    true
+    (kept = positions (fun e -> not (to_exempt e)));
+  check_bool "some accesses skipped, some kept" true
+    (List.length kept < Array.length raw
+    && List.exists (fun i -> match raw.(i) with Analysis.Trace.Access _ -> true | _ -> false) kept)
 
 (* --- scenario suite ----------------------------------------------- *)
 
@@ -408,6 +557,9 @@ let suite =
     Alcotest.test_case "fork-join orders" `Quick test_fork_join_orders;
     Alcotest.test_case "wake token orders" `Quick test_wake_token_orders;
     Alcotest.test_case "late atomic exempts the word" `Quick test_late_atomic_exempts;
+    Alcotest.test_case "clock length bound" `Quick test_clock_length_bound;
+    Alcotest.test_case "exemption memo keeps the race" `Quick test_exempt_memo_keeps_race;
+    Alcotest.test_case "sanitize allocation bound" `Quick test_sanitize_allocation;
     Alcotest.test_case "two observers share the bus" `Quick test_two_observers;
     Alcotest.test_case "blocked_spans unmatched block" `Quick
       test_blocked_spans_unmatched_final_block;
