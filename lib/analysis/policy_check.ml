@@ -580,7 +580,7 @@ let shipped () =
     Locks.Adaptive_lock.policy_spec ();
     Locks.Adaptive_lock.policy_spec ~guardrail:Locks.Guardrail.default_params
       ~name:"adaptive-lock-guarded" ();
-    Locks.Switch_lock.policy_spec ();
+    Locks.Lock_core.impl_ladder_spec ();
     Locks.Rw_lock.policy_spec ();
     Cthreads.Adaptive_barrier.policy_spec ();
     Cthreads.Adaptive_condition.policy_spec ();

@@ -92,46 +92,46 @@ let primitives () =
    negative control for the swap-window predictor, which must stay
    silent on every window this program opens. *)
 let switch_lock_program () =
-  let module SL = Locks.Switch_lock in
-  let lk = SL.create ~name:"switch-adaptive" ~home:0 () in
+  let module L = Locks.Lock_core in
+  let lk = L.create ~name:"switch-adaptive" ~impl:L.Ladder ~home:0 () in
   let worker i =
     Cthread.fork ~name:(Printf.sprintf "sw%d" i) ~proc:(1 + (i mod 3)) (fun () ->
         for _ = 1 to 8 do
-          SL.lock lk;
+          L.lock lk;
           Cthread.work 18_000;
-          SL.unlock lk;
+          L.unlock lk;
           Cthread.delay 3_000
         done)
   in
   Cthread.join_all (List.init 5 worker);
   for _ = 1 to 6 do
-    SL.lock lk;
+    L.lock lk;
     Cthread.work 2_000;
-    SL.unlock lk;
+    L.unlock lk;
     Cthread.delay 5_000
   done;
   (* a sleeper kicked awake and migrated across a live swap window *)
-  let mg = SL.create ~name:"switch-migrate" ~initial:SL.Blocking ~home:1 () in
+  let mg = L.create ~name:"switch-migrate" ~impl:(L.Swappable L.Blocking) ~home:1 () in
   let swapper =
     Cthread.fork ~name:"swapper" ~proc:1 (fun () ->
-        SL.lock mg;
+        L.lock mg;
         let rec settle n =
-          if n > 0 && SL.waiting_now mg < 1 then begin
+          if n > 0 && L.waiting_now mg < 1 then begin
             Cthread.delay 20_000;
             settle (n - 1)
           end
         in
         settle 200;
         Cthread.delay 150_000;
-        ignore (SL.swap_to mg SL.Mcs);
+        ignore (L.swap_to mg L.Mcs);
         Cthread.work 30_000;
-        SL.unlock mg)
+        L.unlock mg)
   in
   let sleeper =
     Cthread.fork ~name:"sleeper" ~proc:2 (fun () ->
-        SL.lock mg;
+        L.lock mg;
         Cthread.work 10_000;
-        SL.unlock mg)
+        L.unlock mg)
   in
   Cthread.join swapper;
   Cthread.join sleeper
@@ -447,7 +447,7 @@ let policy_fixtures () =
      but the clamped metric can never reach the [>= 100] band that
      earns it. *)
   let impl_clamped =
-    Locks.Switch_lock.policy_spec
+    Locks.Lock_core.impl_ladder_spec
       ~guardrail:
         { Locks.Guardrail.default_params with Locks.Guardrail.clamp_max = 99 }
       ~name:"fixture-clamped-out-impl" ()
@@ -456,8 +456,8 @@ let policy_fixtures () =
      swap fires on a single enabling sample, so any metric blip opens a
      full quiescence window. *)
   let impl_trigger_happy =
-    Locks.Switch_lock.policy_spec
-      ~params:{ Locks.Switch_lock.default_params with Locks.Switch_lock.repeats = 1 }
+    Locks.Lock_core.impl_ladder_spec
+      ~params:{ Locks.Lock_core.default_params with Locks.Lock_core.repeats = 1 }
       ~name:"fixture-swap-no-hysteresis" ()
   in
   [

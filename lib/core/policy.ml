@@ -95,6 +95,18 @@ module Spec = struct
 
   let cond ?hi lo = { lo; hi }
 
+  let reachable ~next init =
+    let rec close seen frontier =
+      match frontier with
+      | [] -> List.sort compare seen
+      | v :: rest ->
+        let nexts =
+          List.sort_uniq compare (List.filter (fun v' -> not (List.mem v' seen)) (next v))
+        in
+        close (seen @ nexts) (rest @ nexts)
+    in
+    close [ init ] [ init ]
+
   let matches c m =
     m >= c.lo && match c.hi with None -> true | Some hi -> m <= hi
 

@@ -143,6 +143,11 @@ module Spec : sig
 
   val matches : cond -> int -> bool
 
+  val reachable : next:(int -> int list) -> int -> int list
+  (** [reachable ~next init]: the closure of [init] under the step
+      function [next], ascending — the configuration values a
+      step-rule policy can reach, for building its [s_configs]. *)
+
   val config_name : t -> int -> string
   (** Display name of the configuration with this value (the value
       itself, as a string, when unknown). *)

@@ -1,26 +1,13 @@
 module Policy = Adaptive_core.Policy
 module Cost = Adaptive_core.Cost
 
-let ladder ~step_up ~step_down init =
-  let rec close seen frontier =
-    match frontier with
-    | [] -> List.sort compare seen
-    | v :: rest ->
-      let nexts =
-        List.sort_uniq compare
-          (List.filter (fun v' -> not (List.mem v' seen)) [ step_up v; step_down v ])
-      in
-      close (seen @ nexts) (rest @ nexts)
-  in
-  close [ init ] [ init ]
-
 (* Per config the spin-more step is tried first, each step costs one
    read + one write (the paper's simple waiting-policy
    reconfiguration), and a step that would not move the budget is
    omitted rather than emitted as a self-loop. *)
 let spec ~name ~kind ~attribute ~metric ~spin_if_under ~block_if_over ~step_up
     ~step_down ~max_spin init =
-  let values = ladder ~step_up ~step_down init in
+  let values = Policy.Spec.reachable ~next:(fun v -> [ step_up v; step_down v ]) init in
   let configs =
     List.map
       (fun v -> { Policy.Spec.c_name = string_of_int v ^ "ns"; c_value = v })

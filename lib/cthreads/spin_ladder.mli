@@ -9,10 +9,6 @@
     {!Adaptive_core.Policy.Spec} so both objects compile the same data
     the static checker inspects. *)
 
-val ladder : step_up:(int -> int) -> step_down:(int -> int) -> int -> int list
-(** Closure of [init] under [step_up]/[step_down], sorted ascending —
-    the reachable budget values. *)
-
 val spec :
   name:string ->
   kind:string ->
@@ -25,7 +21,8 @@ val spec :
   max_spin:int ->
   int ->
   Adaptive_core.Policy.Spec.t
-(** [spec ... init] has one config per ladder value, a [spin-more]
+(** [spec ... init] has one config per budget reachable from [init]
+    under [step_up]/[step_down], a [spin-more]
     transition (metric in [[0, spin_if_under]]) from every config below
     [max_spin], and a [spin-less] transition (metric at least
     [block_if_over]) from every nonzero config; the spin-more step is

@@ -450,9 +450,9 @@ type switch_row = {
   sw_final_impl : string;
 }
 
-(* The implementation-as-attribute ablation (Switch_lock): five
-   contention regimes, each run under the three pinned implementations
-   and under the adaptive ladder. The regimes are chosen so no pinned
+(* The implementation-as-attribute ablation (Lock_core's registered
+   implementations): five contention regimes, each run under the three
+   pinned implementations and under the adaptive ladder. The regimes are chosen so no pinned
    implementation wins everywhere — plain TAS when the lock is mostly
    free, the MCS queue when waiters pile up (its probes spin on
    locally-homed flags instead of hammering the lock's home module),
@@ -471,61 +471,49 @@ let switch_points =
     ("long-hold", 8, 4, 16, 700_000, 10_000);
   ]
 
-let switch_machine machine =
+let switch_one ?machine ~point ~workers ~processors:procs ~iterations:iters ~cs_ns
+    ~think_ns ~variant ~fixed () =
+  let module L = Locks.Lock_core in
   let cfg =
     match machine with Some c -> c | None -> { Config.default with Config.processors = 8 }
   in
-  { cfg with Config.processors = max cfg.Config.processors 8 }
-
-let switch_one ?machine ~point ~workers ~processors:procs ~iterations:iters ~cs_ns
-    ~think_ns ~variant ~fixed () =
-  let cfg = switch_machine machine in
-  let run_one ((point, workers, procs, iters, cs_ns, think_ns), (variant, fixed)) =
-    let module SL = Locks.Switch_lock in
-    let sim = Sched.create cfg in
-    let wait = ref 0.0 and blocks = ref 0 and probes = ref 0 in
-    let swaps = ref 0 and final = ref Locks.Switch_lock.Tas in
-    Sched.run sim (fun () ->
-        let lk = SL.create ?fixed ~name:"ablation-switch" ~home:0 () in
-        let body i () =
-          Cthread.work (i * 3_000);
-          for _ = 1 to iters do
-            SL.lock lk;
-            Cthread.work cs_ns;
-            SL.unlock lk;
-            Cthread.work think_ns
-          done
-        in
-        let ts =
-          List.init workers (fun i -> Cthread.fork ~proc:(1 + (i mod procs)) (body i))
-        in
-        Cthread.join_all ts;
-        let st = SL.stats lk in
-        wait := Locks.Lock_stats.mean_wait_ns st /. 1000.0;
-        blocks := Locks.Lock_stats.blocks st;
-        probes := Locks.Lock_stats.spin_probes st;
-        swaps := SL.epoch lk;
-        final := SL.current_impl lk);
-    {
-      sw_point = point;
-      sw_variant = variant;
-      sw_total_ns = Sched.final_time sim;
-      sw_mean_wait_us = !wait;
-      sw_blocks = !blocks;
-      sw_spin_probes = !probes;
-      sw_swaps = !swaps;
-      sw_final_impl = Locks.Switch_lock.impl_label !final;
-    }
-  in
-  run_one ((point, workers, procs, iters, cs_ns, think_ns), (variant, fixed))
+  let sim = Sched.create { cfg with Config.processors = max cfg.Config.processors 8 } in
+  let lock = ref None in
+  Sched.run sim (fun () ->
+      let impl = match fixed with Some i -> L.Fixed i | None -> L.Ladder in
+      let lk = L.create ~name:"ablation-switch" ~impl ~home:0 () in
+      lock := Some lk;
+      let body i () =
+        Cthread.work (i * 3_000);
+        for _ = 1 to iters do
+          L.lock lk;
+          Cthread.work cs_ns;
+          L.unlock lk;
+          Cthread.work think_ns
+        done
+      in
+      let ts = List.init workers (fun i -> Cthread.fork ~proc:(1 + (i mod procs)) (body i)) in
+      Cthread.join_all ts);
+  let lk = Option.get !lock in
+  let st = L.stats lk in
+  {
+    sw_point = point;
+    sw_variant = variant;
+    sw_total_ns = Sched.final_time sim;
+    sw_mean_wait_us = Locks.Lock_stats.mean_wait_ns st /. 1000.0;
+    sw_blocks = Locks.Lock_stats.blocks st;
+    sw_spin_probes = Locks.Lock_stats.spin_probes st;
+    sw_swaps = L.epoch lk;
+    sw_final_impl = L.impl_label (L.current_impl lk);
+  }
 
 let switch_variants =
-  [
-    ("fixed tas", Some Locks.Switch_lock.Tas);
-    ("fixed mcs", Some Locks.Switch_lock.Mcs);
-    ("fixed blocking", Some Locks.Switch_lock.Blocking);
-    ("adaptive", None);
-  ]
+  List.map
+    (fun fixed ->
+      ( Option.fold fixed ~none:"adaptive" ~some:(fun i ->
+            "fixed " ^ Locks.Lock_core.impl_label i),
+        fixed ))
+    Locks.Lock_core.[ Some Tas; Some Mcs; Some Blocking; None ]
 
 let switch_locks ?machine ?domains () =
   let grid =

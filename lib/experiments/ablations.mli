@@ -144,7 +144,7 @@ val switch_one :
   cs_ns:int ->
   think_ns:int ->
   variant:string ->
-  fixed:Locks.Switch_lock.impl option ->
+  fixed:Locks.Lock_core.impl option ->
   unit ->
   switch_row
 (** One cell of the implementation-as-attribute ablation: [workers]
@@ -153,8 +153,13 @@ val switch_one :
     [fixed] (or adaptive when [None]). The unit the experiment-fleet
     [switch-lock] driver runs per config. *)
 
+val switch_variants : (string * Locks.Lock_core.impl option) list
+(** The ablation's variants: ["fixed tas"], ["fixed mcs"],
+    ["fixed blocking"] (each pinned) and ["adaptive"] (the ladder). *)
+
 val switch_locks : ?machine:Butterfly.Config.t -> ?domains:int -> unit -> switch_row list
-(** The implementation-as-attribute ablation ({!Locks.Switch_lock}):
+(** The implementation-as-attribute ablation ({!Locks.Lock_core}'s
+    registered implementations):
     every contention regime of {!switch_points} under each pinned
     implementation and under the adaptive ladder. No pinned
     implementation wins everywhere; the adaptive lock must never be

@@ -53,8 +53,8 @@ let make_of = function
       let policy = Locks.Waiting.pure_spin ~node:home () in
       Locks.Waiting.freeze policy;
       `Core
-        (Locks.Lock_core.create ~name:"atomior" ~home ~policy
-           ~costs:Locks.Lock_costs.atomior ())
+        (Locks.Lock_core.create ~name:"atomior" ~home
+           ~impl:(Locks.Lock_core.Central (policy, Locks.Lock_costs.atomior)) ())
   | `Kind kind -> fun ~home -> `Lock (Locks.Lock.create ~home kind)
 
 let lock_unlock_tables ?domains () =

@@ -117,12 +117,10 @@ let csweep_driver =
 (* switch-lock: one cell of the implementation-as-attribute ablation  *)
 
 let switch_variants =
-  [
-    ("tas", Some Locks.Switch_lock.Tas);
-    ("mcs", Some Locks.Switch_lock.Mcs);
-    ("blocking", Some Locks.Switch_lock.Blocking);
-    ("adaptive", None);
-  ]
+  List.map
+    (fun (_, fixed) ->
+      (Option.fold fixed ~none:"adaptive" ~some:Locks.Lock_core.impl_label, fixed))
+    Experiments.Ablations.switch_variants
 
 let switch_driver =
   {

@@ -43,8 +43,8 @@ let create ?name ?trace ?sched ?(params = default_params) ?guardrail ~home () =
   let name = match name with Some n -> n | None -> "adaptive-lock" in
   let waiting = Waiting.combined ~node:home ~spins:params.n () in
   let core =
-    Lock_core.create ~name ?trace ?sched ~home ~policy:waiting
-      ~costs:Lock_costs.reconfigurable ()
+    Lock_core.create ~name ?trace ?sched ~home
+      ~impl:(Lock_core.Central (waiting, Lock_costs.reconfigurable)) ()
   in
   let sensor =
     Sensor.make ~name:(name ^ ".no-of-waiting-threads") ~period:params.sample_period

@@ -4,6 +4,10 @@ module Attribute = Adaptive_core.Attribute
 (* Exponential back-off cap: keeps Anderson-style gaps bounded. *)
 let max_backoff_ns = 2_000_000
 
+let next_gap ~(policy : Waiting.t) gap =
+  if Attribute.get policy.Waiting.backoff then Int.min (Int.max (gap * 2) 1) max_backoff_ns
+  else gap
+
 let wait ~(policy : Waiting.t) ?(advice = fun () -> 0) ~since ~probe ~sleep () =
   (* The waiting loop re-consults the mutable attributes (and any
      advice) on every probe, so a reconfiguration takes effect for
@@ -29,12 +33,6 @@ let wait ~(policy : Waiting.t) ?(advice = fun () -> 0) ~since ~probe ~sleep () =
     let expired = timeout > 0 && Ops.now () >= since + timeout in
     if (attempts >= spin_limit || expired) && sleep_enabled then sleep ()
     else if probe ~gap_ns:gap then ()
-    else begin
-      let gap =
-        if Attribute.get policy.Waiting.backoff then Int.min (Int.max (gap * 2) 1) max_backoff_ns
-        else gap
-      in
-      wait_loop (attempts + 1) gap
-    end
+    else wait_loop (attempts + 1) (next_gap ~policy gap)
   in
   wait_loop 0 (Attribute.get policy.Waiting.delay_ns)

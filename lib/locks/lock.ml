@@ -25,7 +25,8 @@ type t = { lock_kind : kind; core : Lock_core.t; adaptive : Adaptive_lock.t opti
 let create ?name ?trace ?sched ~home lock_kind =
   let name = match name with Some n -> n | None -> kind_name lock_kind in
   let make ?advisory policy costs =
-    Lock_core.create ~name ?trace ?sched ?advisory ~home ~policy ~costs ()
+    Lock_core.create ~name ?trace ?sched ?advisory ~home
+      ~impl:(Lock_core.Central (policy, costs)) ()
   in
   let static ?advisory policy costs =
     Waiting.freeze policy;

@@ -8,7 +8,9 @@
     operation actually performs they reproduce the magnitude and —
     more importantly — the ordering of the paper's tables:
     atomior < spin = adaptive < blocking for Lock, and
-    spin < adaptive < blocking for Unlock. *)
+    spin < adaptive < blocking for Unlock. A {!Lock_core} lock charges
+    its current implementation's profile: its kind's on the
+    centralized word, else [spin] (TAS), [mcs] or [blocking]. *)
 
 type profile = {
   lock_overhead_instrs : int;
@@ -54,6 +56,6 @@ val monitor_sample_instrs : int
     word). *)
 
 val swap_implementation : Adaptive_core.Cost.t
-(** Implementation hot-swap ({!Switch_lock}): freeze/commit writes
+(** Implementation hot-swap ({!Lock_core.swap_to}): freeze/commit writes
     plus drain bookkeeping, excluding the per-waiter kick writes the
     protocol performs explicitly. *)

@@ -12,7 +12,7 @@ type qbug = Stolen_freeze_commit | Lost_sleeper | Double_grant | No_age_out
 
 let k = fun v -> K v
 
-(* ---- the Switch_lock quiescence swap ---- *)
+(* ---- the Lock_core implementation quiescence swap ---- *)
 
 (* A waiter's slots, for the properties. *)
 type wslots = {

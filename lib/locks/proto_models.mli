@@ -5,7 +5,7 @@
     sections (one guarded compound section = one atomic rule — the
     guard lock's whole job is making those sections atomic):
 
-    - the [Switch_lock] quiescence swap (freeze → kick/drain →
+    - the {!Lock_core} implementation swap (freeze → kick/drain →
       commit-or-rollback), including abandoned-swap recovery after
       [swap_grace_ns] (the abstract clock: 0 = inside the drain
       window, 1 = past the drain deadline, 2 = past deadline+grace)

@@ -32,21 +32,8 @@ let spec ?name:(spec_name = "adaptive-lock") ?attribute ~threshold ~n ~cap ~init
   let init = Int.max 0 (Int.min cap init) in
   (* Reachable-budget closure from [init] under the three regions. *)
   let reps = [ 0; 1; threshold + 1 ] in
-  let rec close seen frontier =
-    match frontier with
-    | [] -> seen
-    | v :: rest ->
-      let nexts =
-        List.filter_map
-          (fun waiting ->
-            let v' = step_value ~threshold ~n ~cap v ~waiting in
-            if List.mem v' seen then None else Some v')
-          reps
-      in
-      let nexts = List.sort_uniq compare nexts in
-      close (seen @ nexts) (rest @ nexts)
-  in
-  let values = List.sort compare (close [ init ] [ init ]) in
+  let next v = List.map (fun waiting -> step_value ~threshold ~n ~cap v ~waiting) reps in
+  let values = Spec.reachable ~next init in
   let configs =
     List.map (fun v -> { Spec.c_name = mode_of ~cap v; c_value = v }) values
   in

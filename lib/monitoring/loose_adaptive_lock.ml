@@ -17,8 +17,8 @@ let create ?(name = "loose-adaptive-lock") ?trace ?(params = AL.default_params)
     ?ring_capacity ?poll_interval_ns ~home ~monitor_proc () =
   let waiting = Locks.Waiting.combined ~node:home ~spins:params.AL.n () in
   let core =
-    Locks.Lock_core.create ~name ?trace ~home ~policy:waiting
-      ~costs:Locks.Lock_costs.reconfigurable ()
+    Locks.Lock_core.create ~name ?trace ~home
+      ~impl:(Locks.Lock_core.Central (waiting, Locks.Lock_costs.reconfigurable)) ()
   in
   let ring = Ring_buffer.create ?capacity:ring_capacity ~home () in
   let budget =

@@ -236,37 +236,37 @@ let sleep_with_spin_lock () =
    chaos-mutilated run still terminates) and settles long enough for
    the registered waiter to actually reach its block point. *)
 let swapped_with_sleeper ~name ~bug () =
-  let module SL = Locks.Switch_lock in
-  let lk = SL.create ~name ~bug ~initial:SL.Blocking ~home:0 () in
+  let module L = Locks.Lock_core in
+  let lk = L.create ~name ~bug ~impl:(L.Swappable L.Blocking) ~home:0 () in
   let swapper =
     Cthread.fork ~name:"swapper" ~proc:1 (fun () ->
-        SL.lock lk;
+        L.lock lk;
         let rec settle n =
-          if n > 0 && SL.waiting_now lk < 1 then begin
+          if n > 0 && L.waiting_now lk < 1 then begin
             Cthread.delay 20_000;
             settle (n - 1)
           end
         in
         settle 200;
         Cthread.delay 150_000;
-        ignore (SL.swap_to lk SL.Mcs);
+        ignore (L.swap_to lk L.Mcs);
         (* Long enough that a bug-granted sleeper (which pays the full
            wakeup overhead first) acquires while we still hold. *)
         Cthread.work 200_000;
-        SL.unlock lk)
+        L.unlock lk)
   in
   let victim =
     Cthread.fork ~name:"victim" ~proc:2 (fun () ->
-        SL.lock lk;
+        L.lock lk;
         Cthread.work 20_000;
-        SL.unlock lk)
+        L.unlock lk)
   in
   (swapper, victim)
 
 let swap_lost_waiter () =
   let swapper, victim =
     swapped_with_sleeper ~name:"swl-lost-waiter"
-      ~bug:Locks.Switch_lock.Lost_sleeper_on_swap ()
+      ~bug:Locks.Lock_core.Lost_sleeper_on_swap ()
   in
   Cthread.join swapper;
   (* The dropped sleeper is never woken: this join wedges the machine. *)
@@ -275,7 +275,7 @@ let swap_lost_waiter () =
 let swap_double_grant () =
   let swapper, victim =
     swapped_with_sleeper ~name:"swl-double-grant"
-      ~bug:Locks.Switch_lock.Double_grant_on_swap ()
+      ~bug:Locks.Lock_core.Double_grant_on_swap ()
   in
   (* The bogus grant stole ownership mid-window: the victim finishes,
      and the swapper's own unlock then crashes on the ownership check. *)

@@ -249,9 +249,9 @@ let test_lock_timeout () =
   let holder_blocked = ref None and acquired_after = ref None and stats = ref None in
   let sim = Sched.create cfg in
   Sched.run sim (fun () ->
+      let waiting = Locks.Waiting.pure_spin ~node:0 () in
       let lk =
-        Locks.Lock_core.create ~home:0 ~policy:(Locks.Waiting.pure_spin ~node:0 ())
-          ~costs:Locks.Lock_costs.spin ()
+        Locks.Lock_core.create ~home:0 ~impl:(Central (waiting, Locks.Lock_costs.spin)) ()
       in
       check_bool "uncontended timed acquire" true
         (Locks.Lock_core.lock_timeout lk ~deadline_ns:(Ops.now () + 1_000));

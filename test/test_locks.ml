@@ -324,7 +324,9 @@ let test_static_locks_refuse_reconfiguration () =
   let frozen_core () =
     let policy = Locks.Waiting.pure_spin ~node:0 () in
     Locks.Waiting.freeze policy;
-    Locks.Lock_core.create ~home:0 ~policy ~costs:Locks.Lock_costs.spin ()
+    Locks.Lock_core.create ~home:0
+      ~impl:(Locks.Lock_core.Central (policy, Locks.Lock_costs.spin))
+      ()
   in
   let of_kind kind () = Locks.Lock.core (Locks.Lock.create ~home:0 kind) in
   let ops =

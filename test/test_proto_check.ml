@@ -7,7 +7,7 @@
    that violates more; counterexamples replay on their own model;
    checker output is byte-identical at any domain count; random walks
    of the model replay (model well-formedness); and an instrumented
-   real [Switch_lock] swap's transition log replays through the
+   real implementation swap's transition log replays through the
    quiescence model step for step (conformance: the model moves like
    the implementation). *)
 
@@ -15,7 +15,7 @@ open Butterfly
 open Cthreads
 module P = Analysis.Proto_check
 module PM = Locks.Proto_models
-module SL = Locks.Switch_lock
+module L = Locks.Lock_core
 
 let small_quiescence () = PM.quiescence ~waiters:[ PM.Wsleep; PM.Wtimed ] ()
 let small_models () = [ small_quiescence (); PM.mcs ~contenders:2 (); PM.guard () ]
@@ -239,7 +239,7 @@ let test_random_walks_replay () =
       done)
     (small_models ())
 
-(* -- conformance: an instrumented real Switch_lock swap produces a
+(* -- conformance: an instrumented real implementation swap produces a
    transition log the quiescence model accepts step for step. One
    swapper, two sleeping waiters, blocking -> TAS — the same shape as
    [PM.quiescence ~waiters:[Wsleep; Wsleep]]. -- *)
@@ -249,28 +249,26 @@ let test_conformance_real_swap_log () =
   let cfg = { Config.default with Config.processors = 8 } in
   let sim = Sched.create cfg in
   Sched.run sim (fun () ->
-      (* repeats so high the feedback loop never swaps on its own: the
-         only protocol traffic in the log is ours. *)
-      let params = { SL.default_params with SL.repeats = 1_000_000 } in
-      let lk = SL.create ~initial:SL.Blocking ~params ~home:0 () in
-      SL.set_transition_probe lk
+      (* No feedback loop: the only protocol traffic in the log is ours. *)
+      let lk = L.create ~home:0 ~impl:(L.Swappable L.Blocking) () in
+      L.set_transition_probe lk
         (Some (fun tid label -> log := (tid, label) :: !log));
-      SL.lock lk;
+      L.lock lk;
       let waiters =
         List.init 2 (fun i ->
             Cthread.fork ~proc:(1 + i) (fun () ->
                 Cthread.delay ((i + 1) * 30_000);
-                SL.lock lk;
+                L.lock lk;
                 Cthread.work 10_000;
-                SL.unlock lk))
+                L.unlock lk))
       in
-      while SL.waiting_now lk < 2 do
+      while L.waiting_now lk < 2 do
         Cthread.delay 10_000
       done;
       (* Long enough for both registered waiters to actually park. *)
       Cthread.delay 200_000;
-      Alcotest.(check bool) "swap committed" true (SL.swap_to lk SL.Tas);
-      SL.unlock lk;
+      Alcotest.(check bool) "swap committed" true (L.swap_to lk L.Tas);
+      L.unlock lk;
       Cthread.join_all waiters);
   let events = List.rev !log in
   (* Canonicalize tids to model roles: the swapper is whoever froze,

@@ -1,13 +1,14 @@
-(* Switch_lock: the implementation-as-attribute lock. Mutual exclusion
+(* The implementation as an attribute of Lock_core. Mutual exclusion
    under every fixed implementation and under adaptation, the fail-safe
    swap protocol (FIFO-preserving migration, rollback on a killed
    participant, abandoned-swap recovery), timed waiters across swap
-   windows, the guardrail fallback-failure regression, and the
-   swap-window fault kinds end to end. *)
+   windows, the guardrail fallback-failure regression, the swap-window
+   fault kinds end to end, and digest pins on the ablation payload and
+   on one scripted swap window. *)
 
 open Butterfly
 open Cthreads
-module SL = Locks.Switch_lock
+module L = Locks.Lock_core
 module Spec = Adaptive_core.Policy.Spec
 
 let cfg = { Config.default with Config.processors = 8 }
@@ -19,32 +20,32 @@ let run main =
 
 (* -- mutual exclusion, every variant -- *)
 
-let hammer ?fixed ?(nthreads = 6) ?(iters = 20) ?(cs_ns = 5_000) () =
+let hammer ?(impl = L.Ladder) ?(nthreads = 6) ?(iters = 20) ?(cs_ns = 5_000) () =
   let counter = ref 0 and inside = ref 0 and overlap = ref 0 in
   let epoch = ref 0 in
   let (_ : Sched.t) =
     run (fun () ->
-        let lk = SL.create ?fixed ~home:0 () in
+        let lk = L.create ~home:0 ~impl () in
         let body () =
           for _ = 1 to iters do
-            SL.lock lk;
+            L.lock lk;
             incr inside;
             if !inside > !overlap then overlap := !inside;
             let v = !counter in
             Cthread.work cs_ns;
             counter := v + 1;
             decr inside;
-            SL.unlock lk
+            L.unlock lk
           done
         in
         let ts = List.init nthreads (fun i -> Cthread.fork ~proc:(1 + (i mod 7)) body) in
         Cthread.join_all ts;
-        epoch := SL.epoch lk)
+        epoch := L.epoch lk)
   in
   (!counter, !overlap, !epoch)
 
-let check_mutex name fixed () =
-  let total, overlap, _ = hammer ?fixed () in
+let check_mutex name impl () =
+  let total, overlap, _ = hammer ~impl () in
   Alcotest.(check int) (name ^ ": no lost updates") (6 * 20) total;
   Alcotest.(check int) (name ^ ": never two inside") 1 overlap
 
@@ -61,21 +62,21 @@ let test_adapts_to_blocking_under_long_holds () =
   let counter = ref 0 in
   let (_ : Sched.t) =
     run (fun () ->
-        let lk = SL.create ~home:0 () in
+        let lk = L.create ~home:0 ~impl:L.Ladder () in
         let body () =
           for _ = 1 to 12 do
-            SL.lock lk;
-            if SL.current_impl lk = SL.Blocking then saw_blocking := true;
+            L.lock lk;
+            if L.current_impl lk = L.Blocking then saw_blocking := true;
             let v = !counter in
             Cthread.work 600_000;
             counter := v + 1;
-            SL.unlock lk
+            L.unlock lk
           done
         in
         let ts = List.init 4 (fun i -> Cthread.fork ~proc:(1 + i) body) in
         Cthread.join_all ts;
-        blocks := Locks.Lock_stats.blocks (SL.stats lk);
-        epoch := SL.epoch lk)
+        blocks := Locks.Lock_stats.blocks (L.stats lk);
+        epoch := L.epoch lk)
   in
   Alcotest.(check int) "no lost updates" (4 * 12) !counter;
   Alcotest.(check bool) "swapped at least once" true (!epoch >= 1);
@@ -89,20 +90,20 @@ let test_fifo_preserved_across_swap () =
   let epoch = ref 0 and rollbacks = ref 0 in
   let (_ : Sched.t) =
     run (fun () ->
-        let lk = SL.create ~initial:SL.Mcs ~home:0 () in
+        let lk = L.create ~home:0 ~impl:(L.Swappable L.Mcs) () in
         let holder =
           Cthread.fork ~proc:7 (fun () ->
-              SL.lock lk;
+              L.lock lk;
               (* Hold until all four waiters are registered, then swap
                  with the full queue present: they are kicked, re-arm,
                  and re-enter with their original tickets. *)
-                while SL.waiting_now lk < 4 do
+                while L.waiting_now lk < 4 do
                   Cthread.delay 10_000
                 done;
               Cthread.delay 100_000;
-              committed := SL.swap_to lk SL.Blocking;
+              committed := L.swap_to lk L.Blocking;
               Cthread.work 50_000;
-              SL.unlock lk)
+              L.unlock lk)
         in
         let waiters =
           List.init 4 (fun i ->
@@ -111,15 +112,15 @@ let test_fifo_preserved_across_swap () =
                      index order (fork order alone staggers starts;
                      the growing delay keeps the margin wide). *)
                   Cthread.delay ((i + 1) * 60_000);
-                  SL.lock lk;
+                  L.lock lk;
                   order := i :: !order;
                   Cthread.work 10_000;
-                  SL.unlock lk))
+                  L.unlock lk))
         in
         Cthread.join holder;
         Cthread.join_all waiters;
-        epoch := SL.epoch lk;
-        rollbacks := SL.swap_rollbacks lk)
+        epoch := L.epoch lk;
+        rollbacks := L.swap_rollbacks lk)
   in
   Alcotest.(check bool) "swap committed" true !committed;
   Alcotest.(check (list int)) "grants in ticket order" [ 0; 1; 2; 3 ] (List.rev !order);
@@ -130,37 +131,37 @@ let test_fifo_preserved_across_swap () =
 
 let test_killed_waiter_rolls_swap_back () =
   let swap_result = ref true and survivor_done = ref false in
-  let epoch = ref 0 and rollbacks = ref 0 and final_impl = ref SL.Mcs in
+  let epoch = ref 0 and rollbacks = ref 0 and final_impl = ref L.Mcs in
   let go_swap = ref false in
   let sim = Sched.create cfg in
   Sched.run sim (fun () ->
-      let lk = SL.create ~initial:SL.Tas ~home:0 () in
+      let lk = L.create ~home:0 ~impl:(L.Swappable L.Tas) () in
       let holder =
         Cthread.fork ~proc:7 (fun () ->
-            SL.lock lk;
+            L.lock lk;
             while not !go_swap do
               Cthread.delay 10_000
             done;
             (* The dead waiter can never acknowledge its kick: the
                drain must hit its deadline and roll back. *)
-            swap_result := SL.swap_to lk SL.Mcs;
-            SL.unlock lk)
+            swap_result := L.swap_to lk L.Mcs;
+            L.unlock lk)
       in
       let victim =
         Cthread.fork ~proc:1 (fun () ->
-            SL.lock lk;
-            SL.unlock lk)
+            L.lock lk;
+            L.unlock lk)
       in
       let survivor =
         Cthread.fork ~proc:2 (fun () ->
-            SL.lock lk;
+            L.lock lk;
             survivor_done := true;
-            SL.unlock lk)
+            L.unlock lk)
       in
       (* Wait until both waiters are registered behind the holder,
          then crash the victim while it waits, then let the holder
          open its swap window against a queue with a corpse in it. *)
-      while SL.waiting_now lk < 2 do
+      while L.waiting_now lk < 2 do
         Cthread.delay 10_000
       done;
       Cthread.delay 100_000;
@@ -169,13 +170,13 @@ let test_killed_waiter_rolls_swap_back () =
       Cthread.join holder;
       Cthread.join victim;
       Cthread.join survivor;
-      epoch := SL.epoch lk;
-      rollbacks := SL.swap_rollbacks lk;
-      final_impl := SL.current_impl lk);
+      epoch := L.epoch lk;
+      rollbacks := L.swap_rollbacks lk;
+      final_impl := L.current_impl lk);
   Alcotest.(check bool) "swap reported rollback" false !swap_result;
   Alcotest.(check int) "rollback counted" 1 !rollbacks;
   Alcotest.(check int) "no committed swap" 0 !epoch;
-  Alcotest.(check bool) "implementation unchanged" true (!final_impl = SL.Tas);
+  Alcotest.(check bool) "implementation unchanged" true (!final_impl = L.Tas);
   Alcotest.(check bool) "surviving waiter still acquired" true !survivor_done
 
 (* -- a swapper killed mid-swap leaves a freeze the waiters age out -- *)
@@ -186,21 +187,21 @@ let test_abandoned_swap_recovery () =
   let go_swap = ref false and go_late = ref false in
   let sim = Sched.create cfg in
   Sched.run sim (fun () ->
-      let lk = SL.create ~initial:SL.Tas ~home:0 () in
+      let lk = L.create ~home:0 ~impl:(L.Swappable L.Tas) () in
       let holder =
         Cthread.fork ~proc:7 (fun () ->
-            SL.lock lk;
+            L.lock lk;
             while not !go_swap do
               Cthread.delay 10_000
             done;
             (* Never returns: killed mid-drain, freeze left set. *)
-            ignore (SL.swap_to lk SL.Mcs);
-            SL.unlock lk)
+            ignore (L.swap_to lk L.Mcs);
+            L.unlock lk)
       in
       let victim =
         Cthread.fork ~proc:1 (fun () ->
-            SL.lock lk;
-            SL.unlock lk)
+            L.lock lk;
+            L.unlock lk)
       in
       let late =
         Cthread.fork ~proc:2 (fun () ->
@@ -209,11 +210,11 @@ let test_abandoned_swap_recovery () =
             done;
             (* Arrives frozen; must clear the abandoned freeze, then
                (the word is stranded by the dead holder) expire. *)
-            timed_result := SL.lock_timeout lk ~deadline_ns:(Cthread.now () + 6_000_000))
+            timed_result := L.lock_timeout lk ~deadline_ns:(Cthread.now () + 6_000_000))
       in
       (* The registered waiter dies first (so the drain can never
          finish), then the swapper dies inside its own window. *)
-      while SL.waiting_now lk < 1 do
+      while L.waiting_now lk < 1 do
         Cthread.delay 10_000
       done;
       Cthread.delay 100_000;
@@ -225,10 +226,10 @@ let test_abandoned_swap_recovery () =
       Cthread.join holder;
       Cthread.join victim;
       Cthread.join late;
-      recoveries := SL.abandoned_recoveries lk;
-      rollbacks := SL.swap_rollbacks lk;
-      epoch := SL.epoch lk;
-      timeouts := Locks.Lock_stats.timeouts (SL.stats lk));
+      recoveries := L.abandoned_recoveries lk;
+      rollbacks := L.swap_rollbacks lk;
+      epoch := L.epoch lk;
+      timeouts := Locks.Lock_stats.timeouts (L.stats lk));
   Alcotest.(check bool) "timed waiter expired" false !timed_result;
   Alcotest.(check int) "freeze recovered once" 1 !recoveries;
   Alcotest.(check int) "nobody committed" 0 !epoch;
@@ -244,13 +245,32 @@ let test_abandoned_swap_recovery () =
 let swap_begin_label label =
   String.length label >= 10 && String.sub label 0 10 = "swap-begin"
 
+(* A short swap window, so the steered tests reach its grace period. *)
+let params =
+  { L.default_params with L.swap_timeout_ns = 600_000; swap_grace_ns = 200_000 }
+
+(* Steer dispatch: while [!hold] is set, starve thread [!swapper]
+   whenever any other thread is dispatchable, running the earliest
+   other candidate instead (several threads may share the starved
+   window, and a spinner must not starve the guard holder in turn). *)
+let starve_swapper sim ~swapper ~hold =
+  Sched.set_dispatch_chooser sim
+    (Some
+       (fun choices ->
+         if not !hold then -1
+         else
+           fst
+             (Array.fold_left
+                (fun (pick, key) c ->
+                  if c.Sched.choice_tid <> !swapper && c.Sched.choice_key < key then
+                    (c.Sched.choice_tid, c.Sched.choice_key)
+                  else (pick, key))
+                (-1, max_int) choices)))
+
 let test_stalled_swapper_commit_revalidates () =
-  let params =
-    { SL.default_params with SL.swap_timeout_ns = 600_000; swap_grace_ns = 200_000 }
-  in
   let swap_result = ref true and victim_done = ref false in
   let epoch = ref (-1) and rollbacks = ref 0 and recoveries = ref 0 in
-  let final_impl = ref SL.Tas in
+  let final_impl = ref L.Tas in
   let sim = Sched.create cfg in
   (* A penalty cannot build this interleaving: [penalize_thread] only
      inflates the thread's clock at its next dispatch — the dispatch
@@ -274,48 +294,35 @@ let test_stalled_swapper_commit_revalidates () =
            two, while the swapper is alone in its drain loop. *)
         Sched.add_timer sim ~at:(a.Sched.annot_time + 250_000) (fun () -> hold := true)
       | _ -> ());
-  Sched.set_dispatch_chooser sim
-    (Some
-       (fun choices ->
-         if not !hold then -1
-         else begin
-           let pick = ref (-1) in
-           Array.iter
-             (fun c ->
-               if c.Sched.choice_tid <> !swapper_tid && !pick = -1 then
-                 pick := c.Sched.choice_tid)
-             choices;
-           (* Only the swapper runnable: let the default policy run it. *)
-           !pick
-         end));
+  starve_swapper sim ~swapper:swapper_tid ~hold;
   Sched.run sim (fun () ->
-      let lk = SL.create ~initial:SL.Blocking ~params ~home:0 () in
+      let lk = L.create ~params ~home:0 ~impl:(L.Swappable L.Blocking) () in
       let swapper =
         Cthread.fork ~name:"swapper" ~proc:7 (fun () ->
-            SL.lock lk;
-            while SL.waiting_now lk < 1 do
+            L.lock lk;
+            while L.waiting_now lk < 1 do
               Cthread.delay 10_000
             done;
             (* Long enough for the registered victim to actually park. *)
             Cthread.delay 150_000;
-            swap_result := SL.swap_to lk SL.Tas;
-            SL.unlock lk)
+            swap_result := L.swap_to lk L.Tas;
+            L.unlock lk)
       in
       let victim =
         Cthread.fork ~name:"victim" ~proc:1 (fun () ->
-            SL.lock lk;
+            L.lock lk;
             victim_done := true;
-            SL.unlock lk)
+            L.unlock lk)
       in
       Cthread.join swapper;
       Cthread.join victim;
-      epoch := SL.epoch lk;
-      rollbacks := SL.swap_rollbacks lk;
-      recoveries := SL.abandoned_recoveries lk;
-      final_impl := SL.current_impl lk);
+      epoch := L.epoch lk;
+      rollbacks := L.swap_rollbacks lk;
+      recoveries := L.abandoned_recoveries lk;
+      final_impl := L.current_impl lk);
   Alcotest.(check bool) "swap reported rollback" false !swap_result;
   Alcotest.(check int) "no committed swap" 0 !epoch;
-  Alcotest.(check bool) "implementation unchanged" true (!final_impl = SL.Blocking);
+  Alcotest.(check bool) "implementation unchanged" true (!final_impl = L.Blocking);
   Alcotest.(check int) "rollback counted" 1 !rollbacks;
   Alcotest.(check int) "freeze recovered by the waiter" 1 !recoveries;
   Alcotest.(check bool) "re-parked victim still acquired" true !victim_done
@@ -331,13 +338,10 @@ let test_stalled_swapper_commit_revalidates () =
    stolen and rolls back. -- *)
 
 let test_timed_expiry_races_abandoned_recovery () =
-  let params =
-    { SL.default_params with SL.swap_timeout_ns = 600_000; swap_grace_ns = 200_000 }
-  in
   let swap_result = ref true and timed_result = ref true in
   let rescuer_done = ref false in
   let epoch = ref (-1) and rollbacks = ref 0 and recoveries = ref 0 in
-  let timeouts = ref 0 and final_impl = ref SL.Tas in
+  let timeouts = ref 0 and final_impl = ref L.Tas in
   let freeze_at = ref (-1) and timed_out_at = ref (-1) in
   let probe_log = ref [] in
   let sim = Sched.create cfg in
@@ -353,41 +357,29 @@ let test_timed_expiry_races_abandoned_recovery () =
            and discover the theft. *)
         hold := false
       | _ -> ());
-  Sched.set_dispatch_chooser sim
-    (Some
-       (fun choices ->
-         if not !hold then -1
-         else begin
-           let pick = ref (-1) in
-           Array.iter
-             (fun c ->
-               if c.Sched.choice_tid <> !swapper_tid && !pick = -1 then
-                 pick := c.Sched.choice_tid)
-             choices;
-           !pick
-         end));
+  starve_swapper sim ~swapper:swapper_tid ~hold;
   let go_rescue = ref false in
   Sched.run sim (fun () ->
-      let lk = SL.create ~initial:SL.Blocking ~params ~home:0 () in
+      let lk = L.create ~params ~home:0 ~impl:(L.Swappable L.Blocking) () in
       (* The probe doubles as the steering trigger: the timed waiter's
          kick acknowledgment is the exact point after which the
          swapper must not run again until the freeze is recovered —
          the emission is synchronous, so the hold is in place before
          the swapper's next drain sample can be dispatched. *)
-      SL.set_transition_probe lk
+      L.set_transition_probe lk
         (Some
            (fun tid label ->
              probe_log := (tid, label) :: !probe_log;
              if label = "ack" then hold := true));
       let swapper =
         Cthread.fork ~name:"swapper" ~proc:7 (fun () ->
-            SL.lock lk;
-            while SL.waiting_now lk < 1 do
+            L.lock lk;
+            while L.waiting_now lk < 1 do
               Cthread.delay 10_000
             done;
             Cthread.delay 150_000;
-            swap_result := SL.swap_to lk SL.Tas;
-            SL.unlock lk)
+            swap_result := L.swap_to lk L.Tas;
+            L.unlock lk)
       in
       let timed =
         Cthread.fork ~name:"timed" ~proc:1 (fun () ->
@@ -396,7 +388,7 @@ let test_timed_expiry_races_abandoned_recovery () =
                expires while the abandoned freeze is still inside its
                grace period. *)
             timed_result :=
-              SL.lock_timeout lk ~deadline_ns:(Cthread.now () + 880_000);
+              L.lock_timeout lk ~deadline_ns:(Cthread.now () + 880_000);
             timed_out_at := Cthread.now ())
       in
       let rescuer =
@@ -404,26 +396,26 @@ let test_timed_expiry_races_abandoned_recovery () =
             while not !go_rescue do
               Cthread.delay 10_000
             done;
-            SL.lock lk;
+            L.lock lk;
             rescuer_done := true;
-            SL.unlock lk)
+            L.unlock lk)
       in
       Cthread.join timed;
       go_rescue := true;
       Cthread.join swapper;
       Cthread.join rescuer;
-      epoch := SL.epoch lk;
-      rollbacks := SL.swap_rollbacks lk;
-      recoveries := SL.abandoned_recoveries lk;
-      timeouts := Locks.Lock_stats.timeouts (SL.stats lk);
-      final_impl := SL.current_impl lk);
+      epoch := L.epoch lk;
+      rollbacks := L.swap_rollbacks lk;
+      recoveries := L.abandoned_recoveries lk;
+      timeouts := Locks.Lock_stats.timeouts (L.stats lk);
+      final_impl := L.current_impl lk);
   Alcotest.(check bool) "timed waiter expired" false !timed_result;
   (* The expiry really fell inside the grace window: past the drain
      deadline, short of deadline+grace. *)
   Alcotest.(check bool) "timeout after the drain deadline" true
-    (!timed_out_at > !freeze_at + params.SL.swap_timeout_ns);
+    (!timed_out_at > !freeze_at + params.L.swap_timeout_ns);
   Alcotest.(check bool) "timeout inside the grace window" true
-    (!timed_out_at < !freeze_at + params.SL.swap_timeout_ns + params.SL.swap_grace_ns);
+    (!timed_out_at < !freeze_at + params.L.swap_timeout_ns + params.L.swap_grace_ns);
   (* The timed waiter withdrew without recovering; the rescuer did. *)
   let events = List.rev !probe_log in
   let index l = Option.get (List.find_index (fun (_, x) -> x = l) events) in
@@ -436,30 +428,39 @@ let test_timed_expiry_races_abandoned_recovery () =
   Alcotest.(check bool) "swap reported rollback" false !swap_result;
   Alcotest.(check int) "no committed swap" 0 !epoch;
   Alcotest.(check int) "rollback counted" 1 !rollbacks;
-  Alcotest.(check bool) "implementation unchanged" true (!final_impl = SL.Blocking);
+  Alcotest.(check bool) "implementation unchanged" true (!final_impl = L.Blocking);
   Alcotest.(check bool) "rescuer still acquired" true !rescuer_done
 
 (* -- a pinned variant must stay pinned: the public swap API refuses -- *)
 
 let test_pinned_lock_rejects_swap () =
-  let raised = ref false and set_raised = ref false and final_impl = ref SL.Mcs in
-  let (_ : Sched.t) =
-    run (fun () ->
-        let lk = SL.create ~fixed:SL.Tas ~home:0 () in
-        SL.lock lk;
-        (try ignore (SL.swap_to lk SL.Mcs) with Locks.Lock_core.Misuse _ -> raised := true);
-        SL.unlock lk;
-        (try ignore (SL.set_impl lk SL.Blocking)
-         with Locks.Lock_core.Misuse _ -> set_raised := true);
-        (* set_impl must release on the way out: a plain acquisition
-           still succeeds afterwards. *)
-        SL.lock lk;
-        SL.unlock lk;
-        final_impl := SL.current_impl lk)
+  (* A fixed variant, and the centralized word, whose implementation
+     is never mutable. *)
+  let check (name, impl) =
+    let raised = ref 0 and unchanged = ref false in
+    let (_ : Sched.t) =
+      run (fun () ->
+          let lk = L.create ~home:0 ~impl:(impl ()) () in
+          let before = L.current_impl lk in
+          L.lock lk;
+          (try ignore (L.swap_to lk L.Mcs) with L.Misuse _ -> incr raised);
+          L.unlock lk;
+          (try ignore (L.set_impl lk L.Blocking) with L.Misuse _ -> incr raised);
+          (* set_impl must release on the way out: a plain acquisition
+             still succeeds afterwards. *)
+          L.lock lk;
+          L.unlock lk;
+          unchanged := L.current_impl lk = before)
+    in
+    Alcotest.(check int) (name ^ ": swap_to and set_impl refused") 2 !raised;
+    Alcotest.(check bool) (name ^ ": implementation unchanged") true !unchanged
   in
-  Alcotest.(check bool) "swap_to refused" true !raised;
-  Alcotest.(check bool) "set_impl refused" true !set_raised;
-  Alcotest.(check bool) "implementation unchanged" true (!final_impl = SL.Tas)
+  List.iter check
+    [
+      ("fixed tas", fun () -> L.Fixed L.Tas);
+      ( "centralized",
+        fun () -> L.Central (Locks.Waiting.pure_spin (), Locks.Lock_costs.spin) );
+    ]
 
 (* -- timed waiters: expiry while queued, grant within deadline -- *)
 
@@ -468,28 +469,28 @@ let test_lock_timeout_semantics () =
   let timeouts = ref 0 in
   let (_ : Sched.t) =
     run (fun () ->
-        let lk = SL.create ~fixed:SL.Tas ~home:0 () in
+        let lk = L.create ~home:0 ~impl:(L.Fixed L.Tas) () in
         let holder =
           Cthread.fork ~proc:7 (fun () ->
-              SL.lock lk;
+              L.lock lk;
               Cthread.work 600_000;
-              SL.unlock lk)
+              L.unlock lk)
         in
         let impatient =
           Cthread.fork ~proc:1 (fun () ->
               Cthread.delay 50_000;
-              expired := SL.lock_timeout lk ~deadline_ns:200_000)
+              expired := L.lock_timeout lk ~deadline_ns:200_000)
         in
         Cthread.join impatient;
-        waiting_after := SL.waiting_now lk;
+        waiting_after := L.waiting_now lk;
         let patient =
           Cthread.fork ~proc:2 (fun () ->
-              granted := SL.lock_timeout lk ~deadline_ns:5_000_000;
-              if !granted then SL.unlock lk)
+              granted := L.lock_timeout lk ~deadline_ns:5_000_000;
+              if !granted then L.unlock lk)
         in
         Cthread.join holder;
         Cthread.join patient;
-        timeouts := Locks.Lock_stats.timeouts (SL.stats lk))
+        timeouts := Locks.Lock_stats.timeouts (L.stats lk))
   in
   Alcotest.(check bool) "impatient waiter expired" false !expired;
   Alcotest.(check int) "registration withdrawn on expiry" 0 !waiting_after;
@@ -503,18 +504,18 @@ let adaptive_run () =
   let epoch = ref 0 in
   let sim =
     run (fun () ->
-        let lk = SL.create ~home:0 () in
+        let lk = L.create ~home:0 ~impl:L.Ladder () in
         let body () =
           for _ = 1 to 10 do
-            SL.lock lk;
+            L.lock lk;
             incr counter;
             Cthread.work 20_000;
-            SL.unlock lk
+            L.unlock lk
           done
         in
         let ts = List.init 4 (fun i -> Cthread.fork ~proc:(1 + i) body) in
         Cthread.join_all ts;
-        epoch := SL.epoch lk)
+        epoch := L.epoch lk)
   in
   (Sched.final_time sim, !epoch, !counter)
 
@@ -530,14 +531,14 @@ let test_swap_free_run_stays_swap_free () =
   let epoch = ref (-1) and adaptations = ref (-1) in
   let (_ : Sched.t) =
     run (fun () ->
-        let lk = SL.create ~home:0 () in
+        let lk = L.create ~home:0 ~impl:L.Ladder () in
         for _ = 1 to 8 do
-          SL.lock lk;
+          L.lock lk;
           Cthread.work 10_000;
-          SL.unlock lk
+          L.unlock lk
         done;
-        epoch := SL.epoch lk;
-        adaptations := SL.adaptations lk)
+        epoch := L.epoch lk;
+        adaptations := L.adaptations lk)
   in
   Alcotest.(check int) "no committed swap" 0 !epoch;
   Alcotest.(check int) "no adaptation" 0 !adaptations
@@ -545,7 +546,7 @@ let test_swap_free_run_stays_swap_free () =
 (* -- the declarative ladder is well formed and guard-consistent -- *)
 
 let test_policy_spec_validates () =
-  let spec = SL.policy_spec () in
+  let spec = L.impl_ladder_spec () in
   Alcotest.(check (list string)) "spec validates" [] (Spec.validate spec);
   (match spec.Spec.s_guard with
   | None -> Alcotest.fail "shipped ladder must carry a guardrail"
@@ -678,25 +679,25 @@ let test_injector_kill_in_swap () =
   let inj = Faults.Injector.install sim ~plan in
   let timed_result = ref true and recoveries = ref 0 and epoch = ref (-1) in
   Sched.run sim (fun () ->
-      let lk = SL.create ~initial:SL.Tas ~home:0 () in
+      let lk = L.create ~home:0 ~impl:(L.Swappable L.Tas) () in
       let holder =
         Cthread.fork ~proc:1 (fun () ->
-            SL.lock lk;
+            L.lock lk;
             Cthread.work 100_000;
             (* The injector kills us at the swap-begin annotation:
                the freeze is already set, the word stays held. *)
-            ignore (SL.swap_to lk SL.Mcs);
-            SL.unlock lk)
+            ignore (L.swap_to lk L.Mcs);
+            L.unlock lk)
       in
       let late =
         Cthread.fork ~proc:2 (fun () ->
             Cthread.delay 200_000;
-            timed_result := SL.lock_timeout lk ~deadline_ns:8_000_000)
+            timed_result := L.lock_timeout lk ~deadline_ns:8_000_000)
       in
       Cthread.join holder;
       Cthread.join late;
-      recoveries := SL.abandoned_recoveries lk;
-      epoch := SL.epoch lk);
+      recoveries := L.abandoned_recoveries lk;
+      epoch := L.epoch lk);
   let fired =
     List.exists
       (fun line -> contains_sub line "kill-in-swap" && contains_sub line " kill tid=")
@@ -707,13 +708,114 @@ let test_injector_kill_in_swap () =
   Alcotest.(check int) "abandoned freeze recovered" 1 !recoveries;
   Alcotest.(check bool) "stranded lock expires the timed waiter" false !timed_result
 
+(* -- pins: the ablation payload and one scripted swap window, byte for
+   byte. The ablation payload is the ABLATION_LOCKS artifact; the
+   scripted window parks two sleepers and a timed waiter behind a
+   swapper that is starved from the timed waiter's kick
+   acknowledgment until a sleeper ages the freeze out, so the swap
+   rolls back; the first sleeper granted afterwards swaps again, over
+   the other sleeper, and commits. -- *)
+
+let test_ablation_payload_pinned () =
+  let payload = ref "" in
+  let out = Format.make_formatter (fun _ _ _ -> ()) ignore in
+  let gate_ok =
+    Experiments.Report.print_switch_locks ~out
+      ~emit:(fun ~name:_ ~metrics:_ ~payload:p -> payload := p)
+      ~domains:1 ()
+  in
+  Alcotest.(check bool) "gate holds" true gate_ok;
+  Alcotest.(check string) "ABLATION_LOCKS md5" "259b13ba0353935db68021fcacb58f8c"
+    (Digest.to_hex (Digest.string !payload))
+
+let scripted_swap () =
+  let log = Buffer.create 1024 in
+  let sim = Sched.create cfg in
+  let swapper_tid = ref (-1) and timed_tid = ref (-1) in
+  let hold = ref false and steered = ref false in
+  Sched.add_annot_hook sim (fun a ->
+      match a.Sched.annotation with
+      | Ops.A_adaptation { kind = "lock-impl"; label; _ } ->
+        if swap_begin_label label && not !steered then swapper_tid := a.Sched.annot_tid;
+        if label = "swap-abandoned-recovery" then hold := false
+      | _ -> ());
+  starve_swapper sim ~swapper:swapper_tid ~hold;
+  let results = Buffer.create 256 in
+  Sched.run sim (fun () ->
+      let lk =
+        L.create ~name:"switch-lock" ~params ~home:0 ~impl:(L.Swappable L.Blocking) ()
+      in
+      L.set_transition_probe lk
+        (Some
+           (fun tid label ->
+             Printf.bprintf log "%d %s\n" tid label;
+             if label = "ack" && tid = !timed_tid && not !steered then begin
+               steered := true;
+               hold := true
+             end));
+      let swapped = ref false in
+      let swapper =
+        Cthread.fork ~name:"swapper" ~proc:7 (fun () ->
+            L.lock lk;
+            while L.waiting_now lk < 3 do
+              Cthread.delay 10_000
+            done;
+            Cthread.delay 150_000;
+            Printf.bprintf results "first swap %b\n" (L.swap_to lk L.Tas);
+            L.unlock lk)
+      in
+      let sleeper i =
+        Cthread.fork ~name:(Printf.sprintf "sleeper%d" i) ~proc:(1 + i) (fun () ->
+            L.lock lk;
+            if not !swapped && L.waiting_now lk >= 1 then begin
+              swapped := true;
+              Cthread.delay 150_000;
+              Printf.bprintf results "second swap %b\n" (L.swap_to lk L.Mcs)
+            end;
+            Cthread.work 20_000;
+            L.unlock lk)
+      in
+      let sleepers = List.init 2 sleeper in
+      let timed =
+        Cthread.fork ~name:"timed" ~proc:3 (fun () ->
+            Printf.bprintf results "timed %b\n"
+              (L.lock_timeout lk ~deadline_ns:(Cthread.now () + 880_000)))
+      in
+      timed_tid := Cthread.id timed;
+      Cthread.join swapper;
+      Cthread.join_all sleepers;
+      Cthread.join timed;
+      let st = L.stats lk in
+      Buffer.add_string results
+        (Format.asprintf "%a\nepoch %d rollbacks %d recoveries %d timeouts %d impl %s\n"
+           Locks.Lock_stats.pp st (L.epoch lk) (L.swap_rollbacks lk)
+           (L.abandoned_recoveries lk) (Locks.Lock_stats.timeouts st)
+           (L.impl_label (L.current_impl lk))));
+  Printf.bprintf results "final %d\n" (Sched.final_time sim);
+  (Buffer.contents log, Buffer.contents results)
+
+let test_scripted_swap_pinned () =
+  let log, results = scripted_swap () in
+  let has sub = contains_sub results sub in
+  Alcotest.(check bool) "sleepers parked" true
+    (contains_sub log "2 park" && contains_sub log "3 park");
+  Alcotest.(check bool) "timed waiter expired" true (has "timed false");
+  Alcotest.(check bool) "first swap rolled back, second committed" true
+    (has "first swap false" && has "second swap true");
+  Alcotest.(check bool) "one rollback, one recovery" true
+    (has "epoch 1 rollbacks 1 recoveries 1 timeouts 1");
+  Alcotest.(check string) "probe log md5" "f4ddb9a1f27582860e1184406a87c59d"
+    (Digest.to_hex (Digest.string log));
+  Alcotest.(check string) "results md5" "3bc8692601f196c910fa8cb604b7b86d"
+    (Digest.to_hex (Digest.string results))
+
 let suite =
   [
-    Alcotest.test_case "mutex: fixed tas" `Quick (check_mutex "tas" (Some SL.Tas));
-    Alcotest.test_case "mutex: fixed mcs" `Quick (check_mutex "mcs" (Some SL.Mcs));
+    Alcotest.test_case "mutex: fixed tas" `Quick (check_mutex "tas" (L.Fixed L.Tas));
+    Alcotest.test_case "mutex: fixed mcs" `Quick (check_mutex "mcs" (L.Fixed L.Mcs));
     Alcotest.test_case "mutex: fixed blocking" `Quick
-      (check_mutex "blocking" (Some SL.Blocking));
-    Alcotest.test_case "mutex: adaptive" `Quick (check_mutex "adaptive" None);
+      (check_mutex "blocking" (L.Fixed L.Blocking));
+    Alcotest.test_case "mutex: adaptive" `Quick (check_mutex "adaptive" L.Ladder);
     Alcotest.test_case "adapts to the queue under contention" `Quick
       test_adapts_to_queue_under_contention;
     Alcotest.test_case "adapts to blocking under long holds" `Quick
@@ -743,4 +845,6 @@ let suite =
       test_fault_plan_swap_gating;
     Alcotest.test_case "injector: kill-in-swap strands the freeze" `Quick
       test_injector_kill_in_swap;
+    Alcotest.test_case "ABLATION_LOCKS payload pinned" `Quick test_ablation_payload_pinned;
+    Alcotest.test_case "scripted swap window pinned" `Quick test_scripted_swap_pinned;
   ]
