@@ -234,7 +234,7 @@ let trace msg = Effect.perform (E_trace msg)
 (* The tail of a probe once its test-and-set returned [prev]. *)
 let probe_after (st : Mstate.t) prev ~retry_instrs ~gap_ns ~until =
   if prev = 0 then Probe_acquired
-  else if until >= 0 && now () >= until then Probe_expired
+  else if now () >= until then Probe_expired
   else begin
     let retry_ns = Config.instrs st.cfg retry_instrs in
     if retry_ns > 0 && not (fast_work st retry_ns) then
@@ -273,7 +273,7 @@ let lock_probe_timed ?(pre_instrs = 0) ?(retry_instrs = 0) ?(gap_ns = 0) ~until 
   else probe_tas st a ~retry_instrs ~gap_ns ~until
 
 let lock_probe ?(pre_instrs = 0) ?(retry_instrs = 0) ?(gap_ns = 0) a =
-  lock_probe_timed ~pre_instrs ~retry_instrs ~gap_ns ~until:(-1) a = Probe_acquired
+  lock_probe_timed ~pre_instrs ~retry_instrs ~gap_ns ~until:max_int a = Probe_acquired
 
 let hint_after v ~gap_ns ~expect =
   if gap_ns > 0 && v = expect then work gap_ns;

@@ -149,14 +149,16 @@ val lock_probe_timed :
     the sequence
     [work_instrs pre_instrs; test_and_set word] — returning
     [Probe_acquired] on success — followed, on failure, by either
-    [Probe_expired] (when [until >= 0] and virtual time has reached
-    [until], checked at the test-and-set's completion, before any
-    retry cost) or [work_instrs retry_instrs; work gap_ns] and
-    [Probe_retrying]. [until = -1] means no deadline. *)
+    [Probe_expired] (when virtual time has reached [until], checked at
+    the test-and-set's completion, before any retry cost) or
+    [work_instrs retry_instrs; work gap_ns] and [Probe_retrying]. A
+    negative [until] has always passed; [until = max_int] never
+    arrives. *)
 
 val lock_probe :
   ?pre_instrs:int -> ?retry_instrs:int -> ?gap_ns:int -> Memory.addr -> bool
-(** Deadline-free {!lock_probe_timed}: true iff the word was won. *)
+(** {!lock_probe_timed} with [until = max_int], a deadline that never
+    arrives: true iff the word was won. *)
 
 val read_hint : ?pre_ns:int -> ?gap_ns:int -> expect:int -> Memory.addr -> int
 (** [read_hint ~pre_ns ~gap_ns ~expect a] is

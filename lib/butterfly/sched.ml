@@ -902,7 +902,7 @@ let resume t th p pend =
   | P_probe_mut (k, addr, retry, gap, until) ->
     let prev = Memory.fetch_and_or t.mem addr 1 in
     if prev = 0 then Effect.Deep.continue k Ops.Probe_acquired
-    else if until >= 0 && t.st.pnow.(p.pid) >= until then
+    else if t.st.pnow.(p.pid) >= until then
       Effect.Deep.continue k Ops.Probe_expired
     else probe_retry t th p k ~retry ~gap
   | P_probe_gap (k, gap) ->

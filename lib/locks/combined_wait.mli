@@ -13,19 +13,27 @@ val next_gap : policy:Waiting.t -> int -> int
 val wait :
   policy:Waiting.t ->
   ?advice:(unit -> int) ->
+  ?until:int ->
   since:int ->
-  probe:(gap_ns:int -> bool) ->
+  probe:(gap_ns:int -> until:int -> Butterfly.Ops.probe_result) ->
   sleep:(unit -> unit) ->
   unit ->
-  unit
-(** Run the waiting loop until the object is acquired. [probe ~gap_ns]
-    makes one acquisition attempt and, on success, performs the
-    caller's acquisition bookkeeping; on failure it charges the
-    caller's per-probe retry overhead (the paper's library-call cost)
-    followed by a [gap_ns] back-off wait before returning false — a
-    contract shaped so callers can fuse the attempt, the retry and the
-    gap into a single [Ops.lock_probe]. [sleep] is the blocking path:
-    register, re-check, block until handed the object (it returns
-    having acquired). [advice] (default none) returns the owner's
-    current advice: 0 none, 1 force spinning, 2 force sleeping.
-    [since] anchors the policy's timeout. *)
+  bool
+(** Run the waiting loop until the object is acquired (true) or a
+    probe reports the deadline [until] expired (false). [probe ~gap_ns
+    ~until] makes one acquisition attempt and, on success, performs
+    the caller's acquisition bookkeeping and answers [Probe_acquired];
+    on failure it either answers [Probe_expired], when virtual time
+    has reached [until], or charges the caller's per-probe retry
+    overhead (the paper's library-call cost) followed by a [gap_ns]
+    back-off wait and answers [Probe_retrying] — a contract shaped so
+    callers can fuse the attempt, the deadline check, the retry and
+    the gap into a single [Ops.lock_probe_timed]. Without [until] the
+    probes get [max_int], which never arrives. [sleep] is the blocking
+    path: register, re-check, block until handed the object (it
+    returns having acquired). A loop given [until] never sleeps, since
+    nothing could wake a sleeper at its deadline, and consults neither
+    the advice nor the spin, sleep and timeout attributes. [advice]
+    (default none) returns the owner's current advice: 0 none, 1 force
+    spinning, 2 force sleeping. [since] anchors the policy's
+    timeout. *)

@@ -221,6 +221,18 @@ let impl_ladder_spec ?(params = default_params) ?(guardrail = default_guardrail)
            ~label:"impl-guardrail-fallback" ~cost);
   }
 
+(* {1 Deadlines} *)
+
+(* When a waiter gives up. [Forever] is [lock]'s waiter, the only one
+   that may sleep: a sleeper is released only by an unlock's direct
+   handoff, which nothing can cancel at a deadline. [Until d] is
+   [lock_timeout]'s, and any [d] at or before the current virtual time,
+   negative included, is already past. *)
+type deadline = Forever | Until of int
+
+let expired = function Forever -> false | Until d -> Ops.now () >= d
+let may_sleep = function Forever -> true | Until _ -> false
+
 (* {1 Guard, waiting count and acquisition bookkeeping} *)
 
 let guard_lock t =
@@ -268,6 +280,12 @@ let acquired t ~since =
   leave_waiting t;
   Lock_stats.on_acquired t.lock_stats ~wait_ns:(Ops.now () - since);
   note_acquired t
+
+(* A timed wait gives up. *)
+let timed_out t =
+  leave_waiting t;
+  Lock_stats.on_timeout t.lock_stats;
+  false
 
 (* Transition log for model-conformance tests: each emission is one
    atomic protocol step, labelled exactly as the corresponding rule of
@@ -329,60 +347,35 @@ let sleep_until_handoff t ~since =
     acquired t ~since
   end
 
-let central_contended t c =
-  let since = begin_wait t in
-  (* The shared waiting loop re-consults the mutable attributes and the
-     owner's advice word on every probe, so a reconfiguration or a
-     fresh advice takes effect for threads already waiting — the
-     closely-coupled behaviour adaptation depends on. *)
+(* The shared waiting loop re-consults the mutable attributes and the
+   owner's advice word on every probe, so a reconfiguration or a fresh
+   advice takes effect for threads already waiting — the
+   closely-coupled behaviour adaptation depends on. A timed waiter
+   runs the same loop, which never sleeps once given a deadline: it
+   probes with the policy's gap and back-off until it wins the word or
+   the deadline passes, counted as waiting all the while, so monitors
+   see it too. *)
+let central_wait t c ~since deadline =
   Combined_wait.wait ~policy:c.wait_policy
     (* Only advisory locks pay for consulting the advice word. *)
     ~advice:(fun () -> if c.uses_advice then Ops.read c.advice_word else 0)
+    ?until:(match deadline with Forever -> None | Until d -> Some d)
     ~since
-    ~probe:(fun ~gap_ns ->
-      (* One spin iteration — the test-and-set plus, on failure, the
-         retry overhead and the back-off gap — as one fused effect. *)
+    ~probe:(fun ~gap_ns ~until ->
+      (* One spin iteration — the test-and-set, then (decided at its
+         completion time, before any retry cost) either the deadline's
+         expiry or the retry overhead and the back-off gap — as one
+         fused effect. *)
       Lock_stats.on_spin_probe t.lock_stats;
-      if
-        Ops.lock_probe ~retry_instrs:t.costs.Lock_costs.lock_overhead_instrs ~gap_ns
-          t.word
-      then begin
-        acquired t ~since;
-        true
-      end
-      else false)
+      let result =
+        Ops.lock_probe_timed ~retry_instrs:t.costs.Lock_costs.lock_overhead_instrs ~gap_ns
+          ~until t.word
+      in
+      if result = Ops.Probe_acquired then acquired t ~since;
+      result)
     ~sleep:(fun () -> sleep_until_handoff t ~since)
     ()
-
-(* Timed acquisition: the waiting policy's spin phase bounded by an
-   absolute virtual-time deadline (the Waiting timeout generalized to
-   a per-call deadline). A timed waiter never sleeps — a sleeping
-   waiter is released only by an unlock's direct handoff, which cannot
-   be cancelled at a deadline — so it probes with the policy's
-   gap/backoff schedule until either the word is won or the deadline
-   passes. The waiting count is maintained exactly as for a blocking
-   acquisition, so monitors and adaptive policies see timed waiters. *)
-let central_timed t ~deadline_ns =
-  let since = begin_wait t in
-  (* Each iteration is one fused probe: test-and-set, then — decided
-     at the probe's completion time, before any retry cost — either
-     deadline expiry or the retry overhead and back-off gap. *)
-  let rec wait_loop gap =
-    Lock_stats.on_spin_probe t.lock_stats;
-    match
-      Ops.lock_probe_timed ~retry_instrs:t.costs.Lock_costs.lock_overhead_instrs
-        ~gap_ns:gap ~until:deadline_ns t.word
-    with
-    | Ops.Probe_acquired ->
-      acquired t ~since;
-      true
-    | Ops.Probe_expired ->
-      leave_waiting t;
-      Lock_stats.on_timeout t.lock_stats;
-      false
-    | Ops.Probe_retrying -> wait_loop (Combined_wait.next_gap ~policy:(policy t) gap)
-  in
-  wait_loop (Attribute.get (policy t).Waiting.delay_ns)
+  || timed_out t
 
 let central_release t c =
   (* The owner's advice applies only to its own ownership span. *)
@@ -413,26 +406,26 @@ let annotate_swap t label =
   if Ops.annotations_enabled () then
     Ops.annotate (Ops.A_adaptation { obj_name = t.lock_name; kind = "lock-impl"; label })
 
-(* Wait out a freeze window. Returns false when [deadline_ns] (>= 0)
-   passes first. A ctl word whose deadline lies more than the grace
+(* Wait out a freeze window. Returns false when [deadline] passes
+   first. A ctl word whose deadline lies more than the grace
    period in the past means the swapper died mid-swap: any waiter may
    clear the freeze (fail-safe recovery; the implementation is
    whatever the dead swapper left committed). *)
-let rec await_unfrozen t r ~deadline_ns =
+let rec await_unfrozen t r deadline =
   let c = Ops.read r.ctl in
   if c = 0 then true
-  else if deadline_ns >= 0 && Ops.now () >= deadline_ns then false
+  else if expired deadline then false
   else if Ops.now () > c + r.params.swap_grace_ns then begin
     if Ops.compare_and_swap r.ctl ~expected:c ~desired:0 then begin
       r.abandoned_recoveries <- r.abandoned_recoveries + 1;
       emit t "recover";
       annotate_swap t "swap-abandoned-recovery"
     end;
-    await_unfrozen t r ~deadline_ns
+    await_unfrozen t r deadline
   end
   else begin
     Ops.delay window_poll_gap_ns;
-    await_unfrozen t r ~deadline_ns
+    await_unfrozen t r deadline
   end
 
 let mailbox r =
@@ -629,8 +622,8 @@ let registered_release t r =
 (* Timed waiters never sleep (a direct handoff cannot be cancelled at
    a deadline, so they poll instead), exactly as on the centralized
    word. *)
-let rec wait_loop t r w ~since ~deadline_ns =
-  if deadline_ns >= 0 && Ops.now () >= deadline_ns then timeout_cleanup t r w ~since
+let rec wait_loop t r w ~since deadline =
+  if expired deadline then timeout_cleanup t r w ~since
   else begin
     match t.impl with
     | Centralized -> assert false (* see [registered_profile] *)
@@ -643,10 +636,10 @@ let rec wait_loop t r w ~since ~deadline_ns =
         withdraw_acquired t r w ~since "acquire"
       else begin
         match Ops.read w.w_flag with
-        | 0 -> wait_loop t r w ~since ~deadline_ns
-        | f -> on_flag t r w f ~since ~deadline_ns
+        | 0 -> wait_loop t r w ~since deadline
+        | f -> on_flag t r w f ~since deadline
       end
-    | Blocking when deadline_ns < 0 ->
+    | Blocking when may_sleep deadline ->
       (* The check-then-block is serialized against grants and kicks
          by the guard: either we see the mailbox already set, or the
          writer sees [w_sleeping] and sends the wakeup (sticky, so a
@@ -658,7 +651,7 @@ let rec wait_loop t r w ~since ~deadline_ns =
       guard_lock t;
       if t.impl <> Blocking then begin
         guard_unlock t;
-        wait_loop t r w ~since ~deadline_ns
+        wait_loop t r w ~since deadline
       end
       else begin
         let f = Ops.read w.w_flag in
@@ -671,22 +664,22 @@ let rec wait_loop t r w ~since ~deadline_ns =
           w.w_sleeping <- false;
           (* Restoring the thread's library context after a wakeup. *)
           Ops.work_instrs 800;
-          wait_loop t r w ~since ~deadline_ns
+          wait_loop t r w ~since deadline
         end
         else begin
           guard_unlock t;
-          on_flag t r w f ~since ~deadline_ns
+          on_flag t r w f ~since deadline
         end
       end
     | Mcs | Blocking ->
       (* MCS waiters and timed waiters poll their own mailbox. *)
       Lock_stats.on_spin_probe t.lock_stats;
       let f = Ops.read_hint ~gap_ns:probe_gap_ns ~expect:0 w.w_flag in
-      if f = 0 then wait_loop t r w ~since ~deadline_ns
-      else on_flag t r w f ~since ~deadline_ns
+      if f = 0 then wait_loop t r w ~since deadline
+      else on_flag t r w f ~since deadline
   end
 
-and on_flag t r w f ~since ~deadline_ns =
+and on_flag t r w f ~since deadline =
   if f = 1 then
     (* Granted: the releaser handed the held word directly to us. *)
     withdraw_acquired t r w ~since "granted"
@@ -700,8 +693,8 @@ and on_flag t r w f ~since ~deadline_ns =
     ack_kick r w;
     emit t "ack";
     guard_unlock t;
-    if await_unfrozen t r ~deadline_ns then emit t "unfrozen";
-    wait_loop t r w ~since ~deadline_ns
+    if await_unfrozen t r deadline then emit t "unfrozen";
+    wait_loop t r w ~since deadline
   end
 
 and timeout_cleanup t r w ~since =
@@ -714,9 +707,7 @@ and timeout_cleanup t r w ~since =
     remove_record r w;
     emit t "timeout";
     guard_unlock t;
-    leave_waiting t;
-    Lock_stats.on_timeout t.lock_stats;
-    false
+    timed_out t
   end
   else begin
     (* Already popped: the mailbox says whether a grant crossed the
@@ -728,11 +719,11 @@ and timeout_cleanup t r w ~since =
     guard_unlock t;
     if f = 1 then begin
       acquired t ~since;
-      unlock t
+      unlock t;
+      Lock_stats.on_timeout t.lock_stats;
+      false
     end
-    else leave_waiting t;
-    Lock_stats.on_timeout t.lock_stats;
-    false
+    else timed_out t
   end
 
 and unlock t =
@@ -760,18 +751,16 @@ and unlock t =
    a registration it did not see. The ctl re-check inside the guard
    means no waiter can slip into the queue between a swap's freeze and
    its kick and then park under an implementation about to vanish. *)
-let rec registered_entry t r ~since ~deadline_ns =
-  if not (await_unfrozen t r ~deadline_ns) then begin
+let rec registered_entry t r ~since deadline =
+  if not (await_unfrozen t r deadline) then begin
     emit t "timeout";
-    leave_waiting t;
-    Lock_stats.on_timeout t.lock_stats;
-    false
+    timed_out t
   end
   else begin
     guard_lock t;
     if Ops.read r.ctl <> 0 then begin
       guard_unlock t;
-      registered_entry t r ~since ~deadline_ns
+      registered_entry t r ~since deadline
     end
     else if Ops.test_and_set t.word then begin
       emit t "acquire";
@@ -795,7 +784,7 @@ let rec registered_entry t r ~since ~deadline_ns =
       r.waiters <- r.waiters @ [ w ];
       emit t "register";
       guard_unlock t;
-      wait_loop t r w ~since ~deadline_ns
+      wait_loop t r w ~since deadline
     end
   end
 
@@ -816,27 +805,23 @@ let fast_acquire t =
        true
      end
 
-let lock t =
-  note_request t;
-  Lock_stats.on_lock t.lock_stats;
-  if not (fast_acquire t) then
-    match t.state with
-    | Word c -> central_contended t c
-    | Registered r ->
-      ignore (registered_entry t r ~since:(begin_wait t) ~deadline_ns:(-1))
-
-let try_lock t =
-  Lock_stats.on_lock t.lock_stats;
-  fast_acquire t
-
-let lock_timeout t ~deadline_ns =
+(* The one acquire path: [lock] is [acquire] with no deadline. *)
+let acquire t deadline =
   note_request t;
   Lock_stats.on_lock t.lock_stats;
   fast_acquire t
   ||
+  let since = begin_wait t in
   match t.state with
-  | Word _ -> central_timed t ~deadline_ns
-  | Registered r -> registered_entry t r ~since:(begin_wait t) ~deadline_ns
+  | Word c -> central_wait t c ~since deadline
+  | Registered r -> registered_entry t r ~since deadline
+
+let lock t = ignore (acquire t Forever)
+let lock_timeout t ~deadline_ns = acquire t (Until deadline_ns)
+
+let try_lock t =
+  Lock_stats.on_lock t.lock_stats;
+  fast_acquire t
 
 (* Bounded-retry acquisition: slices of timed waiting separated by
    exponential-backoff delays (Engine.Backoff), the package's standard

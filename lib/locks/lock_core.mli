@@ -9,7 +9,8 @@
     and the waiting-thread count live in simulated memory at the
     lock's home node, so callers on other nodes pay remote latencies
     and hot locks exhibit module contention. Every implementation
-    shares the uncontended fast path (a fused test-and-set of the
+    shares one acquire entry ({!lock} is {!lock_timeout} with no
+    deadline), its uncontended fast path (a fused test-and-set of the
     word), the waiting count, the acquisition bookkeeping and the
     ownership check of {!unlock}.
 
@@ -115,18 +116,27 @@ val stats : t -> Lock_stats.t
 val current_impl : t -> impl
 
 val lock : t -> unit
+(** Acquire, waiting without bound: {!lock_timeout} with no deadline.
+    This is the only waiter that may sleep, as the waiting policy (on
+    the centralized word) or the [Blocking] implementation prescribes. *)
+
 val try_lock : t -> bool
+(** The first attempt of {!lock} alone: true iff the word was free. *)
 
 val lock_timeout : t -> deadline_ns:int -> bool
-(** Timed acquisition: attempt to take the lock until virtual time
-    reaches [deadline_ns], then give up. A timed waiter never sleeps,
-    since a sleeping waiter can only be released by an unlock handoff,
-    which cannot be cancelled. On the centralized word it probes with
-    the waiting policy's gap and Anderson back-off; a registered
-    waiter polls its mailbox, and a grant that lands exactly at expiry
-    is taken and released rather than lost. Returns whether the lock
-    was acquired; a [false] return leaves no trace on the lock beyond
-    a {!Lock_stats.timeouts} tick and is safe to retry. *)
+(** Timed acquisition, with the same meaning on every implementation.
+    The first attempt is made whatever the deadline, so a free lock is
+    always taken. After each failed attempt the deadline is checked: a
+    [deadline_ns] at or before the current virtual time, negative
+    included, expires at its first check. An expired call returns
+    [false], leaves no trace on the lock beyond one
+    {!Lock_stats.timeouts} tick, and is safe to retry. A timed waiter
+    never sleeps, since a sleeping waiter can only be released by an
+    unlock handoff, which cannot be cancelled. On the centralized word
+    it probes with the waiting policy's gap and Anderson back-off; a
+    registered waiter polls its mailbox, and a grant that lands
+    exactly at expiry is taken and released rather than lost. Returns
+    whether the lock was acquired. *)
 
 val lock_retrying :
   t -> backoff:Engine.Backoff.t -> max_attempts:int -> slice_ns:int -> bool

@@ -27,7 +27,6 @@ type t = {
   loop : int Adaptive.t option;
   mutable reader_acqs : int;
   mutable writer_acqs : int;
-  mutable reader_wait_ns : int;
   mutable writer_wait_ns : int;
 }
 
@@ -107,7 +106,6 @@ let create ?(name = "rw-lock") ?(preference = Reader_pref) ?(adaptive = false)
       loop = None;
       reader_acqs = 0;
       writer_acqs = 0;
-      reader_wait_ns = 0;
       writer_wait_ns = 0;
     }
   in
@@ -139,19 +137,13 @@ let create ?(name = "rw-lock") ?(preference = Reader_pref) ?(adaptive = false)
 let name t = t.rw_name
 let home t = t.home_node
 let preference t = Attribute.get t.pref
-let set_preference t p = Attribute.set t.pref p
-let preference_attr t = t.pref
-let waiting_policy t = t.wait_policy
 let loop t = t.loop
-let readers_now t = Ops.read t.word / 2
-let writers_waiting t = Ops.read t.wwait
 let adaptations t = match t.loop with Some l -> Adaptive.adaptations l | None -> 0
 let reader_acquisitions t = t.reader_acqs
-let writer_acquisitions t = t.writer_acqs
 
-let mean div acc n = if n = 0 then 0.0 else float_of_int acc /. float_of_int n /. div
-let mean_writer_wait_ns t = mean 1.0 t.writer_wait_ns t.writer_acqs
-let mean_reader_wait_ns t = mean 1.0 t.reader_wait_ns t.reader_acqs
+let mean_writer_wait_ns t =
+  if t.writer_acqs = 0 then 0.0
+  else float_of_int t.writer_wait_ns /. float_of_int t.writer_acqs
 
 (* Both reader and writer acquisitions annotate with the state word as
    the lock identity: the lock-order and discipline passes then see one
@@ -237,19 +229,19 @@ let read_lock t =
   Ops.work_instrs 180;
   note_request t;
   if not (read_probe t) then
-    Combined_wait.wait ~policy:t.wait_policy ~since:t0
-      ~probe:(fun ~gap_ns ->
-        if read_probe t then true
-        else begin
-          Ops.work_instrs 180;
-          Ops.work gap_ns;
-          false
-        end)
-      ~sleep:(fun () -> reader_sleep t)
-      ();
+    ignore
+      (Combined_wait.wait ~policy:t.wait_policy ~since:t0
+         ~probe:(fun ~gap_ns ~until:_ ->
+           if read_probe t then Ops.Probe_acquired
+           else begin
+             Ops.work_instrs 180;
+             Ops.work gap_ns;
+             Ops.Probe_retrying
+           end)
+         ~sleep:(fun () -> reader_sleep t)
+         ());
   note_acquired t;
-  t.reader_acqs <- t.reader_acqs + 1;
-  t.reader_wait_ns <- t.reader_wait_ns + (Ops.now () - t0)
+  t.reader_acqs <- t.reader_acqs + 1
 
 (* The last leaving reader hands the lock to the oldest sleeping
    writer: CAS 0 -> 1 under the guard, then wake. A failed CAS means a
@@ -281,16 +273,17 @@ let write_lock t =
   note_request t;
   ignore (Ops.fetch_and_add t.wwait 1);
   if not (write_probe t) then
-    Combined_wait.wait ~policy:t.wait_policy ~since:t0
-      ~probe:(fun ~gap_ns ->
-        if write_probe t then true
-        else begin
-          Ops.work_instrs 220;
-          Ops.work gap_ns;
-          false
-        end)
-      ~sleep:(fun () -> writer_sleep t)
-      ();
+    ignore
+      (Combined_wait.wait ~policy:t.wait_policy ~since:t0
+         ~probe:(fun ~gap_ns ~until:_ ->
+           if write_probe t then Ops.Probe_acquired
+           else begin
+             Ops.work_instrs 220;
+             Ops.work gap_ns;
+             Ops.Probe_retrying
+           end)
+         ~sleep:(fun () -> writer_sleep t)
+         ());
   note_acquired t;
   ignore (Ops.fetch_and_add t.wwait (-1));
   t.writer_acqs <- t.writer_acqs + 1;

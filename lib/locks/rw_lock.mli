@@ -67,29 +67,13 @@ val with_read : t -> (unit -> 'a) -> 'a
 val with_write : t -> (unit -> 'a) -> 'a
 
 val preference : t -> preference
-val set_preference : t -> preference -> unit
-
-val preference_attr : t -> preference Adaptive_core.Attribute.t
-(** The bias attribute itself, for external reconfiguration agents and
-    ownership tests. *)
-
-val waiting_policy : t -> Waiting.t
-(** The waiting attributes consulted by contended readers/writers. *)
 
 val loop : t -> int Adaptive_core.Adaptive.t option
 (** The adaptive variant's feedback loop (observations are
     waiting-writer counts); [None] for fixed-preference locks. *)
 
-val readers_now : t -> int
-(** Active readers (simulated read). *)
-
-val writers_waiting : t -> int
-
 val adaptations : t -> int
 (** Preference switches performed by the adaptive variant. *)
 
 val reader_acquisitions : t -> int
-val writer_acquisitions : t -> int
-
 val mean_writer_wait_ns : t -> float
-val mean_reader_wait_ns : t -> float

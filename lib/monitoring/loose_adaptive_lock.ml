@@ -80,7 +80,5 @@ let stats t = Locks.Lock_core.stats t.core
 let shutdown t = Monitor_thread.stop t.monitor
 let feedback t = t.loop
 let adaptations t = Adaptive.adaptations t.loop
-let observations_published t = Ring_buffer.published t.ring
-let observations_processed t = Monitor_thread.processed t.monitor
 let max_lag_ns t = Monitor_thread.max_lag_ns t.monitor
 let mode t = Locks.Spin_budget.mode t.budget

@@ -44,8 +44,6 @@ val feedback : t -> int Adaptive_core.Adaptive.t
     [Core.Registry] like every adaptive object). *)
 
 val adaptations : t -> int
-val observations_published : t -> int
-val observations_processed : t -> int
 
 val max_lag_ns : t -> int
 (** Worst observation staleness seen by the policy — the adaptation

@@ -6,7 +6,6 @@ type 'a t = {
   head : Memory.addr;  (* next unread index *)
   tail : Memory.addr;  (* next free index *)
   data : Memory.addr;  (* representative data word: publishing writes it *)
-  mutable publish_count : int;
   mutable consume_count : int;
   mutable drop_count : int;
 }
@@ -21,7 +20,6 @@ let create ?(capacity = 256) ~home () =
     head = words.(0);
     tail = words.(1);
     data = words.(2);
-    publish_count = 0;
     consume_count = 0;
     drop_count = 0;
   }
@@ -33,7 +31,6 @@ let publish t v =
      unwritten slot. *)
   if t.slots.(idx mod t.capacity) <> None then t.drop_count <- t.drop_count + 1;
   t.slots.(idx mod t.capacity) <- Some v;
-  t.publish_count <- t.publish_count + 1;
   (* The record payload itself travels to the buffer's home node. *)
   Ops.write t.data idx
 
@@ -55,6 +52,5 @@ let consume t =
   end
 
 let length t = max 0 (Ops.read t.tail - Ops.read t.head)
-let published t = t.publish_count
 let consumed t = t.consume_count
 let dropped t = t.drop_count

@@ -29,7 +29,6 @@ val consume : 'a t -> 'a option
 val length : 'a t -> int
 (** Unread records (simulated reads). *)
 
-val published : 'a t -> int
 val consumed : 'a t -> int
 
 val dropped : 'a t -> int

@@ -220,7 +220,7 @@ let test_fused_tails () =
                 Ops.f =
                   (fun () ->
                     for i = 1 to 12 do
-                      let until = if i mod 4 = 0 then Ops.now () + 9_000 else -1 in
+                      let until = if i mod 4 = 0 then Ops.now () + 9_000 else max_int in
                       let rec probe () =
                         match
                           Ops.lock_probe_timed ~pre_instrs:(proc + 1) ~retry_instrs:(40 * proc)

@@ -274,7 +274,7 @@ let digest_program expired retried fast_seen () =
           | Ops.Probe_acquired -> ()
           | Ops.Probe_expired ->
             incr expired;
-            probe (-1)
+            probe max_int
           | Ops.Probe_retrying ->
             incr retried;
             probe until
