@@ -31,6 +31,6 @@ let () =
       ("proto_check", Test_proto_check.suite);
       ("fastpath", Test_fastpath.suite);
       ("switch_lock", Test_switch_lock.suite);
-      ("acquire_contract", Test_acquire_contract.suite);
+      ("contract", Test_acquire_contract.suite);
       ("fleet", Test_fleet.suite);
     ]
