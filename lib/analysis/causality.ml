@@ -136,7 +136,6 @@ let create () =
 
 let clock_of t tid = Clocks.clock t.clocks tid
 let epoch t tid = Vclock.get (clock_of t tid) tid
-let clock_get t tid comp_of = Vclock.get (clock_of t tid) comp_of
 let snapshot t tid = Vclock.snapshot (clock_of t tid)
 
 (* The epoch ordering test: an event by [tid] with own-component

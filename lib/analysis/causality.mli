@@ -69,9 +69,6 @@ val epoch : t -> int -> int
 (** The thread's own clock component right now — the epoch to store
     with an event for later {!ordered} tests. *)
 
-val clock_get : t -> int -> int -> int
-(** [clock_get t tid c] is component [c] of [tid]'s clock. *)
-
 val snapshot : t -> int -> int array
 (** Full copy of a thread's clock (for request records compared pair
     against pair later). *)

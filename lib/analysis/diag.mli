@@ -14,8 +14,6 @@ type t = {
   message : string;
 }
 
-val category_name : category -> string
-
 val make :
   category:category -> rule:string -> time:int -> thread:string -> string -> t
 

@@ -85,8 +85,6 @@ type spec_report = {
   sr_findings : finding list;
 }
 
-val report : Adaptive_core.Policy.Spec.t -> spec_report
-
 val run :
   ?domains:int ->
   Adaptive_core.Policy.Spec.t list ->

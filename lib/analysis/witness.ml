@@ -343,12 +343,6 @@ type outcome =
   | Crashed of string
   | Limit  (** the [max_events] safety valve fired *)
 
-let outcome_name = function
-  | Completed -> "completed"
-  | Deadlocked _ -> "deadlocked"
-  | Crashed _ -> "crashed"
-  | Limit -> "event-limit"
-
 type status = Confirmed | Unconfirmed
 
 let status_name = function Confirmed -> "confirmed" | Unconfirmed -> "unconfirmed"

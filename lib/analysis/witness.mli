@@ -43,19 +43,11 @@ type plan = {
       (** manifestation is a machine deadlock after release *)
 }
 
-val synthesize : Trace.t -> Predict.prediction -> plan
-(** Build the steering plan for a prediction, consulting the original
-    trace for hold-point placement (a race's first thread is held
-    before acquiring any lock the second thread still needs on its
-    path). *)
-
 type outcome =
   | Completed
   | Deadlocked of string
   | Crashed of string
   | Limit  (** the [max_events] safety valve fired *)
-
-val outcome_name : outcome -> string
 
 type status = Confirmed | Unconfirmed
 

@@ -51,13 +51,3 @@ let instrs cfg n = n * cfg.instr_ns
 
 let uma cfg =
   { cfg with remote_read_ns = cfg.local_read_ns; remote_write_ns = cfg.local_write_ns }
-
-let pp ppf cfg =
-  Format.fprintf ppf
-    "@[<v>processors = %d@ instr = %dns@ local r/w = %d/%dns@ remote r/w = %d/%dns@ \
-     atomic extra = %dns@ switch = %dns@ block/unblock = %d/%dns@ contention = %b@ \
-     quantum = %s@]"
-    cfg.processors cfg.instr_ns cfg.local_read_ns cfg.local_write_ns cfg.remote_read_ns
-    cfg.remote_write_ns cfg.atomic_extra_ns cfg.switch_ns cfg.block_ns cfg.unblock_ns
-    cfg.contention
-    (match cfg.quantum_ns with None -> "none" | Some q -> string_of_int q ^ "ns")

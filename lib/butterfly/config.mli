@@ -57,5 +57,3 @@ val instrs : t -> int -> int
 val uma : t -> t
 (** A UMA variant: remote costs equal local costs (used by
     architecture-retargeting ablations). *)
-
-val pp : Format.formatter -> t -> unit

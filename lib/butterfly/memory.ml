@@ -23,13 +23,10 @@ type t = {
 
 let[@inline] node_of a = a lsr index_bits
 let[@inline] index_of a = a land index_mask
-let pp_addr ppf a = Format.fprintf ppf "%d:%d" (node_of a) (index_of a)
 
 let create (cfg : Config.t) =
   let bank _ = { words = Array.make 256 0; used = 0; busy = 0; degrade = 1 } in
   { banks = Array.init cfg.processors bank; remote = 0; total = 0 }
-
-let nodes t = Array.length t.banks
 
 let check_node t node =
   if node < 0 || node >= Array.length t.banks then
@@ -50,8 +47,6 @@ let alloc t ~node n =
   let base = bank.used in
   bank.used <- needed;
   Array.init n (fun i -> mk_addr node (base + i))
-
-let alloc1 t ~node = (alloc t ~node 1).(0)
 
 let bank_exn t a =
   let bank = t.banks.(node_of a) in

@@ -22,19 +22,12 @@ val node_of : addr -> int
 
 val index_of : addr -> int
 
-val pp_addr : Format.formatter -> addr -> unit
-
 val create : Config.t -> t
-
-val nodes : t -> int
 
 val alloc : t -> node:int -> int -> addr array
 (** [alloc mem ~node n] allocates [n] fresh zero-initialized words in
     [node]'s module and returns their addresses (consecutive indices).
     Raises [Invalid_argument] on a bad node id. *)
-
-val alloc1 : t -> node:int -> addr
-(** Allocate a single word. *)
 
 (** {1 Value operations}
 

@@ -240,9 +240,7 @@ let live_threads t = t.live
 (* Fast-path switches, re-exported from the state module so experiment
    drivers only ever talk to [Sched]. *)
 let set_fast_paths = Mstate.set_fast_paths
-let fast_paths_enabled = Mstate.fast_paths_enabled
 let set_op_fusion = Mstate.set_op_fusion
-let op_fusion_enabled = Mstate.op_fusion_enabled
 
 (* Cumulative simulated-event odometer per domain: every [run] that
    completes (or aborts) on this domain adds its machine's final event

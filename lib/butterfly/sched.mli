@@ -71,13 +71,6 @@ val run_outcome : ?main_name:string -> t -> (unit -> unit) -> outcome
     exception: the machine's state at the moment of the abort is
     rendered by {!diagnostics} and returned alongside the reason. *)
 
-val diagnostics : t -> string
-(** Deterministic dump of the machine: virtual time, per-processor
-    clocks and queue lengths, and one line per thread (state, cpu,
-    last blocking site and held locks when annotations were flowing).
-    Contains no wall-clock or host state, so identical runs dump
-    identical bytes. *)
-
 (** {1 Fault-injection entry points}
 
     Host-side hooks used by the fault injector ([lib/faults]) and the
@@ -161,14 +154,10 @@ val set_fast_paths : bool -> unit
     cells read from inside a slice lag its direct charges: they are
     folded at slice end. Global (all machines, all domains). *)
 
-val fast_paths_enabled : unit -> bool
-
 val set_op_fusion : bool -> unit
 (** Allow the fused [Ops] wrappers ([Ops.lock_probe],
     [Ops.read_hint]) to encode a spin iteration as a single staged
     effect instead of one effect per component. Global. *)
-
-val op_fusion_enabled : unit -> bool
 
 val domain_events_total : unit -> int
 (** Cumulative {!events_executed} over every run completed on the

@@ -162,8 +162,8 @@ let sweep ?domains ?horizon_ns ?swap_faults ~seeds ~scenarios () =
     (fun (scenario, seed) -> run_scenario ?horizon_ns ?swap_faults ~scenario ~seed ())
     jobs
 
-(* -- JSON rendering (hand-rolled like Experiments.Perf: no host state,
-   no wall-clock, deterministic bytes) -- *)
+(* -- JSON rendering: a function of the results alone (no host state,
+   no wall-clock), so equal runs render equal bytes at any --domains -- *)
 
 open Engine.Text
 

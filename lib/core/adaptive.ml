@@ -1,7 +1,6 @@
 type 'obs t = {
   obj_name : string;
   obj_kind : string;
-  mutable registry_id : int;
   sensor : 'obs Sensor.t;
   policy : 'obs Policy.t;
   scratch : Butterfly.Memory.addr;
@@ -12,9 +11,6 @@ type 'obs t = {
   mutable subscribers : (Registry.event -> unit) list;  (* subscription order *)
 }
 
-let name t = t.obj_name
-let kind t = t.obj_kind
-let registry_id t = t.registry_id
 let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 
 let decide t obs =
@@ -52,11 +48,9 @@ let tick t =
 let feed t obs = decide t obs
 let poll t = decide t (Sensor.force t.sensor)
 let samples t = Sensor.samples_taken t.sensor
-let policy_runs t = t.policy_run_count
 let adaptations t = t.adaptation_count
 let last_label t = match t.adaptation_log with [] -> None | (_, l) :: _ -> Some l
 let log t = List.rev t.adaptation_log
-let total_cost t = t.cost_sum
 
 let stats t =
   {
@@ -76,7 +70,6 @@ let create ?(name = "adaptive-object") ?(kind = "object") ~spec ~home ~sensor ~r
     {
       obj_name = name;
       obj_kind = kind;
-      registry_id = -1;
       sensor;
       policy = Policy.Spec.compile ?guard_state ~read ~apply ~metric spec;
       scratch;
@@ -87,10 +80,9 @@ let create ?(name = "adaptive-object") ?(kind = "object") ~spec ~home ~sensor ~r
       subscribers = [];
     }
   in
-  t.registry_id <-
-    Registry.register ~name ~kind
-      ~stats:(fun () -> stats t)
-      ~subscribe:(fun f -> subscribe t f)
-      ~drive:(fun () -> poll t)
-      ~spec ();
+  Registry.register ~name ~kind
+    ~stats:(fun () -> stats t)
+    ~subscribe:(fun f -> subscribe t f)
+    ~drive:(fun () -> poll t)
+    ~spec ();
   t

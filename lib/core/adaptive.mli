@@ -48,16 +48,6 @@ val create :
     against the declared configuration space
     ({!Registry.validate_log}). *)
 
-val name : 'obs t -> string
-val kind : 'obs t -> string
-
-val registry_id : 'obs t -> int
-(** This loop's id in the per-domain {!Registry}. *)
-
-val subscribe : 'obs t -> (Registry.event -> unit) -> unit
-(** [subscribe t f] calls [f] (in subscription order, host-side, free
-    of virtual charge) after every applied reconfiguration. *)
-
 val tick : 'obs t -> bool
 (** One instrumentation event (closely-coupled path). Runs the sensor
     at its sampling rate; when a sample is produced, runs the policy
@@ -68,28 +58,12 @@ val feed : 'obs t -> 'obs -> bool
 (** Inject an observation directly (loosely-coupled path). Runs the
     policy on it, bypassing the sensor. *)
 
-val poll : 'obs t -> bool
-(** Force one full sense-decide cycle regardless of the sensor's
-    period (the registry's [drive] hook; what [Monitor_thread] uses to
-    drive arbitrary registered objects). *)
-
 val samples : 'obs t -> int
 (** Samples actually taken by the sensor via this loop. *)
-
-val policy_runs : 'obs t -> int
 
 val adaptations : 'obs t -> int
 (** Reconfigurations applied. *)
 
-val last_label : 'obs t -> string option
-(** Label of the most recent reconfiguration. *)
-
 val log : 'obs t -> (int * string) list
 (** All applied reconfigurations as (virtual time, label), oldest
     first. *)
-
-val total_cost : 'obs t -> Cost.t
-(** Sum of the declared costs of applied reconfigurations. *)
-
-val stats : 'obs t -> Registry.stats
-(** The loop's metrics as a registry snapshot record. *)

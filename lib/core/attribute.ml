@@ -10,19 +10,13 @@ type 'a t = {
   mutable value : 'a;
   mutable is_mutable : bool;
   owner_word : Memory.addr;
-  mutable update_count : int;
 }
 
 let make_at ~name ?(mutable_ = true) ~node v =
   let owner_word = Ops.alloc1 ~node () in
   Ops.mark_sync_words [| owner_word |];
-  { attr_name = name; value = v; is_mutable = mutable_; owner_word; update_count = 0 }
+  { attr_name = name; value = v; is_mutable = mutable_; owner_word }
 
-let make ~name ?mutable_ v =
-  let node = Ops.my_processor () in
-  make_at ~name ?mutable_ ~node v
-
-let name t = t.attr_name
 let get t = t.value
 
 (* Ownership violations name the holder, not just the attribute:
@@ -38,8 +32,7 @@ let set t v =
   let owner = Ops.read t.owner_word in
   if owner <> 0 && owner <> Ops.self () + 1 then
     raise (Not_owner (not_owner_msg t ~holder:owner));
-  t.value <- v;
-  t.update_count <- t.update_count + 1
+  t.value <- v
 
 let mutability t = t.is_mutable
 let set_mutability t b = t.is_mutable <- b
@@ -53,8 +46,3 @@ let release t =
   let me = Ops.self () + 1 in
   if not (Ops.compare_and_swap t.owner_word ~expected:me ~desired:0) then
     raise (Not_owner (not_owner_msg t ~holder:(Ops.read t.owner_word)))
-
-let owner t =
-  match Ops.read t.owner_word with 0 -> None | v -> Some (v - 1)
-
-let updates t = t.update_count

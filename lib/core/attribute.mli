@@ -14,15 +14,9 @@
 
 type 'a t
 
-val make : name:string -> ?mutable_:bool -> 'a -> 'a t
-(** A fresh attribute. [mutable_] defaults to [true]. Must be created
-    inside a simulation (it allocates its ownership word at the
-    caller's node). *)
-
 val make_at : name:string -> ?mutable_:bool -> node:int -> 'a -> 'a t
-(** Like {!make} but placing the ownership word at [node]. *)
-
-val name : 'a t -> string
+(** A fresh attribute whose ownership word lives at [node]. [mutable_]
+    defaults to [true]. Must be created inside a simulation. *)
 
 val get : 'a t -> 'a
 (** Raw value read (host-side; callers charge simulated cost at the
@@ -51,9 +45,3 @@ val acquire : 'a t -> bool
 val release : 'a t -> unit
 (** Release ownership. Raises [Not_owner] if the caller does not hold
     it. *)
-
-val owner : 'a t -> int option
-(** Owning thread id, if any (reads the ownership word). *)
-
-val updates : 'a t -> int
-(** How many times {!set} succeeded (for monitors and tests). *)

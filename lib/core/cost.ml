@@ -7,10 +7,6 @@ let reads_writes reads writes = { reads; writes; instrs = 0 }
 let ( + ) a b =
   { reads = a.reads + b.reads; writes = a.writes + b.writes; instrs = a.instrs + b.instrs }
 
-let pp ppf t =
-  Format.fprintf ppf "%dR %dW" t.reads t.writes;
-  if t.instrs > 0 then Format.fprintf ppf " %di" t.instrs
-
 let charge ~scratch t =
   for _ = 1 to t.reads do
     ignore (Butterfly.Ops.read scratch)

@@ -20,9 +20,6 @@ val reads_writes : int -> int -> t
 val ( + ) : t -> t -> t
 (** Costs of composite reconfigurations add (paper §3.1). *)
 
-val pp : Format.formatter -> t -> unit
-(** Rendered as the paper writes it, e.g. ["1R 2W"]. *)
-
 val charge : scratch:Butterfly.Memory.addr -> t -> unit
 (** Realize the cost from inside a simulated thread: perform [reads]
     reads and [writes] writes on [scratch] plus [instrs] instructions

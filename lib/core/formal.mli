@@ -26,9 +26,6 @@ val config : ?phi:(string * string) list -> string -> config
 (** [config g] is the configuration with family [g]; [phi] entries are
     normalized (sorted by attribute name). *)
 
-val config_equal : config -> config -> bool
-val pp_config : Format.formatter -> config -> unit
-
 type transition = { at : int; from_ : config; to_ : config; cost : Cost.t }
 (** One applied Ψ, timestamped in virtual ns. *)
 
@@ -46,8 +43,6 @@ val mem : space -> config -> bool
     matches a member when the gammas are equal and every attribute the
     member declares has the same value in the candidate. *)
 
-val edge_allowed : space -> from_:config -> to_:config -> bool
-
 val validate : space -> initial:config -> transition list -> (unit, string) result
 (** Check a Ψ log: the chain must start at [initial], be contiguous
     (each [from_] equals the previous [to_]), be time-ordered, and use
@@ -56,12 +51,6 @@ val validate : space -> initial:config -> transition list -> (unit, string) resu
 
 val total_cost : transition list -> Cost.t
 (** Costs of composite reconfigurations add (§3.1). *)
-
-val space_of_spec : Policy.Spec.t -> space
-(** The configuration space a declared policy spec induces: one member
-    per [s_configs] entry (by name, no pinned attributes), with edges
-    for every declared transition plus — when the spec carries a
-    guardrail — the fallback Ψ from every configuration. *)
 
 val check_log : Policy.Spec.t -> (int * string) list -> (unit, string) result
 (** Replay a recorded adaptation log ((virtual time, label), oldest

@@ -45,13 +45,6 @@ module Guard : sig
   val fallbacks : t -> int
   (** Fallbacks ordered so far. *)
 
-  val fallback_failed : t -> unit
-  (** Tell the guard an ordered fallback's apply reported failure
-      (e.g. an implementation swap rolled back): cancels the cooldown
-      [note] just started and restores the streak to one short of the
-      limit, so the next pathological observation retries promptly
-      instead of waiting out cooldown plus a fresh full streak.
-      {!Spec.compile} calls this automatically. *)
 end
 
 (** Declarative adaptation-policy IR.

@@ -318,13 +318,6 @@ let status_slot t rn = t.t_o_st + role_ix t rn
 let wake_slot t rn = t.t_o_wk + role_ix t rn
 let get (st : state) (s : slot) = st.(s)
 let status_at st s = status_of_code st.(s)
-let shared t st n = st.(shared_slot t n)
-let local t st rn n = st.(local_slot t rn n)
-let pc t st rn = st.(pc_slot t rn)
-let status t st rn = status_at st (status_slot t rn)
-let wake_pending t st rn = st.(wake_slot t rn) = 1
-let clock _ st = st.(o_clk)
-let crashes _ st = st.(o_cr)
 
 let describe t st =
   let b = Buffer.create 128 in

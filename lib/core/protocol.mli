@@ -169,14 +169,6 @@ val status_at : state -> slot -> status
 (** {1 Accessors} By name, resolving on every call: for tests and
     reports. *)
 
-val shared : t -> state -> string -> int
-val local : t -> state -> string -> string -> int
-val pc : t -> state -> string -> int
-val status : t -> state -> string -> status
-val wake_pending : t -> state -> string -> bool
-val clock : t -> state -> int
-val crashes : t -> state -> int
-
 val describe : t -> state -> string
 (** One-line rendering of shared words and role positions, used in
     counterexample traces. *)

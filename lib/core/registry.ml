@@ -58,11 +58,9 @@ let register ~name ~kind ~stats ?(subscribe = fun _ -> ()) ?drive ~spec () =
   st.entries <-
     { e_id = id; e_name = name; e_kind = kind; e_stats = stats;
       e_subscribe = subscribe; e_drive = drive; e_spec = spec }
-    :: st.entries;
-  id
+    :: st.entries
 
 let entries () = List.rev (state ()).entries
-let size () = List.length (state ()).entries
 
 let snapshot () =
   List.map
@@ -74,8 +72,6 @@ let snapshot () =
 (* Formal check (§3.1) of the recorded Ψ log against the declared
    configuration space. *)
 let validate_log m = Formal.check_log m.spec m.stats.log
-
-let subscribe_all f = List.iter (fun e -> e.e_subscribe f) (entries ())
 
 let subscribe_from from f =
   let st = state () in

@@ -59,15 +59,12 @@ val register :
   ?drive:(unit -> bool) ->
   spec:Policy.Spec.t ->
   unit ->
-  int
-(** Register an object; returns its registry id. [stats] is consulted
-    lazily at snapshot time. [subscribe] lets {!subscribe_all} attach
-    adaptation-event hooks; [drive] (when given) forces one
-    sense-decide cycle — {!drive_all} uses it so a monitoring thread
-    can run every loosely-drivable object. Called by
-    [Adaptive.create]; most clients never call this directly. *)
-
-val size : unit -> int
+  unit
+(** Register an object. [stats] is consulted lazily at snapshot time.
+    [subscribe] lets {!subscribe_from} attach adaptation-event hooks;
+    [drive] (when given) forces one sense-decide cycle, which
+    {!drive_all} uses. Called by [Adaptive.create]; most clients never
+    call this directly. *)
 
 val snapshot : unit -> metrics list
 (** Current metrics of every registered object, in registration
@@ -78,10 +75,6 @@ val validate_log : metrics -> (unit, string) result
     against its declared spec's configuration space. Surfaced per
     object in {!to_json} as [policy_valid] / [policy_violation] — how
     [repro objects] reports protocol-level log violations. *)
-
-val subscribe_all : (event -> unit) -> unit
-(** Attach [f] as an adaptation-event hook on every currently
-    registered object (objects registered later are not included). *)
 
 val subscribe_from : int -> (event -> unit) -> int
 (** [subscribe_from id f] attaches [f] only to objects with registry

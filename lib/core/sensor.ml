@@ -5,7 +5,6 @@ type 'a t = {
   mutable countdown : int;
   overhead_instrs : int;
   mutable samples : int;
-  mutable ticks : int;
   mutable recorder : ('a -> unit) option;
 }
 
@@ -18,11 +17,8 @@ let make ~name ?(period = 1) ?(overhead_instrs = 40) read =
     countdown = period;
     overhead_instrs;
     samples = 0;
-    ticks = 0;
     recorder = None;
   }
-
-let name t = t.sensor_name
 
 let sample t =
   t.samples <- t.samples + 1;
@@ -32,7 +28,6 @@ let sample t =
   v
 
 let tick t =
-  t.ticks <- t.ticks + 1;
   t.countdown <- t.countdown - 1;
   if t.countdown <= 0 then begin
     t.countdown <- t.sample_period;
@@ -41,7 +36,6 @@ let tick t =
   else None
 
 let force t = sample t
-let period t = t.sample_period
 
 let set_period t p =
   if p < 1 then invalid_arg "Sensor.set_period: period must be >= 1";
@@ -49,7 +43,6 @@ let set_period t p =
   t.countdown <- Int.min t.countdown p
 
 let samples_taken t = t.samples
-let ticks_seen t = t.ticks
 
 let history t ~record =
   let series = Engine.Series.create ~name:t.sensor_name () in

@@ -18,8 +18,6 @@ val make : name:string -> ?period:int -> ?overhead_instrs:int -> (unit -> 'a) ->
     bookkeeping charged per actual sample (default 40 modeled
     instructions). *)
 
-val name : 'a t -> string
-
 val tick : 'a t -> 'a option
 (** Count one instrumentation event; samples (and returns [Some v])
     when the event count reaches the period. Charges the sampling
@@ -28,10 +26,8 @@ val tick : 'a t -> 'a option
 val force : 'a t -> 'a
 (** Sample immediately, regardless of period. *)
 
-val period : 'a t -> int
 val set_period : 'a t -> int -> unit
 val samples_taken : 'a t -> int
-val ticks_seen : 'a t -> int
 
 val history : 'a t -> record:('a -> float) -> Engine.Series.t
 (** Attach a recording series: every subsequent sample is appended

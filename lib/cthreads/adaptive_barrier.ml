@@ -140,9 +140,6 @@ let await t =
     spin_then_block t my_gen
   end
 
-let parties t = t.parties
-let waiting t = Ops.read t.count
 let spin_budget_ns t = Attribute.get t.spin_ns
 let spin_attr t = t.spin_ns
 let loop t = t.loop
-let last_spread_ns t = t.last_spread

@@ -61,11 +61,6 @@ val await : t -> unit
     the blocked parties, resets the barrier and ticks the adaptive
     loop. *)
 
-val parties : t -> int
-
-val waiting : t -> int
-(** Parties currently waiting (racy snapshot, for metrics). *)
-
 val spin_budget_ns : t -> int
 (** Current arrival spin budget. *)
 
@@ -76,6 +71,3 @@ val spin_attr : t -> int Adaptive_core.Attribute.t
 val loop : t -> observation Adaptive_core.Adaptive.t
 (** The barrier's feedback loop (subscribe, swap policies, read
     metrics). *)
-
-val last_spread_ns : t -> int
-(** Inter-arrival spread of the most recently completed cycle. *)

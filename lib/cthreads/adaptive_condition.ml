@@ -154,13 +154,5 @@ let signal t =
       Ops.wakeup tid
   end
 
-let broadcast t =
-  ignore (Adaptive.tick t.loop);
-  wake_all t
-
-let waiting t = List.length t.sleepers
-let spin_budget_ns t = Attribute.get t.spin_ns
-let spin_attr t = t.spin_ns
-let broadcast_attr t = t.broadcast_hint
 let broadcasting t = Attribute.get t.broadcast_hint
 let loop t = t.loop

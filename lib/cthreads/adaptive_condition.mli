@@ -51,19 +51,8 @@ val signal : t -> unit
 (** Wake the oldest waiter — or everyone, when the [broadcast-hint]
     attribute is set. Ticks the adaptive loop. *)
 
-val broadcast : t -> unit
-(** Wake all current waiters. *)
-
-val waiting : t -> int
-(** Waiters currently registered (racy snapshot, for metrics). *)
-
-val spin_budget_ns : t -> int
-val spin_attr : t -> int Adaptive_core.Attribute.t
-
 val broadcasting : t -> bool
 (** Current wake strategy (true = signal escalates to broadcast). *)
-
-val broadcast_attr : t -> bool Adaptive_core.Attribute.t
 
 val loop : t -> observation Adaptive_core.Adaptive.t
 (** The condition's feedback loop (subscribe, swap policies, read

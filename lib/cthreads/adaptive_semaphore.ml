@@ -129,8 +129,4 @@ let release t =
     Ops.write t.permits (Ops.read t.permits + 1);
     Spin.unlock t.mutex
 
-let available t = Ops.read t.permits
-let waiting t = Queue.length t.waiters
 let spin_budget_ns t = Attribute.get t.spin_ns
-let spin_attr t = t.spin_ns
-let loop t = t.loop

@@ -45,15 +45,4 @@ val release : t -> unit
 (** Return a permit (handed directly to the oldest waiter, if any).
     Ticks the adaptive loop. *)
 
-val available : t -> int
-(** Current permit count (racy snapshot, for metrics). *)
-
-val waiting : t -> int
-(** Blocked waiters (racy snapshot, for metrics). *)
-
 val spin_budget_ns : t -> int
-val spin_attr : t -> int Adaptive_core.Attribute.t
-
-val loop : t -> observation Adaptive_core.Adaptive.t
-(** The semaphore's feedback loop (subscribe, swap policies, read
-    metrics). *)

@@ -29,6 +29,3 @@ let await t =
     Spin.unlock t.mutex;
     Ops.block ()
   end
-
-let parties t = t.parties
-let waiting t = Ops.read t.count

@@ -8,8 +8,3 @@ val create : ?node:int -> int -> t
 val await : t -> unit
 (** Block until all [n] parties have arrived; the last arrival wakes
     everyone and the barrier resets for the next cycle. *)
-
-val parties : t -> int
-
-val waiting : t -> int
-(** Parties currently waiting (racy snapshot, for metrics). *)

@@ -33,5 +33,3 @@ let broadcast t =
   t.sleepers <- [];
   Spin.unlock t.guard;
   List.iter Ops.wakeup sleepers
-
-let waiting t = List.length t.sleepers

@@ -19,6 +19,3 @@ val signal : t -> unit
 
 val broadcast : t -> unit
 (** Wake every current waiter. *)
-
-val waiting : t -> int
-(** Current number of sleepers (racy snapshot). *)

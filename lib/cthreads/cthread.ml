@@ -12,18 +12,13 @@ let join = Ops.join
 let join_all ts = List.iter join ts
 let self = Ops.self
 let id t = t
-let equal (a : t) b = a = b
 let of_id tid = tid
 let yield = Ops.yield
 let block = Ops.block
 let wakeup = Ops.wakeup
 let delay = Ops.delay
 let work = Ops.work
-let work_instrs = Ops.work_instrs
 let now = Ops.now
-let my_processor = Ops.my_processor
-let processors = Ops.processors
 let set_priority = Ops.set_priority
 let priority = Ops.priority_of
 let random = Ops.random
-let pp ppf t = Format.fprintf ppf "#%d" t

@@ -19,7 +19,6 @@ val join_all : t list -> unit
 
 val self : unit -> t
 val id : t -> int
-val equal : t -> t -> bool
 val of_id : int -> t
 
 val yield : unit -> unit
@@ -36,13 +35,7 @@ val delay : int -> unit
 val work : int -> unit
 (** Compute for [ns] (occupies the processor). *)
 
-val work_instrs : int -> unit
-
 val now : unit -> int
-val my_processor : unit -> int
-val processors : unit -> int
 val set_priority : t -> int -> unit
 val priority : t -> int
 val random : int -> int
-
-val pp : Format.formatter -> t -> unit

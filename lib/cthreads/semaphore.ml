@@ -45,5 +45,3 @@ let release t =
   | None ->
     Ops.write t.permits (Ops.read t.permits + 1);
     Spin.unlock t.mutex)
-
-let available t = Ops.read t.permits

@@ -16,6 +16,3 @@ val try_acquire : t -> bool
 
 val release : t -> unit
 (** Return a permit, waking the longest-waiting thread if any. *)
-
-val available : t -> int
-(** Current permit count (racy snapshot, for metrics). *)

@@ -41,5 +41,3 @@ let unlock t =
   if Ops.annotations_enabled () then
     Ops.annotate (Ops.A_lock_release { lock = t; lock_name = spin_name t });
   Ops.write t 0
-
-let home t = Memory.node_of t

@@ -20,9 +20,6 @@ val try_lock : t -> bool
 
 val unlock : t -> unit
 
-val home : t -> int
-(** The memory node holding the mutex word. *)
-
 val probe_gap_ns : int
 (** Gap between failed probes; the adaptive variants reuse it as their
     spin-poll granularity so spin costs stay comparable. *)

@@ -11,14 +11,9 @@ let cell t name =
     r
 
 let incr t name = Stdlib.incr (cell t name)
-let add t name n = cell t name := !(cell t name) + n
 let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
-let set t name n = cell t name := n
 let reset t = Hashtbl.iter (fun _ r -> r := 0) t
 
 let to_list t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let pp ppf t =
-  List.iter (fun (name, v) -> Format.fprintf ppf "%s = %d@." name v) (to_list t)

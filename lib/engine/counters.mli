@@ -15,21 +15,13 @@ val incr : t -> string -> unit
 val cell : t -> string -> int ref
 (** The counter's underlying cell, created at 0 on first use. Callers
     on hot paths cache the ref and bump it directly, skipping the
-    hashtable lookup that {!incr}/{!add} pay per call. *)
-
-val add : t -> string -> int -> unit
-(** Add an arbitrary (possibly negative) amount. *)
+    hashtable lookup that {!incr} pays per call. *)
 
 val get : t -> string -> int
 (** Current value, 0 if never touched. *)
-
-val set : t -> string -> int -> unit
 
 val reset : t -> unit
 (** Zero every counter (names are kept). *)
 
 val to_list : t -> (string * int) list
 (** All counters, sorted by name. *)
-
-val pp : Format.formatter -> t -> unit
-(** One [name = value] line per counter, sorted by name. *)

@@ -80,9 +80,6 @@ let add q ~key v =
   q.size <- q.size + 1;
   sift_up q i
 
-let peek_min q = if q.size = 0 then None else Some (q.keys.(0), q.vals.(0))
-let min_key q = if q.size = 0 then None else Some q.keys.(0)
-
 (* Allocation-free peek for per-iteration polling (the scheduler's
    "is the next timer due?" check): [max_int] stands for "empty", so
    the caller's comparison against a real virtual time needs no
@@ -105,12 +102,6 @@ let pop_min q =
   else
     let key = q.keys.(0) in
     Some (key, remove_min q)
-
-let pop_min_exn q =
-  if q.size = 0 then invalid_arg "Pqueue.pop_min_exn: empty queue"
-  else
-    let key = q.keys.(0) in
-    (key, remove_min q)
 
 let pop_min_value_exn q =
   if q.size = 0 then invalid_arg "Pqueue.pop_min_value_exn: empty queue"
@@ -141,16 +132,6 @@ let remove q pred =
 let clear q =
   Array.fill q.vals 0 q.size q.dummy;
   q.size <- 0
-
-let drain q =
-  let rec loop () =
-    if q.size = 0 then []
-    else
-      let key = q.keys.(0) in
-      let v = remove_min q in
-      (key, v) :: loop ()
-  in
-  loop ()
 
 let iter q f =
   for i = 0 to q.size - 1 do

@@ -28,23 +28,14 @@ val pop_min : 'a t -> (int * 'a) option
 (** [pop_min q] removes and returns the entry with the smallest key
     (ties: earliest inserted first), or [None] if empty. O(log n). *)
 
-val pop_min_exn : 'a t -> int * 'a
-(** Like {!pop_min} but raises [Invalid_argument] on an empty queue. *)
-
 val pop_min_value_exn : 'a t -> 'a
-(** [pop_min_value_exn q] is [snd (pop_min_exn q)] without allocating
-    the pair: the scheduler's allocation-free dispatch path. *)
-
-val peek_min : 'a t -> (int * 'a) option
-(** [peek_min q] is the entry [pop_min] would return, without removing
-    it. O(1). *)
-
-val min_key : 'a t -> int option
-(** [min_key q] is the smallest key present, if any. O(1). *)
+(** The value {!pop_min} would return, without allocating the pair:
+    the scheduler's allocation-free dispatch path. Raises
+    [Invalid_argument] on an empty queue. *)
 
 val peek_min_key : 'a t -> int
-(** Allocation-free {!min_key}: the smallest key present, or [max_int]
-    when the queue is empty. O(1). The scheduler polls this once per
+(** The smallest key present, or [max_int] when the queue is empty,
+    without removing it. O(1). The scheduler polls this once per
     dispatch ("is the next fault timer due?"), so it must not box an
     option per iteration. *)
 
@@ -63,10 +54,6 @@ val clear : 'a t -> unit
 (** Remove every entry (overwriting the slots with the dummy). Does
     not shrink the backing array. *)
 
-val drain : 'a t -> (int * 'a) list
-(** [drain q] pops everything, returning entries in priority order.
-    Leaves [q] empty. Builds the result in one pass (no intermediate
-    accumulator/[List.rev]). Intended for tests and shutdown paths. *)
 
 val iter : 'a t -> (int -> 'a -> unit) -> unit
 (** Iterate over entries in unspecified order (heap order). *)

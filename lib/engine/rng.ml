@@ -42,24 +42,8 @@ let float t bound =
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (float_of_int v /. 9007199254740992.0)
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
-
 let exponential t ~mean =
   let u = float t 1.0 in
   (* Guard against log 0. *)
   let u = if u <= 0.0 then 1e-300 else u in
   -.mean *. log u
-
-let shuffle t arr =
-  let n = Array.length arr in
-  for i = n - 1 downto 1 do
-    let j = int t (i + 1) in
-    let v = arr.(i) in
-    arr.(i) <- arr.(j);
-    arr.(j) <- v
-  done
-
-let permutation t n =
-  let arr = Array.init n (fun i -> i) in
-  shuffle t arr;
-  arr

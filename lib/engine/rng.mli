@@ -21,9 +21,6 @@ val copy : t -> t
 (** [copy t] duplicates the stream state (the copy replays [t]'s
     future). *)
 
-val bits64 : t -> int64
-(** Next raw 64 bits. *)
-
 val int : t -> int -> int
 (** [int t bound] is uniform in [\[0, bound)]. [bound] must be
     positive. *)
@@ -35,15 +32,7 @@ val int_in : t -> int -> int -> int
 val float : t -> float -> float
 (** [float t bound] is uniform in [\[0, bound)]. *)
 
-val bool : t -> bool
-
 val exponential : t -> mean:float -> float
 (** Exponentially distributed value with the given mean; used for
     arrival processes in workload generators. *)
 
-val shuffle : t -> 'a array -> unit
-(** Fisher–Yates shuffle in place. *)
-
-val permutation : t -> int -> int array
-(** [permutation t n] is a uniformly random permutation of
-    [0 .. n-1]. *)

@@ -18,10 +18,6 @@
     calls [map] runs its sub-tasks inline, so composed parallel stages
     never oversubscribe the host. *)
 
-val recommended_domains : unit -> int
-(** The host's recommended domain count
-    ([Domain.recommended_domain_count ()]). *)
-
 val set_default_domains : int -> unit
 (** Set the process-wide default used when [?domains] is omitted
     (clamped to at least 1). The CLI [--domains] flag lands here. *)

@@ -28,12 +28,6 @@ let add s ~t ~v =
   s.vs.(s.n) <- v;
   s.n <- s.n + 1
 
-let get s i =
-  if i < 0 || i >= s.n then invalid_arg "Series.get: index out of bounds";
-  (s.ts.(i), s.vs.(i))
-
-let last s = if s.n = 0 then None else Some (s.ts.(s.n - 1), s.vs.(s.n - 1))
-
 let iter s f =
   for i = 0 to s.n - 1 do
     f s.ts.(i) s.vs.(i)
@@ -44,25 +38,16 @@ let fold s ~init ~f =
   iter s (fun t v -> acc := f !acc t v);
   !acc
 
-let to_list s = List.rev (fold s ~init:[] ~f:(fun acc t v -> (t, v) :: acc))
-
 let max_value s =
   fold s ~init:None ~f:(fun acc _ v ->
       match acc with None -> Some v | Some m -> Some (Float.max m v))
-
-let min_value s =
-  fold s ~init:None ~f:(fun acc _ v ->
-      match acc with None -> Some v | Some m -> Some (Float.min m v))
-
-let mean_value s =
-  if s.n = 0 then None
-  else Some (fold s ~init:0.0 ~f:(fun acc _ v -> acc +. v) /. float_of_int s.n)
 
 let time_weighted_mean s =
   if s.n < 2 then None
   else begin
     let total_span = float_of_int (s.ts.(s.n - 1) - s.ts.(0)) in
-    if total_span <= 0.0 then mean_value s
+    if total_span <= 0.0 then
+      Some (fold s ~init:0.0 ~f:(fun acc _ v -> acc +. v) /. float_of_int s.n)
     else begin
       let weighted = ref 0.0 in
       for i = 0 to s.n - 2 do

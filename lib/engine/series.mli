@@ -18,28 +18,13 @@ val add : t -> t:int -> v:float -> unit
 
 val length : t -> int
 
-val get : t -> int -> int * float
-(** [get s i] is the [i]-th sample. Raises [Invalid_argument] when out
-    of bounds. *)
-
-val last : t -> (int * float) option
-
-val iter : t -> (int -> float -> unit) -> unit
-
-val fold : t -> init:'a -> f:('a -> int -> float -> 'a) -> 'a
-
-val to_list : t -> (int * float) list
-
 val max_value : t -> float option
-val min_value : t -> float option
-
-val mean_value : t -> float option
-(** Unweighted mean of the sample values. *)
 
 val time_weighted_mean : t -> float option
 (** Mean of the value weighted by the time it was held, treating each
-    sample as holding until the next sample's timestamp. [None] when
-    fewer than two samples. *)
+    sample as holding until the next sample's timestamp (the plain mean
+    when every sample shares one timestamp). [None] when fewer than two
+    samples. *)
 
 val resample : t -> buckets:int -> (int * float) array
 (** [resample s ~buckets] reduces the series to [buckets] points by

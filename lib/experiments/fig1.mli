@@ -5,9 +5,6 @@ type point = { cs_ns : int; total_ns : int }
 
 type curve = { kind : Locks.Lock.kind; points : point list }
 
-val default_cs_lengths : int list
-(** Sweep points, about 5 us to 800 us. *)
-
 val run :
   ?machine:Butterfly.Config.t ->
   ?domains:int ->

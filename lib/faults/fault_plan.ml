@@ -14,15 +14,6 @@ type fault =
 type event = { at_ns : int; fault : fault }
 type t = event list
 
-let fault_name = function
-  | Mem_degrade _ -> "mem-degrade"
-  | Mem_stuck _ -> "mem-stuck"
-  | Proc_stall _ -> "proc-stall"
-  | Thread_kill _ -> "kill"
-  | Lock_holder_delay _ -> "holder-delay"
-  | Swap_stall _ -> "swap-stall"
-  | Swap_kill _ -> "kill-in-swap"
-
 let event_to_string { at_ns; fault } =
   match fault with
   | Mem_degrade { node; factor; until_ns } ->

@@ -49,8 +49,6 @@ type event = { at_ns : int; fault : fault }
 type t = event list
 (** Sorted by [at_ns] (stable for equal times). *)
 
-val fault_name : fault -> string
-
 val to_string : t -> string
 (** Compact spec string; [""] for the empty plan. *)
 

@@ -40,13 +40,6 @@ type driver = {
       (** [lookup axis] is total over [d_axes] (defaults filled in). *)
 }
 
-val drivers : unit -> driver list
-(** The registered drivers: the sweepable [csweep] and [switch-lock],
-    and one per gated subcommand: [objects], [ablation-locks], [chaos],
-    [analyze], [check-policies], [check-protocols]. Cheap: no scenario
-    or model catalogue is built until a value is checked or a config
-    runs. *)
-
 val find : string -> driver option
 
 val validate : Spec.t -> (unit, string) result

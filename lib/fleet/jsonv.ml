@@ -123,11 +123,12 @@ let parse text =
                if !pos + 4 > n then fail "truncated \\u escape";
                let hex = String.sub text !pos 4 in
                pos := !pos + 4;
-               let code =
-                 match int_of_string_opt ("0x" ^ hex) with
-                 | Some c -> c
-                 | None -> fail "bad \\u escape"
+               let is_hex = function
+                 | '0' .. '9' | 'a' .. 'f' | 'A' .. 'F' -> true
+                 | _ -> false
                in
+               if not (String.for_all is_hex hex) then fail "bad \\u escape";
+               let code = int_of_string ("0x" ^ hex) in
                (* Encode as UTF-8 (surrogate pairs are not needed for
                   the documents this library writes). *)
                if code < 0x80 then Buffer.add_char buf (Char.chr code)
@@ -161,8 +162,8 @@ let parse text =
     if !pos = start then fail "expected number"
     else
       match float_of_string_opt (String.sub text start (!pos - start)) with
-      | Some v -> v
-      | None -> fail "malformed number"
+      | Some v when Float.is_finite v -> v
+      | Some _ | None -> fail "malformed number"
   in
   let rec parse_value () =
     skip_ws ();

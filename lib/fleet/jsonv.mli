@@ -38,9 +38,6 @@ val num_str : float -> string
     [nan]/[inf] print as [null]-safe ["0"] — callers should not feed
     them. *)
 
-val escape : string -> string
-(** JSON string-body escaping (no surrounding quotes). *)
-
 (** {1 Accessors} (all total) *)
 
 val member : string -> t -> t option

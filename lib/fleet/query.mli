@@ -32,8 +32,6 @@ type filter = {
   f_config : (string * string) list;  (** config key = value, all must hold *)
 }
 
-val no_filter : filter
-
 type agg_op = Mean | Sum | Min | Max | Count
 
 type group_key =

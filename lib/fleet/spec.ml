@@ -83,8 +83,6 @@ let of_file path =
   | text -> of_string text
   | exception Sys_error e -> Error e
 
-let size t = List.fold_left (fun acc (_, vs) -> acc * List.length vs) 1 t.sp_axes
-
 let expand t =
   (* Axes are stored sorted; fold from the right so the last axis
      varies fastest. *)

@@ -35,10 +35,3 @@ val expand : t -> (string * string) list list
     name with the rightmost (alphabetically last) axis varying fastest,
     each axis's values in spec order. Each element is one config
     (axis, value) list, sorted by axis name. *)
-
-val size : t -> int
-(** Number of configs {!expand} yields. *)
-
-val max_configs : int
-(** Refuse specs expanding beyond this many configs (guards typos like
-    a 6-axis × 10-value sweep). *)

@@ -107,6 +107,8 @@ let of_line line =
     in
     match Option.bind (field "schema") Jsonv.num with
     | None -> Error "record missing schema field"
+    | Some s when not (Float.is_integer s) ->
+      Error (Printf.sprintf "schema version %s is not an integer" (Jsonv.to_string (Num s)))
     | Some s when int_of_float s <> schema_version ->
       Error
         (Printf.sprintf "unknown schema version %d (this build reads %d)"
@@ -145,11 +147,35 @@ let rec mkdirs dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
+(* The length of [path] without a torn final line: the offset just
+   past its last newline (0 when it has none). *)
+let complete_length path =
+  In_channel.with_open_bin path (fun ic ->
+      let chunk = Bytes.create 4096 in
+      let rec scan hi =
+        if hi = 0 then 0
+        else begin
+          let lo = max 0 (hi - Bytes.length chunk) in
+          In_channel.seek ic (Int64.of_int lo);
+          really_input ic chunk 0 (hi - lo);
+          match Bytes.rindex_from_opt chunk (hi - lo - 1) '\n' with
+          | Some i -> lo + i + 1
+          | None -> scan lo
+        end
+      in
+      scan (Int64.to_int (In_channel.length ic)))
+
 (* The batch goes out in one [Unix.write] on an O_APPEND descriptor
    (the runtime splits it into 64 KiB system writes), so a crash can
-   tear only the end of the file; [load] skips a torn final line. *)
+   tear only the end of the file. [load] skips a torn final line; the
+   next append cuts it off first, so the fragment never glues onto the
+   new batch's first record to form a bad line in mid-file. *)
 let append ~path records =
   mkdirs (Filename.dirname path);
+  if Sys.file_exists path then begin
+    let keep = complete_length path in
+    if keep < (Unix.stat path).Unix.st_size then Unix.truncate path keep
+  end;
   let batch = String.concat "" (List.map (fun r -> to_line r ^ "\n") records) in
   let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
   Fun.protect

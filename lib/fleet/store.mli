@@ -22,8 +22,6 @@ type record = {
   r_payload : string;  (** exact bytes of the legacy artifact *)
 }
 
-val schema_version : int
-
 val make :
   ?spec:string ->
   ?rev:string ->
@@ -53,7 +51,8 @@ val of_line : string -> (record, string) result
 
 val append : path:string -> record list -> unit
 (** Append records to the store at [path] in a single write, creating
-    parent directories and the file as needed. *)
+    parent directories and the file as needed. A torn final line left
+    by an earlier append cut short is removed first. *)
 
 val mkdirs : string -> unit
 (** Create a directory and any missing parents. *)

@@ -3,7 +3,6 @@ open Butterfly
 type message = Acquire of int | Release | Stop
 
 type t = {
-  lock_name : string;
   mailbox_guard : Memory.addr;  (* on the server's node *)
   mailbox_signal : Memory.addr;  (* message counter: writing it models the send *)
   mutable mailbox : message list;  (* newest first *)
@@ -64,7 +63,6 @@ let create ?(name = "active-lock") ~server_proc () =
   Ops.mark_sync_words words;
   let t =
     {
-      lock_name = name;
       mailbox_guard = words.(0);
       mailbox_signal = words.(1);
       mailbox = [];
@@ -98,5 +96,4 @@ let shutdown t =
   send t Stop;
   Ops.join t.server
 
-let name t = t.lock_name
 let stats t = t.lock_stats

@@ -23,5 +23,4 @@ val shutdown : t -> unit
 (** Stop and join the server (required before the simulation can
     finish). The lock must be free. *)
 
-val name : t -> string
 val stats : t -> Lock_stats.t

@@ -6,10 +6,6 @@
     {!Lock_core} drives it for mutex acquisition; {!Rw_lock} for both
     its reader and writer sides. *)
 
-val next_gap : policy:Waiting.t -> int -> int
-(** The probe gap after a failed probe: doubled (capped) under
-    Anderson back-off, else unchanged. *)
-
 val wait :
   policy:Waiting.t ->
   ?advice:(unit -> int) ->

@@ -1,7 +1,6 @@
 open Butterfly
 
 type t = {
-  lock_name : string;
   guard : Memory.addr;  (* protects queue + held *)
   held_word : Memory.addr;
   flags : Memory.addr array;  (* one per processor, homed locally *)
@@ -16,7 +15,6 @@ let create ?(name = "local-spin-lock") ~home () =
   let flags = Array.init processors (fun node -> Ops.alloc1 ~node ()) in
   Ops.mark_sync_words flags;
   {
-    lock_name = name;
     guard = words.(0);
     held_word = words.(1);
     flags;
@@ -24,7 +22,6 @@ let create ?(name = "local-spin-lock") ~home () =
     lock_stats = Lock_stats.create name;
   }
 
-let name t = t.lock_name
 let stats t = t.lock_stats
 
 let guard_lock t =

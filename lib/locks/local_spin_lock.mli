@@ -21,5 +21,4 @@ val create : ?name:string -> home:int -> unit -> t
 
 val lock : t -> unit
 val unlock : t -> unit
-val name : t -> string
 val stats : t -> Lock_stats.t

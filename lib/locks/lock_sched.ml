@@ -11,13 +11,11 @@ type waiter = { tid : int; prio : int; enqueued_at : int }
 type t = { mutable queue : waiter list; mutable sched_kind : kind }
 
 let create sched_kind = { queue = []; sched_kind }
-let kind t = t.sched_kind
 let set_kind t k = t.sched_kind <- k
 let register t w = t.queue <- t.queue @ [ w ]
 let cancel t tid = t.queue <- List.filter (fun w -> w.tid <> tid) t.queue
 let waiting t = List.length t.queue
 let is_empty t = t.queue = []
-let waiters t = t.queue
 
 let take t pred =
   let rec loop acc = function

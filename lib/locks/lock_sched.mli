@@ -25,8 +25,6 @@ type t
 
 val create : kind -> t
 
-val kind : t -> kind
-
 val set_kind : t -> kind -> unit
 (** Scheduler reconfiguration (the queue already registered keeps its
     entries; the paper models the changeover delay with a flag, priced
@@ -47,5 +45,3 @@ val release_next : t -> successor:int option -> waiter option
 
 val waiting : t -> int
 val is_empty : t -> bool
-val waiters : t -> waiter list
-(** Registered waiters, front first (for tests and monitors). *)

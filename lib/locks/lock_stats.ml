@@ -33,7 +33,6 @@ let create ?(trace = false) name =
     trace = (if trace then Some (Engine.Series.create ~name ()) else None);
   }
 
-let name t = t.stats_name
 let on_lock t = t.lock_calls <- t.lock_calls + 1
 let on_contended t = t.contended <- t.contended + 1
 
@@ -64,7 +63,6 @@ let blocks t = t.blocks
 let handoffs t = t.handoffs
 let reconfigurations t = t.reconfigurations
 let timeouts t = t.timeouts
-let total_wait_ns t = t.total_wait_ns
 let max_wait_ns t = t.max_wait_ns
 
 let mean_wait_ns t =

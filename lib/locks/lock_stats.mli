@@ -12,8 +12,6 @@ type t
 val create : ?trace:bool -> string -> t
 (** [trace] (default false) enables the waiting-thread time series. *)
 
-val name : t -> string
-
 (** {1 Recording (used by lock implementations)} *)
 
 val on_lock : t -> unit
@@ -44,7 +42,6 @@ val reconfigurations : t -> int
 val timeouts : t -> int
 (** Timed acquisitions that expired without obtaining the lock. *)
 
-val total_wait_ns : t -> int
 val max_wait_ns : t -> int
 
 val mean_wait_ns : t -> float

@@ -16,7 +16,6 @@ type preference = Reader_pref | Writer_pref
    being woken — a woken thread owns the lock, no re-probe). *)
 type t = {
   rw_name : string;
-  home_node : int;
   word : Memory.addr;
   guard : Memory.addr;  (* protects the sleeper lists and grants *)
   wwait : Memory.addr;  (* waiting-writer count (the monitored variable) *)
@@ -95,7 +94,6 @@ let create ?(name = "rw-lock") ?(preference = Reader_pref) ?(adaptive = false)
   let t =
     {
       rw_name = name;
-      home_node = home;
       word = words.(0);
       guard = words.(1);
       wwait = words.(2);
@@ -134,10 +132,7 @@ let create ?(name = "rw-lock") ?(preference = Reader_pref) ?(adaptive = false)
     { t with loop = Some loop }
   end
 
-let name t = t.rw_name
-let home t = t.home_node
 let preference t = Attribute.get t.pref
-let loop t = t.loop
 let adaptations t = match t.loop with Some l -> Adaptive.adaptations l | None -> 0
 let reader_acquisitions t = t.reader_acqs
 

@@ -55,22 +55,14 @@ val policy_spec :
     preference back after 3 consecutive writer-free samples). What the
     adaptive variant compiles and what the static checker inspects. *)
 
-val home : t -> int
-
-val name : t -> string
-val read_lock : t -> unit
-val read_unlock : t -> unit
-val write_lock : t -> unit
-val write_unlock : t -> unit
-
 val with_read : t -> (unit -> 'a) -> 'a
+(** Run the function holding the lock shared; released on return or
+    exception. *)
+
 val with_write : t -> (unit -> 'a) -> 'a
+(** Run the function holding the lock exclusively. *)
 
 val preference : t -> preference
-
-val loop : t -> int Adaptive_core.Adaptive.t option
-(** The adaptive variant's feedback loop (observations are
-    waiting-writer counts); [None] for fixed-preference locks. *)
 
 val adaptations : t -> int
 (** Preference switches performed by the adaptive variant. *)

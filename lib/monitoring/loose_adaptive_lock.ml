@@ -76,9 +76,7 @@ let unlock t =
     Ring_buffer.publish t.ring (Ops.now (), Locks.Lock_core.waiting_now t.core)
   end
 
-let stats t = Locks.Lock_core.stats t.core
 let shutdown t = Monitor_thread.stop t.monitor
-let feedback t = t.loop
 let adaptations t = Adaptive.adaptations t.loop
 let max_lag_ns t = Monitor_thread.max_lag_ns t.monitor
 let mode t = Locks.Spin_budget.mode t.budget

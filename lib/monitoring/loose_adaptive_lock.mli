@@ -33,15 +33,10 @@ val create :
 
 val lock : t -> unit
 val unlock : t -> unit
-val stats : t -> Locks.Lock_stats.t
 
 val shutdown : t -> unit
 (** Stop and join the monitor thread (required before the simulation
     can finish). *)
-
-val feedback : t -> int Adaptive_core.Adaptive.t
-(** The lock's loosely-coupled feedback loop (registered in
-    [Core.Registry] like every adaptive object). *)
 
 val adaptations : t -> int
 

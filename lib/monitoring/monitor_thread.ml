@@ -3,25 +3,21 @@ open Butterfly
 type 'a t = {
   mutable thread : Cthreads.Cthread.t;
   stop_flag : bool ref;
-  mutable processed_count : int;
   mutable max_lag : int;
 }
 
-let default_poll_ns = 100_000
-
-let start_gen ?(name = "monitor-thread") ?(poll_interval_ns = default_poll_ns) ~proc ~ring
-    ~handle () =
+let start_timestamped ?(name = "monitor-thread") ?(poll_interval_ns = 100_000) ~proc
+    ~ring ~deliver () =
   let stop_flag = ref false in
-  let t =
-    { thread = Cthreads.Cthread.of_id 0; stop_flag; processed_count = 0; max_lag = 0 }
-  in
+  let t = { thread = Cthreads.Cthread.of_id 0; stop_flag; max_lag = 0 } in
   let rec drain () =
     match Ring_buffer.consume ring with
-    | Some record ->
+    | Some (published_at, value) ->
       (* The general-purpose monitor's per-record processing cost. *)
       Ops.work_instrs Locks.Lock_costs.monitor_sample_instrs;
-      handle t record;
-      t.processed_count <- t.processed_count + 1;
+      let lag = Ops.now () - published_at in
+      if lag > t.max_lag then t.max_lag <- lag;
+      deliver value;
       drain ()
     | None -> ()
   in
@@ -35,45 +31,8 @@ let start_gen ?(name = "monitor-thread") ?(poll_interval_ns = default_poll_ns) ~
   t.thread <- Cthreads.Cthread.fork ~name ~proc body;
   t
 
-let start ?name ?poll_interval_ns ~proc ~ring ~deliver () =
-  start_gen ?name ?poll_interval_ns ~proc ~ring ~handle:(fun _t record -> deliver record) ()
-
-let start_timestamped ?name ?poll_interval_ns ~proc ~ring ~deliver () =
-  start_gen ?name ?poll_interval_ns ~proc ~ring
-    ~handle:(fun t (published_at, value) ->
-      let lag = Ops.now () - published_at in
-      if lag > t.max_lag then t.max_lag <- lag;
-      deliver value)
-    ()
-
-let start_registry ?(name = "registry-monitor") ?(poll_interval_ns = default_poll_ns)
-    ~proc () =
-  let stop_flag = ref false in
-  let t =
-    { thread = Cthreads.Cthread.of_id 0; stop_flag; processed_count = 0; max_lag = 0 }
-  in
-  let sweep () =
-    let n = Adaptive_core.Registry.size () in
-    if n > 0 then begin
-      (* Each driven object pays the general monitor's per-record
-         processing cost, same as the ring-buffer path. *)
-      Ops.work_instrs (Locks.Lock_costs.monitor_sample_instrs * n);
-      ignore (Adaptive_core.Registry.drive_all ());
-      t.processed_count <- t.processed_count + n
-    end
-  in
-  let body () =
-    while not !stop_flag do
-      sweep ();
-      Ops.delay poll_interval_ns
-    done
-  in
-  t.thread <- Cthreads.Cthread.fork ~name ~proc body;
-  t
-
 let stop t =
   t.stop_flag := true;
   Cthreads.Cthread.join t.thread
 
-let processed t = t.processed_count
 let max_lag_ns t = t.max_lag

@@ -11,40 +11,7 @@
     adaptation lag. *)
 
 type 'a t
-
-val start :
-  ?name:string ->
-  ?poll_interval_ns:int ->
-  proc:int ->
-  ring:'a Ring_buffer.t ->
-  deliver:('a -> unit) ->
-  unit ->
-  'a t
-(** Fork the monitor thread pinned to [proc]. It drains the ring,
-    charging the per-record processing cost and calling [deliver] for
-    each record; when the ring is empty it sleeps [poll_interval_ns]
-    (default 100 us, the sampling granularity of the general
-    monitor). *)
-
-val stop : 'a t -> unit
-(** Ask the monitor to finish: it drains remaining records and exits;
-    [stop] joins it. Must be called before the simulation can
-    terminate. *)
-
-val processed : 'a t -> int
-
-val max_lag_ns : 'a t -> int
-(** Largest observed delivery lag, provided records are (timestamp,
-    value) pairs registered through {!start}'s [deliver] wrapping — see
-    {!start_timestamped}. Returns 0 for untimestamped monitors. *)
-
-val start_registry :
-  ?name:string -> ?poll_interval_ns:int -> proc:int -> unit -> unit t
-(** A registry-wide monitor: every [poll_interval_ns] it forces one
-    sense-decide cycle on {e every} object in [Core.Registry]
-    ([Registry.drive_all]) — one monitor thread drives all registered
-    adaptive objects, charging the general monitor's per-record
-    processing cost for each. [processed] counts objects driven. *)
+(** A monitor thread over a ring of (publish-time, value) records. *)
 
 val start_timestamped :
   ?name:string ->
@@ -54,6 +21,17 @@ val start_timestamped :
   deliver:('a -> unit) ->
   unit ->
   (int * 'a) t
-(** Like {!start} for rings of (publish-time, value) records: the
-    monitor measures delivery lag (now - publish time) before handing
-    the value to [deliver]. *)
+(** Fork the monitor thread pinned to [proc]. It drains the ring,
+    charging the per-record processing cost, measuring each record's
+    delivery lag (now - publish time) and handing its value to
+    [deliver]; when the ring is empty it sleeps [poll_interval_ns]
+    (default 100 us, the sampling granularity of the general
+    monitor). *)
+
+val stop : 'a t -> unit
+(** Ask the monitor to finish: it drains remaining records and exits;
+    [stop] joins it. Must be called before the simulation can
+    terminate. *)
+
+val max_lag_ns : 'a t -> int
+(** Largest observed delivery lag. *)

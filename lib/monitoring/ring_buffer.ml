@@ -6,7 +6,6 @@ type 'a t = {
   head : Memory.addr;  (* next unread index *)
   tail : Memory.addr;  (* next free index *)
   data : Memory.addr;  (* representative data word: publishing writes it *)
-  mutable consume_count : int;
   mutable drop_count : int;
 }
 
@@ -20,7 +19,6 @@ let create ?(capacity = 256) ~home () =
     head = words.(0);
     tail = words.(1);
     data = words.(2);
-    consume_count = 0;
     drop_count = 0;
   }
 
@@ -46,11 +44,8 @@ let consume t =
       None
     | Some v ->
       t.slots.(head mod t.capacity) <- None;
-      t.consume_count <- t.consume_count + 1;
       Ops.write t.head (head + 1);
       Some v
   end
 
-let length t = max 0 (Ops.read t.tail - Ops.read t.head)
-let consumed t = t.consume_count
 let dropped t = t.drop_count

@@ -26,10 +26,5 @@ val consume : 'a t -> 'a option
 (** Take the oldest unread record, if any (single consumer): one read
     plus one write at the home node when a record is present. *)
 
-val length : 'a t -> int
-(** Unread records (simulated reads). *)
-
-val consumed : 'a t -> int
-
 val dropped : 'a t -> int
 (** Records lost to overwriting. *)

@@ -1,12 +1,9 @@
 type t = {
-  min_value : int;
-  buckets_per_decade : int;
   counts : int array;
   bounds : int array;  (* upper bound of each bucket *)
   mutable n : int;
   mutable sum : int;
   mutable max_v : int;
-  mutable min_v : int;
 }
 
 let create ?(min_value = 100) ?(max_value = 10_000_000_000) ?(buckets_per_decade = 8) () =
@@ -19,16 +16,7 @@ let create ?(min_value = 100) ?(max_value = 10_000_000_000) ?(buckets_per_decade
     Array.init nbuckets (fun i ->
         int_of_float (float_of_int min_value *. (ratio ** float_of_int (i + 1))))
   in
-  {
-    min_value;
-    buckets_per_decade;
-    counts = Array.make nbuckets 0;
-    bounds;
-    n = 0;
-    sum = 0;
-    max_v = 0;
-    min_v = 0;
-  }
+  { counts = Array.make nbuckets 0; bounds; n = 0; sum = 0; max_v = 0 }
 
 let bucket_of t v =
   let rec search lo hi =
@@ -46,64 +34,22 @@ let add t v =
   t.counts.(b) <- t.counts.(b) + 1;
   t.n <- t.n + 1;
   t.sum <- t.sum + v;
-  if v > t.max_v then t.max_v <- v;
-  if t.n = 1 || v < t.min_v then t.min_v <- v
+  if v > t.max_v then t.max_v <- v
 
-let count t = t.n
-let total t = t.sum
-let mean t = if t.n = 0 then 0.0 else float_of_int t.sum /. float_of_int t.n
-let max_seen t = t.max_v
-let min_seen t = if t.n = 0 then 0 else t.min_v
+let mean t = float_of_int t.sum /. float_of_int t.n
 
+(* The upper bound of the bucket holding rank [p]% (capped at the
+   largest sample); [t] is non-empty. *)
 let percentile t p =
-  if p <= 0.0 || p > 100.0 then invalid_arg "Histogram.percentile: p in (0, 100]";
-  if t.n = 0 then 0
-  else begin
-    let rank = int_of_float (ceil (p /. 100.0 *. float_of_int t.n)) in
-    let rec walk i seen =
-      if i >= Array.length t.counts then t.max_v
-      else begin
-        let seen = seen + t.counts.(i) in
-        if seen >= rank then min t.bounds.(i) t.max_v else walk (i + 1) seen
-      end
-    in
-    walk 0 0
-  end
-
-let merge a b =
-  if
-    a.min_value <> b.min_value
-    || a.buckets_per_decade <> b.buckets_per_decade
-    || Array.length a.counts <> Array.length b.counts
-  then invalid_arg "Histogram.merge: layout mismatch";
-  let m = create ~min_value:a.min_value ~buckets_per_decade:a.buckets_per_decade () in
-  (* Recreate with the same derived layout as [a]. *)
-  let m = { m with counts = Array.make (Array.length a.counts) 0; bounds = a.bounds } in
-  Array.iteri (fun i c -> m.counts.(i) <- c + b.counts.(i)) a.counts;
-  {
-    m with
-    n = a.n + b.n;
-    sum = a.sum + b.sum;
-    max_v = max a.max_v b.max_v;
-    min_v =
-      (if a.n = 0 then b.min_v else if b.n = 0 then a.min_v else min a.min_v b.min_v);
-  }
-
-let render ?(width = 40) t =
-  let buf = Buffer.create 256 in
-  let biggest = Array.fold_left max 1 t.counts in
-  Array.iteri
-    (fun i c ->
-      if c > 0 then begin
-        let bar = c * width / biggest in
-        Buffer.add_string buf
-          (Printf.sprintf "%10.1fus |%s %d\n"
-             (float_of_int t.bounds.(i) /. 1000.0)
-             (String.make (max 1 bar) '#')
-             c)
-      end)
-    t.counts;
-  Buffer.contents buf
+  let rank = int_of_float (ceil (p /. 100.0 *. float_of_int t.n)) in
+  let rec walk i seen =
+    if i >= Array.length t.counts then t.max_v
+    else begin
+      let seen = seen + t.counts.(i) in
+      if seen >= rank then min t.bounds.(i) t.max_v else walk (i + 1) seen
+    end
+  in
+  walk 0 0
 
 let summary t =
   if t.n = 0 then "no samples"

@@ -56,7 +56,5 @@ let render ?title t =
   rule ();
   Buffer.contents buf
 
-let us ns = Printf.sprintf "%.2f" (ns /. 1_000.0)
-let us_of_ns ns = us (float_of_int ns)
 let ms_of_ns ns = Printf.sprintf "%.1f" (float_of_int ns /. 1_000_000.0)
 let pct p = Printf.sprintf "%.1f%%" p

@@ -18,10 +18,5 @@ val render : ?title:string -> t -> string
 (** Box-drawn table. Numeric-looking cells are right-aligned, others
     left-aligned. *)
 
-val us : float -> string
-(** Format nanoseconds-as-float into a microseconds cell, two
-    decimals. *)
-
-val us_of_ns : int -> string
 val ms_of_ns : int -> string
 val pct : float -> string

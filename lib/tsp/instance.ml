@@ -94,5 +94,3 @@ let nearest_neighbour t =
     end
   in
   loop 0 0 [ 0 ] (t.n - 1)
-
-let pp ppf t = Format.fprintf ppf "tsp-instance(n=%d)" t.n

@@ -38,5 +38,3 @@ val tour_cost : t -> int list -> int
 
 val nearest_neighbour : t -> int list * int
 (** Greedy tour (a cheap upper bound and sanity baseline). *)
-
-val pp : Format.formatter -> t -> unit

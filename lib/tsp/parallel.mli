@@ -67,11 +67,6 @@ type spec = {
   machine_seed : int;
 }
 
-val tsp_adaptive_params : Locks.Adaptive_lock.params
-(** The per-lock tuned [simple-adapt] constants used in the TSP
-    experiments (threshold above the worst-case waiter count: with one
-    thread per processor, blocking frees no useful cpu). *)
-
 val tsp_adaptive_kind : Locks.Lock.kind
 
 val default_spec : spec

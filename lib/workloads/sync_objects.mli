@@ -24,9 +24,6 @@ type result = {
   adaptations : int;  (** sum over the snapshot *)
 }
 
-val body : ?snapshot:Adaptive_core.Registry.metrics list ref -> spec -> unit -> unit
-(** The simulated program (resets the registry first). *)
-
 val scenario : spec -> unit -> unit
 (** [body] as an analysis/chaos scenario program. *)
 

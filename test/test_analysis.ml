@@ -303,19 +303,17 @@ let rw_vs_mutex ~reader () =
   let rw = Locks.Rw_lock.create ~name:"rw" ~home:0 () in
   let m = Locks.Lock.create ~name:"mutex" ~home:0 Locks.Lock.Blocking in
   let rw_first () =
-    (if reader then Locks.Rw_lock.read_lock rw else Locks.Rw_lock.write_lock rw);
-    Cthread.work 5_000;
-    Locks.Lock.lock m;
-    Cthread.work 5_000;
-    Locks.Lock.unlock m;
-    if reader then Locks.Rw_lock.read_unlock rw else Locks.Rw_lock.write_unlock rw
+    (if reader then Locks.Rw_lock.with_read rw else Locks.Rw_lock.with_write rw)
+      (fun () ->
+        Cthread.work 5_000;
+        Locks.Lock.lock m;
+        Cthread.work 5_000;
+        Locks.Lock.unlock m)
   in
   let m_first () =
     Locks.Lock.lock m;
     Cthread.work 5_000;
-    Locks.Rw_lock.write_lock rw;
-    Cthread.work 5_000;
-    Locks.Rw_lock.write_unlock rw;
+    Locks.Rw_lock.with_write rw (fun () -> Cthread.work 5_000);
     Locks.Lock.unlock m
   in
   let t1 = Cthread.fork ~name:"rw-first" ~proc:1 rw_first in

@@ -6,10 +6,11 @@ let test_basics () =
   Engine.Counters.incr c "x";
   Engine.Counters.incr c "x";
   Alcotest.(check int) "incremented" 2 (Engine.Counters.get c "x");
-  Engine.Counters.add c "x" (-5);
-  Alcotest.(check int) "negative add" (-3) (Engine.Counters.get c "x");
-  Engine.Counters.set c "y" 9;
-  Alcotest.(check int) "set" 9 (Engine.Counters.get c "y")
+  let x = Engine.Counters.cell c "x" in
+  x := !x - 5;
+  Alcotest.(check int) "cell is the counter" (-3) (Engine.Counters.get c "x");
+  Engine.Counters.cell c "y" := 9;
+  Alcotest.(check int) "fresh cell" 9 (Engine.Counters.get c "y")
 
 let test_reset_keeps_names () =
   let c = Engine.Counters.create () in
@@ -21,9 +22,7 @@ let test_reset_keeps_names () =
 
 let test_to_list_sorted () =
   let c = Engine.Counters.create () in
-  Engine.Counters.set c "zebra" 1;
-  Engine.Counters.set c "ant" 2;
-  Engine.Counters.set c "mole" 3;
+  List.iter (Engine.Counters.incr c) [ "zebra"; "ant"; "mole" ];
   Alcotest.(check (list string)) "sorted names" [ "ant"; "mole"; "zebra" ]
     (List.map fst (Engine.Counters.to_list c))
 

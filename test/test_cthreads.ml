@@ -26,7 +26,7 @@ let test_self_and_equal () =
     run (fun () ->
         let child = Cthread.fork (fun () -> ()) in
         let me = Cthread.self () in
-        ok := (not (Cthread.equal child me)) && Cthread.equal me (Cthread.self ());
+        ok := child <> me && me = Cthread.self ();
         Cthread.join child)
   in
   Alcotest.(check bool) "identity behaves" true !ok

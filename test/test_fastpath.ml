@@ -6,15 +6,14 @@
 
 open Butterfly
 
+(* Both accelerations are on by default; restore that afterwards. *)
 let with_modes ~fast ~fusion f =
-  let fast0 = Sched.fast_paths_enabled () in
-  let fusion0 = Sched.op_fusion_enabled () in
   Sched.set_fast_paths fast;
   Sched.set_op_fusion fusion;
   Fun.protect
     ~finally:(fun () ->
-      Sched.set_fast_paths fast0;
-      Sched.set_op_fusion fusion0)
+      Sched.set_fast_paths true;
+      Sched.set_op_fusion true)
     f
 
 (* Render [render] with both accelerations on (the default), with

@@ -427,7 +427,10 @@ let test_adaptive_policy_consulted () =
           Locks.Adaptive_lock.lock lk;
           Locks.Adaptive_lock.unlock lk
         done;
-        runs := Adaptive_core.Adaptive.policy_runs (Locks.Adaptive_lock.feedback lk))
+        runs :=
+          List.fold_left
+            (fun n m -> n + m.Adaptive_core.Registry.stats.policy_runs)
+            0 (Adaptive_core.Registry.snapshot ()))
   in
   (* period 2 -> five samples, each running the compiled spec. *)
   Alcotest.(check int) "policy consulted" 5 !runs

@@ -3,6 +3,7 @@
 open Butterfly
 
 let cfg = { Config.default with Config.processors = 4 }
+let alloc1 mem ~node = (Memory.alloc mem ~node 1).(0)
 
 let test_alloc_zeroed () =
   let mem = Memory.create cfg in
@@ -28,7 +29,7 @@ let test_alloc_growth () =
 
 let test_value_ops () =
   let mem = Memory.create cfg in
-  let a = Memory.alloc1 mem ~node:0 in
+  let a = alloc1 mem ~node:0 in
   Memory.write mem a 5;
   Alcotest.(check int) "faa returns prev" 5 (Memory.fetch_and_add mem a 3);
   Alcotest.(check int) "faa applied" 8 (Memory.read mem a);
@@ -43,7 +44,7 @@ let test_value_ops () =
 
 let test_unallocated_rejected () =
   let mem = Memory.create cfg in
-  let a = Memory.alloc1 mem ~node:0 in
+  let a = alloc1 mem ~node:0 in
   ignore (Memory.read mem a);
   (* Forge a fresh memory with no allocations and reuse the address. *)
   let fresh = Memory.create cfg in
@@ -55,7 +56,7 @@ let test_unallocated_rejected () =
 
 let test_latency_matrix () =
   let mem = Memory.create cfg in
-  let a = Memory.alloc1 mem ~node:2 in
+  let a = alloc1 mem ~node:2 in
   let lat from kind = Memory.latency cfg ~from_node:from a kind in
   Alcotest.(check int) "local read" cfg.Config.local_read_ns (lat 2 Memory.Read_access);
   Alcotest.(check int) "remote read" cfg.Config.remote_read_ns (lat 0 Memory.Read_access);
@@ -66,7 +67,7 @@ let test_latency_matrix () =
 
 let test_reserve_no_contention () =
   let mem = Memory.create { cfg with Config.contention = false } in
-  let a = Memory.alloc1 mem ~node:0 in
+  let a = alloc1 mem ~node:0 in
   let t1 =
     Memory.reserve mem
       { cfg with Config.contention = false }
@@ -76,7 +77,7 @@ let test_reserve_no_contention () =
 
 let test_reserve_contention_serializes () =
   let mem = Memory.create cfg in
-  let a = Memory.alloc1 mem ~node:0 in
+  let a = alloc1 mem ~node:0 in
   let t1 = Memory.reserve mem cfg ~from_node:1 a Memory.Read_access ~start:0 in
   let t2 = Memory.reserve mem cfg ~from_node:2 a Memory.Read_access ~start:0 in
   Alcotest.(check bool) "second access delayed" true (t2 > t1 - cfg.Config.remote_read_ns);
@@ -84,7 +85,7 @@ let test_reserve_contention_serializes () =
 
 let test_remote_counter () =
   let mem = Memory.create cfg in
-  let a = Memory.alloc1 mem ~node:0 in
+  let a = alloc1 mem ~node:0 in
   ignore (Memory.reserve mem cfg ~from_node:0 a Memory.Read_access ~start:0);
   ignore (Memory.reserve mem cfg ~from_node:3 a Memory.Read_access ~start:0);
   Alcotest.(check int) "one remote" 1 (Memory.remote_accesses mem);
@@ -95,7 +96,7 @@ let prop_faa_sums =
     QCheck.(list (int_range (-100) 100))
     (fun deltas ->
       let mem = Memory.create cfg in
-      let a = Memory.alloc1 mem ~node:0 in
+      let a = alloc1 mem ~node:0 in
       List.iter (fun d -> ignore (Memory.fetch_and_add mem a d)) deltas;
       Memory.read mem a = List.fold_left ( + ) 0 deltas)
 

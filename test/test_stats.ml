@@ -24,7 +24,6 @@ let test_table_alignment () =
   check_bool "right-aligned numerics" true (contains s "|   1.00 |")
 
 let test_formatters () =
-  Alcotest.(check string) "us" "12.35" (Repro_stats.Table.us 12_345.0);
   Alcotest.(check string) "ms" "12.3" (Repro_stats.Table.ms_of_ns 12_345_678);
   Alcotest.(check string) "pct" "42.0%" (Repro_stats.Table.pct 42.0)
 
