@@ -69,7 +69,9 @@ val abort_reason_message : abort_reason -> string
 val run_outcome : ?main_name:string -> t -> (unit -> unit) -> outcome
 (** Like {!run}, but never lets a scheduler abort escape as an
     exception: the machine's state at the moment of the abort is
-    rendered by {!diagnostics} and returned alongside the reason. *)
+    rendered as a deterministic dump (virtual time, per-processor
+    clocks and queues, one line per thread) and returned alongside
+    the reason. *)
 
 (** {1 Fault-injection entry points}
 

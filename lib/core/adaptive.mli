@@ -10,15 +10,16 @@
     current object state — the property §3 argues is needed to avoid
     adaptation lag. The {b loosely coupled} alternative feeds
     observations from an external monitoring thread through {!feed}
-    (or lets the monitor force whole cycles with {!poll}); the
+    (or forces whole cycles through {!Registry.drive_all}); the
     [Monitoring] library builds that variant and the coupling ablation
     compares the two.
 
     Every loop self-registers in the per-domain {!Registry} at
     creation, so the whole thread package's adaptive objects — locks,
     barriers, conditions, semaphores, rw-locks — are enumerable with
-    one call, and {!subscribe} hooks let monitors and analysis observe
-    reconfigurations as events instead of polling counters. Each
+    one call, and {!Registry.subscribe_from} hooks let monitors and
+    analysis observe reconfigurations as events instead of polling
+    counters. Each
     applied reconfiguration is also published as an
     [Ops.A_adaptation] annotation, so recorded traces see it in its
     linearized position. *)

@@ -57,5 +57,7 @@ val check_log : Policy.Spec.t -> (int * string) list -> (unit, string) result
     first — the {!Registry.stats} log) as a Ψ chain: each label must
     resolve to a declared transition out of the current configuration
     (or the guardrail fallback), and the resulting chain must
-    {!validate} against {!space_of_spec}. [Error] pinpoints the first
+    {!validate} against the configuration space the spec induces (one
+    member per configuration, an edge per declared transition and, with
+    a guardrail, the fallback from every configuration). [Error] pinpoints the first
     label with no declared transition, or the validate failure. *)

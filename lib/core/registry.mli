@@ -23,7 +23,7 @@ type event = {
   obj_kind : string;  (** object family, e.g. ["lock"], ["barrier"] *)
   label : string;  (** transition label from the policy's decision *)
 }
-(** One applied reconfiguration, as delivered to {!Adaptive.subscribe}
+(** One applied reconfiguration, as delivered to {!subscribe_from}
     hooks. *)
 
 type stats = {

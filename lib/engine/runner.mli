@@ -24,7 +24,7 @@ val set_default_domains : int -> unit
 
 val default_domains : unit -> int
 (** The current default: the value of {!set_default_domains} if one
-    was set, otherwise {!recommended_domains}. *)
+    was set, otherwise [Domain.recommended_domain_count ()]. *)
 
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ?domains f inputs] is [List.map f inputs] computed by up to

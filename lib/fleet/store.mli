@@ -10,7 +10,7 @@
     from the same runs are byte-identical. *)
 
 type record = {
-  r_schema : int;  (** record format version; this library writes {!schema_version} *)
+  r_schema : int;  (** record format version; this library writes 1 *)
   r_rev : string;  (** git revision the run was produced at *)
   r_host : string;  (** hostname, for same-host baseline lookup *)
   r_spec : string;  (** spec id; [""] for one-config subcommand runs *)
@@ -46,8 +46,9 @@ val to_line : record -> string
 
 val of_line : string -> (record, string) result
 (** Inverse of {!to_line}. Rejects records whose [schema] field is not
-    {!schema_version} and records missing required fields, so stores
-    written by a future format are refused rather than misread. *)
+    the integer this library writes, and records missing required
+    fields, so stores written by a future format are refused rather
+    than misread. *)
 
 val append : path:string -> record list -> unit
 (** Append records to the store at [path] in a single write, creating
