@@ -61,14 +61,6 @@ type finding = {
   f_message : string;
 }
 
-val check : Adaptive_core.Policy.Spec.t -> finding list
-(** All single-spec checks, in deterministic order. *)
-
-val conflicts :
-  Adaptive_core.Policy.Spec.t -> Adaptive_core.Policy.Spec.t -> finding list
-(** Cross-object conflicts between two specs; [[]] unless they name
-    the same [s_attribute]. *)
-
 val shipped : unit -> Adaptive_core.Policy.Spec.t list
 (** The specs of every shipped adaptive object's default policy:
     adaptive lock (plain and guardrailed), the switch-lock
@@ -93,7 +85,8 @@ val run :
     cores via {!Engine.Runner.map} (input-order-preserving, so the
     result — and any JSON rendered from it — is byte-identical at any
     [domains]). Returns per-spec reports in input order plus the
-    cross-object conflict findings. *)
+    cross-object conflict findings (only specs naming the same
+    [s_attribute] can conflict). *)
 
 val clean : spec_report list * finding list -> bool
 

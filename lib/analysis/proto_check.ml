@@ -370,8 +370,6 @@ let check_model ?(max_states = 2_000_000) model props =
     reports;
   Array.to_list (Array.map Option.get reports)
 
-let check ?max_states model prop = List.hd (check_model ?max_states model [ prop ])
-
 let check_all ?domains ?max_states ?only models =
   let models =
     match only with

@@ -41,9 +41,18 @@ type report = {
   r_verdict : verdict;
 }
 
-val check_model :
-  ?max_states:int -> Protocol.t -> Protocol.property list -> report list
-(** Check every property of one model in one exploration; one report
+val check_all :
+  ?domains:int ->
+  ?max_states:int ->
+  ?only:string ->
+  (Protocol.t * Protocol.property list) list ->
+  report list
+(** Check each model's properties, one [Engine.Runner.map] task per
+    model, and concatenate the reports; [only] keeps just the models
+    with that name. Output order is input order regardless of
+    [domains].
+
+    A model's properties are checked in one exploration; one report
     per property, in list order. A property resolves at its first
     violation, and its [r_states] and [r_edges] are the states
     discovered and transitions explored at that instant — what a pass
@@ -55,19 +64,6 @@ val check_model :
     [r_states = max_states]. The properties still open when the graph
     is exhausted hold, or, for liveness, are judged by the backward
     pass. Raises [Invalid_argument] when [max_states < 1]. *)
-
-val check : ?max_states:int -> Protocol.t -> Protocol.property -> report
-(** [check m p] is the one report of [check_model m [p]]. *)
-
-val check_all :
-  ?domains:int ->
-  ?max_states:int ->
-  ?only:string ->
-  (Protocol.t * Protocol.property list) list ->
-  report list
-(** {!check_model} each model in one [Engine.Runner.map] task and
-    concatenate the reports; [only] keeps just the models with that
-    name. Output order is input order regardless of [domains]. *)
 
 val clean : report list -> bool
 (** No violation and nothing out of bounds. *)

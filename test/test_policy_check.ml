@@ -18,6 +18,15 @@ let run main =
 
 let cost = Adaptive_core.Cost.reads_writes 1 1
 
+(* The checker's single-spec findings and a pair's cross-object
+   conflicts, read off [Policy_check.run]. *)
+let check_spec spec =
+  match PC.run ~domains:1 [ spec ] with
+  | [ r ], _ -> r.PC.sr_findings
+  | _ -> Alcotest.fail "one report per spec"
+
+let conflicts a b = snd (PC.run ~domains:1 [ a; b ])
+
 let trans ?(repeats = 1) t_from c t_target t_label =
   { Spec.t_from; t_cond = c; t_target; t_label; t_repeats = repeats; t_cost = cost }
 
@@ -69,7 +78,7 @@ let test_malformed_spec_reported () =
   in
   let errs = Spec.validate bad in
   Alcotest.(check bool) "validate flags it" true (List.length errs >= 4);
-  let findings = PC.check bad in
+  let findings = check_spec bad in
   Alcotest.(check bool) "all malformed-spec" true
     (findings <> [] && List.for_all (fun f -> f.PC.f_kind = "malformed-spec") findings);
   Alcotest.(check int) "one finding per error" (List.length errs) (List.length findings)
@@ -82,10 +91,10 @@ let test_conflict_needs_shared_attribute () =
   in
   match pair with
   | Some [ a; b ] ->
-    Alcotest.(check bool) "shared attribute conflicts" true (PC.conflicts a b <> []);
+    Alcotest.(check bool) "shared attribute conflicts" true (conflicts a b <> []);
     let b' = { b with Spec.s_attribute = "somewhere.else" } in
     Alcotest.(check int) "distinct attributes never conflict" 0
-      (List.length (PC.conflicts a b'))
+      (List.length (conflicts a b'))
   | _ -> Alcotest.fail "conflicting-pair fixture missing"
 
 (* -- interpreter semantics of the compiled spec -- *)
@@ -214,7 +223,7 @@ let test_constructor_threshold_validation () =
     (fun () -> ignore (Cthreads.Adaptive_semaphore.create ~block_over:0 1));
   (* and the checker agrees those parameterizations thrash *)
   let thrashes spec =
-    List.exists (fun f -> f.PC.f_kind = "thrash-cycle") (PC.check spec)
+    List.exists (fun f -> f.PC.f_kind = "thrash-cycle") (check_spec spec)
   in
   Alcotest.(check bool) "barrier spec thrashes" true
     (thrashes (Cthreads.Adaptive_barrier.policy_spec ~spin_if_under:9 ~block_if_over:9 ()));

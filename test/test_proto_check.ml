@@ -17,6 +17,13 @@ module P = Analysis.Proto_check
 module PM = Locks.Proto_models
 module L = Locks.Lock_core
 
+(* One model's reports, and one property's, through the checker's
+   entry point. *)
+let check_model ?max_states model props =
+  P.check_all ~domains:1 ?max_states [ (model, props) ]
+
+let check_one ?max_states model prop = List.hd (check_model ?max_states model [ prop ])
+
 let small_quiescence () = PM.quiescence ~waiters:[ PM.Wsleep; PM.Wtimed ] ()
 let small_models () = [ small_quiescence (); PM.mcs ~contenders:2 (); PM.guard () ]
 
@@ -69,7 +76,7 @@ let test_out_of_bounds () =
   let model, props = List.hd (PM.shipped ()) in
   List.iter
     (fun prop ->
-      let r = P.check ~max_states:1000 model prop in
+      let r = check_one ~max_states:1000 model prop in
       Alcotest.(check bool) (r.P.r_property ^ ": out of bounds") true
         (r.P.r_verdict = P.Out_of_bounds);
       Alcotest.(check int) (r.P.r_property ^ ": states") 1000 r.P.r_states;
@@ -86,13 +93,13 @@ let test_out_of_bounds () =
             (r.P.r_verdict = P.Out_of_bounds);
           Alcotest.(check int) (what ^ ": one state") 1 r.P.r_states;
           Alcotest.(check int) (what ^ ": no edges") 0 r.P.r_edges)
-        (P.check_model ~max_states:1 model props);
+        (check_model ~max_states:1 model props);
       List.iter
         (fun m ->
           Alcotest.check_raises
             (Printf.sprintf "%s: max_states %d" (Adaptive_core.Protocol.name model) m)
             (Invalid_argument "Proto_check.check_model: max_states < 1")
-            (fun () -> ignore (P.check ~max_states:m model (List.hd props))))
+            (fun () -> ignore (check_one ~max_states:m model (List.hd props))))
         [ -1; 0 ])
     (PM.shipped ())
 
@@ -106,8 +113,8 @@ let report =
 
 (* The shared pass's reports, once checked against single passes. *)
 let check_shared what ?max_states model props =
-  let shared = P.check_model ?max_states model props in
-  Alcotest.(check (list report)) what (List.map (P.check ?max_states model) props) shared;
+  let shared = check_model ?max_states model props in
+  Alcotest.(check (list report)) what (List.map (check_one ?max_states model) props) shared;
   shared
 
 let test_shared_pass () =
