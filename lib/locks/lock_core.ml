@@ -154,9 +154,6 @@ let epoch = counter (fun r -> r.epoch)
 let swap_rollbacks = counter (fun r -> r.swap_rollbacks)
 let abandoned_recoveries = counter (fun r -> r.abandoned_recoveries)
 
-let adaptations =
-  counter (fun r -> match r.loop with Some l -> Adaptive.adaptations l | None -> 0)
-
 let policy t = (central t "policy").wait_policy
 let set_successor t tid = (central t "set_successor").successor <- Some tid
 

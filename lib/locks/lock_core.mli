@@ -229,8 +229,6 @@ val epoch : t -> int
 
 val swap_rollbacks : t -> int
 val abandoned_recoveries : t -> int
-val adaptations : t -> int
-
 val set_transition_probe : t -> (int -> string -> unit) option -> unit
 (** Conformance instrumentation for a registered implementation:
     [probe tid label] is called at each protocol transition (labels

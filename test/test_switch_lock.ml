@@ -538,7 +538,10 @@ let test_swap_free_run_stays_swap_free () =
           L.unlock lk
         done;
         epoch := L.epoch lk;
-        adaptations := L.adaptations lk)
+        adaptations :=
+          List.fold_left
+            (fun n m -> n + m.Adaptive_core.Registry.stats.adaptations)
+            0 (Adaptive_core.Registry.snapshot ()))
   in
   Alcotest.(check int) "no committed swap" 0 !epoch;
   Alcotest.(check int) "no adaptation" 0 !adaptations
