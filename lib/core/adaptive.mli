@@ -19,8 +19,7 @@
     barriers, conditions, semaphores, rw-locks — are enumerable with
     one call, and {!Registry.subscribe_from} hooks let monitors and
     analysis observe reconfigurations as events instead of polling
-    counters. Each
-    applied reconfiguration is also published as an
+    counters. Each applied reconfiguration is also published as an
     [Ops.A_adaptation] annotation, so recorded traces see it in its
     linearized position. *)
 

@@ -59,5 +59,6 @@ val check_log : Policy.Spec.t -> (int * string) list -> (unit, string) result
     (or the guardrail fallback), and the resulting chain must
     {!validate} against the configuration space the spec induces (one
     member per configuration, an edge per declared transition and, with
-    a guardrail, the fallback from every configuration). [Error] pinpoints the first
-    label with no declared transition, or the validate failure. *)
+    a guardrail, the fallback from every configuration). [Error]
+    pinpoints the first label with no declared transition, or the
+    validate failure. *)

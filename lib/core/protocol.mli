@@ -166,8 +166,7 @@ val get : state -> slot -> int
 val status_at : state -> slot -> status
 (** Decode a {!status_slot}. *)
 
-(** {1 Accessors} By name, resolving on every call: for tests and
-    reports. *)
+(** {1 Rendering} *)
 
 val describe : t -> state -> string
 (** One-line rendering of shared words and role positions, used in

@@ -108,7 +108,8 @@ let of_line line =
     match Option.bind (field "schema") Jsonv.num with
     | None -> Error "record missing schema field"
     | Some s when not (Float.is_integer s) ->
-      Error (Printf.sprintf "schema version %s is not an integer" (Jsonv.to_string (Num s)))
+      Error
+        (Printf.sprintf "schema version %s is not an integer" (Jsonv.to_string (Num s)))
     | Some s when int_of_float s <> schema_version ->
       Error
         (Printf.sprintf "unknown schema version %d (this build reads %d)"

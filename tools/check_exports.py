@@ -7,9 +7,10 @@ tree references, and fails unless tools/exports_allowlist.txt names it.
 References are resolved by the compiler, not by searching for names:
 `dune build @check` leaves a typed tree (.cmt) for every unit, and
 `ocamlcmt -annot` prints each identifier a unit uses with the file and
-line where it is declared (or, failing that, its full module path).
-Aliases, `open` and `let module` therefore cannot hide a use, and a
-common name such as `name` or `pp` cannot fake one.
+line where it is declared. Aliases, `open` and `let module` therefore
+cannot hide a use, and a common name such as `name` or `pp` cannot fake
+one. A reference ocamlcmt cannot resolve to a file is dropped, which
+can only make the check fail, never let a dead export pass.
 
 Run from the repository root after `dune build @check`:
 
@@ -123,7 +124,9 @@ def units():
                     yield os.path.join(root, f), srcdir, modpath
 
 
-REF = re.compile(r'^\s+(int_ref|ext_ref)\s+(.+?)(?:\s+"([^"]+)"\s+(\d+)\s.*)?$')
+# `int_ref Path.name "file.mli" line bol cnum "file.mli" ...`; operator
+# names print with spaces, as in `Cost.( + )`.
+REF = re.compile(r'^\s+int_ref\s+.+?\s+"([^"]+\.mli)"\s+(\d+)\s')
 
 
 def main(argv):
@@ -137,20 +140,21 @@ def main(argv):
     includes = sorted({os.path.dirname(c) for c, _, _ in all_units})
     inc_args = [a for d in includes for a in ("-I", d)]
 
-    # Library modules by their dune-qualified path, e.g. Locks.Lock_core.
-    lib_mli = {}
-    for cmt, srcdir, modpath in all_units:
+    # The interface of each library module, e.g. lib/locks/lock_core.mli
+    # for Locks.Lock_core.
+    mlis = set()
+    for _, srcdir, modpath in all_units:
         if srcdir.startswith("lib") and "." in modpath:
-            mli = os.path.join(srcdir, modpath.split(".")[-1].lower() + ".mli")
+            name = modpath.split(".")[-1]
+            mli = os.path.join(srcdir, name[:1].lower() + name[1:] + ".mli")
             if os.path.exists(mli):
-                lib_mli[modpath] = mli
+                mlis.add(mli)
 
     exports = {}  # (mli, line) -> qualified name
-    by_name = {}  # (mli, qualified name) -> line
-    for mli in sorted(set(lib_mli.values())):
+    for mli in sorted(mlis):
         for path, line in exports_of(mli):
             exports[(mli, line)] = path
-            by_name[(mli, path)] = line
+    by_name = {(mli, path) for (mli, _), path in exports.items()}
 
     # (mli, line) -> set of source dirs of the units that reference it.
     users = defaultdict(set)
@@ -160,21 +164,8 @@ def main(argv):
         if out.returncode != 0:
             sys.exit("check_exports: ocamlcmt failed on %s:\n%s" % (cmt, out.stderr))
         for m in map(REF.match, out.stdout.splitlines()):
-            if not m:
-                continue
-            kind, ident, file, line = m.groups()
-            if kind == "int_ref" and file and file.endswith(".mli"):
-                if (file, int(line)) in exports:
-                    users[(file, int(line))].add(srcdir)
-            elif kind == "ext_ref":
-                parts = re.sub(r"\(\s*(\S+)\s*\)", r"\1", ident).split(".")
-                for k in range(len(parts) - 1, 0, -1):
-                    mli = lib_mli.get(".".join(parts[:k]))
-                    if mli:
-                        line = by_name.get((mli, ".".join(parts[k:])))
-                        if line:
-                            users[(mli, line)].add(srcdir)
-                        break
+            if m and (m.group(1), int(m.group(2))) in exports:
+                users[(m.group(1), int(m.group(2)))].add(srcdir)
 
     allow = {}
     if os.path.exists(ALLOWLIST):
@@ -211,7 +202,7 @@ def main(argv):
     for f in failures:
         print(f)
     print("check_exports: %d exports in %d interfaces, %d allowlisted, %d used only by test/, %d failing"
-          % (len(exports), len(set(lib_mli.values())), len(allow), len(test_only), len(failures)))
+          % (len(exports), len(mlis), len(allow), len(test_only), len(failures)))
     return 1 if failures else 0
 
 
