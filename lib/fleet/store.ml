@@ -148,40 +148,62 @@ let rec mkdirs dir =
     try Unix.mkdir dir 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ()
   end
 
-(* The length of [path] without a torn final line: the offset just
-   past its last newline (0 when it has none). *)
-let complete_length path =
-  In_channel.with_open_bin path (fun ic ->
-      let chunk = Bytes.create 4096 in
-      let rec scan hi =
-        if hi = 0 then 0
-        else begin
-          let lo = max 0 (hi - Bytes.length chunk) in
-          In_channel.seek ic (Int64.of_int lo);
-          really_input ic chunk 0 (hi - lo);
-          match Bytes.rindex_from_opt chunk (hi - lo - 1) '\n' with
-          | Some i -> lo + i + 1
-          | None -> scan lo
-        end
-      in
-      scan (Int64.to_int (In_channel.length ic)))
+(* [len] bytes of [fd]'s file from offset [pos]. *)
+let read_at fd pos len =
+  let buf = Bytes.create len in
+  ignore (Unix.lseek fd pos Unix.SEEK_SET);
+  let rec go off =
+    if off < len then
+      match Unix.read fd buf off (len - off) with
+      | 0 -> failwith "Store: file shrank while being read"
+      | n -> go (off + n)
+  in
+  go 0;
+  buf
 
-(* The batch goes out in one [Unix.write] on an O_APPEND descriptor
-   (the runtime splits it into 64 KiB system writes), so a crash can
-   tear only the end of the file. [load] skips a torn final line; the
-   next append cuts it off first, so the fragment never glues onto the
-   new batch's first record to form a bad line in mid-file. *)
+(* The final line of [fd]'s file and the offset it starts at, when no
+   newline ends it. *)
+let unterminated_tail fd =
+  let size = (Unix.fstat fd).Unix.st_size in
+  let rec line_start hi =
+    if hi = 0 then 0
+    else begin
+      let lo = max 0 (hi - 4096) in
+      match Bytes.rindex_opt (read_at fd lo (hi - lo)) '\n' with
+      | Some i -> lo + i + 1
+      | None -> line_start lo
+    end
+  in
+  let start = line_start size in
+  if start = size then None
+  else Some (start, Bytes.to_string (read_at fd start (size - start)))
+
+(* An append holds a lock on the whole file from the tail check to the
+   write, so it never sees another process's batch half-written. The
+   batch goes out in one [Unix.write] on an O_APPEND descriptor (the
+   runtime splits it into 64 KiB system writes), so a crash can leave
+   only the final line without its newline. The tail gets the rule
+   [load] applies to it: a record [of_line] accepts stays, and the batch
+   starts with its missing newline; anything else is a fragment [load]
+   skips, and is cut off so it never glues onto the batch's first record
+   to form a bad line in mid-file. *)
 let append ~path records =
   mkdirs (Filename.dirname path);
-  if Sys.file_exists path then begin
-    let keep = complete_length path in
-    if keep < (Unix.stat path).Unix.st_size then Unix.truncate path keep
-  end;
-  let batch = String.concat "" (List.map (fun r -> to_line r ^ "\n") records) in
-  let fd = Unix.openfile path [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
+  let fd = Unix.openfile path [ Unix.O_RDWR; Unix.O_APPEND; Unix.O_CREAT ] 0o644 in
   Fun.protect
     ~finally:(fun () -> Unix.close fd)
-    (fun () -> ignore (Unix.write_substring fd batch 0 (String.length batch)))
+    (fun () ->
+      Unix.lockf fd Unix.F_LOCK 0;
+      let lead =
+        match unterminated_tail fd with
+        | None -> ""
+        | Some (_, tail) when Result.is_ok (of_line tail) -> "\n"
+        | Some (start, _) ->
+          Unix.ftruncate fd start;
+          ""
+      in
+      let batch = String.concat "" (lead :: List.map (fun r -> to_line r ^ "\n") records) in
+      ignore (Unix.write_substring fd batch 0 (String.length batch)))
 
 let load ~path =
   if not (Sys.file_exists path) then Ok []

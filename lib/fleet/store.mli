@@ -52,8 +52,10 @@ val of_line : string -> (record, string) result
 
 val append : path:string -> record list -> unit
 (** Append records to the store at [path] in a single write, creating
-    parent directories and the file as needed. A torn final line left
-    by an earlier append cut short is removed first. *)
+    parent directories and the file as needed. A final line with no
+    trailing newline, left by an earlier append cut short, is ended
+    with one when it is a complete record and removed otherwise, so
+    [load] keeps what it returned before. *)
 
 val mkdirs : string -> unit
 (** Create a directory and any missing parents. *)

@@ -281,6 +281,20 @@ let test_store_torn_tail () =
       [ line; Fleet.Store.to_line later ]
       (List.map Fleet.Store.to_line records)
   | Error e -> Alcotest.failf "append after a torn tail: %s" e);
+  Sys.remove path;
+  (* A complete record that lost only its newline is kept: [load]
+     returns it, and an append ends it instead of cutting it off. *)
+  let path = write (line ^ "\n" ^ line) in
+  (match Fleet.Store.load ~path with
+  | Ok records -> check int "unterminated complete record loads" 2 (List.length records)
+  | Error e -> Alcotest.failf "unterminated complete record: %s" e);
+  Fleet.Store.append ~path [ later ];
+  (match Fleet.Store.load ~path with
+  | Ok records ->
+    Alcotest.(check (list string)) "unterminated record kept by append"
+      [ line; line; Fleet.Store.to_line later ]
+      (List.map Fleet.Store.to_line records)
+  | Error e -> Alcotest.failf "append after an unterminated record: %s" e);
   Sys.remove path
 
 let test_store_rejects_garbage () =

@@ -14,10 +14,10 @@ can only make the check fail, never let a dead export pass.
 
 Run from the repository root after `dune build @check`:
 
-    python3 tools/check_exports.py            # exit 1 on an unlisted dead export
-    python3 tools/check_exports.py --test-only  # also list exports only tests use
+    python3 tools/check_exports.py
 
-An allowlist entry that is referenced after all, or names no export,
+It exits 1 on an unlisted dead export. The exports only tests use are
+listed too, for information; they never fail the check. An allowlist entry that is referenced after all, or names no export,
 also fails the check, so the list cannot go stale.
 """
 
@@ -129,8 +129,7 @@ def units():
 REF = re.compile(r'^\s+int_ref\s+.+?\s+"([^"]+\.mli)"\s+(\d+)\s')
 
 
-def main(argv):
-    show_test_only = "--test-only" in argv
+def main():
     if not os.path.isdir(BUILD):
         sys.exit("check_exports: no %s; run `dune build @check` first" % BUILD)
 
@@ -196,9 +195,8 @@ def main(argv):
         elif key not in dead_keys:
             failures.append("%s:%d: allowlisted %s %s has a caller; drop the entry" % (ALLOWLIST, n, *key))
 
-    if show_test_only:
-        for mli, line, path in test_only:
-            print("%s:%d: %s is used only by test/" % (mli, line, path))
+    for mli, line, path in test_only:
+        print("%s:%d: %s is used only by test/" % (mli, line, path))
     for f in failures:
         print(f)
     print("check_exports: %d exports in %d interfaces, %d allowlisted, %d used only by test/, %d failing"
@@ -207,4 +205,4 @@ def main(argv):
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
