@@ -114,7 +114,7 @@ let create ~home ~adaptive =
   let tasks = Queue.create () in
   let discipline = Attribute.make_at ~name:"discipline" ~node:home Fifo in
   let sensor =
-    Sensor.make ~name:"backlog" ~period:4 ~overhead_instrs:30 (fun () -> Queue.length tasks)
+    Sensor.make ~period:4 ~overhead_instrs:30 (fun () -> Queue.length tasks)
   in
   let loop =
     Adaptive.create ~name:"adaptive-queue" ~spec:(policy_spec ~adaptive) ~home ~sensor

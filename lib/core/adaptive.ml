@@ -46,7 +46,6 @@ let tick t =
   match Sensor.tick t.sensor with None -> false | Some obs -> decide t obs
 
 let feed t obs = decide t obs
-let poll t = decide t (Sensor.force t.sensor)
 let samples t = Sensor.samples_taken t.sensor
 let adaptations t = t.adaptation_count
 let last_label t = match t.adaptation_log with [] -> None | (_, l) :: _ -> Some l
@@ -83,6 +82,5 @@ let create ?(name = "adaptive-object") ?(kind = "object") ~spec ~home ~sensor ~r
   Registry.register ~name ~kind
     ~stats:(fun () -> stats t)
     ~subscribe:(fun f -> subscribe t f)
-    ~drive:(fun () -> poll t)
     ~spec ();
   t

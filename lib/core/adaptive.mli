@@ -9,10 +9,9 @@
     own methods (e.g. every unlock), so a decision always acts on the
     current object state — the property §3 argues is needed to avoid
     adaptation lag. The {b loosely coupled} alternative feeds
-    observations from an external monitoring thread through {!feed}
-    (or forces whole cycles through {!Registry.drive_all}); the
-    [Monitoring] library builds that variant and the coupling ablation
-    compares the two.
+    observations from an external monitoring thread through {!feed};
+    the [Monitoring] library builds that variant and the coupling
+    ablation compares the two.
 
     Every loop self-registers in the per-domain {!Registry} at
     creation, so the whole thread package's adaptive objects — locks,

@@ -23,7 +23,6 @@ type entry = {
   e_kind : string;
   e_stats : unit -> stats;
   e_subscribe : (event -> unit) -> unit;
-  e_drive : (unit -> bool) option;
   e_spec : Policy.Spec.t;
 }
 
@@ -51,13 +50,13 @@ let reset () =
    remember to do it. *)
 let () = Butterfly.Sched.at_run_start reset
 
-let register ~name ~kind ~stats ?(subscribe = fun _ -> ()) ?drive ~spec () =
+let register ~name ~kind ~stats ?(subscribe = fun _ -> ()) ~spec () =
   let st = state () in
   let id = st.next_id in
   st.next_id <- id + 1;
   st.entries <-
     { e_id = id; e_name = name; e_kind = kind; e_stats = stats;
-      e_subscribe = subscribe; e_drive = drive; e_spec = spec }
+      e_subscribe = subscribe; e_spec = spec }
     :: st.entries
 
 let entries () = List.rev (state ()).entries
@@ -77,21 +76,6 @@ let subscribe_from from f =
   let st = state () in
   List.iter (fun e -> if e.e_id >= from then e.e_subscribe f) st.entries;
   st.next_id
-
-let drive_all () =
-  List.fold_left
-    (fun n e ->
-      match e.e_drive with
-      | None -> n
-      | Some drive -> (
-        (* An external sweep races object-side agents for attribute
-           ownership; losing the race must skip this object, not take
-           down the driving thread. *)
-        match drive () with
-        | true -> n + 1
-        | false -> n
-        | exception Attribute.Not_owner _ -> n))
-    0 (entries ())
 
 (* -- deterministic JSON (hand-rolled, like Chaos.to_json: stable
    bytes, no host state) -- *)

@@ -56,15 +56,13 @@ val register :
   kind:string ->
   stats:(unit -> stats) ->
   ?subscribe:((event -> unit) -> unit) ->
-  ?drive:(unit -> bool) ->
   spec:Policy.Spec.t ->
   unit ->
   unit
 (** Register an object. [stats] is consulted lazily at snapshot time.
-    [subscribe] lets {!subscribe_from} attach adaptation-event hooks;
-    [drive] (when given) forces one sense-decide cycle, which
-    {!drive_all} uses. Called by [Adaptive.create]; most clients never
-    call this directly. *)
+    [subscribe] lets {!subscribe_from} attach adaptation-event hooks.
+    Called by [Adaptive.create]; most clients never call this
+    directly. *)
 
 val snapshot : unit -> metrics list
 (** Current metrics of every registered object, in registration
@@ -82,13 +80,6 @@ val subscribe_from : int -> (event -> unit) -> int
     back on the next call to subscribe to objects registered since
     (how a periodically-polling consumer like the watchdog keeps up
     without double-subscribing). *)
-
-val drive_all : unit -> int
-(** Force one sense-decide cycle on every drivable object; returns how
-    many applied a reconfiguration. An object whose drive raises
-    {!Attribute.Not_owner} (an external agent concurrently holds its
-    attributes) is skipped for this sweep rather than letting the
-    exception take down the driving thread. *)
 
 val to_json : metrics list -> string
 (** Deterministic JSON document (stable bytes across hosts and domain

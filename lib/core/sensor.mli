@@ -12,8 +12,8 @@
 
 type 'a t
 
-val make : name:string -> ?period:int -> ?overhead_instrs:int -> (unit -> 'a) -> 'a t
-(** [make ~name read] is a sensor evaluating [read] on each sample.
+val make : ?period:int -> ?overhead_instrs:int -> (unit -> 'a) -> 'a t
+(** [make read] is a sensor evaluating [read] on each sample.
     [period] defaults to 1 (every tick); [overhead_instrs] is the
     bookkeeping charged per actual sample (default 40 modeled
     instructions). *)
@@ -26,10 +26,4 @@ val tick : 'a t -> 'a option
 val force : 'a t -> 'a
 (** Sample immediately, regardless of period. *)
 
-val set_period : 'a t -> int -> unit
 val samples_taken : 'a t -> int
-
-val history : 'a t -> record:('a -> float) -> Engine.Series.t
-(** Attach a recording series: every subsequent sample is appended
-    (timestamped with virtual time) after conversion by [record].
-    Returns the series for later inspection. *)

@@ -73,7 +73,7 @@ let create ?node ?(name = "adaptive-barrier") ?(period = 1) ?(spin_if_under = 80
             ~spec:(policy_spec ~name ~spin_if_under ~block_if_over ~max_spin_ns ())
             ~home
             ~sensor:
-              (Sensor.make ~name:"arrival-spread" ~period (fun () ->
+              (Sensor.make ~period (fun () ->
                    let b = Lazy.force t in
                    { spread_ns = b.last_spread; budget_ns = Attribute.get b.spin_ns }))
             ~read:(fun () -> Attribute.get (Lazy.force t).spin_ns)

@@ -82,7 +82,7 @@ let create ?node ?(name = "adaptive-condition") ?(period = 2) ?(broadcast_over =
           Adaptive.create ~name ~kind:"condition"
             ~spec:(policy_spec ~name ~broadcast_over ()) ~home
             ~sensor:
-              (Sensor.make ~name:"waiting-at-signal" ~period (fun () ->
+              (Sensor.make ~period (fun () ->
                    let c = Lazy.force t in
                    {
                      waiting = List.length c.sleepers;

@@ -53,7 +53,7 @@ let create ?node ?(name = "adaptive-semaphore") ?(period = 2) ?(block_over = 2) 
           Adaptive.create ~name ~kind:"semaphore"
             ~spec:(policy_spec ~name ~block_over ()) ~home
             ~sensor:
-              (Sensor.make ~name:"waiting-at-release" ~period (fun () ->
+              (Sensor.make ~period (fun () ->
                    let s = Lazy.force t in
                    {
                      waiting = Queue.length s.waiters;

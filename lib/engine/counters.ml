@@ -12,7 +12,6 @@ let cell t name =
 
 let incr t name = Stdlib.incr (cell t name)
 let get t name = match Hashtbl.find_opt t name with Some r -> !r | None -> 0
-let reset t = Hashtbl.iter (fun _ r -> r := 0) t
 
 let to_list t =
   Hashtbl.fold (fun name r acc -> (name, !r) :: acc) t []

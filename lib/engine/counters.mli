@@ -20,8 +20,5 @@ val cell : t -> string -> int ref
 val get : t -> string -> int
 (** Current value, 0 if never touched. *)
 
-val reset : t -> unit
-(** Zero every counter (names are kept). *)
-
 val to_list : t -> (string * int) list
 (** All counters, sorted by name. *)

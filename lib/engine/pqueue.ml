@@ -129,10 +129,6 @@ let remove q pred =
     Some v
   end
 
-let clear q =
-  Array.fill q.vals 0 q.size q.dummy;
-  q.size <- 0
-
 let iter q f =
   for i = 0 to q.size - 1 do
     f q.keys.(i) q.vals.(i)

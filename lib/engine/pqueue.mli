@@ -50,10 +50,6 @@ val remove : 'a t -> ('a -> bool) -> 'a option
     O(n). Used by the controlled scheduler to force-dispatch a
     specific thread regardless of its queue position. *)
 
-val clear : 'a t -> unit
-(** Remove every entry (overwriting the slots with the dummy). Does
-    not shrink the backing array. *)
-
 
 val iter : 'a t -> (int -> 'a -> unit) -> unit
 (** Iterate over entries in unspecified order (heap order). *)

@@ -8,15 +8,10 @@ let mix64 z =
   Int64.logxor z (Int64.shift_right_logical z 31)
 
 let create seed = { state = mix64 (Int64.of_int seed) }
-let copy t = { state = t.state }
 
 let bits64 t =
   t.state <- Int64.add t.state golden_gamma;
   mix64 t.state
-
-let split t =
-  let seed = bits64 t in
-  { state = mix64 seed }
 
 (* Non-negative 62-bit value: OCaml ints are 63-bit, so mask to 62 bits
    to stay positive after conversion. *)
@@ -41,9 +36,3 @@ let float t bound =
   (* 53 random bits mapped to [0, 1). *)
   let v = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   bound *. (float_of_int v /. 9007199254740992.0)
-
-let exponential t ~mean =
-  let u = float t 1.0 in
-  (* Guard against log 0. *)
-  let u = if u <= 0.0 then 1e-300 else u in
-  -.mean *. log u

@@ -124,5 +124,3 @@ let csv_string series =
   in
   emit ();
   Buffer.contents buf
-
-let output_csv oc series = output_string oc (csv_string series)

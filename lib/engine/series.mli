@@ -35,8 +35,4 @@ val resample : t -> buckets:int -> (int * float) array
 val csv_string : t list -> string
 (** The CSV rendering of series sharing one file: a header row
     [time,name1,name2...] followed by the union of sample times
-    (missing values carried forward, empty until first sample). The
-    exact bytes {!output_csv} writes. *)
-
-val output_csv : out_channel -> t list -> unit
-(** [output_string oc (csv_string series)]. *)
+    (missing values carried forward, empty until first sample). *)

@@ -82,5 +82,3 @@ let csv_string curves =
         Buffer.add_char buf '\n')
       first.points);
   Buffer.contents buf
-
-let to_csv curves oc = output_string oc (csv_string curves)

@@ -25,7 +25,4 @@ val to_plot : curve list -> string
 (** ASCII rendering of the figure. *)
 
 val csv_string : curve list -> string
-(** The CSV rendering of the figure — the exact bytes {!to_csv}
-    writes. *)
-
-val to_csv : curve list -> out_channel -> unit
+(** The CSV rendering of the figure. *)

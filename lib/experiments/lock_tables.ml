@@ -196,9 +196,8 @@ let table8 () =
   let conf_sched r = Locks.Lock_core.configure_scheduler r Locks.Lock_sched.Priority in
   let monitor_sample r =
     let sensor =
-      Adaptive_core.Sensor.make ~name:"no-of-waiting-threads"
-        ~overhead_instrs:Locks.Lock_costs.monitor_sample_instrs (fun () ->
-          Locks.Lock_core.waiting_now r)
+      Adaptive_core.Sensor.make ~overhead_instrs:Locks.Lock_costs.monitor_sample_instrs
+        (fun () -> Locks.Lock_core.waiting_now r)
     in
     ignore (Adaptive_core.Sensor.force sensor)
   in

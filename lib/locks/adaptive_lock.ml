@@ -47,9 +47,8 @@ let create ?name ?trace ?sched ?(params = default_params) ?guardrail ~home () =
       ~impl:(Lock_core.Central (waiting, Lock_costs.reconfigurable)) ()
   in
   let sensor =
-    Sensor.make ~name:(name ^ ".no-of-waiting-threads") ~period:params.sample_period
-      ~overhead_instrs:40
-      (fun () -> Lock_core.waiting_now core)
+    Sensor.make ~period:params.sample_period ~overhead_instrs:40 (fun () ->
+        Lock_core.waiting_now core)
   in
   let budget =
     Spin_budget.create ~threshold:params.waiting_threshold ~n:params.n ~cap:params.spin_cap

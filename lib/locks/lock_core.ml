@@ -820,19 +820,6 @@ let try_lock t =
   Lock_stats.on_lock t.lock_stats;
   fast_acquire t
 
-(* Bounded-retry acquisition: slices of timed waiting separated by
-   exponential-backoff delays (Engine.Backoff), the package's standard
-   recovery idiom for lock acquisition that must survive a delayed or
-   dead lock holder. *)
-let lock_retrying t ~backoff ~max_attempts ~slice_ns =
-  if slice_ns <= 0 then invalid_arg "Lock_core.lock_retrying: slice_ns must be positive";
-  Engine.Backoff.retry backoff ~max_attempts ~sleep:Ops.delay (fun () ->
-      lock_timeout t ~deadline_ns:(Ops.now () + slice_ns))
-
-let set_impl t target =
-  lock t;
-  Fun.protect ~finally:(fun () -> unlock t) (fun () -> swap_to t target)
-
 (* {1 Construction} *)
 
 let make name lock_stats words ~impl ~swappable ~costs state =
@@ -882,9 +869,7 @@ let registered_lock name lock_stats ~home ~params ~bug ~initial ~swappable ~ladd
   | None -> ()
   | Some guardrail ->
     let sensor =
-      Sensor.make ~name:(name ^ ".contention-score") ~period:params.sample_period
-        ~overhead_instrs:40
-        (fun () -> score t r)
+      Sensor.make ~period:params.sample_period ~overhead_instrs:40 (fun () -> score t r)
     in
     r.loop <-
       Some

@@ -138,13 +138,6 @@ val lock_timeout : t -> deadline_ns:int -> bool
     exactly at expiry is taken and released rather than lost. Returns
     whether the lock was acquired. *)
 
-val lock_retrying :
-  t -> backoff:Engine.Backoff.t -> max_attempts:int -> slice_ns:int -> bool
-(** [max_attempts] slices of [lock_timeout] of [slice_ns] each,
-    separated by {!Engine.Backoff} delays (the processor is released
-    between attempts). The recovery idiom for acquisitions that must
-    survive a delayed — or dead — lock holder. *)
-
 val unlock : t -> unit
 (** Release the lock. Raises {!Misuse} if the caller is not the
     current owner. On the ladder the feedback loop ticks first, while
@@ -211,9 +204,6 @@ val swap_to : t -> impl -> bool
     re-parked waiters). Raises {!Misuse} when the lock was not created
     swappable or the caller does not hold it, and [Invalid_argument]
     toward [Centralized]. *)
-
-val set_impl : t -> impl -> bool
-(** [lock]; {!swap_to}; [unlock] — for explicit reconfiguration. *)
 
 val impl_ladder_spec :
   ?params:params -> ?guardrail:Guardrail.params -> ?name:string -> unit ->

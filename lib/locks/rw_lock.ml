@@ -110,9 +110,7 @@ let create ?(name = "rw-lock") ?(preference = Reader_pref) ?(adaptive = false)
   if not adaptive then t
   else begin
     let sensor =
-      Sensor.make ~name:(name ^ ".waiting-writers") ~period:sample_period
-        ~overhead_instrs:40
-        (fun () -> Ops.read words.(2))
+      Sensor.make ~period:sample_period ~overhead_instrs:40 (fun () -> Ops.read words.(2))
     in
     (* The compiled spec: flip to writer preference on any waiting
        writer, back to reader preference after [calm_repeats]

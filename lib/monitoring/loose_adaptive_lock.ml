@@ -33,8 +33,7 @@ let create ?(name = "loose-adaptive-lock") ?trace ?(params = AL.default_params)
   let loop =
     Adaptive.create ~name ~kind:"lock" ~spec:(Locks.Spin_budget.spec_of budget) ~home
       ~sensor:
-        (Sensor.make ~name:(name ^ ".no-of-waiting-threads") ~overhead_instrs:40
-           (fun () -> Locks.Lock_core.waiting_now core))
+        (Sensor.make ~overhead_instrs:40 (fun () -> Locks.Lock_core.waiting_now core))
       ~read:(fun () -> Locks.Spin_budget.spins budget)
       ~apply:(fun v ->
         Locks.Spin_budget.set budget v;

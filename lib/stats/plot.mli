@@ -4,7 +4,7 @@
     charts over a numeric x-axis (Figure 1: execution time vs critical
     section length) and single-series strip charts over virtual time
     (Figures 4–9: waiting threads over the run). CSV export of the
-    same data lives in {!Engine.Series.output_csv}. *)
+    same data lives in {!Engine.Series.csv_string}. *)
 
 val lines :
   ?width:int ->

@@ -146,7 +146,7 @@ let test_sensor_period () =
     run (fun () ->
         let counter = ref 0 in
         let s =
-          Sensor.make ~name:"s" ~period:3 ~overhead_instrs:0 (fun () ->
+          Sensor.make ~period:3 ~overhead_instrs:0 (fun () ->
               incr counter;
               !counter)
         in
@@ -161,42 +161,16 @@ let test_sensor_force () =
   let v = ref 0 in
   let (_ : Sched.t) =
     run (fun () ->
-        let s = Sensor.make ~name:"s" ~period:100 ~overhead_instrs:0 (fun () -> 42) in
+        let s = Sensor.make ~period:100 ~overhead_instrs:0 (fun () -> 42) in
         v := Sensor.force s)
   in
   Alcotest.(check int) "force bypasses period" 42 !v
-
-let test_sensor_set_period () =
-  let count = ref 0 in
-  let (_ : Sched.t) =
-    run (fun () ->
-        let s = Sensor.make ~name:"s" ~period:10 ~overhead_instrs:0 (fun () -> 0) in
-        Sensor.set_period s 1;
-        for _ = 1 to 5 do
-          if Sensor.tick s <> None then incr count
-        done)
-  in
-  Alcotest.(check int) "rate change takes effect" 5 !count
-
-let test_sensor_history () =
-  let len = ref 0 in
-  let (_ : Sched.t) =
-    run (fun () ->
-        let s = Sensor.make ~name:"s" ~period:1 ~overhead_instrs:0 (fun () -> 7) in
-        let series = Sensor.history s ~record:float_of_int in
-        for _ = 1 to 4 do
-          Ops.work 1_000;
-          ignore (Sensor.tick s)
-        done;
-        len := Engine.Series.length series)
-  in
-  Alcotest.(check int) "history recorded" 4 !len
 
 let test_sensor_sampling_costs_time () =
   let dt = ref 0 in
   let (_ : Sched.t) =
     run (fun () ->
-        let s = Sensor.make ~name:"s" ~period:1 ~overhead_instrs:100 (fun () -> 0) in
+        let s = Sensor.make ~period:1 ~overhead_instrs:100 (fun () -> 0) in
         let t0 = Ops.now () in
         ignore (Sensor.tick s);
         dt := Ops.now () - t0)
@@ -237,7 +211,7 @@ let test_feedback_loop_adapts () =
   let (_ : Sched.t) =
     run (fun () ->
         let level = ref 0 in
-        let sensor = Sensor.make ~name:"level" ~period:2 ~overhead_instrs:0 (fun () -> !level) in
+        let sensor = Sensor.make ~period:2 ~overhead_instrs:0 (fun () -> !level) in
         let mode = ref 0 in
         let spec =
           toy_spec ~lo:"idle" ~hi:"busy" ~up:(Policy.Spec.cond 6)
@@ -274,7 +248,7 @@ let test_feedback_feed_bypasses_sensor () =
   let adapted = ref false in
   let (_ : Sched.t) =
     run (fun () ->
-        let sensor = Sensor.make ~name:"s" ~period:1000 ~overhead_instrs:0 (fun () -> 0) in
+        let sensor = Sensor.make ~period:1000 ~overhead_instrs:0 (fun () -> 0) in
         let loop =
           Adaptive.create
             ~spec:(toy_spec ~lo:"idle" ~hi:"x" ~up:(Policy.Spec.cond 99 ~hi:99) ())
@@ -294,7 +268,7 @@ let test_feedback_charges_cost () =
   let dt = ref 0 in
   let (_ : Sched.t) =
     run (fun () ->
-        let sensor = Sensor.make ~name:"s" ~period:1 ~overhead_instrs:0 (fun () -> 0) in
+        let sensor = Sensor.make ~period:1 ~overhead_instrs:0 (fun () -> 0) in
         let loop =
           Adaptive.create
             ~spec:(toy_spec ~lo:"idle" ~hi:"x" ~up:(Policy.Spec.cond 0) ())
@@ -321,7 +295,7 @@ let test_feedback_failed_apply_not_counted () =
   let (_ : Sched.t) =
     run (fun () ->
         let sensor =
-          Sensor.make ~name:"s" ~period:1 ~overhead_instrs:0 (fun () -> 0)
+          Sensor.make ~period:1 ~overhead_instrs:0 (fun () -> 0)
         in
         let ok = ref false in
         let loop =
@@ -359,8 +333,6 @@ let suite =
     Alcotest.test_case "stranger release" `Quick test_attribute_release_by_stranger_rejected;
     Alcotest.test_case "sensor period" `Quick test_sensor_period;
     Alcotest.test_case "sensor force" `Quick test_sensor_force;
-    Alcotest.test_case "sensor rate change" `Quick test_sensor_set_period;
-    Alcotest.test_case "sensor history" `Quick test_sensor_history;
     Alcotest.test_case "sensor cost" `Quick test_sensor_sampling_costs_time;
     Alcotest.test_case "feedback adapts" `Quick test_feedback_loop_adapts;
     Alcotest.test_case "feedback feed" `Quick test_feedback_feed_bypasses_sensor;

@@ -12,14 +12,6 @@ let test_basics () =
   Engine.Counters.cell c "y" := 9;
   Alcotest.(check int) "fresh cell" 9 (Engine.Counters.get c "y")
 
-let test_reset_keeps_names () =
-  let c = Engine.Counters.create () in
-  Engine.Counters.incr c "a";
-  Engine.Counters.incr c "b";
-  Engine.Counters.reset c;
-  Alcotest.(check int) "zeroed" 0 (Engine.Counters.get c "a");
-  Alcotest.(check int) "names kept" 2 (List.length (Engine.Counters.to_list c))
-
 let test_to_list_sorted () =
   let c = Engine.Counters.create () in
   List.iter (Engine.Counters.incr c) [ "zebra"; "ant"; "mole" ];
@@ -29,6 +21,5 @@ let test_to_list_sorted () =
 let suite =
   [
     Alcotest.test_case "basics" `Quick test_basics;
-    Alcotest.test_case "reset keeps names" `Quick test_reset_keeps_names;
     Alcotest.test_case "sorted listing" `Quick test_to_list_sorted;
   ]

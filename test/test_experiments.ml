@@ -105,20 +105,7 @@ let test_fig1_mini () =
   in
   let curves = Experiments.Fig1.run ~base ~cs_lengths:[ 10_000; 50_000 ] () in
   check_int "five curves" 5 (List.length curves);
-  let csv = Buffer.create 256 in
-  let tmp = Filename.temp_file "fig1" ".csv" in
-  let oc = open_out tmp in
-  Experiments.Fig1.to_csv curves oc;
-  close_out oc;
-  let ic = open_in tmp in
-  (try
-     while true do
-       Buffer.add_channel csv ic 1
-     done
-   with End_of_file -> ());
-  close_in ic;
-  Sys.remove tmp;
-  let lines = String.split_on_char '\n' (Buffer.contents csv) in
+  let lines = String.split_on_char '\n' (Experiments.Fig1.csv_string curves) in
   check_int "header + 2 data rows (+ trailing)" 4 (List.length lines)
 
 let test_schedulers_shape () =

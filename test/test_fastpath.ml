@@ -98,21 +98,8 @@ let test_fig1_csv () =
     }
   in
   ab "fig1.csv" (fun () ->
-      let curves =
-        Experiments.Fig1.run ~domains:1 ~base ~cs_lengths:[ 5_000; 100_000 ] ()
-      in
-      let path = Filename.temp_file "fig1" ".csv" in
-      Fun.protect
-        ~finally:(fun () -> Sys.remove path)
-        (fun () ->
-          let oc = open_out path in
-          Experiments.Fig1.to_csv curves oc;
-          close_out oc;
-          let ic = open_in_bin path in
-          let n = in_channel_length ic in
-          let s = really_input_string ic n in
-          close_in ic;
-          s))
+      Experiments.Fig1.csv_string
+        (Experiments.Fig1.run ~domains:1 ~base ~cs_lengths:[ 5_000; 100_000 ] ()))
 
 (* {2 Forced dispatch} *)
 

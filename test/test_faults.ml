@@ -209,40 +209,6 @@ let test_injected_run_is_deterministic () =
   in
   check_bool "same plan, same perturbed run" true (fingerprint () = fingerprint ())
 
-(* -- backoff ------------------------------------------------------ *)
-
-let test_backoff_gaps () =
-  let b = Engine.Backoff.create ~base_ns:1_000 ~cap_ns:16_000 ~jitter_pct:0 ~seed:5 () in
-  check_int "attempt 0" 1_000 (Engine.Backoff.gap_ns b ~attempt:0);
-  check_int "attempt 3" 8_000 (Engine.Backoff.gap_ns b ~attempt:3);
-  check_int "capped" 16_000 (Engine.Backoff.gap_ns b ~attempt:10);
-  check_int "overflow-safe" 16_000 (Engine.Backoff.gap_ns b ~attempt:63);
-  let j = Engine.Backoff.create ~base_ns:1_000 ~cap_ns:16_000 ~jitter_pct:25 ~seed:5 () in
-  for attempt = 0 to 8 do
-    let g = Engine.Backoff.gap_ns j ~attempt in
-    let nominal = min 16_000 (1_000 * (1 lsl attempt)) in
-    check_bool "jitter stays within +/-25%" true
-      (g >= (nominal * 75 / 100) && g <= (nominal * 125 / 100))
-  done
-
-let test_backoff_retry () =
-  let b = Engine.Backoff.create ~seed:9 () in
-  let slept = ref [] and calls = ref 0 in
-  let ok =
-    Engine.Backoff.retry b ~max_attempts:5
-      ~sleep:(fun ns -> slept := ns :: !slept)
-      (fun () ->
-        incr calls;
-        !calls = 3)
-  in
-  check_bool "succeeds on third attempt" true ok;
-  check_int "called three times" 3 !calls;
-  check_int "slept between failures only" 2 (List.length !slept);
-  let exhausted =
-    Engine.Backoff.retry b ~max_attempts:3 ~sleep:(fun _ -> ()) (fun () -> false)
-  in
-  check_bool "gives up after max attempts" false exhausted
-
 (* -- timed locks --------------------------------------------------- *)
 
 let test_lock_timeout () =
@@ -276,30 +242,6 @@ let test_lock_timeout () =
   match !stats with
   | None -> Alcotest.fail "no stats"
   | Some s -> check_int "one timeout recorded" 1 (Locks.Lock_stats.timeouts s)
-
-let test_lock_retrying_recovers () =
-  (* The holder releases after 150k ns; a 30k-slice retrying waiter
-     times out a few times, backs off, and must eventually win. *)
-  let got = ref None in
-  let sim = Sched.create cfg in
-  Sched.run sim (fun () ->
-      let lk = Locks.Lock.core (Locks.Lock.create ~home:0 Locks.Lock.Reconfigurable) in
-      Locks.Lock_core.lock lk;
-      let waiter =
-        Cthread.fork ~proc:1 (fun () ->
-            let backoff = Engine.Backoff.create ~base_ns:5_000 ~seed:3 () in
-            got :=
-              Some
-                (Locks.Lock_core.lock_retrying lk ~backoff ~max_attempts:20
-                   ~slice_ns:30_000);
-            if !got = Some true then Locks.Lock_core.unlock lk)
-      in
-      Cthread.work 150_000;
-      Locks.Lock_core.unlock lk;
-      Cthread.join waiter;
-      check_bool "timeouts happened before success" true
-        (Locks.Lock_stats.timeouts (Locks.Lock_core.stats lk) >= 1));
-  check_bool "retrying waiter recovered the lock" (Some true = !got) true
 
 (* -- guardrails ---------------------------------------------------- *)
 
@@ -608,10 +550,7 @@ let suite =
     Alcotest.test_case "injector applies and logs" `Quick test_injector_applies_and_logs;
     Alcotest.test_case "injected run deterministic" `Quick
       test_injected_run_is_deterministic;
-    Alcotest.test_case "backoff gaps" `Quick test_backoff_gaps;
-    Alcotest.test_case "backoff retry" `Quick test_backoff_retry;
     Alcotest.test_case "lock_timeout" `Quick test_lock_timeout;
-    Alcotest.test_case "lock_retrying recovers" `Quick test_lock_retrying_recovers;
     Alcotest.test_case "guardrail clamp and fallback" `Quick
       test_guardrail_clamp_and_fallback;
     Alcotest.test_case "adaptive lock guardrail fallback" `Quick

@@ -536,50 +536,6 @@ let test_sink_writes_payload_verbatim () =
   | Error e -> Alcotest.fail e);
   rm root
 
-let test_series_csv_string_matches_output_csv () =
-  let s1 = Engine.Series.create ~name:"waiting" () in
-  let s2 = Engine.Series.create ~name:"other" () in
-  Engine.Series.add s1 ~t:0 ~v:1.;
-  Engine.Series.add s1 ~t:100 ~v:2.5;
-  Engine.Series.add s2 ~t:50 ~v:0.125;
-  let series = [ s1; s2 ] in
-  let path = tmp_file "series.csv" in
-  let oc = open_out path in
-  Engine.Series.output_csv oc series;
-  close_out oc;
-  let bytes = In_channel.with_open_bin path In_channel.input_all in
-  check string "csv_string = output_csv bytes" bytes (Engine.Series.csv_string series);
-  Sys.remove path
-
-let test_fig1_csv_string_matches_to_csv () =
-  let curves =
-    [
-      {
-        Experiments.Fig1.kind = Locks.Lock.Spin;
-        points =
-          [
-            { Experiments.Fig1.cs_ns = 5000; total_ns = 100000 };
-            { Experiments.Fig1.cs_ns = 10000; total_ns = 250000 };
-          ];
-      };
-      {
-        Experiments.Fig1.kind = Locks.Lock.Blocking;
-        points =
-          [
-            { Experiments.Fig1.cs_ns = 5000; total_ns = 120000 };
-            { Experiments.Fig1.cs_ns = 10000; total_ns = 260000 };
-          ];
-      };
-    ]
-  in
-  let path = tmp_file "fig1.csv" in
-  let oc = open_out path in
-  Experiments.Fig1.to_csv curves oc;
-  close_out oc;
-  let bytes = In_channel.with_open_bin path In_channel.input_all in
-  check string "csv_string = to_csv bytes" bytes (Experiments.Fig1.csv_string curves);
-  Sys.remove path
-
 let suite =
   [
     Alcotest.test_case "jsonv: parse/print round trip is stable" `Quick
@@ -623,8 +579,4 @@ let suite =
       test_query_domains_determinism;
     Alcotest.test_case "sink: store payload = legacy file bytes" `Quick
       test_sink_writes_payload_verbatim;
-    Alcotest.test_case "series: csv_string matches output_csv" `Quick
-      test_series_csv_string_matches_output_csv;
-    Alcotest.test_case "fig1: csv_string matches to_csv" `Quick
-      test_fig1_csv_string_matches_to_csv;
   ]

@@ -23,12 +23,11 @@ let check_int = Alcotest.(check int)
 let check_bool = Alcotest.(check bool)
 let check_string = Alcotest.(check string)
 
-(* A toy two-configuration spec: with [label], every observation flips
-   between configurations 0 and 1 under that label; without one, it has
-   no transitions (monitored, never adapting). *)
-let toy_spec ?label () =
+(* A toy two-configuration spec: every observation flips between
+   configurations 0 and 1 under [label]. *)
+let toy_spec label =
   let module Spec = Policy.Spec in
-  let flip label from =
+  let flip from =
     {
       Spec.t_from = from;
       t_cond = Spec.cond 0;
@@ -46,17 +45,16 @@ let toy_spec ?label () =
     s_monotone = Spec.Unordered;
     s_configs = [ { Spec.c_name = "a"; c_value = 0 }; { Spec.c_name = "b"; c_value = 1 } ];
     s_initial = 0;
-    s_transitions =
-      (match label with Some l -> [ flip l 0; flip l 1 ] | None -> []);
+    s_transitions = [ flip 0; flip 1 ];
     s_guard = None;
   }
 
-(* A trivially adaptable loop: every fed/polled observation applies a
+(* A trivially adaptable loop: every fed observation applies a
    reconfiguration labelled [label]. *)
 let always_adapt ?(label = "flip") ?name ?kind () =
-  let sensor = Sensor.make ~name:"s" ~period:1 ~overhead_instrs:0 (fun () -> 0) in
+  let sensor = Sensor.make ~period:1 ~overhead_instrs:0 (fun () -> 0) in
   let config = ref 0 in
-  Adaptive.create ?name ?kind ~spec:(toy_spec ~label ()) ~home:0 ~sensor
+  Adaptive.create ?name ?kind ~spec:(toy_spec label) ~home:0 ~sensor
     ~read:(fun () -> !config)
     ~apply:(fun v ->
       config := v;
@@ -113,45 +111,6 @@ let test_registry_subscribe_from_cursor () =
   in
   check_int "early hook saw the early objects only" 2 !first_events;
   check_int "late hook saw only the new object" 1 !late_events
-
-let test_registry_drive_all () =
-  let driven = ref 0 and samples = ref 0 in
-  let (_ : Sched.t) =
-    run (fun () ->
-        Registry.reset ();
-        let l = always_adapt () in
-        driven := Registry.drive_all ();
-        samples := Adaptive.samples l)
-  in
-  check_int "one object reconfigured" 1 !driven;
-  check_int "drive forced a sensor sample" 1 !samples
-
-(* An external sweep must skip (not crash on) an object whose drive
-   loses the attribute-ownership race and raises Not_owner. *)
-let test_registry_drive_all_skips_not_owner () =
-  let driven = ref (-1) and healthy_samples = ref 0 in
-  let empty_stats () =
-    {
-      Registry.samples = 0;
-      policy_runs = 0;
-      adaptations = 0;
-      total_cost = Adaptive_core.Cost.zero;
-      last_label = None;
-      log = [];
-    }
-  in
-  let (_ : Sched.t) =
-    run (fun () ->
-        Registry.register ~name:"contended" ~kind:"test" ~stats:empty_stats
-          ~drive:(fun () ->
-            raise (Adaptive_core.Attribute.Not_owner "held elsewhere"))
-          ~spec:(toy_spec ()) ();
-        let healthy = always_adapt ~name:"healthy" () in
-        driven := Registry.drive_all ();
-        healthy_samples := Adaptive.samples healthy)
-  in
-  check_int "sweep survives and counts the healthy object" 1 !driven;
-  check_int "healthy object was still driven" 1 !healthy_samples
 
 (* The registry resets itself at every [Sched.run] start: back-to-back
    simulations on one domain never see each other's (dead) entries,
@@ -422,9 +381,6 @@ let suite =
   [
     Alcotest.test_case "registry enumerates" `Quick test_registry_enumerates_objects;
     Alcotest.test_case "registry cursor" `Quick test_registry_subscribe_from_cursor;
-    Alcotest.test_case "registry drive_all" `Quick test_registry_drive_all;
-    Alcotest.test_case "registry drive_all skips Not_owner" `Quick
-      test_registry_drive_all_skips_not_owner;
     Alcotest.test_case "registry resets between runs" `Quick
       test_registry_resets_between_runs;
     Alcotest.test_case "registry json deterministic" `Quick

@@ -95,14 +95,6 @@ let test_peek_min_key () =
   ignore (Engine.Pqueue.pop_min q);
   check_int "tracks the new min" 7 (Engine.Pqueue.peek_min_key q)
 
-let test_clear () =
-  let q = Engine.Pqueue.create ~dummy:() () in
-  List.iter (fun k -> Engine.Pqueue.add q ~key:k ()) [ 3; 1; 2 ];
-  Engine.Pqueue.clear q;
-  Alcotest.(check bool) "empty after clear" true (Engine.Pqueue.is_empty q);
-  Engine.Pqueue.add q ~key:9 ();
-  check_int "usable after clear" 1 (Engine.Pqueue.size q)
-
 let test_interleaved_add_pop () =
   let q = Engine.Pqueue.create ~dummy:0 () in
   Engine.Pqueue.add q ~key:5 5;
@@ -162,7 +154,6 @@ let suite =
     Alcotest.test_case "pop_min_exn" `Quick test_pop_min_exn;
     Alcotest.test_case "peek" `Quick test_peek_does_not_remove;
     Alcotest.test_case "peek_min_key" `Quick test_peek_min_key;
-    Alcotest.test_case "clear" `Quick test_clear;
     Alcotest.test_case "interleaved" `Quick test_interleaved_add_pop;
     QCheck_alcotest.to_alcotest prop_drain_sorted;
     QCheck_alcotest.to_alcotest prop_size_tracks;

@@ -1,5 +1,4 @@
-(* RNG tests: determinism, ranges, stream independence, distribution
-   sanity. *)
+(* RNG tests: determinism, ranges, distribution sanity. *)
 
 (* A draw over (almost) the whole 62-bit range. *)
 let draw r = Engine.Rng.int r max_int
@@ -14,12 +13,6 @@ let test_seeds_differ () =
   let a = Engine.Rng.create 1 and b = Engine.Rng.create 2 in
   Alcotest.(check bool) "different seeds diverge" true
     (draw a <> draw b)
-
-let test_copy_replays () =
-  let a = Engine.Rng.create 7 in
-  ignore (draw a);
-  let b = Engine.Rng.copy a in
-  Alcotest.(check int) "copy replays" (draw a) (draw b)
 
 let test_int_range () =
   let r = Engine.Rng.create 9 in
@@ -63,38 +56,13 @@ let test_uniformity_rough () =
         Alcotest.failf "bucket %d suspicious: %d vs %d" i c expected)
     buckets
 
-let test_split_independence () =
-  let parent = Engine.Rng.create 21 in
-  let child = Engine.Rng.split parent in
-  (* Draw interleaved; child draws must not equal parent draws. *)
-  let equal_draws = ref 0 in
-  for _ = 1 to 100 do
-    if draw parent = draw child then incr equal_draws
-  done;
-  Alcotest.(check int) "no identical interleaved draws" 0 !equal_draws
-
-let test_exponential_positive_mean () =
-  let r = Engine.Rng.create 23 in
-  let n = 20_000 in
-  let sum = ref 0.0 in
-  for _ = 1 to n do
-    let v = Engine.Rng.exponential r ~mean:100.0 in
-    if v < 0.0 then Alcotest.fail "negative exponential";
-    sum := !sum +. v
-  done;
-  let mean = !sum /. float_of_int n in
-  Alcotest.(check bool) "mean within 10%" true (mean > 90.0 && mean < 110.0)
-
 let suite =
   [
     Alcotest.test_case "determinism" `Quick test_determinism;
     Alcotest.test_case "seeds differ" `Quick test_seeds_differ;
-    Alcotest.test_case "copy replays" `Quick test_copy_replays;
     Alcotest.test_case "int range" `Quick test_int_range;
     Alcotest.test_case "int_in range" `Quick test_int_in_range;
     Alcotest.test_case "bad bound rejected" `Quick test_int_rejects_bad_bound;
     Alcotest.test_case "float range" `Quick test_float_range;
     Alcotest.test_case "rough uniformity" `Quick test_uniformity_rough;
-    Alcotest.test_case "split independence" `Quick test_split_independence;
-    Alcotest.test_case "exponential mean" `Quick test_exponential_positive_mean;
   ]

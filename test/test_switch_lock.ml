@@ -444,15 +444,11 @@ let test_pinned_lock_rejects_swap () =
           let before = L.current_impl lk in
           L.lock lk;
           (try ignore (L.swap_to lk L.Mcs) with L.Misuse _ -> incr raised);
-          L.unlock lk;
-          (try ignore (L.set_impl lk L.Blocking) with L.Misuse _ -> incr raised);
-          (* set_impl must release on the way out: a plain acquisition
-             still succeeds afterwards. *)
-          L.lock lk;
+          (try ignore (L.swap_to lk L.Blocking) with L.Misuse _ -> incr raised);
           L.unlock lk;
           unchanged := L.current_impl lk = before)
     in
-    Alcotest.(check int) (name ^ ": swap_to and set_impl refused") 2 !raised;
+    Alcotest.(check int) (name ^ ": both swaps refused") 2 !raised;
     Alcotest.(check bool) (name ^ ": implementation unchanged") true !unchanged
   in
   List.iter check
