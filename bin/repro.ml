@@ -1,5 +1,6 @@
-(* The repro CLI: regenerate any table, figure or ablation of the paper
-   individually, or everything at once. Every artifact goes through one
+(* The repro CLI: regenerate a table, figure or ablation of the paper
+   (the TSP evaluation's Tables 1-3 and Figures 4-9 together, from one
+   set of runs, through `repro tsp`), or everything at once. Every artifact goes through one
    sink (Fleet.Sink) that appends its store record and writes its legacy
    file from the record's payload. The gated subcommands (objects,
    ablation-locks, chaos, analyze, check-policies, check-protocols) are
@@ -86,49 +87,6 @@ let tsp_cmd =
   in
   Cmd.v (Cmd.info "tsp" ~doc)
     Term.(const run $ Cli.common $ searchers $ cities $ instance_seed)
-
-let single_fig_cmds =
-  List.map
-    (fun (number, impl, lock) ->
-      let name = Printf.sprintf "fig%d" number in
-      let doc = Experiments.Tsp_experiments.figure_description ~impl ~lock in
-      let run searchers cities seed domains =
-        Cli.set_domains domains;
-        let t =
-          Experiments.Tsp_experiments.run_all ~spec:(tsp_spec searchers cities seed) ()
-        in
-        match Experiments.Tsp_experiments.figure t ~impl ~lock with
-        | None -> print_endline "no trace recorded"
-        | Some series ->
-          Printf.printf "Figure %d: %s\n%s\n" number doc (Repro_stats.Plot.series series)
-      in
-      Cmd.v (Cmd.info name ~doc)
-        Term.(const run $ searchers $ cities $ instance_seed $ Cli.domains))
-    Experiments.Tsp_experiments.all_figures
-
-let single_table_cmds =
-  List.map
-    (fun (name, doc, impl) ->
-      let run searchers cities seed domains =
-        Cli.set_domains domains;
-        let t =
-          Experiments.Tsp_experiments.run_all ~spec:(tsp_spec searchers cities seed) ()
-        in
-        let row = Experiments.Tsp_experiments.table t impl in
-        Printf.printf
-          "%s\n  sequential %.0f ms\n  blocking   %.0f ms\n  adaptive   %.0f ms\n  improvement %.1f%%\n"
-          doc row.Experiments.Tsp_experiments.sequential_ms
-          row.Experiments.Tsp_experiments.blocking_ms
-          row.Experiments.Tsp_experiments.adaptive_ms
-          row.Experiments.Tsp_experiments.improvement_pct
-      in
-      Cmd.v (Cmd.info name ~doc)
-        Term.(const run $ searchers $ cities $ instance_seed $ Cli.domains))
-    [
-      ("table1", "Table 1: centralized TSP", Tsp.Parallel.Centralized);
-      ("table2", "Table 2: distributed TSP", Tsp.Parallel.Distributed);
-      ("table3", "Table 3: distributed TSP with load balancing", Tsp.Parallel.Balanced);
-    ]
 
 (* ------------------------------------------------------------------ *)
 (* The catalogue route: spec -> configs -> outcomes -> records -> sink *)
@@ -345,4 +303,4 @@ let () =
     (Cmd.eval
        (Cmd.group ~default info
           ((all_cmd :: fig1_cmd :: tsp_cmd :: run_cmd :: view_cmd :: gated_cmds)
-          @ simples tables @ single_table_cmds @ single_fig_cmds @ simples ablations)))
+          @ simples tables @ simples ablations)))

@@ -117,7 +117,7 @@ let create ~home ~adaptive =
     Sensor.make ~period:4 ~overhead_instrs:30 (fun () -> Queue.length tasks)
   in
   let loop =
-    Adaptive.create ~name:"adaptive-queue" ~spec:(policy_spec ~adaptive) ~home ~sensor
+    Adaptive.create ~spec:(policy_spec ~adaptive) ~home ~sensor
       ~read:(fun () -> match Attribute.get discipline with Fifo -> 0 | Best_first -> 1)
       ~apply:(fun v ->
         Attribute.set discipline (if v = 1 then Best_first else Fifo);

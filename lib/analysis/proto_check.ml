@@ -390,8 +390,8 @@ type fixture_report = {
   f_reports : report list;
 }
 
-let check_fixture ?max_states ~name ~expect (model, props) =
-  let reports = check_model ?max_states model props in
+let check_fixture ~name ~expect (model, props) =
+  let reports = check_model model props in
   let found =
     List.filter_map
       (fun r -> match r.r_verdict with Violated _ -> Some r.r_property | _ -> None)

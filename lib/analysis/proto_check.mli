@@ -89,7 +89,6 @@ type fixture_report = {
 }
 
 val check_fixture :
-  ?max_states:int ->
   name:string ->
   expect:string list ->
   Protocol.t * Protocol.property list ->

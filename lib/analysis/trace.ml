@@ -345,7 +345,8 @@ let glyph tid =
   let alphabet = "0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ" in
   alphabet.[tid mod String.length alphabet]
 
-let timeline ?(width = 72) t ~horizon =
+let timeline t ~horizon =
+  let width = 72 in
   if horizon <= 0 then invalid_arg "Trace.timeline: horizon must be positive";
   let lanes = Array.make_matrix t.procs width '.' in
   (* Fill each lane forward from switch events. *)

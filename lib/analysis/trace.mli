@@ -145,8 +145,8 @@ val blocked_spans : t -> int -> (int * int) list
 (** [(block-time, wakeup-time)] pairs for a thread, derived from its
     block/wakeup events (an unmatched final block yields no pair). *)
 
-val timeline : ?width:int -> t -> horizon:int -> string
-(** ASCII execution timeline: one lane per processor, one column per
-    time bucket up to [horizon] ns; each cell shows the thread that
+val timeline : t -> horizon:int -> string
+(** ASCII execution timeline: one lane per processor, 72 columns of
+    time buckets up to [horizon] ns; each cell shows the thread that
     last switched onto the processor in that bucket ('.' when none,
     digits/letters for tids modulo 62). *)

@@ -8,10 +8,7 @@ type 'obs t = {
   mutable adaptation_count : int;
   mutable adaptation_log : (int * string) list;  (* newest first *)
   mutable cost_sum : Cost.t;
-  mutable subscribers : (Registry.event -> unit) list;  (* subscription order *)
 }
-
-let subscribe t f = t.subscribers <- t.subscribers @ [ f ]
 
 let decide t obs =
   t.policy_run_count <- t.policy_run_count + 1;
@@ -21,24 +18,16 @@ let decide t obs =
     (* The attempt's mechanism cost is charged whether or not it takes
        effect, but only an apply that reports success counts as an
        adaptation — a no-op apply (e.g. an external agent losing the
-       ownership race) must not inflate metrics or publish events. *)
+       ownership race) must not inflate metrics or publish an event. *)
     Cost.charge ~scratch:t.scratch cost;
     if not (apply ()) then false
     else begin
       t.adaptation_count <- t.adaptation_count + 1;
-      let at = Butterfly.Ops.now () in
-      t.adaptation_log <- (at, label) :: t.adaptation_log;
+      t.adaptation_log <- (Butterfly.Ops.now (), label) :: t.adaptation_log;
       t.cost_sum <- Cost.( + ) t.cost_sum cost;
       if Butterfly.Ops.annotations_enabled () then
         Butterfly.Ops.annotate
           (Butterfly.Ops.A_adaptation { obj_name = t.obj_name; kind = t.obj_kind; label });
-      (match t.subscribers with
-      | [] -> ()
-      | subs ->
-        let ev =
-          { Registry.at; obj_name = t.obj_name; obj_kind = t.obj_kind; label }
-        in
-        List.iter (fun f -> f ev) subs);
       true
     end
 
@@ -61,8 +50,8 @@ let stats t =
     log = log t;
   }
 
-let create ?(name = "adaptive-object") ?(kind = "object") ~spec ~home ~sensor ~read
-    ~apply ~metric ?guard_state () =
+let create ~spec ~home ~sensor ~read ~apply ~metric ?guard_state () =
+  let name = spec.Policy.Spec.s_name and kind = spec.Policy.Spec.s_kind in
   let scratch = Butterfly.Ops.alloc1 ~node:home () in
   Butterfly.Ops.mark_sync_words [| scratch |];
   let t =
@@ -76,11 +65,7 @@ let create ?(name = "adaptive-object") ?(kind = "object") ~spec ~home ~sensor ~r
       adaptation_count = 0;
       adaptation_log = [];
       cost_sum = Cost.zero;
-      subscribers = [];
     }
   in
-  Registry.register ~name ~kind
-    ~stats:(fun () -> stats t)
-    ~subscribe:(fun f -> subscribe t f)
-    ~spec ();
+  Registry.register ~name ~kind ~stats:(fun () -> stats t) ~spec ();
   t

@@ -16,17 +16,13 @@
     Every loop self-registers in the per-domain {!Registry} at
     creation, so the whole thread package's adaptive objects — locks,
     barriers, conditions, semaphores, rw-locks — are enumerable with
-    one call, and {!Registry.subscribe_from} hooks let monitors and
-    analysis observe reconfigurations as events instead of polling
-    counters. Each applied reconfiguration is also published as an
-    [Ops.A_adaptation] annotation, so recorded traces see it in its
-    linearized position. *)
+    one call. Each applied reconfiguration is published once, as an
+    [Ops.A_adaptation] annotation: monitors, analysis and recorded
+    traces observe it there, in its linearized position. *)
 
 type 'obs t
 
 val create :
-  ?name:string ->
-  ?kind:string ->
   spec:Policy.Spec.t ->
   home:int ->
   sensor:'obs Sensor.t ->
@@ -37,9 +33,9 @@ val create :
   unit ->
   'obs t
 (** Must run inside a simulation: allocates the scratch word used to
-    charge reconfiguration costs at [home]. [kind] names the object
-    family for the registry and annotations (["lock"], ["barrier"],
-    ...; default ["object"]). The running policy is
+    charge reconfiguration costs at [home]. The spec's [s_name] and
+    [s_kind] name the object and its family (["lock"], ["barrier"],
+    ...) in the registry and annotations. The running policy is
     [Policy.Spec.compile ?guard_state ~read ~apply ~metric spec]; a
     spec without transitions gives a monitored object that never
     adapts. The new loop registers itself, with [spec], in

@@ -12,10 +12,10 @@ type 'a t = {
   owner_word : Memory.addr;
 }
 
-let make_at ~name ?(mutable_ = true) ~node v =
+let make_at ~name ~node v =
   let owner_word = Ops.alloc1 ~node () in
   Ops.mark_sync_words [| owner_word |];
-  { attr_name = name; value = v; is_mutable = mutable_; owner_word }
+  { attr_name = name; value = v; is_mutable = true; owner_word }
 
 let get t = t.value
 

@@ -14,9 +14,9 @@
 
 type 'a t
 
-val make_at : name:string -> ?mutable_:bool -> node:int -> 'a -> 'a t
-(** A fresh attribute whose ownership word lives at [node]. [mutable_]
-    defaults to [true]. Must be created inside a simulation. *)
+val make_at : name:string -> node:int -> 'a -> 'a t
+(** A fresh, mutable attribute whose ownership word lives at [node].
+    Must be created inside a simulation. *)
 
 val get : 'a t -> 'a
 (** Raw value read (host-side; callers charge simulated cost at the

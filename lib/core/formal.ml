@@ -1,15 +1,8 @@
-type config = { gamma : string; phi : (string * string) list }
+type config = { gamma : string }
 
-let config ?(phi = []) gamma =
-  { gamma; phi = List.sort (fun (a, _) (b, _) -> String.compare a b) phi }
-
-let config_equal a b = a.gamma = b.gamma && a.phi = b.phi
-
-let pp_config ppf c =
-  Format.fprintf ppf "%s" c.gamma;
-  if c.phi <> [] then
-    Format.fprintf ppf "{%s}"
-      (String.concat "; " (List.map (fun (k, v) -> k ^ "=" ^ v) c.phi))
+let config gamma = { gamma }
+let config_equal a b = a.gamma = b.gamma
+let pp_config ppf c = Format.fprintf ppf "%s" c.gamma
 
 type transition = { at : int; from_ : config; to_ : config; cost : Cost.t }
 
@@ -25,15 +18,7 @@ let space ~configs ?edges () =
   | None -> ());
   { members = configs; edges }
 
-(* A candidate matches a member when gammas agree and every attribute
-   the member pins has the same value in the candidate. *)
-let matches ~member ~candidate =
-  member.gamma = candidate.gamma
-  && List.for_all
-       (fun (k, v) -> List.assoc_opt k candidate.phi = Some v)
-       member.phi
-
-let mem s candidate = List.exists (fun member -> matches ~member ~candidate) s.members
+let mem s candidate = List.exists (config_equal candidate) s.members
 
 let edge_allowed s ~from_ ~to_ =
   match s.edges with

@@ -19,12 +19,10 @@
 
 type config = {
   gamma : string;  (** method-implementation family, e.g. ["combined"] *)
-  phi : (string * string) list;  (** attribute values, sorted by name *)
 }
 
-val config : ?phi:(string * string) list -> string -> config
-(** [config g] is the configuration with family [g]; [phi] entries are
-    normalized (sorted by attribute name). *)
+val config : string -> config
+(** [config g] is the configuration with family [g]. *)
 
 type transition = { at : int; from_ : config; to_ : config; cost : Cost.t }
 (** One applied Ψ, timestamped in virtual ns. *)
@@ -39,9 +37,6 @@ val space :
     member configurations. *)
 
 val mem : space -> config -> bool
-(** Membership considers only declared attribute names: a candidate
-    matches a member when the gammas are equal and every attribute the
-    member declares has the same value in the candidate. *)
 
 val validate : space -> initial:config -> transition list -> (unit, string) result
 (** Check a Ψ log: the chain must start at [initial], be contiguous

@@ -1,5 +1,3 @@
-type event = { at : int; obj_name : string; obj_kind : string; label : string }
-
 type stats = {
   samples : int;
   policy_runs : int;
@@ -22,7 +20,6 @@ type entry = {
   e_name : string;
   e_kind : string;
   e_stats : unit -> stats;
-  e_subscribe : (event -> unit) -> unit;
   e_spec : Policy.Spec.t;
 }
 
@@ -50,13 +47,12 @@ let reset () =
    remember to do it. *)
 let () = Butterfly.Sched.at_run_start reset
 
-let register ~name ~kind ~stats ?(subscribe = fun _ -> ()) ~spec () =
+let register ~name ~kind ~stats ~spec () =
   let st = state () in
   let id = st.next_id in
   st.next_id <- id + 1;
   st.entries <-
-    { e_id = id; e_name = name; e_kind = kind; e_stats = stats;
-      e_subscribe = subscribe; e_spec = spec }
+    { e_id = id; e_name = name; e_kind = kind; e_stats = stats; e_spec = spec }
     :: st.entries
 
 let entries () = List.rev (state ()).entries
@@ -71,11 +67,6 @@ let snapshot () =
 (* Formal check (§3.1) of the recorded Ψ log against the declared
    configuration space. *)
 let validate_log m = Formal.check_log m.spec m.stats.log
-
-let subscribe_from from f =
-  let st = state () in
-  List.iter (fun e -> if e.e_id >= from then e.e_subscribe f) st.entries;
-  st.next_id
 
 (* -- deterministic JSON (hand-rolled, like Chaos.to_json: stable
    bytes, no host state) -- *)

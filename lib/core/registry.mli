@@ -17,15 +17,6 @@
     {!reset} remains available for host-side tests that register
     synthetic entries outside a run. *)
 
-type event = {
-  at : int;  (** virtual time of the reconfiguration *)
-  obj_name : string;
-  obj_kind : string;  (** object family, e.g. ["lock"], ["barrier"] *)
-  label : string;  (** transition label from the policy's decision *)
-}
-(** One applied reconfiguration, as delivered to {!subscribe_from}
-    hooks. *)
-
 type stats = {
   samples : int;
   policy_runs : int;
@@ -55,12 +46,10 @@ val register :
   name:string ->
   kind:string ->
   stats:(unit -> stats) ->
-  ?subscribe:((event -> unit) -> unit) ->
   spec:Policy.Spec.t ->
   unit ->
   unit
 (** Register an object. [stats] is consulted lazily at snapshot time.
-    [subscribe] lets {!subscribe_from} attach adaptation-event hooks.
     Called by [Adaptive.create]; most clients never call this
     directly. *)
 
@@ -73,13 +62,6 @@ val validate_log : metrics -> (unit, string) result
     against its declared spec's configuration space. Surfaced per
     object in {!to_json} as [policy_valid] / [policy_violation] — how
     [repro objects] reports protocol-level log violations. *)
-
-val subscribe_from : int -> (event -> unit) -> int
-(** [subscribe_from id f] attaches [f] only to objects with registry
-    id >= [id] and returns the id one past the newest entry — pass it
-    back on the next call to subscribe to objects registered since
-    (how a periodically-polling consumer like the watchdog keeps up
-    without double-subscribing). *)
 
 val to_json : metrics list -> string
 (** Deterministic JSON document (stable bytes across hosts and domain

@@ -30,11 +30,9 @@ let step_down b = if b <= probe_gap_ns * 2 then 0 else b / 2
    [spin-more] on a tight arrival spread, [spin-less] on a straggling
    one. [create] compiles exactly this spec; the static checker
    ([Analysis.Policy_check]) model-checks it. *)
-let policy_spec ?(name = "adaptive-barrier") ?attribute ?(spin_if_under = 800_000)
+let policy_spec ?(name = "adaptive-barrier") ?(spin_if_under = 800_000)
     ?(block_if_over = 1_600_000) ?(max_spin_ns = 614_400) () =
-  Spin_ladder.spec ~name ~kind:"barrier"
-    ~attribute:
-      (match attribute with Some a -> a | None -> name ^ ".arrival-spin-ns")
+  Spin_ladder.spec ~name ~kind:"barrier" ~attribute:(name ^ ".arrival-spin-ns")
     ~metric:"arrival-spread-ns" ~spin_if_under ~block_if_over
     ~step_up:(step_up ~max_spin:max_spin_ns) ~step_down ~max_spin:max_spin_ns 0
 
@@ -69,7 +67,7 @@ let create ?node ?(name = "adaptive-barrier") ?(period = 1) ?(spin_if_under = 80
         last_spread = 0;
         spin_ns = Attribute.make_at ~name:"arrival-spin-ns" ~node:home 0;
         loop =
-          Adaptive.create ~name ~kind:"barrier"
+          Adaptive.create
             ~spec:(policy_spec ~name ~spin_if_under ~block_if_over ~max_spin_ns ())
             ~home
             ~sensor:

@@ -21,7 +21,6 @@ type observation = {
 
 val policy_spec :
   ?name:string ->
-  ?attribute:string ->
   ?spin_if_under:int ->
   ?block_if_over:int ->
   ?max_spin_ns:int ->
@@ -69,5 +68,4 @@ val spin_attr : t -> int Adaptive_core.Attribute.t
     agents and ownership tests. *)
 
 val loop : t -> observation Adaptive_core.Adaptive.t
-(** The barrier's feedback loop (subscribe, swap policies, read
-    metrics). *)
+(** The barrier's feedback loop (read its metrics). *)

@@ -22,22 +22,15 @@ let step_down b = if b <= probe_gap_ns * 2 then 0 else b / 2
    spin for them; a standing queue means a permit takes long enough to
    come back that blocking is the right strategy (the inverse of a
    lock's simple-adapt, because here depth measures permit latency).
-   As a spec: spin-more only on an empty queue, spin-less at
-   [block_over] or deeper. *)
-let policy_spec ?(name = "adaptive-semaphore") ?attribute ?(block_over = 2) () =
-  Spin_ladder.spec ~name ~kind:"semaphore"
-    ~attribute:
-      (match attribute with Some a -> a | None -> name ^ ".acquire-spin-ns")
-    ~metric:"waiting-at-release" ~spin_if_under:0 ~block_if_over:block_over
-    ~step_up ~step_down ~max_spin:max_budget_ns 0
+   As a spec: spin-more only on an empty queue, spin-less at a depth
+   of 2 or more. *)
+let policy_spec ?(name = "adaptive-semaphore") () =
+  Spin_ladder.spec ~name ~kind:"semaphore" ~attribute:(name ^ ".acquire-spin-ns")
+    ~metric:"waiting-at-release" ~spin_if_under:0 ~block_if_over:2 ~step_up ~step_down
+    ~max_spin:max_budget_ns 0
 
-let create ?node ?(name = "adaptive-semaphore") ?(period = 2) ?(block_over = 2) n =
+let create ?node ?(name = "adaptive-semaphore") n =
   if n < 0 then invalid_arg "Adaptive_semaphore.create: negative permits";
-  (* [block_over = 0] would overlap the spin-more condition (queue
-     empty) and ping-pong the budget every sample — a statically
-     detectable thrash cycle. *)
-  if block_over < 1 then
-    invalid_arg "Adaptive_semaphore.create: block_over must be at least 1";
   let permits = Ops.alloc1 ?node () in
   Ops.mark_sync_words [| permits |];
   Ops.write permits n;
@@ -50,10 +43,10 @@ let create ?node ?(name = "adaptive-semaphore") ?(period = 2) ?(block_over = 2) 
         waiters = Queue.create ();
         spin_ns = Attribute.make_at ~name:"acquire-spin-ns" ~node:home 0;
         loop =
-          Adaptive.create ~name ~kind:"semaphore"
-            ~spec:(policy_spec ~name ~block_over ()) ~home
+          Adaptive.create
+            ~spec:(policy_spec ~name ()) ~home
             ~sensor:
-              (Sensor.make ~period (fun () ->
+              (Sensor.make ~period:2 (fun () ->
                    let s = Lazy.force t in
                    {
                      waiting = Queue.length s.waiters;

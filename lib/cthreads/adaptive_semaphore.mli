@@ -17,23 +17,16 @@ type observation = {
   budget_ns : int;  (** current acquire spin budget *)
 }
 
-val policy_spec :
-  ?name:string -> ?attribute:string -> ?block_over:int -> unit -> Adaptive_core.Policy.Spec.t
-(** The queue-depth-driven spin-budget policy as a declarative spec
-    (defaults match {!create}): [spin-more] on an empty queue,
-    [spin-less] at [block_over] or deeper. What {!create} compiles and
-    what the static checker inspects. *)
+val policy_spec : ?name:string -> unit -> Adaptive_core.Policy.Spec.t
+(** The queue-depth-driven spin-budget policy as a declarative spec:
+    [spin-more] on an empty queue, [spin-less] at a depth of 2 or
+    more. What {!create} compiles and what the static checker
+    inspects. *)
 
-val create : ?node:int -> ?name:string -> ?period:int -> ?block_over:int -> int -> t
+val create : ?node:int -> ?name:string -> int -> t
 (** [create n] starts with [n] permits ([n >= 0]) and a spin budget of
-    0 (pure blocking, like {!Semaphore}). [period] is the sensor
-    sampling period in release operations (default 2). The default
-    policy steps the budget down once the queue depth reaches
-    [block_over] (default 2).
-
-    Raises [Invalid_argument] when [block_over < 1]: depth 0 would then
-    satisfy both the spin-more and spin-less steps, ping-ponging the
-    budget on every sample. *)
+    0 (pure blocking, like {!Semaphore}). The sensor samples every
+    other release. *)
 
 val acquire : t -> unit
 (** Take a permit, spin-then-blocking until one is available. *)

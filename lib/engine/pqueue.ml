@@ -7,8 +7,8 @@ type 'a t = {
   dummy : 'a;
 }
 
-let create ?(capacity = 64) ~dummy () =
-  let capacity = max capacity 1 in
+let create ~dummy () =
+  let capacity = 64 in
   {
     keys = Array.make capacity 0;
     seqs = Array.make capacity 0;

@@ -14,9 +14,9 @@
 type 'a t
 (** A mutable priority queue holding values of type ['a]. *)
 
-val create : ?capacity:int -> dummy:'a -> unit -> 'a t
-(** [create ~dummy ()] is an empty queue. [capacity] pre-sizes the
-    backing arrays (default 64); the queue grows automatically.
+val create : dummy:'a -> unit -> 'a t
+(** [create ~dummy ()] is an empty queue with room for 64 entries; it
+    grows automatically.
     [dummy] is a placeholder of the element type ([0], [""], a
     sentinel record, ...) filling unoccupied slots. *)
 

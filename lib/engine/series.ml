@@ -5,9 +5,8 @@ type t = {
   mutable n : int;
 }
 
-let create ?(capacity = 64) ~name () =
-  let capacity = max capacity 1 in
-  { series_name = name; ts = Array.make capacity 0; vs = Array.make capacity 0.0; n = 0 }
+let create ~name () =
+  { series_name = name; ts = Array.make 64 0; vs = Array.make 64 0.0; n = 0 }
 
 let name s = s.series_name
 let length s = s.n

@@ -7,8 +7,9 @@
 
 type t
 
-val create : ?capacity:int -> name:string -> unit -> t
-(** Fresh empty series. [name] labels CSV columns and plots. *)
+val create : name:string -> unit -> t
+(** Fresh empty series with room for 64 samples; it grows
+    automatically. [name] labels CSV columns and plots. *)
 
 val name : t -> string
 

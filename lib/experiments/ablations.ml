@@ -9,9 +9,12 @@ type sched_row = {
   client_wait_us : float;
 }
 
-let schedulers ?machine ?domains () =
+(* The studies' machine: the default Butterfly cut to 8 processors. *)
+let eight_procs = { Config.default with Config.processors = 8 }
+
+let schedulers ?domains () =
   let results =
-    Workloads.Client_server.compare_schedulers ?machine ?domains
+    Workloads.Client_server.compare_schedulers ?domains
       Workloads.Client_server.default
   in
   List.map
@@ -63,11 +66,8 @@ let coupling_workload ~lock ~unlock =
   in
   Cthread.join_all threads
 
-let coupling ?machine ?domains () =
-  let cfg =
-    match machine with Some c -> c | None -> { Config.default with Config.processors = 8 }
-  in
-  let cfg = { cfg with Config.processors = max cfg.Config.processors 8 } in
+let coupling ?domains () =
+  let cfg = eight_procs in
   let close () =
     let sim = Sched.create cfg in
     let adaptations = ref 0 in
@@ -112,10 +112,8 @@ let coupling ?machine ?domains () =
 
 type sampling_row = { period : int; total_ns : int; samples : int; adaptations : int }
 
-let contended_adaptive_run ?machine ~params () =
-  let cfg =
-    match machine with Some c -> c | None -> { Config.default with Config.processors = 8 }
-  in
+let contended_adaptive_run ~params () =
+  let cfg = eight_procs in
   let sim = Sched.create cfg in
   let samples = ref 0 and adaptations = ref 0 and blocks = ref 0 and spins = ref 0 in
   Sched.run sim (fun () ->
@@ -137,11 +135,11 @@ let contended_adaptive_run ?machine ~params () =
       spins := Locks.Lock_stats.spin_probes (Locks.Adaptive_lock.stats lk));
   (Sched.final_time sim, !samples, !adaptations, !blocks, !spins)
 
-let sampling ?machine ?domains ~periods () =
+let sampling ?domains ~periods () =
   Engine.Runner.map ?domains
     (fun period ->
       let params = { Locks.Adaptive_lock.default_params with Locks.Adaptive_lock.sample_period = period } in
-      let total_ns, samples, adaptations, _, _ = contended_adaptive_run ?machine ~params () in
+      let total_ns, samples, adaptations, _, _ = contended_adaptive_run ~params () in
       { period; total_ns; samples; adaptations })
     periods
 
@@ -153,7 +151,7 @@ type threshold_row = {
   spin_probes : int;
 }
 
-let threshold ?machine ?domains ~thresholds ~ns () =
+let threshold ?domains ~thresholds ~ns () =
   let grid =
     List.concat_map
       (fun waiting_threshold -> List.map (fun n -> (waiting_threshold, n)) ns)
@@ -166,7 +164,7 @@ let threshold ?machine ?domains ~thresholds ~ns () =
           Locks.Adaptive_lock.waiting_threshold; n }
       in
       let total_ns, _, _, blocks, spin_probes =
-        contended_adaptive_run ?machine ~params ()
+        contended_adaptive_run ~params ()
       in
       { waiting_threshold; n; total_ns; blocks; spin_probes })
     grid
@@ -178,7 +176,7 @@ type phase_row = {
   mean_wait_us : float;
 }
 
-let phases ?machine ?domains () =
+let phases ?domains () =
   let kinds =
     [
       Locks.Lock.Spin;
@@ -187,7 +185,7 @@ let phases ?machine ?domains () =
       Locks.Lock.adaptive_default;
     ]
   in
-  Workloads.Phased.compare_kinds ?machine ?domains Workloads.Phased.default kinds
+  Workloads.Phased.compare_kinds ?domains Workloads.Phased.default kinds
   |> List.map (fun (kind, (r : Workloads.Phased.result)) ->
          {
            kind;
@@ -208,10 +206,8 @@ type arch_row = {
    configurations re-targeted across architectures. A heavily contended
    short critical section, run with four lock implementations on the
    NUMA machine and on its UMA variant. *)
-let architecture ?machine ?domains () =
-  let base =
-    match machine with Some c -> c | None -> { Config.default with Config.processors = 8 }
-  in
+let architecture ?domains () =
+  let base = eight_procs in
   let machines = [ ("NUMA", base); ("UMA", Config.uma base) ] in
   let workers = 6 and iterations = 40 in
   let drive ~lock ~unlock =
@@ -296,11 +292,8 @@ type barrier_row = {
    then starves the co-located straggler, so blocking is right. No
    fixed arrival strategy wins both phases; the adaptive barrier reads
    the inter-arrival spread and moves its spin budget. *)
-let barriers ?machine ?domains () =
-  let cfg =
-    match machine with Some c -> c | None -> { Config.default with Config.processors = 8 }
-  in
-  let cfg = { cfg with Config.processors = max cfg.Config.processors 8 } in
+let barriers ?domains () =
+  let cfg = eight_procs in
   let workers = 12 in
   let rounds_balanced = 30 and rounds_skewed = 24 in
   let drive ~await =
@@ -387,10 +380,8 @@ type advisory_row = {
    for variable length critical sections": each critical section is
    randomly short (spin is right) or long (sleeping is right); only the
    owner knows which, and the advisory lock lets it tell the waiters. *)
-let advisory ?machine ?domains () =
-  let cfg =
-    match machine with Some c -> c | None -> { Config.default with Config.processors = 8 }
-  in
+let advisory ?domains () =
+  let cfg = eight_procs in
   let short_ns = 8_000 and long_ns = 8_000_000 in
   let run_one (label, kind) =
     let sim = Sched.create cfg in
@@ -474,9 +465,7 @@ let switch_points =
 let switch_one ?machine ~point ~workers ~processors:procs ~iterations:iters ~cs_ns
     ~think_ns ~variant ~fixed () =
   let module L = Locks.Lock_core in
-  let cfg =
-    match machine with Some c -> c | None -> { Config.default with Config.processors = 8 }
-  in
+  let cfg = Option.value machine ~default:eight_procs in
   let sim = Sched.create { cfg with Config.processors = max cfg.Config.processors 8 } in
   let lock = ref None in
   Sched.run sim (fun () ->
@@ -515,17 +504,18 @@ let switch_variants =
         fixed ))
     Locks.Lock_core.[ Some Tas; Some Mcs; Some Blocking; None ]
 
-let switch_locks ?machine ?domains () =
+let switch_locks ?domains () =
   let grid =
     List.concat_map (fun p -> List.map (fun v -> (p, v)) switch_variants) switch_points
   in
   Engine.Runner.map ?domains
     (fun ((point, workers, procs, iters, cs_ns, think_ns), (variant, fixed)) ->
-      switch_one ?machine ~point ~workers ~processors:procs ~iterations:iters ~cs_ns
+      switch_one ~point ~workers ~processors:procs ~iterations:iters ~cs_ns
         ~think_ns ~variant ~fixed ())
     grid
 
-let switch_gate ?(slack_pct = 5.0) rows =
+let switch_gate rows =
+  let slack_pct = 5.0 in
   let points = List.map (fun (p, _, _, _, _, _) -> p) switch_points in
   let extremes = [ List.hd points; List.nth points (List.length points - 1) ] in
   List.concat_map

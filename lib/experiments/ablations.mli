@@ -27,7 +27,7 @@ type sched_row = {
   client_wait_us : float;
 }
 
-val schedulers : ?machine:Butterfly.Config.t -> ?domains:int -> unit -> sched_row list
+val schedulers : ?domains:int -> unit -> sched_row list
 
 type coupling_row = {
   coupling : string;  (** "closely-coupled" or "loosely-coupled" *)
@@ -36,7 +36,7 @@ type coupling_row = {
   max_lag_us : float;  (** observation staleness; 0 for closely-coupled *)
 }
 
-val coupling : ?machine:Butterfly.Config.t -> ?domains:int -> unit -> coupling_row list
+val coupling : ?domains:int -> unit -> coupling_row list
 
 type sampling_row = {
   period : int;  (** sample every k-th unlock *)
@@ -46,7 +46,6 @@ type sampling_row = {
 }
 
 val sampling :
-  ?machine:Butterfly.Config.t ->
   ?domains:int ->
   periods:int list ->
   unit ->
@@ -61,7 +60,6 @@ type threshold_row = {
 }
 
 val threshold :
-  ?machine:Butterfly.Config.t ->
   ?domains:int ->
   thresholds:int list ->
   ns:int list ->
@@ -75,7 +73,7 @@ type phase_row = {
   mean_wait_us : float;
 }
 
-val phases : ?machine:Butterfly.Config.t -> ?domains:int -> unit -> phase_row list
+val phases : ?domains:int -> unit -> phase_row list
 
 type arch_row = {
   arch : string;  (** "NUMA" or "UMA" *)
@@ -85,7 +83,7 @@ type arch_row = {
   mean_wait_us : float;
 }
 
-val architecture : ?machine:Butterfly.Config.t -> ?domains:int -> unit -> arch_row list
+val architecture : ?domains:int -> unit -> arch_row list
 (** [MS93]'s implementation-retargeting experiment: centralized spin vs
     local-spin (distributed) vs blocking vs active locks on the NUMA
     machine and its UMA variant. Local spinning should pay off only on
@@ -98,7 +96,7 @@ type barrier_row = {
   final_spin_ns : int;  (** arrival spin budget at the end of the run *)
 }
 
-val barriers : ?machine:Butterfly.Config.t -> ?domains:int -> unit -> barrier_row list
+val barriers : ?domains:int -> unit -> barrier_row list
 (** Adaptive vs fixed barrier arrival strategies on a phased workload:
     balanced rounds (spin wins), a skewed-straggler middle phase
     (spinning starves the co-located straggler; block wins), balanced
@@ -113,7 +111,7 @@ type advisory_row = {
   mean_wait_advisory_us : float;
 }
 
-val advisory : ?machine:Butterfly.Config.t -> ?domains:int -> unit -> advisory_row list
+val advisory : ?domains:int -> unit -> advisory_row list
 (** Section 2's advisory-lock claim: on a workload of randomly short or
     long critical sections, the owner's advice (spin for short, sleep
     for long) should beat any fixed waiting policy. *)
@@ -157,7 +155,7 @@ val switch_variants : (string * Locks.Lock_core.impl option) list
 (** The ablation's variants: ["fixed tas"], ["fixed mcs"],
     ["fixed blocking"] (each pinned) and ["adaptive"] (the ladder). *)
 
-val switch_locks : ?machine:Butterfly.Config.t -> ?domains:int -> unit -> switch_row list
+val switch_locks : ?domains:int -> unit -> switch_row list
 (** The implementation-as-attribute ablation ({!Locks.Lock_core}'s
     registered implementations):
     every contention regime of {!switch_points} under each pinned
@@ -165,9 +163,9 @@ val switch_locks : ?machine:Butterfly.Config.t -> ?domains:int -> unit -> switch
     implementation wins everywhere; the adaptive lock must never be
     the loser. *)
 
-val switch_gate : ?slack_pct:float -> switch_row list -> string list
+val switch_gate : switch_row list -> string list
 (** The acceptance gate over {!switch_locks} rows: the adaptive
     variant is never worse than the worst pinned variant at any sweep
-    point (ties pass) and lands within [slack_pct] (default 5%) of
+    point (ties pass) and lands within 5% of
     the best pinned variant at the sweep extremes. Returns
     human-readable violations (empty = pass). *)

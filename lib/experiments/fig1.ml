@@ -1,12 +1,11 @@
 type point = { cs_ns : int; total_ns : int }
 type curve = { kind : Locks.Lock.kind; points : point list }
 
-let default_cs_lengths = [ 5_000; 10_000; 25_000; 50_000; 100_000; 200_000; 400_000; 800_000 ]
+let cs_lengths = [ 5_000; 10_000; 25_000; 50_000; 100_000; 200_000; 400_000; 800_000 ]
 
-let run ?machine ?domains ?(base = Workloads.Csweep.default)
-    ?(cs_lengths = default_cs_lengths) () =
+let run ?domains () =
   let swept =
-    Workloads.Csweep.sweep ?machine ?domains ~base ~cs_lengths
+    Workloads.Csweep.sweep ?domains ~base:Workloads.Csweep.default ~cs_lengths
       ~kinds:Paper.figure1_lock_kinds ()
   in
   List.map

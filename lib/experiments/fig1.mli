@@ -5,14 +5,9 @@ type point = { cs_ns : int; total_ns : int }
 
 type curve = { kind : Locks.Lock.kind; points : point list }
 
-val run :
-  ?machine:Butterfly.Config.t ->
-  ?domains:int ->
-  ?base:Workloads.Csweep.spec ->
-  ?cs_lengths:int list ->
-  unit ->
-  curve list
-(** The sweep's grid cells run in parallel across up to [domains] host
+val run : ?domains:int -> unit -> curve list
+(** The {!Workloads.Csweep.default} sweep over eight critical-section
+    lengths, 5 µs to 800 µs. Its grid cells run in parallel across up to [domains] host
     cores (default {!Engine.Runner.default_domains}); output is
     independent of [domains]. *)
 

@@ -29,26 +29,24 @@ let print_lock_table out ~title ~paper rows =
     rows;
   Format.fprintf out "%s@." (Repro_stats.Table.render ~title tbl)
 
-let print_table4 ?(out = std) ?domains () =
-  print_lock_table out ~title:"Table 4: cost of the Lock operation"
-    ~paper:Paper.table4 (Lock_tables.table4 ?domains ())
+let print_table4 () =
+  print_lock_table std ~title:"Table 4: cost of the Lock operation" ~paper:Paper.table4
+    (Lock_tables.table4 ())
 
-let print_table5 ?(out = std) ?domains () =
-  print_lock_table out ~title:"Table 5: cost of the Unlock operation"
-    ~paper:Paper.table5 (Lock_tables.table5 ?domains ())
+let print_table5 () =
+  print_lock_table std ~title:"Table 5: cost of the Unlock operation" ~paper:Paper.table5
+    (Lock_tables.table5 ())
 
-let print_table6 ?(out = std) ?domains () =
-  print_lock_table out
-    ~title:"Table 6: unlock+lock cycle on a locked lock (static locks)"
-    ~paper:Paper.table6 (Lock_tables.table6 ?domains ())
+let print_table6 () =
+  print_lock_table std ~title:"Table 6: unlock+lock cycle on a locked lock (static locks)"
+    ~paper:Paper.table6 (Lock_tables.table6 ())
 
-let print_table7 ?(out = std) () =
-  print_lock_table out
-    ~title:"Table 7: unlock+lock cycle on a locked adaptive lock"
+let print_table7 () =
+  print_lock_table std ~title:"Table 7: unlock+lock cycle on a locked adaptive lock"
     ~paper:Paper.table7 (Lock_tables.table7 ())
 
-let print_table8 ?(out = std) () =
-  print_lock_table out ~title:"Table 8: cost of lock configuration operations"
+let print_table8 () =
+  print_lock_table std ~title:"Table 8: cost of lock configuration operations"
     ~paper:Paper.table8 (Lock_tables.table8 ())
 
 type emit = name:string -> metrics:(string * float) list -> payload:string -> unit
@@ -121,8 +119,9 @@ let print_tsp_table out (row : Tsp_experiments.table) =
   Format.fprintf out "%s@."
     (Repro_stats.Table.render ~title:(tsp_table_title row.Tsp_experiments.impl) tbl)
 
-let print_tsp ?(out = std) ?emit ?spec ?domains () =
-  let t = Tsp_experiments.run_all ?spec ?domains () in
+let print_tsp ?emit ?spec () =
+  let out = std in
+  let t = Tsp_experiments.run_all ?spec () in
   Format.fprintf out
     "TSP setup: %d cities (seed %d), %d searchers, optimum %d, sequential expanded %d \
      nodes in %.0f ms@.@."

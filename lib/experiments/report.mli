@@ -9,11 +9,12 @@
 val print_lock_table :
   Format.formatter -> title:string -> paper:Paper.lock_op_row list -> Lock_tables.row list -> unit
 
-val print_table4 : ?out:Format.formatter -> ?domains:int -> unit -> unit
-val print_table5 : ?out:Format.formatter -> ?domains:int -> unit -> unit
-val print_table6 : ?out:Format.formatter -> ?domains:int -> unit -> unit
-val print_table7 : ?out:Format.formatter -> unit -> unit
-val print_table8 : ?out:Format.formatter -> unit -> unit
+val print_table4 : unit -> unit
+val print_table5 : unit -> unit
+val print_table6 : unit -> unit
+val print_table7 : unit -> unit
+val print_table8 : unit -> unit
+(** Tables 4–8 on standard output. *)
 
 type emit = name:string -> metrics:(string * float) list -> payload:string -> unit
 (** Artifact hook: called once per produced artifact with its legacy
@@ -23,15 +24,9 @@ type emit = name:string -> metrics:(string * float) list -> payload:string -> un
 
 val print_fig1 : ?out:Format.formatter -> ?emit:emit -> ?domains:int -> unit -> unit
 
-val print_tsp :
-  ?out:Format.formatter ->
-  ?emit:emit ->
-  ?spec:Tsp.Parallel.spec ->
-  ?domains:int ->
-  unit ->
-  unit
-(** Tables 1–3 plus Figures 4–9 from one set of runs; each figure
-    series is emitted as [figN.csv]. *)
+val print_tsp : ?emit:emit -> ?spec:Tsp.Parallel.spec -> unit -> unit
+(** Tables 1–3 plus Figures 4–9 from one set of runs, on standard
+    output; each figure series is emitted as [figN.csv]. *)
 
 val print_schedulers : ?out:Format.formatter -> ?domains:int -> unit -> unit
 val print_coupling : ?out:Format.formatter -> ?domains:int -> unit -> unit

@@ -20,7 +20,7 @@ type t = {
 
 let ms ns = float_of_int ns /. 1_000_000.0
 
-let run_all ?spec ?machine ?domains () =
+let run_all ?spec ?domains () =
   let spec =
     match spec with Some s -> s | None -> Tsp.Parallel.default_spec
   in
@@ -42,9 +42,9 @@ let run_all ?spec ?machine ?domains () =
   let results =
     Engine.Runner.map ?domains
       (function
-        | `Sequential -> `Seq_done (Tsp.Parallel.run_sequential ?machine spec)
+        | `Sequential -> `Seq_done (Tsp.Parallel.run_sequential spec)
         | `Pool (impl, lock_kind) ->
-          `Pool_done (Tsp.Parallel.run ?machine impl { spec with Tsp.Parallel.lock_kind }))
+          `Pool_done (Tsp.Parallel.run impl { spec with Tsp.Parallel.lock_kind }))
       tasks
   in
   let sequential_ns, (sequential_cost, sequential_nodes) =

@@ -27,15 +27,12 @@ type t = {
   tables : table list;  (** centralized, distributed, balanced *)
 }
 
-val run_all :
-  ?spec:Tsp.Parallel.spec -> ?machine:Butterfly.Config.t -> ?domains:int -> unit -> t
+val run_all : ?spec:Tsp.Parallel.spec -> ?domains:int -> unit -> t
 (** Runs with lock tracing enabled. [spec]'s [lock_kind] is ignored
     (both kinds run); the adaptive runs use
     {!Tsp.Parallel.tsp_adaptive_kind}. The seven simulations run in
     parallel across up to [domains] host cores; the result is
     independent of [domains]. *)
-
-val table : t -> Tsp.Parallel.impl -> table
 
 val figure : t -> impl:Tsp.Parallel.impl -> lock:string -> Engine.Series.t option
 (** The waiting-thread trace of the named lock in the {e blocking} run

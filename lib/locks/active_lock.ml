@@ -58,7 +58,8 @@ let server_body t () =
         messages)
   done
 
-let create ?(name = "active-lock") ~server_proc () =
+let create ~server_proc () =
+  let name = "active-lock" in
   let words = Ops.alloc ~node:server_proc 2 in
   Ops.mark_sync_words words;
   let t =

@@ -12,7 +12,7 @@
 
 type t
 
-val create : ?name:string -> server_proc:int -> unit -> t
+val create : server_proc:int -> unit -> t
 (** Forks the server thread pinned to [server_proc] (dedicate that
     processor). The mailbox words live on the server's node. *)
 

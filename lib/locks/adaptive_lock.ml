@@ -10,16 +10,15 @@ type t = {
   core : Lock_core.t;
   loop : int Adaptive.t;
   budget : Spin_budget.t;
-  guard : Policy.Guard.t option;
 }
 
 (* The paper's [simple-adapt] (optionally guardrailed) as a
    declarative spec — what the static policy checker inspects and what
    [create] compiles into the running policy, so the two cannot
    drift. *)
-let policy_spec ?(params = default_params) ?guardrail ?name ?attribute () =
+let policy_spec ?(params = default_params) ?guardrail ?name () =
   let spec =
-    Spin_budget.spec ?name ?attribute ~threshold:params.waiting_threshold
+    Spin_budget.spec ?name ~threshold:params.waiting_threshold
       ~n:params.n ~cap:params.spin_cap ~init:params.n ()
   in
   match guardrail with
@@ -39,7 +38,7 @@ let policy_spec ?(params = default_params) ?guardrail ?name ?attribute () =
              ~label:"guardrail-fallback" ~cost:Lock_costs.configure_waiting_policy);
     }
 
-let create ?name ?trace ?sched ?(params = default_params) ?guardrail ~home () =
+let create ?name ?trace ?sched ?(params = default_params) ~home () =
   let name = match name with Some n -> n | None -> "adaptive-lock" in
   let waiting = Waiting.combined ~node:home ~spins:params.n () in
   let core =
@@ -54,12 +53,9 @@ let create ?name ?trace ?sched ?(params = default_params) ?guardrail ~home () =
     Spin_budget.create ~threshold:params.waiting_threshold ~n:params.n ~cap:params.spin_cap
       ~init:params.n
   in
-  (* A guardrail shares its streak/cooldown state with the compiled
-     spec, so [guardrail] keeps reporting. *)
-  let guard = Option.map (fun params -> Guardrail.create ~params ()) guardrail in
   let loop =
-    Adaptive.create ~name ~kind:"lock"
-      ~spec:(policy_spec ~params ?guardrail ~name ())
+    Adaptive.create
+      ~spec:(policy_spec ~params ~name ())
       ~home ~sensor
       ~read:(fun () -> Spin_budget.spins budget)
       ~apply:(fun v ->
@@ -68,9 +64,9 @@ let create ?name ?trace ?sched ?(params = default_params) ?guardrail ~home () =
         Lock_stats.on_reconfigure (Lock_core.stats core);
         true)
       ~metric:(fun (waiting : int) -> waiting)
-      ?guard_state:guard ()
+      ()
   in
-  { core; loop; budget; guard }
+  { core; loop; budget }
 
 let lock t = Lock_core.lock t.core
 
@@ -81,8 +77,6 @@ let unlock t =
 let stats t = Lock_core.stats t.core
 let core t = t.core
 let feedback t = t.loop
-let spins_now t = Spin_budget.spins t.budget
 let mode t = Spin_budget.mode t.budget
 let adaptations t = Adaptive.adaptations t.loop
 let samples t = Adaptive.samples t.loop
-let guardrail t = t.guard

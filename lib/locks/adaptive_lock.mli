@@ -37,18 +37,11 @@ val create :
   ?trace:bool ->
   ?sched:Lock_sched.kind ->
   ?params:params ->
-  ?guardrail:Guardrail.params ->
   home:int ->
   unit ->
   t
 (** The lock starts in the combined configuration with [n] spins and
-    runs [policy_spec ~params ?guardrail ~name ()].
-
-    [guardrail] adds a {!Guardrail} to [simple-adapt]: observations are
-    clamped, and a run of pathological samples triggers a fallback to
-    the default combined configuration (charged as one
-    reconfiguration) instead of wedging the budget at an extreme. Off
-    by default — without it the lock behaves bit-for-bit as before. *)
+    runs [policy_spec ~params ~name ()]. *)
 
 val lock : t -> unit
 
@@ -64,28 +57,23 @@ val core : t -> Lock_core.t
 
 val feedback : t -> int Adaptive_core.Adaptive.t
 
-val spins_now : t -> int
-(** Current spin budget (for tests and the threshold ablation). *)
-
 val mode : t -> string
 (** ["pure spin"], ["pure blocking"] or ["combined(k)"]. *)
 
 val adaptations : t -> int
 val samples : t -> int
 
-val guardrail : t -> Adaptive_core.Policy.Guard.t option
-(** The installed guardrail's streak/cooldown state, if any (for tests
-    and reporting). *)
-
 val policy_spec :
   ?params:params ->
   ?guardrail:Guardrail.params ->
   ?name:string ->
-  ?attribute:string ->
   unit ->
   Adaptive_core.Policy.Spec.t
-(** [simple-adapt] (plus the guardrail, when given) as a declarative
-    policy spec — the artifact the static checker
-    ([Analysis.Policy_check]) model-checks, and exactly what {!create}
-    compiles into the running policy. Pure data; buildable outside a
+(** [simple-adapt] as a declarative policy spec — the artifact the
+    static checker ([Analysis.Policy_check]) model-checks, and exactly
+    what {!create} compiles into the running policy. [guardrail] adds
+    a {!Guardrail}: observations are clamped, and a run of
+    pathological samples triggers a fallback to the default combined
+    configuration (charged as one reconfiguration) instead of wedging
+    the budget at an extreme. Pure data; buildable outside a
     simulation. *)

@@ -8,7 +8,8 @@ type t = {
   lock_stats : Lock_stats.t;
 }
 
-let create ?(name = "local-spin-lock") ~home () =
+let create ~home () =
+  let name = "local-spin-lock" in
   let words = Ops.alloc ~node:home 2 in
   let processors = Ops.processors () in
   Ops.mark_sync_words words;

@@ -15,7 +15,7 @@
 
 type t
 
-val create : ?name:string -> home:int -> unit -> t
+val create : home:int -> unit -> t
 (** Allocates the tail/guard words at [home] and one flag word in every
     processor's local module. *)
 

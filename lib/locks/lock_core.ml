@@ -865,28 +865,27 @@ let registered_lock name lock_stats ~home ~params ~bug ~initial ~swappable ~ladd
   in
   let t = make name lock_stats words ~impl:initial ~swappable ~costs (Registered r) in
   if impl_id initial <> 0 then Ops.write r.impl_word (impl_id initial);
-  (match ladder with
-  | None -> ()
-  | Some guardrail ->
+  if ladder then begin
     let sensor =
       Sensor.make ~period:params.sample_period ~overhead_instrs:40 (fun () -> score t r)
     in
     r.loop <-
       Some
-        (Adaptive.create ~name ~kind:"lock-impl"
-           ~spec:(impl_ladder_spec ~params ~guardrail ~name ())
+        (Adaptive.create
+           ~spec:(impl_ladder_spec ~params ~name ())
            ~home ~sensor
            ~read:(fun () -> impl_id t.impl)
            ~apply:(fun v ->
              let target = List.find (fun i -> impl_id i = v) rungs in
              target = t.impl || swap_to t target)
            ~metric:(fun (s : int) -> s)
-           ~guard_state:(Guardrail.create ~params:guardrail ())
-           ()));
+           ~guard_state:(Guardrail.create ~params:default_guardrail ())
+           ())
+  end;
   t
 
 let create ?name ?(trace = false) ?(sched = Lock_sched.Fcfs) ?(advisory = false)
-    ?(params = default_params) ?(guardrail = default_guardrail) ?bug ~home ~impl () =
+    ?(params = default_params) ?bug ~home ~impl () =
   let name = match name with Some n -> n | None -> "lock" in
   let lock_stats = Lock_stats.create ~trace name in
   match impl with
@@ -915,14 +914,12 @@ let create ?name ?(trace = false) ?(sched = Lock_sched.Fcfs) ?(advisory = false)
            successor = None;
          })
   | Fixed initial ->
-    registered_lock name lock_stats ~home ~params ~bug ~initial ~swappable:false
-      ~ladder:None
+    registered_lock name lock_stats ~home ~params ~bug ~initial ~swappable:false ~ladder:false
   | Swappable initial ->
-    registered_lock name lock_stats ~home ~params ~bug ~initial ~swappable:true
-      ~ladder:None
+    registered_lock name lock_stats ~home ~params ~bug ~initial ~swappable:true ~ladder:false
   | Ladder ->
     registered_lock name lock_stats ~home ~params ~bug ~initial:Tas ~swappable:true
-      ~ladder:(Some guardrail)
+      ~ladder:true
 
 (* Reconfiguration (the paper's Psi), priced as Table 8 and only on a
    lock whose waiting policy is mutable. *)
@@ -934,16 +931,13 @@ let scratch_word t op =
     invalid_arg
       (Printf.sprintf "Lock_core.%s: lock %s has a fixed waiting policy" op t.lock_name)
 
-let configure_waiting t ?spin_count ?delay_ns ?backoff ?sleep ?timeout_ns () =
+let configure_waiting t ?spin_count ?sleep () =
   Cost.charge ~scratch:(scratch_word t "configure_waiting")
     Lock_costs.configure_waiting_policy;
   let p = (central t "configure_waiting").wait_policy in
   let update attr = function Some v -> Attribute.set attr v | None -> () in
   update p.Waiting.spin_count spin_count;
-  update p.Waiting.delay_ns delay_ns;
-  update p.Waiting.backoff backoff;
   update p.Waiting.sleep sleep;
-  update p.Waiting.timeout_ns timeout_ns;
   Lock_stats.on_reconfigure t.lock_stats
 
 let configure_scheduler t kind =

@@ -92,7 +92,6 @@ val create :
   ?sched:Lock_sched.kind ->
   ?advisory:bool ->
   ?params:params ->
-  ?guardrail:Guardrail.params ->
   ?bug:bug ->
   home:int ->
   impl:implementation ->
@@ -104,10 +103,10 @@ val create :
     [advisory] locks honour {!advise} and clear the advice word at
     each unlock (an owner's advice applies to its own ownership span
     only). For the registered implementations, [params] sets the
-    swap and ladder parameters, [guardrail] clamps the ladder (by
-    default to its composite metric's range, 0–199, so the blocking
-    region stays reachable), and [bug] seeds an analysis-fixture
-    defect. [Fixed Centralized] and [Swappable Centralized] raise
+    swap and ladder parameters (default {!default_params}), the
+    ladder's guardrail clamps to its composite metric's range, 0–199,
+    so the blocking region stays reachable, and [bug] seeds an
+    analysis-fixture defect. [Fixed Centralized] and [Swappable Centralized] raise
     [Invalid_argument]: the centralized word needs a waiting policy. *)
 
 val name : t -> string
@@ -171,15 +170,7 @@ val advise : t -> advice option -> unit
     anything. Attributes owned by another thread refuse changes
     ({!Adaptive_core.Attribute.Not_owner}). *)
 
-val configure_waiting :
-  t ->
-  ?spin_count:int ->
-  ?delay_ns:int ->
-  ?backoff:bool ->
-  ?sleep:bool ->
-  ?timeout_ns:int ->
-  unit ->
-  unit
+val configure_waiting : t -> ?spin_count:int -> ?sleep:bool -> unit -> unit
 (** Apply the provided attribute changes as one waiting-policy
     reconfiguration: 1R 1W plus procedure overhead. *)
 

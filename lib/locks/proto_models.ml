@@ -414,8 +414,8 @@ let mcs ?(contenders = 3) () =
 
 (* ---- the Policy.Guard streak/cooldown/fallback machine ---- *)
 
-let guard ?(limit = 2) ?(cooldown = 2) () =
-  if limit < 1 || cooldown < 1 then invalid_arg "Proto_models.guard";
+let guard () =
+  let limit = 2 and cooldown = 2 in
   let spec =
     { p_name = "guard-cooldown";
       p_shared = [ ("streak", 0); ("cool", 0) ];

@@ -42,8 +42,8 @@ val mcs : ?contenders:int -> unit -> Protocol.t * Protocol.property list
 (** MCS queue handoff with [contenders] (default 3) competing roles.
     Properties: [mutex], [no-double-grant], [all-served] (liveness). *)
 
-val guard : ?limit:int -> ?cooldown:int -> unit -> Protocol.t * Protocol.property list
-(** The [Policy.Guard] fallback machine (default limit 2, cooldown 2).
+val guard : unit -> Protocol.t * Protocol.property list
+(** The [Policy.Guard] fallback machine with limit 2 and cooldown 2.
     Properties: [streak-bounded], [fallback-at-limit],
     [no-count-in-cooldown], [cooldown-terminates] (liveness). *)
 

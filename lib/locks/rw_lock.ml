@@ -47,13 +47,13 @@ let pref_value = function Reader_pref -> 0 | Writer_pref -> 1
    bounce the bias). *)
 let calm_repeats = 3
 
-let policy_spec ?(name = "rw-lock") ?attribute ?(preference = Reader_pref) () =
+let policy_spec ?(name = "rw-lock") () =
   let module Spec = Adaptive_core.Policy.Spec in
   let cost = Lock_costs.configure_waiting_policy in
   {
     Spec.s_name = name;
     s_kind = "rw-lock";
-    s_attribute = (match attribute with Some a -> a | None -> name ^ ".rw-preference");
+    s_attribute = name ^ ".rw-preference";
     s_metric = "waiting-writers";
     s_monotone = Spec.Up_at_high;
     s_configs =
@@ -61,7 +61,7 @@ let policy_spec ?(name = "rw-lock") ?attribute ?(preference = Reader_pref) () =
         { Spec.c_name = "reader-pref"; c_value = 0 };
         { Spec.c_name = "writer-pref"; c_value = 1 };
       ];
-    s_initial = pref_value preference;
+    s_initial = pref_value Reader_pref;
     s_transitions =
       [
         {
@@ -84,8 +84,7 @@ let policy_spec ?(name = "rw-lock") ?attribute ?(preference = Reader_pref) () =
     s_guard = None;
   }
 
-let create ?(name = "rw-lock") ?(preference = Reader_pref) ?(adaptive = false)
-    ?(sample_period = 2) ?policy ~home () =
+let create ?(name = "rw-lock") ?(adaptive = false) ?policy ~home () =
   let words = Ops.alloc ~node:home 3 in
   Ops.mark_sync_words words;
   let wait_policy =
@@ -97,7 +96,7 @@ let create ?(name = "rw-lock") ?(preference = Reader_pref) ?(adaptive = false)
       word = words.(0);
       guard = words.(1);
       wwait = words.(2);
-      pref = Attribute.make_at ~name:"rw-preference" ~node:home preference;
+      pref = Attribute.make_at ~name:"rw-preference" ~node:home Reader_pref;
       wait_policy;
       reader_sleepers = [];
       writer_sleepers = [];
@@ -110,15 +109,15 @@ let create ?(name = "rw-lock") ?(preference = Reader_pref) ?(adaptive = false)
   if not adaptive then t
   else begin
     let sensor =
-      Sensor.make ~period:sample_period ~overhead_instrs:40 (fun () -> Ops.read words.(2))
+      Sensor.make ~period:2 ~overhead_instrs:40 (fun () -> Ops.read words.(2))
     in
     (* The compiled spec: flip to writer preference on any waiting
        writer, back to reader preference after [calm_repeats]
        consecutive writer-free samples (the spec's hysteresis
        counter). *)
     let loop =
-      Adaptive.create ~name ~kind:"rw-lock"
-        ~spec:(policy_spec ~name ~preference ())
+      Adaptive.create
+        ~spec:(policy_spec ~name ())
         ~home ~sensor
         ~read:(fun () -> pref_value (Attribute.get t.pref))
         ~apply:(fun v ->

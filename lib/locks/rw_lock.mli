@@ -28,28 +28,15 @@ type preference = Reader_pref | Writer_pref
 
 type t
 
-val create :
-  ?name:string ->
-  ?preference:preference ->
-  ?adaptive:bool ->
-  ?sample_period:int ->
-  ?policy:Waiting.t ->
-  home:int ->
-  unit ->
-  t
-(** [preference] defaults to [Reader_pref]; with [adaptive] (default
-    false) the preference becomes a monitored, self-tuning attribute
-    (the feedback loop registers in [Core.Registry] with kind
-    ["rw-lock"]). [policy] is the waiting policy shared by both sides
-    (default: 6 gap-spaced probes, then sleep). Must run inside a
-    simulation. *)
+val create : ?name:string -> ?adaptive:bool -> ?policy:Waiting.t -> home:int -> unit -> t
+(** The preference starts as [Reader_pref]; with [adaptive] (default
+    false) it becomes a monitored, self-tuning attribute, sampled every
+    other operation (the feedback loop registers in [Core.Registry]
+    with kind ["rw-lock"]). [policy] is the waiting policy shared by
+    both sides (default: 6 gap-spaced probes, then sleep). Must run
+    inside a simulation. *)
 
-val policy_spec :
-  ?name:string ->
-  ?attribute:string ->
-  ?preference:preference ->
-  unit ->
-  Adaptive_core.Policy.Spec.t
+val policy_spec : ?name:string -> unit -> Adaptive_core.Policy.Spec.t
 (** The preference-adaptation policy as a declarative spec (metric:
     waiting writers; writer preference on any waiting writer, reader
     preference back after 3 consecutive writer-free samples). What the

@@ -26,7 +26,7 @@ let step_value ~threshold ~n ~cap spins ~waiting =
   else if waiting <= threshold then Int.min cap (spins + n)
   else Int.max 0 (spins - (2 * n))
 
-let spec ?name:(spec_name = "adaptive-lock") ?attribute ~threshold ~n ~cap ~init ()
+let spec ?name:(spec_name = "adaptive-lock") ~threshold ~n ~cap ~init ()
     =
   let module Spec = Adaptive_core.Policy.Spec in
   let init = Int.max 0 (Int.min cap init) in
@@ -63,8 +63,7 @@ let spec ?name:(spec_name = "adaptive-lock") ?attribute ~threshold ~n ~cap ~init
   {
     Spec.s_name = spec_name;
     s_kind = "lock";
-    s_attribute =
-      (match attribute with Some a -> a | None -> spec_name ^ ".waiting-policy");
+    s_attribute = spec_name ^ ".waiting-policy";
     s_metric = "no-of-waiting-threads";
     s_monotone = Spec.Up_at_low;
     s_configs = configs;
@@ -73,8 +72,8 @@ let spec ?name:(spec_name = "adaptive-lock") ?attribute ~threshold ~n ~cap ~init
     s_guard = None;
   }
 
-let spec_of ?name ?attribute t =
-  spec ?name ?attribute ~threshold:t.threshold ~n:t.n ~cap:t.cap ~init:t.init ()
+let spec_of ?name t =
+  spec ?name ~threshold:t.threshold ~n:t.n ~cap:t.cap ~init:t.init ()
 
 let apply t (policy : Waiting.t) =
   if t.spins >= t.cap then begin

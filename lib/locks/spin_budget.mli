@@ -37,7 +37,6 @@ val mode_of : cap:int -> int -> string
 
 val spec :
   ?name:string ->
-  ?attribute:string ->
   threshold:int ->
   n:int ->
   cap:int ->
@@ -51,5 +50,5 @@ val spec :
     waiting-policy reconfiguration cost each. Pure data — buildable
     outside any simulation, e.g. by the static policy checker. *)
 
-val spec_of : ?name:string -> ?attribute:string -> t -> Adaptive_core.Policy.Spec.t
+val spec_of : ?name:string -> t -> Adaptive_core.Policy.Spec.t
 (** {!spec} for this budget's constants. *)

@@ -21,8 +21,8 @@ let make ?node ~spin_count ~delay_ns ~backoff ~sleep ~timeout_ns () =
 let pure_spin ?node () =
   make ?node ~spin_count:max_int ~delay_ns:0 ~backoff:false ~sleep:false ~timeout_ns:0 ()
 
-let backoff_spin ?node ?(delay_ns = 2_000) () =
-  make ?node ~spin_count:max_int ~delay_ns ~backoff:true ~sleep:false ~timeout_ns:0 ()
+let backoff_spin ?node () =
+  make ?node ~spin_count:max_int ~delay_ns:2_000 ~backoff:true ~sleep:false ~timeout_ns:0 ()
 
 let pure_sleep ?node () =
   make ?node ~spin_count:0 ~delay_ns:0 ~backoff:false ~sleep:true ~timeout_ns:0 ()

@@ -41,7 +41,9 @@ val make :
     common rows of the table. *)
 
 val pure_spin : ?node:int -> unit -> t
-val backoff_spin : ?node:int -> ?delay_ns:int -> unit -> t
+val backoff_spin : ?node:int -> unit -> t
+(** Spin with exponential backoff from a 2 µs delay; never block. *)
+
 val pure_sleep : ?node:int -> unit -> t
 
 val combined : ?node:int -> spins:int -> unit -> t

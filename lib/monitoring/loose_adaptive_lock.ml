@@ -9,18 +9,19 @@ type t = {
   monitor : (int * int) Monitor_thread.t;
   budget : Locks.Spin_budget.t;
   loop : int Adaptive.t;
-  sample_period : int;
   mutable unlocks_until_sample : int;
 }
 
-let create ?(name = "loose-adaptive-lock") ?trace ?(params = AL.default_params)
-    ?ring_capacity ?poll_interval_ns ~home ~monitor_proc () =
+let name = "loose-adaptive-lock"
+let params = AL.default_params
+
+let create ?poll_interval_ns ~home ~monitor_proc () =
   let waiting = Locks.Waiting.combined ~node:home ~spins:params.AL.n () in
   let core =
-    Locks.Lock_core.create ~name ?trace ~home
+    Locks.Lock_core.create ~name ~home
       ~impl:(Locks.Lock_core.Central (waiting, Locks.Lock_costs.reconfigurable)) ()
   in
-  let ring = Ring_buffer.create ?capacity:ring_capacity ~home () in
+  let ring = Ring_buffer.create ~home () in
   let budget =
     Locks.Spin_budget.create ~threshold:params.AL.waiting_threshold ~n:params.AL.n
       ~cap:params.AL.spin_cap ~init:params.AL.n
@@ -31,7 +32,7 @@ let create ?(name = "loose-adaptive-lock") ?trace ?(params = AL.default_params)
      takes the path of an external agent: the monitor thread must own
      the attributes to reconfigure them. *)
   let loop =
-    Adaptive.create ~name ~kind:"lock" ~spec:(Locks.Spin_budget.spec_of budget) ~home
+    Adaptive.create ~spec:(Locks.Spin_budget.spec_of ~name budget) ~home
       ~sensor:
         (Sensor.make ~overhead_instrs:40 (fun () -> Locks.Lock_core.waiting_now core))
       ~read:(fun () -> Locks.Spin_budget.spins budget)
@@ -61,7 +62,6 @@ let create ?(name = "loose-adaptive-lock") ?trace ?(params = AL.default_params)
     monitor;
     budget;
     loop;
-    sample_period = params.AL.sample_period;
     unlocks_until_sample = params.AL.sample_period;
   }
 
@@ -71,7 +71,7 @@ let unlock t =
   Locks.Lock_core.unlock t.core;
   t.unlocks_until_sample <- t.unlocks_until_sample - 1;
   if t.unlocks_until_sample <= 0 then begin
-    t.unlocks_until_sample <- t.sample_period;
+    t.unlocks_until_sample <- params.AL.sample_period;
     Ring_buffer.publish t.ring (Ops.now (), Locks.Lock_core.waiting_now t.core)
   end
 

@@ -18,16 +18,14 @@
 type t
 
 val create :
-  ?name:string ->
-  ?trace:bool ->
-  ?params:Locks.Adaptive_lock.params ->
-  ?ring_capacity:int ->
   ?poll_interval_ns:int ->
   home:int ->
   monitor_proc:int ->
   unit ->
   t
-(** The monitor thread is forked immediately, pinned to
+(** A lock named ["loose-adaptive-lock"] with
+    {!Locks.Adaptive_lock.default_params}. The monitor thread is forked
+    immediately, pinned to
     [monitor_proc] (dedicate that processor: do not place application
     threads there). *)
 

@@ -9,8 +9,8 @@ type 'a t = {
   mutable drop_count : int;
 }
 
-let create ?(capacity = 256) ~home () =
-  if capacity <= 0 then invalid_arg "Ring_buffer.create: capacity must be positive";
+let create ~home () =
+  let capacity = 256 in
   let words = Ops.alloc ~node:home 3 in
   Ops.mark_sync_words words;
   {

@@ -14,9 +14,8 @@
 
 type 'a t
 
-val create : ?capacity:int -> home:int -> unit -> 'a t
-(** [capacity] defaults to 256 records. Must run inside a
-    simulation. *)
+val create : home:int -> unit -> 'a t
+(** A ring of 256 records. Must run inside a simulation. *)
 
 val publish : 'a t -> 'a -> unit
 (** Append a record: one atomic claim plus one write at the buffer's

@@ -1,17 +1,14 @@
 open Butterfly
-module Registry = Adaptive_core.Registry
 
 type t = {
   mutable thread : Cthreads.Cthread.t;
   stop_flag : bool ref;
   mutable polls : int;
   mutable fired : bool;
-  mutable adaptation_events : int;
-  mutable last_event : Adaptive_core.Registry.event option;
 }
 
-let default_poll_ns = 200_000
-let default_stale_limit = 5
+let poll_interval_ns = 200_000
+let stale_limit = 5
 
 (* Progress as seen from outside the watchdog itself: cpu consumed by
    every other thread, memory traffic, and the live-thread count. Any
@@ -39,55 +36,29 @@ let runnable_others sched =
   done;
   !total
 
-let start ?(name = "watchdog") ?(proc = 0) ?(poll_interval_ns = default_poll_ns)
-    ?(stale_limit = default_stale_limit) ?(track_adaptations = false) ~sched () =
-  if poll_interval_ns <= 0 || stale_limit <= 0 then invalid_arg "Watchdog.start";
+let start ~sched () =
   let stop_flag = ref false in
-  let t =
-    { thread = Cthreads.Cthread.of_id 0; stop_flag; polls = 0; fired = false;
-      adaptation_events = 0; last_event = None }
-  in
-  let on_event ev =
-    t.adaptation_events <- t.adaptation_events + 1;
-    t.last_event <- Some ev
-  in
+  let t = { thread = Cthreads.Cthread.of_id 0; stop_flag; polls = 0; fired = false } in
   let body () =
     let self_tid = Cthreads.Cthread.id (Cthreads.Cthread.self ()) in
-    (* Adaptation events are progress too: an object reconfiguring
-       between polls proves its feedback loop is alive even when the
-       cpu/memory fingerprint happens to repeat. Each poll also picks
-       up objects registered since the last one. *)
-    let registry_cursor =
-      ref (if track_adaptations then Registry.subscribe_from 0 on_event else 0)
-    in
-    let last = ref (fingerprint sched ~self_tid, t.adaptation_events) in
+    let last = ref (fingerprint sched ~self_tid) in
     let stale = ref 0 in
     let stalled = ref false in
     while not (!stop_flag || !stalled) do
       Cthreads.Cthread.delay poll_interval_ns;
       t.polls <- t.polls + 1;
-      if track_adaptations then
-        registry_cursor := Registry.subscribe_from !registry_cursor on_event;
-      let now = (fingerprint sched ~self_tid, t.adaptation_events) in
+      let now = fingerprint sched ~self_tid in
       if now = !last && runnable_others sched = 0 then begin
         incr stale;
         if !stale >= stale_limit then begin
           t.fired <- true;
           stalled := true;
-          let adaptation_note =
-            match t.last_event with
-            | None -> ""
-            | Some ev ->
-              Printf.sprintf "; last adaptation: %s %s -> %s at t=%d" ev.Registry.obj_kind
-                ev.Registry.obj_name ev.Registry.label ev.Registry.at
-          in
           Sched.request_abort sched
             (Printf.sprintf
                "watchdog: no thread progress across %d polls (%d ns of virtual time, \
-                stalled since t=%d)%s"
+                stalled since t=%d)"
                stale_limit (stale_limit * poll_interval_ns)
-               (Ops.now () - (stale_limit * poll_interval_ns))
-               adaptation_note)
+               (Ops.now () - (stale_limit * poll_interval_ns)))
         end
       end
       else begin
@@ -96,7 +67,7 @@ let start ?(name = "watchdog") ?(proc = 0) ?(poll_interval_ns = default_poll_ns)
       end
     done
   in
-  t.thread <- Cthreads.Cthread.fork ~name ~proc body;
+  t.thread <- Cthreads.Cthread.fork ~name:"watchdog" ~proc:0 body;
   t
 
 let stop t =
@@ -105,4 +76,3 @@ let stop t =
 
 let polls t = t.polls
 let fired t = t.fired
-let adaptation_events t = t.adaptation_events

@@ -1,14 +1,14 @@
 (** Stall watchdog: a simulated polling thread that turns silent hangs
     into structured aborts.
 
-    The watchdog wakes every [poll_interval_ns] of virtual time and
+    The watchdog wakes every 200 µs of virtual time and
     fingerprints the machine's progress (per-thread cpu consumed by
     everyone but itself, total memory accesses, live-thread count).
     A poll counts as stale only when the fingerprint is unchanged
     {e and} no other thread is queued for a future dispatch — a
     sibling mid-[Ops.work] or mid-[Ops.delay] is pending progress, not
     a stall, even though its clock only moves at dispatch granularity.
-    After [stale_limit] consecutive stale polls it calls
+    After 5 consecutive stale polls it calls
     {!Butterfly.Sched.request_abort}, so {!Butterfly.Sched.run_outcome}
     returns [Aborted] with reason [Stop_requested] and a full
     diagnostic dump instead of hanging or dying on an opaque
@@ -17,8 +17,8 @@
     Note that a machine hosting a watchdog can never raise
     {!Butterfly.Sched.Deadlock} on its own — the watchdog thread is
     always runnable — which is exactly why the watchdog must detect
-    the stall itself. Detection latency is bounded by
-    [poll_interval_ns * stale_limit] of virtual time. Spinning threads
+    the stall itself. Detection latency is bounded by 1 ms of virtual
+    time. Spinning threads
     (a livelock behind a killed lock holder) are progress by this
     definition; bounding those is the event budget's job, not the
     watchdog's.
@@ -29,25 +29,10 @@
 
 type t
 
-val start :
-  ?name:string ->
-  ?proc:int ->
-  ?poll_interval_ns:int ->
-  ?stale_limit:int ->
-  ?track_adaptations:bool ->
-  sched:Butterfly.Sched.t ->
-  unit ->
-  t
-(** Fork the watchdog thread (must be called from inside the
-    simulation, e.g. at the top of the main thread). Defaults: [proc]
-    0, [poll_interval_ns] 200_000, [stale_limit] 5.
-
-    With [track_adaptations] (default false) the watchdog also
-    subscribes to every object in [Core.Registry] — including objects
-    registered after it starts — and folds the adaptation-event count
-    into its progress fingerprint: a reconfiguring object counts as
-    progress, and the abort diagnostic names the last adaptation seen
-    before the stall. *)
+val start : sched:Butterfly.Sched.t -> unit -> t
+(** Fork the watchdog thread, named ["watchdog"], on processor 0 (must
+    be called from inside the simulation, e.g. at the top of the main
+    thread). *)
 
 val stop : t -> unit
 (** Ask the watchdog to exit and join it — call when the workload
@@ -59,6 +44,3 @@ val polls : t -> int
 val fired : t -> bool
 (** Whether the watchdog requested an abort. *)
 
-val adaptation_events : t -> int
-(** Adaptation events observed via registry subscriptions (always 0
-    unless started with [~track_adaptations:true]). *)

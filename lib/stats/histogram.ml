@@ -6,9 +6,8 @@ type t = {
   mutable max_v : int;
 }
 
-let create ?(min_value = 100) ?(max_value = 10_000_000_000) ?(buckets_per_decade = 8) () =
-  if min_value <= 0 || max_value <= min_value then invalid_arg "Histogram.create: bad range";
-  if buckets_per_decade < 1 then invalid_arg "Histogram.create: bad resolution";
+let create () =
+  let min_value = 100 and max_value = 10_000_000_000 and buckets_per_decade = 8 in
   let decades = log10 (float_of_int max_value /. float_of_int min_value) in
   let nbuckets = max 1 (int_of_float (ceil (decades *. float_of_int buckets_per_decade))) in
   let ratio = 10.0 ** (1.0 /. float_of_int buckets_per_decade) in

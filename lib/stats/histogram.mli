@@ -7,9 +7,9 @@
 
 type t
 
-val create : ?min_value:int -> ?max_value:int -> ?buckets_per_decade:int -> unit -> t
-(** Range defaults: 100 ns to 10 s, 8 buckets per decade. Values
-    outside the range clamp into the first/last bucket. *)
+val create : unit -> t
+(** 100 ns to 10 s, 8 buckets per decade. Values outside the range
+    clamp into the first/last bucket. *)
 
 val add : t -> int -> unit
 (** Record one (non-negative) observation. *)

@@ -64,9 +64,9 @@ let lines ?(width = 64) ?(height = 18) ?(x_label = "") ?(y_label = "") named =
     Buffer.contents buf
   end
 
-let series ?(width = 72) ?(height = 14) ?buckets s =
-  let buckets = match buckets with Some b -> b | None -> width in
-  let resampled = Engine.Series.resample s ~buckets in
+let series s =
+  let width = 72 and height = 14 in
+  let resampled = Engine.Series.resample s ~buckets:width in
   if Array.length resampled = 0 then ""
   else begin
     let points =

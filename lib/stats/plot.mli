@@ -17,7 +17,6 @@ val lines :
     shared canvas, linearly scaled, with a legend. Empty input renders
     an empty string. *)
 
-val series :
-  ?width:int -> ?height:int -> ?buckets:int -> Engine.Series.t -> string
+val series : Engine.Series.t -> string
 (** Strip chart of a time series (virtual-time x-axis in milliseconds),
-    resampled into [buckets] (default [width]) windows. *)
+    72 columns by 14 rows, resampled into one window per column. *)

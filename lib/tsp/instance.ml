@@ -13,7 +13,8 @@ let generate ?(max_cost = 100) ~seed n =
   done;
   { n; costs }
 
-let generate_euclidean ?(scale = 1000.0) ~seed n =
+let generate_euclidean ~seed n =
+  let scale = 1000.0 in
   if n < 3 then invalid_arg "Instance.generate_euclidean: need at least 3 cities";
   let rng = Engine.Rng.create seed in
   let pts =

@@ -13,9 +13,9 @@ val generate : ?max_cost:int -> seed:int -> int -> t
     uniform edge costs in [\[1, max_cost\]] (default 100), asymmetric.
     Deterministic in [seed]. *)
 
-val generate_euclidean : ?scale:float -> seed:int -> int -> t
+val generate_euclidean : seed:int -> int -> t
 (** [generate_euclidean ~seed n] places [n] cities uniformly in a
-    square and uses rounded Euclidean distances (symmetric costs).
+    1000-unit square and uses rounded Euclidean distances (symmetric costs).
     Symmetric instances are substantially harder for LMSK, giving the
     deeper search trees the parallel experiments need. *)
 

@@ -97,13 +97,12 @@ module Bounds_log = struct
     !c
 end
 
-let machine_config ?machine spec ~processors =
-  let base = match machine with Some cfg -> cfg | None -> Config.default in
-  { base with Config.processors; seed = spec.machine_seed }
+let machine_config spec ~processors =
+  { Config.default with Config.processors; seed = spec.machine_seed }
 
-let run_sequential ?machine spec =
+let run_sequential spec =
   let inst = instance_of_spec spec in
-  let cfg = machine_config ?machine spec ~processors:1 in
+  let cfg = machine_config spec ~processors:1 in
   let sim = Sched.create cfg in
   let answer = ref ((([] : int list), 0), 0) in
   Sched.run sim (fun () ->
@@ -453,10 +452,10 @@ let scenario ?(impl = Centralized) spec () =
   pool_body impl spec ~expanded:(ref 0) ~bounds_log:(Bounds_log.create ())
     ~final_cost:(ref big) ~lock_reports:(ref []) ()
 
-let run ?machine impl spec =
+let run impl spec =
   let p = spec.searchers in
   if p < 1 then invalid_arg "Parallel.run: need at least one searcher";
-  let cfg = machine_config ?machine spec ~processors:(p + 1) in
+  let cfg = machine_config spec ~processors:(p + 1) in
   let sim = Sched.create cfg in
   let expanded = ref 0 in
   let bounds_log = Bounds_log.create () in

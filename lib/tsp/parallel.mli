@@ -92,7 +92,7 @@ type result = {
   adaptations : int;  (** total reconfigurations across all locks *)
 }
 
-val run : ?machine:Butterfly.Config.t -> impl -> spec -> result
+val run : impl -> spec -> result
 
 val scenario : ?impl:impl -> spec -> unit -> unit
 (** The searcher-pool program as a bare thunk, for running under an
@@ -101,7 +101,7 @@ val scenario : ?impl:impl -> spec -> unit -> unit
     processors; results are discarded. [impl] defaults to
     [Centralized]. *)
 
-val run_sequential : ?machine:Butterfly.Config.t -> spec -> int * (int * int)
+val run_sequential : spec -> int * (int * int)
 (** The sequential baseline on one simulated processor, charging the
     same per-node work and queue costs but no locks. Returns
     (virtual ns, (tour cost, nodes expanded)). *)

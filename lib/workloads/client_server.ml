@@ -96,13 +96,8 @@ let body ?(served = ref 0) ?(response_sum = ref 0) ?(response_max = ref 0)
 
 let scenario spec () = body spec ()
 
-let run ?machine spec =
-  let cfg =
-    match machine with
-    | Some cfg -> { cfg with Config.processors = spec.processors; seed = spec.seed }
-    | None ->
-      { Config.default with Config.processors = spec.processors; seed = spec.seed }
-  in
+let run spec =
+  let cfg = { Config.default with Config.processors = spec.processors; seed = spec.seed } in
   let sim = Sched.create cfg in
   let served = ref 0 in
   let response_sum = ref 0 and response_max = ref 0 in
@@ -123,7 +118,7 @@ let run ?machine spec =
     client_mean_wait_ns = mean client_wait client_acqs;
   }
 
-let compare_schedulers ?machine ?domains spec =
+let compare_schedulers ?domains spec =
   let specs =
     [
       (Locks.Lock_sched.Fcfs, { spec with sched = Locks.Lock_sched.Fcfs });
@@ -132,4 +127,4 @@ let compare_schedulers ?machine ?domains spec =
         { spec with sched = Locks.Lock_sched.Handoff; handoff_to_server = true } );
     ]
   in
-  Engine.Runner.map ?domains (fun (sched, spec) -> (sched, run ?machine spec)) specs
+  Engine.Runner.map ?domains (fun (sched, spec) -> (sched, run spec)) specs

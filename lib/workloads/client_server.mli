@@ -39,7 +39,7 @@ type result = {
   client_mean_wait_ns : float;
 }
 
-val run : ?machine:Butterfly.Config.t -> spec -> result
+val run : spec -> result
 
 val scenario : spec -> unit -> unit
 (** The workload program as a bare thunk for an externally owned
@@ -47,7 +47,6 @@ val scenario : spec -> unit -> unit
     {!run}, results discarded. Needs [spec.processors] processors. *)
 
 val compare_schedulers :
-  ?machine:Butterfly.Config.t ->
   ?domains:int ->
   spec ->
   (Locks.Lock_sched.kind * result) list

@@ -82,7 +82,7 @@ let run ?machine spec =
     adaptations = Locks.Lock_stats.reconfigurations s;
   }
 
-let sweep ?machine ?domains ~base ~cs_lengths ~kinds () =
+let sweep ?domains ~base ~cs_lengths ~kinds () =
   (* Each grid cell is an independent machine run: flatten the
      kind x cs grid, fan the cells across domains, regroup per kind.
      Input-order merging keeps the curves identical at any domain
@@ -92,7 +92,7 @@ let sweep ?machine ?domains ~base ~cs_lengths ~kinds () =
   in
   let results =
     Engine.Runner.map ?domains
-      (fun (kind, cs_ns) -> run ?machine { base with cs_ns; lock_kind = kind })
+      (fun (kind, cs_ns) -> run { base with cs_ns; lock_kind = kind })
       cells
   in
   let tagged = List.combine cells results in

@@ -41,7 +41,6 @@ val scenario : spec -> unit -> unit
     {!run}, results discarded. Needs [spec.processors] processors. *)
 
 val sweep :
-  ?machine:Butterfly.Config.t ->
   ?domains:int ->
   base:spec ->
   cs_lengths:int list ->

@@ -78,13 +78,8 @@ let body ?(stats = ref None) ?(log = ref []) ?(adaptations = ref 0) spec () =
 
 let scenario spec () = body spec ()
 
-let run ?machine spec =
-  let cfg =
-    match machine with
-    | Some cfg -> { cfg with Config.processors = spec.processors; seed = spec.seed }
-    | None ->
-      { Config.default with Config.processors = spec.processors; seed = spec.seed }
-  in
+let run spec =
+  let cfg = { Config.default with Config.processors = spec.processors; seed = spec.seed } in
   let sim = Sched.create cfg in
   let stats = ref None and log = ref [] and adaptations = ref 0 in
   Sched.run sim (body ~stats ~log ~adaptations spec);
@@ -98,7 +93,7 @@ let run ?machine spec =
     blocks = Locks.Lock_stats.blocks s;
   }
 
-let compare_kinds ?machine ?domains spec kinds =
+let compare_kinds ?domains spec kinds =
   Engine.Runner.map ?domains
-    (fun kind -> (kind, run ?machine { spec with lock_kind = kind }))
+    (fun kind -> (kind, run { spec with lock_kind = kind }))
     kinds

@@ -35,7 +35,7 @@ type result = {
   blocks : int;
 }
 
-val run : ?machine:Butterfly.Config.t -> spec -> result
+val run : spec -> result
 
 val scenario : spec -> unit -> unit
 (** The workload program as a bare thunk for an externally owned
@@ -43,7 +43,6 @@ val scenario : spec -> unit -> unit
     {!run}, results discarded. Needs [spec.processors] processors. *)
 
 val compare_kinds :
-  ?machine:Butterfly.Config.t ->
   ?domains:int ->
   spec ->
   Locks.Lock.kind list ->

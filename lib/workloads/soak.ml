@@ -60,13 +60,8 @@ let scenario spec ~acc () =
   done;
   acc := !acc + Ops.read shared
 
-let run ?machine spec =
-  let machine =
-    match machine with
-    | Some m -> m
-    | None -> { Config.default with Config.processors = spec.processors }
-  in
-  let sim = Sched.create machine in
+let run spec =
+  let sim = Sched.create { Config.default with Config.processors = spec.processors } in
   let acc = ref 0 in
   Sched.run sim (scenario spec ~acc);
   {

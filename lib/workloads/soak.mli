@@ -36,6 +36,6 @@ val with_rounds : int -> spec
 val scenario : spec -> acc:int ref -> unit -> unit
 (** The workload as a thunk for an externally owned simulator. *)
 
-val run : ?machine:Butterfly.Config.t -> spec -> result
-(** Execute on a fresh machine ([machine] defaults to the paper
-    machine narrowed to [spec.processors]). *)
+val run : spec -> result
+(** Execute on a fresh machine: the paper machine narrowed to
+    [spec.processors]. *)

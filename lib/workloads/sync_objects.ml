@@ -96,13 +96,8 @@ let body ?(snapshot = ref []) spec () =
 
 let scenario spec () = body spec ()
 
-let run ?machine spec =
-  let cfg =
-    match machine with
-    | Some cfg -> { cfg with Config.processors = spec.processors; seed = spec.seed }
-    | None ->
-      { Config.default with Config.processors = spec.processors; seed = spec.seed }
-  in
+let run spec =
+  let cfg = { Config.default with Config.processors = spec.processors; seed = spec.seed } in
   let sim = Sched.create cfg in
   let snapshot = ref [] in
   Sched.run sim (body ~snapshot spec);

@@ -3,8 +3,6 @@
     condition, semaphore — so one [Core.Registry] snapshot shows the
     whole telemetry spine ([repro objects] runs exactly this). *)
 
-open Butterfly
-
 type spec = {
   processors : int;
   workers : int;
@@ -27,4 +25,4 @@ type result = {
 val scenario : spec -> unit -> unit
 (** [body] as an analysis/chaos scenario program. *)
 
-val run : ?machine:Config.t -> spec -> result
+val run : spec -> result

@@ -66,7 +66,8 @@ let test_attribute_immutable_rejected () =
   let raised = ref false in
   let (_ : Sched.t) =
     run (fun () ->
-        let a = Attribute.make_at ~name:"x" ~node:0 ~mutable_:false 5 in
+        let a = Attribute.make_at ~name:"x" ~node:0 5 in
+        Attribute.set_mutability a false;
         try Attribute.set a 9 with Attribute.Immutable_attribute "x" -> raised := true)
   in
   Alcotest.(check bool) "immutable set raises" true !raised
@@ -75,7 +76,8 @@ let test_attribute_mutability_toggle () =
   let v = ref 0 in
   let (_ : Sched.t) =
     run (fun () ->
-        let a = Attribute.make_at ~name:"x" ~node:0 ~mutable_:false 5 in
+        let a = Attribute.make_at ~name:"x" ~node:0 5 in
+        Attribute.set_mutability a false;
         Attribute.set_mutability a true;
         Attribute.set a 6;
         v := Attribute.get a)
@@ -218,7 +220,7 @@ let test_feedback_loop_adapts () =
             ~down:(Policy.Spec.cond 0 ~hi:5) ()
         in
         let loop =
-          Adaptive.create ~name:"obj" ~spec ~home:0 ~sensor
+          Adaptive.create ~spec ~home:0 ~sensor
             ~read:(fun () -> !mode)
             ~apply:(fun v ->
               mode := v;
@@ -289,37 +291,37 @@ let test_feedback_charges_cost () =
 
 (* A decision whose apply reports failure (e.g. an external agent
    losing the attribute-ownership race) must not count as an
-   adaptation: no metrics, no log entry, no subscriber event. *)
+   adaptation: no metrics, no log entry, no [A_adaptation] annotation. *)
 let test_feedback_failed_apply_not_counted () =
   let events = ref 0 in
-  let (_ : Sched.t) =
-    run (fun () ->
-        let sensor =
-          Sensor.make ~period:1 ~overhead_instrs:0 (fun () -> 0)
-        in
-        let ok = ref false in
-        let loop =
-          Adaptive.create
-            ~spec:(toy_spec ~lo:"idle" ~hi:"maybe" ~up:(Policy.Spec.cond 0) ())
-            ~home:0 ~sensor
-            ~read:(fun () -> 0)
-            ~apply:(fun _ -> !ok)
-            ~metric:Fun.id ()
-        in
-        ignore (Registry.subscribe_from 0 (fun _ -> incr events));
-        Alcotest.(check bool) "failed apply reports false" false (Adaptive.tick loop);
-        let stats = registry_stats () in
-        Alcotest.(check int) "policy ran" 1 stats.Registry.policy_runs;
-        Alcotest.(check int) "not counted" 0 (Adaptive.adaptations loop);
-        Alcotest.(check bool) "no label" true (stats.Registry.last_label = None);
-        Alcotest.(check bool) "no cost accumulated" true
-          (stats.Registry.total_cost = Cost.zero);
-        ok := true;
-        Alcotest.(check bool) "successful apply reports true" true
-          (Adaptive.tick loop);
-        Alcotest.(check int) "counted once" 1 (Adaptive.adaptations loop))
-  in
-  Alcotest.(check int) "subscribers saw only the applied one" 1 !events
+  let sim = Sched.create cfg in
+  Sched.add_annot_hook sim (fun a ->
+      match a.Sched.annotation with Ops.A_adaptation _ -> incr events | _ -> ());
+  Sched.run sim (fun () ->
+      let sensor =
+        Sensor.make ~period:1 ~overhead_instrs:0 (fun () -> 0)
+      in
+      let ok = ref false in
+      let loop =
+        Adaptive.create
+          ~spec:(toy_spec ~lo:"idle" ~hi:"maybe" ~up:(Policy.Spec.cond 0) ())
+          ~home:0 ~sensor
+          ~read:(fun () -> 0)
+          ~apply:(fun _ -> !ok)
+          ~metric:Fun.id ()
+      in
+      Alcotest.(check bool) "failed apply reports false" false (Adaptive.tick loop);
+      let stats = registry_stats () in
+      Alcotest.(check int) "policy ran" 1 stats.Registry.policy_runs;
+      Alcotest.(check int) "not counted" 0 (Adaptive.adaptations loop);
+      Alcotest.(check bool) "no label" true (stats.Registry.last_label = None);
+      Alcotest.(check bool) "no cost accumulated" true
+        (stats.Registry.total_cost = Cost.zero);
+      ok := true;
+      Alcotest.(check bool) "successful apply reports true" true
+        (Adaptive.tick loop);
+      Alcotest.(check int) "counted once" 1 (Adaptive.adaptations loop));
+  Alcotest.(check int) "annotated only the applied one" 1 !events
 
 let suite =
   [

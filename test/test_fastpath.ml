@@ -84,7 +84,10 @@ let test_objects () =
 
 let test_table5 () =
   ab "Table 5" (fun () ->
-      render_to_buffer (fun ~out -> Experiments.Report.print_table5 ~out ~domains:1 ()))
+      render_to_buffer (fun ~out ->
+          Experiments.Report.print_lock_table out ~title:"Table 5"
+            ~paper:Experiments.Paper.table5
+            (Experiments.Lock_tables.table5 ~domains:1 ())))
 
 let test_fig1_csv () =
   (* A shrunken Figure 1 grid, rendered through the shipping CSV
@@ -99,7 +102,18 @@ let test_fig1_csv () =
   in
   ab "fig1.csv" (fun () ->
       Experiments.Fig1.csv_string
-        (Experiments.Fig1.run ~domains:1 ~base ~cs_lengths:[ 5_000; 100_000 ] ()))
+        (List.map
+           (fun (kind, curve) ->
+             {
+               Experiments.Fig1.kind;
+               points =
+                 List.map
+                   (fun (cs_ns, (r : Workloads.Csweep.result)) ->
+                     { Experiments.Fig1.cs_ns; total_ns = r.Workloads.Csweep.total_ns })
+                   curve;
+             })
+           (Workloads.Csweep.sweep ~domains:1 ~base ~cs_lengths:[ 5_000; 100_000 ]
+              ~kinds:Experiments.Paper.figure1_lock_kinds ())))
 
 (* {2 Forced dispatch} *)
 

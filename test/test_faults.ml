@@ -301,42 +301,6 @@ let test_guardrail_clamp_and_fallback () =
   check_int "healthy sample resets" 0 (Guard.streak g);
   check_int "still one fallback" 1 (Guard.fallbacks g)
 
-let test_adaptive_lock_guardrail_fallback () =
-  (* waiting_threshold 0 with contention drives simple-adapt's budget
-     to the pure-blocking extreme and keeps it there; the guardrail
-     must detect the wedge and reset to the default combined
-     configuration, charged as a reconfiguration. *)
-  let fallbacks = ref 0 and spins = ref (-1) and reconfs = ref 0 in
-  let sim = Sched.create cfg in
-  Sched.run sim (fun () ->
-      let params =
-        { Locks.Adaptive_lock.waiting_threshold = 0; n = 2; spin_cap = 4; sample_period = 1 }
-      in
-      let guardrail =
-        { Locks.Guardrail.clamp_max = 64; pathological_limit = 2; cooldown = 1000 }
-      in
-      let lk = Locks.Adaptive_lock.create ~params ~guardrail ~home:0 () in
-      let ts =
-        List.init 3 (fun i ->
-            Cthread.fork ~proc:(i + 1) (fun () ->
-                for _ = 1 to 12 do
-                  Locks.Adaptive_lock.lock lk;
-                  Cthread.work 4_000;
-                  Locks.Adaptive_lock.unlock lk
-                done))
-      in
-      Cthread.join_all ts;
-      (match Locks.Adaptive_lock.guardrail lk with
-      | None -> Alcotest.fail "guardrail not installed"
-      | Some g -> fallbacks := Adaptive_core.Policy.Guard.fallbacks g);
-      spins := Locks.Adaptive_lock.spins_now lk;
-      reconfs := Locks.Lock_stats.reconfigurations (Locks.Adaptive_lock.stats lk));
-  check_bool "guardrail fell back" true (!fallbacks >= 1);
-  (* benign samples after the fallback may legitimately move the budget
-     again; only its range is invariant here *)
-  check_bool "budget within range" true (!spins >= 0 && !spins <= 4);
-  check_bool "fallback charged as reconfiguration" true (!reconfs >= 1)
-
 (* -- watchdog ------------------------------------------------------ *)
 
 let test_watchdog_turns_stall_into_structured_abort () =
@@ -344,8 +308,7 @@ let test_watchdog_turns_stall_into_structured_abort () =
   let wd = ref None in
   let outcome =
     Sched.run_outcome sim (fun () ->
-        wd := Some (Monitoring.Watchdog.start ~poll_interval_ns:20_000 ~stale_limit:3
-                      ~sched:sim ());
+        wd := Some (Monitoring.Watchdog.start ~sched:sim ());
         let stuck = Cthread.fork ~proc:1 (fun () -> Cthread.block ()) in
         Cthread.join stuck)
   in
@@ -366,7 +329,7 @@ let test_watchdog_quiet_on_healthy_run () =
   let polls = ref 0 in
   let outcome =
     Sched.run_outcome sim (fun () ->
-        let wd = Monitoring.Watchdog.start ~poll_interval_ns:20_000 ~sched:sim () in
+        let wd = Monitoring.Watchdog.start ~sched:sim () in
         let t = Cthread.fork ~proc:1 (fun () -> Cthread.work 500_000) in
         Cthread.join t;
         Monitoring.Watchdog.stop wd;
@@ -553,8 +516,6 @@ let suite =
     Alcotest.test_case "lock_timeout" `Quick test_lock_timeout;
     Alcotest.test_case "guardrail clamp and fallback" `Quick
       test_guardrail_clamp_and_fallback;
-    Alcotest.test_case "adaptive lock guardrail fallback" `Quick
-      test_adaptive_lock_guardrail_fallback;
     Alcotest.test_case "watchdog aborts a stalled run" `Quick
       test_watchdog_turns_stall_into_structured_abort;
     Alcotest.test_case "watchdog quiet on healthy run" `Quick

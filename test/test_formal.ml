@@ -35,13 +35,6 @@ let test_membership () =
   check_bool "spin in space" true (F.mem waiting_space spin);
   check_bool "unknown not in space" false (F.mem waiting_space (F.config "handoff"))
 
-let test_membership_with_attributes () =
-  let s = F.space ~configs:[ F.config ~phi:[ ("sleep", "false") ] "spin" ] () in
-  check_bool "candidate with extra attrs matches" true
-    (F.mem s (F.config ~phi:[ ("sleep", "false"); ("spins", "10") ] "spin"));
-  check_bool "conflicting attr rejected" false
-    (F.mem s (F.config ~phi:[ ("sleep", "true") ] "spin"))
-
 let test_duplicate_rejected () =
   check_bool "duplicate member rejected" true
     (try
@@ -124,7 +117,6 @@ let test_adaptive_lock_log_stays_in_space () =
 let suite =
   [
     Alcotest.test_case "membership" `Quick test_membership;
-    Alcotest.test_case "attribute matching" `Quick test_membership_with_attributes;
     Alcotest.test_case "duplicates rejected" `Quick test_duplicate_rejected;
     Alcotest.test_case "valid chain" `Quick test_validate_good_chain;
     Alcotest.test_case "broken chain" `Quick test_validate_broken_chain;

@@ -1,9 +1,7 @@
-(* Tests of the adaptive-object spine added by the registry PR: the
-   per-domain registry (enumeration, subscriptions, driving, JSON
-   determinism), the adaptive barrier/condition/semaphore, the guard
-   state machine, the registry monitor thread, watchdog adaptation
-   tracking, trace adaptation annotations, and the sync-objects
-   workload. *)
+(* Tests of the adaptive-object spine: the per-domain registry
+   (enumeration, per-run reset, JSON determinism), the adaptive
+   barrier/condition/semaphore, the guard state machine, trace
+   adaptation annotations, and the sync-objects workload. *)
 
 open Butterfly
 open Cthreads
@@ -25,7 +23,7 @@ let check_string = Alcotest.(check string)
 
 (* A toy two-configuration spec: every observation flips between
    configurations 0 and 1 under [label]. *)
-let toy_spec label =
+let toy_spec ~name ~kind label =
   let module Spec = Policy.Spec in
   let flip from =
     {
@@ -38,8 +36,8 @@ let toy_spec label =
     }
   in
   {
-    Spec.s_name = "toy";
-    s_kind = "test";
+    Spec.s_name = name;
+    s_kind = kind;
     s_attribute = "toy.config";
     s_metric = "obs";
     s_monotone = Spec.Unordered;
@@ -51,10 +49,10 @@ let toy_spec label =
 
 (* A trivially adaptable loop: every fed observation applies a
    reconfiguration labelled [label]. *)
-let always_adapt ?(label = "flip") ?name ?kind () =
+let always_adapt ?(label = "flip") ?(name = "toy") ?(kind = "test") () =
   let sensor = Sensor.make ~period:1 ~overhead_instrs:0 (fun () -> 0) in
   let config = ref 0 in
-  Adaptive.create ?name ?kind ~spec:(toy_spec label) ~home:0 ~sensor
+  Adaptive.create ~spec:(toy_spec ~name ~kind label) ~home:0 ~sensor
     ~read:(fun () -> !config)
     ~apply:(fun v ->
       config := v;
@@ -88,29 +86,6 @@ let test_registry_enumerates_objects () =
     kinds;
   List.iteri (fun i m -> check_int "ids are ordinals" i m.Registry.id) !snap;
   check_string "names kept" "b" (List.hd !snap).Registry.name
-
-let test_registry_subscribe_from_cursor () =
-  let first_events = ref 0 and late_events = ref 0 in
-  let (_ : Sched.t) =
-    run (fun () ->
-        Registry.reset ();
-        let l1 = always_adapt ~name:"one" () in
-        let l2 = always_adapt ~name:"two" () in
-        let cursor = Registry.subscribe_from 0 (fun _ -> incr first_events) in
-        check_int "cursor is one past newest" 2 cursor;
-        (* Re-subscribing from the cursor must not double-subscribe the
-           first two objects. *)
-        let l3 = always_adapt ~name:"three" () in
-        let cursor' =
-          Registry.subscribe_from cursor (fun _ -> incr late_events)
-        in
-        check_int "cursor advances" 3 cursor';
-        ignore (Adaptive.feed l1 0);
-        ignore (Adaptive.feed l2 0);
-        ignore (Adaptive.feed l3 0))
-  in
-  check_int "early hook saw the early objects only" 2 !first_events;
-  check_int "late hook saw only the new object" 1 !late_events
 
 (* The registry resets itself at every [Sched.run] start: back-to-back
    simulations on one domain never see each other's (dead) entries,
@@ -330,37 +305,6 @@ let test_policy_guard_streaks () =
   check_bool "cooldown suppresses" false (Policy.Guard.note g ~pathological:true);
   check_bool "still suppressed" false (Policy.Guard.note g ~pathological:true)
 
-(* -- watchdog adaptation tracking ---------------------------------- *)
-
-let test_watchdog_tracks_adaptations () =
-  let sim = Sched.create cfg in
-  let events = ref 0 and fired = ref true in
-  Sched.run sim (fun () ->
-      Registry.reset ();
-      let early = always_adapt ~name:"early" () in
-      let wd =
-        Monitoring.Watchdog.start ~proc:7 ~poll_interval_ns:50_000
-          ~track_adaptations:true ~sched:sim ()
-      in
-      (* Let the watchdog reach its subscription before the first
-         event fires: a forked thread only becomes runnable after the
-         machine's ~120 us wakeup latency. *)
-      Cthread.work 400_000;
-      ignore (Adaptive.feed early 0);
-      Cthread.work 200_000;
-      (* Objects registered after the watchdog started are picked up by
-         its per-poll cursor. *)
-      let late = always_adapt ~name:"late" () in
-      Cthread.work 200_000;
-      ignore (Adaptive.feed late 0);
-      ignore (Adaptive.feed late 0);
-      Cthread.work 200_000;
-      Monitoring.Watchdog.stop wd;
-      events := Monitoring.Watchdog.adaptation_events wd;
-      fired := Monitoring.Watchdog.fired wd);
-  check_int "all adaptation events observed" 3 !events;
-  check_bool "healthy run never aborts" false !fired
-
 (* -- trace annotations --------------------------------------------- *)
 
 let test_trace_records_adaptations () =
@@ -380,7 +324,6 @@ let test_trace_records_adaptations () =
 let suite =
   [
     Alcotest.test_case "registry enumerates" `Quick test_registry_enumerates_objects;
-    Alcotest.test_case "registry cursor" `Quick test_registry_subscribe_from_cursor;
     Alcotest.test_case "registry resets between runs" `Quick
       test_registry_resets_between_runs;
     Alcotest.test_case "registry json deterministic" `Quick
@@ -398,7 +341,5 @@ let suite =
     Alcotest.test_case "semaphore budget adapts" `Quick
       test_adaptive_semaphore_budget_adapts;
     Alcotest.test_case "guard streaks" `Quick test_policy_guard_streaks;
-    Alcotest.test_case "watchdog tracks adaptations" `Quick
-      test_watchdog_tracks_adaptations;
     Alcotest.test_case "trace adaptations" `Quick test_trace_records_adaptations;
   ]

@@ -44,7 +44,7 @@ let test_fifo_ties_across_pops () =
   Alcotest.(check (list string)) "ties stay FIFO" [ "first"; "second"; "third" ] popped
 
 let test_growth () =
-  let q = Engine.Pqueue.create ~capacity:2 ~dummy:0 () in
+  let q = Engine.Pqueue.create ~dummy:0 () in
   for i = 1000 downto 1 do
     Engine.Pqueue.add q ~key:i i
   done;
@@ -54,7 +54,7 @@ let test_growth () =
 
 let test_grow_across_drain () =
   (* A queue must keep growing correctly after a drain emptied it. *)
-  let q = Engine.Pqueue.create ~capacity:2 ~dummy:0 () in
+  let q = Engine.Pqueue.create ~dummy:0 () in
   for i = 1 to 100 do
     Engine.Pqueue.add q ~key:i i
   done;

@@ -54,14 +54,9 @@ let test_shipped_clean () =
 
 (* -- the checker reproduces the committed PROTO artifact byte for byte -- *)
 
-(* The committed artifact, copied into the build tree beside this
-   test's directory by test/dune, found from the executable so the
-   test runs from any working directory. *)
-let committed_json () =
-  In_channel.with_open_bin
-    (Filename.concat (Filename.dirname Sys.executable_name) "../results/PROTO_results.json")
-    In_channel.input_all
-
+(* The committed artifact is compiled in by test/dune
+   ([Proto_committed.json]), so the test runs from any working
+   directory. *)
 let test_proto_json_committed () =
   let fixtures =
     List.map
@@ -74,7 +69,7 @@ let test_proto_json_committed () =
     ^ "\n"
   in
   Alcotest.(check string) "results/PROTO_results.json"
-    (committed_json ()) json
+    Proto_committed.json json
 
 (* -- max_states cuts the exploration off as Out_of_bounds -- *)
 

@@ -76,18 +76,16 @@ let mini_report ~domains () =
       iterations = 6;
     }
   in
-  let curves =
-    Experiments.Fig1.run ~domains ~base ~cs_lengths:[ 10_000; 60_000 ] ()
-  in
   List.iter
-    (fun (c : Experiments.Fig1.curve) ->
-      Format.fprintf out "%s:" (Locks.Lock.kind_name c.Experiments.Fig1.kind);
+    (fun (kind, curve) ->
+      Format.fprintf out "%s:" (Locks.Lock.kind_name kind);
       List.iter
-        (fun (p : Experiments.Fig1.point) ->
-          Format.fprintf out " %d=%d" p.Experiments.Fig1.cs_ns p.Experiments.Fig1.total_ns)
-        c.Experiments.Fig1.points;
+        (fun (cs_ns, (r : Workloads.Csweep.result)) ->
+          Format.fprintf out " %d=%d" cs_ns r.Workloads.Csweep.total_ns)
+        curve;
       Format.fprintf out "@.")
-    curves;
+    (Workloads.Csweep.sweep ~domains ~base ~cs_lengths:[ 10_000; 60_000 ]
+       ~kinds:Experiments.Paper.figure1_lock_kinds ());
   (* A mini TSP evaluation (all seven machine runs). *)
   let spec =
     {
