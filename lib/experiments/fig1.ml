@@ -3,11 +3,7 @@ type curve = { kind : Locks.Lock.kind; points : point list }
 
 let cs_lengths = [ 5_000; 10_000; 25_000; 50_000; 100_000; 200_000; 400_000; 800_000 ]
 
-let run ?domains () =
-  let swept =
-    Workloads.Csweep.sweep ?domains ~base:Workloads.Csweep.default ~cs_lengths
-      ~kinds:Paper.figure1_lock_kinds ()
-  in
+let of_sweep swept =
   List.map
     (fun (kind, curve) ->
       {
@@ -19,6 +15,11 @@ let run ?domains () =
             curve;
       })
     swept
+
+let run ?domains () =
+  of_sweep
+    (Workloads.Csweep.sweep ?domains ~base:Workloads.Csweep.default ~cs_lengths
+       ~kinds:Paper.figure1_lock_kinds ())
 
 let find kind curves = List.find (fun c -> c.kind = kind) curves
 

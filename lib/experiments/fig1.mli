@@ -11,6 +11,10 @@ val run : ?domains:int -> unit -> curve list
     cores (default {!Engine.Runner.default_domains}); output is
     independent of [domains]. *)
 
+val of_sweep : (Locks.Lock.kind * (int * Workloads.Csweep.result) list) list -> curve list
+(** The curves of a {!Workloads.Csweep.sweep} grid, one per kind: how
+    {!run} builds the figure, applicable to any grid. *)
+
 val crossover_summary : curve list -> string
 (** A textual check of the figure's claims: spin wins for short
     sections, blocking for long ones, combined(10) beats combined(1)

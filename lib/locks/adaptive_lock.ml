@@ -12,10 +12,10 @@ type t = {
   budget : Spin_budget.t;
 }
 
-(* The paper's [simple-adapt] (optionally guardrailed) as a
-   declarative spec — what the static policy checker inspects and what
-   [create] compiles into the running policy, so the two cannot
-   drift. *)
+(* The paper's [simple-adapt] as a declarative spec: what the static
+   policy checker inspects and, unguarded, what [create] compiles into
+   the running policy, so the two cannot drift. The guardrailed
+   variant is built for the checker only. *)
 let policy_spec ?(params = default_params) ?guardrail ?name () =
   let spec =
     Spin_budget.spec ?name ~threshold:params.waiting_threshold

@@ -27,11 +27,14 @@
       [cooldown] samples so the fallback cannot immediately re-trigger
       (hysteresis).
 
-    Guardrails are opt-in ({!Adaptive_lock.create}'s [?guardrail]):
-    with none installed the adaptive lock behaves bit-for-bit as
-    before. This module holds the lock-flavoured parameters and maps
-    them onto a spec's guard ({!spec}); the streak/cooldown state
-    machine is [Adaptive_core.Policy.Guard]. *)
+    The implementation ladder ([Lock_core.create ~impl:Ladder]) runs
+    one with its own parameters, and
+    {!Adaptive_lock.policy_spec}'s [?guardrail] builds the guardrailed
+    [simple-adapt] spec that the static policy checker inspects; the
+    adaptive lock itself runs unguarded. This module holds the
+    lock-flavoured parameters and maps them onto a spec's guard
+    ({!spec}); the streak/cooldown state machine is
+    [Adaptive_core.Policy.Guard]. *)
 
 type params = {
   clamp_max : int;  (** samples clamped into [0, clamp_max] *)

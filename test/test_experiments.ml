@@ -95,10 +95,22 @@ let test_tsp_pipeline () =
     Experiments.Tsp_experiments.all_figures
 
 let test_fig1_mini () =
-  let curves = Experiments.Fig1.run () in
+  let base =
+    {
+      Workloads.Csweep.default with
+      Workloads.Csweep.processors = 4;
+      threads_per_proc = 2;
+      iterations = 6;
+    }
+  in
+  let curves =
+    Experiments.Fig1.of_sweep
+      (Workloads.Csweep.sweep ~base ~cs_lengths:[ 10_000; 50_000 ]
+         ~kinds:Experiments.Paper.figure1_lock_kinds ())
+  in
   check_int "five curves" 5 (List.length curves);
   let lines = String.split_on_char '\n' (Experiments.Fig1.csv_string curves) in
-  check_int "header + 8 data rows (+ trailing)" 10 (List.length lines)
+  check_int "header + 2 data rows (+ trailing)" 4 (List.length lines)
 
 let test_schedulers_shape () =
   let rows = Experiments.Ablations.schedulers () in

@@ -102,16 +102,7 @@ let test_fig1_csv () =
   in
   ab "fig1.csv" (fun () ->
       Experiments.Fig1.csv_string
-        (List.map
-           (fun (kind, curve) ->
-             {
-               Experiments.Fig1.kind;
-               points =
-                 List.map
-                   (fun (cs_ns, (r : Workloads.Csweep.result)) ->
-                     { Experiments.Fig1.cs_ns; total_ns = r.Workloads.Csweep.total_ns })
-                   curve;
-             })
+        (Experiments.Fig1.of_sweep
            (Workloads.Csweep.sweep ~domains:1 ~base ~cs_lengths:[ 5_000; 100_000 ]
               ~kinds:Experiments.Paper.figure1_lock_kinds ())))
 

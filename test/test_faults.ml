@@ -325,18 +325,24 @@ let test_watchdog_turns_stall_into_structured_abort () =
   | None -> Alcotest.fail "watchdog missing"
 
 let test_watchdog_quiet_on_healthy_run () =
-  let sim = Sched.create cfg in
-  let polls = ref 0 in
+  (* One unpreempted work slice of 3 ms, longer than the watchdog's 5
+     stale polls of 200 µs: the sibling's cpu is charged at dispatch, so
+     only the watchdog's check for queued siblings keeps these polls
+     from counting as a stall. *)
+  let sim = Sched.create { cfg with Config.quantum_ns = None } in
+  let polls = ref 0 and fired = ref true in
   let outcome =
     Sched.run_outcome sim (fun () ->
         let wd = Monitoring.Watchdog.start ~sched:sim () in
-        let t = Cthread.fork ~proc:1 (fun () -> Cthread.work 500_000) in
+        let t = Cthread.fork ~proc:1 (fun () -> Cthread.work 3_000_000) in
         Cthread.join t;
         Monitoring.Watchdog.stop wd;
-        polls := Monitoring.Watchdog.polls wd)
+        polls := Monitoring.Watchdog.polls wd;
+        fired := Monitoring.Watchdog.fired wd)
   in
   check_bool "healthy run completes" true (outcome = Sched.Completed);
-  check_bool "watchdog was polling" true (!polls > 0)
+  check_bool "watchdog outlasted its stale limit" true (!polls >= 5);
+  check_bool "watchdog did not fire" false !fired
 
 (* -- structured outcomes ------------------------------------------- *)
 

@@ -77,15 +77,16 @@ let mini_report ~domains () =
     }
   in
   List.iter
-    (fun (kind, curve) ->
-      Format.fprintf out "%s:" (Locks.Lock.kind_name kind);
+    (fun (c : Experiments.Fig1.curve) ->
+      Format.fprintf out "%s:" (Locks.Lock.kind_name c.Experiments.Fig1.kind);
       List.iter
-        (fun (cs_ns, (r : Workloads.Csweep.result)) ->
-          Format.fprintf out " %d=%d" cs_ns r.Workloads.Csweep.total_ns)
-        curve;
+        (fun (p : Experiments.Fig1.point) ->
+          Format.fprintf out " %d=%d" p.Experiments.Fig1.cs_ns p.Experiments.Fig1.total_ns)
+        c.Experiments.Fig1.points;
       Format.fprintf out "@.")
-    (Workloads.Csweep.sweep ~domains ~base ~cs_lengths:[ 10_000; 60_000 ]
-       ~kinds:Experiments.Paper.figure1_lock_kinds ());
+    (Experiments.Fig1.of_sweep
+       (Workloads.Csweep.sweep ~domains ~base ~cs_lengths:[ 10_000; 60_000 ]
+          ~kinds:Experiments.Paper.figure1_lock_kinds ()));
   (* A mini TSP evaluation (all seven machine runs). *)
   let spec =
     {

@@ -16,7 +16,10 @@ can only make the check fail, never let a dead export pass.
 
 An optional argument counts as passed when the application that starts
 at a resolved reference to its val contains `~x` or `?x` outside
-comments and strings. References from the defining module itself count
+comments and strings and outside brackets: a label inside a nested
+`(...)`, `[...]`, `{...}` or `begin ... end` argument belongs to another
+application, as in `f ~a:(g ~x ())` or `f (fun () -> h ~x)`.
+References from the defining module itself count
 too: they resolve to the top-level `let` in the .ml rather than to the
 .mli. Calls from test/ do not count, so a knob only tests set fails.
 
@@ -210,7 +213,28 @@ def application(spans, file, start, end):
     while starts[-1] > 0 and src[starts[-1] - 1] in "( \t\n":
         starts.append(starts[-1] - 1)
     app = min((e for s in starts for e in spans.get((file, s), ()) if e > end), default=end)
-    return src[end:app]
+    return top_level(src[end:app])
+
+
+BRACKET = re.compile(r"[([{]|[)\]}]|\b(?:begin|struct|sig|object)\b|\bend\b")
+
+
+def top_level(args):
+    """[args] with every bracketed sub-expression blanked, so only the
+    application's own labels remain."""
+    out, depth, last = [], 0, 0
+    for m in BRACKET.finditer(args):
+        if depth == 0:
+            out.append(args[last:m.start()] + " ")
+        tok = m.group(0)
+        depth = depth - 1 if tok in ")]}" or tok == "end" else depth + 1
+        if depth == 0:
+            last = m.end()
+        elif depth < 0:
+            return "".join(out)
+    if depth == 0:
+        out.append(args[last:])
+    return "".join(out)
 
 
 def main():
