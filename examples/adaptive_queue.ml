@@ -123,7 +123,6 @@ let create ~home ~adaptive =
         Attribute.set discipline (if v = 1 then Best_first else Fifo);
         true)
       ~metric:(fun backlog -> backlog)
-      ()
   in
   { mutex; tasks; discipline; loop; served_value_early = 0; served = 0 }
 

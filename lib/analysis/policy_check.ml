@@ -26,7 +26,7 @@ let entirely_below (a : Spec.cond) (b : Spec.cond) =
 (* ---- the metric-region abstraction ----
 
    Thresholds cut the metric axis into finitely many regions within
-   which every condition (transition, wedge) keeps one truth value, so
+   which every transition condition keeps one truth value, so
    one representative per region decides everything. With a guard the
    axis is the clamp interval — clamping maps every raw metric into
    it, so clamped-out values are unobservable by the transitions. *)
@@ -40,12 +40,7 @@ let region_desc r =
   | None -> Printf.sprintf ">= %d" r.r_lo
 
 let regions (spec : Spec.t) =
-  let conds =
-    List.map (fun t -> t.Spec.t_cond) spec.Spec.s_transitions
-    @ (match spec.Spec.s_guard with
-      | Some { Spec.g_wedge = Some w; _ } -> [ w.Spec.w_cond ]
-      | _ -> [])
-  in
+  let conds = List.map (fun t -> t.Spec.t_cond) spec.Spec.s_transitions in
   let domain_lo, domain_hi =
     match spec.Spec.s_guard with
     | Some g -> (g.Spec.g_clamp_lo, Some g.Spec.g_clamp_hi)
@@ -84,6 +79,18 @@ let first_match (spec : Spec.t) v m =
       else go (i + 1) rest
   in
   go 0 spec.Spec.s_transitions
+
+(* The configurations reachable from the initial one over the regions
+   [rs]: along first-match edges, plus the guard's fallback edge, which
+   can fire from anywhere. *)
+let reached (spec : Spec.t) rs =
+  let next v =
+    List.filter_map
+      (fun r -> Option.map (fun (_, t) -> t.Spec.t_target) (first_match spec v r.r_lo))
+      rs
+    @ match spec.Spec.s_guard with Some g -> [ g.Spec.g_fallback ] | None -> []
+  in
+  Spec.reachable ~next spec.Spec.s_initial
 
 let rotate_min cycle =
   let mn = List.fold_left min (List.hd cycle) cycle in
@@ -151,29 +158,12 @@ let thrash_cycles (spec : Spec.t) =
 
 (* ---- dead configurations ----
 
-   Reachability from the initial configuration along first-match edges
-   (over every region) plus the guard's fallback edge, which can fire
-   from anywhere. *)
+   Configurations outside the reached set over every region. *)
 let dead_configs (spec : Spec.t) =
-  let rs = regions spec in
-  let edges v =
-    List.filter_map
-      (fun r ->
-        Option.map (fun (_, t) -> t.Spec.t_target) (first_match spec v r.r_lo))
-      rs
-    @ (match spec.Spec.s_guard with Some g -> [ g.Spec.g_fallback ] | None -> [])
-  in
-  let visited = Hashtbl.create 16 in
-  let rec bfs v =
-    if not (Hashtbl.mem visited v) then begin
-      Hashtbl.add visited v ();
-      List.iter bfs (edges v)
-    end
-  in
-  bfs spec.Spec.s_initial;
+  let live = reached spec (regions spec) in
   List.filter_map
     (fun v ->
-      if Hashtbl.mem visited v then None
+      if List.mem v live then None
       else
         Some
           {
@@ -348,19 +338,6 @@ let guard_gaps (spec : Spec.t) =
           else None)
         spec.Spec.s_transitions
     in
-    let wedge_gap =
-      match g.Spec.g_wedge with
-      | Some w when isect w.Spec.w_cond clamp = None ->
-        [
-          gap
-            (List.map (Spec.config_name spec) w.Spec.w_configs)
-            (Printf.sprintf
-               "the wedge condition lies entirely outside the metric clamp \
-                [%d, %d], so a wedged object is never detected"
-               g.Spec.g_clamp_lo g.Spec.g_clamp_hi);
-        ]
-      | _ -> []
-    in
     let fallback_sink =
       let v = g.Spec.g_fallback in
       let can_leave =
@@ -382,7 +359,7 @@ let guard_gaps (spec : Spec.t) =
                (Spec.config_name spec v));
         ]
     in
-    dead_under_clamp @ wedge_gap @ fallback_sink
+    dead_under_clamp @ fallback_sink
 
 (* ---- implementation-ladder obligations ----
 
@@ -400,35 +377,15 @@ let guard_gaps (spec : Spec.t) =
 let impl_ladder_faults (spec : Spec.t) =
   if spec.Spec.s_kind <> "lock-impl" then []
   else begin
-    (* Reachability along first-match edges plus the fallback edge,
-       over a given region decomposition of the metric axis. *)
-    let reachable rs =
-      let edges v =
-        List.filter_map
-          (fun r ->
-            Option.map (fun (_, t) -> t.Spec.t_target) (first_match spec v r.r_lo))
-          rs
-        @ (match spec.Spec.s_guard with Some g -> [ g.Spec.g_fallback ] | None -> [])
-      in
-      let visited = Hashtbl.create 16 in
-      let rec bfs v =
-        if not (Hashtbl.mem visited v) then begin
-          Hashtbl.add visited v ();
-          List.iter bfs (edges v)
-        end
-      in
-      bfs spec.Spec.s_initial;
-      visited
-    in
     let clamped_out =
       match spec.Spec.s_guard with
       | None -> []
       | Some g ->
-        let unclamped = reachable (regions { spec with Spec.s_guard = None }) in
-        let clamped = reachable (regions spec) in
+        let unclamped = reached spec (regions { spec with Spec.s_guard = None }) in
+        let clamped = reached spec (regions spec) in
         List.filter_map
           (fun v ->
-            if Hashtbl.mem unclamped v && not (Hashtbl.mem clamped v) then
+            if List.mem v unclamped && not (List.mem v clamped) then
               Some
                 {
                   f_kind = "impl-clamped-out";
@@ -578,8 +535,6 @@ let conflicts (a : Spec.t) (b : Spec.t) =
 let shipped () =
   [
     Locks.Adaptive_lock.policy_spec ();
-    Locks.Adaptive_lock.policy_spec ~guardrail:Locks.Guardrail.default_params
-      ~name:"adaptive-lock-guarded" ();
     Locks.Lock_core.impl_ladder_spec ();
     Locks.Rw_lock.policy_spec ();
     Cthreads.Adaptive_barrier.policy_spec ();

@@ -25,7 +25,7 @@
     - {b hysteresis-dead}: a [t_repeats > 1] transition whose counter
       can never advance because every enabling sample is claimed by a
       higher-priority transition;
-    - {b guardrail-gap}: a transition or wedge condition lying
+    - {b guardrail-gap}: a transition condition lying
       entirely outside the guard's metric clamp, or a fallback
       configuration that is a sink;
     - {b impl-clamped-out} (implementation ladders,
@@ -63,7 +63,7 @@ type finding = {
 
 val shipped : unit -> Adaptive_core.Policy.Spec.t list
 (** The specs of every shipped adaptive object's default policy:
-    adaptive lock (plain and guardrailed), the switch-lock
+    adaptive lock, the switch-lock
     implementation ladder, rw-lock preference,
     barrier/condition/semaphore. Pure data — needs no simulation. *)
 

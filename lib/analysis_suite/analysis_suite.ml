@@ -410,7 +410,6 @@ let policy_fixtures () =
           {
             Spec.g_clamp_lo = 0;
             g_clamp_hi = 10;
-            g_wedge = None;
             g_limit = 4;
             g_cooldown = 8;
             g_fallback = 0;
@@ -447,10 +446,12 @@ let policy_fixtures () =
      but the clamped metric can never reach the [>= 100] band that
      earns it. *)
   let impl_clamped =
-    Locks.Lock_core.impl_ladder_spec
-      ~guardrail:
-        { Locks.Guardrail.default_params with Locks.Guardrail.clamp_max = 99 }
-      ~name:"fixture-clamped-out-impl" ()
+    let spec = Locks.Lock_core.impl_ladder_spec ~name:"fixture-clamped-out-impl" () in
+    {
+      spec with
+      Spec.s_guard =
+        Option.map (fun g -> { g with Spec.g_clamp_hi = 99 }) spec.Spec.s_guard;
+    }
   in
   (* The same ladder with its per-transition hysteresis stripped: every
      swap fires on a single enabling sample, so any metric blip opens a

@@ -50,7 +50,7 @@ let stats t =
     log = log t;
   }
 
-let create ~spec ~home ~sensor ~read ~apply ~metric ?guard_state () =
+let create ~spec ~home ~sensor ~read ~apply ~metric =
   let name = spec.Policy.Spec.s_name and kind = spec.Policy.Spec.s_kind in
   let scratch = Butterfly.Ops.alloc1 ~node:home () in
   Butterfly.Ops.mark_sync_words [| scratch |];
@@ -59,7 +59,7 @@ let create ~spec ~home ~sensor ~read ~apply ~metric ?guard_state () =
       obj_name = name;
       obj_kind = kind;
       sensor;
-      policy = Policy.Spec.compile ?guard_state ~read ~apply ~metric spec;
+      policy = Policy.Spec.compile ~read ~apply ~metric spec;
       scratch;
       policy_run_count = 0;
       adaptation_count = 0;

@@ -29,14 +29,12 @@ val create :
   read:(unit -> int) ->
   apply:(int -> bool) ->
   metric:('obs -> int) ->
-  ?guard_state:Policy.Guard.t ->
-  unit ->
   'obs t
 (** Must run inside a simulation: allocates the scratch word used to
     charge reconfiguration costs at [home]. The spec's [s_name] and
     [s_kind] name the object and its family (["lock"], ["barrier"],
     ...) in the registry and annotations. The running policy is
-    [Policy.Spec.compile ?guard_state ~read ~apply ~metric spec]; a
+    [Policy.Spec.compile ~read ~apply ~metric spec]; a
     spec without transitions gives a monitored object that never
     adapts. The new loop registers itself, with [spec], in
     {!Registry}, which formally checks the recorded adaptation log

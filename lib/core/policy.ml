@@ -13,7 +13,7 @@ module Guard = struct
     mutable fallbacks : int;
   }
 
-  let create ?(pathological_limit = 4) ?(cooldown = 8) () =
+  let create ~pathological_limit ~cooldown =
     if pathological_limit <= 0 || cooldown < 0 then invalid_arg "Policy.Guard.create";
     { limit = pathological_limit; cooldown; streak = 0; cooldown_left = 0; fallbacks = 0 }
 
@@ -66,12 +66,9 @@ module Spec = struct
     t_cost : Cost.t;
   }
 
-  type wedge = { w_configs : int list; w_cond : cond }
-
   type guard_spec = {
     g_clamp_lo : int;
     g_clamp_hi : int;
-    g_wedge : wedge option;
     g_limit : int;
     g_cooldown : int;
     g_fallback : int;
@@ -153,35 +150,17 @@ module Spec = struct
       if not (known g.g_fallback) then
         err "guard: unknown fallback configuration %d" g.g_fallback;
       if g.g_limit < 1 then err "guard: pathological limit %d < 1" g.g_limit;
-      if g.g_cooldown < 0 then err "guard: negative cooldown %d" g.g_cooldown;
-      (match g.g_wedge with
-      | Some w ->
-        List.iter
-          (fun v ->
-            if not (known v) then err "guard: wedge names unknown configuration %d" v)
-          w.w_configs;
-        (match w.w_cond.hi with
-        | Some hi when hi < w.w_cond.lo ->
-          err "guard: empty wedge condition [%d, %d]" w.w_cond.lo hi
-        | _ -> ())
-      | None -> ()));
+      if g.g_cooldown < 0 then err "guard: negative cooldown %d" g.g_cooldown);
     List.rev !errs
 
-  let compile ?guard_state ~read ~apply ~metric spec =
+  let compile ~read ~apply ~metric spec =
     let ts = Array.of_list spec.s_transitions in
     let counters = Array.make (Int.max 1 (Array.length ts)) 0 in
     let last_cfg = ref None in
     let guard =
       match spec.s_guard with
       | None -> None
-      | Some g ->
-        let state =
-          match guard_state with
-          | Some s -> s
-          | None ->
-            Guard.create ~pathological_limit:g.g_limit ~cooldown:g.g_cooldown ()
-        in
-        Some (g, state)
+      | Some g -> Some (g, Guard.create ~pathological_limit:g.g_limit ~cooldown:g.g_cooldown)
     in
     let reset_all () = Array.fill counters 0 (Array.length counters) 0 in
     let fire i (tr : transition) =
@@ -226,13 +205,7 @@ module Spec = struct
       | None -> consult raw cur
       | Some (g, state) ->
         let clamped = Int.max g.g_clamp_lo (Int.min g.g_clamp_hi raw) in
-        let wedged =
-          match g.g_wedge with
-          | Some w -> List.mem cur w.w_configs && matches w.w_cond raw
-          | None -> false
-        in
-        let pathological = clamped <> raw || wedged in
-        if Guard.note state ~pathological then
+        if Guard.note state ~pathological:(clamped <> raw) then
           Reconfigure
             {
               label = g.g_fallback_label;

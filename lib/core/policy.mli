@@ -26,15 +26,17 @@ type 'obs t = 'obs -> decision
 (** Guardrail state machine behind a spec's [s_guard]: count
     consecutive pathological observations, order a fallback after a
     streak, then suspend counting for a cooldown (hysteresis, so the
-    fallback cannot immediately re-trigger). {!Spec.compile} feeds it
-    the clamp and wedge verdicts; [Locks.Guardrail] builds one from
-    lock-flavoured parameters. *)
+    fallback cannot immediately re-trigger). {!Spec.compile} builds
+    one from the spec's [g_limit] and [g_cooldown] and feeds it the
+    clamp verdicts. *)
 module Guard : sig
   type t
 
-  val create : ?pathological_limit:int -> ?cooldown:int -> unit -> t
-  (** Defaults: 4 consecutive pathological observations trigger a
-      fallback; counting suspended for the following 8. *)
+  val create : pathological_limit:int -> cooldown:int -> t
+  (** [pathological_limit] consecutive pathological observations
+      trigger a fallback; counting is then suspended for the following
+      [cooldown]. Raises [Invalid_argument] on a non-positive limit or
+      a negative cooldown. *)
 
   val note : t -> pathological:bool -> bool
   (** Record one observation's verdict; [true] orders a fallback. *)
@@ -89,16 +91,11 @@ module Spec : sig
     t_cost : Cost.t;  (** charged per applied reconfiguration *)
   }
 
-  type wedge = { w_configs : int list; w_cond : cond }
-      (** Observations matching [w_cond] while the object sits in one
-          of [w_configs] are pathological even when inside the clamp
-          (wedge detection, e.g. waiters piling up at the
-          pure-blocking extreme). *)
-
   type guard_spec = {
     g_clamp_lo : int;
-    g_clamp_hi : int;  (** raw metrics clamped into [\[lo, hi\]] *)
-    g_wedge : wedge option;
+    g_clamp_hi : int;
+        (** raw metrics clamped into [\[lo, hi\]]; a clamped sample is
+            pathological *)
     g_limit : int;  (** consecutive pathological samples before fallback *)
     g_cooldown : int;  (** samples with counting suspended afterwards *)
     g_fallback : int;  (** fallback target configuration, by value *)
@@ -156,7 +153,6 @@ module Spec : sig
       faults...) live in [Analysis.Policy_check]. *)
 
   val compile :
-    ?guard_state:Guard.t ->
     read:(unit -> int) ->
     apply:(int -> bool) ->
     metric:('obs -> int) ->
@@ -169,15 +165,13 @@ module Spec : sig
       extracts the observed scalar. Semantics, in observation order:
       hysteresis counters reset whenever the configuration changed
       since the previous observation; with a guard, the raw metric is
-      clamped and a pathological streak of [g_limit] fires the
+      clamped and a streak of [g_limit] clamped samples fires the
       fallback (then suspends counting for [g_cooldown] samples)
       instead of consulting the transitions; otherwise the
       first enabled transition advances its counter (all others
       reset) and fires once the counter reaches [t_repeats] — the
       counter itself resets only when the fired apply reports
       success, so a no-op apply retries at the next enabled sample.
-
-      [guard_state] shares an externally owned {!Guard.t} (so its
-      owner can keep reading streaks and fallbacks); by default the
-      guard state is created from the spec. *)
+      Each compiled policy owns its guard state, a {!Guard.t} built
+      from [g_limit] and [g_cooldown]. *)
 end

@@ -78,8 +78,7 @@ let create ?node ?(name = "adaptive-barrier") ?(period = 1) ?(spin_if_under = 80
             ~apply:(fun v ->
               Attribute.set (Lazy.force t).spin_ns v;
               true)
-            ~metric:(fun obs -> obs.spread_ns)
-            ();
+            ~metric:(fun obs -> obs.spread_ns);
       }
   in
   Lazy.force t

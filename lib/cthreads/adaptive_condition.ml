@@ -78,7 +78,6 @@ let create ?node ?(name = "adaptive-condition") () =
              Attribute.set (Lazy.force t).broadcast_hint (v = 1);
              true)
            ~metric:(fun obs -> obs.waiting)
-           ()
        in
        let broadcast_hint = Attribute.make_at ~name:"broadcast-hint" ~node:home false in
        (* The word a retired wait-spin budget attribute allocated: kept

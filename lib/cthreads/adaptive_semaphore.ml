@@ -56,8 +56,7 @@ let create ?node ?(name = "adaptive-semaphore") n =
             ~apply:(fun v ->
               Attribute.set (Lazy.force t).spin_ns v;
               true)
-            ~metric:(fun obs -> obs.waiting)
-            ();
+            ~metric:(fun obs -> obs.waiting);
       }
   in
   Lazy.force t

@@ -133,49 +133,23 @@ let table7 () =
     Locks.Lock_core.configure_waiting c ~spin_count:max_int ~sleep:false ()
   in
   let block_cfg c = Locks.Lock_core.configure_waiting c ~spin_count:0 ~sleep:true () in
-  let measure configure ~waiter_proc =
-    let unlock_at = ref 0 and acquired_at = ref 0 in
-    run (fun () ->
-        (* An adaptive lock pinned to one configuration: the measurement
-           drives its [Lock_core] directly, so the feedback loop (ticked
-           only by [Adaptive_lock.unlock]) never runs. The whole adaptive
-           lock is still built: its allocations are simulated events. *)
-        let c = Locks.Adaptive_lock.core (Locks.Adaptive_lock.create ~home:1 ()) in
-        configure c;
-        let owner_has_lock = ref false in
-        let owner =
-          Cthread.fork ~proc:3 (fun () ->
-              Locks.Lock_core.lock c;
-              owner_has_lock := true;
-              Cthread.work 800_000;
-              unlock_at := Cthread.now ();
-              Locks.Lock_core.unlock c)
-        in
-        let waiter =
-          Cthread.fork ~proc:waiter_proc (fun () ->
-              while not !owner_has_lock do
-                Cthread.delay 5_000
-              done;
-              Locks.Lock_core.lock c;
-              acquired_at := Cthread.now ();
-              Locks.Lock_core.unlock c)
-        in
-        Cthread.join owner;
-        Cthread.join waiter);
-    float_of_int (!acquired_at - !unlock_at) /. 1000.0
+  (* An adaptive lock pinned to one configuration: the measurement
+     drives its [Lock_core] directly, so the feedback loop (ticked only
+     by [Adaptive_lock.unlock]) never runs. The whole adaptive lock is
+     still built: its allocations are simulated events. *)
+  let row op configure =
+    let make ~home =
+      let c = Locks.Adaptive_lock.core (Locks.Adaptive_lock.create ~home ()) in
+      configure c;
+      `Core c
+    in
+    {
+      op;
+      local_us = measure_cycle ~make ~waiter_proc:1 ~home:1;
+      remote_us = measure_cycle ~make ~waiter_proc:2 ~home:1;
+    }
   in
-  [
-    {
-      op = "spin";
-      local_us = measure spin_cfg ~waiter_proc:1;
-      remote_us = measure spin_cfg ~waiter_proc:2;
-    };
-    {
-      op = "blocking";
-      local_us = measure block_cfg ~waiter_proc:1;
-      remote_us = measure block_cfg ~waiter_proc:2;
-    };
-  ]
+  [ row "spin" spin_cfg; row "blocking" block_cfg ]
 
 let table8 () =
   let timed ~proc f =

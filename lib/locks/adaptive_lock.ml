@@ -1,4 +1,3 @@
-module Policy = Adaptive_core.Policy
 module Sensor = Adaptive_core.Sensor
 module Adaptive = Adaptive_core.Adaptive
 
@@ -13,30 +12,11 @@ type t = {
 }
 
 (* The paper's [simple-adapt] as a declarative spec: what the static
-   policy checker inspects and, unguarded, what [create] compiles into
-   the running policy, so the two cannot drift. The guardrailed
-   variant is built for the checker only. *)
-let policy_spec ?(params = default_params) ?guardrail ?name () =
-  let spec =
-    Spin_budget.spec ?name ~threshold:params.waiting_threshold
-      ~n:params.n ~cap:params.spin_cap ~init:params.n ()
-  in
-  match guardrail with
-  | None -> spec
-  | Some gparams ->
-    (* Budget wedged at pure blocking while waiters pile past the
-       threshold is pathological; the fallback is the default combined
-       configuration. *)
-    let wedge =
-      { Policy.Spec.w_configs = [ 0 ]; w_cond = Policy.Spec.cond (params.waiting_threshold + 1) }
-    in
-    {
-      spec with
-      Policy.Spec.s_guard =
-        Some
-          (Guardrail.spec gparams ~wedge:(Some wedge) ~fallback:spec.Policy.Spec.s_initial
-             ~label:"guardrail-fallback" ~cost:Lock_costs.configure_waiting_policy);
-    }
+   policy checker inspects and what [create] compiles into the running
+   policy, so the two cannot drift. *)
+let policy_spec ?(params = default_params) ?name () =
+  Spin_budget.spec ?name ~threshold:params.waiting_threshold ~n:params.n
+    ~cap:params.spin_cap ~init:params.n ()
 
 let create ?name ?trace ?sched ?(params = default_params) ~home () =
   let name = match name with Some n -> n | None -> "adaptive-lock" in
@@ -64,7 +44,6 @@ let create ?name ?trace ?sched ?(params = default_params) ~home () =
         Lock_stats.on_reconfigure (Lock_core.stats core);
         true)
       ~metric:(fun (waiting : int) -> waiting)
-      ()
   in
   { core; loop; budget }
 

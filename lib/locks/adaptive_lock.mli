@@ -65,15 +65,10 @@ val samples : t -> int
 
 val policy_spec :
   ?params:params ->
-  ?guardrail:Guardrail.params ->
   ?name:string ->
   unit ->
   Adaptive_core.Policy.Spec.t
 (** [simple-adapt] as a declarative policy spec — the artifact the
     static checker ([Analysis.Policy_check]) model-checks, and exactly
-    what {!create} compiles into the running policy. [guardrail] adds
-    a {!Guardrail}: observations are clamped, and a run of
-    pathological samples triggers a fallback to the default combined
-    configuration (charged as one reconfiguration) instead of wedging
-    the budget at an extreme. Pure data; buildable outside a
-    simulation. *)
+    what {!create} compiles into the running policy. Pure data;
+    buildable outside a simulation. *)

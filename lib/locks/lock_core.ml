@@ -12,15 +12,15 @@ exception Misuse of string
 (* {1 Implementations}
 
    The registered implementations (all but [Centralized]) share one
-   registration queue (host-side, ticket-ordered, guard-protected) and
+   registration queue (host-side, arrival-ordered, guard-protected) and
    one mailbox word per waiter, homed at the waiter's own memory
    module. The mailbox is the whole migration protocol: 0 = waiting,
    1 = granted (direct handoff; the lock word stays held), 2 = migrate
    (a swap is in progress; re-arm and re-enter). Because every
    contended waiter — spinner, queued, or sleeping — is registered, a
-   swap can always find, kick, and count them; because tickets survive
-   migration, FIFO order for queued waiters is preserved across a
-   swap. *)
+   swap can always find, kick, and count them; because a migrating
+   waiter keeps its place in the queue, FIFO order for queued waiters
+   is preserved across a swap. *)
 
 type impl = Centralized | Tas | Mcs | Blocking
 
@@ -70,11 +70,6 @@ let default_params =
     swap_grace_ns = 1_000_000;
   }
 
-(* The implementation ladder's metric tops out at 199 (see [score]),
-   so the guardrail clamp must keep the blocking region reachable. *)
-let default_guardrail =
-  { Guardrail.clamp_max = 199; pathological_limit = 4; cooldown = 8 }
-
 type implementation =
   | Central of Waiting.t * Lock_costs.profile
   | Fixed of impl
@@ -83,7 +78,6 @@ type implementation =
 
 type waiter = {
   w_tid : int;
-  w_ticket : int;
   w_flag : Memory.addr;  (* mailbox, homed at the waiter's node *)
   mutable w_sleeping : bool;  (* true while parked in [Ops.block] *)
   mutable w_kick : int;  (* swap sequence that flagged us; 0 = none *)
@@ -108,8 +102,7 @@ type registry = {
   bug : bug option;
   mutable epoch : int;  (* committed swaps *)
   mutable swap_seq : int;  (* identifies the kick a waiter acks *)
-  mutable next_ticket : int;
-  mutable waiters : waiter list;  (* ticket-ascending *)
+  mutable waiters : waiter list;  (* arrival order; the head is granted next *)
   flags : (int, Memory.addr) Hashtbl.t;  (* per-thread mailbox cache *)
   mutable acquired_at : int;
   mutable hold_avg_ns : int;  (* EWMA of ownership spans *)
@@ -175,8 +168,7 @@ let score t r =
 
 let rungs = [ Tas; Mcs; Blocking ]
 
-let impl_ladder_spec ?(params = default_params) ?(guardrail = default_guardrail)
-    ?(name = "switch-lock") () =
+let impl_ladder_spec ?(params = default_params) ?(name = "switch-lock") () =
   let module Spec = Policy.Spec in
   let cost = Lock_costs.swap_implementation in
   let t ~from ~cond ~target =
@@ -210,12 +202,21 @@ let impl_ladder_spec ?(params = default_params) ?(guardrail = default_guardrail)
         t ~from:Blocking ~cond:low ~target:Tas;
         t ~from:Blocking ~cond:queued ~target:Mcs;
       ];
-    (* The fallback is an implementation id, not a knob value: a
-       guardrailed ladder must land on a config the lock can run. *)
+    (* The metric tops out at 199 (see [score]), so the clamp keeps the
+       blocking region reachable. The fallback is an implementation id,
+       not a knob value: the ladder must land on a config the lock can
+       run. *)
     s_guard =
       Some
-        (Guardrail.spec guardrail ~wedge:None ~fallback:(impl_id Tas)
-           ~label:"impl-guardrail-fallback" ~cost);
+        {
+          Spec.g_clamp_lo = 0;
+          g_clamp_hi = 199;
+          g_limit = 4;
+          g_cooldown = 8;
+          g_fallback = impl_id Tas;
+          g_fallback_label = "impl-guardrail-fallback";
+          g_fallback_cost = cost;
+        };
   }
 
 (* {1 Deadlines} *)
@@ -465,7 +466,7 @@ let ack_kick r w =
    kicked waiter to re-arm), then commit — or roll back to the old
    implementation if the drain does not quiesce in time (a stalled or
    killed participant must not wedge the lock in a half-swapped
-   state). Migrating waiters keep their tickets and their queue slots:
+   state). Migrating waiters keep their queue slots:
    quiescence means everyone observes the implementation flip between
    two probe iterations, never inside one. *)
 let swap_to t target =
@@ -605,7 +606,7 @@ let registered_release t r =
       emit t "free";
       guard_unlock t
     | w :: rest ->
-      (* Direct handoff to the lowest ticket: the word stays held. *)
+      (* Direct handoff to the queue's head: the word stays held. *)
       r.waiters <- rest;
       Ops.write w.w_flag 1;
       let sleeping = w.w_sleeping in
@@ -683,8 +684,8 @@ and on_flag t r w f ~since deadline =
   else begin
     (* f = 2: a swap kicked us. Re-arm the mailbox, acknowledge, wait
        out the freeze, then resume waiting under whatever
-       implementation the swap left committed — with our original
-       ticket, so queue order survives the migration. *)
+       implementation the swap left committed — still in our queue
+       slot, so queue order survives the migration. *)
     guard_lock t;
     Ops.write w.w_flag 0;
     ack_kick r w;
@@ -768,15 +769,8 @@ let rec registered_entry t r ~since deadline =
     else begin
       let flag = mailbox r in
       let w =
-        {
-          w_tid = Ops.self ();
-          w_ticket = r.next_ticket;
-          w_flag = flag;
-          w_sleeping = false;
-          w_kick = 0;
-        }
+        { w_tid = Ops.self (); w_flag = flag; w_sleeping = false; w_kick = 0 }
       in
-      r.next_ticket <- r.next_ticket + 1;
       Ops.write flag 0;
       r.waiters <- r.waiters @ [ w ];
       emit t "register";
@@ -852,7 +846,6 @@ let registered_lock name lock_stats ~home ~params ~bug ~initial ~swappable ~ladd
       bug;
       epoch = 0;
       swap_seq = 0;
-      next_ticket = 0;
       waiters = [];
       flags = Hashtbl.create 16;
       acquired_at = 0;
@@ -878,9 +871,7 @@ let registered_lock name lock_stats ~home ~params ~bug ~initial ~swappable ~ladd
            ~apply:(fun v ->
              let target = List.find (fun i -> impl_id i = v) rungs in
              target = t.impl || swap_to t target)
-           ~metric:(fun (s : int) -> s)
-           ~guard_state:(Guardrail.create ~params:default_guardrail ())
-           ())
+           ~metric:(fun (s : int) -> s))
   end;
   t
 

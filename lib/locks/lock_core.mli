@@ -30,8 +30,8 @@
     mailbox word at its own node. On a lock created swappable the
     implementation is hot-swapped by a fail-safe quiescence protocol
     run by the lock holder: freeze new arrivals, kick and drain every
-    registered waiter (each re-arms and re-enters with its original
-    ticket, so queued FIFO order survives), then commit the flip — or
+    registered waiter (each re-arms and re-enters in its original
+    queue slot, so queued FIFO order survives), then commit the flip — or
     roll back if the drain does not quiesce before the swap deadline.
     A swapper that dies mid-swap leaves a freeze whose deadline ages
     out; any waiter then clears it (abandoned-swap recovery). These
@@ -197,7 +197,7 @@ val swap_to : t -> impl -> bool
     toward [Centralized]. *)
 
 val impl_ladder_spec :
-  ?params:params -> ?guardrail:Guardrail.params -> ?name:string -> unit ->
+  ?params:params -> ?name:string -> unit ->
   Adaptive_core.Policy.Spec.t
 (** The implementation ladder as a declarative spec
     ([s_kind = "lock-impl"], metric ["contention-score"], default name

@@ -124,7 +124,6 @@ let create ?(name = "rw-lock") ?(adaptive = false) ?policy ~home () =
           Attribute.set t.pref (if v = 1 then Writer_pref else Reader_pref);
           true)
         ~metric:(fun (waiting_writers : int) -> waiting_writers)
-        ()
     in
     { t with loop = Some loop }
   end

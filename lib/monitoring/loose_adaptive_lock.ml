@@ -46,7 +46,6 @@ let create ?poll_interval_ns ~home ~monitor_proc () =
         end
         else false (* lost the ownership race: nothing changed, don't count it *))
       ~metric:(fun (waiting : int) -> waiting)
-      ()
   in
   (* The loosely-coupled feedback path: the monitor thread drains the
      ring and feeds each (possibly stale) observation to the loop. *)

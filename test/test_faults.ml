@@ -246,22 +246,36 @@ let test_lock_timeout () =
 (* -- guardrails ---------------------------------------------------- *)
 
 let test_guardrail_clamp_and_fallback () =
-  (* The guardrailed simple-adapt spec, compiled and fed one sample at
-     a time. Threshold 2 makes a raw sample of 3 or more at the
-     pure-blocking budget (0) a wedge; budgets start at n = 4. *)
-  let module Guard = Adaptive_core.Policy.Guard in
+  (* simple-adapt with its guard set directly, compiled and fed one
+     sample at a time. Threshold 2 sends any sample above 2 from
+     budget 4 to pure blocking (0); budgets start at n = 4. Samples
+     above 10 are clamped to 10 and count as pathological; three in a
+     row fall back to the initial budget, then two samples go
+     uncounted. *)
+  let module Spec = Adaptive_core.Policy.Spec in
   let params =
     { Locks.Adaptive_lock.waiting_threshold = 2; n = 4; spin_cap = 16; sample_period = 1 }
   in
-  let guardrail =
-    { Locks.Guardrail.clamp_max = 10; pathological_limit = 3; cooldown = 2 }
+  let spec = Locks.Adaptive_lock.policy_spec ~params () in
+  let spec =
+    {
+      spec with
+      Spec.s_guard =
+        Some
+          {
+            Spec.g_clamp_lo = 0;
+            g_clamp_hi = 10;
+            g_limit = 3;
+            g_cooldown = 2;
+            g_fallback = spec.Spec.s_initial;
+            g_fallback_label = "guardrail-fallback";
+            g_fallback_cost = Locks.Lock_costs.configure_waiting_policy;
+          };
+    }
   in
-  let g = Locks.Guardrail.create ~params:guardrail () in
   let budget = ref params.Locks.Adaptive_lock.n in
   let p =
-    Adaptive_core.Policy.Spec.compile
-      (Locks.Adaptive_lock.policy_spec ~params ~guardrail ())
-      ~guard_state:g
+    Spec.compile spec
       ~read:(fun () -> !budget)
       ~apply:(fun v ->
         budget := v;
@@ -277,29 +291,24 @@ let test_guardrail_clamp_and_fallback () =
       label
   in
   (* 50 is clamped to 10, which still reaches the transitions (above
-     the threshold: budget 4 - 2n = pure blocking) but counts as
-     pathological. *)
+     the threshold: budget 4 - 2n = pure blocking) but starts a
+     streak. *)
   check_string "absurd sample clamped" "pure blocking" (feed 50);
-  check_int "streak counted" 1 (Guard.streak g);
-  (* 3 at budget 0 is inside the clamp but wedged: it passes to the
-     transitions (none leaves pure blocking upwards) and still counts. *)
-  check_string "wedged sample passes clamped" "none" (feed 3);
-  check_int "wedge counted" 2 (Guard.streak g);
-  check_string "third pathological sample must fall back" "guardrail-fallback"
+  (* a healthy sample resets the streak: budget 0 + n *)
+  check_string "healthy sample adapts" "combined(4)" (feed 2);
+  check_string "streak restarts" "pure blocking" (feed 50);
+  check_string "clamped sample at pure blocking" "none" (feed 50);
+  check_string "third clamped sample in a row must fall back" "guardrail-fallback"
     (feed 99);
-  check_int "one fallback" 1 (Guard.fallbacks g);
   check_int "fallback restores the initial budget" 4 !budget;
-  (* cooldown: the next two pathological samples do not count *)
+  (* cooldown: the next two clamped samples do not count *)
   check_string "cooldown must suppress fallback" "pure blocking" (feed 99);
-  check_int "cooldown leaves streak at zero" 0 (Guard.streak g);
-  ignore (feed 99 : string);
-  check_int "cooldown still suppresses" 0 (Guard.streak g);
-  ignore (feed 99 : string);
-  check_int "streak resumes after cooldown" 1 (Guard.streak g);
-  (* a healthy sample resets the streak *)
-  ignore (feed 2 : string);
-  check_int "healthy sample resets" 0 (Guard.streak g);
-  check_int "still one fallback" 1 (Guard.fallbacks g)
+  check_string "cooldown still suppresses" "none" (feed 99);
+  (* counting resumes: a fresh streak of three falls back again *)
+  check_string "streak 1 after cooldown" "none" (feed 99);
+  check_string "streak 2 after cooldown" "none" (feed 99);
+  check_string "streak resumes after cooldown" "guardrail-fallback" (feed 99);
+  check_int "second fallback restores the initial budget" 4 !budget
 
 (* -- watchdog ------------------------------------------------------ *)
 

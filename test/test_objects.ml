@@ -57,7 +57,7 @@ let always_adapt ?(label = "flip") ?(name = "toy") ?(kind = "test") () =
     ~apply:(fun v ->
       config := v;
       true)
-    ~metric:Fun.id ()
+    ~metric:Fun.id
 
 (* -- registry ------------------------------------------------------ *)
 
@@ -294,7 +294,7 @@ let test_adaptive_semaphore_budget_adapts () =
 (* -- guard state machine ------------------------------------------- *)
 
 let test_policy_guard_streaks () =
-  let g = Policy.Guard.create ~pathological_limit:2 ~cooldown:3 () in
+  let g = Policy.Guard.create ~pathological_limit:2 ~cooldown:3 in
   check_bool "one bad observation is tolerated" false
     (Policy.Guard.note g ~pathological:true);
   check_int "streak counted" 1 (Policy.Guard.streak g);

@@ -1,8 +1,9 @@
 (* Tests of the declarative policy IR (Spec validate/compile) and the
-   static policy checker: shipped specs verify clean, seeded-bad
-   fixtures are flagged, the compiled interpreter honours hysteresis
-   streaks across config changes and failed applies, and the guard's
-   cooldown edges stay pinned. *)
+   static policy checker: shipped specs verify clean and reproduce the
+   committed POLICY artifact, seeded-bad fixtures are flagged, the
+   compiled interpreter honours hysteresis streaks across config
+   changes and failed applies, and the guard's cooldown edges stay
+   pinned. *)
 
 open Butterfly
 module Policy = Adaptive_core.Policy
@@ -34,7 +35,7 @@ let trans ?(repeats = 1) t_from c t_target t_label =
 
 let test_shipped_clean () =
   let ((reports, cross) as res) = PC.run ~domains:1 (PC.shipped ()) in
-  Alcotest.(check int) "seven shipped specs" 7 (List.length reports);
+  Alcotest.(check int) "six shipped specs" 6 (List.length reports);
   List.iter
     (fun r ->
       Alcotest.(check (list string))
@@ -52,6 +53,20 @@ let test_shipped_specs_validate () =
         (spec.Spec.s_name ^ " well-formed")
         [] (Spec.validate spec))
     (PC.shipped ())
+
+(* -- the checker reproduces the committed POLICY artifact byte for byte -- *)
+
+(* The committed artifact is compiled in by test/dune
+   ([Committed.policy]), so the test runs from any working
+   directory. *)
+let test_policy_json_committed () =
+  let fixtures =
+    List.map
+      (fun (name, specs, expect) -> PC.check_fixture ~name ~expect specs)
+      (Analysis_suite.policy_fixtures ())
+  in
+  let json = PC.to_json ~shipped:(PC.run ~domains:1 (PC.shipped ())) ~fixtures ^ "\n" in
+  Alcotest.(check string) "results/POLICY_results.json" Committed.policy json
 
 let test_fixtures_flagged () =
   List.iter
@@ -225,7 +240,7 @@ let test_constructor_threshold_validation () =
 (* -- Policy.Guard cooldown edges -- *)
 
 let test_guard_cooldown_resumes () =
-  let g = Policy.Guard.create ~pathological_limit:2 ~cooldown:3 () in
+  let g = Policy.Guard.create ~pathological_limit:2 ~cooldown:3 in
   let note p = Policy.Guard.note g ~pathological:p in
   Alcotest.(check bool) "streak 1" false (note true);
   Alcotest.(check bool) "streak 2 fires" true (note true);
@@ -251,6 +266,8 @@ let suite =
   [
     Alcotest.test_case "shipped specs verify clean" `Quick test_shipped_clean;
     Alcotest.test_case "shipped specs validate" `Quick test_shipped_specs_validate;
+    Alcotest.test_case "POLICY JSON matches the committed artifact" `Quick
+      test_policy_json_committed;
     Alcotest.test_case "fixtures flagged" `Quick test_fixtures_flagged;
     Alcotest.test_case "malformed spec reported" `Quick test_malformed_spec_reported;
     Alcotest.test_case "conflicts need shared attribute" `Quick

@@ -55,7 +55,7 @@ let test_shipped_clean () =
 (* -- the checker reproduces the committed PROTO artifact byte for byte -- *)
 
 (* The committed artifact is compiled in by test/dune
-   ([Proto_committed.json]), so the test runs from any working
+   ([Committed.proto]), so the test runs from any working
    directory. *)
 let test_proto_json_committed () =
   let fixtures =
@@ -69,7 +69,7 @@ let test_proto_json_committed () =
     ^ "\n"
   in
   Alcotest.(check string) "results/PROTO_results.json"
-    Proto_committed.json json
+    Committed.proto json
 
 (* -- max_states cuts the exploration off as Out_of_bounds -- *)
 

@@ -592,7 +592,6 @@ let guard_fixture_spec =
           (* Clamped pathological samples fall below the "up" band, so
              cooldown samples visibly decide No_change. *)
           g_clamp_hi = 4;
-          g_wedge = None;
           g_limit = 2;
           g_cooldown = 8;
           g_fallback = 0;
