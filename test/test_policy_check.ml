@@ -262,6 +262,219 @@ let test_guard_cooldown_resumes () =
   Alcotest.(check bool) "streak 1 again" false (note true);
   Alcotest.(check bool) "streak 2 fires again" true (note true)
 
+(* -- differential: the compiled step against a reference interpreter --
+
+   [reference] is the closure interpreter [Spec.compile] was before its
+   step became an explicit state, kept here verbatim (with its guard
+   state machine) as the oracle. On in-clamp samples the two must take
+   the same decision at every sample, whatever the apply outcomes and
+   whatever external agents do to the attribute (off-spec values
+   included). Out-of-clamp samples are where the semantics deliberately
+   differ: see "out-of-range score does not swap" in test_switch_lock. *)
+
+module Reference = struct
+  type decision = Stay | Fire of { label : string; cost : Adaptive_core.Cost.t; apply : unit -> bool }
+
+  type guard = {
+    limit : int;
+    cooldown : int;
+    mutable streak : int;
+    mutable cooldown_left : int;
+  }
+
+  let note t ~pathological =
+    if t.cooldown_left > 0 then begin
+      t.cooldown_left <- t.cooldown_left - 1;
+      false
+    end
+    else if pathological then begin
+      t.streak <- t.streak + 1;
+      if t.streak >= t.limit then begin
+        t.streak <- 0;
+        t.cooldown_left <- t.cooldown;
+        true
+      end
+      else false
+    end
+    else begin
+      t.streak <- 0;
+      false
+    end
+
+  let fallback_failed t =
+    t.cooldown_left <- 0;
+    t.streak <- Int.max 0 (t.limit - 1)
+
+  let matches (c : Spec.cond) m =
+    m >= c.Spec.lo && match c.Spec.hi with None -> true | Some hi -> m <= hi
+
+  let compile ~read ~apply ~metric (spec : Spec.t) =
+    let ts = Array.of_list spec.Spec.s_transitions in
+    let counters = Array.make (Int.max 1 (Array.length ts)) 0 in
+    let last_cfg = ref None in
+    let guard =
+      match spec.Spec.s_guard with
+      | None -> None
+      | Some g ->
+        Some
+          ( g,
+            { limit = g.Spec.g_limit; cooldown = g.Spec.g_cooldown; streak = 0; cooldown_left = 0 }
+          )
+    in
+    let reset_all () = Array.fill counters 0 (Array.length counters) 0 in
+    let fire i (tr : Spec.transition) =
+      Fire
+        {
+          label = tr.Spec.t_label;
+          cost = tr.Spec.t_cost;
+          apply =
+            (fun () ->
+              let ok = apply tr.Spec.t_target in
+              if ok then counters.(i) <- 0;
+              ok);
+        }
+    in
+    let consult m cur =
+      let enabled = ref (-1) in
+      for i = 0 to Array.length ts - 1 do
+        let tr = ts.(i) in
+        if !enabled < 0 && tr.Spec.t_from = cur && matches tr.Spec.t_cond m then enabled := i
+        else counters.(i) <- 0
+      done;
+      if !enabled < 0 then Stay
+      else begin
+        let i = !enabled in
+        let tr = ts.(i) in
+        counters.(i) <- counters.(i) + 1;
+        if counters.(i) >= tr.Spec.t_repeats then fire i tr else Stay
+      end
+    in
+    fun obs ->
+      let raw = metric obs in
+      let cur = read () in
+      (match !last_cfg with
+      | Some c when c = cur -> ()
+      | Some _ -> reset_all ()
+      | None -> ());
+      last_cfg := Some cur;
+      match guard with
+      | None -> consult raw cur
+      | Some (g, state) ->
+        let clamped = Int.max g.Spec.g_clamp_lo (Int.min g.Spec.g_clamp_hi raw) in
+        if note state ~pathological:(clamped <> raw) then
+          Fire
+            {
+              label = g.Spec.g_fallback_label;
+              cost = g.Spec.g_fallback_cost;
+              apply =
+                (fun () ->
+                  let ok = apply g.Spec.g_fallback in
+                  if not ok then fallback_failed state;
+                  ok);
+            }
+        else consult clamped cur
+end
+
+(* Every spec a running object or a fixture declares. *)
+let all_specs () =
+  PC.shipped ()
+  @ List.concat_map (fun (_, specs, _) -> specs) (Analysis_suite.policy_fixtures ())
+
+(* Metric values worth sampling for [spec]: every threshold and its
+   neighbours, inside the guard's clamp when there is one. *)
+let samples_of (spec : Spec.t) =
+  let edges =
+    List.concat_map
+      (fun t ->
+        let c = t.Spec.t_cond in
+        [ c.Spec.lo - 1; c.Spec.lo; c.Spec.lo + 1 ]
+        @ match c.Spec.hi with Some h -> [ h - 1; h; h + 1; h + 1000 ] | None -> [ c.Spec.lo * 2 + 7 ])
+      spec.Spec.s_transitions
+  in
+  let vs = List.sort_uniq compare (0 :: 1 :: edges) in
+  let vs =
+    match spec.Spec.s_guard with
+    | None -> vs
+    | Some g -> List.filter (fun v -> v >= g.Spec.g_clamp_lo && v <= g.Spec.g_clamp_hi) vs
+  in
+  Array.of_list vs
+
+type op = Sample of int * bool | Set of int
+
+let gen_ops =
+  QCheck.Gen.(
+    list_size (1 -- 120)
+      (frequency
+         [
+           (12, map2 (fun k ok -> Sample (k, ok)) (int_bound 10_000) (frequency [ (3, return true); (1, return false) ]));
+           (1, map (fun k -> Set k) (int_bound 10_000));
+         ]))
+
+let print_ops ops =
+  String.concat " "
+    (List.map
+       (function
+         | Sample (k, ok) -> Printf.sprintf "s%d%s" k (if ok then "" else "!")
+         | Set k -> Printf.sprintf "=%d" k)
+       ops)
+
+(* Run [ops] through both interpreters of [spec], each over its own
+   copy of the attribute; [None] when they agree at every sample. *)
+let diverges (spec : Spec.t) ops =
+  let samples = samples_of spec in
+  let sets =
+    Array.of_list (List.map (fun c -> c.Spec.c_value) spec.Spec.s_configs @ [ -1; 999_999 ])
+  in
+  let outcome = ref true in
+  let world () =
+    let cur = ref spec.Spec.s_initial in
+    let apply v =
+      if !outcome then begin
+        cur := v;
+        true
+      end
+      else false
+    in
+    (cur, apply)
+  in
+  let cur_r, apply_r = world () and cur_c, apply_c = world () in
+  let reference =
+    Reference.compile ~read:(fun () -> !cur_r) ~apply:apply_r ~metric:(fun (m : int) -> m) spec
+  in
+  let compiled = Spec.compile ~read:(fun () -> !cur_c) ~apply:apply_c ~metric:(fun (m : int) -> m) spec in
+  let rec go i = function
+    | [] -> None
+    | Set k :: rest ->
+      let v = sets.(k mod Array.length sets) in
+      cur_r := v;
+      cur_c := v;
+      go (i + 1) rest
+    | Sample (k, ok) :: rest -> (
+      let m = samples.(k mod Array.length samples) in
+      outcome := ok;
+      match (reference m, compiled m) with
+      | Reference.Stay, Policy.No_change -> go (i + 1) rest
+      | Reference.Fire r, Policy.Reconfigure c
+        when r.label = c.label && r.cost = c.cost ->
+        let ok_r = r.apply () and ok_c = c.apply () in
+        if ok_r = ok_c && !cur_r = !cur_c then go (i + 1) rest
+        else Some (Printf.sprintf "op %d (metric %d): applies disagree" i m)
+      | _ ->
+        Some (Printf.sprintf "op %d (metric %d, config %d): decisions differ" i m !cur_c))
+  in
+  go 0 ops
+
+let prop_compile_matches_reference =
+  QCheck.Test.make ~name:"compile matches the reference interpreter" ~count:300
+    (QCheck.make ~print:print_ops gen_ops)
+    (fun ops ->
+      List.for_all
+        (fun spec ->
+          match diverges spec ops with
+          | None -> true
+          | Some why -> QCheck.Test.fail_reportf "%s: %s" spec.Spec.s_name why)
+        (all_specs ()))
+
 let suite =
   [
     Alcotest.test_case "shipped specs verify clean" `Quick test_shipped_clean;
@@ -280,4 +493,5 @@ let suite =
     Alcotest.test_case "constructor threshold validation" `Quick
       test_constructor_threshold_validation;
     Alcotest.test_case "guard cooldown resumes" `Quick test_guard_cooldown_resumes;
+    QCheck_alcotest.to_alcotest prop_compile_matches_reference;
   ]
