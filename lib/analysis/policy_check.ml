@@ -28,8 +28,8 @@ let entirely_below (a : Spec.cond) (b : Spec.cond) =
    Thresholds cut the metric axis into finitely many regions within
    which every transition condition keeps one truth value, so
    one representative per region decides everything. With a guard the
-   axis is the clamp interval — clamping maps every raw metric into
-   it, so clamped-out values are unobservable by the transitions. *)
+   axis is the clamp interval: a sample outside it feeds only the
+   guard, and [inputs] adds one such sample. *)
 
 type region = { r_lo : int; r_hi : int option }
 
@@ -69,98 +69,177 @@ let regions (spec : Spec.t) =
 let config_values (spec : Spec.t) =
   List.map (fun c -> c.Spec.c_value) spec.Spec.s_configs
 
-(* First transition enabled from configuration [v] at metric [m] — the
-   one [Spec.compile] consults — with its priority index. *)
-let first_match (spec : Spec.t) v m =
-  let rec go i = function
-    | [] -> None
-    | t :: rest ->
-      if t.Spec.t_from = v && Spec.matches t.Spec.t_cond m then Some (i, t)
-      else go (i + 1) rest
-  in
-  go 0 spec.Spec.s_transitions
+(* ---- the explored product ----
 
-(* The configurations reachable from the initial one over the regions
-   [rs]: along first-match edges, plus the guard's fallback edge, which
-   can fire from anywhere. *)
-let reached (spec : Spec.t) rs =
-  let next v =
-    List.filter_map
-      (fun r -> Option.map (fun (_, t) -> t.Spec.t_target) (first_match spec v r.r_lo))
-      rs
-    @ match spec.Spec.s_guard with Some g -> [ g.Spec.g_fallback ] | None -> []
-  in
-  Spec.reachable ~next spec.Spec.s_initial
+   A node is the attribute's value and the policy's own step state
+   ([Spec.step]'s). The inputs are one representative per region plus,
+   for a guarded spec, one sample outside the clamp: every such sample
+   acts alike, feeding only the guard. *)
 
-let rotate_min cycle =
-  let mn = List.fold_left min (List.hd cycle) cycle in
-  let rec rot l = if List.hd l = mn then l else rot (List.tl l @ [ List.hd l ]) in
-  rot cycle
+type input = { metric : int; desc : string }
+
+let inputs (spec : Spec.t) =
+  List.map (fun r -> { metric = r.r_lo; desc = region_desc r }) (regions spec)
+  @
+  match spec.Spec.s_guard with
+  | Some g ->
+    let desc = Printf.sprintf "outside [%d, %d]" g.Spec.g_clamp_lo g.Spec.g_clamp_hi in
+    [ { metric = g.Spec.g_clamp_hi + 1; desc } ]
+  | None -> []
+
+(* Breadth-first closure of [starts] under [next], whose edges carry a
+   label: the nodes in discovery order, and each one's edges as
+   (label, node number). *)
+let closure next starts =
+  let ids = Hashtbl.create 64 and nodes = ref [] and queue = Queue.create () in
+  let id v =
+    match Hashtbl.find_opt ids v with
+    | Some i -> i
+    | None ->
+      Hashtbl.add ids v (Hashtbl.length ids);
+      nodes := v :: !nodes;
+      Queue.add v queue;
+      Hashtbl.length ids - 1
+  in
+  List.iter (fun v -> ignore (id v)) starts;
+  let out = ref [] in
+  while not (Queue.is_empty queue) do
+    out := List.map (fun (l, w) -> (l, id w)) (next (Queue.pop queue)) :: !out
+  done;
+  (Array.of_list (List.rev !nodes), Array.of_list (List.rev !out))
+
+(* The policy's graph: every input from every node reached from the
+   initial one, each fire with both outcomes, apply succeeded or
+   failed. It holds every behaviour the running policy can show under
+   any sequence of samples and apply results. A succeeded fire's edge
+   is labelled with its configuration and transition index ([None]
+   for the guard's fallback). *)
+let explore (spec : Spec.t) =
+  let xs = inputs spec in
+  closure
+    (fun (cur, st) ->
+      List.concat_map
+        (fun x ->
+          match Spec.step spec st ~metric:x.metric ~cur with
+          | st', Spec.Stay -> [ (None, (cur, st')) ]
+          | st', Spec.Fire f ->
+            [ (Some (cur, f.transition), (f.target, st')); (None, (cur, f.on_fail)) ])
+        xs)
+    [ (spec.Spec.s_initial, Spec.fresh) ]
+
+let reached (nodes, _) = List.sort_uniq compare (List.map fst (Array.to_list nodes))
+let fires (_, out) = List.concat_map (List.filter_map fst) (Array.to_list out)
+
+(* ---- cycles under held inputs ----
+
+   The moves of a graph are labelled by player, [0] to [p - 1]. From
+   every node [u] with a configuration-changing move of player 0, the
+   shortest walk back to [u] that takes a configuration-changing move
+   of each player in turn, as the configurations it visits: one
+   period, rotated to start at the least value. *)
+let cycles p (nodes, out) =
+  let config v = fst nodes.(v) in
+  let changes who k v w = who = k && k < p && config w <> config v in
+  (* breadth-first over (node, moves taken so far), numbered [v * (p + 1) + k] *)
+  let walk u =
+    let prev = Array.make (Array.length nodes * (p + 1)) (-1) and queue = Queue.create () in
+    let start = u * (p + 1) and goal = (u * (p + 1)) + p in
+    Queue.add start queue;
+    while not (Queue.is_empty queue || prev.(goal) >= 0) do
+      let s = Queue.pop queue in
+      let v = s / (p + 1) and k = s mod (p + 1) in
+      List.iter
+        (fun (who, w) ->
+          let s' = (w * (p + 1)) + if changes who k v w then k + 1 else k in
+          if prev.(s') < 0 then begin
+            prev.(s') <- s;
+            Queue.add s' queue
+          end)
+        out.(v)
+    done;
+    let rec back s acc = if s = start then acc else back prev.(s) ((s / (p + 1)) :: acc) in
+    if prev.(goal) >= 0 then Some (u :: back goal []) else None
+  in
+  let period walk =
+    let rec squash = function
+      | a :: (b :: _ as rest) when a = b -> squash rest
+      | a :: rest -> a :: squash rest
+      | [] -> []
+    in
+    let l = Array.of_list (squash (List.map config walk)) in
+    let len = Array.length l - 1 in
+    let repeats k = List.for_all (fun i -> l.(i) = l.(i mod k)) (List.init len Fun.id) in
+    let rec shortest k = if len mod k = 0 && repeats k then k else shortest (k + 1) in
+    let p = shortest 1 in
+    let m = ref 0 in
+    for i = 1 to p - 1 do
+      if l.(i) < l.(!m) then m := i
+    done;
+    List.init p (fun i -> l.((i + !m) mod p))
+  in
+  List.filter_map
+    (fun u ->
+      if List.exists (fun (who, w) -> changes who 0 u w) out.(u) then Option.map period (walk u)
+      else None)
+    (List.init (Array.length nodes) Fun.id)
+
+(* The cycles of [specs], each held at one of its inputs (every
+   combination, first spec outermost), every apply succeeding and any
+   spec sampling next, from [starts]: adaptation that goes on forever
+   while no metric moves. Each cycle once, with the inputs it was first
+   found under. *)
+let fights specs starts =
+  let combos =
+    List.fold_right
+      (fun spec acc -> List.concat_map (fun x -> List.map (fun xs -> x :: xs) acc) (inputs spec))
+      specs [ [] ]
+  in
+  List.fold_left
+    (fun found xs ->
+      let next (cur, sts) =
+        List.mapi
+          (fun k ((spec, x), st) ->
+            let cur', st' =
+              match Spec.step spec st ~metric:x.metric ~cur with
+              | st', Spec.Stay -> (cur, st')
+              | st', Spec.Fire f -> (f.target, st')
+            in
+            (k, (cur', List.mapi (fun j s -> if j = k then st' else s) sts)))
+          (List.combine (List.combine specs xs) sts)
+      in
+      List.fold_left
+        (fun found c -> if List.mem_assoc c found then found else found @ [ (c, xs) ])
+        found
+        (cycles (List.length specs) (closure next starts)))
+    [] combos
 
 (* ---- thrash cycles ----
 
-   Within one region each configuration has at most one enabled
-   first-match transition, so the per-region step relation is a
-   functional graph; any cycle in it is an infinite adaptation loop the
-   policy runs without the metric moving at all (hysteresis only slows
-   it: counters reset on arrival, then refill while the metric sits
-   still). *)
-let thrash_cycles (spec : Spec.t) =
-  let values = config_values spec in
-  let seen = ref [] in
-  List.concat_map
-    (fun r ->
-      let next v =
-        Option.map (fun (_, t) -> t.Spec.t_target) (first_match spec v r.r_lo)
-      in
-      let cycles = ref [] in
-      List.iter
-        (fun start ->
-          let rec walk path v =
-            match next v with
-            | None -> ()
-            | Some w ->
-              if List.mem w (v :: path) then begin
-                let seg =
-                  let rec up acc = function
-                    | [] -> acc
-                    | x :: rest ->
-                      if x = w then x :: acc else up (x :: acc) rest
-                  in
-                  up [] (v :: path)
-                in
-                let canon = rotate_min seg in
-                if not (List.mem canon (!seen @ !cycles)) then
-                  cycles := !cycles @ [ canon ]
-              end
-              else walk (v :: path) w
-          in
-          walk [] start)
-        values;
-      seen := !seen @ !cycles;
-      List.map
-        (fun cycle ->
-          let names = List.map (Spec.config_name spec) cycle in
-          {
-            f_kind = "thrash-cycle";
-            f_spec = spec.Spec.s_name;
-            f_configs = names;
-            f_region = Some (region_desc r);
-            f_message =
-              Printf.sprintf
-                "adapts forever while %s stays %s: %s -> %s" spec.Spec.s_metric
-                (region_desc r)
-                (String.concat " -> " names)
-                (List.hd names);
-          })
-        !cycles)
-    (regions spec)
+   A configuration cycle under one held input, every apply succeeding,
+   from any node of the policy's graph: the policy adapts forever while
+   the workload does not change at all. Counters and guard are part of
+   the node, so the cycle is the running policy's, not a projection of
+   it. *)
+let thrash_cycles (spec : Spec.t) (nodes, _) =
+  List.map
+    (fun (cycle, xs) ->
+      let x = List.hd xs and names = List.map (Spec.config_name spec) cycle in
+      {
+        f_kind = "thrash-cycle";
+        f_spec = spec.Spec.s_name;
+        f_configs = names;
+        f_region = Some x.desc;
+        f_message =
+          Printf.sprintf "adapts forever while %s stays %s: %s -> %s" spec.Spec.s_metric
+            x.desc
+            (String.concat " -> " names)
+            (List.hd names);
+      })
+    (fights [ spec ] (List.map (fun (cur, st) -> (cur, [ st ])) (Array.to_list nodes)))
 
-(* ---- dead configurations ----
-
-   Configurations outside the reached set over every region. *)
-let dead_configs (spec : Spec.t) =
-  let live = reached spec (regions spec) in
+(* ---- dead configurations: never the attribute's value in the graph ---- *)
+let dead_configs (spec : Spec.t) g =
+  let live = reached g in
   List.filter_map
     (fun v ->
       if List.mem v live then None
@@ -181,23 +260,15 @@ let dead_configs (spec : Spec.t) =
 
 (* ---- transitions that can never fire ----
 
-   A transition that is never the first match in any region is dead:
-   either a higher-priority transition covers its whole enabled region
-   (shadowing — a threshold overlap), or, when it carries hysteresis,
-   its counter can never even advance. *)
-let dead_transitions (spec : Spec.t) =
-  let rs = regions spec in
-  let ts = spec.Spec.s_transitions in
-  let live = Array.make (List.length ts) false in
-  List.iter
-    (fun r ->
-      List.iter
-        (fun v ->
-          match first_match spec v r.r_lo with
-          | Some (i, _) -> live.(i) <- true
-          | None -> ())
-        (config_values spec))
-    rs;
+   A transition out of a reached configuration whose fire edge the
+   graph never takes is dead: a higher-priority transition claims its
+   whole enabled region (shadowing, a threshold overlap), or, when it
+   carries hysteresis, its counter can never even advance. A condition
+   entirely outside the clamp is a guardrail gap instead, and a
+   transition out of a dead configuration is that configuration's
+   finding. *)
+let dead_transitions (spec : Spec.t) g =
+  let live = reached g and fired = fires g in
   let clamp =
     match spec.Spec.s_guard with
     | Some g -> Some { Spec.lo = g.Spec.g_clamp_lo; hi = Some g.Spec.g_clamp_hi }
@@ -207,13 +278,13 @@ let dead_transitions (spec : Spec.t) =
     (List.mapi
        (fun i t ->
          let clamped_out =
-           match clamp with
-           | Some c -> isect t.Spec.t_cond c = None
-           | None -> false
+           match clamp with Some c -> isect t.Spec.t_cond c = None | None -> false
          in
-         (* a condition entirely outside the clamp is a guardrail gap,
-            reported by [guard_gaps] instead *)
-         if live.(i) || clamped_out then []
+         if
+           clamped_out
+           || (not (List.mem t.Spec.t_from live))
+           || List.mem (t.Spec.t_from, Some i) fired
+         then []
          else
            let hysteretic = t.Spec.t_repeats > 1 in
            [
@@ -237,7 +308,7 @@ let dead_transitions (spec : Spec.t) =
                     else "a higher-priority transition shadows its whole region");
              };
            ])
-       ts)
+       spec.Spec.s_transitions)
 
 (* ---- inverted / overlapping up-down thresholds ----
 
@@ -304,11 +375,11 @@ let threshold_faults (spec : Spec.t) =
     ups
 
 (* ---- guardrail gaps ---- *)
-let guard_gaps (spec : Spec.t) =
+let guard_gaps (spec : Spec.t) g =
   match spec.Spec.s_guard with
   | None -> []
-  | Some g ->
-    let clamp = { Spec.lo = g.Spec.g_clamp_lo; hi = Some g.Spec.g_clamp_hi } in
+  | Some gd ->
+    let clamp = { Spec.lo = gd.Spec.g_clamp_lo; hi = Some gd.Spec.g_clamp_hi } in
     let gap configs msg =
       {
         f_kind = "guardrail-gap";
@@ -334,21 +405,14 @@ let guard_gaps (spec : Spec.t) =
                     t.Spec.t_label
                     (Spec.config_name spec t.Spec.t_from)
                     (Spec.config_name spec t.Spec.t_target)
-                    g.Spec.g_clamp_lo g.Spec.g_clamp_hi))
+                    gd.Spec.g_clamp_lo gd.Spec.g_clamp_hi))
           else None)
         spec.Spec.s_transitions
     in
+    (* the fallback is a sink when no transition fires out of it *)
     let fallback_sink =
-      let v = g.Spec.g_fallback in
-      let can_leave =
-        List.exists
-          (fun r ->
-            match first_match spec v r.r_lo with
-            | Some (_, t) -> t.Spec.t_target <> v
-            | None -> false)
-          (regions spec)
-      in
-      if can_leave then []
+      let v = gd.Spec.g_fallback in
+      if List.exists (fun (cur, tr) -> cur = v && tr <> None) (fires g) then []
       else
         [
           gap
@@ -374,15 +438,15 @@ let guard_gaps (spec : Spec.t) =
    transition needs real hysteresis ([t_repeats >= 2]): a swap firing
    on a single sample opens a freeze-kick-drain window — and migrates
    every waiter — on any metric blip. *)
-let impl_ladder_faults (spec : Spec.t) =
+let impl_ladder_faults (spec : Spec.t) g =
   if spec.Spec.s_kind <> "lock-impl" then []
   else begin
     let clamped_out =
       match spec.Spec.s_guard with
       | None -> []
-      | Some g ->
-        let unclamped = reached spec (regions { spec with Spec.s_guard = None }) in
-        let clamped = reached spec (regions spec) in
+      | Some gd ->
+        let unclamped = reached (explore { spec with Spec.s_guard = None }) in
+        let clamped = reached g in
         List.filter_map
           (fun v ->
             if List.mem v unclamped && not (List.mem v clamped) then
@@ -397,8 +461,8 @@ let impl_ladder_faults (spec : Spec.t) =
                       "implementation %s (id %d) is reachable by the unclamped \
                        ladder but the guardrail clamp [%d, %d] cuts off every \
                        path to it: the lock can never earn that implementation"
-                      (Spec.config_name spec v) v g.Spec.g_clamp_lo
-                      g.Spec.g_clamp_hi;
+                      (Spec.config_name spec v) v gd.Spec.g_clamp_lo
+                      gd.Spec.g_clamp_hi;
                 }
             else None)
           (config_values spec)
@@ -436,8 +500,9 @@ let impl_ladder_faults (spec : Spec.t) =
 let check (spec : Spec.t) =
   match Spec.validate spec with
   | [] ->
-    thrash_cycles spec @ dead_configs spec @ dead_transitions spec
-    @ threshold_faults spec @ guard_gaps spec @ impl_ladder_faults spec
+    let g = explore spec in
+    thrash_cycles spec g @ dead_configs spec g @ dead_transitions spec g
+    @ threshold_faults spec @ guard_gaps spec g @ impl_ladder_faults spec g
   | errs ->
     List.map
       (fun e ->
@@ -453,67 +518,28 @@ let check (spec : Spec.t) =
 (* ---- cross-object conflicts ----
 
    Two specs naming the same attribute co-write one configuration
-   value. Freeze each spec's metric in one of its regions (the metrics
-   are independent, so any pair of regions can persist); the union of
-   the two per-region functional graphs then has at most two out-edges
-   per configuration. A cycle using edges of both specs is a conflict:
-   each policy is stable alone, but together they pass the attribute
-   back and forth while neither metric moves. Single-spec cycles are
-   that spec's own thrash, reported by [check]. *)
+   value. Hold each spec's metric at one of its inputs (the metrics are
+   independent, so any pair can persist) and explore the product of the
+   two steps over the shared value, from every declared value with
+   both policies fresh. A cycle through configuration-changing moves of
+   both is a conflict: each policy is stable alone, but together they
+   pass the attribute back and forth while neither metric moves. *)
 let conflicts (a : Spec.t) (b : Spec.t) =
   if a.Spec.s_attribute <> b.Spec.s_attribute then []
   else if Spec.validate a <> [] || Spec.validate b <> [] then []
   else begin
-    let values = List.sort_uniq compare (config_values a @ config_values b) in
     let cname v =
-      match Spec.find_config a v with
-      | Some c -> c.Spec.c_name
-      | None -> Spec.config_name b v
+      match Spec.find_config a v with Some c -> c.Spec.c_name | None -> Spec.config_name b v
     in
-    let found = ref [] in
-    List.iter
-      (fun ra ->
-        List.iter
-          (fun rb ->
-            let next_a v =
-              Option.map (fun (_, t) -> t.Spec.t_target) (first_match a v ra.r_lo)
-            in
-            let next_b v =
-              Option.map (fun (_, t) -> t.Spec.t_target) (first_match b v rb.r_lo)
-            in
-            let record seg =
-              let nodes = List.map fst seg in
-              let tags = List.map snd seg in
-              if List.mem `A tags && List.mem `B tags then begin
-                let canon = rotate_min nodes in
-                if not (List.exists (fun (c, _, _) -> c = canon) !found) then
-                  found := !found @ [ (canon, region_desc ra, region_desc rb) ]
-              end
-            in
-            let rec explore path v =
-              let step tag w =
-                if List.exists (fun (x, _) -> x = w) ((v, tag) :: path) then begin
-                  let seg =
-                    let rec up acc = function
-                      | [] -> acc
-                      | (x, tg) :: rest ->
-                        if x = w then (x, tg) :: acc else up ((x, tg) :: acc) rest
-                    in
-                    up [] ((v, tag) :: path)
-                  in
-                  record seg
-                end
-                else explore ((v, tag) :: path) w
-              in
-              (match next_a v with Some w -> step `A w | None -> ());
-              match next_b v with Some w -> step `B w | None -> ()
-            in
-            List.iter (fun v -> explore [] v) values)
-          (regions b))
-      (regions a);
+    let starts =
+      List.map
+        (fun v -> (v, [ Spec.fresh; Spec.fresh ]))
+        (List.sort_uniq compare (config_values a @ config_values b))
+    in
     List.map
-      (fun (cycle, da, db) ->
+      (fun (cycle, xs) ->
         let names = List.map cname cycle in
+        let da = (List.nth xs 0).desc and db = (List.nth xs 1).desc in
         {
           f_kind = "cross-object-conflict";
           f_spec = a.Spec.s_name ^ " + " ^ b.Spec.s_name;
@@ -527,7 +553,7 @@ let conflicts (a : Spec.t) (b : Spec.t) =
               (String.concat " -> " names)
               (List.hd names);
         })
-      !found
+      (fights [ a; b ] starts)
   end
 
 (* ---- the shipped catalogue and batch runs ---- *)

@@ -3,48 +3,56 @@
     Every shipped adaptive object reifies its policy as an
     {!Adaptive_core.Policy.Spec} (the same data its runtime policy is
     compiled from), so this checker can verify adaptation behaviour
-    without running the simulator. The abstraction: the observed
-    metric axis is cut at every declared threshold into finitely many
-    {e regions}, inside which each condition keeps one truth value;
-    one representative per region therefore decides every transition,
-    and the per-region step relation is a functional graph over the
-    configurations. The checks:
+    without running the simulator. It explores the policy's own step,
+    {!Adaptive_core.Policy.Spec.step}: the observed metric axis is cut
+    at every declared threshold into finitely many {e regions}, inside
+    which each condition keeps one truth value, and one representative
+    per region (plus, for a guarded spec, one sample outside the
+    clamp) is an input. A node is the attribute's value and the
+    step's state (hysteresis counter, guard streak and cooldown); from
+    the initial node every input is stepped, and each fire has two
+    outcomes, apply succeeded or failed. The checks, as queries over
+    that graph or over the spec's intervals:
 
-    - {b thrash-cycle}: a configuration cycle closed inside one metric
-      region — the policy adapts forever while the workload does not
-      change at all (hysteresis only slows such a cycle, it cannot
-      break one);
-    - {b dead-config}: a configuration unreachable from the initial
-      one along first-match edges and guard fallbacks;
+    - {b thrash-cycle}: a cycle under one held input, every apply
+      succeeding, that changes the configuration — the policy adapts
+      forever while the workload does not change at all;
+    - {b dead-config}: a configuration no reached node holds;
     - {b threshold-overlap}: an up- and a down-transition from the
       same configuration enabled by overlapping metric values, or a
-      transition fully shadowed by higher-priority ones;
+      transition out of a reached configuration whose fire edge is
+      never taken (shadowed by higher-priority ones);
     - {b threshold-inverted}: up/down conditions on the wrong sides of
       each other for the spec's declared {!Adaptive_core.Policy.Spec.monotone}
       polarity;
-    - {b hysteresis-dead}: a [t_repeats > 1] transition whose counter
-      can never advance because every enabling sample is claimed by a
-      higher-priority transition;
+    - {b hysteresis-dead}: a [t_repeats > 1] transition whose fire
+      edge is never taken — its counter can never advance because
+      every enabling sample is claimed by a higher-priority
+      transition;
     - {b guardrail-gap}: a transition condition lying
       entirely outside the guard's metric clamp, or a fallback
-      configuration that is a sink;
+      configuration that no transition fires out of;
     - {b impl-clamped-out} (implementation ladders,
-      [s_kind = "lock-impl"] only): an implementation the unclamped
-      ladder can reach that the guardrail's metric clamp cuts off —
-      the configuration stays declared but no observable metric can
-      ever earn it;
+      [s_kind = "lock-impl"] only): an implementation the unguarded
+      ladder's graph reaches and the guarded one's does not — the
+      configuration stays declared but no observable metric can ever
+      earn it;
     - {b swap-no-hysteresis} (implementation ladders only): a swap
       transition firing after a single enabling sample
       ([t_repeats < 2]) — an implementation swap runs a full
       freeze-kick-drain quiescence window, so a hysteresis-free ladder
       thrashes through swap windows on metric blips;
     - {b cross-object-conflict}: two specs naming the same
-      [s_attribute] whose combined step relations cycle while both
-      metrics stay put (each policy stable alone, unstable together);
+      [s_attribute] whose product of steps over the shared value, each
+      held at one input and either sampling next, cycles through
+      configuration-changing moves of both while both metrics stay put
+      (each policy stable alone, unstable together);
     - {b malformed-spec}: structural errors from
       {!Adaptive_core.Policy.Spec.validate} (these suppress the
       behavioural checks for that spec).
 
+    A thrash or conflict finding's [f_configs] is one closed walk of
+    the cycle, in order, and its [f_region] names the held inputs.
     Soundness caveats mirror the IR's: one scalar metric per spec,
     regions assume the metric can hold any value indefinitely (the
     checker over-approximates reachable metric sequences, so a

@@ -461,6 +461,42 @@ let policy_fixtures () =
       ~params:{ Locks.Lock_core.default_params with Locks.Lock_core.repeats = 1 }
       ~name:"fixture-swap-no-hysteresis" ()
   in
+  (* A guarded one-way switch and a peer that turns the same attribute
+     on. Each is clean alone, and their transitions never oppose each
+     other; the fight is in the guard: while the sensor reads out of
+     range, every fallback turns the attribute off and the peer turns
+     it back on. *)
+  let guarded_switch =
+    {
+      (base "fixture-guarded-switch" ~metric:"sensor-reading" ~monotone:Spec.Up_at_high
+         ~configs:[ ("off", 0); ("on", 1) ]
+         ~initial:0
+         ~transitions:[ trans ~repeats:2 0 (Spec.cond 5) 1 "on" ])
+      with
+      Spec.s_attribute = "fixture.shared-level";
+      s_guard =
+        Some
+          {
+            Spec.g_clamp_lo = 0;
+            g_clamp_hi = 10;
+            g_limit = 2;
+            g_cooldown = 2;
+            g_fallback = 0;
+            g_fallback_label = "sensor-fallback";
+            g_fallback_cost = cost;
+          };
+    }
+  in
+  let peer =
+    {
+      (base "fixture-level-peer" ~metric:"backlog" ~monotone:Spec.Up_at_high
+         ~configs:[ ("off", 0); ("on", 1) ]
+         ~initial:0
+         ~transitions:[ trans 0 (Spec.cond 3) 1 "on" ])
+      with
+      Spec.s_attribute = "fixture.shared-level";
+    }
+  in
   [
     ("thrashing-barrier", [ thrasher ], [ "thrash-cycle" ]);
     ("dead-config", [ dead ], [ "dead-config" ]);
@@ -470,6 +506,7 @@ let policy_fixtures () =
     ("conflicting-pair", [ ping; pong ], [ "cross-object-conflict" ]);
     ("clamped-out-impl", [ impl_clamped ], [ "impl-clamped-out" ]);
     ("swap-no-hysteresis", [ impl_trigger_happy ], [ "swap-no-hysteresis" ]);
+    ("guard-fights-peer", [ guarded_switch; peer ], [ "cross-object-conflict" ]);
   ]
 
 (* -- seeded-bad protocol models: positive controls for the protocol

@@ -29,11 +29,9 @@ type transition = { at : int; from_ : config; to_ : config; cost : Cost.t }
 
 type space
 
-val space :
-  configs:config list -> ?edges:(string * string) list -> unit -> space
-(** Declare the configuration space. [edges] restricts Ψ to the listed
-    (from-gamma, to-gamma) pairs; omitted, any pair of member
-    configurations is allowed. Raises [Invalid_argument] on duplicate
+val space : configs:config list -> edges:(string * string) list -> space
+(** Declare the configuration space. [edges] lists the (from-gamma,
+    to-gamma) pairs Ψ may take. Raises [Invalid_argument] on duplicate
     member configurations. *)
 
 val mem : space -> config -> bool
@@ -49,11 +47,10 @@ val total_cost : transition list -> Cost.t
 
 val check_log : Policy.Spec.t -> (int * string) list -> (unit, string) result
 (** Replay a recorded adaptation log ((virtual time, label), oldest
-    first — the {!Registry.stats} log) as a Ψ chain: each label must
-    resolve to a declared transition out of the current configuration
-    (or the guardrail fallback), and the resulting chain must
-    {!validate} against the configuration space the spec induces (one
-    member per configuration, an edge per declared transition and, with
-    a guardrail, the fallback from every configuration). [Error]
-    pinpoints the first label with no declared transition, or the
-    validate failure. *)
+    first — the {!Registry.stats} log) as a Ψ chain from the spec's
+    initial configuration: each label must resolve to a declared
+    transition out of the current configuration (first match in
+    priority order), or to the guardrail fallback from any
+    configuration, and the entries must be in time order. [Error]
+    pinpoints the first label with no declared transition or, when
+    every label resolves, the first entry out of time order. *)

@@ -4,55 +4,6 @@ type decision =
 
 type 'obs t = 'obs -> decision
 
-module Guard = struct
-  type t = {
-    limit : int;
-    cooldown : int;
-    mutable streak : int;
-    mutable cooldown_left : int;
-    mutable fallbacks : int;
-  }
-
-  let create ~pathological_limit ~cooldown =
-    if pathological_limit <= 0 || cooldown < 0 then invalid_arg "Policy.Guard.create";
-    { limit = pathological_limit; cooldown; streak = 0; cooldown_left = 0; fallbacks = 0 }
-
-  let note t ~pathological =
-    if t.cooldown_left > 0 then begin
-      t.cooldown_left <- t.cooldown_left - 1;
-      false
-    end
-    else if pathological then begin
-      t.streak <- t.streak + 1;
-      if t.streak >= t.limit then begin
-        t.streak <- 0;
-        t.cooldown_left <- t.cooldown;
-        t.fallbacks <- t.fallbacks + 1;
-        true
-      end
-      else false
-    end
-    else begin
-      t.streak <- 0;
-      false
-    end
-
-  let streak t = t.streak
-  let fallbacks t = t.fallbacks
-
-  (* A fallback whose apply reported failure (e.g. an implementation
-     swap that rolled back) leaves the object pathological — but
-     [note] has already zeroed the streak and started the cooldown,
-     which would park the guard for [cooldown] further observations
-     plus a whole fresh streak before retrying. Cancel the cooldown
-     and restore the streak to one short of the limit, so the very
-     next pathological observation re-orders the fallback (while a
-     healthy observation still clears it). *)
-  let fallback_failed t =
-    t.cooldown_left <- 0;
-    t.streak <- Int.max 0 (t.limit - 1)
-end
-
 module Spec = struct
   type cond = { lo : int; hi : int option }
   type config = { c_name : string; c_value : int }
@@ -153,68 +104,100 @@ module Spec = struct
       if g.g_cooldown < 0 then err "guard: negative cooldown %d" g.g_cooldown);
     List.rev !errs
 
-  let compile ~read ~apply ~metric spec =
-    let ts = Array.of_list spec.s_transitions in
-    let counters = Array.make (Int.max 1 (Array.length ts)) 0 in
-    let last_cfg = ref None in
-    let guard =
+  type state = {
+    last : int option;
+    live : (int * int) option;
+    streak : int;
+    cooldown : int;
+  }
+
+  type action =
+    | Stay
+    | Fire of {
+        target : int;
+        label : string;
+        cost : Cost.t;
+        on_fail : state;
+        transition : int option;
+      }
+
+  let fresh = { last = None; live = None; streak = 0; cooldown = 0 }
+
+  (* The first transition out of [cur] whose condition holds at [m],
+     with its priority index. *)
+  let enabled spec cur m =
+    let rec go i = function
+      | [] -> None
+      | tr :: rest ->
+        if tr.t_from = cur && matches tr.t_cond m then Some (i, tr) else go (i + 1) rest
+    in
+    go 0 spec.s_transitions
+
+  let step spec st ~metric ~cur =
+    let live = match st.last with Some c when c <> cur -> None | _ -> st.live in
+    let st = { st with last = Some cur; live = None } in
+    let in_clamp, st, fallback =
       match spec.s_guard with
-      | None -> None
-      | Some g -> Some (g, Guard.create ~pathological_limit:g.g_limit ~cooldown:g.g_cooldown)
+      | None -> (true, st, None)
+      | Some g ->
+        let in_clamp = metric >= g.g_clamp_lo && metric <= g.g_clamp_hi in
+        if st.cooldown > 0 then (in_clamp, { st with cooldown = st.cooldown - 1 }, None)
+        else if in_clamp then (true, { st with streak = 0 }, None)
+        else if st.streak + 1 < g.g_limit then (false, { st with streak = st.streak + 1 }, None)
+        else (false, { st with streak = 0; cooldown = g.g_cooldown }, Some g)
     in
-    let reset_all () = Array.fill counters 0 (Array.length counters) 0 in
-    let fire i (tr : transition) =
-      Reconfigure
-        {
-          label = tr.t_label;
-          cost = tr.t_cost;
-          apply =
-            (fun () ->
-              let ok = apply tr.t_target in
-              if ok then counters.(i) <- 0;
-              ok);
-        }
-    in
-    (* First transition whose source is the current configuration and
-       whose condition matches the metric: its counter advances, every
-       other counter resets (a non-matching sample breaks a streak). *)
-    let consult m cur =
-      let enabled = ref (-1) in
-      for i = 0 to Array.length ts - 1 do
-        let tr = ts.(i) in
-        if !enabled < 0 && tr.t_from = cur && matches tr.t_cond m then enabled := i
-        else counters.(i) <- 0
-      done;
-      if !enabled < 0 then No_change
-      else begin
-        let i = !enabled in
-        let tr = ts.(i) in
-        counters.(i) <- counters.(i) + 1;
-        if counters.(i) >= tr.t_repeats then fire i tr else No_change
-      end
-    in
+    match fallback with
+    | Some g ->
+      (* A failed fallback leaves the object pathological: the very
+         next out-of-clamp sample re-orders it. *)
+      ( st,
+        Fire
+          {
+            target = g.g_fallback;
+            label = g.g_fallback_label;
+            cost = g.g_fallback_cost;
+            on_fail = { st with streak = g.g_limit - 1; cooldown = 0 };
+            transition = None;
+          } )
+    | None -> (
+      (* An out-of-clamp sample feeds only the guard: it matches no
+         transition, so like any non-matching sample it resets the
+         counters. *)
+      match if in_clamp then enabled spec cur metric else None with
+      | None -> (st, Stay)
+      | Some (i, tr) ->
+        let n = match live with Some (j, n) when j = i -> n + 1 | _ -> 1 in
+        if n < tr.t_repeats then ({ st with live = Some (i, n) }, Stay)
+        else
+          (* The counter resets only when the apply succeeds, so a
+             failed apply retries at the next enabled sample. *)
+          ( st,
+            Fire
+              {
+                target = tr.t_target;
+                label = tr.t_label;
+                cost = tr.t_cost;
+                on_fail = { st with live = Some (i, tr.t_repeats) };
+                transition = Some i;
+              } ))
+
+  let compile ~read ~apply ~metric spec =
+    let st = ref fresh in
     fun obs ->
-      let raw = metric obs in
-      let cur = read () in
-      (match !last_cfg with
-      | Some c when c = cur -> ()
-      | Some _ -> reset_all ()
-      | None -> ());
-      last_cfg := Some cur;
-      match guard with
-      | None -> consult raw cur
-      | Some (g, state) ->
-        let clamped = Int.max g.g_clamp_lo (Int.min g.g_clamp_hi raw) in
-        if Guard.note state ~pathological:(clamped <> raw) then
-          Reconfigure
-            {
-              label = g.g_fallback_label;
-              cost = g.g_fallback_cost;
-              apply =
-                (fun () ->
-                  let ok = apply g.g_fallback in
-                  if not ok then Guard.fallback_failed state;
-                  ok);
-            }
-        else consult clamped cur
+      let metric = metric obs in
+      let next, action = step spec !st ~metric ~cur:(read ()) in
+      st := next;
+      match action with
+      | Stay -> No_change
+      | Fire { target; label; cost; on_fail; _ } ->
+        Reconfigure
+          {
+            label;
+            cost;
+            apply =
+              (fun () ->
+                let ok = apply target in
+                if not ok then st := on_fail;
+                ok);
+          }
 end

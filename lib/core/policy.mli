@@ -2,12 +2,13 @@
 
     The user-provided component of an adaptive object is a declarative
     {!Spec.t}: a finite automaton over named configurations, driven by
-    threshold regions of one observed metric. {!Spec.compile} turns it
-    into the closure the feedback loop consults once per observation;
-    it is the only way to build one, because {!decision} is private.
-    So the policy that runs is always the policy the static checker
-    ([Analysis.Policy_check]) checked. A decision carries the
-    reconfiguration closure (the paper's Psi operation) together with
+    threshold regions of one observed metric. {!Spec.step} is its pure
+    transition function, and {!Spec.compile} wraps it into the closure
+    the feedback loop consults once per observation; that is the only
+    way to build one, because {!decision} is private. The static
+    checker ([Analysis.Policy_check]) explores the same {!Spec.step},
+    so the policy that runs is the policy it checked. A decision
+    carries the reconfiguration closure (the paper's Psi operation) together with
     its declared {!Cost.t}, which the feedback loop charges at the
     object's home node when applying it. *)
 
@@ -23,52 +24,30 @@ type decision = private
 type 'obs t = 'obs -> decision
 (** A compiled policy maps monitor observations to decisions. *)
 
-(** Guardrail state machine behind a spec's [s_guard]: count
-    consecutive pathological observations, order a fallback after a
-    streak, then suspend counting for a cooldown (hysteresis, so the
-    fallback cannot immediately re-trigger). {!Spec.compile} builds
-    one from the spec's [g_limit] and [g_cooldown] and feeds it the
-    clamp verdicts. *)
-module Guard : sig
-  type t
-
-  val create : pathological_limit:int -> cooldown:int -> t
-  (** [pathological_limit] consecutive pathological observations
-      trigger a fallback; counting is then suspended for the following
-      [cooldown]. Raises [Invalid_argument] on a non-positive limit or
-      a negative cooldown. *)
-
-  val note : t -> pathological:bool -> bool
-  (** Record one observation's verdict; [true] orders a fallback. *)
-
-  val streak : t -> int
-  (** Current consecutive pathological-observation count. *)
-
-  val fallbacks : t -> int
-  (** Fallbacks ordered so far. *)
-
-end
-
 (** Declarative adaptation-policy IR.
 
     A {!Spec.t} reifies what an adaptation policy {e is} — a finite
     automaton over named configurations, driven by threshold regions of
     one observed metric, with per-transition hysteresis counters and an
-    optional guardrail — so that tools can inspect it. The static
-    checker ([Analysis.Policy_check]) model-checks specs for thrash
-    cycles, dead configurations, threshold faults, guardrail gaps and
-    cross-object conflicts without running the simulator; {!Spec.compile}
-    turns the same spec into the executable closure form (what
-    [Adaptive.create] does with every object's spec), so the runtime
-    policy and the checked artifact cannot drift apart.
+    optional guardrail — so that tools can inspect it. {!Spec.step} is
+    the policy's one sample, with every bit of memory (counters, the
+    guard's streak and cooldown) in an explicit {!Spec.state}. The
+    static checker ([Analysis.Policy_check]) explores the finite
+    product of that state for thrash cycles, dead configurations,
+    threshold faults, guardrail gaps and cross-object conflicts without
+    running the simulator; {!Spec.compile} holds one state and calls
+    [step] per observation (what [Adaptive.create] does with every
+    object's spec), so the runtime policy and the checked artifact
+    cannot drift apart.
 
     Limits of the abstraction (soundness caveats): the metric is one
     scalar per observation; conditions are inclusive intervals on it;
     configurations are a finite set identified by an integer value
     (the attribute setting). A configuration reached only by mutating
     the attribute externally to a value outside [s_configs] puts the
-    compiled policy into an inert state (it decides [No_change] until
-    the value returns to a known configuration). *)
+    compiled policy into an inert state: no transition fires until the
+    value returns to a known configuration (a guard's fallback still
+    can). *)
 module Spec : sig
   type cond = { lo : int; hi : int option }
       (** metric in [\[lo, hi\]], inclusive; [hi = None] means
@@ -94,8 +73,8 @@ module Spec : sig
   type guard_spec = {
     g_clamp_lo : int;
     g_clamp_hi : int;
-        (** raw metrics clamped into [\[lo, hi\]]; a clamped sample is
-            pathological *)
+        (** a sample outside [\[lo, hi\]] is pathological: it feeds
+            only the guard and matches no transition *)
     g_limit : int;  (** consecutive pathological samples before fallback *)
     g_cooldown : int;  (** samples with counting suspended afterwards *)
     g_fallback : int;  (** fallback target configuration, by value *)
@@ -131,8 +110,6 @@ module Spec : sig
   val cond : ?hi:int -> int -> cond
   (** [cond lo ?hi] builds a condition; omitted [hi] = unbounded. *)
 
-  val matches : cond -> int -> bool
-
   val reachable : next:(int -> int list) -> int -> int list
   (** [reachable ~next init]: the closure of [init] under the step
       function [next], ascending — the configuration values a
@@ -152,6 +129,55 @@ module Spec : sig
       formed. The behavioral checks (thrash, dead configs, threshold
       faults...) live in [Analysis.Policy_check]. *)
 
+  type state = {
+    last : int option;  (** configuration at the previous sample *)
+    live : (int * int) option;
+        (** the one hysteresis counter that can be nonzero, as
+            (transition index, consecutive enabled samples): a sample
+            advances at most one counter and resets the others. Capped
+            at the transition's [t_repeats], which fires exactly when
+            the uncapped count would. *)
+    streak : int;  (** consecutive out-of-clamp samples *)
+    cooldown : int;  (** samples left with the streak's counting suspended *)
+  }
+  (** Everything a policy remembers between samples. Plain data, so
+      states compare and hash structurally, and finitely many are
+      reachable for a given spec. *)
+
+  type action =
+    | Stay
+    | Fire of {
+        target : int;  (** configuration to move to, by value *)
+        label : string;
+        cost : Cost.t;
+        on_fail : state;  (** the state to adopt if the apply fails *)
+        transition : int option;
+            (** index in [s_transitions] of the transition that fired;
+                [None] for the guard's fallback *)
+      }
+
+  val fresh : state
+  (** The state of a policy that has seen no sample. *)
+
+  val step : t -> state -> metric:int -> cur:int -> state * action
+  (** One sample of the policy, pure: [metric] is the observed scalar,
+      [cur] the attribute's current value. Semantics, in order: the
+      hysteresis counter resets when [cur] differs from the previous
+      sample's configuration. With a guard, a [metric] outside
+      [\[g_clamp_lo, g_clamp_hi\]] is pathological; a streak of
+      [g_limit] of them fires the fallback, then [g_cooldown] samples
+      go uncounted, and a pathological sample never matches a
+      transition. Otherwise the first transition out of [cur] whose
+      condition holds advances its counter (all others reset) and
+      fires once the counter reaches [t_repeats]; a sample that
+      enables none resets the counter. The returned state assumes the
+      fire's apply succeeds: the counter is spent, or the guard's
+      cooldown runs. [on_fail] keeps the counter full, so the next
+      enabled sample retries at once, or sets the streak one short of
+      the limit with no cooldown, so the next pathological sample
+      re-orders the fallback. A [cur] outside [s_configs] enables no
+      transition. *)
+
   val compile :
     read:(unit -> int) ->
     apply:(int -> bool) ->
@@ -159,19 +185,10 @@ module Spec : sig
     t ->
     'obs ->
     decision
-  (** The executable form of a spec. [read] reports the current
-      configuration (by value), [apply] performs a reconfiguration to
-      the given value and reports whether it took effect, [metric]
-      extracts the observed scalar. Semantics, in observation order:
-      hysteresis counters reset whenever the configuration changed
-      since the previous observation; with a guard, the raw metric is
-      clamped and a streak of [g_limit] clamped samples fires the
-      fallback (then suspends counting for [g_cooldown] samples)
-      instead of consulting the transitions; otherwise the
-      first enabled transition advances its counter (all others
-      reset) and fires once the counter reaches [t_repeats] — the
-      counter itself resets only when the fired apply reports
-      success, so a no-op apply retries at the next enabled sample.
-      Each compiled policy owns its guard state, a {!Guard.t} built
-      from [g_limit] and [g_cooldown]. *)
+  (** The executable form of a spec: one {!state}, starting {!fresh},
+      advanced by {!step} once per observation. [read] reports the
+      current configuration (by value), [apply] performs a
+      reconfiguration to the given value and reports whether it took
+      effect (on failure the policy adopts the fire's [on_fail]),
+      [metric] extracts the observed scalar. *)
 end

@@ -104,8 +104,10 @@ val create :
     each unlock (an owner's advice applies to its own ownership span
     only). For the registered implementations, [params] sets the
     swap and ladder parameters (default {!default_params}), the
-    ladder's guardrail clamps to its composite metric's range, 0–199,
-    so the blocking region stays reachable, and [bug] seeds an
+    ladder's guardrail clamp is its composite metric's range, 0–199,
+    so the blocking region stays reachable and only a score no
+    non-negative waiting count produces is pathological (it feeds the
+    guard and drives no swap), and [bug] seeds an
     analysis-fixture defect. [Fixed Centralized] and [Swappable Centralized] raise
     [Invalid_argument]: the centralized word needs a waiting policy. *)
 

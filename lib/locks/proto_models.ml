@@ -412,7 +412,8 @@ let mcs ?(contenders = 3) () =
   in
   (m, props)
 
-(* ---- the Policy.Guard streak/cooldown/fallback machine ---- *)
+(* ---- the policy guard's streak/cooldown/fallback machine
+   (Policy.Spec.step) ---- *)
 
 let guard () =
   let limit = 2 and cooldown = 2 in

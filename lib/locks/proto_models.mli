@@ -11,7 +11,8 @@
       window, 1 = past the drain deadline, 2 = past deadline+grace)
       and timed waiters that poll and age out instead of sleeping;
     - MCS queue handoff;
-    - the [Policy.Guard] streak/cooldown/fallback machine.
+    - the policy guard's streak/cooldown/fallback machine (the
+      [streak] and [cooldown] of [Policy.Spec.state]).
 
     Each model ships with its safety and liveness properties. The
     seeded-bad quiescence variants reintroduce historical bugs so the
@@ -43,7 +44,8 @@ val mcs : ?contenders:int -> unit -> Protocol.t * Protocol.property list
     Properties: [mutex], [no-double-grant], [all-served] (liveness). *)
 
 val guard : unit -> Protocol.t * Protocol.property list
-(** The [Policy.Guard] fallback machine with limit 2 and cooldown 2.
+(** The guard's fallback machine in [Policy.Spec.step], with limit 2
+    and cooldown 2.
     Properties: [streak-bounded], [fallback-at-limit],
     [no-count-in-cooldown], [cooldown-terminates] (liveness). *)
 

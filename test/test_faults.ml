@@ -249,9 +249,9 @@ let test_guardrail_clamp_and_fallback () =
   (* simple-adapt with its guard set directly, compiled and fed one
      sample at a time. Threshold 2 sends any sample above 2 from
      budget 4 to pure blocking (0); budgets start at n = 4. Samples
-     above 10 are clamped to 10 and count as pathological; three in a
-     row fall back to the initial budget, then two samples go
-     uncounted. *)
+     above 10 lie outside the clamp: they are pathological, feed only
+     the guard and drive no transition; three in a row fall back to
+     the initial budget, then two samples go uncounted. *)
   let module Spec = Adaptive_core.Policy.Spec in
   let params =
     { Locks.Adaptive_lock.waiting_threshold = 2; n = 4; spin_cap = 16; sample_period = 1 }
@@ -290,19 +290,19 @@ let test_guardrail_clamp_and_fallback () =
       ignore (apply () : bool);
       label
   in
-  (* 50 is clamped to 10, which still reaches the transitions (above
-     the threshold: budget 4 - 2n = pure blocking) but starts a
-     streak. *)
-  check_string "absurd sample clamped" "pure blocking" (feed 50);
-  (* a healthy sample resets the streak: budget 0 + n *)
-  check_string "healthy sample adapts" "combined(4)" (feed 2);
-  check_string "streak restarts" "pure blocking" (feed 50);
-  check_string "clamped sample at pure blocking" "none" (feed 50);
+  (* 50 lies outside the clamp: it starts a streak and moves nothing. *)
+  check_string "absurd sample drives no transition" "none" (feed 50);
+  check_int "budget unmoved" 4 !budget;
+  (* a healthy sample resets the streak and adapts: budget 4 + n *)
+  check_string "healthy sample adapts" "combined(8)" (feed 2);
+  check_string "streak restarts" "none" (feed 50);
+  check_string "second pathological sample" "none" (feed 50);
   check_string "third clamped sample in a row must fall back" "guardrail-fallback"
     (feed 99);
   check_int "fallback restores the initial budget" 4 !budget;
-  (* cooldown: the next two clamped samples do not count *)
-  check_string "cooldown must suppress fallback" "pure blocking" (feed 99);
+  (* cooldown: the next two pathological samples do not count, and the
+     fallback stays where it landed *)
+  check_string "cooldown must suppress fallback" "none" (feed 99);
   check_string "cooldown still suppresses" "none" (feed 99);
   (* counting resumes: a fresh streak of three falls back again *)
   check_string "streak 1 after cooldown" "none" (feed 99);

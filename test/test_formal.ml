@@ -27,7 +27,6 @@ let waiting_space =
         ("pure blocking", "combined");
         ("pure blocking", "pure spin");
       ]
-    ()
 
 let tr at from_ to_ = { F.at; from_; to_; cost = Cost.reads_writes 1 1 }
 
@@ -38,7 +37,7 @@ let test_membership () =
 let test_duplicate_rejected () =
   check_bool "duplicate member rejected" true
     (try
-       ignore (F.space ~configs:[ spin; spin ] ());
+       ignore (F.space ~configs:[ spin; spin ] ~edges:[]);
        false
      with Invalid_argument _ -> true)
 
@@ -59,7 +58,7 @@ let test_validate_time_order () =
   | Ok () -> Alcotest.fail "time-disordered chain accepted")
 
 let test_validate_forbidden_edge () =
-  let s = F.space ~configs:[ spin; blocking ] ~edges:[ ("pure spin", "pure blocking") ] () in
+  let s = F.space ~configs:[ spin; blocking ] ~edges:[ ("pure spin", "pure blocking") ] in
   (match F.validate s ~initial:blocking [ tr 5 blocking spin ] with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "forbidden edge accepted")
@@ -114,6 +113,34 @@ let test_adaptive_lock_log_stays_in_space () =
   | Ok () -> ()
   | Error msg -> Alcotest.failf "simple-adapt left the declared space: %s" msg
 
+(* -- replaying a recorded log against its spec: the Error paths -- *)
+
+let test_check_log_errors () =
+  let spec = Locks.Lock_core.impl_ladder_spec () in
+  let verdict log =
+    match F.check_log spec log with Ok () -> "ok" | Error e -> e
+  in
+  Alcotest.(check string) "undeclared label"
+    "log entry \"swap:tas->tas\" at t=5: no declared transition from tas"
+    (verdict [ (5, "swap:tas->tas") ]);
+  Alcotest.(check string) "label valid only from another configuration"
+    "log entry \"swap:mcs->tas\" at t=9: no declared transition from blocking"
+    (verdict [ (5, "swap:tas->blocking"); (9, "swap:mcs->tas") ]);
+  Alcotest.(check string) "out of time order" "transition at 3 out of time order"
+    (verdict [ (5, "swap:tas->mcs"); (3, "swap:mcs->tas") ]);
+  Alcotest.(check string) "equal times are in order" "ok"
+    (verdict [ (5, "swap:tas->mcs"); (5, "swap:mcs->tas") ]);
+  (* the guard's fallback resolves from every configuration *)
+  List.iter
+    (fun (name, prefix) ->
+      Alcotest.(check string) ("fallback from " ^ name) "ok"
+        (verdict (prefix @ [ (7, "impl-guardrail-fallback"); (8, "swap:tas->mcs") ])))
+    [
+      ("tas", []);
+      ("mcs", [ (1, "swap:tas->mcs") ]);
+      ("blocking", [ (1, "swap:tas->blocking") ]);
+    ]
+
 let suite =
   [
     Alcotest.test_case "membership" `Quick test_membership;
@@ -123,6 +150,7 @@ let suite =
     Alcotest.test_case "time order" `Quick test_validate_time_order;
     Alcotest.test_case "forbidden edge" `Quick test_validate_forbidden_edge;
     Alcotest.test_case "cost algebra" `Quick test_total_cost_adds;
+    Alcotest.test_case "check_log errors" `Quick test_check_log_errors;
     Alcotest.test_case "simple-adapt trajectory in space" `Quick
       test_adaptive_lock_log_stays_in_space;
   ]

@@ -294,16 +294,58 @@ let test_adaptive_semaphore_budget_adapts () =
 (* -- guard state machine ------------------------------------------- *)
 
 let test_policy_guard_streaks () =
-  let g = Policy.Guard.create ~pathological_limit:2 ~cooldown:3 in
-  check_bool "one bad observation is tolerated" false
-    (Policy.Guard.note g ~pathological:true);
-  check_int "streak counted" 1 (Policy.Guard.streak g);
-  check_bool "streak limit orders fallback" true
-    (Policy.Guard.note g ~pathological:true);
-  check_int "fallback recorded" 1 (Policy.Guard.fallbacks g);
+  let module Spec = Policy.Spec in
+  let spec =
+    {
+      (toy_spec ~name:"guarded" ~kind:"test" "flip") with
+      Spec.s_guard =
+        Some
+          {
+            Spec.g_clamp_lo = 0;
+            g_clamp_hi = 10;
+            g_limit = 2;
+            g_cooldown = 3;
+            g_fallback = 0;
+            g_fallback_label = "fallback";
+            g_fallback_cost = Adaptive_core.Cost.zero;
+          };
+    }
+  in
+  let st = ref Spec.fresh and fallbacks = ref 0 in
+  (* One pathological (out-of-clamp) observation; [true] when it
+     orders the fallback. *)
+  let note () =
+    let next, action = Spec.step spec !st ~metric:99 ~cur:0 in
+    st := next;
+    match action with
+    | Spec.Fire { transition = None; _ } ->
+      incr fallbacks;
+      true
+    | _ -> false
+  in
+  check_bool "one bad observation is tolerated" false (note ());
+  check_int "streak counted" 1 !st.Spec.streak;
+  check_bool "streak limit orders fallback" true (note ());
+  check_int "fallback recorded" 1 !fallbacks;
   (* Cooldown: the next pathological observations must not re-trigger. *)
-  check_bool "cooldown suppresses" false (Policy.Guard.note g ~pathological:true);
-  check_bool "still suppressed" false (Policy.Guard.note g ~pathological:true)
+  check_bool "cooldown suppresses" false (note ());
+  check_bool "still suppressed" false (note ())
+
+(* -- the committed OBJECTS artifact --------------------------------- *)
+
+(* Every object's samples, policy runs, adaptations and transition log,
+   regenerated at one domain through the driver [repro objects] runs and
+   compared with results/OBJECTS_results.json (compiled in by test/dune
+   as [Committed.objects]): no adaptation decision moves unnoticed. *)
+let test_objects_json_committed () =
+  let saved = Engine.Runner.default_domains () in
+  Engine.Runner.set_default_domains 1;
+  let payload =
+    Fun.protect
+      ~finally:(fun () -> Engine.Runner.set_default_domains saved)
+      (fun () -> snd (Fleet.Catalogue.run_config (Option.get (Fleet.Catalogue.find "objects")) []))
+  in
+  check_string "results/OBJECTS_results.json" Committed.objects payload
 
 (* -- trace annotations --------------------------------------------- *)
 
@@ -341,5 +383,7 @@ let suite =
     Alcotest.test_case "semaphore budget adapts" `Quick
       test_adaptive_semaphore_budget_adapts;
     Alcotest.test_case "guard streaks" `Quick test_policy_guard_streaks;
+    Alcotest.test_case "OBJECTS JSON matches the committed artifact" `Quick
+      test_objects_json_committed;
     Alcotest.test_case "trace adaptations" `Quick test_trace_records_adaptations;
   ]

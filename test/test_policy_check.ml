@@ -112,6 +112,100 @@ let test_conflict_needs_shared_attribute () =
       (List.length (conflicts a b'))
   | _ -> Alcotest.fail "conflicting-pair fixture missing"
 
+(* -- every thrash and conflict finding replays on the compiled policy --
+
+   A finding names its held input as a region ("= 2", "in [a, b]",
+   ">= a", or "outside [lo, hi]" for a guard's pathological sample);
+   its representative is the region's low end, or [hi + 1]. Feeding it
+   again and again to [Spec.compile], every apply succeeding, must
+   visit the reported configurations in order, from the first one. *)
+
+let representative desc =
+  let ints =
+    List.filter_map int_of_string_opt
+      (String.split_on_char ' '
+         (String.map (fun c -> if (c >= '0' && c <= '9') || c = '-' then c else ' ') desc))
+  in
+  if String.length desc > 7 && String.sub desc 0 7 = "outside" then List.nth ints 1 + 1
+  else List.hd ints
+
+(* A conflict's region, "<metric a> <desc a>, <metric b> <desc b>",
+   as the two representatives. *)
+let held_pair (a : Spec.t) (b : Spec.t) region =
+  let pa = a.Spec.s_metric ^ " " and sep = ", " ^ b.Spec.s_metric ^ " " in
+  let rec find i = if String.sub region i (String.length sep) = sep then i else find (i + 1) in
+  let i = find 0 in
+  let j = i + String.length sep in
+  ( representative (String.sub region (String.length pa) (i - String.length pa)),
+    representative (String.sub region j (String.length region - j)) )
+
+(* Run [players] (each a spec held at one metric) in turn over one
+   shared attribute starting at [start]; the configurations it takes. *)
+let replay players start =
+  let cur = ref start and seen = ref [ start ] in
+  let policies =
+    List.map
+      (fun (spec, m) ->
+        let p =
+          Spec.compile spec
+            ~read:(fun () -> !cur)
+            ~apply:(fun v ->
+              cur := v;
+              true)
+            ~metric:Fun.id
+        in
+        fun () ->
+          match p m with
+          | Policy.No_change -> ()
+          | Policy.Reconfigure { apply; _ } ->
+            ignore (apply ());
+            if !cur <> List.hd !seen then seen := !cur :: !seen)
+      players
+  in
+  for _ = 1 to 100 do
+    List.iter (fun step -> step ()) policies
+  done;
+  List.rev !seen
+
+let test_findings_replay () =
+  let replayed = ref 0 in
+  List.iter
+    (fun (_, specs, _) ->
+      let by_name n = List.find (fun s -> s.Spec.s_name = n) specs in
+      let value spec name =
+        (List.find (fun c -> c.Spec.c_name = name) spec.Spec.s_configs).Spec.c_value
+      in
+      List.iter
+        (fun f ->
+          let players =
+            match (f.PC.f_kind, f.PC.f_region) with
+            | "thrash-cycle", Some desc ->
+              let spec = by_name f.PC.f_spec in
+              [ (spec, representative desc) ]
+            | "cross-object-conflict", Some region -> (
+              match String.split_on_char '+' f.PC.f_spec with
+              | [ a; b ] ->
+                let a = by_name (String.trim a) and b = by_name (String.trim b) in
+                let ma, mb = held_pair a b region in
+                [ (a, ma); (b, mb) ]
+              | _ -> Alcotest.fail "malformed conflict finding")
+            | _ -> []
+          in
+          if players <> [] then begin
+            incr replayed;
+            let spec = fst (List.hd players) in
+            let cycle = List.map (value spec) f.PC.f_configs in
+            let seen = replay players (List.hd cycle) in
+            let k = List.length cycle in
+            Alcotest.(check (list int))
+              (f.PC.f_spec ^ ": " ^ f.PC.f_message)
+              (List.init ((2 * k) + 1) (fun i -> List.nth cycle (i mod k)))
+              (List.filteri (fun i _ -> i <= 2 * k) seen)
+          end)
+        (PC.check_fixture ~name:"" ~expect:[] specs).PC.x_findings)
+    (Analysis_suite.policy_fixtures ());
+  Alcotest.(check int) "thrash and conflict findings replayed" 3 !replayed
+
 (* -- interpreter semantics of the compiled spec -- *)
 
 let labels = ref []
@@ -237,14 +331,40 @@ let test_constructor_threshold_validation () =
        (check_spec
           (Cthreads.Adaptive_barrier.policy_spec ~spin_if_under:9 ~block_if_over:9 ())))
 
-(* -- Policy.Guard cooldown edges -- *)
+(* -- the guard's cooldown edges, through the step -- *)
 
 let test_guard_cooldown_resumes () =
-  let g = Policy.Guard.create ~pathological_limit:2 ~cooldown:3 in
-  let note p = Policy.Guard.note g ~pathological:p in
+  let spec =
+    {
+      (Locks.Rw_lock.policy_spec ()) with
+      Spec.s_guard =
+        Some
+          {
+            Spec.g_clamp_lo = 0;
+            g_clamp_hi = 10;
+            g_limit = 2;
+            g_cooldown = 3;
+            g_fallback = 0;
+            g_fallback_label = "fallback";
+            g_fallback_cost = cost;
+          };
+    }
+  in
+  let st = ref Spec.fresh and fallbacks = ref 0 in
+  (* One observation, pathological (outside the clamp) or not; [true]
+     when it orders the fallback. *)
+  let note p =
+    let next, action = Spec.step spec !st ~metric:(if p then 99 else 0) ~cur:0 in
+    st := next;
+    match action with
+    | Spec.Fire { transition = None; _ } ->
+      incr fallbacks;
+      true
+    | _ -> false
+  in
   Alcotest.(check bool) "streak 1" false (note true);
   Alcotest.(check bool) "streak 2 fires" true (note true);
-  Alcotest.(check int) "one fallback" 1 (Policy.Guard.fallbacks g);
+  Alcotest.(check int) "one fallback" 1 !fallbacks;
   (* cooldown: three pathological samples ignored *)
   Alcotest.(check bool) "cooldown 1" false (note true);
   Alcotest.(check bool) "cooldown 2" false (note true);
@@ -252,7 +372,7 @@ let test_guard_cooldown_resumes () =
   (* counting resumes *)
   Alcotest.(check bool) "fresh streak 1" false (note true);
   Alcotest.(check bool) "fresh streak 2 fires" true (note true);
-  Alcotest.(check int) "two fallbacks" 2 (Policy.Guard.fallbacks g);
+  Alcotest.(check int) "two fallbacks" 2 !fallbacks;
   (* a healthy sample during a streak resets it *)
   Alcotest.(check bool) "cd" false (note true);
   Alcotest.(check bool) "cd" false (note true);
@@ -273,7 +393,9 @@ let test_guard_cooldown_resumes () =
    differ: see "out-of-range score does not swap" in test_switch_lock. *)
 
 module Reference = struct
-  type decision = Stay | Fire of { label : string; cost : Adaptive_core.Cost.t; apply : unit -> bool }
+  type decision =
+    | Stay
+    | Fire of { label : string; cost : Adaptive_core.Cost.t; apply : unit -> bool }
 
   type guard = {
     limit : int;
@@ -388,7 +510,10 @@ let samples_of (spec : Spec.t) =
       (fun t ->
         let c = t.Spec.t_cond in
         [ c.Spec.lo - 1; c.Spec.lo; c.Spec.lo + 1 ]
-        @ match c.Spec.hi with Some h -> [ h - 1; h; h + 1; h + 1000 ] | None -> [ c.Spec.lo * 2 + 7 ])
+        @
+        match c.Spec.hi with
+        | Some h -> [ h - 1; h; h + 1; h + 1000 ]
+        | None -> [ (c.Spec.lo * 2) + 7 ])
       spec.Spec.s_transitions
   in
   let vs = List.sort_uniq compare (0 :: 1 :: edges) in
@@ -406,7 +531,11 @@ let gen_ops =
     list_size (1 -- 120)
       (frequency
          [
-           (12, map2 (fun k ok -> Sample (k, ok)) (int_bound 10_000) (frequency [ (3, return true); (1, return false) ]));
+           ( 12,
+             map2
+               (fun k ok -> Sample (k, ok))
+               (int_bound 10_000)
+               (frequency [ (3, return true); (1, return false) ]) );
            (1, map (fun k -> Set k) (int_bound 10_000));
          ]))
 
@@ -441,7 +570,9 @@ let diverges (spec : Spec.t) ops =
   let reference =
     Reference.compile ~read:(fun () -> !cur_r) ~apply:apply_r ~metric:(fun (m : int) -> m) spec
   in
-  let compiled = Spec.compile ~read:(fun () -> !cur_c) ~apply:apply_c ~metric:(fun (m : int) -> m) spec in
+  let compiled =
+    Spec.compile ~read:(fun () -> !cur_c) ~apply:apply_c ~metric:(fun (m : int) -> m) spec
+  in
   let rec go i = function
     | [] -> None
     | Set k :: rest ->
@@ -483,6 +614,7 @@ let suite =
       test_policy_json_committed;
     Alcotest.test_case "fixtures flagged" `Quick test_fixtures_flagged;
     Alcotest.test_case "malformed spec reported" `Quick test_malformed_spec_reported;
+    Alcotest.test_case "thrash and conflict findings replay" `Quick test_findings_replay;
     Alcotest.test_case "conflicts need shared attribute" `Quick
       test_conflict_needs_shared_attribute;
     Alcotest.test_case "compiled rw hysteresis" `Quick test_compiled_rw_hysteresis;

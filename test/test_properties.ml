@@ -113,7 +113,11 @@ let prop_formal_valid_chains =
     (fun hops ->
       let module F = Adaptive_core.Formal in
       let configs = [| F.config "a"; F.config "b"; F.config "c" |] in
-      let s = F.space ~configs:(Array.to_list configs) () in
+      let names = [ "a"; "b"; "c" ] in
+      let s =
+        F.space ~configs:(Array.to_list configs)
+          ~edges:(List.concat_map (fun a -> List.map (fun b -> (a, b)) names) names)
+      in
       let _, transitions =
         List.fold_left
           (fun (current, acc) hop ->

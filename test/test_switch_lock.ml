@@ -2,7 +2,7 @@
    under every fixed implementation and under adaptation, the fail-safe
    swap protocol (FIFO-preserving migration, rollback on a killed
    participant, abandoned-swap recovery), timed waiters across swap
-   windows, the guardrail fallback-failure regression, the swap-window
+   windows, the guardrail fallback-failure and out-of-range regressions, the swap-window
    fault kinds end to end, and digest pins on the ablation payload and
    on one scripted swap window. *)
 
@@ -636,6 +636,52 @@ let test_guard_retries_after_failed_fallback () =
   (* A successful fallback does engage the cooldown. *)
   Alcotest.(check (option string)) "cooldown after success" None (feed 50)
 
+(* -- regression: an out-of-range score feeds only the guard. Before
+   the step fix a clamped sample (500 -> 199) still reached the
+   long-hold band, so the ladder swapped tas->blocking two samples
+   after every fallback and fought its own guard forever. -- *)
+
+let test_out_of_range_score_does_not_swap () =
+  let spec = L.impl_ladder_spec () in
+  let id i =
+    (List.find (fun c -> c.Spec.c_name = L.impl_label i) spec.Spec.s_configs).Spec.c_value
+  in
+  let current = ref (id L.Blocking) in
+  let policy =
+    Spec.compile
+      ~read:(fun () -> !current)
+      ~apply:(fun v ->
+        current := v;
+        true)
+      ~metric:(fun (m : int) -> m)
+      spec
+  in
+  let feed m =
+    match policy m with
+    | Adaptive_core.Policy.No_change -> None
+    | Adaptive_core.Policy.Reconfigure { label; apply; _ } ->
+      ignore (apply ());
+      Some label
+  in
+  let decisions = List.init 40 (fun _ -> feed 500) in
+  Alcotest.(check (list (option string))) "streak of four falls back" [ None; None; None ]
+    (List.filteri (fun i _ -> i < 3) decisions);
+  Alcotest.(check (option string)) "fallback at sample 4" (Some "impl-guardrail-fallback")
+    (List.nth decisions 3);
+  Alcotest.(check (list string)) "no swap while the score stays out of range" []
+    (List.filter_map
+       (function
+         | Some l when String.length l > 5 && String.sub l 0 5 = "swap:" -> Some l
+         | _ -> None)
+       decisions);
+  Alcotest.(check int) "the fallback stays where it landed" (id L.Tas) !current;
+  (* back in range, the ladder adapts as before: two long-hold samples
+     swap to blocking, two quiet ones swap back *)
+  Alcotest.(check (option string)) "long hold 1" None (feed 150);
+  Alcotest.(check (option string)) "long hold 2 swaps" (Some "swap:tas->blocking") (feed 150);
+  Alcotest.(check (option string)) "quiet 1" None (feed 0);
+  Alcotest.(check (option string)) "quiet 2 swaps back" (Some "swap:blocking->tas") (feed 0)
+
 (* -- swap-window fault kinds: plan round trip, seeded gating, injector -- *)
 
 let test_fault_plan_swap_kinds_roundtrip () =
@@ -837,6 +883,8 @@ let suite =
       test_policy_spec_validates;
     Alcotest.test_case "guard retries after a failed fallback" `Quick
       test_guard_retries_after_failed_fallback;
+    Alcotest.test_case "out-of-range score does not swap" `Quick
+      test_out_of_range_score_does_not_swap;
     Alcotest.test_case "fault plan: swap kinds round-trip" `Quick
       test_fault_plan_swap_kinds_roundtrip;
     Alcotest.test_case "fault plan: swap kinds are opt-in" `Quick
