@@ -238,8 +238,8 @@ let thrash_cycles (spec : Spec.t) (nodes, _) =
     (fights [ spec ] (List.map (fun (cur, st) -> (cur, [ st ])) (Array.to_list nodes)))
 
 (* ---- dead configurations: never the attribute's value in the graph ---- *)
-let dead_configs (spec : Spec.t) g =
-  let live = reached g in
+let dead_configs (spec : Spec.t) graph =
+  let live = reached graph in
   List.filter_map
     (fun v ->
       if List.mem v live then None
@@ -267,8 +267,8 @@ let dead_configs (spec : Spec.t) g =
    entirely outside the clamp is a guardrail gap instead, and a
    transition out of a dead configuration is that configuration's
    finding. *)
-let dead_transitions (spec : Spec.t) g =
-  let live = reached g and fired = fires g in
+let dead_transitions (spec : Spec.t) graph =
+  let live = reached graph and fired = fires graph in
   let clamp =
     match spec.Spec.s_guard with
     | Some g -> Some { Spec.lo = g.Spec.g_clamp_lo; hi = Some g.Spec.g_clamp_hi }
@@ -278,7 +278,9 @@ let dead_transitions (spec : Spec.t) g =
     (List.mapi
        (fun i t ->
          let clamped_out =
-           match clamp with Some c -> isect t.Spec.t_cond c = None | None -> false
+           match clamp with
+           | Some c -> isect t.Spec.t_cond c = None
+           | None -> false
          in
          if
            clamped_out
@@ -375,11 +377,11 @@ let threshold_faults (spec : Spec.t) =
     ups
 
 (* ---- guardrail gaps ---- *)
-let guard_gaps (spec : Spec.t) g =
+let guard_gaps (spec : Spec.t) graph =
   match spec.Spec.s_guard with
   | None -> []
-  | Some gd ->
-    let clamp = { Spec.lo = gd.Spec.g_clamp_lo; hi = Some gd.Spec.g_clamp_hi } in
+  | Some g ->
+    let clamp = { Spec.lo = g.Spec.g_clamp_lo; hi = Some g.Spec.g_clamp_hi } in
     let gap configs msg =
       {
         f_kind = "guardrail-gap";
@@ -405,14 +407,14 @@ let guard_gaps (spec : Spec.t) g =
                     t.Spec.t_label
                     (Spec.config_name spec t.Spec.t_from)
                     (Spec.config_name spec t.Spec.t_target)
-                    gd.Spec.g_clamp_lo gd.Spec.g_clamp_hi))
+                    g.Spec.g_clamp_lo g.Spec.g_clamp_hi))
           else None)
         spec.Spec.s_transitions
     in
     (* the fallback is a sink when no transition fires out of it *)
     let fallback_sink =
-      let v = gd.Spec.g_fallback in
-      if List.exists (fun (cur, tr) -> cur = v && tr <> None) (fires g) then []
+      let v = g.Spec.g_fallback in
+      if List.exists (fun (cur, tr) -> cur = v && tr <> None) (fires graph) then []
       else
         [
           gap
@@ -438,15 +440,15 @@ let guard_gaps (spec : Spec.t) g =
    transition needs real hysteresis ([t_repeats >= 2]): a swap firing
    on a single sample opens a freeze-kick-drain window — and migrates
    every waiter — on any metric blip. *)
-let impl_ladder_faults (spec : Spec.t) g =
+let impl_ladder_faults (spec : Spec.t) graph =
   if spec.Spec.s_kind <> "lock-impl" then []
   else begin
     let clamped_out =
       match spec.Spec.s_guard with
       | None -> []
-      | Some gd ->
+      | Some g ->
         let unclamped = reached (explore { spec with Spec.s_guard = None }) in
-        let clamped = reached g in
+        let clamped = reached graph in
         List.filter_map
           (fun v ->
             if List.mem v unclamped && not (List.mem v clamped) then
@@ -461,8 +463,8 @@ let impl_ladder_faults (spec : Spec.t) g =
                       "implementation %s (id %d) is reachable by the unclamped \
                        ladder but the guardrail clamp [%d, %d] cuts off every \
                        path to it: the lock can never earn that implementation"
-                      (Spec.config_name spec v) v gd.Spec.g_clamp_lo
-                      gd.Spec.g_clamp_hi;
+                      (Spec.config_name spec v) v g.Spec.g_clamp_lo
+                      g.Spec.g_clamp_hi;
                 }
             else None)
           (config_values spec)
@@ -500,9 +502,9 @@ let impl_ladder_faults (spec : Spec.t) g =
 let check (spec : Spec.t) =
   match Spec.validate spec with
   | [] ->
-    let g = explore spec in
-    thrash_cycles spec g @ dead_configs spec g @ dead_transitions spec g
-    @ threshold_faults spec @ guard_gaps spec g @ impl_ladder_faults spec g
+    let graph = explore spec in
+    thrash_cycles spec graph @ dead_configs spec graph @ dead_transitions spec graph
+    @ threshold_faults spec @ guard_gaps spec graph @ impl_ladder_faults spec graph
   | errs ->
     List.map
       (fun e ->
@@ -528,13 +530,11 @@ let conflicts (a : Spec.t) (b : Spec.t) =
   if a.Spec.s_attribute <> b.Spec.s_attribute then []
   else if Spec.validate a <> [] || Spec.validate b <> [] then []
   else begin
+    let values = List.sort_uniq compare (config_values a @ config_values b) in
     let cname v =
-      match Spec.find_config a v with Some c -> c.Spec.c_name | None -> Spec.config_name b v
-    in
-    let starts =
-      List.map
-        (fun v -> (v, [ Spec.fresh; Spec.fresh ]))
-        (List.sort_uniq compare (config_values a @ config_values b))
+      match Spec.find_config a v with
+      | Some c -> c.Spec.c_name
+      | None -> Spec.config_name b v
     in
     List.map
       (fun (cycle, xs) ->
@@ -553,7 +553,7 @@ let conflicts (a : Spec.t) (b : Spec.t) =
               (String.concat " -> " names)
               (List.hd names);
         })
-      (fights [ a; b ] starts)
+      (fights [ a; b ] (List.map (fun v -> (v, [ Spec.fresh; Spec.fresh ])) values))
   end
 
 (* ---- the shipped catalogue and batch runs ---- *)

@@ -126,7 +126,7 @@ let representative desc =
       (String.split_on_char ' '
          (String.map (fun c -> if (c >= '0' && c <= '9') || c = '-' then c else ' ') desc))
   in
-  if String.length desc > 7 && String.sub desc 0 7 = "outside" then List.nth ints 1 + 1
+  if String.starts_with ~prefix:"outside" desc then List.nth ints 1 + 1
   else List.hd ints
 
 (* A conflict's region, "<metric a> <desc a>, <metric b> <desc b>",

@@ -671,7 +671,7 @@ let test_out_of_range_score_does_not_swap () =
   Alcotest.(check (list string)) "no swap while the score stays out of range" []
     (List.filter_map
        (function
-         | Some l when String.length l > 5 && String.sub l 0 5 = "swap:" -> Some l
+         | Some l when String.starts_with ~prefix:"swap:" l -> Some l
          | _ -> None)
        decisions);
   Alcotest.(check int) "the fallback stays where it landed" (id L.Tas) !current;
