@@ -51,12 +51,6 @@ let total_cost transitions =
    label must resolve to a declared Ψ out of the current configuration,
    in time order. -- *)
 
-(* The label a transition writes into the log: its own, or the target
-   configuration's name when it declares none (Policy.Spec convention). *)
-let spec_transition_label spec tr =
-  if tr.Policy.Spec.t_label <> "" then tr.Policy.Spec.t_label
-  else Policy.Spec.config_name spec tr.Policy.Spec.t_target
-
 let check_log spec log =
   let fail fmt = Format.kasprintf (fun msg -> Error msg) fmt in
   (* First match wins, the spec's priority order; the guardrail
@@ -64,7 +58,7 @@ let check_log spec log =
   let target current label =
     match
       List.find_opt
-        (fun tr -> tr.Policy.Spec.t_from = current && spec_transition_label spec tr = label)
+        (fun tr -> tr.Policy.Spec.t_from = current && tr.Policy.Spec.t_label = label)
         spec.Policy.Spec.s_transitions
     with
     | Some tr -> Some tr.Policy.Spec.t_target

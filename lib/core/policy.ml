@@ -85,6 +85,7 @@ module Spec = struct
         let where = Printf.sprintf "transition %d (%s)" i tr.t_label in
         if not (known tr.t_from) then err "%s: unknown source %d" where tr.t_from;
         if not (known tr.t_target) then err "%s: unknown target %d" where tr.t_target;
+        if tr.t_label = "" then err "%s: empty label" where;
         if tr.t_from = tr.t_target then
           err "%s: self-targeting (a no-op reconfiguration)" where;
         if tr.t_repeats < 1 then err "%s: repeats %d < 1" where tr.t_repeats;

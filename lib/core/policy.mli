@@ -56,14 +56,15 @@ module Spec : sig
   type config = { c_name : string; c_value : int }
       (** A configuration: [c_value] is the attribute setting (unique
           within a spec, used as the configuration's identity),
-          [c_name] the display name (also used as the transition label
-          when [t_label] is empty — see below). *)
+          [c_name] the display name. *)
 
   type transition = {
     t_from : int;  (** source configuration, by [c_value] *)
     t_cond : cond;  (** metric region that enables the transition *)
     t_target : int;  (** target configuration, by [c_value] *)
-    t_label : string;  (** reconfiguration label for logs/annotations *)
+    t_label : string;
+        (** reconfiguration label for logs/annotations; must be
+            non-empty *)
     t_repeats : int;
         (** consecutive enabled samples required before firing
             (the AdaptiveMHA-style [neededRepeats]; 1 = immediate) *)
@@ -124,9 +125,9 @@ module Spec : sig
   val validate : t -> string list
   (** Structural well-formedness errors: duplicate or unsorted
       configuration values, unknown initial/source/target/fallback
-      configurations, empty conditions, non-positive repeat counts,
-      self-targeting transitions, inverted clamps. Empty = well
-      formed. The behavioral checks (thrash, dead configs, threshold
+      configurations, empty conditions, empty transition labels,
+      non-positive repeat counts, self-targeting transitions, inverted
+      clamps. Empty = well formed. The behavioral checks (thrash, dead configs, threshold
       faults...) live in [Analysis.Policy_check]. *)
 
   type state = {

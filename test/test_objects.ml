@@ -331,22 +331,6 @@ let test_policy_guard_streaks () =
   check_bool "cooldown suppresses" false (note ());
   check_bool "still suppressed" false (note ())
 
-(* -- the committed OBJECTS artifact --------------------------------- *)
-
-(* Every object's samples, policy runs, adaptations and transition log,
-   regenerated at one domain through the driver [repro objects] runs and
-   compared with results/OBJECTS_results.json (compiled in by test/dune
-   as [Committed.objects]): no adaptation decision moves unnoticed. *)
-let test_objects_json_committed () =
-  let saved = Engine.Runner.default_domains () in
-  Engine.Runner.set_default_domains 1;
-  let payload =
-    Fun.protect
-      ~finally:(fun () -> Engine.Runner.set_default_domains saved)
-      (fun () -> snd (Fleet.Catalogue.run_config (Option.get (Fleet.Catalogue.find "objects")) []))
-  in
-  check_string "results/OBJECTS_results.json" Committed.objects payload
-
 (* -- trace annotations --------------------------------------------- *)
 
 let test_trace_records_adaptations () =
@@ -383,7 +367,5 @@ let suite =
     Alcotest.test_case "semaphore budget adapts" `Quick
       test_adaptive_semaphore_budget_adapts;
     Alcotest.test_case "guard streaks" `Quick test_policy_guard_streaks;
-    Alcotest.test_case "OBJECTS JSON matches the committed artifact" `Quick
-      test_objects_json_committed;
     Alcotest.test_case "trace adaptations" `Quick test_trace_records_adaptations;
   ]

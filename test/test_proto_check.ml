@@ -1,10 +1,10 @@
 (* Proto_check: the explicit-state protocol model checker. Shipped
-   protocol models verify clean with pinned state and edge counts and
-   reproduce the committed PROTO JSON; [max_states] truncates; one
-   shared pass reports what one pass per property does; the seen-set's
-   codec round-trips; each seeded-bad variant produces a counterexample
-   for exactly its expected properties, and the gate fails a fixture
-   that violates more; counterexamples replay on their own model;
+   protocol models verify clean with pinned state and edge counts;
+   [max_states] truncates; one shared pass reports what one pass per
+   property does; the seen-set's codec round-trips; each seeded-bad
+   variant produces a counterexample for exactly its expected
+   properties, and the gate fails a fixture that violates more;
+   counterexamples replay on their own model;
    checker output is byte-identical at any domain count; random walks
    of the model replay (model well-formedness); and an instrumented
    real implementation swap's transition log replays through the
@@ -27,14 +27,10 @@ let check_one ?max_states model prop = List.hd (check_model ?max_states model [ 
 let small_quiescence () = PM.quiescence ~waiters:[ PM.Wsleep; PM.Wtimed ] ()
 let small_models () = [ small_quiescence (); PM.mcs ~contenders:2 (); PM.guard () ]
 
-(* The shipped models' reports, shared by the tests that need the full
-   exploration. *)
-let shipped_reports = lazy (P.check_all (PM.shipped ()))
-
 (* -- shipped protocols verify clean at their checked sizes -- *)
 
 let test_shipped_clean () =
-  let reports = Lazy.force shipped_reports in
+  let reports = P.check_all (PM.shipped ()) in
   Alcotest.(check bool) "every property holds" true (P.clean reports);
   (* Every property of a model explores the same state space: a seen-set
      that merged two distinct states, or split one, moves these. *)
@@ -51,25 +47,6 @@ let test_shipped_clean () =
     [ ("quiescence-swap", 5, 200_987, 665_063);
       ("mcs-handoff", 3, 218, 324);
       ("guard-cooldown", 4, 5, 8) ]
-
-(* -- the checker reproduces the committed PROTO artifact byte for byte -- *)
-
-(* The committed artifact is compiled in by test/dune
-   ([Committed.proto]), so the test runs from any working
-   directory. *)
-let test_proto_json_committed () =
-  let fixtures =
-    List.map
-      (fun (name, model, expect) -> P.check_fixture ~name ~expect model)
-      (Analysis_suite.proto_fixtures ())
-  in
-  let json =
-    P.to_json ~shipped:(Lazy.force shipped_reports) ~fixtures
-      ~lowered:(Analysis_suite.proto_lowerings ())
-    ^ "\n"
-  in
-  Alcotest.(check string) "results/PROTO_results.json"
-    Committed.proto json
 
 (* -- max_states cuts the exploration off as Out_of_bounds -- *)
 
@@ -334,8 +311,6 @@ let test_lowerings_confirmed () =
 let suite =
   [
     Alcotest.test_case "shipped protocols verify clean" `Slow test_shipped_clean;
-    Alcotest.test_case "PROTO JSON matches the committed artifact" `Slow
-      test_proto_json_committed;
     Alcotest.test_case "max_states stops as out of bounds" `Quick test_out_of_bounds;
     Alcotest.test_case "shared pass equals one pass per property" `Slow test_shared_pass;
     QCheck_alcotest.to_alcotest prop_codec_roundtrip;

@@ -3,8 +3,8 @@
    swap protocol (FIFO-preserving migration, rollback on a killed
    participant, abandoned-swap recovery), timed waiters across swap
    windows, the guardrail fallback-failure and out-of-range regressions, the swap-window
-   fault kinds end to end, and digest pins on the ablation payload and
-   on one scripted swap window. *)
+   fault kinds end to end, and a digest pin on one scripted swap
+   window. *)
 
 open Butterfly
 open Cthreads
@@ -752,25 +752,11 @@ let test_injector_kill_in_swap () =
   Alcotest.(check int) "abandoned freeze recovered" 1 !recoveries;
   Alcotest.(check bool) "stranded lock expires the timed waiter" false !timed_result
 
-(* -- pins: the ablation payload and one scripted swap window, byte for
-   byte. The ablation payload is the ABLATION_LOCKS artifact; the
-   scripted window parks two sleepers and a timed waiter behind a
-   swapper that is starved from the timed waiter's kick
-   acknowledgment until a sleeper ages the freeze out, so the swap
-   rolls back; the first sleeper granted afterwards swaps again, over
-   the other sleeper, and commits. -- *)
-
-let test_ablation_payload_pinned () =
-  let payload = ref "" in
-  let out = Format.make_formatter (fun _ _ _ -> ()) ignore in
-  let gate_ok =
-    Experiments.Report.print_switch_locks ~out
-      ~emit:(fun ~name:_ ~metrics:_ ~payload:p -> payload := p)
-      ~domains:1 ()
-  in
-  Alcotest.(check bool) "gate holds" true gate_ok;
-  Alcotest.(check string) "ABLATION_LOCKS md5" "259b13ba0353935db68021fcacb58f8c"
-    (Digest.to_hex (Digest.string !payload))
+(* -- pin: one scripted swap window, byte for byte. The window parks
+   two sleepers and a timed waiter behind a swapper that is starved
+   from the timed waiter's kick acknowledgment until a sleeper ages
+   the freeze out, so the swap rolls back; the first sleeper granted
+   afterwards swaps again, over the other sleeper, and commits. -- *)
 
 let scripted_swap () =
   let log = Buffer.create 1024 in
@@ -891,6 +877,5 @@ let suite =
       test_fault_plan_swap_gating;
     Alcotest.test_case "injector: kill-in-swap strands the freeze" `Quick
       test_injector_kill_in_swap;
-    Alcotest.test_case "ABLATION_LOCKS payload pinned" `Quick test_ablation_payload_pinned;
     Alcotest.test_case "scripted swap window pinned" `Quick test_scripted_swap_pinned;
   ]
