@@ -22,8 +22,8 @@ let only =
 let store =
   let doc =
     "Append one result record per produced artifact to this JSONL store. Defaults \
-     to $(i,DIR)/store.jsonl when --csv-dir is given (or \\$REPRO_STORE when set); \
-     without either, no records are stored."
+     to \\$REPRO_STORE when set, else to $(i,DIR)/store.jsonl when --csv-dir is \
+     given; without either, no records are stored."
   in
   Arg.(value & opt (some string) None & info [ "store" ] ~docv:"FILE" ~doc)
 
@@ -36,21 +36,11 @@ let set_domains n = if n > 0 then Engine.Runner.set_default_domains n
 let setup csv_dir domains store =
   set_domains domains;
   let store =
-    match (store, csv_dir) with
-    | Some s, _ -> Some s
-    | None, Some dir -> Some (Fleet.Sink.default_store ~csv_dir:dir)
-    | None, None -> (
-      match Sys.getenv_opt "REPRO_STORE" with
-      | Some p when p <> "" -> Some p
-      | _ -> None)
+    Fleet.Sink.resolve_store ~flag:store ~env:(Sys.getenv_opt "REPRO_STORE") ~csv_dir
   in
   { Fleet.Sink.csv_dir; store }
 
 let common = Term.(const setup $ csv_dir $ domains $ store)
 
 (* Where run/view look for the store when no flag names one. *)
-let store_path (c : Fleet.Sink.t) =
-  match c.store with
-  | Some s -> s
-  | None ->
-    Fleet.Sink.default_store ~csv_dir:(Option.value c.csv_dir ~default:"results")
+let store_path (c : Fleet.Sink.t) = Option.value c.store ~default:"results/store.jsonl"

@@ -30,7 +30,7 @@ type queue = {
   mutex : Spin.t;
   tasks : task Queue.t;  (* FIFO backing store *)
   discipline : discipline Attribute.t;
-  loop : int Adaptive.t;
+  loop : Adaptive.t;
   mutable served_value_early : int;  (* value served in the first half *)
   mutable served : int;
 }
@@ -122,7 +122,6 @@ let create ~home ~adaptive =
       ~apply:(fun v ->
         Attribute.set discipline (if v = 1 then Best_first else Fifo);
         true)
-      ~metric:(fun backlog -> backlog)
   in
   { mutex; tasks; discipline; loop; served_value_early = 0; served = 0 }
 

@@ -1,8 +1,8 @@
 (** Static model checker for adaptation-policy specs.
 
     Every shipped adaptive object reifies its policy as an
-    {!Adaptive_core.Policy.Spec} (the same data its runtime policy is
-    compiled from), so this checker can verify adaptation behaviour
+    {!Adaptive_core.Policy.Spec} (the same data its runtime policy
+    steps), so this checker can verify adaptation behaviour
     without running the simulator. It explores the policy's own step,
     {!Adaptive_core.Policy.Spec.step}: the observed metric axis is cut
     at every declared threshold into finitely many {e regions}, inside
@@ -58,7 +58,7 @@
     checker over-approximates reachable metric sequences, so a
     reported thrash cycle needs a workload that actually parks the
     metric in the region), and externally forced off-spec attribute
-    values are outside the model (the compiled policy goes inert
+    values are outside the model (the running policy goes inert
     there). *)
 
 type finding = {

@@ -1,9 +1,3 @@
-type decision =
-  | No_change
-  | Reconfigure of { label : string; cost : Cost.t; apply : unit -> bool }
-
-type 'obs t = 'obs -> decision
-
 module Spec = struct
   type cond = { lo : int; hi : int option }
   type config = { c_name : string; c_value : int }
@@ -182,23 +176,34 @@ module Spec = struct
                 transition = Some i;
               } ))
 
-  let compile ~read ~apply ~metric spec =
-    let st = ref fresh in
-    fun obs ->
-      let metric = metric obs in
-      let next, action = step spec !st ~metric ~cur:(read ()) in
-      st := next;
-      match action with
-      | Stay -> No_change
-      | Fire { target; label; cost; on_fail; _ } ->
-        Reconfigure
-          {
-            label;
-            cost;
-            apply =
-              (fun () ->
-                let ok = apply target in
-                if not ok then st := on_fail;
-                ok);
-          }
+  (* Replay a recorded (virtual time, label) log as a Ψ chain from the
+     initial configuration; first match wins, the priority order, and
+     the guardrail fallback is a declared Ψ from anywhere. *)
+  let check_log spec log =
+    let fail fmt = Format.kasprintf (fun msg -> Error msg) fmt in
+    let target current label =
+      match
+        List.find_opt (fun tr -> tr.t_from = current && tr.t_label = label) spec.s_transitions
+      with
+      | Some tr -> Some tr.t_target
+      | None -> (
+        match spec.s_guard with
+        | Some g when g.g_fallback_label = label -> Some g.g_fallback
+        | _ -> None)
+    in
+    let rec resolve current = function
+      | [] -> Ok ()
+      | (at, label) :: rest -> (
+        match target current label with
+        | Some next -> resolve next rest
+        | None ->
+          fail "log entry \"%s\" at t=%d: no declared transition from %s" label at
+            (config_name spec current))
+    in
+    let rec ordered last_time = function
+      | [] -> Ok ()
+      | (at, _) :: rest ->
+        if at < last_time then fail "transition at %d out of time order" at else ordered at rest
+    in
+    Result.bind (resolve spec.s_initial log) (fun () -> ordered min_int log)
 end

@@ -1,28 +1,15 @@
-(** Adaptation policies and reconfiguration decisions.
+(** Adaptation policies.
 
     The user-provided component of an adaptive object is a declarative
     {!Spec.t}: a finite automaton over named configurations, driven by
     threshold regions of one observed metric. {!Spec.step} is its pure
-    transition function, and {!Spec.compile} wraps it into the closure
-    the feedback loop consults once per observation; that is the only
-    way to build one, because {!decision} is private. The static
-    checker ([Analysis.Policy_check]) explores the same {!Spec.step},
-    so the policy that runs is the policy it checked. A decision
-    carries the reconfiguration closure (the paper's Psi operation) together with
-    its declared {!Cost.t}, which the feedback loop charges at the
+    transition function, and the only policy semantics: the feedback
+    loop ([Adaptive]) calls it once per observation, and the static
+    checker ([Analysis.Policy_check]) explores the same function, so
+    the policy that runs is the policy it checked. A fired step carries
+    the reconfiguration target (the paper's Psi operation) together
+    with its declared {!Cost.t}, which the feedback loop charges at the
     object's home node when applying it. *)
-
-type decision = private
-  | No_change
-  | Reconfigure of { label : string; cost : Cost.t; apply : unit -> bool }
-      (** [label] names the transition for traces and tests; [apply]
-          performs the actual attribute/method changes and reports
-          whether they took effect — an external-agent apply that
-          cannot acquire attribute ownership returns [false], and the
-          feedback loop then counts, logs and announces nothing. *)
-
-type 'obs t = 'obs -> decision
-(** A compiled policy maps monitor observations to decisions. *)
 
 (** Declarative adaptation-policy IR.
 
@@ -35,17 +22,16 @@ type 'obs t = 'obs -> decision
     static checker ([Analysis.Policy_check]) explores the finite
     product of that state for thrash cycles, dead configurations,
     threshold faults, guardrail gaps and cross-object conflicts without
-    running the simulator; {!Spec.compile} holds one state and calls
-    [step] per observation (what [Adaptive.create] does with every
-    object's spec), so the runtime policy and the checked artifact
-    cannot drift apart.
+    running the simulator; [Adaptive] holds one state per object and
+    calls [step] per observation, so the runtime policy and the checked
+    artifact cannot drift apart.
 
     Limits of the abstraction (soundness caveats): the metric is one
     scalar per observation; conditions are inclusive intervals on it;
     configurations are a finite set identified by an integer value
     (the attribute setting). A configuration reached only by mutating
     the attribute externally to a value outside [s_configs] puts the
-    compiled policy into an inert state: no transition fires until the
+    running policy into an inert state: no transition fires until the
     value returns to a known configuration (a guard's fallback still
     can). *)
 module Spec : sig
@@ -179,17 +165,13 @@ module Spec : sig
       re-orders the fallback. A [cur] outside [s_configs] enables no
       transition. *)
 
-  val compile :
-    read:(unit -> int) ->
-    apply:(int -> bool) ->
-    metric:('obs -> int) ->
-    t ->
-    'obs ->
-    decision
-  (** The executable form of a spec: one {!state}, starting {!fresh},
-      advanced by {!step} once per observation. [read] reports the
-      current configuration (by value), [apply] performs a
-      reconfiguration to the given value and reports whether it took
-      effect (on failure the policy adopts the fire's [on_fail]),
-      [metric] extracts the observed scalar. *)
+  val check_log : t -> (int * string) list -> (unit, string) result
+  (** Replay a recorded adaptation log ((virtual time, label), oldest
+      first — the [Registry.stats] log) as a Ψ chain from the spec's
+      initial configuration: each label must resolve to a declared
+      transition out of the current configuration (first match in
+      priority order), or to the guardrail fallback from any
+      configuration, and the entries must be in time order. [Error]
+      pinpoints the first label with no declared transition or, when
+      every label resolves, the first entry out of time order. *)
 end

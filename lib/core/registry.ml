@@ -17,8 +17,6 @@ type metrics = {
 
 type entry = {
   e_id : int;
-  e_name : string;
-  e_kind : string;
   e_stats : unit -> stats;
   e_spec : Policy.Spec.t;
 }
@@ -47,26 +45,24 @@ let reset () =
    remember to do it. *)
 let () = Butterfly.Sched.at_run_start reset
 
-let register ~name ~kind ~stats ~spec () =
+let register ~spec ~stats =
   let st = state () in
   let id = st.next_id in
   st.next_id <- id + 1;
-  st.entries <-
-    { e_id = id; e_name = name; e_kind = kind; e_stats = stats; e_spec = spec }
-    :: st.entries
+  st.entries <- { e_id = id; e_stats = stats; e_spec = spec } :: st.entries
 
 let entries () = List.rev (state ()).entries
 
 let snapshot () =
   List.map
     (fun e ->
-      { id = e.e_id; name = e.e_name; kind = e.e_kind; stats = e.e_stats ();
-        spec = e.e_spec })
+      { id = e.e_id; name = e.e_spec.s_name; kind = e.e_spec.s_kind;
+        stats = e.e_stats (); spec = e.e_spec })
     (entries ())
 
 (* Formal check (§3.1) of the recorded Ψ log against the declared
    configuration space. *)
-let validate_log m = Formal.check_log m.spec m.stats.log
+let validate_log m = Policy.Spec.check_log m.spec m.stats.log
 
 (* -- deterministic JSON (hand-rolled, like Chaos.to_json: stable
    bytes, no host state) -- *)

@@ -42,14 +42,9 @@ val reset : unit -> unit
 (** Forget every registered object on the calling domain. Runs
     automatically at the start of every [Sched.run]. *)
 
-val register :
-  name:string ->
-  kind:string ->
-  stats:(unit -> stats) ->
-  spec:Policy.Spec.t ->
-  unit ->
-  unit
-(** Register an object. [stats] is consulted lazily at snapshot time.
+val register : spec:Policy.Spec.t -> stats:(unit -> stats) -> unit
+(** Register an object, named by its spec's [s_name] and [s_kind].
+    [stats] is consulted lazily at snapshot time.
     Called by [Adaptive.create]; most clients never call this
     directly. *)
 
@@ -58,7 +53,7 @@ val snapshot : unit -> metrics list
     order. *)
 
 val validate_log : metrics -> (unit, string) result
-(** {!Formal.check_log} of the object's recorded adaptation log
+(** {!Policy.Spec.check_log} of the object's recorded adaptation log
     against its declared spec's configuration space. Surfaced per
     object in {!to_json} as [policy_valid] / [policy_violation] — how
     [repro objects] reports protocol-level log violations. *)

@@ -1,5 +1,5 @@
-type 'a t = {
-  read : unit -> 'a;
+type t = {
+  read : unit -> int;
   sample_period : int;
   mutable countdown : int;
   overhead_instrs : int;

@@ -3,8 +3,6 @@ module Attribute = Adaptive_core.Attribute
 module Adaptive = Adaptive_core.Adaptive
 module Sensor = Adaptive_core.Sensor
 
-type observation = { spread_ns : int; budget_ns : int }
-
 type t = {
   mutex : Spin.t;
   parties : int;
@@ -14,7 +12,7 @@ type t = {
   mutable first_arrival : int;  (* virtual time of this cycle's first arrival *)
   mutable last_spread : int;  (* inter-arrival spread of the last completed cycle *)
   spin_ns : int Attribute.t;  (* arrival spin budget before blocking *)
-  loop : observation Adaptive.t;
+  loop : Adaptive.t;
 }
 
 let probe_gap_ns = Spin.probe_gap_ns
@@ -28,7 +26,7 @@ let step_down b = if b <= probe_gap_ns * 2 then 0 else b / 2
 (* The spread-driven spin-budget policy as a declarative spec:
    configurations are the doubling ladder reachable from budget 0,
    [spin-more] on a tight arrival spread, [spin-less] on a straggling
-   one. [create] compiles exactly this spec; the static checker
+   one. [create] runs exactly this spec; the static checker
    ([Analysis.Policy_check]) model-checks it. *)
 let policy_spec ?(name = "adaptive-barrier") ?(spin_if_under = 800_000)
     ?(block_if_over = 1_600_000) ?(max_spin_ns = 614_400) () =
@@ -70,15 +68,11 @@ let create ?node ?(name = "adaptive-barrier") ?(period = 1) ?(spin_if_under = 80
           Adaptive.create
             ~spec:(policy_spec ~name ~spin_if_under ~block_if_over ~max_spin_ns ())
             ~home
-            ~sensor:
-              (Sensor.make ~period (fun () ->
-                   let b = Lazy.force t in
-                   { spread_ns = b.last_spread; budget_ns = Attribute.get b.spin_ns }))
+            ~sensor:(Sensor.make ~period (fun () -> (Lazy.force t).last_spread))
             ~read:(fun () -> Attribute.get (Lazy.force t).spin_ns)
             ~apply:(fun v ->
               Attribute.set (Lazy.force t).spin_ns v;
-              true)
-            ~metric:(fun obs -> obs.spread_ns);
+              true);
       }
   in
   Lazy.force t

@@ -14,11 +14,6 @@
 
 type t
 
-type observation = {
-  spread_ns : int;  (** first-to-last arrival spread of the last cycle *)
-  budget_ns : int;  (** current arrival spin budget *)
-}
-
 val policy_spec :
   ?name:string ->
   ?spin_if_under:int ->
@@ -30,7 +25,7 @@ val policy_spec :
     (defaults match {!create}): configurations are the doubling budget
     ladder, [spin-more] while the arrival spread is at most
     [spin_if_under], [spin-less] at or beyond [block_if_over]. What
-    {!create} compiles and what the static checker inspects. *)
+    {!create} runs and what the static checker inspects. *)
 
 val create :
   ?node:int ->
@@ -67,5 +62,5 @@ val spin_attr : t -> int Adaptive_core.Attribute.t
 (** The [arrival-spin-ns] attribute, for external reconfiguration
     agents and ownership tests. *)
 
-val loop : t -> observation Adaptive_core.Adaptive.t
+val loop : t -> Adaptive_core.Adaptive.t
 (** The barrier's feedback loop (read its metrics). *)

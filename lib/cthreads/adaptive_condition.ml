@@ -3,8 +3,6 @@ module Attribute = Adaptive_core.Attribute
 module Adaptive = Adaptive_core.Adaptive
 module Sensor = Adaptive_core.Sensor
 
-type observation = { waiting : int; broadcast : bool }
-
 type t = {
   guard : Spin.t;  (* protects the waiter list *)
   mutable sleepers : int list;  (* FIFO, oldest first *)
@@ -12,7 +10,7 @@ type t = {
       (* bumped per signal/broadcast; nothing polls it, but its read and
          write are part of every signal's pinned simulated cost *)
   broadcast_hint : bool Attribute.t;  (* escalate signal to broadcast *)
-  loop : observation Adaptive.t;
+  loop : Adaptive.t;
 }
 
 (* Wake-strategy adaptation: when signals keep finding a crowd, one
@@ -66,18 +64,11 @@ let create ?node ?(name = "adaptive-condition") () =
     lazy
       (let loop =
          Adaptive.create ~spec:(policy_spec ~name ()) ~home
-           ~sensor:
-             (Sensor.make ~period:2 (fun () ->
-                  let c = Lazy.force t in
-                  {
-                    waiting = List.length c.sleepers;
-                    broadcast = Attribute.get c.broadcast_hint;
-                  }))
+           ~sensor:(Sensor.make ~period:2 (fun () -> List.length (Lazy.force t).sleepers))
            ~read:(fun () -> if Attribute.get (Lazy.force t).broadcast_hint then 1 else 0)
            ~apply:(fun v ->
              Attribute.set (Lazy.force t).broadcast_hint (v = 1);
              true)
-           ~metric:(fun obs -> obs.waiting)
        in
        let broadcast_hint = Attribute.make_at ~name:"broadcast-hint" ~node:home false in
        (* The word a retired wait-spin budget attribute allocated: kept

@@ -9,15 +9,10 @@
 
 type t
 
-type observation = {
-  waiting : int;  (** waiters present when the signal was issued *)
-  broadcast : bool;  (** current wake strategy *)
-}
-
 val policy_spec : ?name:string -> unit -> Adaptive_core.Policy.Spec.t
 (** The wake-strategy policy as a declarative spec: two
     configurations, [signal-only] and [broadcast], switched on the
-    waiter count observed at signal time. What {!create} compiles and
+    waiter count observed at signal time. What {!create} runs and
     what the static checker inspects. *)
 
 val create : ?node:int -> ?name:string -> unit -> t
@@ -33,5 +28,5 @@ val signal : t -> unit
 val broadcasting : t -> bool
 (** Current wake strategy (true = signal escalates to broadcast). *)
 
-val loop : t -> observation Adaptive_core.Adaptive.t
+val loop : t -> Adaptive_core.Adaptive.t
 (** The condition's feedback loop (read its metrics). *)

@@ -3,14 +3,12 @@ module Attribute = Adaptive_core.Attribute
 module Adaptive = Adaptive_core.Adaptive
 module Sensor = Adaptive_core.Sensor
 
-type observation = { waiting : int; budget_ns : int }
-
 type t = {
   mutex : Spin.t;
   permits : Memory.addr;  (* simulated word: current permit count *)
   waiters : int Queue.t;  (* host-side FIFO of blocked tids *)
   spin_ns : int Attribute.t;  (* acquire spin budget before blocking *)
-  loop : observation Adaptive.t;
+  loop : Adaptive.t;
 }
 
 let probe_gap_ns = Spin.probe_gap_ns
@@ -45,18 +43,11 @@ let create ?node ?(name = "adaptive-semaphore") n =
         loop =
           Adaptive.create
             ~spec:(policy_spec ~name ()) ~home
-            ~sensor:
-              (Sensor.make ~period:2 (fun () ->
-                   let s = Lazy.force t in
-                   {
-                     waiting = Queue.length s.waiters;
-                     budget_ns = Attribute.get s.spin_ns;
-                   }))
+            ~sensor:(Sensor.make ~period:2 (fun () -> Queue.length (Lazy.force t).waiters))
             ~read:(fun () -> Attribute.get (Lazy.force t).spin_ns)
             ~apply:(fun v ->
               Attribute.set (Lazy.force t).spin_ns v;
-              true)
-            ~metric:(fun obs -> obs.waiting);
+              true);
       }
   in
   Lazy.force t

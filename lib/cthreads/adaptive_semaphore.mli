@@ -12,15 +12,10 @@
 
 type t
 
-type observation = {
-  waiting : int;  (** blocked waiters at release time *)
-  budget_ns : int;  (** current acquire spin budget *)
-}
-
 val policy_spec : ?name:string -> unit -> Adaptive_core.Policy.Spec.t
 (** The queue-depth-driven spin-budget policy as a declarative spec:
     [spin-more] on an empty queue, [spin-less] at a depth of 2 or
-    more. What {!create} compiles and what the static checker
+    more. What {!create} runs and what the static checker
     inspects. *)
 
 val create : ?node:int -> ?name:string -> int -> t

@@ -6,7 +6,7 @@
     then x2 up to a cap), with a [spin-more] step while the metric sits
     at or under [spin_if_under] and a [spin-less] step at or over
     [block_if_over]. This module builds that automaton as a
-    {!Adaptive_core.Policy.Spec} so both objects compile the same data
+    {!Adaptive_core.Policy.Spec} so both objects run the same data
     the static checker inspects. *)
 
 val spec :

@@ -19,7 +19,9 @@ let hook t ~driver ~kind ~config ~name ~metrics ~payload =
   in
   ignore (write t ~legacy:name record)
 
-let default_store ~csv_dir =
-  match Sys.getenv_opt "REPRO_STORE" with
-  | Some p when p <> "" -> p
-  | _ -> Filename.concat csv_dir "store.jsonl"
+let resolve_store ~flag ~env ~csv_dir =
+  match (flag, env, csv_dir) with
+  | Some s, _, _ -> Some s
+  | None, Some e, _ when e <> "" -> Some e
+  | None, _, Some dir -> Some (Filename.concat dir "store.jsonl")
+  | None, _, None -> None

@@ -34,6 +34,8 @@ val hook :
     [driver]/[kind] whose config is [config] plus [artifact=NAME],
     written through {!write} with legacy file [NAME]. *)
 
-val default_store : csv_dir:string -> string
-(** The store used when none is named: [$REPRO_STORE] when set, else
-    [csv_dir/store.jsonl]. *)
+val resolve_store :
+  flag:string option -> env:string option -> csv_dir:string option -> string option
+(** The store a command appends to: the [--store] [flag], else [env]
+    (the value of [$REPRO_STORE], ignored when empty), else
+    [csv_dir/store.jsonl], else none. *)

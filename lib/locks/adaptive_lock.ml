@@ -7,13 +7,13 @@ let default_params = { waiting_threshold = 4; n = 16; spin_cap = 32; sample_peri
 
 type t = {
   core : Lock_core.t;
-  loop : int Adaptive.t;
+  loop : Adaptive.t;
   budget : Spin_budget.t;
 }
 
 (* The paper's [simple-adapt] as a declarative spec: what the static
-   policy checker inspects and what [create] compiles into the running
-   policy, so the two cannot drift. *)
+   policy checker inspects and what [create] runs as its policy, so
+   the two cannot drift. *)
 let policy_spec ?(params = default_params) ?name () =
   Spin_budget.spec ?name ~threshold:params.waiting_threshold ~n:params.n
     ~cap:params.spin_cap ~init:params.n ()
@@ -43,7 +43,6 @@ let create ?name ?trace ?sched ?(params = default_params) ~home () =
         Spin_budget.apply budget (Lock_core.policy core);
         Lock_stats.on_reconfigure (Lock_core.stats core);
         true)
-      ~metric:(fun (waiting : int) -> waiting)
   in
   { core; loop; budget }
 

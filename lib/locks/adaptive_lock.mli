@@ -55,7 +55,7 @@ val stats : t -> Lock_stats.t
 val core : t -> Lock_core.t
 (** The engine, whose mutable policy the loop reconfigures. *)
 
-val feedback : t -> int Adaptive_core.Adaptive.t
+val feedback : t -> Adaptive_core.Adaptive.t
 
 val mode : t -> string
 (** ["pure spin"], ["pure blocking"] or ["combined(k)"]. *)
@@ -70,5 +70,5 @@ val policy_spec :
   Adaptive_core.Policy.Spec.t
 (** [simple-adapt] as a declarative policy spec — the artifact the
     static checker ([Analysis.Policy_check]) model-checks, and exactly
-    what {!create} compiles into the running policy. Pure data;
+    what {!create} runs as its policy. Pure data;
     buildable outside a simulation. *)

@@ -108,7 +108,7 @@ type registry = {
   mutable hold_avg_ns : int;  (* EWMA of ownership spans *)
   mutable swap_rollbacks : int;
   mutable abandoned_recoveries : int;
-  mutable loop : int Adaptive.t option;
+  mutable loop : Adaptive.t option;
   mutable probe : (int -> string -> unit) option;
       (* conformance instrumentation: one callback per protocol
          transition, labelled to match [Proto_models.quiescence] *)
@@ -870,8 +870,7 @@ let registered_lock name lock_stats ~home ~params ~bug ~initial ~swappable ~ladd
            ~read:(fun () -> impl_id t.impl)
            ~apply:(fun v ->
              let target = List.find (fun i -> impl_id i = v) rungs in
-             target = t.impl || swap_to t target)
-           ~metric:(fun (s : int) -> s))
+             target = t.impl || swap_to t target))
   end;
   t
 

@@ -204,7 +204,7 @@ val impl_ladder_spec :
 (** The implementation ladder as a declarative spec
     ([s_kind = "lock-impl"], metric ["contention-score"], default name
     ["switch-lock"]): what the static policy checker inspects and what
-    a [Ladder] lock compiles, so the two cannot drift. *)
+    a [Ladder] lock runs, so the two cannot drift. *)
 
 val epoch : t -> int
 (** Committed swaps (0 on the centralized word, as are the counters

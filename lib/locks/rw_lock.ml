@@ -23,7 +23,7 @@ type t = {
   wait_policy : Waiting.t;
   mutable reader_sleepers : int list;  (* FIFO, oldest first *)
   mutable writer_sleepers : int list;  (* FIFO, oldest first *)
-  loop : int Adaptive.t option;
+  loop : Adaptive.t option;
   mutable reader_acqs : int;
   mutable writer_acqs : int;
   mutable writer_wait_ns : int;
@@ -111,7 +111,7 @@ let create ?(name = "rw-lock") ?(adaptive = false) ?policy ~home () =
     let sensor =
       Sensor.make ~period:2 ~overhead_instrs:40 (fun () -> Ops.read words.(2))
     in
-    (* The compiled spec: flip to writer preference on any waiting
+    (* The running spec: flip to writer preference on any waiting
        writer, back to reader preference after [calm_repeats]
        consecutive writer-free samples (the spec's hysteresis
        counter). *)
@@ -123,7 +123,6 @@ let create ?(name = "rw-lock") ?(adaptive = false) ?policy ~home () =
         ~apply:(fun v ->
           Attribute.set t.pref (if v = 1 then Writer_pref else Reader_pref);
           true)
-        ~metric:(fun (waiting_writers : int) -> waiting_writers)
     in
     { t with loop = Some loop }
   end

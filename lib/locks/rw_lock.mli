@@ -40,7 +40,7 @@ val policy_spec : ?name:string -> unit -> Adaptive_core.Policy.Spec.t
 (** The preference-adaptation policy as a declarative spec (metric:
     waiting writers; writer preference on any waiting writer, reader
     preference back after 3 consecutive writer-free samples). What the
-    adaptive variant compiles and what the static checker inspects. *)
+    adaptive variant runs and what the static checker inspects. *)
 
 val with_read : t -> (unit -> 'a) -> 'a
 (** Run the function holding the lock shared; released on return or

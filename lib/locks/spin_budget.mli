@@ -30,7 +30,7 @@ val apply : t -> Waiting.t -> unit
 
 val set : t -> int -> unit
 (** Set the budget to an explicit value (clamped into [\[0, cap\]]) —
-    how the compiled {!spec} drives it. *)
+    how the running {!spec} drives it. *)
 
 val mode_of : cap:int -> int -> string
 (** {!mode} for an arbitrary budget value under the given cap. *)

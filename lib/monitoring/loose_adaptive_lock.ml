@@ -8,7 +8,7 @@ type t = {
   ring : (int * int) Ring_buffer.t;
   monitor : (int * int) Monitor_thread.t;
   budget : Locks.Spin_budget.t;
-  loop : int Adaptive.t;
+  loop : Adaptive.t;
   mutable unlocks_until_sample : int;
 }
 
@@ -45,7 +45,6 @@ let create ?poll_interval_ns ~home ~monitor_proc () =
           true
         end
         else false (* lost the ownership race: nothing changed, don't count it *))
-      ~metric:(fun (waiting : int) -> waiting)
   in
   (* The loosely-coupled feedback path: the monitor thread drains the
      ring and feeds each (possibly stale) observation to the loop. *)

@@ -226,7 +226,6 @@ let test_feedback_loop_adapts () =
               mode := v;
               observed_modes := Policy.Spec.config_name spec v :: !observed_modes;
               true)
-            ~metric:Fun.id
         in
         (* ticks 1-4 at level 0 -> stays idle; raise level, ticks sample
            on even counts. *)
@@ -259,7 +258,6 @@ let test_feedback_feed_bypasses_sensor () =
             ~apply:(fun _ ->
               adapted := true;
               true)
-            ~metric:Fun.id
         in
         ignore (Adaptive.feed loop 99);
         Alcotest.(check int) "no sensor samples" 0 (Adaptive.samples loop))
@@ -277,7 +275,6 @@ let test_feedback_charges_cost () =
             ~home:0 ~sensor
             ~read:(fun () -> 0)
             ~apply:(fun _ -> true)
-            ~metric:Fun.id
         in
         let t0 = Ops.now () in
         ignore (Adaptive.tick loop);
@@ -308,7 +305,6 @@ let test_feedback_failed_apply_not_counted () =
           ~home:0 ~sensor
           ~read:(fun () -> 0)
           ~apply:(fun _ -> !ok)
-          ~metric:Fun.id
       in
       Alcotest.(check bool) "failed apply reports false" false (Adaptive.tick loop);
       let stats = registry_stats () in

@@ -246,12 +246,12 @@ let test_lock_timeout () =
 (* -- guardrails ---------------------------------------------------- *)
 
 let test_guardrail_clamp_and_fallback () =
-  (* simple-adapt with its guard set directly, compiled and fed one
-     sample at a time. Threshold 2 sends any sample above 2 from
-     budget 4 to pure blocking (0); budgets start at n = 4. Samples
-     above 10 lie outside the clamp: they are pathological, feed only
-     the guard and drive no transition; three in a row fall back to
-     the initial budget, then two samples go uncounted. *)
+  (* simple-adapt with its guard set directly, stepped one sample at a
+     time. Threshold 2 sends any sample above 2 from budget 4 to pure
+     blocking (0); budgets start at n = 4. Samples above 10 lie outside
+     the clamp: they are pathological, feed only the guard and drive no
+     transition; three in a row fall back to the initial budget, then
+     two samples go uncounted. *)
   let module Spec = Adaptive_core.Policy.Spec in
   let params =
     { Locks.Adaptive_lock.waiting_threshold = 2; n = 4; spin_cap = 16; sample_period = 1 }
@@ -274,22 +274,8 @@ let test_guardrail_clamp_and_fallback () =
     }
   in
   let budget = ref params.Locks.Adaptive_lock.n in
-  let p =
-    Spec.compile spec
-      ~read:(fun () -> !budget)
-      ~apply:(fun v ->
-        budget := v;
-        true)
-      ~metric:(fun (waiting : int) -> waiting)
-  in
   (* One sample: apply whatever is decided, return its label. *)
-  let feed waiting =
-    match p waiting with
-    | Adaptive_core.Policy.No_change -> "none"
-    | Adaptive_core.Policy.Reconfigure { label; apply; _ } ->
-      ignore (apply () : bool);
-      label
-  in
+  let feed = Spec_loop.steps spec ~cur:budget in
   (* 50 lies outside the clamp: it starts a streak and moves nothing. *)
   check_string "absurd sample drives no transition" "none" (feed 50);
   check_int "budget unmoved" 4 !budget;

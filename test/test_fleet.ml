@@ -536,6 +536,21 @@ let test_sink_writes_payload_verbatim () =
   | Error e -> Alcotest.fail e);
   rm root
 
+let test_sink_store_precedence () =
+  let resolve flag env csv_dir = Fleet.Sink.resolve_store ~flag ~env ~csv_dir in
+  let s = Alcotest.(option string) in
+  check s "--store wins over everything" (Some "flag.jsonl")
+    (resolve (Some "flag.jsonl") (Some "env.jsonl") (Some "dir"));
+  check s "then $REPRO_STORE" (Some "env.jsonl") (resolve None (Some "env.jsonl") (Some "dir"));
+  check s "$REPRO_STORE without --csv-dir" (Some "env.jsonl")
+    (resolve None (Some "env.jsonl") None);
+  check s "then CSV_DIR/store.jsonl" (Some (Filename.concat "dir" "store.jsonl"))
+    (resolve None None (Some "dir"));
+  check s "an empty $REPRO_STORE counts as unset"
+    (Some (Filename.concat "dir" "store.jsonl"))
+    (resolve None (Some "") (Some "dir"));
+  check s "else no store" None (resolve None (Some "") None)
+
 let suite =
   [
     Alcotest.test_case "jsonv: parse/print round trip is stable" `Quick
@@ -579,4 +594,5 @@ let suite =
       test_query_domains_determinism;
     Alcotest.test_case "sink: store payload = legacy file bytes" `Quick
       test_sink_writes_payload_verbatim;
+    Alcotest.test_case "sink: store precedence" `Quick test_sink_store_precedence;
   ]

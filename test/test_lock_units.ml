@@ -114,27 +114,15 @@ let test_sched_kind_change_keeps_queue () =
   | None -> Alcotest.fail "expected a waiter")
 
 (* Spin-budget state machine (simple-adapt), as the running objects
-   drive it: the compiled spec, fed one waiting count at a time. [feed]
+   drive it: the spec's step, fed one waiting count at a time. [feed]
    returns the new budget when the policy reconfigured. *)
 
 let budget () =
   let spins = ref 4 in
-  let decide =
-    Adaptive_core.Policy.Spec.compile
-      (Locks.Spin_budget.spec ~threshold:3 ~n:4 ~cap:16 ~init:4 ())
-      ~read:(fun () -> !spins)
-      ~apply:(fun v ->
-        spins := v;
-        true)
-      ~metric:(fun (waiting : int) -> waiting)
+  let step =
+    Spec_loop.steps (Locks.Spin_budget.spec ~threshold:3 ~n:4 ~cap:16 ~init:4 ()) ~cur:spins
   in
-  let feed ~waiting =
-    match decide waiting with
-    | Adaptive_core.Policy.No_change -> None
-    | Adaptive_core.Policy.Reconfigure { apply; _ } ->
-      ignore (apply () : bool);
-      Some !spins
-  in
+  let feed ~waiting = if step waiting = "none" then None else Some !spins in
   (spins, feed)
 
 let mode v = Locks.Spin_budget.mode_of ~cap:16 v

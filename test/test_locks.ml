@@ -432,7 +432,7 @@ let test_adaptive_policy_consulted () =
             (fun n m -> n + m.Adaptive_core.Registry.stats.policy_runs)
             0 (Adaptive_core.Registry.snapshot ()))
   in
-  (* period 2 -> five samples, each running the compiled spec. *)
+  (* period 2 -> five samples, each running the spec's step. *)
   Alcotest.(check int) "policy consulted" 5 !runs
 
 let test_trace_records_pattern () =

@@ -57,7 +57,6 @@ let always_adapt ?(label = "flip") ?(name = "toy") ?(kind = "test") () =
     ~apply:(fun v ->
       config := v;
       true)
-    ~metric:Fun.id
 
 (* -- registry ------------------------------------------------------ *)
 
@@ -94,13 +93,13 @@ let test_registry_resets_between_runs () =
   let first = ref 0 and at_start = ref (-1) and after = ref 0 in
   let (_ : Sched.t) =
     run (fun () ->
-        let (_ : int Adaptive.t) = always_adapt ~name:"stale" () in
+        let (_ : Adaptive.t) = always_adapt ~name:"stale" () in
         first := List.length (Registry.snapshot ()))
   in
   let (_ : Sched.t) =
     run (fun () ->
         at_start := List.length (Registry.snapshot ());
-        let (_ : int Adaptive.t) = always_adapt ~name:"fresh" () in
+        let (_ : Adaptive.t) = always_adapt ~name:"fresh" () in
         after := List.length (Registry.snapshot ()))
   in
   check_int "first run registered its object" 1 !first;
@@ -176,12 +175,7 @@ let test_adaptive_barrier_budget_adapts () =
         budget := Adaptive_barrier.spin_budget_ns b;
         adaptations := Adaptive.adaptations (Adaptive_barrier.loop b);
         (* A huge spread fed directly must step the budget back down. *)
-        ignore
-          (Adaptive.feed (Adaptive_barrier.loop b)
-             {
-               Adaptive_barrier.spread_ns = 500_000_000;
-               budget_ns = Adaptive_barrier.spin_budget_ns b;
-             });
+        ignore (Adaptive.feed (Adaptive_barrier.loop b) 500_000_000);
         check_bool "spin-less shrinks the budget" true
           (Adaptive_barrier.spin_budget_ns b < !budget))
   in
@@ -229,14 +223,10 @@ let test_adaptive_condition_broadcast_escalation () =
         let cv = Adaptive_condition.create ~node:0 ~name:"cv" () in
         check_bool "starts in signal mode" false
           (Adaptive_condition.broadcasting cv);
-        ignore
-          (Adaptive.feed (Adaptive_condition.loop cv)
-             { Adaptive_condition.waiting = 10; broadcast = false });
+        ignore (Adaptive.feed (Adaptive_condition.loop cv) 10);
         check_bool "crowd escalates to broadcast" true
           (Adaptive_condition.broadcasting cv);
-        ignore
-          (Adaptive.feed (Adaptive_condition.loop cv)
-             { Adaptive_condition.waiting = 0; broadcast = true });
+        ignore (Adaptive.feed (Adaptive_condition.loop cv) 0);
         check_bool "scarcity de-escalates" false
           (Adaptive_condition.broadcasting cv))
   in

@@ -1,20 +1,11 @@
-(* Tests of the declarative policy IR (Spec validate/compile) and the
+(* Tests of the declarative policy IR (Spec validate/step) and the
    static policy checker: shipped specs verify clean, seeded-bad
-   fixtures are flagged, the compiled interpreter honours hysteresis
+   fixtures are flagged, the running feedback loop honours hysteresis
    streaks across config changes and failed applies, and the guard's
    cooldown edges stay pinned. *)
 
-open Butterfly
-module Policy = Adaptive_core.Policy
-module Spec = Policy.Spec
+module Spec = Adaptive_core.Policy.Spec
 module PC = Analysis.Policy_check
-
-let cfg = { Config.default with Config.processors = 4; contention = false }
-
-let run main =
-  let sim = Sched.create cfg in
-  Sched.run sim main;
-  sim
 
 let cost = Adaptive_core.Cost.reads_writes 1 1
 
@@ -82,7 +73,7 @@ let test_malformed_spec_reported () =
   in
   let errs = Spec.validate bad in
   Alcotest.(check bool) "validate flags it" true (List.length errs >= 4);
-  (* Spec.step logs [t_label] as it is, and Formal.check_log looks the
+  (* Spec.step logs [t_label] as it is, and Spec.check_log looks the
      logged label up among the declared ones. *)
   Alcotest.(check bool) "empty label flagged" true
     (List.mem "transition 2 (): empty label" errs);
@@ -105,12 +96,12 @@ let test_conflict_needs_shared_attribute () =
       (List.length (conflicts a b'))
   | _ -> Alcotest.fail "conflicting-pair fixture missing"
 
-(* -- every thrash and conflict finding replays on the compiled policy --
+(* -- every thrash and conflict finding replays on the running loop --
 
    A finding names its held input as a region ("= 2", "in [a, b]",
    ">= a", or "outside [lo, hi]" for a guard's pathological sample);
    its representative is the region's low end, or [hi + 1]. Feeding it
-   again and again to [Spec.compile], every apply succeeding, must
+   again and again to [Adaptive.feed], every apply succeeding, must
    visit the reported configurations in order, from the first one. *)
 
 let representative desc =
@@ -136,28 +127,19 @@ let held_pair (a : Spec.t) (b : Spec.t) region =
    shared attribute starting at [start]; the configurations it takes. *)
 let replay players start =
   let cur = ref start and seen = ref [ start ] in
-  let policies =
-    List.map
-      (fun (spec, m) ->
-        let p =
-          Spec.compile spec
-            ~read:(fun () -> !cur)
-            ~apply:(fun v ->
-              cur := v;
-              true)
-            ~metric:Fun.id
-        in
-        fun () ->
-          match p m with
-          | Policy.No_change -> ()
-          | Policy.Reconfigure { apply; _ } ->
-            ignore (apply ());
-            if !cur <> List.hd !seen then seen := !cur :: !seen)
-      players
-  in
-  for _ = 1 to 100 do
-    List.iter (fun step -> step ()) policies
-  done;
+  Spec_loop.in_sim (fun () ->
+      let loops =
+        List.map
+          (fun (spec, m) -> (Spec_loop.create spec ~cur ~accept:Spec_loop.always, m))
+          players
+      in
+      for _ = 1 to 100 do
+        List.iter
+          (fun (loop, m) ->
+            if Spec_loop.feed loop m <> None && !cur <> List.hd !seen then
+              seen := !cur :: !seen)
+          loops
+      done);
   List.rev !seen
 
 let test_findings_replay () =
@@ -199,112 +181,73 @@ let test_findings_replay () =
     (Analysis_suite.policy_fixtures ());
   Alcotest.(check int) "thrash and conflict findings replayed" 3 !replayed
 
-(* -- interpreter semantics of the compiled spec -- *)
+(* -- the loop's semantics, on the rw-lock spec -- *)
 
-let labels = ref []
+(* [f step] runs in a simulation, where [step] feeds one sample to a
+   loop running the rw-lock spec over [cfgv] (see [Spec_loop.step]). *)
+let with_rw_loop ~accept cfgv f =
+  Spec_loop.in_sim (fun () ->
+      f (Spec_loop.step (Spec_loop.create (Locks.Rw_lock.policy_spec ()) ~cur:cfgv ~accept)))
 
-let stepper p =
-  fun m ->
-  match p m with
-  | Policy.No_change -> "none"
-  | Policy.Reconfigure { label; apply; _ } ->
-    let ok = apply () in
-    labels := label :: !labels;
-    if ok then label else label ^ "!"
-
-let test_compiled_rw_hysteresis () =
+let test_loop_rw_hysteresis () =
   (* writer-pref on the first waiting writer; reader-pref only after 3
      consecutive writer-free samples, with the streak broken by any
      non-matching sample. *)
   let cfgv = ref 0 in
-  let p =
-    Spec.compile (Locks.Rw_lock.policy_spec ())
-      ~read:(fun () -> !cfgv)
-      ~apply:(fun v ->
-        cfgv := v;
-        true)
-      ~metric:(fun (m : int) -> m)
-  in
-  let step = stepper p in
-  Alcotest.(check string) "calm at start" "none" (step 0);
-  Alcotest.(check string) "first writer flips" "writer-pref" (step 3);
-  Alcotest.(check string) "calm 1" "none" (step 0);
-  Alcotest.(check string) "calm 2" "none" (step 0);
-  Alcotest.(check string) "straggler breaks the streak" "none" (step 2);
-  Alcotest.(check string) "calm 1 again" "none" (step 0);
-  Alcotest.(check string) "calm 2 again" "none" (step 0);
-  Alcotest.(check string) "calm 3 fires" "reader-pref" (step 0);
+  with_rw_loop cfgv ~accept:Spec_loop.always (fun step ->
+      Alcotest.(check string) "calm at start" "none" (step 0);
+      Alcotest.(check string) "first writer flips" "writer-pref" (step 3);
+      Alcotest.(check string) "calm 1" "none" (step 0);
+      Alcotest.(check string) "calm 2" "none" (step 0);
+      Alcotest.(check string) "straggler breaks the streak" "none" (step 2);
+      Alcotest.(check string) "calm 1 again" "none" (step 0);
+      Alcotest.(check string) "calm 2 again" "none" (step 0);
+      Alcotest.(check string) "calm 3 fires" "reader-pref" (step 0));
   Alcotest.(check int) "back to reader pref" 0 !cfgv
 
-let test_compiled_counter_resets_on_config_change () =
+let test_loop_counter_resets_on_config_change () =
   let cfgv = ref 0 in
-  let p =
-    Spec.compile (Locks.Rw_lock.policy_spec ())
-      ~read:(fun () -> !cfgv)
-      ~apply:(fun v ->
-        cfgv := v;
-        true)
-      ~metric:(fun (m : int) -> m)
-  in
-  let step = stepper p in
-  Alcotest.(check string) "flip to writer" "writer-pref" (step 3);
-  Alcotest.(check string) "calm 1" "none" (step 0);
-  Alcotest.(check string) "calm 2" "none" (step 0);
-  (* an external agent bounces the attribute: the streak must restart *)
-  cfgv := 0;
-  Alcotest.(check string) "external flip observed" "none" (step 0);
-  cfgv := 1;
-  Alcotest.(check string) "fresh streak 1" "none" (step 0);
-  Alcotest.(check string) "fresh streak 2" "none" (step 0);
-  Alcotest.(check string) "fresh streak 3 fires" "reader-pref" (step 0)
+  with_rw_loop cfgv ~accept:Spec_loop.always (fun step ->
+      Alcotest.(check string) "flip to writer" "writer-pref" (step 3);
+      Alcotest.(check string) "calm 1" "none" (step 0);
+      Alcotest.(check string) "calm 2" "none" (step 0);
+      (* an external agent bounces the attribute: the streak must restart *)
+      cfgv := 0;
+      Alcotest.(check string) "external flip observed" "none" (step 0);
+      cfgv := 1;
+      Alcotest.(check string) "fresh streak 1" "none" (step 0);
+      Alcotest.(check string) "fresh streak 2" "none" (step 0);
+      Alcotest.(check string) "fresh streak 3 fires" "reader-pref" (step 0))
 
-let test_compiled_failed_apply_retries () =
+let test_loop_failed_apply_retries () =
   (* an apply that reports failure (external agent losing the
      ownership race) must not consume the hysteresis streak: the very
      next enabled sample retries instead of re-accumulating. *)
-  let cfgv = ref 1 in
-  let ok = ref false in
-  let p =
-    Spec.compile (Locks.Rw_lock.policy_spec ())
-      ~read:(fun () -> !cfgv)
-      ~apply:(fun v ->
-        if !ok then begin
-          cfgv := v;
-          true
-        end
-        else false)
-      ~metric:(fun (m : int) -> m)
-  in
-  let step = stepper p in
-  Alcotest.(check string) "calm 1" "none" (step 0);
-  Alcotest.(check string) "calm 2" "none" (step 0);
-  Alcotest.(check string) "fires but apply loses" "reader-pref!" (step 0);
-  Alcotest.(check string) "immediate retry, no re-accumulation" "reader-pref!" (step 0);
-  ok := true;
-  Alcotest.(check string) "retry lands" "reader-pref" (step 0);
-  Alcotest.(check int) "applied" 0 !cfgv;
-  (* the successful apply reset the counter: three fresh samples needed *)
-  cfgv := 1;
-  Alcotest.(check string) "config change resets" "none" (step 0);
-  Alcotest.(check string) "streak 2" "none" (step 0);
-  Alcotest.(check string) "streak 3 fires" "reader-pref" (step 0)
+  let cfgv = ref 1 and ok = ref false in
+  with_rw_loop cfgv ~accept:(fun _ -> !ok) (fun step ->
+      Alcotest.(check string) "calm 1" "none" (step 0);
+      Alcotest.(check string) "calm 2" "none" (step 0);
+      Alcotest.(check string) "fires but apply loses" "reader-pref!" (step 0);
+      Alcotest.(check string) "immediate retry, no re-accumulation" "reader-pref!" (step 0);
+      ok := true;
+      Alcotest.(check string) "retry lands" "reader-pref" (step 0);
+      Alcotest.(check int) "applied" 0 !cfgv;
+      (* the successful apply reset the counter: three fresh samples needed *)
+      cfgv := 1;
+      Alcotest.(check string) "config change resets" "none" (step 0);
+      Alcotest.(check string) "streak 2" "none" (step 0);
+      Alcotest.(check string) "streak 3 fires" "reader-pref" (step 0))
 
-let test_compiled_inert_off_spec () =
+let test_loop_inert_off_spec () =
   (* soundness caveat pinned: an externally forced configuration value
-     outside the spec leaves the compiled policy inert. *)
+     outside the spec leaves the running policy inert. *)
   let cfgv = ref 99 in
-  let p =
-    Spec.compile (Locks.Rw_lock.policy_spec ())
-      ~read:(fun () -> !cfgv)
-      ~apply:(fun _ -> Alcotest.fail "must not reconfigure from an off-spec config")
-      ~metric:(fun (m : int) -> m)
-  in
-  List.iter
-    (fun m ->
-      match p m with
-      | Policy.No_change -> ()
-      | Policy.Reconfigure _ -> Alcotest.fail "decided from an off-spec config")
-    [ 0; 1; 5; 0 ]
+  with_rw_loop cfgv
+    ~accept:(fun _ -> Alcotest.fail "must not reconfigure from an off-spec config")
+    (fun step ->
+      List.iter
+        (fun m -> Alcotest.(check string) "stays off-spec" "none" (step m))
+        [ 0; 1; 5; 0 ])
 
 (* -- constructor validation: parameterizations the checker proves
    thrashing are rejected up front (the satellite threshold-fault
@@ -375,13 +318,15 @@ let test_guard_cooldown_resumes () =
   Alcotest.(check bool) "streak 1 again" false (note true);
   Alcotest.(check bool) "streak 2 fires again" true (note true)
 
-(* -- differential: the compiled step against a reference interpreter --
+(* -- differential: the running loop against a reference interpreter --
 
-   [reference] is the closure interpreter [Spec.compile] was before its
+   [Reference] is the closure interpreter the policy was before its
    step became an explicit state, kept here verbatim (with its guard
-   state machine) as the oracle. On in-clamp samples the two must take
-   the same decision at every sample, whatever the apply outcomes and
-   whatever external agents do to the attribute (off-spec values
+   state machine) as the oracle. It is compared with an [Adaptive.t]
+   loop fed the same samples, so the loop's adoption of a failed fire's
+   [on_fail] state is covered too. On in-clamp samples the two must
+   take the same decision at every sample, whatever the apply outcomes
+   and whatever external agents do to the attribute (off-spec values
    included). Out-of-clamp samples are where the semantics deliberately
    differ: see "out-of-range score does not swap" in test_switch_lock. *)
 
@@ -540,32 +485,30 @@ let print_ops ops =
          | Set k -> Printf.sprintf "=%d" k)
        ops)
 
-(* Run [ops] through both interpreters of [spec], each over its own
-   copy of the attribute; [None] when they agree at every sample. *)
+(* Run [ops] through the reference interpreter and a loop running
+   [spec], each over its own copy of the attribute; [None] when they
+   agree at every sample (target and success of each apply) and on the
+   loop's logged labels and registry cost. Runs inside a simulation. *)
 let diverges (spec : Spec.t) ops =
   let samples = samples_of spec in
   let sets =
     Array.of_list (List.map (fun c -> c.Spec.c_value) spec.Spec.s_configs @ [ -1; 999_999 ])
   in
   let outcome = ref true in
-  let world () =
-    let cur = ref spec.Spec.s_initial in
-    let apply v =
-      if !outcome then begin
-        cur := v;
-        true
-      end
-      else false
-    in
-    (cur, apply)
-  in
-  let cur_r, apply_r = world () and cur_c, apply_c = world () in
+  let cur_r = ref spec.Spec.s_initial and cur_c = ref spec.Spec.s_initial in
+  let target_r = ref None in
   let reference =
-    Reference.compile ~read:(fun () -> !cur_r) ~apply:apply_r ~metric:(fun (m : int) -> m) spec
+    Reference.compile spec
+      ~read:(fun () -> !cur_r)
+      ~apply:(fun v ->
+        target_r := Some v;
+        if !outcome then cur_r := v;
+        !outcome)
+      ~metric:(fun (m : int) -> m)
   in
-  let compiled =
-    Spec.compile ~read:(fun () -> !cur_c) ~apply:apply_c ~metric:(fun (m : int) -> m) spec
-  in
+  let id = List.length (Adaptive_core.Registry.snapshot ()) in
+  let loop = Spec_loop.create spec ~cur:cur_c ~accept:(fun _ -> !outcome) in
+  let labels = ref [] and total = ref Adaptive_core.Cost.zero in
   let rec go i = function
     | [] -> None
     | Set k :: rest ->
@@ -576,28 +519,41 @@ let diverges (spec : Spec.t) ops =
     | Sample (k, ok) :: rest -> (
       let m = samples.(k mod Array.length samples) in
       outcome := ok;
-      match (reference m, compiled m) with
-      | Reference.Stay, Policy.No_change -> go (i + 1) rest
-      | Reference.Fire r, Policy.Reconfigure c
-        when r.label = c.label && r.cost = c.cost ->
-        let ok_r = r.apply () and ok_c = c.apply () in
-        if ok_r = ok_c && !cur_r = !cur_c then go (i + 1) rest
+      match (reference m, Spec_loop.feed loop m) with
+      | Reference.Stay, None -> go (i + 1) rest
+      | Reference.Fire r, Some (target, ok_c) ->
+        let ok_r = r.apply () in
+        if ok_r then begin
+          labels := r.label :: !labels;
+          total := Adaptive_core.Cost.( + ) !total r.cost
+        end;
+        if ok_r = ok_c && !target_r = Some target && !cur_r = !cur_c then go (i + 1) rest
         else Some (Printf.sprintf "op %d (metric %d): applies disagree" i m)
       | _ ->
         Some (Printf.sprintf "op %d (metric %d, config %d): decisions differ" i m !cur_c))
   in
-  go 0 ops
+  match go 0 ops with
+  | Some _ as d -> d
+  | None ->
+    let stats = (List.nth (Adaptive_core.Registry.snapshot ()) id).Adaptive_core.Registry.stats in
+    if List.map snd (Adaptive_core.Adaptive.log loop.Spec_loop.loop) <> List.rev !labels then
+      Some "logged labels differ"
+    else if stats.Adaptive_core.Registry.total_cost <> !total then Some "costs differ"
+    else None
 
-let prop_compile_matches_reference =
-  QCheck.Test.make ~name:"compile matches the reference interpreter" ~count:300
+let prop_feed_matches_reference =
+  QCheck.Test.make ~name:"feed matches the reference interpreter" ~count:300
     (QCheck.make ~print:print_ops gen_ops)
     (fun ops ->
-      List.for_all
-        (fun spec ->
-          match diverges spec ops with
-          | None -> true
-          | Some why -> QCheck.Test.fail_reportf "%s: %s" spec.Spec.s_name why)
-        (all_specs ()))
+      let verdict = ref None in
+      Spec_loop.in_sim (fun () ->
+          verdict :=
+            List.find_map
+              (fun spec -> Option.map (fun why -> (spec.Spec.s_name, why)) (diverges spec ops))
+              (all_specs ()));
+      match !verdict with
+      | None -> true
+      | Some (name, why) -> QCheck.Test.fail_reportf "%s: %s" name why)
 
 let suite =
   [
@@ -608,13 +564,13 @@ let suite =
     Alcotest.test_case "thrash and conflict findings replay" `Quick test_findings_replay;
     Alcotest.test_case "conflicts need shared attribute" `Quick
       test_conflict_needs_shared_attribute;
-    Alcotest.test_case "compiled rw hysteresis" `Quick test_compiled_rw_hysteresis;
+    Alcotest.test_case "compiled rw hysteresis" `Quick test_loop_rw_hysteresis;
     Alcotest.test_case "counter resets on config change" `Quick
-      test_compiled_counter_resets_on_config_change;
-    Alcotest.test_case "failed apply retries" `Quick test_compiled_failed_apply_retries;
-    Alcotest.test_case "inert off-spec" `Quick test_compiled_inert_off_spec;
+      test_loop_counter_resets_on_config_change;
+    Alcotest.test_case "failed apply retries" `Quick test_loop_failed_apply_retries;
+    Alcotest.test_case "inert off-spec" `Quick test_loop_inert_off_spec;
     Alcotest.test_case "constructor threshold validation" `Quick
       test_constructor_threshold_validation;
     Alcotest.test_case "guard cooldown resumes" `Quick test_guard_cooldown_resumes;
-    QCheck_alcotest.to_alcotest prop_compile_matches_reference;
+    QCheck_alcotest.to_alcotest prop_feed_matches_reference;
   ]

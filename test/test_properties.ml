@@ -106,35 +106,6 @@ let prop_histogram_count_total =
         Scanf.sscanf (Repro_stats.Histogram.summary h) "n=%d mean=%fus"
           (fun n mean -> n = List.length samples && Float.abs (mean -. mean_us) <= 0.051))
 
-let prop_formal_valid_chains =
-  (* Any contiguous chain over a fully-connected space validates. *)
-  QCheck.Test.make ~name:"formal: contiguous chains validate" ~count:100
-    QCheck.(list_of_size (Gen.int_range 0 20) (int_bound 2))
-    (fun hops ->
-      let module F = Adaptive_core.Formal in
-      let configs = [| F.config "a"; F.config "b"; F.config "c" |] in
-      let names = [ "a"; "b"; "c" ] in
-      let s =
-        F.space ~configs:(Array.to_list configs)
-          ~edges:(List.concat_map (fun a -> List.map (fun b -> (a, b)) names) names)
-      in
-      let _, transitions =
-        List.fold_left
-          (fun (current, acc) hop ->
-            let next = configs.(hop) in
-            ( next,
-              {
-                F.at = List.length acc;
-                from_ = current;
-                to_ = next;
-                cost = Adaptive_core.Cost.zero;
-              }
-              :: acc ))
-          (configs.(0), [])
-          hops
-      in
-      F.validate s ~initial:configs.(0) (List.rev transitions) = Ok ())
-
 let prop_series_resample_bounds =
   QCheck.Test.make ~name:"series resample stays within value bounds" ~count:100
     QCheck.(pair (int_range 1 20) (list_of_size (Gen.int_range 2 100) (float_bound_inclusive 50.0)))
@@ -176,7 +147,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_random_programs_deterministic;
     QCheck_alcotest.to_alcotest prop_histogram_percentile_monotone;
     QCheck_alcotest.to_alcotest prop_histogram_count_total;
-    QCheck_alcotest.to_alcotest prop_formal_valid_chains;
     QCheck_alcotest.to_alcotest prop_series_resample_bounds;
     Alcotest.test_case "mutex under preemption stress" `Quick test_mutex_under_quantum_stress;
   ]

@@ -590,7 +590,7 @@ let guard_fixture_spec =
         {
           Spec.g_clamp_lo = 0;
           (* Clamped pathological samples fall below the "up" band, so
-             cooldown samples visibly decide No_change. *)
+             cooldown samples visibly stay. *)
           g_clamp_hi = 4;
           g_limit = 2;
           g_cooldown = 8;
@@ -602,39 +602,27 @@ let guard_fixture_spec =
 
 let test_guard_retries_after_failed_fallback () =
   let current = ref 1 and fallback_ok = ref false in
-  let policy =
-    Spec.compile
-      ~read:(fun () -> !current)
-      ~apply:(fun v ->
-        if v = 0 && not !fallback_ok then false
-        else begin
-          current := v;
-          true
-        end)
-      ~metric:(fun (m : int) -> m)
-      guard_fixture_spec
-  in
-  let feed m =
-    match policy m with
-    | Adaptive_core.Policy.No_change -> None
-    | Adaptive_core.Policy.Reconfigure { label; apply; _ } ->
-      ignore (apply ());
-      Some label
-  in
-  (* Two pathological samples reach the streak limit: the guard orders
-     the fallback, whose apply fails (a rolled-back swap). *)
-  Alcotest.(check (option string)) "first pathological sample" None (feed 50);
-  Alcotest.(check (option string)) "streak fires the fallback" (Some "fb") (feed 50);
-  (* Regression: before the fix the failed apply left the guard in
-     cooldown with its streak spent — eight samples of silence, then a
-     fresh full streak. The very next pathological sample must retry. *)
-  Alcotest.(check (option string)) "failed fallback retries immediately" (Some "fb")
-    (feed 50);
-  fallback_ok := true;
-  Alcotest.(check (option string)) "retry succeeds" (Some "fb") (feed 50);
-  Alcotest.(check int) "fallback landed" 0 !current;
-  (* A successful fallback does engage the cooldown. *)
-  Alcotest.(check (option string)) "cooldown after success" None (feed 50)
+  Spec_loop.in_sim (fun () ->
+      let loop =
+        Spec_loop.create guard_fixture_spec ~cur:current ~accept:(fun v ->
+            v <> 0 || !fallback_ok)
+      in
+      let feed = Spec_loop.step loop in
+      (* Two pathological samples reach the streak limit: the guard
+         orders the fallback to "a", whose apply fails (a rolled-back
+         swap). *)
+      Alcotest.(check string) "first pathological sample" "none" (feed 50);
+      Alcotest.(check string) "streak fires the fallback" "a!" (feed 50);
+      (* Regression: before the fix the failed apply left the guard in
+         cooldown with its streak spent — eight samples of silence, then
+         a fresh full streak. The very next pathological sample must
+         retry. *)
+      Alcotest.(check string) "failed fallback retries immediately" "a!" (feed 50);
+      fallback_ok := true;
+      Alcotest.(check string) "retry succeeds" "fb" (feed 50);
+      Alcotest.(check int) "fallback landed" 0 !current;
+      (* A successful fallback does engage the cooldown. *)
+      Alcotest.(check string) "cooldown after success" "none" (feed 50))
 
 (* -- regression: an out-of-range score feeds only the guard. Before
    the step fix a clamped sample (500 -> 199) still reached the
@@ -647,40 +635,21 @@ let test_out_of_range_score_does_not_swap () =
     (List.find (fun c -> c.Spec.c_name = L.impl_label i) spec.Spec.s_configs).Spec.c_value
   in
   let current = ref (id L.Blocking) in
-  let policy =
-    Spec.compile
-      ~read:(fun () -> !current)
-      ~apply:(fun v ->
-        current := v;
-        true)
-      ~metric:(fun (m : int) -> m)
-      spec
-  in
-  let feed m =
-    match policy m with
-    | Adaptive_core.Policy.No_change -> None
-    | Adaptive_core.Policy.Reconfigure { label; apply; _ } ->
-      ignore (apply ());
-      Some label
-  in
+  let feed = Spec_loop.steps spec ~cur:current in
   let decisions = List.init 40 (fun _ -> feed 500) in
-  Alcotest.(check (list (option string))) "streak of four falls back" [ None; None; None ]
+  Alcotest.(check (list string)) "streak of four falls back" [ "none"; "none"; "none" ]
     (List.filteri (fun i _ -> i < 3) decisions);
-  Alcotest.(check (option string)) "fallback at sample 4" (Some "impl-guardrail-fallback")
+  Alcotest.(check string) "fallback at sample 4" "impl-guardrail-fallback"
     (List.nth decisions 3);
   Alcotest.(check (list string)) "no swap while the score stays out of range" []
-    (List.filter_map
-       (function
-         | Some l when String.starts_with ~prefix:"swap:" l -> Some l
-         | _ -> None)
-       decisions);
+    (List.filter (String.starts_with ~prefix:"swap:") decisions);
   Alcotest.(check int) "the fallback stays where it landed" (id L.Tas) !current;
   (* back in range, the ladder adapts as before: two long-hold samples
      swap to blocking, two quiet ones swap back *)
-  Alcotest.(check (option string)) "long hold 1" None (feed 150);
-  Alcotest.(check (option string)) "long hold 2 swaps" (Some "swap:tas->blocking") (feed 150);
-  Alcotest.(check (option string)) "quiet 1" None (feed 0);
-  Alcotest.(check (option string)) "quiet 2 swaps back" (Some "swap:blocking->tas") (feed 0)
+  Alcotest.(check string) "long hold 1" "none" (feed 150);
+  Alcotest.(check string) "long hold 2 swaps" "swap:tas->blocking" (feed 150);
+  Alcotest.(check string) "quiet 1" "none" (feed 0);
+  Alcotest.(check string) "quiet 2 swaps back" "swap:blocking->tas" (feed 0)
 
 (* -- swap-window fault kinds: plan round trip, seeded gating, injector -- *)
 
