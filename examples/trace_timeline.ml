@@ -15,9 +15,9 @@ let () =
       let worker i () =
         for _ = 1 to 4 do
           Cthread.work (40_000 * (i + 1));
-          Locks.Lock.lock lk;
+          Locks.Lock_core.lock lk;
           Cthread.work 120_000;
-          Locks.Lock.unlock lk
+          Locks.Lock_core.unlock lk
         done
       in
       let ts = List.init 6 (fun i -> Cthread.fork ~proc:(1 + (i mod 3)) (worker i)) in

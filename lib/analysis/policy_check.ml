@@ -560,7 +560,7 @@ let conflicts (a : Spec.t) (b : Spec.t) =
 
 let shipped () =
   [
-    Locks.Adaptive_lock.policy_spec ();
+    Locks.Spin_budget.policy_spec ();
     Locks.Lock_core.impl_ladder_spec ();
     Locks.Rw_lock.policy_spec ();
     Cthreads.Adaptive_barrier.policy_spec ();

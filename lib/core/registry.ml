@@ -9,8 +9,6 @@ type stats = {
 
 type metrics = {
   id : int;
-  name : string;
-  kind : string;
   stats : stats;
   spec : Policy.Spec.t;
 }
@@ -56,8 +54,7 @@ let entries () = List.rev (state ()).entries
 let snapshot () =
   List.map
     (fun e ->
-      { id = e.e_id; name = e.e_spec.s_name; kind = e.e_spec.s_kind;
-        stats = e.e_stats (); spec = e.e_spec })
+      { id = e.e_id; stats = e.e_stats (); spec = e.e_spec })
     (entries ())
 
 (* Formal check (§3.1) of the recorded Ψ log against the declared
@@ -80,8 +77,8 @@ let metrics_json m =
   String.concat ",\n"
     [
       Printf.sprintf "      \"id\": %d" m.id;
-      Printf.sprintf "      \"name\": \"%s\"" (json_escape m.name);
-      Printf.sprintf "      \"kind\": \"%s\"" (json_escape m.kind);
+      Printf.sprintf "      \"name\": \"%s\"" (json_escape m.spec.s_name);
+      Printf.sprintf "      \"kind\": \"%s\"" (json_escape m.spec.s_kind);
       Printf.sprintf "      \"samples\": %d" m.stats.samples;
       Printf.sprintf "      \"policy_runs\": %d" m.stats.policy_runs;
       Printf.sprintf "      \"adaptations\": %d" m.stats.adaptations;

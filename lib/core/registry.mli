@@ -29,8 +29,6 @@ type stats = {
 
 type metrics = {
   id : int;
-  name : string;
-  kind : string;
   stats : stats;
   spec : Policy.Spec.t;
       (** the declared adaptation-policy spec the object's loop runs —

@@ -66,17 +66,26 @@ let coupling_workload ~lock ~unlock =
   in
   Cthread.join_all threads
 
+(* An adaptive lock named as the closely-coupled ablations report it,
+   and its feedback loop. *)
+let adaptive_lock ?(params = Locks.Spin_budget.default_params) () =
+  let lk =
+    Locks.Lock_core.create ~name:"adaptive-lock" ~home:0
+      ~impl:(Locks.Lock_core.Adaptive params) ()
+  in
+  (lk, Option.get (Locks.Lock_core.feedback lk))
+
 let coupling ?domains () =
   let cfg = eight_procs in
   let close () =
     let sim = Sched.create cfg in
     let adaptations = ref 0 in
     Sched.run sim (fun () ->
-        let lk = Locks.Adaptive_lock.create ~home:0 () in
+        let lk, loop = adaptive_lock () in
         coupling_workload
-          ~lock:(fun () -> Locks.Adaptive_lock.lock lk)
-          ~unlock:(fun () -> Locks.Adaptive_lock.unlock lk);
-        adaptations := Locks.Adaptive_lock.adaptations lk);
+          ~lock:(fun () -> Locks.Lock_core.lock lk)
+          ~unlock:(fun () -> Locks.Lock_core.unlock lk);
+        adaptations := Adaptive_core.Adaptive.adaptations loop);
     {
       coupling = "closely-coupled";
       total_ns = Sched.final_time sim;
@@ -117,28 +126,28 @@ let contended_adaptive_run ~params () =
   let sim = Sched.create cfg in
   let samples = ref 0 and adaptations = ref 0 and blocks = ref 0 and spins = ref 0 in
   Sched.run sim (fun () ->
-      let lk = Locks.Adaptive_lock.create ~home:0 ~params () in
+      let lk, loop = adaptive_lock ~params () in
       let body i () =
         Cthread.work (i * 3_000);
         for _ = 1 to 30 do
-          Locks.Adaptive_lock.lock lk;
+          Locks.Lock_core.lock lk;
           Cthread.work 30_000;
-          Locks.Adaptive_lock.unlock lk;
+          Locks.Lock_core.unlock lk;
           Cthread.work 40_000
         done
       in
       let threads = List.init 6 (fun i -> Cthread.fork ~proc:(1 + (i mod 7)) (body i)) in
       Cthread.join_all threads;
-      samples := Locks.Adaptive_lock.samples lk;
-      adaptations := Locks.Adaptive_lock.adaptations lk;
-      blocks := Locks.Lock_stats.blocks (Locks.Adaptive_lock.stats lk);
-      spins := Locks.Lock_stats.spin_probes (Locks.Adaptive_lock.stats lk));
+      samples := Adaptive_core.Adaptive.samples loop;
+      adaptations := Adaptive_core.Adaptive.adaptations loop;
+      blocks := Locks.Lock_stats.blocks (Locks.Lock_core.stats lk);
+      spins := Locks.Lock_stats.spin_probes (Locks.Lock_core.stats lk));
   (Sched.final_time sim, !samples, !adaptations, !blocks, !spins)
 
 let sampling ?domains ~periods () =
   Engine.Runner.map ?domains
     (fun period ->
-      let params = { Locks.Adaptive_lock.default_params with Locks.Adaptive_lock.sample_period = period } in
+      let params = { Locks.Spin_budget.default_params with sample_period = period } in
       let total_ns, samples, adaptations, _, _ = contended_adaptive_run ~params () in
       { period; total_ns; samples; adaptations })
     periods
@@ -160,8 +169,7 @@ let threshold ?domains ~thresholds ~ns () =
   Engine.Runner.map ?domains
     (fun (waiting_threshold, n) ->
       let params =
-        { Locks.Adaptive_lock.default_params with
-          Locks.Adaptive_lock.waiting_threshold; n }
+        { Locks.Spin_budget.default_params with waiting_threshold; n }
       in
       let total_ns, _, _, blocks, spin_probes =
         contended_adaptive_run ~params ()
@@ -244,9 +252,9 @@ let architecture ?domains () =
       ( "centralized spin",
         fun () ->
           let lk = Locks.Lock.create ~home:1 Locks.Lock.Spin in
-          ( (fun () -> Locks.Lock.lock lk),
-            (fun () -> Locks.Lock.unlock lk),
-            Locks.Lock.stats lk,
+          ( (fun () -> Locks.Lock_core.lock lk),
+            (fun () -> Locks.Lock_core.unlock lk),
+            Locks.Lock_core.stats lk,
             fun () -> () ) );
       ( "local-spin (distributed)",
         fun () ->
@@ -258,9 +266,9 @@ let architecture ?domains () =
       ( "blocking",
         fun () ->
           let lk = Locks.Lock.create ~home:1 Locks.Lock.Blocking in
-          ( (fun () -> Locks.Lock.lock lk),
-            (fun () -> Locks.Lock.unlock lk),
-            Locks.Lock.stats lk,
+          ( (fun () -> Locks.Lock_core.lock lk),
+            (fun () -> Locks.Lock_core.unlock lk),
+            Locks.Lock_core.stats lk,
             fun () -> () ) );
       ( "active (server thread)",
         fun () ->
@@ -393,16 +401,16 @@ let advisory ?domains () =
           for _ = 1 to 18 do
             (* One in six sections is long. *)
             let long = Cthread.random 6 = 0 in
-            Locks.Lock.lock lk;
-            (match Locks.Lock.kind lk with
+            Locks.Lock_core.lock lk;
+            (match kind with
             | Locks.Lock.Advisory ->
-              Locks.Lock.advise lk
+              Locks.Lock_core.advise lk
                 (Some
                    (if long then Locks.Lock_core.Advise_sleep
                     else Locks.Lock_core.Advise_spin))
             | _ -> ());
             Cthread.work (if long then long_ns else short_ns);
-            Locks.Lock.unlock lk;
+            Locks.Lock_core.unlock lk;
             Cthread.work 20_000
           done
         in
@@ -412,7 +420,7 @@ let advisory ?domains () =
           List.init 12 (fun i -> Cthread.fork ~proc:(1 + (i mod 6)) (body i))
         in
         Cthread.join_all threads;
-        stats := Some (Locks.Lock.stats lk));
+        stats := Some (Locks.Lock_core.stats lk));
     let s = match !stats with Some s -> s | None -> assert false in
     {
       advisory_lock = label;

@@ -22,13 +22,9 @@ let measure_ops ~make ~proc ~home =
         Cthread.fork ~proc (fun () ->
             for _ = 1 to iters do
               let t0 = Cthread.now () in
-              (match lk with
-              | `Lock l -> Locks.Lock.lock l
-              | `Core c -> Locks.Lock_core.lock c);
+              Locks.Lock_core.lock lk;
               let t1 = Cthread.now () in
-              (match lk with
-              | `Lock l -> Locks.Lock.unlock l
-              | `Core c -> Locks.Lock_core.unlock c);
+              Locks.Lock_core.unlock lk;
               let t2 = Cthread.now () in
               lock_ns := !lock_ns + (t1 - t0);
               unlock_ns := !unlock_ns + (t2 - t1);
@@ -38,29 +34,26 @@ let measure_ops ~make ~proc ~home =
       Cthread.join t);
   (us !lock_ns iters, us !unlock_ns iters)
 
+let of_kind kind ~home = Locks.Lock.create ~home kind
+
+let atomior ~home =
+  let policy = Locks.Waiting.pure_spin ~node:home () in
+  Locks.Waiting.freeze policy;
+  Locks.Lock_core.create ~name:"atomior" ~home
+    ~impl:(Locks.Lock_core.Central (policy, Locks.Lock_costs.atomior)) ()
+
 let kinds =
   [
-    ("atomior", `Atomior);
-    ("spin-lock", `Kind Locks.Lock.Spin);
-    ("spin-with-backoff", `Kind Locks.Lock.Backoff);
-    ("blocking-lock", `Kind Locks.Lock.Blocking);
-    ("adaptive lock", `Kind Locks.Lock.adaptive_default);
+    ("atomior", atomior);
+    ("spin-lock", of_kind Locks.Lock.Spin);
+    ("spin-with-backoff", of_kind Locks.Lock.Backoff);
+    ("blocking-lock", of_kind Locks.Lock.Blocking);
+    ("adaptive lock", of_kind Locks.Lock.adaptive_default);
   ]
-
-let make_of = function
-  | `Atomior ->
-    fun ~home ->
-      let policy = Locks.Waiting.pure_spin ~node:home () in
-      Locks.Waiting.freeze policy;
-      `Core
-        (Locks.Lock_core.create ~name:"atomior" ~home
-           ~impl:(Locks.Lock_core.Central (policy, Locks.Lock_costs.atomior)) ())
-  | `Kind kind -> fun ~home -> `Lock (Locks.Lock.create ~home kind)
 
 let lock_unlock_tables ?domains () =
   Engine.Runner.map ?domains
-    (fun (name, spec) ->
-      let make = make_of spec in
+    (fun (name, make) ->
       let local_lock, local_unlock = measure_ops ~make ~proc:1 ~home:1 in
       let remote_lock, remote_unlock = measure_ops ~make ~proc:2 ~home:1 in
       (name, (local_lock, remote_lock), (local_unlock, remote_unlock)))
@@ -83,44 +76,40 @@ let measure_cycle ~make ~waiter_proc ~home =
   let unlock_at = ref 0 and acquired_at = ref 0 in
   run (fun () ->
       let lk = make ~home in
-      let do_lock () =
-        match lk with `Lock l -> Locks.Lock.lock l | `Core c -> Locks.Lock_core.lock c
-      and do_unlock () =
-        match lk with
-        | `Lock l -> Locks.Lock.unlock l
-        | `Core c -> Locks.Lock_core.unlock c
-      in
       let owner_has_lock = ref false in
       let owner =
         Cthread.fork ~proc:3 (fun () ->
-            do_lock ();
+            Locks.Lock_core.lock lk;
             owner_has_lock := true;
             (* Hold long enough for the waiter to settle into its
                waiting mode. *)
             Cthread.work 800_000;
             unlock_at := Cthread.now ();
-            do_unlock ())
+            Locks.Lock_core.unlock lk)
       in
       let waiter =
         Cthread.fork ~proc:waiter_proc (fun () ->
             while not !owner_has_lock do
               Cthread.delay 5_000
             done;
-            do_lock ();
+            Locks.Lock_core.lock lk;
             acquired_at := Cthread.now ();
-            do_unlock ())
+            Locks.Lock_core.unlock lk)
       in
       Cthread.join owner;
       Cthread.join waiter);
   float_of_int (!acquired_at - !unlock_at) /. 1000.0
 
 let table6 ?domains () =
-  let static = [ ("spin", `Kind Locks.Lock.Spin);
-                 ("spin-with-backoff", `Kind Locks.Lock.Backoff);
-                 ("blocking-lock", `Kind Locks.Lock.Blocking) ] in
+  let static =
+    [
+      ("spin", of_kind Locks.Lock.Spin);
+      ("spin-with-backoff", of_kind Locks.Lock.Backoff);
+      ("blocking-lock", of_kind Locks.Lock.Blocking);
+    ]
+  in
   Engine.Runner.map ?domains
-    (fun (name, spec) ->
-      let make = make_of spec in
+    (fun (name, make) ->
       {
         op = name;
         local_us = measure_cycle ~make ~waiter_proc:1 ~home:1;
@@ -133,15 +122,15 @@ let table7 () =
     Locks.Lock_core.configure_waiting c ~spin_count:max_int ~sleep:false ()
   in
   let block_cfg c = Locks.Lock_core.configure_waiting c ~spin_count:0 ~sleep:true () in
-  (* An adaptive lock pinned to one configuration: the measurement
-     drives its [Lock_core] directly, so the feedback loop (ticked only
-     by [Adaptive_lock.unlock]) never runs. The whole adaptive lock is
-     still built: its allocations are simulated events. *)
+  (* The adaptive lock's word and waiting policy pinned to one
+     configuration: the centralized word under the reconfigurable
+     profile, built without the feedback loop, since an unlock would
+     tick the loop and let it reconfigure the lock mid-measurement. *)
   let row op configure =
     let make ~home =
-      let c = Locks.Adaptive_lock.core (Locks.Adaptive_lock.create ~home ()) in
+      let c = Locks.Lock.create ~home Locks.Lock.Reconfigurable in
       configure c;
-      `Core c
+      c
     in
     {
       op;
@@ -155,7 +144,7 @@ let table8 () =
   let timed ~proc f =
     let dt = ref 0 in
     run (fun () ->
-        let r = Locks.Lock.core (Locks.Lock.create ~home:1 Locks.Lock.Reconfigurable) in
+        let r = Locks.Lock.create ~home:1 Locks.Lock.Reconfigurable in
         let t =
           Cthread.fork ~proc (fun () ->
               let t0 = Cthread.now () in

@@ -458,7 +458,7 @@ let print_objects ?(out = std) ?emit ?(spec = Workloads.Sync_objects.default) ?o
         Workloads.Sync_objects.snapshot =
           List.filter
             (fun (m : Adaptive_core.Registry.metrics) ->
-              m.Adaptive_core.Registry.name = name)
+              m.Adaptive_core.Registry.spec.s_name = name)
             r.Workloads.Sync_objects.snapshot;
       }
   in
@@ -476,8 +476,8 @@ let print_objects ?(out = std) ?emit ?(spec = Workloads.Sync_objects.default) ?o
       Repro_stats.Table.add_row tbl
         [
           string_of_int m.Adaptive_core.Registry.id;
-          m.Adaptive_core.Registry.kind;
-          m.Adaptive_core.Registry.name;
+          m.Adaptive_core.Registry.spec.s_kind;
+          m.Adaptive_core.Registry.spec.s_name;
           string_of_int s.Adaptive_core.Registry.samples;
           string_of_int s.Adaptive_core.Registry.policy_runs;
           string_of_int s.Adaptive_core.Registry.adaptations;
@@ -498,7 +498,7 @@ let print_objects ?(out = std) ?emit ?(spec = Workloads.Sync_objects.default) ?o
       (fun (m : Adaptive_core.Registry.metrics) ->
         match Adaptive_core.Registry.validate_log m with
         | Ok () -> None
-        | Error why -> Some (m.Adaptive_core.Registry.name, why))
+        | Error why -> Some (m.Adaptive_core.Registry.spec.s_name, why))
       r.Workloads.Sync_objects.snapshot
   in
   List.iter
@@ -519,8 +519,8 @@ let print_objects ?(out = std) ?emit ?(spec = Workloads.Sync_objects.default) ?o
     :: ("policy_violations", float_of_int (List.length violations))
     :: List.map
          (fun (m : Adaptive_core.Registry.metrics) ->
-           ( Printf.sprintf "%s:%s/adaptations" m.Adaptive_core.Registry.kind
-               m.Adaptive_core.Registry.name,
+           ( Printf.sprintf "%s:%s/adaptations" m.Adaptive_core.Registry.spec.s_kind
+               m.Adaptive_core.Registry.spec.s_name,
              float_of_int
                m.Adaptive_core.Registry.stats.Adaptive_core.Registry.adaptations ))
          r.Workloads.Sync_objects.snapshot

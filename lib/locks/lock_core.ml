@@ -72,6 +72,7 @@ let default_params =
 
 type implementation =
   | Central of Waiting.t * Lock_costs.profile
+  | Adaptive of Spin_budget.params
   | Fixed of impl
   | Swappable of impl
   | Ladder
@@ -108,7 +109,6 @@ type registry = {
   mutable hold_avg_ns : int;  (* EWMA of ownership spans *)
   mutable swap_rollbacks : int;
   mutable abandoned_recoveries : int;
-  mutable loop : Adaptive.t option;
   mutable probe : (int -> string -> unit) option;
       (* conformance instrumentation: one callback per protocol
          transition, labelled to match [Proto_models.quiescence] *)
@@ -127,10 +127,12 @@ type t = {
   mutable costs : Lock_costs.profile;  (* the current implementation's *)
   mutable owner : int option;  (* host-side: tid holding the lock word *)
   state : state;
+  mutable loop : Adaptive.t option;  (* simple-adapt or the implementation ladder *)
 }
 
 let name t = t.lock_name
 let stats t = t.lock_stats
+let feedback t = t.loop
 let current_impl t = t.impl
 let waiting_now t = Ops.read t.nwait
 
@@ -724,15 +726,20 @@ and timeout_cleanup t r w ~since =
     else timed_out t
   end
 
+(* The adaptation point, and the only place a lock's loop ticks. A
+   registered lock ticks before the release: only the holder may swap,
+   so the implementation ladder runs while ownership is still ours.
+   The centralized word ticks after the release: simple-adapt only
+   rewrites waiting attributes, which needs no ownership, so the
+   sample and any reconfiguration stay out of the ownership span and
+   a waiter is handed the lock first. *)
 and unlock t =
   check_unlock t;
   (match t.state with
   | Registered r ->
     let hold = Ops.now () - r.acquired_at in
     r.hold_avg_ns <- ((3 * r.hold_avg_ns) + hold) / 4;
-    (* The adaptation point: only the holder may swap, so the
-       implementation ladder ticks while ownership is still ours. *)
-    Option.iter (fun loop -> ignore (Adaptive.tick loop)) r.loop
+    tick t
   | Word _ -> ());
   t.owner <- None;
   if Ops.annotations_enabled () then
@@ -740,8 +747,12 @@ and unlock t =
   Lock_stats.on_unlock t.lock_stats;
   Ops.work_instrs t.costs.Lock_costs.unlock_overhead_instrs;
   match t.state with
-  | Word c -> central_release t c
+  | Word c ->
+    central_release t c;
+    tick t
   | Registered r -> registered_release t r
+
+and tick t = match t.loop with Some loop -> ignore (Adaptive.tick loop) | None -> ()
 
 (* Contended acquisition: wait out any freeze, then register under the
    guard — re-testing the word there, since in queue/blocking mode a
@@ -828,6 +839,7 @@ let make name lock_stats words ~impl ~swappable ~costs state =
     costs;
     owner = None;
     state;
+    loop = None;
   }
 
 (* A registered-implementation lock: six words at the home node and,
@@ -852,7 +864,6 @@ let registered_lock name lock_stats ~home ~params ~bug ~initial ~swappable ~ladd
       hold_avg_ns = 0;
       swap_rollbacks = 0;
       abandoned_recoveries = 0;
-      loop = None;
       probe = None;
     }
   in
@@ -862,7 +873,7 @@ let registered_lock name lock_stats ~home ~params ~bug ~initial ~swappable ~ladd
     let sensor =
       Sensor.make ~period:params.sample_period ~overhead_instrs:40 (fun () -> score t r)
     in
-    r.loop <-
+    t.loop <-
       Some
         (Adaptive.create
            ~spec:(impl_ladder_spec ~params ~name ())
@@ -874,35 +885,68 @@ let registered_lock name lock_stats ~home ~params ~bug ~initial ~swappable ~ladd
   end;
   t
 
+(* A centralized-word lock: four words at the home node, plus
+   reconfiguration's scratch word when the policy is mutable. *)
+let central_lock name lock_stats ~home ~sched ~advisory policy costs =
+  let words = Ops.alloc ~node:home 4 in
+  Ops.mark_sync_words words;
+  (* [Waiting.freeze] freezes every attribute together, so one
+     attribute's mutability tells whether the policy is
+     reconfigurable. *)
+  let scratch =
+    if Attribute.mutability policy.Waiting.spin_count then begin
+      let w = Ops.alloc1 ~node:home () in
+      Ops.mark_sync_words [| w |];
+      Some w
+    end
+    else None
+  in
+  make name lock_stats words ~impl:Centralized ~swappable:false ~costs
+    (Word
+       {
+         wait_policy = policy;
+         queue = Lock_sched.create sched;
+         advice_word = words.(3);
+         scratch;
+         uses_advice = advisory;
+         successor = None;
+       })
+
+(* The adaptive lock: the centralized word under a mutable combined
+   policy of [n] spins, plus the simple-adapt loop. The loop ticks at
+   every unlock; its sensor samples the waiting count every
+   [sample_period]-th tick, and each applied transition rewrites the
+   waiting attributes as one Table 8 reconfiguration. *)
+let adaptive_lock name lock_stats ~home ~sched ~advisory (p : Spin_budget.params) =
+  let policy = Waiting.combined ~node:home ~spins:p.n () in
+  let t =
+    central_lock name lock_stats ~home ~sched ~advisory policy Lock_costs.reconfigurable
+  in
+  let sensor =
+    Sensor.make ~period:p.sample_period ~overhead_instrs:40 (fun () -> Ops.read t.nwait)
+  in
+  let budget = Spin_budget.create p in
+  t.loop <-
+    Some
+      (Adaptive.create
+         ~spec:(Spin_budget.policy_spec ~params:p ~name ())
+         ~home ~sensor
+         ~read:(fun () -> Spin_budget.spins budget)
+         ~apply:(fun v ->
+           Spin_budget.set budget v;
+           Spin_budget.apply budget policy;
+           Lock_stats.on_reconfigure lock_stats;
+           true));
+  t
+
 let create ?name ?(trace = false) ?(sched = Lock_sched.Fcfs) ?(advisory = false)
     ?(params = default_params) ?bug ~home ~impl () =
   let name = match name with Some n -> n | None -> "lock" in
   let lock_stats = Lock_stats.create ~trace name in
   match impl with
   | Central (policy, costs) ->
-    let words = Ops.alloc ~node:home 4 in
-    Ops.mark_sync_words words;
-    (* [Waiting.freeze] freezes every attribute together, so one
-       attribute's mutability tells whether the policy is
-       reconfigurable. *)
-    let scratch =
-      if Attribute.mutability policy.Waiting.spin_count then begin
-        let w = Ops.alloc1 ~node:home () in
-        Ops.mark_sync_words [| w |];
-        Some w
-      end
-      else None
-    in
-    make name lock_stats words ~impl:Centralized ~swappable:false ~costs
-      (Word
-         {
-           wait_policy = policy;
-           queue = Lock_sched.create sched;
-           advice_word = words.(3);
-           scratch;
-           uses_advice = advisory;
-           successor = None;
-         })
+    central_lock name lock_stats ~home ~sched ~advisory policy costs
+  | Adaptive p -> adaptive_lock name lock_stats ~home ~sched ~advisory p
   | Fixed initial ->
     registered_lock name lock_stats ~home ~params ~bug ~initial ~swappable:false ~ladder:false
   | Swappable initial ->

@@ -3,7 +3,14 @@
     family — pure spin, back-off spin, blocking, combined, advisory,
     reconfigurable, adaptive, and the hot-swapped implementations — is
     a configuration of this one lock, which is exactly the paper's
-    point.
+    point. {!Lock} names the paper's menu of these configurations.
+
+    An adaptive configuration carries its feedback loop in the lock
+    record ({!feedback}): [Adaptive] runs the paper's [simple-adapt]
+    over the centralized word's waiting attributes, [Ladder] the
+    implementation ladder over the registered implementations. The
+    loop is the built-in monitor of the paper's adaptive object: it
+    ticks inside {!unlock}, the one release path, and nowhere else.
 
     Layout: the lock word, a guard word (protecting the waiter queue)
     and the waiting-thread count live in simulated memory at the
@@ -76,12 +83,18 @@ type params = {
 val default_params : params
 
 (** What {!create} builds: the centralized word under a waiting policy
-    and cost profile; a registered implementation pinned ([Fixed]:
+    and cost profile; the adaptive lock ([Adaptive]: the centralized
+    word under a mutable combined policy of [n] spins and the
+    {!Lock_costs.reconfigurable} profile, retuned by
+    {!Spin_budget.policy_spec} from a sample of the waiting count
+    every [sample_period]-th unlock); a registered implementation
+    pinned ([Fixed]:
     {!swap_to} raises {!Misuse}) or swapped only by explicit
     {!swap_to} ([Swappable]); or, on the [Ladder], swappable from
     [Tas] under the implementation ladder ({!impl_ladder_spec}). *)
 type implementation =
   | Central of Waiting.t * Lock_costs.profile
+  | Adaptive of Spin_budget.params
   | Fixed of impl
   | Swappable of impl
   | Ladder
@@ -141,9 +154,15 @@ val lock_timeout : t -> deadline_ns:int -> bool
 
 val unlock : t -> unit
 (** Release the lock. Raises {!Misuse} if the caller is not the
-    current owner. On the ladder the feedback loop ticks first, while
-    ownership still belongs to the caller — only the holder may
-    swap. *)
+    current owner. An adaptive lock's feedback loop ticks here. On the
+    ladder it ticks first, while ownership still belongs to the
+    caller — only the holder may swap. On the centralized word it
+    ticks after the release, so the sample and any reconfiguration
+    stay out of the ownership span. *)
+
+val feedback : t -> Adaptive_core.Adaptive.t option
+(** The lock's feedback loop: [Some] on an [Adaptive] or [Ladder]
+    lock, whose samples, adaptations and log it reports. *)
 
 val waiting_now : t -> int
 (** Read the waiting-thread count word (a simulated read — this is

@@ -1,11 +1,19 @@
 module Attribute = Adaptive_core.Attribute
 
-type t = { threshold : int; n : int; cap : int; init : int; mutable spins : int }
+type params = { waiting_threshold : int; n : int; spin_cap : int; sample_period : int }
 
-let create ~threshold ~n ~cap ~init =
-  if threshold < 0 || n <= 0 || cap <= 0 then invalid_arg "Spin_budget.create";
-  let init = Int.max 0 (Int.min cap init) in
-  { threshold; n; cap; init; spins = init }
+let default_params = { waiting_threshold = 4; n = 16; spin_cap = 32; sample_period = 2 }
+
+type t = { cap : int; mutable spins : int }
+
+(* The budget starts at [n], clamped into [0, cap], as does the
+   spec's initial configuration. *)
+let initial p = Int.max 0 (Int.min p.spin_cap p.n)
+
+let create p =
+  if p.waiting_threshold < 0 || p.n <= 0 || p.spin_cap <= 0 then
+    invalid_arg "Spin_budget.create";
+  { cap = p.spin_cap; spins = initial p }
 
 let spins t = t.spins
 
@@ -26,10 +34,10 @@ let step_value ~threshold ~n ~cap spins ~waiting =
   else if waiting <= threshold then Int.min cap (spins + n)
   else Int.max 0 (spins - (2 * n))
 
-let spec ?name:(spec_name = "adaptive-lock") ~threshold ~n ~cap ~init ()
-    =
+let policy_spec ?(params = default_params) ?name:(spec_name = "adaptive-lock") () =
   let module Spec = Adaptive_core.Policy.Spec in
-  let init = Int.max 0 (Int.min cap init) in
+  let { waiting_threshold = threshold; n; spin_cap = cap; _ } = params in
+  let init = initial params in
   (* Reachable-budget closure from [init] under the three regions. *)
   let reps = [ 0; 1; threshold + 1 ] in
   let next v = List.map (fun waiting -> step_value ~threshold ~n ~cap v ~waiting) reps in
@@ -71,9 +79,6 @@ let spec ?name:(spec_name = "adaptive-lock") ~threshold ~n ~cap ~init ()
     s_transitions = transitions;
     s_guard = None;
   }
-
-let spec_of ?name t =
-  spec ?name ~threshold:t.threshold ~n:t.n ~cap:t.cap ~init:t.init ()
 
 let apply t (policy : Waiting.t) =
   if t.spins >= t.cap then begin

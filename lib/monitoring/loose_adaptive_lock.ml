@@ -1,5 +1,4 @@
 open Butterfly
-module AL = Locks.Adaptive_lock
 module Adaptive = Adaptive_core.Adaptive
 module Sensor = Adaptive_core.Sensor
 
@@ -13,26 +12,23 @@ type t = {
 }
 
 let name = "loose-adaptive-lock"
-let params = AL.default_params
+let params = Locks.Spin_budget.default_params
 
 let create ?poll_interval_ns ~home ~monitor_proc () =
-  let waiting = Locks.Waiting.combined ~node:home ~spins:params.AL.n () in
+  let waiting = Locks.Waiting.combined ~node:home ~spins:params.n () in
   let core =
     Locks.Lock_core.create ~name ~home
       ~impl:(Locks.Lock_core.Central (waiting, Locks.Lock_costs.reconfigurable)) ()
   in
   let ring = Ring_buffer.create ~home () in
-  let budget =
-    Locks.Spin_budget.create ~threshold:params.AL.waiting_threshold ~n:params.AL.n
-      ~cap:params.AL.spin_cap ~init:params.AL.n
-  in
+  let budget = Locks.Spin_budget.create params in
   (* The policy is the [simple-adapt] spec the closely-coupled lock
      runs; only the [apply] differs. It steps the budget (which tracks
      the policy's intent even when the reconfiguration is lost), then
      takes the path of an external agent: the monitor thread must own
      the attributes to reconfigure them. *)
   let loop =
-    Adaptive.create ~spec:(Locks.Spin_budget.spec_of ~name budget) ~home
+    Adaptive.create ~spec:(Locks.Spin_budget.policy_spec ~params ~name ()) ~home
       ~sensor:
         (Sensor.make ~overhead_instrs:40 (fun () -> Locks.Lock_core.waiting_now core))
       ~read:(fun () -> Locks.Spin_budget.spins budget)
@@ -60,7 +56,7 @@ let create ?poll_interval_ns ~home ~monitor_proc () =
     monitor;
     budget;
     loop;
-    unlocks_until_sample = params.AL.sample_period;
+    unlocks_until_sample = params.sample_period;
   }
 
 let lock t = Locks.Lock_core.lock t.core
@@ -69,7 +65,7 @@ let unlock t =
   Locks.Lock_core.unlock t.core;
   t.unlocks_until_sample <- t.unlocks_until_sample - 1;
   if t.unlocks_until_sample <= 0 then begin
-    t.unlocks_until_sample <- params.AL.sample_period;
+    t.unlocks_until_sample <- params.sample_period;
     Ring_buffer.publish t.ring (Ops.now (), Locks.Lock_core.waiting_now t.core)
   end
 

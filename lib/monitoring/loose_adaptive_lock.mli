@@ -1,13 +1,13 @@
 (** A loosely-coupled adaptive lock: same [simple-adapt] policy as
-    {!Locks.Adaptive_lock}, but the feedback loop runs through the
-    general-purpose monitor.
+    the closely-coupled [Locks.Lock_core.Adaptive] lock, but the
+    feedback loop runs through the general-purpose monitor.
 
     Every [sample_period]-th unlock publishes (timestamp,
     waiting-thread count) into a {!Ring_buffer}; a {!Monitor_thread} on
     a dedicated processor drains the buffer and feeds each (possibly
     stale) observation to a genuine [Adaptive_core.Adaptive] loop via
     [Adaptive.feed] — the policy is the same [simple-adapt] spec the
-    closely-coupled lock runs ({!Locks.Adaptive_lock.policy_spec});
+    closely-coupled lock runs ({!Locks.Spin_budget.policy_spec});
     only the [apply] differs, acquiring attribute ownership the way an
     external agent must. The
     paper found exactly this structure "too loosely coupled to be used
@@ -24,7 +24,7 @@ val create :
   unit ->
   t
 (** A lock named ["loose-adaptive-lock"] with
-    {!Locks.Adaptive_lock.default_params}. The monitor thread is forked
+    {!Locks.Spin_budget.default_params}. The monitor thread is forked
     immediately, pinned to
     [monitor_proc] (dedicate that processor: do not place application
     threads there). *)

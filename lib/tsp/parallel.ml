@@ -31,7 +31,7 @@ type spec = {
    (the paper stresses that threshold and n are tuned per lock). *)
 let tsp_adaptive_params =
   {
-    Locks.Adaptive_lock.waiting_threshold = 12;
+    Locks.Spin_budget.waiting_threshold = 12;
     n = 6;
     spin_cap = 64;
     sample_period = 2;
@@ -205,36 +205,36 @@ let pool_body impl spec ~expanded ~bounds_log ~final_cost ~lock_reports () =
       let done_flag = ref false in
       let queue_op () = Cthread.work spec.queue_op_ns in
       let pop_queue qi =
-        Locks.Lock.lock qlocks.(qi);
+        Locks.Lock_core.lock qlocks.(qi);
         queue_op ();
         let entry = Engine.Pqueue.pop_min queues.(qi) in
-        Locks.Lock.unlock qlocks.(qi);
+        Locks.Lock_core.unlock qlocks.(qi);
         Option.map snd entry
       in
       let push_queue qi entries =
-        Locks.Lock.lock qlocks.(qi);
+        Locks.Lock_core.lock qlocks.(qi);
         queue_op ();
         List.iter
           (fun ((_, nd) as entry) ->
             Engine.Pqueue.add queues.(qi) ~key:(Lmsk.bound nd) entry)
           entries;
-        Locks.Lock.unlock qlocks.(qi)
+        Locks.Lock_core.unlock qlocks.(qi)
       in
       let exchange_queue qi entries =
-        Locks.Lock.lock qlocks.(qi);
+        Locks.Lock_core.lock qlocks.(qi);
         queue_op ();
         List.iter
           (fun ((_, nd) as entry) ->
             Engine.Pqueue.add queues.(qi) ~key:(Lmsk.bound nd) entry)
           entries;
         let entry = Engine.Pqueue.pop_min queues.(qi) in
-        Locks.Lock.unlock qlocks.(qi);
+        Locks.Lock_core.unlock qlocks.(qi);
         Option.map snd entry
       in
       let record_tour tour cost =
-        Locks.Lock.lock globlock;
+        Locks.Lock_core.lock globlock;
         best_tours := (cost, tour) :: !best_tours;
-        Locks.Lock.unlock globlock
+        Locks.Lock_core.unlock globlock
       in
       let strategy =
         match impl with
@@ -261,10 +261,10 @@ let pool_body impl spec ~expanded ~bounds_log ~final_cost ~lock_reports () =
             read_best = (fun _ -> Ops.read best_words.(0));
             publish_best =
               (fun _ tour cost ->
-                Locks.Lock.lock best_locks.(0);
+                Locks.Lock_core.lock best_locks.(0);
                 let improved = cost < Ops.read best_words.(0) in
                 if improved then Ops.write best_words.(0) cost;
-                Locks.Lock.unlock best_locks.(0);
+                Locks.Lock_core.unlock best_locks.(0);
                 if improved then record_tour tour cost);
             any_work_left =
               (fun () -> not (Engine.Pqueue.is_empty queues.(0)));
@@ -332,12 +332,12 @@ let pool_body impl spec ~expanded ~bounds_log ~final_cost ~lock_reports () =
                 let improved = ref false in
                 for step = 0 to p - 1 do
                   let j = (i + step) mod p in
-                  Locks.Lock.lock best_locks.(j);
+                  Locks.Lock_core.lock best_locks.(j);
                   if cost < Ops.read best_words.(j) then begin
                     Ops.write best_words.(j) cost;
                     if j = i then improved := true
                   end;
-                  Locks.Lock.unlock best_locks.(j)
+                  Locks.Lock_core.unlock best_locks.(j)
                 done;
                 if !improved then record_tour tour cost);
             any_work_left =
@@ -405,16 +405,16 @@ let pool_body impl spec ~expanded ~bounds_log ~final_cost ~lock_reports () =
           | Some (nd, locality) -> work_on nd locality
           | None -> idle ()
         and idle () =
-          Locks.Lock.lock glob_act_lock;
+          Locks.Lock_core.lock glob_act_lock;
           Ops.write act_word (Ops.read act_word - 1);
-          Locks.Lock.unlock glob_act_lock;
+          Locks.Lock_core.unlock glob_act_lock;
           poll ()
         and poll () =
           if !done_flag then ()
           else if strategy.any_work_left () then begin
-            Locks.Lock.lock glob_act_lock;
+            Locks.Lock_core.lock glob_act_lock;
             Ops.write act_word (Ops.read act_word + 1);
-            Locks.Lock.unlock glob_act_lock;
+            Locks.Lock_core.unlock glob_act_lock;
             active ()
           end
           else if Ops.read act_word = 0 then begin
@@ -440,11 +440,11 @@ let pool_body impl spec ~expanded ~bounds_log ~final_cost ~lock_reports () =
       (match List.sort compare !best_tours with
       | (cost, _) :: _ -> final_cost := cost
       | [] -> ());
-      let report name lk = (name, Locks.Lock.stats lk) in
+      let report name lk = (name, Locks.Lock_core.stats lk) in
       lock_reports :=
-        Array.to_list (Array.map (fun lk -> report (Locks.Lock.name lk) lk) qlocks)
+        Array.to_list (Array.map (fun lk -> report (Locks.Lock_core.name lk) lk) qlocks)
         @ Array.to_list
-            (Array.map (fun lk -> report (Locks.Lock.name lk) lk) best_locks)
+            (Array.map (fun lk -> report (Locks.Lock_core.name lk) lk) best_locks)
         @ [ report "glob-act-lock" glob_act_lock; report "globlock" globlock ]
   end
 

@@ -25,12 +25,12 @@ let lock_order_inversion () =
   let la = Locks.Lock.create ~name:"lock-a" ~home:0 Locks.Lock.Blocking in
   let lb = Locks.Lock.create ~name:"lock-b" ~home:0 Locks.Lock.Blocking in
   let pair first second () =
-    Locks.Lock.lock first;
+    Locks.Lock_core.lock first;
     Cthread.work 10_000;
-    Locks.Lock.lock second;
+    Locks.Lock_core.lock second;
     Cthread.work 10_000;
-    Locks.Lock.unlock second;
-    Locks.Lock.unlock first
+    Locks.Lock_core.unlock second;
+    Locks.Lock_core.unlock first
   in
   (* Run the two orders one after the other: this run cannot deadlock,
      but the cycle a -> b -> a is in the lock-order graph all the
@@ -45,13 +45,13 @@ let true_deadlock () =
   let lb = Locks.Lock.create ~name:"lock-b" ~home:0 Locks.Lock.Blocking in
   let pair name first second () =
     ignore name;
-    Locks.Lock.lock first;
+    Locks.Lock_core.lock first;
     (* Long enough that both threads hold their first lock before
        either requests its second. *)
     Cthread.work 200_000;
-    Locks.Lock.lock second;
-    Locks.Lock.unlock second;
-    Locks.Lock.unlock first
+    Locks.Lock_core.lock second;
+    Locks.Lock_core.unlock second;
+    Locks.Lock_core.unlock first
   in
   let t1 = Cthread.fork ~name:"ab" ~proc:1 (pair "ab" la lb) in
   let t2 = Cthread.fork ~name:"ba" ~proc:2 (pair "ba" lb la) in
@@ -70,7 +70,7 @@ let exit_while_holding () =
   let lk = Locks.Lock.create ~name:"leaked-lock" ~home:0 Locks.Lock.Blocking in
   let t =
     Cthread.fork ~name:"leaker" ~proc:1 (fun () ->
-        Locks.Lock.lock lk;
+        Locks.Lock_core.lock lk;
         Cthread.work 5_000
         (* ... and returns without unlocking. *))
   in
@@ -95,17 +95,17 @@ let hidden_race () =
   let x = Ops.alloc1 ~node:0 () in
   let early =
     Cthread.fork ~name:"early" ~proc:1 (fun () ->
-        Locks.Lock.lock m;
+        Locks.Lock_core.lock m;
         Ops.write x 1;
         Cthread.work 10_000;
-        Locks.Lock.unlock m)
+        Locks.Lock_core.unlock m)
   in
   let late =
     Cthread.fork ~name:"late" ~proc:2 (fun () ->
         Cthread.work 300_000;
-        Locks.Lock.lock m;
+        Locks.Lock_core.lock m;
         Cthread.work 5_000;
-        Locks.Lock.unlock m;
+        Locks.Lock_core.unlock m;
         Ops.write x 2)
   in
   Cthread.join_all [ early; late ]
@@ -120,17 +120,17 @@ let stale_hint_race () =
   let hint = Ops.alloc1 ~node:0 () in
   let reconfigurer =
     Cthread.fork ~name:"reconfigurer" ~proc:1 (fun () ->
-        Locks.Lock.lock policy;
+        Locks.Lock_core.lock policy;
         Ops.write hint 1;
         Cthread.work 12_000;
-        Locks.Lock.unlock policy)
+        Locks.Lock_core.unlock policy)
   in
   let fast_path =
     Cthread.fork ~name:"fast-path" ~proc:2 (fun () ->
         Cthread.work 320_000;
-        Locks.Lock.lock policy;
+        Locks.Lock_core.lock policy;
         Cthread.work 4_000;
-        Locks.Lock.unlock policy;
+        Locks.Lock_core.unlock policy;
         ignore (Ops.read hint))
   in
   Cthread.join_all [ reconfigurer; fast_path ]
@@ -144,21 +144,21 @@ let latent_deadlock () =
   let lb = Locks.Lock.create ~name:"lock-b" ~home:0 Locks.Lock.Blocking in
   let t1 =
     Cthread.fork ~name:"ab" ~proc:1 (fun () ->
-        Locks.Lock.lock la;
+        Locks.Lock_core.lock la;
         Cthread.work 5_000;
-        Locks.Lock.lock lb;
+        Locks.Lock_core.lock lb;
         Cthread.work 2_000;
-        Locks.Lock.unlock lb;
-        Locks.Lock.unlock la)
+        Locks.Lock_core.unlock lb;
+        Locks.Lock_core.unlock la)
   in
   let t2 =
     Cthread.fork ~name:"ba" ~proc:2 (fun () ->
         Cthread.work 400_000;
-        Locks.Lock.lock lb;
+        Locks.Lock_core.lock lb;
         Cthread.work 5_000;
-        Locks.Lock.lock la;
-        Locks.Lock.unlock la;
-        Locks.Lock.unlock lb)
+        Locks.Lock_core.lock la;
+        Locks.Lock_core.unlock la;
+        Locks.Lock_core.unlock lb)
   in
   Cthread.join_all [ t1; t2 ]
 
@@ -172,15 +172,15 @@ let lost_wakeup () =
   let waiter =
     Cthread.fork ~name:"waiter" ~proc:1 (fun () ->
         Cthread.work 300_000;
-        Locks.Lock.lock m;
+        Locks.Lock_core.lock m;
         Cthread.block ();
-        Locks.Lock.unlock m)
+        Locks.Lock_core.unlock m)
   in
   let _waker =
     Cthread.fork ~name:"waker" ~proc:2 (fun () ->
-        Locks.Lock.lock m;
+        Locks.Lock_core.lock m;
         Cthread.work 2_000;
-        Locks.Lock.unlock m;
+        Locks.Lock_core.unlock m;
         Cthread.wakeup waiter)
   in
   Cthread.join waiter
@@ -195,14 +195,14 @@ let gated_order () =
   let la = Locks.Lock.create ~name:"gated-a" ~home:0 Locks.Lock.Blocking in
   let lb = Locks.Lock.create ~name:"gated-b" ~home:0 Locks.Lock.Blocking in
   let pair first second () =
-    Locks.Lock.lock gate;
-    Locks.Lock.lock first;
+    Locks.Lock_core.lock gate;
+    Locks.Lock_core.lock first;
     Cthread.work 5_000;
-    Locks.Lock.lock second;
+    Locks.Lock_core.lock second;
     Cthread.work 5_000;
-    Locks.Lock.unlock second;
-    Locks.Lock.unlock first;
-    Locks.Lock.unlock gate
+    Locks.Lock_core.unlock second;
+    Locks.Lock_core.unlock first;
+    Locks.Lock_core.unlock gate
   in
   let t1 = Cthread.fork ~name:"gated-ab" ~proc:1 (pair la lb) in
   let t2 = Cthread.fork ~name:"gated-ba" ~proc:2 (pair lb la) in
@@ -214,15 +214,15 @@ let sleep_with_spin_lock () =
   let lk = Locks.Lock.create ~name:"hot-lock" ~home:0 Locks.Lock.Spin in
   let holder =
     Cthread.fork ~name:"napper" ~proc:1 (fun () ->
-        Locks.Lock.lock lk;
+        Locks.Lock_core.lock lk;
         Cthread.block ();
-        Locks.Lock.unlock lk)
+        Locks.Lock_core.unlock lk)
   in
   let waiter =
     Cthread.fork ~name:"burner" ~proc:2 (fun () ->
         Cthread.work 20_000;
-        Locks.Lock.lock lk;
-        Locks.Lock.unlock lk)
+        Locks.Lock_core.lock lk;
+        Locks.Lock_core.unlock lk)
   in
   (* Let the holder block (and the waiter spin) well before the
      wakeup arrives. *)

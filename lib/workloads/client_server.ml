@@ -50,7 +50,7 @@ let body ?(served = ref 0) ?(response_sum = ref 0) ?(response_max = ref 0)
       let total = spec.clients * spec.requests_per_client in
       let timed_lock acc_wait acc_n =
         let t0 = Cthread.now () in
-        Locks.Lock.lock lk;
+        Locks.Lock_core.lock lk;
         acc_wait := !acc_wait + (Cthread.now () - t0);
         incr acc_n
       in
@@ -69,7 +69,7 @@ let body ?(served = ref 0) ?(response_sum = ref 0) ?(response_max = ref 0)
             response_sum := !response_sum + response;
             if response > !response_max then response_max := response
           | None -> ());
-          Locks.Lock.unlock lk;
+          Locks.Lock_core.unlock lk;
           if Queue.is_empty requests && !served < total then Cthread.delay 10_000
         done
       in
@@ -81,8 +81,8 @@ let body ?(served = ref 0) ?(response_sum = ref 0) ?(response_max = ref 0)
           timed_lock client_wait client_acqs;
           ignore r;
           Queue.add (Cthread.now ()) requests;
-          if spec.handoff_to_server then Locks.Lock.set_successor lk server;
-          Locks.Lock.unlock lk
+          if spec.handoff_to_server then Locks.Lock_core.set_successor lk (Cthread.id server);
+          Locks.Lock_core.unlock lk
         done
       in
       let clients =

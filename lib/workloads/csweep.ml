@@ -41,9 +41,9 @@ let body ?(stats = ref None) spec () =
     (* Jitter arrival so threads do not phase-lock artificially. *)
     Cthread.work (100 * (tid_seed mod 7));
     for _ = 1 to spec.iterations do
-      Locks.Lock.lock lk;
+      Locks.Lock_core.lock lk;
       Cthread.work spec.cs_ns;
-      Locks.Lock.unlock lk;
+      Locks.Lock_core.unlock lk;
       Cthread.work spec.think_ns
     done
   in
@@ -57,7 +57,7 @@ let body ?(stats = ref None) spec () =
       (List.init spec.processors (fun p -> p))
   in
   Cthread.join_all threads;
-  stats := Some (Locks.Lock.stats lk)
+  stats := Some (Locks.Lock_core.stats lk)
 
 let scenario spec () = body spec ()
 

@@ -50,9 +50,9 @@ let body ?(stats = ref None) ?(log = ref []) ?(adaptations = ref 0) spec () =
         Barrier.await barrier;
         if idx < phase.active_threads then
           for _ = 1 to phase.entries do
-            Locks.Lock.lock lk;
+            Locks.Lock_core.lock lk;
             Cthread.work phase.cs_ns;
-            Locks.Lock.unlock lk;
+            Locks.Lock_core.unlock lk;
             Cthread.work spec.think_ns
           done
         else
@@ -69,11 +69,11 @@ let body ?(stats = ref None) ?(log = ref []) ?(adaptations = ref 0) spec () =
           ~name:(Printf.sprintf "worker%d" i) (worker i))
   in
   Cthread.join_all threads;
-  stats := Some (Locks.Lock.stats lk);
-  match Locks.Lock.as_adaptive lk with
-  | Some al ->
-    log := Adaptive_core.Adaptive.log (Locks.Adaptive_lock.feedback al);
-    adaptations := Locks.Adaptive_lock.adaptations al
+  stats := Some (Locks.Lock_core.stats lk);
+  match Locks.Lock_core.feedback lk with
+  | Some loop ->
+    log := Adaptive_core.Adaptive.log loop;
+    adaptations := Adaptive_core.Adaptive.adaptations loop
   | None -> ()
 
 let scenario spec () = body spec ()

@@ -26,7 +26,7 @@ type result = {
 let body ?(snapshot = ref []) spec () =
   Adaptive_core.Registry.reset ();
   let w = spec.workers in
-  let lock = Locks.Adaptive_lock.create ~name:"counter-lock" ~home:0 () in
+  let lock = Locks.Lock.create ~name:"counter-lock" ~home:0 Locks.Lock.adaptive_default in
   let rw = Locks.Rw_lock.create ~name:"table-rw" ~adaptive:true ~home:0 () in
   let barrier = Adaptive_barrier.create ~node:0 ~name:"round-barrier" w in
   let mu = Spin.create ~node:0 () in
@@ -42,9 +42,9 @@ let body ?(snapshot = ref []) spec () =
       let skew = if r > spec.rounds / 2 && i = 0 then 2_400_000 else 0 in
       Cthread.work (4_000 + skew);
       Adaptive_barrier.await barrier;
-      Locks.Adaptive_lock.lock lock;
+      Locks.Lock_core.lock lock;
       Cthread.work 3_000;
-      Locks.Adaptive_lock.unlock lock;
+      Locks.Lock_core.unlock lock;
       Adaptive_semaphore.acquire sem;
       Cthread.work 2_500;
       Adaptive_semaphore.release sem;

@@ -16,7 +16,7 @@ module S = Locks.Lock_stats
 let cfg = { Config.default with Config.processors = 8 }
 
 let implementations : (string * (unit -> L.t)) list =
-  let central kind () = Locks.Lock.core (Locks.Lock.create ~home:0 kind) in
+  let central kind () = Locks.Lock.create ~home:0 kind in
   let registered impl () = L.create ~home:0 ~impl () in
   List.map
     (fun k -> ("central " ^ Locks.Lock.kind_name k, central k))

@@ -27,15 +27,15 @@ let hb_via_lock ~use_lock () =
   let a =
     Cthread.fork ~name:"writer" ~proc:1 (fun () ->
         Ops.write x 1;
-        Locks.Lock.lock m;
-        Locks.Lock.unlock m)
+        Locks.Lock_core.lock m;
+        Locks.Lock_core.unlock m)
   in
   let b =
     Cthread.fork ~name:"reader" ~proc:2 (fun () ->
         Cthread.work 80_000;
         if use_lock then begin
-          Locks.Lock.lock m;
-          Locks.Lock.unlock m
+          Locks.Lock_core.lock m;
+          Locks.Lock_core.unlock m
         end;
         ignore (Ops.read x))
   in
@@ -284,12 +284,12 @@ let test_unlock_not_held_raises () =
       List.iter
         (fun kind ->
           let l = Locks.Lock.create ~home:0 kind in
-          (try Locks.Lock.unlock l
+          (try Locks.Lock_core.unlock l
            with Locks.Lock_core.Misuse _ -> incr misuses);
           (* and a double unlock, the other way to get there *)
-          Locks.Lock.lock l;
-          Locks.Lock.unlock l;
-          try Locks.Lock.unlock l
+          Locks.Lock_core.lock l;
+          Locks.Lock_core.unlock l;
+          try Locks.Lock_core.unlock l
           with Locks.Lock_core.Misuse _ -> incr misuses)
         [ Locks.Lock.Spin; Locks.Lock.Blocking; Locks.Lock.adaptive_default ]);
   check_int "every bad unlock raised Misuse" 6 !misuses
@@ -306,15 +306,15 @@ let rw_vs_mutex ~reader () =
     (if reader then Locks.Rw_lock.with_read rw else Locks.Rw_lock.with_write rw)
       (fun () ->
         Cthread.work 5_000;
-        Locks.Lock.lock m;
+        Locks.Lock_core.lock m;
         Cthread.work 5_000;
-        Locks.Lock.unlock m)
+        Locks.Lock_core.unlock m)
   in
   let m_first () =
-    Locks.Lock.lock m;
+    Locks.Lock_core.lock m;
     Cthread.work 5_000;
     Locks.Rw_lock.with_write rw (fun () -> Cthread.work 5_000);
-    Locks.Lock.unlock m
+    Locks.Lock_core.unlock m
   in
   let t1 = Cthread.fork ~name:"rw-first" ~proc:1 rw_first in
   Cthread.join t1;
@@ -341,17 +341,17 @@ let test_rw_consistent_order_clean () =
     let writer =
       Cthread.fork ~name:"writer" ~proc:1 (fun () ->
           Locks.Rw_lock.with_write rw (fun () ->
-              Locks.Lock.lock m;
+              Locks.Lock_core.lock m;
               Ops.write x (Ops.read x + 1);
-              Locks.Lock.unlock m))
+              Locks.Lock_core.unlock m))
     in
     let reader =
       Cthread.fork ~name:"reader" ~proc:2 (fun () ->
           Cthread.work 40_000;
           Locks.Rw_lock.with_read rw (fun () ->
-              Locks.Lock.lock m;
+              Locks.Lock_core.lock m;
               ignore (Ops.read x);
-              Locks.Lock.unlock m))
+              Locks.Lock_core.unlock m))
     in
     Cthread.join_all [ writer; reader ]
   in
@@ -398,9 +398,9 @@ let test_race_detected_after_thread_churn () =
     let m = Locks.Lock.create ~home:0 Locks.Lock.Blocking in
     let touch v () =
       if locked then begin
-        Locks.Lock.lock m;
+        Locks.Lock_core.lock m;
         Ops.write x v;
-        Locks.Lock.unlock m
+        Locks.Lock_core.unlock m
       end
       else Ops.write x v
     in
@@ -433,9 +433,9 @@ let test_trace_fidelity () =
       let m = Locks.Lock.create ~home:0 Locks.Lock.Blocking in
       let worker w () =
         for i = 1 to 3_200 do
-          Locks.Lock.lock m;
+          Locks.Lock_core.lock m;
           Ops.write words.(i mod 16) (Ops.read words.(w) + i);
-          Locks.Lock.unlock m;
+          Locks.Lock_core.unlock m;
           ignore (Ops.fetch_and_add words.(15) 1);
           if i mod 50 = 0 then Cthread.yield ()
         done

@@ -96,14 +96,14 @@ let test_kill_thread_wakes_joiner_and_strands_lock () =
       let lk = Locks.Lock.create ~home:0 Locks.Lock.Spin in
       let victim =
         Cthread.fork ~proc:1 (fun () ->
-            Locks.Lock.lock lk;
+            Locks.Lock_core.lock lk;
             Cthread.work 50_000_000;
             (* never reached: killed mid-section *)
-            Locks.Lock.unlock lk)
+            Locks.Lock_core.unlock lk)
       in
       Cthread.join victim;
       joined := true;
-      still_held := Some (not (Locks.Lock.try_lock lk)));
+      still_held := Some (not (Locks.Lock_core.try_lock lk)));
   check_bool "joiner woken by the kill" true !joined;
   check_bool "lock stranded held" (Some true = !still_held) true;
   check_int "kill counted" 1 (Engine.Counters.get (Sched.counters sim) "sched.kills");
@@ -157,9 +157,9 @@ let run_fig_workload sim =
         List.init 3 (fun i ->
             Cthread.fork ~proc:(i + 1) (fun () ->
                 for _ = 1 to 5 do
-                  Locks.Lock.lock lk;
+                  Locks.Lock_core.lock lk;
                   Cthread.work 3_000;
-                  Locks.Lock.unlock lk;
+                  Locks.Lock_core.unlock lk;
                   Cthread.work 2_000
                 done))
       in
@@ -254,9 +254,9 @@ let test_guardrail_clamp_and_fallback () =
      two samples go uncounted. *)
   let module Spec = Adaptive_core.Policy.Spec in
   let params =
-    { Locks.Adaptive_lock.waiting_threshold = 2; n = 4; spin_cap = 16; sample_period = 1 }
+    { Locks.Spin_budget.waiting_threshold = 2; n = 4; spin_cap = 16; sample_period = 1 }
   in
-  let spec = Locks.Adaptive_lock.policy_spec ~params () in
+  let spec = Locks.Spin_budget.policy_spec ~params () in
   let spec =
     {
       spec with
@@ -273,7 +273,7 @@ let test_guardrail_clamp_and_fallback () =
           };
     }
   in
-  let budget = ref params.Locks.Adaptive_lock.n in
+  let budget = ref params.Locks.Spin_budget.n in
   (* One sample: apply whatever is decided, return its label. *)
   let feed = Spec_loop.steps spec ~cur:budget in
   (* 50 lies outside the clamp: it starts a streak and moves nothing. *)
@@ -391,19 +391,19 @@ let test_deadlock_payload_names_sites_and_held_locks () =
          let l2 = Locks.Lock.create ~name:"beta" ~home:1 Locks.Lock.Blocking in
          let a =
            Cthread.fork ~name:"a" ~proc:1 (fun () ->
-               Locks.Lock.lock l1;
+               Locks.Lock_core.lock l1;
                Cthread.work 50_000;
-               Locks.Lock.lock l2;
-               Locks.Lock.unlock l2;
-               Locks.Lock.unlock l1)
+               Locks.Lock_core.lock l2;
+               Locks.Lock_core.unlock l2;
+               Locks.Lock_core.unlock l1)
          in
          let b =
            Cthread.fork ~name:"b" ~proc:2 (fun () ->
-               Locks.Lock.lock l2;
+               Locks.Lock_core.lock l2;
                Cthread.work 50_000;
-               Locks.Lock.lock l1;
-               Locks.Lock.unlock l1;
-               Locks.Lock.unlock l2)
+               Locks.Lock_core.lock l1;
+               Locks.Lock_core.unlock l1;
+               Locks.Lock_core.unlock l2)
          in
          Cthread.join a;
          Cthread.join b)

@@ -10,26 +10,28 @@ let test_adaptive_lock_log_stays_in_space () =
   let sim = Butterfly.Sched.create cfg in
   let log = ref [] in
   Butterfly.Sched.run sim (fun () ->
-      let lk = Locks.Adaptive_lock.create ~home:0 () in
+      let lk =
+        Locks.Lock.create ~name:"adaptive-lock" ~home:0 Locks.Lock.adaptive_default
+      in
       (* Quiet phase, storm, quiet: forces several reconfigurations. *)
       for _ = 1 to 12 do
-        Locks.Adaptive_lock.lock lk;
+        Locks.Lock_core.lock lk;
         Cthreads.Cthread.work 2_000;
-        Locks.Adaptive_lock.unlock lk
+        Locks.Lock_core.unlock lk
       done;
       let ts =
         List.init 6 (fun i ->
             Cthreads.Cthread.fork ~proc:(i + 1) (fun () ->
                 for _ = 1 to 10 do
-                  Locks.Adaptive_lock.lock lk;
+                  Locks.Lock_core.lock lk;
                   Cthreads.Cthread.work 300_000;
-                  Locks.Adaptive_lock.unlock lk
+                  Locks.Lock_core.unlock lk
                 done))
       in
       Cthreads.Cthread.join_all ts;
-      log := Adaptive_core.Adaptive.log (Locks.Adaptive_lock.feedback lk));
+      log := Adaptive_core.Adaptive.log (Option.get (Locks.Lock_core.feedback lk)));
   Alcotest.(check bool) "trajectory non-trivial" true (List.length !log >= 2);
-  match Spec.check_log (Locks.Adaptive_lock.policy_spec ()) !log with
+  match Spec.check_log (Locks.Spin_budget.policy_spec ()) !log with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "simple-adapt left its declared spec: %s" msg
 

@@ -117,10 +117,13 @@ let test_sched_kind_change_keeps_queue () =
    drive it: the spec's step, fed one waiting count at a time. [feed]
    returns the new budget when the policy reconfigured. *)
 
+let budget_params =
+  { Locks.Spin_budget.waiting_threshold = 3; n = 4; spin_cap = 16; sample_period = 1 }
+
 let budget () =
   let spins = ref 4 in
   let step =
-    Spec_loop.steps (Locks.Spin_budget.spec ~threshold:3 ~n:4 ~cap:16 ~init:4 ()) ~cur:spins
+    Spec_loop.steps (Locks.Spin_budget.policy_spec ~params:budget_params ()) ~cur:spins
   in
   let feed ~waiting = if step waiting = "none" then None else Some !spins in
   (spins, feed)
@@ -153,7 +156,7 @@ let test_budget_saturates_at_cap () =
 let test_budget_apply_sets_attributes () =
   let (_ : Sched.t) =
     run (fun () ->
-        let b = Locks.Spin_budget.create ~threshold:3 ~n:4 ~cap:16 ~init:4 in
+        let b = Locks.Spin_budget.create budget_params in
         let w = Locks.Waiting.combined ~spins:4 () in
         Locks.Spin_budget.set b 16;
         Locks.Spin_budget.apply b w;
@@ -168,7 +171,7 @@ let test_budget_apply_sets_attributes () =
 let test_budget_validates () =
   check_bool "bad n rejected" true
     (try
-       ignore (Locks.Spin_budget.create ~threshold:1 ~n:0 ~cap:4 ~init:0);
+       ignore (Locks.Spin_budget.create { budget_params with n = 0 });
        false
      with Invalid_argument _ -> true)
 

@@ -23,14 +23,14 @@ let hammer ?(nthreads = 6) ?(iters = 20) ?(cs_ns = 5_000) kind =
         let lk = Locks.Lock.create ~home:0 kind in
         let body () =
           for _ = 1 to iters do
-            Locks.Lock.lock lk;
+            Locks.Lock_core.lock lk;
             incr inside;
             if !inside > !overlap then overlap := !inside;
             let v = !counter in
             Cthread.work cs_ns;
             counter := v + 1;
             decr inside;
-            Locks.Lock.unlock lk
+            Locks.Lock_core.unlock lk
           done
         in
         let ts = List.init nthreads (fun i -> Cthread.fork ~proc:(1 + (i mod 7)) body) in
@@ -49,27 +49,16 @@ let test_uncontended_fast_path () =
     run (fun () ->
         let lk = Locks.Lock.create ~home:0 Locks.Lock.Spin in
         for _ = 1 to 5 do
-          Locks.Lock.lock lk;
-          Locks.Lock.unlock lk
+          Locks.Lock_core.lock lk;
+          Locks.Lock_core.unlock lk
         done;
-        stats := Some (Locks.Lock.stats lk))
+        stats := Some (Locks.Lock_core.stats lk))
   in
   match !stats with
   | None -> Alcotest.fail "no stats"
   | Some s ->
     Alcotest.(check int) "five locks" 5 (Locks.Lock_stats.lock_calls s);
     Alcotest.(check int) "none contended" 0 (Locks.Lock_stats.contended s)
-
-let test_with_lock_releases_on_exception () =
-  let reacquired = ref false in
-  let (_ : Sched.t) =
-    run (fun () ->
-        let lk = Locks.Lock.create ~home:0 Locks.Lock.Spin in
-        (try Locks.Lock.with_lock lk (fun () -> failwith "inside") with Failure _ -> ());
-        reacquired := Locks.Lock.try_lock lk;
-        Locks.Lock.unlock lk)
-  in
-  Alcotest.(check bool) "released after raise" true !reacquired
 
 let test_blocking_lock_blocks () =
   (* With a blocking lock, a waiter must use the sleeping path. *)
@@ -78,14 +67,14 @@ let test_blocking_lock_blocks () =
     run (fun () ->
         let lk = Locks.Lock.create ~home:0 Locks.Lock.Blocking in
         let worker () =
-          Locks.Lock.lock lk;
+          Locks.Lock_core.lock lk;
           Cthread.work 100_000;
-          Locks.Lock.unlock lk
+          Locks.Lock_core.unlock lk
         in
         let a = Cthread.fork ~proc:1 worker and b = Cthread.fork ~proc:2 worker in
         Cthread.join a;
         Cthread.join b;
-        stats := Some (Locks.Lock.stats lk))
+        stats := Some (Locks.Lock_core.stats lk))
   in
   match !stats with
   | None -> Alcotest.fail "no stats"
@@ -100,13 +89,13 @@ let test_spin_lock_never_blocks () =
     run (fun () ->
         let lk = Locks.Lock.create ~home:0 Locks.Lock.Spin in
         let worker () =
-          Locks.Lock.lock lk;
+          Locks.Lock_core.lock lk;
           Cthread.work 500_000;
-          Locks.Lock.unlock lk
+          Locks.Lock_core.unlock lk
         in
         let ts = List.init 3 (fun i -> Cthread.fork ~proc:(i + 1) worker) in
         Cthread.join_all ts;
-        stats := Some (Locks.Lock.stats lk))
+        stats := Some (Locks.Lock_core.stats lk))
   in
   match !stats with
   | None -> Alcotest.fail "no stats"
@@ -123,19 +112,19 @@ let test_combined_spills_to_block () =
         let lk = Locks.Lock.create ~home:0 (Locks.Lock.Combined 2) in
         let holder =
           Cthread.fork ~proc:1 (fun () ->
-              Locks.Lock.lock lk;
+              Locks.Lock_core.lock lk;
               Cthread.work 2_000_000;
-              Locks.Lock.unlock lk)
+              Locks.Lock_core.unlock lk)
         in
         Cthread.work 100_000;
         let waiter =
           Cthread.fork ~proc:2 (fun () ->
-              Locks.Lock.lock lk;
-              Locks.Lock.unlock lk)
+              Locks.Lock_core.lock lk;
+              Locks.Lock_core.unlock lk)
         in
         Cthread.join holder;
         Cthread.join waiter;
-        stats := Some (Locks.Lock.stats lk))
+        stats := Some (Locks.Lock_core.stats lk))
   in
   match !stats with
   | None -> Alcotest.fail "no stats"
@@ -150,19 +139,19 @@ let test_conditional_times_out_to_block () =
         let lk = Locks.Lock.create ~home:0 (Locks.Lock.Conditional 50_000) in
         let holder =
           Cthread.fork ~proc:1 (fun () ->
-              Locks.Lock.lock lk;
+              Locks.Lock_core.lock lk;
               Cthread.work 3_000_000;
-              Locks.Lock.unlock lk)
+              Locks.Lock_core.unlock lk)
         in
         Cthread.work 100_000;
         let waiter =
           Cthread.fork ~proc:2 (fun () ->
-              Locks.Lock.lock lk;
-              Locks.Lock.unlock lk)
+              Locks.Lock_core.lock lk;
+              Locks.Lock_core.unlock lk)
         in
         Cthread.join holder;
         Cthread.join waiter;
-        stats := Some (Locks.Lock.stats lk))
+        stats := Some (Locks.Lock_core.stats lk))
   in
   match !stats with
   | None -> Alcotest.fail "no stats"
@@ -175,22 +164,22 @@ let test_advisory_sleep_advice () =
         let lk = Locks.Lock.create ~home:0 Locks.Lock.Advisory in
         let holder =
           Cthread.fork ~proc:1 (fun () ->
-              Locks.Lock.lock lk;
+              Locks.Lock_core.lock lk;
               (* Owner knows the section is long: advise sleeping. *)
-              Locks.Lock.advise lk (Some Locks.Lock_core.Advise_sleep);
+              Locks.Lock_core.advise lk (Some Locks.Lock_core.Advise_sleep);
               Cthread.work 2_000_000;
-              Locks.Lock.advise lk None;
-              Locks.Lock.unlock lk)
+              Locks.Lock_core.advise lk None;
+              Locks.Lock_core.unlock lk)
         in
         Cthread.work 200_000;
         let waiter =
           Cthread.fork ~proc:2 (fun () ->
-              Locks.Lock.lock lk;
-              Locks.Lock.unlock lk)
+              Locks.Lock_core.lock lk;
+              Locks.Lock_core.unlock lk)
         in
         Cthread.join holder;
         Cthread.join waiter;
-        stats := Some (Locks.Lock.stats lk))
+        stats := Some (Locks.Lock_core.stats lk))
   in
   match !stats with
   | None -> Alcotest.fail "no stats"
@@ -203,18 +192,18 @@ let test_fcfs_order () =
   let (_ : Sched.t) =
     run (fun () ->
         let lk = Locks.Lock.create ~home:0 ~sched:Locks.Lock_sched.Fcfs Locks.Lock.Blocking in
-        Locks.Lock.lock lk;
+        Locks.Lock_core.lock lk;
         let waiter i =
           Cthread.fork ~proc:(i + 1) (fun () ->
               Cthread.work (i * 100_000);
               (* stagger arrivals *)
-              Locks.Lock.lock lk;
+              Locks.Lock_core.lock lk;
               order := i :: !order;
-              Locks.Lock.unlock lk)
+              Locks.Lock_core.unlock lk)
         in
         let ts = List.init 3 waiter in
         Cthread.work 1_000_000;
-        Locks.Lock.unlock lk;
+        Locks.Lock_core.unlock lk;
         Cthread.join_all ts)
   in
   Alcotest.(check (list int)) "arrival order served" [ 0; 1; 2 ] (List.rev !order)
@@ -226,18 +215,18 @@ let test_priority_order () =
         let lk =
           Locks.Lock.create ~home:0 ~sched:Locks.Lock_sched.Priority Locks.Lock.Blocking
         in
-        Locks.Lock.lock lk;
+        Locks.Lock_core.lock lk;
         let waiter i prio =
           Cthread.fork ~proc:(i + 1) ~prio (fun () ->
               Cthread.work (i * 100_000);
-              Locks.Lock.lock lk;
+              Locks.Lock_core.lock lk;
               order := i :: !order;
-              Locks.Lock.unlock lk)
+              Locks.Lock_core.unlock lk)
         in
         (* Arrival order 0,1,2 with priorities 1,3,2. *)
         let ts = [ waiter 0 1; waiter 1 3; waiter 2 2 ] in
         Cthread.work 1_000_000;
-        Locks.Lock.unlock lk;
+        Locks.Lock_core.unlock lk;
         Cthread.join_all ts)
   in
   Alcotest.(check (list int)) "highest priority first" [ 1; 2; 0 ] (List.rev !order)
@@ -249,19 +238,19 @@ let test_handoff_successor () =
         let lk =
           Locks.Lock.create ~home:0 ~sched:Locks.Lock_sched.Handoff Locks.Lock.Blocking
         in
-        Locks.Lock.lock lk;
+        Locks.Lock_core.lock lk;
         let waiter i =
           Cthread.fork ~proc:(i + 1) (fun () ->
               Cthread.work (i * 100_000);
-              Locks.Lock.lock lk;
+              Locks.Lock_core.lock lk;
               order := i :: !order;
-              Locks.Lock.unlock lk)
+              Locks.Lock_core.unlock lk)
         in
         let ts = List.init 3 waiter in
         Cthread.work 1_000_000;
         (* Owner designates the last arrival as successor. *)
-        Locks.Lock.set_successor lk (List.nth ts 2);
-        Locks.Lock.unlock lk;
+        Locks.Lock_core.set_successor lk (Cthread.id (List.nth ts 2));
+        Locks.Lock_core.unlock lk;
         Cthread.join_all ts)
   in
   match List.rev !order with
@@ -271,7 +260,7 @@ let test_handoff_successor () =
       (String.concat "," (List.map string_of_int other))
 
 let reconfigurable_core () =
-  Locks.Lock.core (Locks.Lock.create ~home:0 Locks.Lock.Reconfigurable)
+  Locks.Lock.create ~home:0 Locks.Lock.Reconfigurable
 
 let test_reconfigurable_waiting_change () =
   let before = ref "" and after = ref "" in
@@ -310,8 +299,7 @@ let test_static_lock_frozen () =
   let (_ : Sched.t) =
     run (fun () ->
         let lk = Locks.Lock.create ~home:0 Locks.Lock.Spin in
-        let core = Locks.Lock.core lk in
-        let p = Locks.Lock_core.policy core in
+        let p = Locks.Lock_core.policy lk in
         try Adaptive_core.Attribute.set p.Locks.Waiting.spin_count 1
         with Adaptive_core.Attribute.Immutable_attribute _ -> raised := true)
   in
@@ -328,7 +316,7 @@ let test_static_locks_refuse_reconfiguration () =
       ~impl:(Locks.Lock_core.Central (policy, Locks.Lock_costs.spin))
       ()
   in
-  let of_kind kind () = Locks.Lock.core (Locks.Lock.create ~home:0 kind) in
+  let of_kind kind () = Locks.Lock.create ~home:0 kind in
   let ops =
     Locks.Lock_core.
       [
@@ -358,10 +346,11 @@ let test_static_locks_refuse_reconfiguration () =
       ("frozen core", frozen_core);
     ]
 
-(* Simulated events over Tables 4-8. An allocation or sync-word mark is
-   an event, so a static lock that gained reconfiguration's scratch
-   word would move this count while leaving every table's bytes
-   unchanged. *)
+(* Simulated events over Tables 4-8. Each allocation is an event, so a
+   static lock that gained reconfiguration's scratch word would move
+   this count while leaving every table's bytes unchanged. Table 7's
+   four locks are built without a feedback loop, so none allocates the
+   loop's scratch word. *)
 let test_lock_tables_event_count () =
   let e0 = Sched.domain_events_total () in
   let open Experiments.Lock_tables in
@@ -370,24 +359,74 @@ let test_lock_tables_event_count () =
   ignore (table6 ~domains:1 ());
   ignore (table7 ());
   ignore (table8 ());
-  Alcotest.(check int) "events over tables 4-8" 2_076 (Sched.domain_events_total () - e0)
+  Alcotest.(check int) "events over tables 4-8" 2_072 (Sched.domain_events_total () - e0)
+
+(* An adaptive lock as the simple-adapt tests build it, and its loop. *)
+let adaptive ?(params = Locks.Spin_budget.default_params) () =
+  let lk =
+    Locks.Lock_core.create ~name:"adaptive-lock" ~home:0
+      ~impl:(Locks.Lock_core.Adaptive params) ()
+  in
+  (lk, Option.get (Locks.Lock_core.feedback lk))
 
 let test_adaptive_no_contention_becomes_spin () =
   let mode = ref "" and adaptations = ref 0 in
   let (_ : Sched.t) =
     run (fun () ->
-        let lk = Locks.Adaptive_lock.create ~home:0 () in
+        let lk, loop = adaptive () in
         (* Uncontended traffic: the monitor always reads 0 waiters. *)
         for _ = 1 to 20 do
-          Locks.Adaptive_lock.lock lk;
+          Locks.Lock_core.lock lk;
           Cthread.work 1_000;
-          Locks.Adaptive_lock.unlock lk
+          Locks.Lock_core.unlock lk
         done;
-        mode := Locks.Adaptive_lock.mode lk;
-        adaptations := Locks.Adaptive_lock.adaptations lk)
+        mode := Locks.Waiting.describe (Locks.Lock_core.policy lk);
+        adaptations := Adaptive_core.Adaptive.adaptations loop)
   in
   Alcotest.(check string) "configured to pure spin" "pure spin" !mode;
   Alcotest.(check int) "one transition" 1 !adaptations
+
+(* The loop lives in the lock and ticks in [Lock_core.unlock]: a lock
+   driven only through [Lock_core.lock] and [Lock_core.unlock] adapts
+   through a quiet phase, a seven-thread storm and a quiet tail. The
+   pinned log is the one this script produced when the loop ticked
+   after [Lock_core.unlock] from a separate handle, so the tick moved
+   without moving any sample, charge or transition. *)
+let test_adaptive_core_unlock_adapts () =
+  let log = ref [] and samples = ref 0 in
+  let quiet lk n =
+    for _ = 1 to n do
+      Locks.Lock_core.lock lk;
+      Cthread.work 2_000;
+      Locks.Lock_core.unlock lk
+    done
+  in
+  let (_ : Sched.t) =
+    run (fun () ->
+        let lk, loop = adaptive () in
+        quiet lk 6;
+        let storm () =
+          for _ = 1 to 6 do
+            Locks.Lock_core.lock lk;
+            Cthread.work 200_000;
+            Locks.Lock_core.unlock lk
+          done
+        in
+        Cthread.join_all (List.init 7 (fun i -> Cthread.fork ~proc:(i + 1) storm));
+        quiet lk 4;
+        log := Adaptive_core.Adaptive.log loop;
+        samples := Adaptive_core.Adaptive.samples loop)
+  in
+  Alcotest.(check int) "one sample every other unlock" 26 !samples;
+  Alcotest.(check (list (pair int string)))
+    "adaptation log"
+    [
+      (207_110, "pure spin");
+      (1_976_250, "pure blocking");
+      (20_184_330, "combined(16)");
+      (21_409_030, "pure spin");
+    ]
+    !log
 
 let test_adaptive_contention_becomes_blocking () =
   (* Under sustained contention simple-adapt must drive the lock into
@@ -397,20 +436,18 @@ let test_adaptive_contention_becomes_blocking () =
   let visited_blocking = ref false in
   let (_ : Sched.t) =
     run (fun () ->
-        let params =
-          { Locks.Adaptive_lock.default_params with Locks.Adaptive_lock.waiting_threshold = 1 }
-        in
-        let lk = Locks.Adaptive_lock.create ~home:0 ~params () in
+        let params = { Locks.Spin_budget.default_params with waiting_threshold = 1 } in
+        let lk, loop = adaptive ~params () in
         let body () =
           for _ = 1 to 8 do
-            Locks.Adaptive_lock.lock lk;
+            Locks.Lock_core.lock lk;
             Cthread.work 300_000;
-            Locks.Adaptive_lock.unlock lk
+            Locks.Lock_core.unlock lk
           done
         in
         let ts = List.init 6 (fun i -> Cthread.fork ~proc:(i + 1) body) in
         Cthread.join_all ts;
-        let log = Adaptive_core.Adaptive.log (Locks.Adaptive_lock.feedback lk) in
+        let log = Adaptive_core.Adaptive.log loop in
         visited_blocking := List.exists (fun (_, label) -> label = "pure blocking") log)
   in
   Alcotest.(check bool) "visited pure blocking" true !visited_blocking
@@ -422,10 +459,10 @@ let test_adaptive_policy_consulted () =
   let runs = ref 0 in
   let (_ : Sched.t) =
     run (fun () ->
-        let lk = Locks.Adaptive_lock.create ~home:0 () in
+        let lk, _ = adaptive () in
         for _ = 1 to 10 do
-          Locks.Adaptive_lock.lock lk;
-          Locks.Adaptive_lock.unlock lk
+          Locks.Lock_core.lock lk;
+          Locks.Lock_core.unlock lk
         done;
         runs :=
           List.fold_left
@@ -442,14 +479,14 @@ let test_trace_records_pattern () =
         let lk = Locks.Lock.create ~home:0 ~trace:true Locks.Lock.Blocking in
         let body () =
           for _ = 1 to 5 do
-            Locks.Lock.lock lk;
+            Locks.Lock_core.lock lk;
             Cthread.work 50_000;
-            Locks.Lock.unlock lk
+            Locks.Lock_core.unlock lk
           done
         in
         let ts = List.init 4 (fun i -> Cthread.fork ~proc:(i + 1) body) in
         Cthread.join_all ts;
-        match Locks.Lock_stats.trace (Locks.Lock.stats lk) with
+        match Locks.Lock_stats.trace (Locks.Lock_core.stats lk) with
         | Some series -> points := Engine.Series.length series
         | None -> ())
   in
@@ -465,9 +502,9 @@ let test_lock_cost_ordering_table4 () =
       run (fun () ->
           let lk = Locks.Lock.create ~home:0 kind in
           let t0 = Cthread.now () in
-          Locks.Lock.lock lk;
+          Locks.Lock_core.lock lk;
           let t1 = Cthread.now () in
-          Locks.Lock.unlock lk;
+          Locks.Lock_core.unlock lk;
           let t2 = Cthread.now () in
           dt_lock := t1 - t0;
           dt_unlock := t2 - t1)
@@ -513,8 +550,6 @@ let suite =
       (check_mutex "reconfigurable" Locks.Lock.Reconfigurable);
     Alcotest.test_case "mutex: adaptive" `Quick test_adaptive_mutual_exclusion;
     Alcotest.test_case "uncontended fast path" `Quick test_uncontended_fast_path;
-    Alcotest.test_case "with_lock releases on raise" `Quick
-      test_with_lock_releases_on_exception;
     Alcotest.test_case "blocking lock blocks" `Quick test_blocking_lock_blocks;
     Alcotest.test_case "spin lock never blocks" `Quick test_spin_lock_never_blocks;
     Alcotest.test_case "combined spills to block" `Quick test_combined_spills_to_block;
@@ -534,6 +569,8 @@ let suite =
       test_adaptive_no_contention_becomes_spin;
     Alcotest.test_case "adaptive: contention -> blocking" `Quick
       test_adaptive_contention_becomes_blocking;
+    Alcotest.test_case "adaptive: Lock_core.unlock adapts" `Quick
+      test_adaptive_core_unlock_adapts;
     Alcotest.test_case "adaptive: custom policy" `Quick test_adaptive_policy_consulted;
     Alcotest.test_case "trace records pattern" `Quick test_trace_records_pattern;
     Alcotest.test_case "cost ordering (Tables 4/5)" `Quick test_lock_cost_ordering_table4;

@@ -78,13 +78,13 @@ let test_registry_enumerates_objects () =
         snap := Registry.snapshot ())
   in
   check_int "three objects live" 3 (List.length !snap);
-  let kinds = List.map (fun m -> m.Registry.kind) !snap in
+  let kinds = List.map (fun m -> m.Registry.spec.s_kind) !snap in
   Alcotest.(check (list string))
     "creation order preserved"
     [ "barrier"; "condition"; "semaphore" ]
     kinds;
   List.iteri (fun i m -> check_int "ids are ordinals" i m.Registry.id) !snap;
-  check_string "names kept" "b" (List.hd !snap).Registry.name
+  check_string "names kept" "b" (List.hd !snap).Registry.spec.s_name
 
 (* The registry resets itself at every [Sched.run] start: back-to-back
    simulations on one domain never see each other's (dead) entries,

@@ -33,12 +33,12 @@ let random_program_runs (seed, nworkers, use_quantum) =
           | 2 -> ignore (Ops.fetch_and_add shared 1)
           | 3 -> Cthreads.Cthread.yield ()
           | _ ->
-            Locks.Lock.lock lk;
+            Locks.Lock_core.lock lk;
             incr inside;
             if !inside > 1 then incr violations;
             Cthreads.Cthread.work (1 + rng_choice 10_000);
             decr inside;
-            Locks.Lock.unlock lk
+            Locks.Lock_core.unlock lk
         done
       in
       let ts =
@@ -64,9 +64,9 @@ let prop_random_programs_deterministic =
             let lk = Locks.Lock.create ~home:0 Locks.Lock.adaptive_default in
             let worker i () =
               for _ = 1 to 8 do
-                Locks.Lock.lock lk;
+                Locks.Lock_core.lock lk;
                 Cthreads.Cthread.work (5_000 + (1_000 * i));
-                Locks.Lock.unlock lk;
+                Locks.Lock_core.unlock lk;
                 Cthreads.Cthread.work 3_000
               done
             in
@@ -130,11 +130,11 @@ let test_mutex_under_quantum_stress () =
       let lk = Locks.Lock.create ~home:0 Locks.Lock.adaptive_default in
       let worker () =
         for _ = 1 to 25 do
-          Locks.Lock.lock lk;
+          Locks.Lock_core.lock lk;
           let v = !counter in
           Cthreads.Cthread.work 4_000;
           counter := v + 1;
-          Locks.Lock.unlock lk
+          Locks.Lock_core.unlock lk
         done
       in
       let ts = List.init 8 (fun i -> Cthreads.Cthread.fork ~proc:(i mod 4) (worker)) in
