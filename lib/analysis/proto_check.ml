@@ -99,57 +99,86 @@ let same_bytes b p q len =
   done;
   !i = len
 
-(* Growable flat vector. *)
-type 'a vec = { mutable buf : 'a array; mutable len : int }
+(* -- the graph's storage -- *)
 
-let vec_make dummy = { buf = Array.make 1024 dummy; len = 0 }
+(* Ids, arena offsets, edge codes and edge indices, four bytes each in
+   a [Bytes.t], which the GC never scans. Every entry is below 2^31,
+   and one that is not raises rather than wrapping. *)
+module Ids = struct
+  type t = { mutable b : Bytes.t; mutable n : int }
 
-let vec_push v x =
-  if v.len = Array.length v.buf then begin
-    let buf = Array.make (2 * v.len) v.buf.(0) in
-    Array.blit v.buf 0 buf 0 v.len;
-    v.buf <- buf
-  end;
-  v.buf.(v.len) <- x;
-  v.len <- v.len + 1
+  let limit = 1 lsl 31
+
+  let fit x =
+    if x < 0 || x >= limit then
+      invalid_arg (Printf.sprintf "Proto_check: %d does not fit in 31 bits" x);
+    x
+
+  let create () = { b = Bytes.create 4096; n = 0 }
+
+  (* [n] zero entries. *)
+  let zeros n = { b = Bytes.make (4 * n) '\000'; n }
+  let length v = v.n
+  let get v i = Int32.to_int (Bytes.get_int32_ne v.b (4 * i))
+  let set v i x = Bytes.set_int32_ne v.b (4 * i) (Int32.of_int (fit x))
+
+  let push v x =
+    if 4 * v.n = Bytes.length v.b then begin
+      let b = Bytes.create (2 * Bytes.length v.b) in
+      Bytes.blit v.b 0 b 0 (4 * v.n);
+      v.b <- b
+    end;
+    set v v.n x;
+    v.n <- v.n + 1
+end
 
 (* The seen-set. Ids are BFS discovery order, which doubles as the
    deterministic tiebreak (the earliest wedged state is the one
-   reported). State [id] is the bytes [offs.(id)] .. [offs.(id + 1)]
-   of one arena; the table maps a hash to ids by linear probing
-   (-1 = empty) and is kept at most half full. The hash only places
-   ids in the table, so it orders nothing. A candidate is encoded at
-   the arena's tail and committed only when no equal bytes are
-   already there. *)
+   reported). State [id] is the bytes [offs id] .. [offs (id + 1)] of
+   one arena. The table maps a hash to ids by linear probing and is
+   kept at most half full; each 8-byte slot is -1 when empty, else
+   [(tag lsl 31) lor id], where the tag is the hash's top 31 bits and
+   the slot's position comes from its low bits, so a probe skips most
+   unequal states without reading the arena. A rehash recomputes each
+   hash from the arena. The hash only places ids in the table, so it
+   orders nothing. A candidate is encoded at the arena's tail and
+   committed only when no equal bytes are already there. *)
 type seen = {
   mutable arena : Bytes.t;
-  offs : int vec;  (* one entry per state, plus the arena's end *)
-  hashes : int vec;  (* one entry per state *)
-  mutable table : int array;
+  offs : Ids.t;  (* one entry per state, plus the arena's end *)
+  mutable table : Bytes.t;
 }
 
-let seen_make () =
-  let offs = vec_make 0 in
-  vec_push offs 0;
-  { arena = Bytes.create 65536; offs; hashes = vec_make 0; table = Array.make 2048 (-1) }
+let empty_table slots = Bytes.make (8 * slots) '\255'
+let slot_get tb i = Int64.to_int (Bytes.get_int64_ne tb (8 * i))
+let slot_set tb i v = Bytes.set_int64_ne tb (8 * i) (Int64.of_int v)
+let tag h = h lsr 32
 
-let count s = s.hashes.len
+let seen_make () =
+  let offs = Ids.create () in
+  Ids.push offs 0;
+  { arena = Bytes.create 65536; offs; table = empty_table 2048 }
+
+let count s = Ids.length s.offs - 1
 
 let rehash s =
-  let table = Array.make (2 * Array.length s.table) (-1) in
-  let mask = Array.length table - 1 in
+  let slots = 2 * (Bytes.length s.table / 8) in
+  let tb = empty_table slots in
   for id = 0 to count s - 1 do
-    let i = ref (s.hashes.buf.(id) land mask) in
-    while table.(!i) >= 0 do
-      i := (!i + 1) land mask
+    let p = Ids.get s.offs id in
+    let h = hash_bytes s.arena p (Ids.get s.offs (id + 1) - p) in
+    let i = ref (h land (slots - 1)) in
+    while slot_get tb !i >= 0 do
+      i := (!i + 1) land (slots - 1)
     done;
-    table.(!i) <- id
+    slot_set tb !i ((tag h lsl 31) lor id)
   done;
-  s.table <- table
+  s.table <- tb
 
 (* The id of [st], adding it when new (then [count s] grows). *)
 let intern s st =
-  let pos = s.offs.buf.(count s) in
+  let fresh = count s in
+  let pos = Ids.get s.offs fresh in
   let need = pos + (max_varint * Array.length st) in
   if need > Bytes.length s.arena then begin
     let a = Bytes.create (2 * need) in
@@ -159,79 +188,88 @@ let intern s st =
   let stop = put_state s.arena pos st in
   let len = stop - pos in
   let h = hash_bytes s.arena pos len in
-  let offs = s.offs.buf and mask = Array.length s.table - 1 in
-  let rec probe i =
-    let id = s.table.(i) in
-    if id < 0 then begin
-      let id = count s in
-      s.table.(i) <- id;
-      vec_push s.hashes h;
-      vec_push s.offs stop;
-      if 2 * count s > Array.length s.table then rehash s;
-      id
-    end
-    else if
-      s.hashes.buf.(id) = h
-      && offs.(id + 1) - offs.(id) = len
-      && same_bytes s.arena offs.(id) pos len
-    then id
-    else probe ((i + 1) land mask)
-  in
-  probe (h land mask)
+  let tb = s.table and tg = tag h in
+  let mask = (Bytes.length tb / 8) - 1 in
+  let i = ref (h land mask) and found = ref (-1) in
+  while
+    let slot = slot_get tb !i in
+    slot >= 0
+    &&
+    let id = slot land (Ids.limit - 1) in
+    let p = Ids.get s.offs id in
+    if slot lsr 31 = tg && Ids.get s.offs (id + 1) - p = len && same_bytes s.arena p pos len
+    then (found := id; false)
+    else true
+  do
+    i := (!i + 1) land mask
+  done;
+  if !found >= 0 then !found
+  else begin
+    Ids.push s.offs stop;
+    slot_set tb !i ((tg lsl 31) lor Ids.fit fresh);
+    if 2 * count s > mask + 1 then rehash s;
+    fresh
+  end
 
-let decode s id dst = get_state s.arena s.offs.buf.(id) dst
+let decode s id dst = get_state s.arena (Ids.get s.offs id) dst
 
-(* Parent pointers, one entry per state: the predecessor (-1 for the
-   initial state) and the transition taken from it. *)
-type parents = { p_pred : int vec; p_role : string vec; p_label : string vec }
+(* Parent records, one entry per state: the predecessor and the edge
+   code taken from it (both unused for the initial state, id 0). *)
+type parents = { p_pred : Ids.t; p_code : Ids.t }
 
 (* Reconstruct the (role, label) path from the initial state to [id]. *)
-let path_to ps id =
+let path_to model ps id =
   let rec go acc id =
-    let pred = ps.p_pred.buf.(id) in
-    if pred < 0 then acc else go ((ps.p_role.buf.(id), ps.p_label.buf.(id)) :: acc) pred
+    if id = 0 then acc
+    else go (Protocol.edge model (Ids.get ps.p_code id) :: acc) (Ids.get ps.p_pred id)
   in
   go [] id
 
-(* Backward reachability over CSR successor lists ([starts.(id)] ..
-   [starts.(id + 1)] index [targets]): the ids [goal] holds on, and
-   every id that reaches one, are ok. *)
+(* Backward reachability over CSR successor lists ([starts id] ..
+   [starts (id + 1)] index [targets]): the ids [goal] holds on, and
+   every id that reaches one, are ok (a nonzero byte). The reverse
+   lists are built in place: [pstart t] first counts t's predecessors,
+   then is summed to the end of t's block, and each predecessor is
+   written one below it, from the last edge back, which leaves
+   [pstart t] at the block's start and every block ascending. *)
 let reaches_goal n starts targets goal =
-  let m = starts.(n) in
-  let pstart = Array.make (n + 1) 0 in
+  let m = Ids.get starts n in
+  let pstart = Ids.zeros (n + 1) in
   for e = 0 to m - 1 do
-    pstart.(targets.(e) + 1) <- pstart.(targets.(e) + 1) + 1
+    let t = Ids.get targets e in
+    Ids.set pstart t (Ids.get pstart t + 1)
   done;
-  for id = 1 to n do
-    pstart.(id) <- pstart.(id) + pstart.(id - 1)
+  for id = 1 to n - 1 do
+    Ids.set pstart id (Ids.get pstart id + Ids.get pstart (id - 1))
   done;
-  let fill = Array.sub pstart 0 n in
-  let preds = Array.make m 0 in
-  for id = 0 to n - 1 do
-    for e = starts.(id) to starts.(id + 1) - 1 do
-      let t = targets.(e) in
-      preds.(fill.(t)) <- id;
-      fill.(t) <- fill.(t) + 1
+  Ids.set pstart n m;
+  let preds = Ids.zeros m in
+  for id = n - 1 downto 0 do
+    for e = Ids.get starts (id + 1) - 1 downto Ids.get starts id do
+      let t = Ids.get targets e in
+      let k = Ids.get pstart t - 1 in
+      Ids.set pstart t k;
+      Ids.set preds k id
     done
   done;
-  let ok = Array.make n false in
-  let queue = Array.make n 0 and tail = ref 0 in
+  let ok = Bytes.make n '\000' in
+  let queue = Ids.zeros n and tail = ref 0 in
   for id = 0 to n - 1 do
     if goal id then begin
-      ok.(id) <- true;
-      queue.(!tail) <- id;
+      Bytes.set ok id '\001';
+      Ids.set queue !tail id;
       incr tail
     end
   done;
   let head = ref 0 in
   while !head < !tail do
-    let id = queue.(!head) in
+    let id = Ids.get queue !head in
     incr head;
-    for e = pstart.(id) to pstart.(id + 1) - 1 do
-      let p = preds.(e) in
-      if not ok.(p) then begin
-        ok.(p) <- true;
-        queue.(!tail) <- p;
+    for e = Ids.get pstart id to Ids.get pstart (id + 1) - 1 do
+      let p = Ids.get preds e in
+      if Bytes.get ok p = '\000' then begin
+        Bytes.set ok p '\001';
+        Ids.set queue !tail p;
         incr tail
       end
     done
@@ -245,17 +283,18 @@ let reaches_goal n starts targets goal =
    have stopped. *)
 let check_model ?(max_states = 2_000_000) model props =
   if max_states < 1 then invalid_arg "Proto_check.check_model: max_states < 1";
+  if max_states > Ids.limit then invalid_arg "Proto_check.check_model: max_states > 2^31";
   let props = Array.of_list props in
   let reports = Array.make (Array.length props) None in
   let unresolved = ref (Array.length props) in
   let init = Protocol.init model in
   let seen = seen_make () in
-  let parents = { p_pred = vec_make 0; p_role = vec_make ""; p_label = vec_make "" } in
+  let parents = { p_pred = Ids.create (); p_code = Ids.create () } in
   (* Forward adjacency in CSR form, only kept for liveness (the
      backward pass). States are expanded in id order, so [starts]
      gets one entry per expansion. *)
   let keep_edges = Array.exists (function Protocol.Liveness _ -> true | _ -> false) props in
-  let starts = vec_make 0 and targets = vec_make 0 in
+  let starts = Ids.create () and targets = Ids.create () in
   let edges = ref 0 in
   (* The open safety and step predicates, in property-list order. *)
   let open_of pick = List.filter_map Fun.id (List.mapi pick (Array.to_list props)) in
@@ -280,68 +319,81 @@ let check_model ?(max_states = 2_000_000) model props =
   let cur = Array.copy init in
   (* Ids are dense, so [id] is new exactly when it is the next parent
      entry; record how it was reached. *)
-  let is_new id pred role label =
-    let fresh = id = parents.p_pred.len in
+  let is_new id pred code =
+    let fresh = id = Ids.length parents.p_pred in
     if fresh then begin
-      vec_push parents.p_pred pred;
-      vec_push parents.p_role role;
-      vec_push parents.p_label label
+      Ids.push parents.p_pred pred;
+      Ids.push parents.p_code code
     end;
     fresh
   in
-  (* A new state: judge it, then apply the bound. *)
+  (* A new state: judge it, then apply the bound. The predicate lists
+     are walked by plain recursion, so judging allocates nothing until
+     a property resolves. *)
+  let rec judge_safety id st = function
+    | [] -> ()
+    | (i, q_bad) :: rest ->
+      (match q_bad model st with
+      | Some why ->
+        resolve i
+          (Violated
+             { x_steps = path_to model parents id; x_why = why;
+               x_state = Protocol.describe model st })
+      | None -> ());
+      judge_safety id st rest
+  in
   let judge_state id st =
-    List.iter
-      (fun (i, q_bad) ->
-        match q_bad model st with
-        | Some why ->
-          resolve i
-            (Violated
-               { x_steps = path_to parents id; x_why = why;
-                 x_state = Protocol.describe model st })
-        | None -> ())
-      !safety;
+    judge_safety id st !safety;
     if count seen >= max_states then
       Array.iteri (fun i r -> if Option.is_none r then resolve i Out_of_bounds) reports;
     stop_when_resolved ()
   in
-  let judge_step pre_id pre role label =
-    List.iter
-      (fun (i, q_bad) ->
-        match q_bad model ~role ~label pre with
-        | Some why ->
-          resolve i
-            (Violated
-               { x_steps = path_to parents pre_id @ [ (role, label) ]; x_why = why;
-                 x_state = Protocol.describe model pre })
-        | None -> ())
-      !steps;
-    stop_when_resolved ()
+  let rec judge_step pre_id pre code = function
+    | [] -> ()
+    | (i, q_bad) :: rest ->
+      let role, label = Protocol.edge model code in
+      (match q_bad model ~role ~label pre with
+      | Some why ->
+        resolve i
+          (Violated
+             { x_steps = path_to model parents pre_id @ [ (role, label) ]; x_why = why;
+               x_state = Protocol.describe model pre })
+      | None -> ());
+      judge_step pre_id pre code rest
   in
   (* The queue is the id counter: every interned state is expanded, in
-     discovery order. *)
-  let next = ref 0 in
+     discovery order, by one successor callback for the whole
+     exploration. *)
+  let expanding = ref 0 in
+  let successor code st' =
+    incr edges;
+    if !steps != [] then begin
+      judge_step !expanding cur code !steps;
+      stop_when_resolved ()
+    end;
+    let id' = intern seen st' in
+    if keep_edges then Ids.push targets id';
+    if is_new id' !expanding code then judge_state id' st'
+  in
   (try
      stop_when_resolved ();
-     ignore (is_new (intern seen init) (-1) "" "");
+     ignore (is_new (intern seen init) 0 0);
      judge_state 0 init;
+     let next = ref 0 in
      while !next < count seen do
-       let id = !next in
+       expanding := !next;
        incr next;
-       decode seen id cur;
-       if keep_edges then vec_push starts targets.len;
-       Protocol.iter_successors model cur (fun role label st' ->
-           incr edges;
-           if !steps != [] then judge_step id cur role label;
-           let id' = intern seen st' in
-           if keep_edges then vec_push targets id';
-           if is_new id' id role label then judge_state id' st')
+       decode seen !expanding cur;
+       if keep_edges then Ids.push starts (Ids.length targets);
+       Protocol.iter_successors model cur successor
      done
    with Exit -> ());
   (* A property still open has seen the whole graph: it holds, unless
-     it is a liveness property with a wedged state. *)
+     it is a liveness property with a wedged state, which needs only
+     the arena and the edges: the table goes first. *)
   let n = count seen in
-  vec_push starts targets.len;
+  seen.table <- Bytes.empty;
+  Ids.push starts (Ids.length targets);
   Array.iteri
     (fun i r ->
       if Option.is_none r then
@@ -350,20 +402,20 @@ let check_model ?(max_states = 2_000_000) model props =
         | Protocol.Liveness { q_goal; _ } ->
           (* Every reachable state must be able to reach a goal state. *)
           let ok =
-            reaches_goal n starts.buf targets.buf (fun id ->
+            reaches_goal n starts targets (fun id ->
                 decode seen id cur;
                 q_goal model cur)
           in
           let wedged = ref (-1) in
           for id = n - 1 downto 0 do
-            if not ok.(id) then wedged := id
+            if Bytes.get ok id = '\000' then wedged := id
           done;
           if !wedged < 0 then resolve i Holds
           else begin
             decode seen !wedged cur;
             resolve i
               (Violated
-                 { x_steps = path_to parents !wedged;
+                 { x_steps = path_to model parents !wedged;
                    x_why = "wedged: no path to a quiesced/goal state";
                    x_state = Protocol.describe model cur })
           end)

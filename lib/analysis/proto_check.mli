@@ -3,9 +3,14 @@
     Bounded breadth-first exploration — no external tools. Visited
     states are stored packed, each as the zigzag varints of its
     {!Protocol.state} slots in one byte arena, and found through an
-    open-addressing hash table of state ids; a state is copied into
-    the arena only when it is new and decoded again when it is
-    expanded. One exploration judges all of a model's properties.
+    open-addressing hash table whose 8-byte slots hold a hash tag and
+    a state id; a state is copied into the arena only when it is new
+    and decoded again when it is expanded. The rest of the graph —
+    arena offsets, each state's predecessor and the
+    {!Protocol.edge} code that reached it, the successor lists that
+    liveness needs and their reverse — is kept as 4-byte entries in
+    byte buffers ({!Ids}), which the GC never scans. One exploration
+    judges all of a model's properties.
     Safety properties are judged on every reachable state (or
     transition, for [Step] properties) as it is discovered;
     liveness-as-absence-of-wedged-states needs the full exploration,
@@ -63,7 +68,8 @@ val check_all :
     resolves every open property as [Out_of_bounds] with
     [r_states = max_states]. The properties still open when the graph
     is exhausted hold, or, for liveness, are judged by the backward
-    pass. Raises [Invalid_argument] when [max_states < 1]. *)
+    pass. Raises [Invalid_argument] when [max_states < 1] or
+    [max_states > 2^31], the number of ids an {!Ids} entry holds. *)
 
 val clean : report list -> bool
 (** No violation and nothing out of bounds. *)
@@ -75,6 +81,23 @@ module Codec : sig
   val pack : int array -> string
   val unpack : string -> int -> int array
   (** [unpack (pack a) (Array.length a) = a]. *)
+end
+
+(** The graph's 4-byte vectors: a growable sequence of ints in
+    [0, 2^31), four bytes each in a [Bytes.t]. A state id, an arena
+    offset or an edge index that does not fit raises, never wraps. *)
+module Ids : sig
+  type t
+
+  val create : unit -> t
+
+  val push : t -> int -> unit
+  (** @raise Invalid_argument unless [0 <= x < 2^31]. *)
+
+  val length : t -> int
+
+  val get : t -> int -> int
+  (** The [i]th entry pushed, for [i < length]. *)
 end
 
 (** {1 Seeded-bad fixtures} *)

@@ -87,8 +87,6 @@ type cact =
   | CUnpark of int * int  (* the woken role's status slot and wake slot *)
 
 type crule = {
-  c_role : string;
-  c_label : string;
   c_pc : int;  (* the acting role's pc, status and wake slots *)
   c_st : int;
   c_wk : int;
@@ -121,7 +119,10 @@ type t = {
   t_o_wk : int;
   t_o_loc : int array;  (* first local slot of each role *)
   t_init : state;
-  t_rules : crule array;
+  t_rules : crule array;  (* declaration order: rule [i] is edge code [i] *)
+  t_by_pc : int list array array;
+      (* per role, per pc: the indices of the rules firing from it, ascending *)
+  t_edges : (string * string) array;  (* (role, label) of every edge code *)
 }
 
 (* status codes *)
@@ -208,15 +209,33 @@ let compile (s : Spec.t) : t =
     let role = role_ix u.Spec.u_role in
     if u.Spec.u_park && u.Spec.u_done then
       ill "%s rule %s: park and done are exclusive" s.Spec.p_name u.Spec.u_label;
-    { c_role = role_names.(role); c_label = u.Spec.u_label; c_pc = o_pc + role;
-      c_st = o_st + role; c_wk = o_wk + role; c_from = u.Spec.u_from;
+    if u.Spec.u_from < 0 then ill "%s rule %s: negative pc" s.Spec.p_name u.Spec.u_label;
+    { c_pc = o_pc + role; c_st = o_st + role; c_wk = o_wk + role; c_from = u.Spec.u_from;
       c_guard = cguard role u.Spec.u_guard; c_acts = List.map (cact role) u.Spec.u_acts;
       c_to = u.Spec.u_to; c_park = u.Spec.u_park; c_done = u.Spec.u_done }
   in
+  let rules = Array.of_list (List.map crule s.Spec.p_rules) in
+  (* The per-pc index: each role's rule indices bucketed by the pc they
+     fire from, filled from the last rule back so every bucket is
+     ascending. *)
+  let top = Array.make nroles (-1) in
+  Array.iter (fun r -> top.(r.c_pc - o_pc) <- max top.(r.c_pc - o_pc) r.c_from) rules;
+  let by_pc = Array.map (fun m -> Array.make (m + 1) []) top in
+  for i = Array.length rules - 1 downto 0 do
+    let r = rules.(i) in
+    let b = by_pc.(r.c_pc - o_pc) in
+    b.(r.c_from) <- i :: b.(r.c_from)
+  done;
+  let edges =
+    Array.concat
+      [ Array.of_list (List.map (fun u -> (u.Spec.u_role, u.Spec.u_label)) s.Spec.p_rules);
+        Array.map (fun n -> (n, "crash")) role_names;
+        [| ("", "tick") |] ]
+  in
   { t_spec = s; t_shared_names = shared_names; t_role_names = role_names;
     t_crashable = crashable; t_local_names = local_names; t_o_pc = o_pc; t_o_st = o_st;
-    t_o_wk = o_wk; t_o_loc = o_loc; t_init = init;
-    t_rules = Array.of_list (List.map crule s.Spec.p_rules) }
+    t_o_wk = o_wk; t_o_loc = o_loc; t_init = init; t_rules = rules; t_by_pc = by_pc;
+    t_edges = edges }
 
 let name t = t.t_spec.Spec.p_name
 let spec t = t.t_spec
@@ -263,15 +282,35 @@ let rec apply_acts st = function
       else if st.(s) = st_running then st.(w) <- 1);
     apply_acts st rest
 
+let edge t code = t.t_edges.(code)
+
 (* Every successor is built in one scratch array, reset from [st]
    before each; the scratch is private to this call, so concurrent
-   explorations of one model share nothing. *)
+   explorations of one model share nothing. The rules that can fire
+   are those of a running role's current pc: the iterator merges
+   those buckets by rule index, which is declaration order, instead
+   of testing every rule. *)
 let iter_successors t st f =
   let n = Array.length st in
   let sc = Array.make n 0 in
-  Array.iter
-    (fun r ->
-      if st.(r.c_st) = st_running && st.(r.c_pc) = r.c_from && holds st r.c_guard then begin
+  let nroles = Array.length t.t_role_names in
+  let heads = Array.make nroles [] in
+  for r = 0 to nroles - 1 do
+    let b = t.t_by_pc.(r) and pc = st.(t.t_o_pc + r) in
+    if st.(t.t_o_st + r) = st_running && pc >= 0 && pc < Array.length b then
+      heads.(r) <- b.(pc)
+  done;
+  let more = ref true in
+  while !more do
+    let best = ref (-1) and code = ref max_int in
+    for r = 0 to nroles - 1 do
+      match heads.(r) with i :: _ when i < !code -> best := r; code := i | _ -> ()
+    done;
+    if !best < 0 then more := false
+    else begin
+      heads.(!best) <- List.tl heads.(!best);
+      let r = t.t_rules.(!code) in
+      if holds st r.c_guard then begin
         Array.blit st 0 sc 0 n;
         apply_acts sc r.c_acts;
         sc.(r.c_pc) <- r.c_to;
@@ -279,29 +318,32 @@ let iter_successors t st f =
         else if r.c_park then begin
           if sc.(r.c_wk) = 1 then sc.(r.c_wk) <- 0 else sc.(r.c_st) <- st_parked
         end;
-        f r.c_role r.c_label sc
-      end)
-    t.t_rules;
+        f !code sc
+      end
+    end
+  done;
+  let nrules = Array.length t.t_rules in
   if st.(o_cr) < t.t_spec.Spec.p_crash_budget then
-    Array.iteri
-      (fun i crashable ->
-        let s = st.(t.t_o_st + i) in
-        if crashable && (s = st_running || s = st_parked) then begin
-          Array.blit st 0 sc 0 n;
-          sc.(t.t_o_st + i) <- st_crashed;
-          sc.(o_cr) <- st.(o_cr) + 1;
-          f t.t_role_names.(i) "crash" sc
-        end)
-      t.t_crashable;
+    for i = 0 to nroles - 1 do
+      let s = st.(t.t_o_st + i) in
+      if t.t_crashable.(i) && (s = st_running || s = st_parked) then begin
+        Array.blit st 0 sc 0 n;
+        sc.(t.t_o_st + i) <- st_crashed;
+        sc.(o_cr) <- st.(o_cr) + 1;
+        f (nrules + i) sc
+      end
+    done;
   if st.(o_clk) < t.t_spec.Spec.p_clock_max then begin
     Array.blit st 0 sc 0 n;
     sc.(o_clk) <- st.(o_clk) + 1;
-    f "" "tick" sc
+    f (nrules + nroles) sc
   end
 
 let successors t st =
   let out = ref [] in
-  iter_successors t st (fun role label st' -> out := (role, label, Array.copy st') :: !out);
+  iter_successors t st (fun code st' ->
+      let role, label = edge t code in
+      out := (role, label, Array.copy st') :: !out);
   List.rev !out
 
 (* -- slots and accessors -- *)

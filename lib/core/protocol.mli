@@ -11,12 +11,14 @@
     deadlines and [swap_grace_ns]-style age-out) are generated by the
     semantics, not declared per rule.
 
-    [compile] checks the spec's names and fixes the layout of a flat
-    state; [init]/[iter_successors] give the explicit-state transition
-    relation that [Analysis.Proto_check] explores. Everything here is
-    deterministic: successor order is declaration order, so state
-    counts, counterexamples and JSON built from them are stable bytes
-    on any host or [--domains] count. *)
+    [compile] checks the spec's names, fixes the layout of a flat
+    state and indexes each role's rules by the pc they fire from;
+    [init]/[iter_successors] give the explicit-state transition
+    relation that [Analysis.Proto_check] explores, naming each
+    transition by an int edge code that {!edge} resolves. Everything
+    here is deterministic: successor order is declaration order, so
+    state counts, counterexamples and JSON built from them are stable
+    bytes on any host or [--domains] count. *)
 
 module Spec : sig
   type flavor = Holder | Swapper | Spinning | Queued | Sleeping | Timed | Monitor
@@ -109,7 +111,8 @@ exception Ill_formed of string
 
 val compile : Spec.t -> t
 (** Resolve every name and index the rules. @raise Ill_formed on an
-    unknown role/word/register, duplicate names, or an empty cast. *)
+    unknown role/word/register, duplicate names, an empty cast, or a
+    rule firing from a negative pc. *)
 
 val name : t -> string
 val spec : t -> Spec.t
@@ -134,16 +137,24 @@ type status = Running | Parked | Crashed | Done
 val init : t -> state
 (** A fresh copy of the initial state. *)
 
-val iter_successors : t -> state -> (string -> string -> state -> unit) -> unit
-(** [iter_successors t st f] calls [f role label st'] once per enabled
+val iter_successors : t -> state -> (int -> state -> unit) -> unit
+(** [iter_successors t st f] calls [f code st'] once per enabled
     transition, in deterministic order: declared rules first, then
     generated ["crash"] transitions (role declaration order), then the
-    clock ["tick"] (role [""]). Every [st'] of one call is the same
-    scratch array, private to that call. A state with no successors
-    is terminal. *)
+    clock ["tick"] (role [""]). The edge code numbers them in that
+    order over the whole model: rule [i] of [p_rules] is code [i],
+    the crash of role [r] is the rule count plus [r], and the tick
+    follows the last crash. Only the rules of a running role's current
+    pc are tested, merged by code, so the order is exactly a scan of
+    every rule. Every [st'] of one call is the same scratch array,
+    private to that call. A state with no successors is terminal. *)
+
+val edge : t -> int -> string * string
+(** [edge t code] is the (role, label) of an edge code, built once at
+    {!compile}: resolving one allocates nothing. *)
 
 val successors : t -> state -> (string * string * state) list
-(** {!iter_successors} as a list of copied states. *)
+(** {!iter_successors} as a list of (role, label, copied state). *)
 
 (** {1 Slots} Handles resolved once per model, for predicates that run
     on every state. @raise Ill_formed on an unknown name. *)

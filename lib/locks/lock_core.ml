@@ -939,8 +939,25 @@ let adaptive_lock name lock_stats ~home ~sched ~advisory (p : Spin_budget.params
            true));
   t
 
-let create ?name ?(trace = false) ?(sched = Lock_sched.Fcfs) ?(advisory = false)
-    ?(params = default_params) ?bug ~home ~impl () =
+(* Each implementation reads only its own arguments; passing one that
+   it would ignore is an error rather than a silent no-op. *)
+let create ?name ?(trace = false) ?sched ?advisory ?params ?bug ~home ~impl () =
+  let only applies arg = function
+    | Some _ -> invalid_arg (Printf.sprintf "Lock_core.create: ?%s applies only to %s" arg applies)
+    | None -> ()
+  in
+  (match impl with
+  | Central _ | Adaptive _ ->
+    let registered = "the registered implementations (Fixed, Swappable, Ladder)" in
+    only registered "params" params;
+    only registered "bug" bug
+  | Fixed _ | Swappable _ | Ladder ->
+    let word = "the centralized word (Central, Adaptive)" in
+    only word "sched" sched;
+    only word "advisory" advisory);
+  let sched = Option.value sched ~default:Lock_sched.Fcfs
+  and advisory = Option.value advisory ~default:false
+  and params = Option.value params ~default:default_params in
   let name = match name with Some n -> n | None -> "lock" in
   let lock_stats = Lock_stats.create ~trace name in
   match impl with

@@ -122,7 +122,11 @@ val create :
     non-negative waiting count produces is pathological (it feeds the
     guard and drives no swap), and [bug] seeds an
     analysis-fixture defect. [Fixed Centralized] and [Swappable Centralized] raise
-    [Invalid_argument]: the centralized word needs a waiting policy. *)
+    [Invalid_argument]: the centralized word needs a waiting policy.
+    So does an argument the implementation would ignore: [params] or
+    [bug] with [Central] or [Adaptive] (whose parameters ride in the
+    constructor), [sched] or [advisory] with [Fixed], [Swappable] or
+    [Ladder]. *)
 
 val name : t -> string
 val stats : t -> Lock_stats.t

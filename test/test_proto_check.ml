@@ -1,7 +1,10 @@
 (* Proto_check: the explicit-state protocol model checker. Shipped
    protocol models verify clean with pinned state and edge counts;
    [max_states] truncates; one shared pass reports what one pass per
-   property does; the seen-set's codec round-trips; each seeded-bad
+   property does; the per-pc rule index fires exactly what a plain
+   declaration-order scan fires; the explored graph stays within its
+   major-heap footprint and its 31-bit ids never wrap; the seen-set's
+   codec round-trips; each seeded-bad
    variant produces a counterexample for exactly its expected
    properties, and the gate fails a fixture that violates more;
    counterexamples replay on their own model;
@@ -112,6 +115,128 @@ let test_shared_pass () =
   List.iter
     (fun m -> ignore (check_shared (Printf.sprintf "max_states %d" m) ~max_states:m model props))
     [ 1; 2; 1000 ]
+
+(* -- the per-pc rule index: the indexed iterator fires exactly what a
+   plain declaration-order scan fires -- *)
+
+module Pr = Adaptive_core.Protocol
+
+let successor_list model st =
+  let out = ref [] in
+  Pr.iter_successors model st (fun code st' -> out := (code, Array.copy st') :: !out);
+  List.rev !out
+
+(* Every edge code of [model] in order — every rule, then the crashes,
+   then the tick — each fired from a model compiled with that
+   transition alone, so no bucket merge is involved. *)
+let plain_scan model =
+  let s = Pr.spec model in
+  let alone rules ~crash_budget ~clock_max =
+    Pr.compile
+      { s with Pr.Spec.p_rules = rules; p_crash_budget = crash_budget; p_clock_max = clock_max }
+  in
+  let nrules = List.length s.Pr.Spec.p_rules in
+  let parts =
+    List.mapi (fun i u -> (alone [ u ] ~crash_budget:0 ~clock_max:0, i)) s.Pr.Spec.p_rules
+    @ [ (alone [] ~crash_budget:s.Pr.Spec.p_crash_budget ~clock_max:0, nrules);
+        (alone [] ~crash_budget:0 ~clock_max:s.Pr.Spec.p_clock_max, nrules) ]
+  in
+  fun st ->
+    List.concat_map
+      (fun (m, base) -> List.map (fun (c, st') -> (base + c, st')) (successor_list m st))
+      parts
+
+(* A full BFS of [model], comparing both iterators on every state. *)
+let same_successors_everywhere name model =
+  let plain = plain_scan model in
+  let seen = Hashtbl.create 4096 and queue = Queue.create () in
+  let visit st =
+    let key = P.Codec.pack st in
+    if not (Hashtbl.mem seen key) then begin
+      Hashtbl.add seen key ();
+      Queue.add st queue
+    end
+  in
+  visit (Pr.init model);
+  while not (Queue.is_empty queue) do
+    let st = Queue.pop queue in
+    let indexed = successor_list model st in
+    if indexed <> plain st then
+      Alcotest.failf "%s: the indexed iterator differs from a plain scan in %s" name
+        (Pr.describe model st);
+    List.iter (fun (_, st') -> visit st') indexed
+  done;
+  Hashtbl.length seen
+
+let test_successor_order () =
+  let models =
+    List.map (fun (m, _) -> (Pr.name m, m)) (PM.shipped ())
+    @ List.map (fun (name, (m, _), _) -> (name, m)) (PM.seeded_bad ())
+  in
+  (* Every shipped model declares its rules role by role, so one more
+     declares the small swap's rules pc by pc: roles interleave in
+     declaration order, and only a merge by rule index keeps it. *)
+  let by_pc =
+    let s = Pr.spec (fst (small_quiescence ())) in
+    Pr.compile
+      { s with
+        Pr.Spec.p_rules =
+          List.stable_sort
+            (fun a b -> compare a.Pr.Spec.u_from b.Pr.Spec.u_from)
+            s.Pr.Spec.p_rules }
+  in
+  let states =
+    List.map (fun (name, m) -> same_successors_everywhere name m)
+      (models @ [ ("small swap, rules by pc", by_pc) ])
+  in
+  Alcotest.(check int) "shipped swap: every state compared" 200_987 (List.hd states)
+
+(* -- footprint: what one exploration allocates straight into the
+   major heap, per state. Words are counted from [Gc.counters] as
+   major - promoted: every growable buffer of the graph is large enough
+   to skip the minor heap. Measured on quiescence-swap's 200,987
+   states: 48.97 words per state with every id, offset, hash, parent
+   and edge an 8-byte [int array] or pointer array entry, 28.81 with
+   4-byte entries in byte buffers, tagged slots and edge codes; the
+   bound is 32. -- *)
+
+let test_footprint_bound () =
+  let model, props = List.hd (PM.shipped ()) in
+  let direct () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  let before = direct () in
+  let reports = check_model model props in
+  let words = direct () -. before in
+  let states = (List.hd reports).P.r_states in
+  Alcotest.(check int) "the whole swap was explored" 200_987 states;
+  let per_state = words /. float_of_int states in
+  if per_state >= 32.0 then
+    Alcotest.failf "check_model allocates %.2f major words per state" per_state
+
+(* -- ids are 31-bit: an entry that does not fit raises rather than
+   wrapping, and a bound past the id range is refused up front -- *)
+
+let test_id_range () =
+  let v = P.Ids.create () in
+  let limit = 1 lsl 31 in
+  List.iter (P.Ids.push v) [ 0; limit - 1 ];
+  Alcotest.(check (list int)) "round trip at both ends" [ 0; limit - 1 ]
+    [ P.Ids.get v 0; P.Ids.get v 1 ];
+  List.iter
+    (fun x ->
+      match P.Ids.push v x with
+      | () -> Alcotest.failf "%d pushed" x
+      | exception Invalid_argument _ -> ())
+    [ limit; -1; max_int; min_int ];
+  Alcotest.(check int) "nothing was appended" 2 (P.Ids.length v);
+  let model, props = PM.guard () in
+  Alcotest.check_raises "max_states past the id range"
+    (Invalid_argument "Proto_check.check_model: max_states > 2^31")
+    (fun () -> ignore (check_model ~max_states:(limit + 1) model props));
+  Alcotest.(check bool) "max_states at the id range" true
+    (P.clean (check_model ~max_states:limit model props))
 
 (* -- the seen-set's state codec -- *)
 
@@ -313,6 +438,9 @@ let suite =
     Alcotest.test_case "shipped protocols verify clean" `Slow test_shipped_clean;
     Alcotest.test_case "max_states stops as out of bounds" `Quick test_out_of_bounds;
     Alcotest.test_case "shared pass equals one pass per property" `Slow test_shared_pass;
+    Alcotest.test_case "indexed successors equal a plain scan" `Slow test_successor_order;
+    Alcotest.test_case "check_model footprint bound" `Quick test_footprint_bound;
+    Alcotest.test_case "ids never wrap past 31 bits" `Quick test_id_range;
     QCheck_alcotest.to_alcotest prop_codec_roundtrip;
     Alcotest.test_case "seeded bugs all caught" `Quick test_fixtures_detected;
     Alcotest.test_case "unexpected fixture violation fails the gate" `Quick

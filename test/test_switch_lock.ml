@@ -458,6 +458,43 @@ let test_pinned_lock_rejects_swap () =
         fun () -> L.Central (Locks.Waiting.pure_spin (), Locks.Lock_costs.spin) );
     ]
 
+(* -- create refuses an argument its implementation would ignore:
+   the swap parameters and seeded bugs belong to the registered
+   implementations, the sleeper order and advice to the centralized
+   word -- *)
+
+let test_create_rejects_ignored_arguments () =
+  let central () = L.Central (Locks.Waiting.pure_spin (), Locks.Lock_costs.spin)
+  and adaptive () = L.Adaptive Locks.Spin_budget.default_params
+  and fixed () = L.Fixed L.Tas
+  and swappable () = L.Swappable L.Blocking
+  and ladder () = L.Ladder in
+  let params impl () = L.create ~params:L.default_params ~home:0 ~impl:(impl ()) ()
+  and bug impl () = L.create ~bug:L.Lost_sleeper_on_swap ~home:0 ~impl:(impl ()) ()
+  and sched impl () = L.create ~sched:Locks.Lock_sched.Priority ~home:0 ~impl:(impl ()) ()
+  and advisory impl () = L.create ~advisory:true ~home:0 ~impl:(impl ()) () in
+  let cases =
+    [ ("central ?params", params central); ("central ?bug", bug central);
+      ("adaptive ?params", params adaptive); ("adaptive ?bug", bug adaptive);
+      ("fixed ?sched", sched fixed); ("fixed ?advisory", advisory fixed);
+      ("swappable ?sched", sched swappable); ("swappable ?advisory", advisory swappable);
+      ("ladder ?sched", sched ladder); ("ladder ?advisory", advisory ladder) ]
+  in
+  let (_ : Sched.t) =
+    run (fun () ->
+        List.iter
+          (fun (name, create) ->
+            match create () with
+            | _ -> Alcotest.failf "%s: accepted" name
+            | exception Invalid_argument _ -> ())
+          cases;
+        (* Each argument is still accepted where it applies. *)
+        List.iter
+          (fun create -> ignore (create ()))
+          [ params ladder; bug swappable; sched central; advisory adaptive ])
+  in
+  ()
+
 (* -- timed waiters: expiry while queued, grant within deadline -- *)
 
 let test_lock_timeout_semantics () =
@@ -830,6 +867,8 @@ let suite =
       `Quick test_timed_expiry_races_abandoned_recovery;
     Alcotest.test_case "pinned lock refuses implementation swaps" `Quick
       test_pinned_lock_rejects_swap;
+    Alcotest.test_case "create rejects an argument its implementation ignores" `Quick
+      test_create_rejects_ignored_arguments;
     Alcotest.test_case "lock_timeout across contention" `Quick test_lock_timeout_semantics;
     Alcotest.test_case "identical runs are bit-identical" `Quick test_deterministic_replay;
     Alcotest.test_case "swap-free run performs zero adaptations" `Quick
