@@ -362,9 +362,10 @@ let check_model ?(max_states = 2_000_000) model props =
       judge_step pre_id pre code rest
   in
   (* The queue is the id counter: every interned state is expanded, in
-     discovery order, by one successor callback for the whole
-     exploration. *)
+     discovery order, by one successor iterator and one callback for
+     the whole exploration. *)
   let expanding = ref 0 in
+  let iter_successors = Protocol.iter_successors model in
   let successor code st' =
     incr edges;
     if !steps != [] then begin
@@ -385,7 +386,7 @@ let check_model ?(max_states = 2_000_000) model props =
        incr next;
        decode seen !expanding cur;
        if keep_edges then Ids.push starts (Ids.length targets);
-       Protocol.iter_successors model cur successor
+       iter_successors cur successor
      done
    with Exit -> ());
   (* A property still open has seen the whole graph: it holds, unless

@@ -186,7 +186,6 @@ let tsp_spec impl lock_kind =
       Tsp.Parallel.default_spec with
       Tsp.Parallel.cities = 8;
       searchers = 3;
-      instance_kind = Tsp.Parallel.Uniform 100;
       lock_kind;
     } )
 
@@ -213,7 +212,7 @@ let shipped () =
     let impl, spec = tsp_spec impl kind in
     {
       scenario_name = "tsp-" ^ name;
-      config = config (spec.Tsp.Parallel.searchers + 1) ~seed:spec.Tsp.Parallel.machine_seed;
+      config = Tsp.Parallel.machine_config ~processors:(spec.Tsp.Parallel.searchers + 1);
       program = Tsp.Parallel.scenario ~impl spec;
       expect = Clean;
       predicts = [];

@@ -285,59 +285,70 @@ let rec apply_acts st = function
 let edge t code = t.t_edges.(code)
 
 (* Every successor is built in one scratch array, reset from [st]
-   before each; the scratch is private to this call, so concurrent
-   explorations of one model share nothing. The rules that can fire
-   are those of a running role's current pc: the iterator merges
-   those buckets by rule index, which is declaration order, instead
-   of testing every rule. *)
-let iter_successors t st f =
-  let n = Array.length st in
+   before each. [iter_successors t] allocates the scratch and the
+   bucket heads once and returns the iterator that owns them, so an
+   exploration that applies it once allocates nothing per state, and
+   concurrent explorations of one model, each with its own iterator,
+   share nothing. The reset is a plain loop: once the scratch is old
+   enough to be promoted, [Array.blit] would go through [caml_modify]
+   for every element. The rules that can fire are those of a running
+   role's current pc: the iterator merges those buckets by rule index,
+   which is declaration order, instead of testing every rule. *)
+let iter_successors t =
+  let n = Array.length t.t_init in
   let sc = Array.make n 0 in
   let nroles = Array.length t.t_role_names in
   let heads = Array.make nroles [] in
-  for r = 0 to nroles - 1 do
-    let b = t.t_by_pc.(r) and pc = st.(t.t_o_pc + r) in
-    if st.(t.t_o_st + r) = st_running && pc >= 0 && pc < Array.length b then
-      heads.(r) <- b.(pc)
-  done;
-  let more = ref true in
-  while !more do
-    let best = ref (-1) and code = ref max_int in
+  let reset st =
+    for i = 0 to n - 1 do
+      sc.(i) <- st.(i)
+    done
+  in
+  fun st f ->
     for r = 0 to nroles - 1 do
-      match heads.(r) with i :: _ when i < !code -> best := r; code := i | _ -> ()
+      let b = t.t_by_pc.(r) and pc = st.(t.t_o_pc + r) in
+      heads.(r) <-
+        (if st.(t.t_o_st + r) = st_running && pc >= 0 && pc < Array.length b then b.(pc)
+         else [])
     done;
-    if !best < 0 then more := false
-    else begin
-      heads.(!best) <- List.tl heads.(!best);
-      let r = t.t_rules.(!code) in
-      if holds st r.c_guard then begin
-        Array.blit st 0 sc 0 n;
-        apply_acts sc r.c_acts;
-        sc.(r.c_pc) <- r.c_to;
-        if r.c_done then sc.(r.c_st) <- st_done
-        else if r.c_park then begin
-          if sc.(r.c_wk) = 1 then sc.(r.c_wk) <- 0 else sc.(r.c_st) <- st_parked
-        end;
-        f !code sc
+    let more = ref true in
+    while !more do
+      let best = ref (-1) and code = ref max_int in
+      for r = 0 to nroles - 1 do
+        match heads.(r) with i :: _ when i < !code -> best := r; code := i | _ -> ()
+      done;
+      if !best < 0 then more := false
+      else begin
+        heads.(!best) <- List.tl heads.(!best);
+        let r = t.t_rules.(!code) in
+        if holds st r.c_guard then begin
+          reset st;
+          apply_acts sc r.c_acts;
+          sc.(r.c_pc) <- r.c_to;
+          if r.c_done then sc.(r.c_st) <- st_done
+          else if r.c_park then begin
+            if sc.(r.c_wk) = 1 then sc.(r.c_wk) <- 0 else sc.(r.c_st) <- st_parked
+          end;
+          f !code sc
+        end
       end
+    done;
+    let nrules = Array.length t.t_rules in
+    if st.(o_cr) < t.t_spec.Spec.p_crash_budget then
+      for i = 0 to nroles - 1 do
+        let s = st.(t.t_o_st + i) in
+        if t.t_crashable.(i) && (s = st_running || s = st_parked) then begin
+          reset st;
+          sc.(t.t_o_st + i) <- st_crashed;
+          sc.(o_cr) <- st.(o_cr) + 1;
+          f (nrules + i) sc
+        end
+      done;
+    if st.(o_clk) < t.t_spec.Spec.p_clock_max then begin
+      reset st;
+      sc.(o_clk) <- st.(o_clk) + 1;
+      f (nrules + nroles) sc
     end
-  done;
-  let nrules = Array.length t.t_rules in
-  if st.(o_cr) < t.t_spec.Spec.p_crash_budget then
-    for i = 0 to nroles - 1 do
-      let s = st.(t.t_o_st + i) in
-      if t.t_crashable.(i) && (s = st_running || s = st_parked) then begin
-        Array.blit st 0 sc 0 n;
-        sc.(t.t_o_st + i) <- st_crashed;
-        sc.(o_cr) <- st.(o_cr) + 1;
-        f (nrules + i) sc
-      end
-    done;
-  if st.(o_clk) < t.t_spec.Spec.p_clock_max then begin
-    Array.blit st 0 sc 0 n;
-    sc.(o_clk) <- st.(o_clk) + 1;
-    f (nrules + nroles) sc
-  end
 
 let successors t st =
   let out = ref [] in

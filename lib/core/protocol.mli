@@ -146,8 +146,10 @@ val iter_successors : t -> state -> (int -> state -> unit) -> unit
     the crash of role [r] is the rule count plus [r], and the tick
     follows the last crash. Only the rules of a running role's current
     pc are tested, merged by code, so the order is exactly a scan of
-    every rule. Every [st'] of one call is the same scratch array,
-    private to that call. A state with no successors is terminal. *)
+    every rule. Every [st'] is one scratch array owned by the iterator
+    [iter_successors t] returns: apply it once per exploration to
+    reuse that scratch for every state, and give each concurrent
+    exploration its own. A state with no successors is terminal. *)
 
 val edge : t -> int -> string * string
 (** [edge t code] is the (role, label) of an edge code, built once at

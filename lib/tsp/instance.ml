@@ -2,13 +2,13 @@ let infinity_cost = max_int / 4
 
 type t = { n : int; costs : int array (* flattened n*n *) }
 
-let generate ?(max_cost = 100) ~seed n =
+let generate ~seed n =
   if n < 3 then invalid_arg "Instance.generate: need at least 3 cities";
   let rng = Engine.Rng.create seed in
   let costs = Array.make (n * n) infinity_cost in
   for i = 0 to n - 1 do
     for j = 0 to n - 1 do
-      if i <> j then costs.((i * n) + j) <- 1 + Engine.Rng.int rng max_cost
+      if i <> j then costs.((i * n) + j) <- 1 + Engine.Rng.int rng 100
     done
   done;
   { n; costs }

@@ -8,10 +8,10 @@
 
 type t
 
-val generate : ?max_cost:int -> seed:int -> int -> t
+val generate : seed:int -> int -> t
 (** [generate ~seed n] is an [n]-city instance with independent
-    uniform edge costs in [\[1, max_cost\]] (default 100), asymmetric.
-    Deterministic in [seed]. *)
+    uniform edge costs in [\[1, 100\]], asymmetric. Deterministic in
+    [seed]. *)
 
 val generate_euclidean : seed:int -> int -> t
 (** [generate_euclidean ~seed n] places [n] cities uniformly in a

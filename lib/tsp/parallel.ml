@@ -8,22 +8,21 @@ let impl_name = function
   | Distributed -> "distributed"
   | Balanced -> "distributed+LB"
 
-type instance_kind = Uniform of int | Euclidean
-
 type spec = {
   cities : int;
-  instance_kind : instance_kind;
   instance_seed : int;
   searchers : int;
   lock_kind : Locks.Lock.kind;
   trace_locks : bool;
   work_unit_ns : int;
-  remote_penalty_ns : int;
-  queue_op_ns : int;
-  prime_with_greedy : bool;
-  continuation_depth : int option;
-  machine_seed : int;
 }
+
+(* The model's fixed decisions (DESIGN §3b): extra ns per work unit
+   when the expanded subproblem's data lives on a remote node, the
+   cost of one queue manipulation, and the simulated machine's seed. *)
+let remote_penalty_ns = 700
+let queue_op_ns = 12_000
+let machine_seed = 0x5eed
 
 (* The adaptive parameters used for the TSP experiments: with one
    searcher per dedicated processor, blocking never frees useful cpu,
@@ -42,23 +41,14 @@ let tsp_adaptive_kind = Locks.Lock.Adaptive tsp_adaptive_params
 let default_spec =
   {
     cities = 32;
-    instance_kind = Uniform 100;
     instance_seed = 11;
     searchers = 10;
     lock_kind = Locks.Lock.Blocking;
     trace_locks = false;
     work_unit_ns = 8_012;
-    remote_penalty_ns = 700;
-    queue_op_ns = 12_000;
-    prime_with_greedy = true;
-    continuation_depth = None;
-    machine_seed = 0x5eed;
   }
 
-let instance_of_spec spec =
-  match spec.instance_kind with
-  | Uniform max_cost -> Instance.generate ~max_cost ~seed:spec.instance_seed spec.cities
-  | Euclidean -> Instance.generate_euclidean ~seed:spec.instance_seed spec.cities
+let instance_of_spec spec = Instance.generate ~seed:spec.instance_seed spec.cities
 
 type result = {
   impl : impl;
@@ -97,366 +87,248 @@ module Bounds_log = struct
     !c
 end
 
-let machine_config spec ~processors =
-  { Config.default with Config.processors; seed = spec.machine_seed }
+let machine_config ~processors = { Config.default with Config.processors; seed = machine_seed }
+
+(* Every run starts from a nearest-neighbour tour as its best value
+   (standard branch-and-bound practice: it keeps the distributed
+   versions' pre-first-tour junk from dominating); the greedy bound
+   costs one sweep of the matrix. *)
+let greedy spec inst =
+  Ops.work (spec.cities * spec.cities * spec.work_unit_ns / 4);
+  Instance.nearest_neighbour inst
 
 let run_sequential spec =
   let inst = instance_of_spec spec in
-  let cfg = machine_config spec ~processors:1 in
-  let sim = Sched.create cfg in
+  let sim = Sched.create (machine_config ~processors:1) in
   let answer = ref ((([] : int list), 0), 0) in
   Sched.run sim (fun () ->
       let on_expand _node work =
-        Ops.work ((work * spec.work_unit_ns) + (2 * spec.queue_op_ns))
+        Ops.work ((work * spec.work_unit_ns) + (2 * queue_op_ns))
       in
-      let initial =
-        if spec.prime_with_greedy then begin
-          (* The greedy upper bound costs one sweep of the matrix. *)
-          Ops.work (spec.cities * spec.cities * spec.work_unit_ns / 4);
-          Some (Instance.nearest_neighbour inst)
-        end
-        else None
-      in
-      answer := Lmsk.solve_sequential ?initial ~on_expand inst);
+      let initial = greedy spec inst in
+      answer := Lmsk.solve_sequential ~initial ~on_expand inst);
   let (_tour, cost), expanded = !answer in
   (Sched.final_time sim, (cost, expanded))
-
-(* One searcher pool run; the three implementations differ only in the
-   strategy closures built in [run]. *)
-type strategy = {
-  get_work : int -> (Lmsk.node * [ `Local | `Remote ]) option;
-  put_work : int -> Lmsk.node list -> unit;
-  exchange : int -> Lmsk.node list -> (Lmsk.node * [ `Local | `Remote ]) option;
-      (* push children and take the next subproblem in one queue
-         visit (one lock cycle per expansion) *)
-  read_best : int -> int;
-  publish_best : int -> int list -> int -> unit;
-  any_work_left : unit -> bool;
-}
 
 (* The searcher-pool program itself, separated from machine setup so
    it can also run under the sanitizers ([Analysis.check] owns the
    simulator there). Requires a machine with at least
-   [spec.searchers + 1] processors. *)
+   [spec.searchers + 1] processors.
+
+   The three implementations are one pool whose placement is data: it
+   keeps [copies] work queues and [copies] best-value copies, one
+   central copy of each or one per searcher, and searcher [i] uses
+   copy [copy_of i]. Searcher i runs on processor i+1; node i+1 is its
+   local memory. A single copy lives on searcher 0's node. *)
 let pool_body impl spec ~expanded ~bounds_log ~final_cost ~lock_reports () =
   let inst = instance_of_spec spec in
   let p = spec.searchers in
   if p < 1 then invalid_arg "Parallel.pool_body: need at least one searcher";
-  begin
-      let mk_lock ?(trace = false) ~home name =
-        Locks.Lock.create ~name ~trace:(trace && spec.trace_locks) ~home spec.lock_kind
-      in
-      (* Searcher i runs on processor i+1; node i+1 is its local
-         memory. The centralized structures live on searcher 0's
-         node. *)
-      let node_of i = i + 1 in
-      let central = node_of 0 in
-      let nqueues = match impl with Centralized -> 1 | Distributed | Balanced -> p in
-      let queue_home i = if nqueues = 1 then central else node_of i in
-      (* Queue entries carry the node id of the memory holding the
-         subproblem's data: expanding data homed elsewhere pays the
-         remote penalty (pointers travel through queues, matrices are
-         read through the interconnect). *)
-      let queue_dummy = (central, Lmsk.root inst) in
-      let queues : (int * Lmsk.node) Engine.Pqueue.t array =
-        Array.init nqueues (fun _ -> Engine.Pqueue.create ~dummy:queue_dummy ())
-      in
-      let qlocks =
-        Array.init nqueues (fun i ->
-            let name = if nqueues = 1 then "qlock" else Printf.sprintf "qlock.%d" i in
-            mk_lock ~trace:true ~home:(queue_home i) name)
-      in
-      let nbest = match impl with Centralized -> 1 | Distributed | Balanced -> p in
-      let best_home i = if nbest = 1 then central else node_of i in
-      let initial_best =
-        if spec.prime_with_greedy then begin
-          Ops.work (spec.cities * spec.cities * spec.work_unit_ns / 4);
-          Some (Instance.nearest_neighbour inst)
-        end
-        else None
-      in
-      let initial_cost = match initial_best with Some (_, c) -> c | None -> big in
-      let best_words =
-        Array.init nbest (fun i ->
-            let w = Ops.alloc1 ~node:(best_home i) () in
-            (* Searchers read the best bound without the lock on
-               purpose (stale reads only cost pruning precision). *)
-            Ops.mark_relaxed_word w;
-            Ops.write w initial_cost;
-            w)
-      in
-      let best_locks =
-        Array.init nbest (fun i ->
-            let name =
-              if nbest = 1 then "glob-low-lock" else Printf.sprintf "glob-low-lock.%d" i
-            in
-            mk_lock ~home:(best_home i) name)
-      in
-      let glob_act_lock = mk_lock ~trace:true ~home:central "glob-act-lock" in
-      let act_word = Ops.alloc1 ~node:central () in
-      (* [poll] reads the active count unlocked; only the transition to
-         zero matters and that one is rechecked. *)
-      Ops.mark_relaxed_word act_word;
-      Ops.write act_word p;
-      let globlock = mk_lock ~home:central "globlock" in
-      let best_tours =
-        ref (match initial_best with Some (t, c) -> [ (c, t) ] | None -> [])
-      in
-      let done_flag = ref false in
-      let queue_op () = Cthread.work spec.queue_op_ns in
-      let pop_queue qi =
-        Locks.Lock_core.lock qlocks.(qi);
-        queue_op ();
-        let entry = Engine.Pqueue.pop_min queues.(qi) in
-        Locks.Lock_core.unlock qlocks.(qi);
-        Option.map snd entry
-      in
-      let push_queue qi entries =
-        Locks.Lock_core.lock qlocks.(qi);
-        queue_op ();
-        List.iter
-          (fun ((_, nd) as entry) ->
-            Engine.Pqueue.add queues.(qi) ~key:(Lmsk.bound nd) entry)
-          entries;
-        Locks.Lock_core.unlock qlocks.(qi)
-      in
-      let exchange_queue qi entries =
-        Locks.Lock_core.lock qlocks.(qi);
-        queue_op ();
-        List.iter
-          (fun ((_, nd) as entry) ->
-            Engine.Pqueue.add queues.(qi) ~key:(Lmsk.bound nd) entry)
-          entries;
-        let entry = Engine.Pqueue.pop_min queues.(qi) in
-        Locks.Lock_core.unlock qlocks.(qi);
-        Option.map snd entry
-      in
-      let record_tour tour cost =
-        Locks.Lock_core.lock globlock;
-        best_tours := (cost, tour) :: !best_tours;
-        Locks.Lock_core.unlock globlock
-      in
-      let strategy =
-        match impl with
-        | Centralized ->
-          {
-            get_work =
-              (fun i ->
-                (* The centralized queue stores subproblem data on the
-                   central node. *)
-                match pop_queue 0 with
-                | None -> None
-                | Some (_, nd) ->
-                  Some (nd, if node_of i = central then `Local else `Remote));
-            put_work =
-              (fun i nodes -> push_queue 0 (List.map (fun nd -> (node_of i, nd)) nodes));
-            exchange =
-              (fun i nodes ->
-                match
-                  exchange_queue 0 (List.map (fun nd -> (node_of i, nd)) nodes)
-                with
-                | None -> None
-                | Some (_, nd) ->
-                  Some (nd, if node_of i = central then `Local else `Remote));
-            read_best = (fun _ -> Ops.read best_words.(0));
-            publish_best =
-              (fun _ tour cost ->
-                Locks.Lock_core.lock best_locks.(0);
-                let improved = cost < Ops.read best_words.(0) in
-                if improved then Ops.write best_words.(0) cost;
-                Locks.Lock_core.unlock best_locks.(0);
-                if improved then record_tour tour cost);
-            any_work_left =
-              (fun () -> not (Engine.Pqueue.is_empty queues.(0)));
-          }
-        | Distributed | Balanced ->
-          let ring_steal i =
-            (* Walk the ring from the next processor, stealing from the
-               first non-empty queue. *)
-            let rec walk step =
-              if step >= p then None
-              else begin
-                let j = (i + step) mod p in
-                if Engine.Pqueue.is_empty queues.(j) then walk (step + 1)
-                else
-                  match pop_queue j with
-                  | Some nd -> Some nd
-                  | None -> walk (step + 1)
-              end
-            in
-            walk 1
-          in
-          let locality_of i (origin, nd) =
-            (nd, if origin = node_of i then `Local else `Remote)
-          in
-          let get_local_or_steal i =
-            match pop_queue i with
-            | Some entry -> Some (locality_of i entry)
-            | None -> Option.map (locality_of i) (ring_steal i)
-          in
-          let get_work =
-            match impl with
-            | Balanced ->
-              fun i ->
-                (* Load balancing: first pull one subproblem from the
-                   ring neighbour into the local queue, then take the
-                   local best. *)
-                let neighbour = (i + 1) mod p in
-                (if neighbour <> i && not (Engine.Pqueue.is_empty queues.(neighbour))
-                 then
-                   (* Only the pointer moves; the subproblem keeps its
-                      provenance, so expanding it later still pays the
-                      remote accesses. *)
-                   match pop_queue neighbour with
-                   | Some entry -> push_queue i [ entry ]
-                   | None -> ());
-                get_local_or_steal i
-            | Centralized | Distributed -> get_local_or_steal
-          in
-          {
-            get_work;
-            put_work =
-              (fun i nodes -> push_queue i (List.map (fun nd -> (node_of i, nd)) nodes));
-            exchange =
-              (fun i nodes ->
-                match
-                  exchange_queue i (List.map (fun nd -> (node_of i, nd)) nodes)
-                with
-                | Some entry -> Some (locality_of i entry)
-                | None -> Option.map (locality_of i) (ring_steal i));
-            read_best = (fun i -> Ops.read best_words.(i));
-            publish_best =
-              (fun i tour cost ->
-                (* Update the local copy first, then propagate around
-                   the ring; windows of inconsistency are the point. *)
-                let improved = ref false in
-                for step = 0 to p - 1 do
-                  let j = (i + step) mod p in
-                  Locks.Lock_core.lock best_locks.(j);
-                  if cost < Ops.read best_words.(j) then begin
-                    Ops.write best_words.(j) cost;
-                    if j = i then improved := true
-                  end;
-                  Locks.Lock_core.unlock best_locks.(j)
-                done;
-                if !improved then record_tour tour cost);
-            any_work_left =
-              (fun () ->
-                Array.exists (fun q -> not (Engine.Pqueue.is_empty q)) queues);
-          }
-      in
-      let searcher i () =
-        (* Bounded depth-continuation: the searcher may keep working on
-           the most promising child for up to [continuation_depth]
-           successive expansions (sharing the sibling), then returns to
-           the shared queue — the queue-visit granularity knob. *)
-        let continuation_depth =
-          match spec.continuation_depth with
-          | Some d -> d
-          | None -> (
-            (* Per-implementation default, after the paper: the
-               centralized queue strictly maintains global ordering;
-               the distributed queues are only partially ordered (the
-               searchers bias depth-first between queue exchanges). *)
-            match impl with
-            | Centralized -> 0
-            | Distributed | Balanced -> 16)
+  let mk_lock ?(trace = false) ~home name =
+    Locks.Lock.create ~name ~trace:(trace && spec.trace_locks) ~home spec.lock_kind
+  in
+  let node_of i = i + 1 in
+  let central = node_of 0 in
+  let copies = match impl with Centralized -> 1 | Distributed | Balanced -> p in
+  let copy_of i = if copies = 1 then 0 else i in
+  let home c = if copies = 1 then central else node_of c in
+  let copy_name base c = if copies = 1 then base else Printf.sprintf "%s.%d" base c in
+  (* Queue entries carry the node id of the memory holding the
+     subproblem's data: the home of the copy it was queued on (a
+     single copy's entries live on the central node). Expanding data
+     homed elsewhere pays the remote penalty (pointers travel through
+     queues, matrices are read through the interconnect). *)
+  let root = Lmsk.root inst in
+  let queues : (int * Lmsk.node) Engine.Pqueue.t array =
+    Array.init copies (fun _ -> Engine.Pqueue.create ~dummy:(central, root) ())
+  in
+  let qlocks =
+    Array.init copies (fun c -> mk_lock ~trace:true ~home:(home c) (copy_name "qlock" c))
+  in
+  let greedy_tour, greedy_cost = greedy spec inst in
+  let best_words =
+    Array.init copies (fun c ->
+        let w = Ops.alloc1 ~node:(home c) () in
+        (* Searchers read the best bound without the lock on purpose
+           (stale reads only cost pruning precision). *)
+        Ops.mark_relaxed_word w;
+        Ops.write w greedy_cost;
+        w)
+  in
+  let best_locks =
+    Array.init copies (fun c -> mk_lock ~home:(home c) (copy_name "glob-low-lock" c))
+  in
+  let glob_act_lock = mk_lock ~trace:true ~home:central "glob-act-lock" in
+  let act_word = Ops.alloc1 ~node:central () in
+  (* [poll] reads the active count unlocked; only the transition to
+     zero matters and that one is rechecked. *)
+  Ops.mark_relaxed_word act_word;
+  Ops.write act_word p;
+  let globlock = mk_lock ~home:central "globlock" in
+  let best_tours = ref [ (greedy_cost, greedy_tour) ] in
+  let done_flag = ref false in
+  (* One visit to queue [c]: push [entries], then pop the best entry
+     if [take]. *)
+  let visit c entries ~take =
+    Locks.Lock_core.lock qlocks.(c);
+    Cthread.work queue_op_ns;
+    List.iter
+      (fun ((_, nd) as entry) -> Engine.Pqueue.add queues.(c) ~key:(Lmsk.bound nd) entry)
+      entries;
+    let entry = if take then Engine.Pqueue.pop_min queues.(c) else None in
+    Locks.Lock_core.unlock qlocks.(c);
+    Option.map snd entry
+  in
+  let locality i (origin, nd) = (nd, if origin = node_of i then `Local else `Remote) in
+  (* Walk the ring from the next copy, stealing from the first
+     non-empty queue; a single copy has nothing to steal from. *)
+  let ring_steal c =
+    let rec walk step =
+      if step >= copies then None
+      else begin
+        let j = (c + step) mod copies in
+        if Engine.Pqueue.is_empty queues.(j) then walk (step + 1)
+        else match visit j [] ~take:true with Some e -> Some e | None -> walk (step + 1)
+      end
+    in
+    walk 1
+  in
+  let own i nodes = List.map (fun nd -> (home (copy_of i), nd)) nodes in
+  (* Push the children and take the next subproblem in one queue
+     visit (one lock cycle per expansion), stealing when empty. *)
+  let exchange i nodes =
+    let c = copy_of i in
+    let entry =
+      match visit c (own i nodes) ~take:true with Some e -> Some e | None -> ring_steal c
+    in
+    Option.map (locality i) entry
+  in
+  let get_work i =
+    let c = copy_of i in
+    (if impl = Balanced then
+       (* Load balancing: first pull one subproblem from the ring
+          neighbour into the local queue. Only the pointer moves; the
+          subproblem keeps its provenance, so expanding it later still
+          pays the remote accesses. *)
+       let neighbour = (c + 1) mod copies in
+       if neighbour <> c && not (Engine.Pqueue.is_empty queues.(neighbour)) then
+         match visit neighbour [] ~take:true with
+         | Some entry -> ignore (visit c [ entry ] ~take:false)
+         | None -> ());
+    exchange i []
+  in
+  let put_work i nodes = ignore (visit (copy_of i) (own i nodes) ~take:false) in
+  let read_best i = Ops.read best_words.(copy_of i) in
+  (* Update the searcher's own copy first, then propagate around the
+     ring; windows of inconsistency are the point. *)
+  let publish_best i tour cost =
+    let c = copy_of i in
+    let improved = ref false in
+    for step = 0 to copies - 1 do
+      let j = (c + step) mod copies in
+      Locks.Lock_core.lock best_locks.(j);
+      if cost < Ops.read best_words.(j) then begin
+        Ops.write best_words.(j) cost;
+        if j = c then improved := true
+      end;
+      Locks.Lock_core.unlock best_locks.(j)
+    done;
+    if !improved then begin
+      Locks.Lock_core.lock globlock;
+      best_tours := (cost, tour) :: !best_tours;
+      Locks.Lock_core.unlock globlock
+    end
+  in
+  let any_work_left () = Array.exists (fun q -> not (Engine.Pqueue.is_empty q)) queues in
+  (* Bounded depth-continuation (DESIGN §3b): a searcher may keep
+     working on the most promising child for this many successive
+     expansions (sharing the siblings) before it must exchange with
+     the shared queue. The centralized queue strictly maintains global
+     ordering; the distributed queues are only partially ordered. *)
+  let continuation_depth = match impl with Centralized -> 0 | Distributed | Balanced -> 16 in
+  let searcher i () =
+    let chain = ref 0 in
+    let rec work_on nd locality =
+      if Lmsk.bound nd >= read_best i then active ()
+      else begin
+        let { Lmsk.outcome; work } = Lmsk.expand inst nd in
+        let per_unit =
+          spec.work_unit_ns
+          + (match locality with `Local -> 0 | `Remote -> remote_penalty_ns)
         in
-        let chain = ref 0 in
-        let rec work_on nd locality =
-          if Lmsk.bound nd >= strategy.read_best i then active ()
-          else begin
-            let { Lmsk.outcome; work } = Lmsk.expand inst nd in
-            let per_unit =
-              spec.work_unit_ns
-              + (match locality with `Local -> 0 | `Remote -> spec.remote_penalty_ns)
-            in
-            Cthread.work (work * per_unit);
-            incr expanded;
-            Bounds_log.add bounds_log (Lmsk.bound nd);
-            match outcome with
-            | Lmsk.Tour (tour, cost) ->
-              if cost < strategy.read_best i then strategy.publish_best i tour cost;
-              active ()
-            | Lmsk.Children children ->
-              let best = strategy.read_best i in
-              let keep =
-                List.filter (fun c -> Lmsk.bound c < best) children
-                |> List.sort (fun a b -> compare (Lmsk.bound a) (Lmsk.bound b))
-              in
-              (match keep with
-              | [] -> active ()
-              | first :: rest when !chain < continuation_depth ->
-                incr chain;
-                if rest <> [] then strategy.put_work i rest;
-                (* The continued child was just created here: local. *)
-                work_on first `Local
-              | keep -> (
-                (* Share the children and take the next subproblem in
-                   one queue visit. *)
-                chain := 0;
-                match strategy.exchange i keep with
-                | Some (nd, locality) -> work_on nd locality
-                | None -> idle ()))
-          end
-        and active () =
-          chain := 0;
-          match strategy.get_work i with
-          | Some (nd, locality) -> work_on nd locality
-          | None -> idle ()
-        and idle () =
-          Locks.Lock_core.lock glob_act_lock;
-          Ops.write act_word (Ops.read act_word - 1);
-          Locks.Lock_core.unlock glob_act_lock;
-          poll ()
-        and poll () =
-          if !done_flag then ()
-          else if strategy.any_work_left () then begin
-            Locks.Lock_core.lock glob_act_lock;
-            Ops.write act_word (Ops.read act_word + 1);
-            Locks.Lock_core.unlock glob_act_lock;
-            active ()
-          end
-          else if Ops.read act_word = 0 then begin
-            done_flag := true;
-            ()
-          end
-          else begin
-            Cthread.delay 150_000;
-            poll ()
-          end
-        in
+        Cthread.work (work * per_unit);
+        incr expanded;
+        Bounds_log.add bounds_log (Lmsk.bound nd);
+        match outcome with
+        | Lmsk.Tour (tour, cost) ->
+          if cost < read_best i then publish_best i tour cost;
+          active ()
+        | Lmsk.Children children ->
+          let best = read_best i in
+          let keep =
+            List.filter (fun c -> Lmsk.bound c < best) children
+            |> List.sort (fun a b -> compare (Lmsk.bound a) (Lmsk.bound b))
+          in
+          (match keep with
+          | [] -> active ()
+          | first :: rest when !chain < continuation_depth ->
+            incr chain;
+            if rest <> [] then put_work i rest;
+            (* The continued child was just created here: local. *)
+            work_on first `Local
+          | keep -> (
+            chain := 0;
+            match exchange i keep with
+            | Some (nd, locality) -> work_on nd locality
+            | None -> idle ()))
+      end
+    and active () =
+      chain := 0;
+      match get_work i with
+      | Some (nd, locality) -> work_on nd locality
+      | None -> idle ()
+    and idle () =
+      Locks.Lock_core.lock glob_act_lock;
+      Ops.write act_word (Ops.read act_word - 1);
+      Locks.Lock_core.unlock glob_act_lock;
+      poll ()
+    and poll () =
+      if !done_flag then ()
+      else if any_work_left () then begin
+        Locks.Lock_core.lock glob_act_lock;
+        Ops.write act_word (Ops.read act_word + 1);
+        Locks.Lock_core.unlock glob_act_lock;
         active ()
-      in
-      (* Seed the pool with the root subproblem and launch. *)
-      let root = Lmsk.root inst in
-      Engine.Pqueue.add queues.(0) ~key:(Lmsk.bound root) (central, root);
-      let threads =
-        List.init p (fun i ->
-            Cthread.fork ~name:(Printf.sprintf "searcher%d" i) ~proc:(node_of i)
-              (searcher i))
-      in
-      Cthread.join_all threads;
-      (match List.sort compare !best_tours with
-      | (cost, _) :: _ -> final_cost := cost
-      | [] -> ());
-      let report name lk = (name, Locks.Lock_core.stats lk) in
-      lock_reports :=
-        Array.to_list (Array.map (fun lk -> report (Locks.Lock_core.name lk) lk) qlocks)
-        @ Array.to_list
-            (Array.map (fun lk -> report (Locks.Lock_core.name lk) lk) best_locks)
-        @ [ report "glob-act-lock" glob_act_lock; report "globlock" globlock ]
-  end
+      end
+      else if Ops.read act_word = 0 then done_flag := true
+      else begin
+        Cthread.delay 150_000;
+        poll ()
+      end
+    in
+    active ()
+  in
+  (* Seed the pool with the root subproblem and launch. *)
+  Engine.Pqueue.add queues.(0) ~key:(Lmsk.bound root) (central, root);
+  let threads =
+    List.init p (fun i ->
+        Cthread.fork ~name:(Printf.sprintf "searcher%d" i) ~proc:(node_of i) (searcher i))
+  in
+  Cthread.join_all threads;
+  (match List.sort compare !best_tours with (cost, _) :: _ -> final_cost := cost | [] -> ());
+  let report lk = (Locks.Lock_core.name lk, Locks.Lock_core.stats lk) in
+  lock_reports :=
+    List.map report
+      (Array.to_list qlocks @ Array.to_list best_locks @ [ glob_act_lock; globlock ])
 
-let scenario ?(impl = Centralized) spec () =
+let scenario ~impl spec () =
   pool_body impl spec ~expanded:(ref 0) ~bounds_log:(Bounds_log.create ())
     ~final_cost:(ref big) ~lock_reports:(ref []) ()
 
 let run impl spec =
   let p = spec.searchers in
   if p < 1 then invalid_arg "Parallel.run: need at least one searcher";
-  let cfg = machine_config spec ~processors:(p + 1) in
-  let sim = Sched.create cfg in
+  let sim = Sched.create (machine_config ~processors:(p + 1)) in
   let expanded = ref 0 in
   let bounds_log = Bounds_log.create () in
   let final_cost = ref big in

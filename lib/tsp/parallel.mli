@@ -31,50 +31,32 @@ type impl = Centralized | Distributed | Balanced
 
 val impl_name : impl -> string
 
-type instance_kind =
-  | Uniform of int  (** asymmetric, uniform costs in [1, max] *)
-  | Euclidean  (** symmetric rounded-distance costs (harder trees) *)
-
+(** The settings a caller chooses. The model's fixed decisions are
+    constants (DESIGN §3b): 700 extra ns per work unit expanded on a
+    remote node, 12,000 ns per queue manipulation, a nearest-neighbour
+    tour as every run's initial best value, a continuation depth of 0
+    (centralized) or 16 (distributed), and machine seed [0x5eed]. *)
 type spec = {
   cities : int;
-  instance_kind : instance_kind;
-  instance_seed : int;
+  instance_seed : int;  (** {!Instance.generate}'s seed *)
   searchers : int;  (** one dedicated processor each *)
   lock_kind : Locks.Lock.kind;  (** used for all four locks *)
   trace_locks : bool;  (** record Figures 4–9 waiting patterns *)
   work_unit_ns : int;  (** virtual ns per abstract LMSK work unit *)
-  remote_penalty_ns : int;
-      (** extra ns per work unit when the expanded subproblem's data
-          lives on a remote node (the centralized implementation pays
-          this on nearly every expansion — the paper's "most of the
-          work is performed locally" advantage of the distributed
-          versions) *)
-  queue_op_ns : int;  (** modeled cost of one queue manipulation *)
-  prime_with_greedy : bool;
-      (** seed the best-tour value with a nearest-neighbour tour before
-          searching (standard branch-and-bound practice; prevents the
-          distributed versions' pre-first-tour junk explosion from
-          dominating) *)
-  continuation_depth : int option;
-      (** queue-visit granularity: a searcher may continue depth-first
-          with the most promising child (queueing only siblings) for
-          this many successive expansions before it must exchange with
-          the shared queue; 0 routes every node through the queue.
-          [None] selects the per-implementation default after the
-          paper: 0 for the centralized implementation (its global
-          ordering is strictly maintained) and 16 for the distributed
-          ones (partially ordered local queues). *)
-  machine_seed : int;
 }
 
 val tsp_adaptive_kind : Locks.Lock.kind
 
 val default_spec : spec
-(** The paper's setup: 32 cities (Euclidean, seed 1), 10 searchers,
-    blocking locks, work units calibrated so the sequential baseline
-    lands at the paper's ~20.7 s. *)
+(** The paper's setup: 32 cities (uniform costs in [\[1, 100\]], seed
+    11), 10 searchers, blocking locks, work units calibrated so the
+    sequential baseline lands at the paper's ~20.7 s. *)
 
 val instance_of_spec : spec -> Instance.t
+
+val machine_config : processors:int -> Butterfly.Config.t
+(** The simulated machine every TSP run uses, with [processors]
+    processors: a pool needs [spec.searchers + 1]. *)
 
 type result = {
   impl : impl;
@@ -86,20 +68,20 @@ type result = {
       (** expansions of nodes whose bound already exceeded the final
           optimum (the distributed implementations' waste) *)
   lock_reports : (string * Locks.Lock_stats.t) list;
-      (** one entry per lock; distributed queue locks are reported
-          per-processor plus a ["qlock"] entry for the traced
-          representative *)
+      (** one entry per lock, named as created: a centralized run's
+          ["qlock"] and ["glob-low-lock"], a distributed run's
+          per-searcher ["qlock.i"] and ["glob-low-lock.i"], then
+          ["glob-act-lock"] and ["globlock"] *)
   adaptations : int;  (** total reconfigurations across all locks *)
 }
 
 val run : impl -> spec -> result
 
-val scenario : ?impl:impl -> spec -> unit -> unit
+val scenario : impl:impl -> spec -> unit -> unit
 (** The searcher-pool program as a bare thunk, for running under an
     externally owned simulator (the sanitizers of [lib/analysis]).
     Must run inside a machine with at least [spec.searchers + 1]
-    processors; results are discarded. [impl] defaults to
-    [Centralized]. *)
+    processors ({!machine_config}); results are discarded. *)
 
 val run_sequential : spec -> int * (int * int)
 (** The sequential baseline on one simulated processor, charging the
