@@ -127,43 +127,43 @@ let create ~home ~adaptive =
 
 let run ~adaptive =
   let machine = Sched.create { Config.default with Config.processors = 7 } in
-  let early_value = ref 0 and reconfigs = ref [] and final = ref "fifo" in
-  Sched.run machine (fun () ->
-      let q = create ~home:0 ~adaptive in
-      let total_tasks = 240 in
-      let per_producer = total_tasks / 2 in
-      (* Two bursty producers: flood the queue, then trickle. *)
-      let producer p =
-        Cthread.fork ~name:(Printf.sprintf "producer%d" p) ~proc:(1 + p) (fun () ->
-            for i = 1 to per_producer do
-              enqueue q { value = Cthread.random 100; work_ns = 45_000 };
-              (* Burst for the first half, trickle afterwards. *)
-              if i > per_producer / 2 then Cthread.work 150_000 else Cthread.work 1_000
-            done)
-      in
-      let producers = List.init 2 producer in
-      let consumer p =
-        Cthread.fork ~name:(Printf.sprintf "consumer%d" p) ~proc:(3 + p) (fun () ->
-            let finished = ref false in
-            while not !finished do
-              match dequeue q with
-              | Some task ->
-                Cthread.work task.work_ns;
-                q.served <- q.served + 1;
-                if q.served <= total_tasks / 2 then
-                  q.served_value_early <- q.served_value_early + task.value
-              | None ->
-                if q.served >= total_tasks then finished := true else Cthread.delay 20_000
-            done)
-      in
-      let consumers = List.init 3 consumer in
-      Cthread.join_all producers;
-      Cthread.join_all consumers;
-      early_value := q.served_value_early;
-      reconfigs := Adaptive.log q.loop;
-      final :=
-        (match Attribute.get q.discipline with Fifo -> "fifo" | Best_first -> "best-first"));
-  (Sched.final_time machine, !early_value, !reconfigs, !final)
+  let early_value, reconfigs, final =
+    Sched.run machine (fun () ->
+        let q = create ~home:0 ~adaptive in
+        let total_tasks = 240 in
+        let per_producer = total_tasks / 2 in
+        (* Two bursty producers: flood the queue, then trickle. *)
+        let producer p =
+          Cthread.fork ~name:(Printf.sprintf "producer%d" p) ~proc:(1 + p) (fun () ->
+              for i = 1 to per_producer do
+                enqueue q { value = Cthread.random 100; work_ns = 45_000 };
+                (* Burst for the first half, trickle afterwards. *)
+                if i > per_producer / 2 then Cthread.work 150_000 else Cthread.work 1_000
+              done)
+        in
+        let producers = List.init 2 producer in
+        let consumer p =
+          Cthread.fork ~name:(Printf.sprintf "consumer%d" p) ~proc:(3 + p) (fun () ->
+              let finished = ref false in
+              while not !finished do
+                match dequeue q with
+                | Some task ->
+                  Cthread.work task.work_ns;
+                  q.served <- q.served + 1;
+                  if q.served <= total_tasks / 2 then
+                    q.served_value_early <- q.served_value_early + task.value
+                | None ->
+                  if q.served >= total_tasks then finished := true else Cthread.delay 20_000
+              done)
+        in
+        let consumers = List.init 3 consumer in
+        Cthread.join_all producers;
+        Cthread.join_all consumers;
+        ( q.served_value_early,
+          Adaptive.log q.loop,
+          match Attribute.get q.discipline with Fifo -> "fifo" | Best_first -> "best-first" ))
+  in
+  (Sched.final_time machine, early_value, reconfigs, final)
 
 let () =
   let fifo_time, fifo_early, _, _ = run ~adaptive:false in

@@ -401,12 +401,7 @@ let replay cfg program schedule =
   Sched.set_record_schedule sim true;
   Sched.set_schedule_control sim schedule;
   let outcome = capture_outcome sim program in
-  let faithful =
-    Sched.recorded_schedule sim = schedule
-    && (not (Sched.control_diverged sim))
-    && Sched.schedule_control_remaining sim = 0
-  in
-  (outcome, trace, Sched.machine_time sim, faithful)
+  (outcome, trace, Sched.machine_time sim, Sched.replay_faithful sim schedule)
 
 let replay_matches cfg program info =
   let outcome, trace, time, faithful = replay cfg program info.ri_schedule in

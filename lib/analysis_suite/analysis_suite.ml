@@ -180,77 +180,28 @@ let client_server_spec sched handoff_to_server =
     handoff_to_server;
   }
 
-let tsp_spec impl lock_kind =
-  ( impl,
-    {
-      Tsp.Parallel.default_spec with
-      Tsp.Parallel.cities = 8;
-      searchers = 3;
-      lock_kind;
-    } )
+let tsp_spec lock_kind =
+  { Tsp.Parallel.default_spec with Tsp.Parallel.cities = 8; searchers = 3; lock_kind }
 
 let shipped () =
-  let csweep name kind =
-    {
-      scenario_name = "csweep-" ^ name;
-      config = config 4;
-      program = Workloads.Csweep.scenario (csweep_spec kind);
-      expect = Clean;
-      predicts = [];
-    }
+  let clean scenario_name (config, program) =
+    { scenario_name; config; program; expect = Clean; predicts = [] }
   in
+  let csweep name kind = clean ("csweep-" ^ name) (Workloads.Csweep.scenario (csweep_spec kind)) in
   let client_server name sched handoff =
-    {
-      scenario_name = "client-server-" ^ name;
-      config = config 4 ~seed:23;
-      program = Workloads.Client_server.scenario (client_server_spec sched handoff);
-      expect = Clean;
-      predicts = [];
-    }
+    clean ("client-server-" ^ name)
+      (Workloads.Client_server.scenario (client_server_spec sched handoff))
   in
-  let tsp name impl kind =
-    let impl, spec = tsp_spec impl kind in
-    {
-      scenario_name = "tsp-" ^ name;
-      config = Tsp.Parallel.machine_config ~processors:(spec.Tsp.Parallel.searchers + 1);
-      program = Tsp.Parallel.scenario ~impl spec;
-      expect = Clean;
-      predicts = [];
-    }
-  in
+  let tsp name impl kind = clean ("tsp-" ^ name) (Tsp.Parallel.scenario ~impl (tsp_spec kind)) in
   [
-    {
-      scenario_name = "primitives";
-      config = config 4;
-      program = primitives;
-      expect = Clean;
-      predicts = [];
-    };
+    clean "primitives" (config 4, primitives);
     csweep "spin" Locks.Lock.Spin;
     csweep "blocking" Locks.Lock.Blocking;
     csweep "combined10" (Locks.Lock.Combined 10);
     csweep "adaptive" Locks.Lock.adaptive_default;
-    {
-      scenario_name = "phased-adaptive";
-      config = config 4 ~seed:31;
-      program = Workloads.Phased.scenario phased_spec;
-      expect = Clean;
-      predicts = [];
-    };
-    {
-      scenario_name = "sync-objects";
-      config = config 6 ~seed:47;
-      program = Workloads.Sync_objects.scenario sync_objects_spec;
-      expect = Clean;
-      predicts = [];
-    };
-    {
-      scenario_name = "switch-lock";
-      config = config 4 ~seed:53;
-      program = switch_lock_program;
-      expect = Clean;
-      predicts = [];
-    };
+    clean "phased-adaptive" (Workloads.Phased.scenario phased_spec);
+    clean "sync-objects" (Workloads.Sync_objects.scenario sync_objects_spec);
+    clean "switch-lock" (config 4 ~seed:53, switch_lock_program);
     client_server "fcfs" Locks.Lock_sched.Fcfs false;
     client_server "priority" Locks.Lock_sched.Priority false;
     client_server "handoff" Locks.Lock_sched.Handoff true;

@@ -1064,8 +1064,6 @@ let set_schedule_control t decisions =
   t.control <- decisions;
   void_lookahead t
 
-let schedule_control_remaining t = List.length t.control
-
 let set_dispatch_chooser t chooser =
   t.chooser <- chooser;
   void_lookahead t
@@ -1094,6 +1092,9 @@ let recorded_schedule t =
   decode [] (t.schedule_len - 1)
 
 let control_diverged t = t.control_diverged
+
+let replay_faithful t schedule =
+  recorded_schedule t = schedule && (not t.control_diverged) && t.control = []
 
 (* Every thread the machine could legally dispatch right now: each
    processor's continuation slot if occupied (non-preemptive execution
@@ -1284,7 +1285,9 @@ let at_run_start f =
   in
   add ()
 
-let run ?(main_name = "main") t main =
+(* The event loop behind [run] and [run_outcome]: [main] is the first
+   thread's body; returns when every thread has finished. *)
+let execute t main =
   if t.started then invalid_arg "Sched.run: this machine already ran";
   t.started <- true;
   List.iter (fun f -> f ()) (List.rev (Atomic.get run_start_hooks));
@@ -1307,7 +1310,7 @@ let run ?(main_name = "main") t main =
       let total = Domain.DLS.get domain_events in
       total := !total + st.events)
     (fun () ->
-      let main_thread = new_thread t ~name:main_name ~proc:0 ~prio:0 main in
+      let main_thread = new_thread t ~name:"main" ~proc:0 ~prio:0 main in
       make_ready t main_thread.tid ~at:0;
       let continue = ref true in
       let no_runnable () =
@@ -1364,8 +1367,17 @@ let run ?(main_name = "main") t main =
           | None -> no_runnable ()
       done)
 
-let run_outcome ?main_name t main =
-  match run ?main_name t main with
+exception Main_not_returned
+
+let run t main =
+  let result = ref None in
+  execute t (fun () -> result := Some (main ()));
+  match !result with Some v -> v | None -> raise Main_not_returned
+
+(* A run whose main thread is killed still completes once every other
+   thread finishes: the outcome never needs main's value. *)
+let run_outcome t main =
+  match execute t main with
   | () -> Completed
   | exception Deadlock msg ->
     Aborted { reason = Deadlocked msg; diagnostics = diagnostics t }

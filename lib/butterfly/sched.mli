@@ -33,11 +33,18 @@ exception Abort_requested of string
 
 val create : Config.t -> t
 
-val run : ?main_name:string -> t -> (unit -> unit) -> unit
-(** [run t main] executes [main] as the first thread (on processor 0)
-    and returns when all simulated threads have terminated. Raises
-    [Invalid_argument] if this machine already ran. Before the first
-    dispatch, every {!at_run_start} hook fires on the calling domain. *)
+exception Main_not_returned
+(** Every thread finished but the main thread never returned: it was
+    killed by a host-side {!kill_thread}. *)
+
+val run : t -> (unit -> 'a) -> 'a
+(** [run t main] executes [main] as the first thread (named ["main"],
+    on processor 0) and returns what [main] returned, once all
+    simulated threads have terminated, including threads forked by
+    [main] that outlive it ({!final_time} covers them). Raises
+    [Invalid_argument] if this machine already ran, and
+    {!Main_not_returned} if main was killed. Before the first dispatch,
+    every {!at_run_start} hook fires on the calling domain. *)
 
 val at_run_start : (unit -> unit) -> unit
 (** Register a host-side hook fired at the start of every {!run}, on
@@ -66,12 +73,13 @@ type outcome = Completed | Aborted of { reason : abort_reason; diagnostics : str
 val abort_reason_message : abort_reason -> string
 (** One-line human-readable rendering of the reason. *)
 
-val run_outcome : ?main_name:string -> t -> (unit -> unit) -> outcome
+val run_outcome : t -> (unit -> unit) -> outcome
 (** Like {!run}, but never lets a scheduler abort escape as an
     exception: the machine's state at the moment of the abort is
     rendered as a deterministic dump (virtual time, per-processor
     clocks and queues, one line per thread) and returned alongside
-    the reason. *)
+    the reason. A run whose main thread was killed is [Completed] once
+    every other thread has finished. *)
 
 (** {1 Fault-injection entry points}
 
@@ -313,9 +321,6 @@ val set_schedule_control : t -> int list -> unit
     Once the list is exhausted, scheduling continues with the
     {!set_dispatch_chooser} hook if any, else the default policy. *)
 
-val schedule_control_remaining : t -> int
-(** Decisions not yet consumed. *)
-
 val set_dispatch_chooser : t -> (choice array -> int) option -> unit
 (** Install (or clear) a per-dispatch steering callback, consulted
     whenever the decision list is empty. It receives the current
@@ -342,3 +347,9 @@ val control_diverged : t -> bool
 (** Whether a schedule-control decision or chooser answer ever named a
     thread the machine could not dispatch (the run then fell back to
     default scheduling). A successful replay reports [false]. *)
+
+val replay_faithful : t -> int list -> bool
+(** [replay_faithful t schedule]: this run, given [schedule] by
+    {!set_schedule_control} with recording on, replayed it exactly:
+    its {!recorded_schedule} equals [schedule], control never
+    diverged and every decision was consumed. *)

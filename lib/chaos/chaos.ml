@@ -62,7 +62,7 @@ let run_plan_once ?(max_events = default_max_events) ?control ~scenario ~seed ~p
        raise e);
     Monitoring.Watchdog.stop wd
   in
-  let outcome = Sched.run_outcome ~main_name:"main" sim wrapped in
+  let outcome = Sched.run_outcome sim wrapped in
   let diags = Analysis.sanitize ~names:(Analysis.Trace.thread_names sim) trace in
   let injected = Faults.Injector.applied injector in
   let outcome_str, abort_reason, diagnostics =
@@ -123,9 +123,7 @@ let run_plan ?max_events ~scenario ~seed ~plan () =
       run_plan_once ?max_events ~control:schedule ~scenario ~seed ~plan ()
     in
     let reproduced =
-      Sched.recorded_schedule replay_sim = schedule
-      && (not (Sched.control_diverged replay_sim))
-      && Sched.schedule_control_remaining replay_sim = 0
+      Sched.replay_faithful replay_sim schedule
       && replayed.invariant_failures = result.invariant_failures
       && replayed.outcome = result.outcome
       && replayed.final_time_ns = result.final_time_ns

@@ -79,42 +79,41 @@ let coupling ?domains () =
   let cfg = eight_procs in
   let close () =
     let sim = Sched.create cfg in
-    let adaptations = ref 0 in
-    Sched.run sim (fun () ->
-        let lk, loop = adaptive_lock () in
-        coupling_workload
-          ~lock:(fun () -> Locks.Lock_core.lock lk)
-          ~unlock:(fun () -> Locks.Lock_core.unlock lk);
-        adaptations := Adaptive_core.Adaptive.adaptations loop);
-    {
-      coupling = "closely-coupled";
-      total_ns = Sched.final_time sim;
-      adaptations = !adaptations;
-      max_lag_us = 0.0;
-    }
+    let adaptations =
+      Sched.run sim (fun () ->
+          let lk, loop = adaptive_lock () in
+          coupling_workload
+            ~lock:(fun () -> Locks.Lock_core.lock lk)
+            ~unlock:(fun () -> Locks.Lock_core.unlock lk);
+          Adaptive_core.Adaptive.adaptations loop)
+    in
+    { coupling = "closely-coupled"; total_ns = Sched.final_time sim; adaptations; max_lag_us = 0.0 }
   in
   let loose () =
     let sim = Sched.create cfg in
-    let adaptations = ref 0 and lag = ref 0 in
-    Sched.run sim (fun () ->
-        let lk =
-          (* The general-purpose monitor batches trace records: its
-             polling granularity is far coarser than the lock's
-             event rate, which is what produces the adaptation lag. *)
-          Monitoring.Loose_adaptive_lock.create ~home:0 ~monitor_proc:7
-            ~poll_interval_ns:2_000_000 ()
-        in
-        coupling_workload
-          ~lock:(fun () -> Monitoring.Loose_adaptive_lock.lock lk)
-          ~unlock:(fun () -> Monitoring.Loose_adaptive_lock.unlock lk);
-        adaptations := Monitoring.Loose_adaptive_lock.adaptations lk;
-        lag := Monitoring.Loose_adaptive_lock.max_lag_ns lk;
-        Monitoring.Loose_adaptive_lock.shutdown lk);
+    let adaptations, lag =
+      Sched.run sim (fun () ->
+          let lk =
+            (* The general-purpose monitor batches trace records: its
+               polling granularity is far coarser than the lock's
+               event rate, which is what produces the adaptation lag. *)
+            Monitoring.Loose_adaptive_lock.create ~home:0 ~monitor_proc:7
+              ~poll_interval_ns:2_000_000 ()
+          in
+          coupling_workload
+            ~lock:(fun () -> Monitoring.Loose_adaptive_lock.lock lk)
+            ~unlock:(fun () -> Monitoring.Loose_adaptive_lock.unlock lk);
+          let measured =
+            Monitoring.Loose_adaptive_lock.(adaptations lk, max_lag_ns lk)
+          in
+          Monitoring.Loose_adaptive_lock.shutdown lk;
+          measured)
+    in
     {
       coupling = "loosely-coupled";
       total_ns = Sched.final_time sim;
-      adaptations = !adaptations;
-      max_lag_us = float_of_int !lag /. 1000.0;
+      adaptations;
+      max_lag_us = float_of_int lag /. 1000.0;
     }
   in
   Engine.Runner.map ?domains (fun run -> run ()) [ close; loose ]
@@ -124,25 +123,28 @@ type sampling_row = { period : int; total_ns : int; samples : int; adaptations :
 let contended_adaptive_run ~params () =
   let cfg = eight_procs in
   let sim = Sched.create cfg in
-  let samples = ref 0 and adaptations = ref 0 and blocks = ref 0 and spins = ref 0 in
-  Sched.run sim (fun () ->
-      let lk, loop = adaptive_lock ~params () in
-      let body i () =
-        Cthread.work (i * 3_000);
-        for _ = 1 to 30 do
-          Locks.Lock_core.lock lk;
-          Cthread.work 30_000;
-          Locks.Lock_core.unlock lk;
-          Cthread.work 40_000
-        done
-      in
-      let threads = List.init 6 (fun i -> Cthread.fork ~proc:(1 + (i mod 7)) (body i)) in
-      Cthread.join_all threads;
-      samples := Adaptive_core.Adaptive.samples loop;
-      adaptations := Adaptive_core.Adaptive.adaptations loop;
-      blocks := Locks.Lock_stats.blocks (Locks.Lock_core.stats lk);
-      spins := Locks.Lock_stats.spin_probes (Locks.Lock_core.stats lk));
-  (Sched.final_time sim, !samples, !adaptations, !blocks, !spins)
+  let lk, loop =
+    Sched.run sim (fun () ->
+        let lk, loop = adaptive_lock ~params () in
+        let body i () =
+          Cthread.work (i * 3_000);
+          for _ = 1 to 30 do
+            Locks.Lock_core.lock lk;
+            Cthread.work 30_000;
+            Locks.Lock_core.unlock lk;
+            Cthread.work 40_000
+          done
+        in
+        let threads = List.init 6 (fun i -> Cthread.fork ~proc:(1 + (i mod 7)) (body i)) in
+        Cthread.join_all threads;
+        (lk, loop))
+  in
+  let stats = Locks.Lock_core.stats lk in
+  ( Sched.final_time sim,
+    Adaptive_core.Adaptive.samples loop,
+    Adaptive_core.Adaptive.adaptations loop,
+    Locks.Lock_stats.blocks stats,
+    Locks.Lock_stats.spin_probes stats )
 
 let sampling ?domains ~periods () =
   Engine.Runner.map ?domains
@@ -233,18 +235,20 @@ let architecture ?domains () =
   in
   let run_one arch cfg (impl_name, make) =
     let sim = Sched.create cfg in
-    let wait = ref 0.0 in
-    Sched.run sim (fun () ->
-        let lock, unlock, stats, cleanup = make () in
-        drive ~lock ~unlock;
-        wait := Locks.Lock_stats.mean_wait_ns stats /. 1000.0;
-        cleanup ());
+    let mean_wait_us =
+      Sched.run sim (fun () ->
+          let lock, unlock, stats, cleanup = make () in
+          drive ~lock ~unlock;
+          let wait = Locks.Lock_stats.mean_wait_ns stats /. 1000.0 in
+          cleanup ();
+          wait)
+    in
     {
       arch;
       lock_impl = impl_name;
       total_ns = Sched.final_time sim;
       remote_accesses = Memory.remote_accesses (Sched.memory sim);
-      mean_wait_us = !wait;
+      mean_wait_us;
     }
   in
   let implementations =
@@ -327,19 +331,13 @@ let barriers ?domains () =
   in
   let run_one (label, make) =
     let sim = Sched.create cfg in
-    let adaptations = ref 0 and final = ref 0 in
-    Sched.run sim (fun () ->
-        let await, finish = make () in
-        drive ~await;
-        let a, f = finish () in
-        adaptations := a;
-        final := f);
-    {
-      barrier_impl = label;
-      total_ns = Sched.final_time sim;
-      barrier_adaptations = !adaptations;
-      final_spin_ns = !final;
-    }
+    let barrier_adaptations, final_spin_ns =
+      Sched.run sim (fun () ->
+          let await, finish = make () in
+          drive ~await;
+          finish ())
+    in
+    { barrier_impl = label; total_ns = Sched.final_time sim; barrier_adaptations; final_spin_ns }
   in
   let adaptive_metrics b () =
     ( Adaptive_core.Adaptive.adaptations (Adaptive_barrier.loop b),
@@ -393,35 +391,36 @@ let advisory ?domains () =
   let short_ns = 8_000 and long_ns = 8_000_000 in
   let run_one (label, kind) =
     let sim = Sched.create cfg in
-    let stats = ref None in
-    Sched.run sim (fun () ->
-        let lk = Locks.Lock.create ~home:0 kind in
-        let body i () =
-          Cthread.work (i * 2_000);
-          for _ = 1 to 18 do
-            (* One in six sections is long. *)
-            let long = Cthread.random 6 = 0 in
-            Locks.Lock_core.lock lk;
-            (match kind with
-            | Locks.Lock.Advisory ->
-              Locks.Lock_core.advise lk
-                (Some
-                   (if long then Locks.Lock_core.Advise_sleep
-                    else Locks.Lock_core.Advise_spin))
-            | _ -> ());
-            Cthread.work (if long then long_ns else short_ns);
-            Locks.Lock_core.unlock lk;
-            Cthread.work 20_000
-          done
-        in
-        (* Two workers per processor: spinning through a long section
-           starves the co-located holder. *)
-        let threads =
-          List.init 12 (fun i -> Cthread.fork ~proc:(1 + (i mod 6)) (body i))
-        in
-        Cthread.join_all threads;
-        stats := Some (Locks.Lock_core.stats lk));
-    let s = match !stats with Some s -> s | None -> assert false in
+    let lk =
+      Sched.run sim (fun () ->
+          let lk = Locks.Lock.create ~home:0 kind in
+          let body i () =
+            Cthread.work (i * 2_000);
+            for _ = 1 to 18 do
+              (* One in six sections is long. *)
+              let long = Cthread.random 6 = 0 in
+              Locks.Lock_core.lock lk;
+              (match kind with
+              | Locks.Lock.Advisory ->
+                Locks.Lock_core.advise lk
+                  (Some
+                     (if long then Locks.Lock_core.Advise_sleep
+                      else Locks.Lock_core.Advise_spin))
+              | _ -> ());
+              Cthread.work (if long then long_ns else short_ns);
+              Locks.Lock_core.unlock lk;
+              Cthread.work 20_000
+            done
+          in
+          (* Two workers per processor: spinning through a long section
+             starves the co-located holder. *)
+          let threads =
+            List.init 12 (fun i -> Cthread.fork ~proc:(1 + (i mod 6)) (body i))
+          in
+          Cthread.join_all threads;
+          lk)
+    in
+    let s = Locks.Lock_core.stats lk in
     {
       advisory_lock = label;
       total_ns = Sched.final_time sim;
@@ -475,23 +474,23 @@ let switch_one ?machine ~point ~workers ~processors:procs ~iterations:iters ~cs_
   let module L = Locks.Lock_core in
   let cfg = Option.value machine ~default:eight_procs in
   let sim = Sched.create { cfg with Config.processors = max cfg.Config.processors 8 } in
-  let lock = ref None in
-  Sched.run sim (fun () ->
-      let impl = match fixed with Some i -> L.Fixed i | None -> L.Ladder in
-      let lk = L.create ~name:"ablation-switch" ~impl ~home:0 () in
-      lock := Some lk;
-      let body i () =
-        Cthread.work (i * 3_000);
-        for _ = 1 to iters do
-          L.lock lk;
-          Cthread.work cs_ns;
-          L.unlock lk;
-          Cthread.work think_ns
-        done
-      in
-      let ts = List.init workers (fun i -> Cthread.fork ~proc:(1 + (i mod procs)) (body i)) in
-      Cthread.join_all ts);
-  let lk = Option.get !lock in
+  let lk =
+    Sched.run sim (fun () ->
+        let impl = match fixed with Some i -> L.Fixed i | None -> L.Ladder in
+        let lk = L.create ~name:"ablation-switch" ~impl ~home:0 () in
+        let body i () =
+          Cthread.work (i * 3_000);
+          for _ = 1 to iters do
+            L.lock lk;
+            Cthread.work cs_ns;
+            L.unlock lk;
+            Cthread.work think_ns
+          done
+        in
+        let ts = List.init workers (fun i -> Cthread.fork ~proc:(1 + (i mod procs)) (body i)) in
+        Cthread.join_all ts;
+        lk)
+  in
   let st = L.stats lk in
   {
     sw_point = point;

@@ -5,9 +5,7 @@ type row = { op : string; local_us : float; remote_us : float }
 
 let cfg = { Config.default with Config.processors = 6 }
 
-let run main =
-  let sim = Sched.create cfg in
-  Sched.run sim main
+let run main = Sched.run (Sched.create cfg) main
 
 let us ns_total iters = float_of_int ns_total /. float_of_int iters /. 1000.0
 
@@ -15,9 +13,9 @@ let us ns_total iters = float_of_int ns_total /. float_of_int iters /. 1000.0
    lock homed at [home]. *)
 let measure_ops ~make ~proc ~home =
   let iters = 10 in
-  let lock_ns = ref 0 and unlock_ns = ref 0 in
   run (fun () ->
       let lk = make ~home in
+      let lock_ns = ref 0 and unlock_ns = ref 0 in
       let t =
         Cthread.fork ~proc (fun () ->
             for _ = 1 to iters do
@@ -31,8 +29,8 @@ let measure_ops ~make ~proc ~home =
               Cthread.work 5_000
             done)
       in
-      Cthread.join t);
-  (us !lock_ns iters, us !unlock_ns iters)
+      Cthread.join t;
+      (us !lock_ns iters, us !unlock_ns iters))
 
 let of_kind kind ~home = Locks.Lock.create ~home kind
 
@@ -73,10 +71,10 @@ let table5 ?domains () =
 (* Locking cycle: time from the owner's unlock to the waiter's
    completed acquisition on an already-locked lock. *)
 let measure_cycle ~make ~waiter_proc ~home =
-  let unlock_at = ref 0 and acquired_at = ref 0 in
   run (fun () ->
       let lk = make ~home in
       let owner_has_lock = ref false in
+      let unlock_at = ref 0 and acquired_at = ref 0 in
       let owner =
         Cthread.fork ~proc:3 (fun () ->
             Locks.Lock_core.lock lk;
@@ -97,8 +95,8 @@ let measure_cycle ~make ~waiter_proc ~home =
             Locks.Lock_core.unlock lk)
       in
       Cthread.join owner;
-      Cthread.join waiter);
-  float_of_int (!acquired_at - !unlock_at) /. 1000.0
+      Cthread.join waiter;
+      float_of_int (!acquired_at - !unlock_at) /. 1000.0)
 
 let table6 ?domains () =
   let static =
@@ -142,17 +140,17 @@ let table7 () =
 
 let table8 () =
   let timed ~proc f =
-    let dt = ref 0 in
     run (fun () ->
         let r = Locks.Lock.create ~home:1 Locks.Lock.Reconfigurable in
+        let dt = ref 0 in
         let t =
           Cthread.fork ~proc (fun () ->
               let t0 = Cthread.now () in
               f r;
               dt := Cthread.now () - t0)
         in
-        Cthread.join t);
-    float_of_int !dt /. 1000.0
+        Cthread.join t;
+        float_of_int !dt /. 1000.0)
   in
   let acquisition r = ignore (Locks.Lock_core.acquire_ownership r) in
   let conf_waiting r = Locks.Lock_core.configure_waiting r ~spin_count:5 () in

@@ -89,6 +89,11 @@ end
 
 let machine_config ~processors = { Config.default with Config.processors; seed = machine_seed }
 
+(* A pool's machine: searcher i runs on processor i+1. *)
+let pool_machine spec =
+  if spec.searchers < 1 then invalid_arg "Parallel: need at least one searcher";
+  machine_config ~processors:(spec.searchers + 1)
+
 (* Every run starts from a nearest-neighbour tour as its best value
    (standard branch-and-bound practice: it keeps the distributed
    versions' pre-first-tour junk from dominating); the greedy bound
@@ -100,30 +105,30 @@ let greedy spec inst =
 let run_sequential spec =
   let inst = instance_of_spec spec in
   let sim = Sched.create (machine_config ~processors:1) in
-  let answer = ref ((([] : int list), 0), 0) in
-  Sched.run sim (fun () ->
-      let on_expand _node work =
-        Ops.work ((work * spec.work_unit_ns) + (2 * queue_op_ns))
-      in
-      let initial = greedy spec inst in
-      answer := Lmsk.solve_sequential ~initial ~on_expand inst);
-  let (_tour, cost), expanded = !answer in
+  let (_tour, cost), expanded =
+    Sched.run sim (fun () ->
+        let on_expand _node work =
+          Ops.work ((work * spec.work_unit_ns) + (2 * queue_op_ns))
+        in
+        let initial = greedy spec inst in
+        Lmsk.solve_sequential ~initial ~on_expand inst)
+  in
   (Sched.final_time sim, (cost, expanded))
 
 (* The searcher-pool program itself, separated from machine setup so
    it can also run under the sanitizers ([Analysis.check] owns the
-   simulator there). Requires a machine with at least
-   [spec.searchers + 1] processors.
+   simulator there); runs on [pool_machine spec]. Returns the run's
+   result but for [total_ns], the machine's final time, which [run]
+   stamps.
 
    The three implementations are one pool whose placement is data: it
    keeps [copies] work queues and [copies] best-value copies, one
    central copy of each or one per searcher, and searcher [i] uses
    copy [copy_of i]. Searcher i runs on processor i+1; node i+1 is its
    local memory. A single copy lives on searcher 0's node. *)
-let pool_body impl spec ~expanded ~bounds_log ~final_cost ~lock_reports () =
+let pool_body impl spec () =
   let inst = instance_of_spec spec in
   let p = spec.searchers in
-  if p < 1 then invalid_arg "Parallel.pool_body: need at least one searcher";
   let mk_lock ?(trace = false) ~home name =
     Locks.Lock.create ~name ~trace:(trace && spec.trace_locks) ~home spec.lock_kind
   in
@@ -167,6 +172,8 @@ let pool_body impl spec ~expanded ~bounds_log ~final_cost ~lock_reports () =
   let globlock = mk_lock ~home:central "globlock" in
   let best_tours = ref [ (greedy_cost, greedy_tour) ] in
   let done_flag = ref false in
+  let expanded = ref 0 in
+  let bounds_log = Bounds_log.create () in
   (* One visit to queue [c]: push [entries], then pop the best entry
      if [take]. *)
   let visit c entries ~take =
@@ -315,37 +322,27 @@ let pool_body impl spec ~expanded ~bounds_log ~final_cost ~lock_reports () =
         Cthread.fork ~name:(Printf.sprintf "searcher%d" i) ~proc:(node_of i) (searcher i))
   in
   Cthread.join_all threads;
-  (match List.sort compare !best_tours with (cost, _) :: _ -> final_cost := cost | [] -> ());
+  let tour_cost = match List.sort compare !best_tours with (cost, _) :: _ -> cost | [] -> big in
   let report lk = (Locks.Lock_core.name lk, Locks.Lock_core.stats lk) in
-  lock_reports :=
+  let lock_reports =
     List.map report
       (Array.to_list qlocks @ Array.to_list best_locks @ [ glob_act_lock; globlock ])
-
-let scenario ~impl spec () =
-  pool_body impl spec ~expanded:(ref 0) ~bounds_log:(Bounds_log.create ())
-    ~final_cost:(ref big) ~lock_reports:(ref []) ()
-
-let run impl spec =
-  let p = spec.searchers in
-  if p < 1 then invalid_arg "Parallel.run: need at least one searcher";
-  let sim = Sched.create (machine_config ~processors:(p + 1)) in
-  let expanded = ref 0 in
-  let bounds_log = Bounds_log.create () in
-  let final_cost = ref big in
-  let lock_reports = ref [] in
-  Sched.run sim (pool_body impl spec ~expanded ~bounds_log ~final_cost ~lock_reports);
-  let adaptations =
-    List.fold_left
-      (fun acc (_, s) -> acc + Locks.Lock_stats.reconfigurations s)
-      0 !lock_reports
   in
   {
     impl;
     spec;
-    tour_cost = !final_cost;
-    total_ns = Sched.final_time sim;
+    tour_cost;
+    total_ns = 0;
     nodes_expanded = !expanded;
-    useless_expansions = Bounds_log.count_ge bounds_log !final_cost;
-    lock_reports = !lock_reports;
-    adaptations;
+    useless_expansions = Bounds_log.count_ge bounds_log tour_cost;
+    lock_reports;
+    adaptations =
+      List.fold_left (fun acc (_, s) -> acc + Locks.Lock_stats.reconfigurations s) 0 lock_reports;
   }
+
+let scenario ~impl spec = (pool_machine spec, fun () -> ignore (pool_body impl spec ()))
+
+let run impl spec =
+  let sim = Sched.create (pool_machine spec) in
+  let r = Sched.run sim (pool_body impl spec) in
+  { r with total_ns = Sched.final_time sim }

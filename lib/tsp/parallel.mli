@@ -54,10 +54,6 @@ val default_spec : spec
 
 val instance_of_spec : spec -> Instance.t
 
-val machine_config : processors:int -> Butterfly.Config.t
-(** The simulated machine every TSP run uses, with [processors]
-    processors: a pool needs [spec.searchers + 1]. *)
-
 type result = {
   impl : impl;
   spec : spec;
@@ -77,11 +73,10 @@ type result = {
 
 val run : impl -> spec -> result
 
-val scenario : impl:impl -> spec -> unit -> unit
-(** The searcher-pool program as a bare thunk, for running under an
-    externally owned simulator (the sanitizers of [lib/analysis]).
-    Must run inside a machine with at least [spec.searchers + 1]
-    processors ({!machine_config}); results are discarded. *)
+val scenario : impl:impl -> spec -> Butterfly.Config.t * (unit -> unit)
+(** The machine {!run} uses and the searcher-pool program as a bare
+    thunk, for running under an externally owned simulator (the
+    sanitizers of [lib/analysis]); results are discarded. *)
 
 val run_sequential : spec -> int * (int * int)
 (** The sequential baseline on one simulated processor, charging the

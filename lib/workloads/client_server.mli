@@ -41,10 +41,10 @@ type result = {
 
 val run : spec -> result
 
-val scenario : spec -> unit -> unit
-(** The workload program as a bare thunk for an externally owned
-    simulator (the sanitizers): same threads and lock traffic as
-    {!run}, results discarded. Needs [spec.processors] processors. *)
+val scenario : spec -> Butterfly.Config.t * (unit -> unit)
+(** The machine {!run} uses and the workload program as a bare thunk,
+    for an externally owned simulator (the sanitizers): same threads
+    and lock traffic as {!run}, results discarded. *)
 
 val compare_schedulers :
   ?domains:int ->

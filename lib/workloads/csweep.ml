@@ -32,10 +32,13 @@ type result = {
   adaptations : int;
 }
 
-(* The workload program itself, machine-independent: runs inside any
-   simulator with [spec.processors] processors; [stats] receives the
-   shared lock's statistics (sanitizer runs discard them). *)
-let body ?(stats = ref None) spec () =
+(* The machine a spec runs on: [base] with the spec's processors and
+   seed. *)
+let config ?(base = Config.default) spec =
+  { base with Config.processors = spec.processors; seed = spec.seed }
+
+(* The workload program itself; returns the shared lock. *)
+let body spec () =
   let lk = Locks.Lock.create ~home:0 spec.lock_kind in
   let worker tid_seed () =
     (* Jitter arrival so threads do not phase-lock artificially. *)
@@ -57,21 +60,13 @@ let body ?(stats = ref None) spec () =
       (List.init spec.processors (fun p -> p))
   in
   Cthread.join_all threads;
-  stats := Some (Locks.Lock_core.stats lk)
+  lk
 
-let scenario spec () = body spec ()
+let scenario spec = (config spec, fun () -> ignore (body spec ()))
 
 let run ?machine spec =
-  let cfg =
-    match machine with
-    | Some cfg -> { cfg with Config.processors = spec.processors; seed = spec.seed }
-    | None ->
-      { Config.default with Config.processors = spec.processors; seed = spec.seed }
-  in
-  let sim = Sched.create cfg in
-  let stats = ref None in
-  Sched.run sim (body ~stats spec);
-  let s = match !stats with Some s -> s | None -> assert false in
+  let sim = Sched.create (config ?base:machine spec) in
+  let s = Locks.Lock_core.stats (Sched.run sim (body spec)) in
   {
     spec;
     total_ns = Sched.final_time sim;

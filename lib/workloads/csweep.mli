@@ -33,12 +33,14 @@ type result = {
 }
 
 val run : ?machine:Butterfly.Config.t -> spec -> result
-(** Execute one configuration on a fresh simulated machine. *)
+(** Execute one configuration on a fresh simulated machine: [machine]
+    (default {!Butterfly.Config.default}) with the spec's processors
+    and seed. *)
 
-val scenario : spec -> unit -> unit
-(** The workload program as a bare thunk for an externally owned
-    simulator (the sanitizers): same threads and lock traffic as
-    {!run}, results discarded. Needs [spec.processors] processors. *)
+val scenario : spec -> Butterfly.Config.t * (unit -> unit)
+(** The default machine {!run} uses and the workload program as a
+    bare thunk, for an externally owned simulator (the sanitizers):
+    same threads and lock traffic as {!run}, results discarded. *)
 
 val sweep :
   ?domains:int ->

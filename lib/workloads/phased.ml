@@ -39,9 +39,10 @@ type result = {
   blocks : int;
 }
 
-(* The workload program itself, machine-independent (see Csweep.body
-   for the pattern). *)
-let body ?(stats = ref None) ?(log = ref []) ?(adaptations = ref 0) spec () =
+let config spec = { Config.default with Config.processors = spec.processors; seed = spec.seed }
+
+(* The workload program itself; returns the shared lock. *)
+let body spec () =
   let lk = Locks.Lock.create ~home:0 spec.lock_kind in
   let barrier = Barrier.create ~node:0 spec.workers in
   let worker idx () =
@@ -69,26 +70,24 @@ let body ?(stats = ref None) ?(log = ref []) ?(adaptations = ref 0) spec () =
           ~name:(Printf.sprintf "worker%d" i) (worker i))
   in
   Cthread.join_all threads;
-  stats := Some (Locks.Lock_core.stats lk);
-  match Locks.Lock_core.feedback lk with
-  | Some loop ->
-    log := Adaptive_core.Adaptive.log loop;
-    adaptations := Adaptive_core.Adaptive.adaptations loop
-  | None -> ()
+  lk
 
-let scenario spec () = body spec ()
+let scenario spec = (config spec, fun () -> ignore (body spec ()))
 
 let run spec =
-  let cfg = { Config.default with Config.processors = spec.processors; seed = spec.seed } in
-  let sim = Sched.create cfg in
-  let stats = ref None and log = ref [] and adaptations = ref 0 in
-  Sched.run sim (body ~stats ~log ~adaptations spec);
-  let s = match !stats with Some s -> s | None -> assert false in
+  let sim = Sched.create (config spec) in
+  let lk = Sched.run sim (body spec) in
+  let s = Locks.Lock_core.stats lk in
+  let log, adaptations =
+    match Locks.Lock_core.feedback lk with
+    | Some loop -> Adaptive_core.Adaptive.(log loop, adaptations loop)
+    | None -> ([], 0)
+  in
   {
     spec;
     total_ns = Sched.final_time sim;
-    adaptations = !adaptations;
-    adaptation_log = !log;
+    adaptations;
+    adaptation_log = log;
     mean_wait_ns = Locks.Lock_stats.mean_wait_ns s;
     blocks = Locks.Lock_stats.blocks s;
   }

@@ -22,8 +22,9 @@ type result = {
    a read-mostly rw-lock phase with periodic writes, and a
    semaphore-limited section. Stage 2: a producer/consumer hand-off
    through the adaptive condition, with every consumer waiting at once
-   (drives the broadcast-hint escalation). *)
-let body ?(snapshot = ref []) spec () =
+   (drives the broadcast-hint escalation). Returns the registry's
+   snapshot. *)
+let body spec () =
   Adaptive_core.Registry.reset ();
   let w = spec.workers in
   let lock = Locks.Lock.create ~name:"counter-lock" ~home:0 Locks.Lock.adaptive_default in
@@ -92,19 +93,18 @@ let body ?(snapshot = ref []) spec () =
           ~name:(Printf.sprintf "sync%d" i) (worker i))
   in
   Cthread.join_all threads;
-  snapshot := Adaptive_core.Registry.snapshot ()
+  Adaptive_core.Registry.snapshot ()
 
-let scenario spec () = body spec ()
+let config spec = { Config.default with Config.processors = spec.processors; seed = spec.seed }
+let scenario spec = (config spec, fun () -> ignore (body spec ()))
 
 let run spec =
-  let cfg = { Config.default with Config.processors = spec.processors; seed = spec.seed } in
-  let sim = Sched.create cfg in
-  let snapshot = ref [] in
-  Sched.run sim (body ~snapshot spec);
+  let sim = Sched.create (config spec) in
+  let snapshot = Sched.run sim (body spec) in
   let adaptations =
     List.fold_left
       (fun n (m : Adaptive_core.Registry.metrics) ->
         n + m.Adaptive_core.Registry.stats.Adaptive_core.Registry.adaptations)
-      0 !snapshot
+      0 snapshot
   in
-  { spec; total_ns = Sched.final_time sim; snapshot = !snapshot; adaptations }
+  { spec; total_ns = Sched.final_time sim; snapshot; adaptations }

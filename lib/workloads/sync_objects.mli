@@ -22,7 +22,8 @@ type result = {
   adaptations : int;  (** sum over the snapshot *)
 }
 
-val scenario : spec -> unit -> unit
-(** [body] as an analysis/chaos scenario program. *)
+val scenario : spec -> Butterfly.Config.t * (unit -> unit)
+(** The machine {!run} uses and the program, results discarded, as an
+    analysis/chaos scenario. *)
 
 val run : spec -> result

@@ -198,7 +198,7 @@ let csweep_spin_chaos_trace () =
   let trace = Analysis.Trace.attach sim in
   ignore (Faults.Injector.install sim ~plan : Faults.Injector.t);
   ignore
-    (Sched.run_outcome ~main_name:"main" sim (fun () ->
+    (Sched.run_outcome sim (fun () ->
          let wd = Monitoring.Watchdog.start ~sched:sim () in
          scenario.Analysis_suite.program ();
          Monitoring.Watchdog.stop wd)

@@ -216,11 +216,73 @@ let test_thread_crash_propagates () =
   let sim = Sched.create small_cfg in
   let raised =
     try
-      Sched.run sim (fun () -> failwith "boom");
+      (Sched.run sim (fun () -> failwith "boom") : unit);
       false
     with Sched.Thread_crash (name, Failure msg) -> name = "main" && msg = "boom"
   in
   check_bool "crash propagates with thread name" true raised
+
+let test_run_returns_main_value () =
+  let sim = Sched.create small_cfg in
+  let v =
+    Sched.run sim (fun () ->
+        Ops.work 1_000;
+        (Ops.now (), "main"))
+  in
+  Alcotest.(check (pair int string)) "main's value" (1_000, "main") v
+
+(* Main forks a long worker and returns without joining it: [run]
+   still waits for the worker, and the final clock covers it. *)
+let test_run_waits_for_outliving_threads () =
+  let sim = Sched.create small_cfg in
+  let worker_done = ref false in
+  let v =
+    Sched.run sim (fun () ->
+        ignore
+          (Ops.fork
+             {
+               f =
+                 (fun () ->
+                   Ops.work 5_000_000;
+                   worker_done := true);
+               proc = Some 1;
+               prio = 0;
+               name = "worker";
+             });
+        42)
+  in
+  check_int "main's value" 42 v;
+  check_bool "worker finished before run returned" true !worker_done;
+  check_bool "final time covers the worker" true (Sched.final_time sim >= 5_000_000)
+
+(* A timer kills main (tid 0) mid-run; its forked worker runs on to
+   the end, so every thread finishes but main never returns. *)
+let killed_main_sim () =
+  let sim = Sched.create small_cfg in
+  Sched.add_timer sim ~at:50_000 (fun () ->
+      ignore (Sched.kill_thread sim ~tid:0 ~at:50_000 : bool));
+  let program () =
+    ignore
+      (Ops.fork { f = (fun () -> Ops.work 200_000); proc = Some 1; prio = 0; name = "worker" });
+    Ops.work 1_000_000
+  in
+  (sim, program)
+
+let test_killed_main_raises () =
+  let sim, program = killed_main_sim () in
+  Alcotest.check_raises "killed main" Sched.Main_not_returned (fun () ->
+      Sched.run sim (fun () ->
+          program ();
+          7)
+      |> ignore)
+
+let test_killed_main_outcome () =
+  let sim, program = killed_main_sim () in
+  check_bool "completed" true (Sched.run_outcome sim program = Sched.Completed);
+  (* Main's 1 ms [work] is charged within its dispatch, before the
+     50 us timer fires, so it still ends on processor 0's clock. *)
+  check_int "final time" 1_003_000 (Sched.final_time sim);
+  check_int "events" 6 (Sched.events_executed sim)
 
 let test_delay_releases_processor () =
   (* A delaying thread lets a sibling on the same processor run. *)
@@ -449,6 +511,11 @@ let suite =
     Alcotest.test_case "early wakeup not lost" `Quick test_wakeup_before_block_not_lost;
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
     Alcotest.test_case "thread crash propagates" `Quick test_thread_crash_propagates;
+    Alcotest.test_case "run returns main's value" `Quick test_run_returns_main_value;
+    Alcotest.test_case "run waits for outliving threads" `Quick
+      test_run_waits_for_outliving_threads;
+    Alcotest.test_case "killed main raises" `Quick test_killed_main_raises;
+    Alcotest.test_case "killed main completes outcome" `Quick test_killed_main_outcome;
     Alcotest.test_case "delay releases processor" `Quick test_delay_releases_processor;
     Alcotest.test_case "work occupies processor" `Quick test_work_occupies_processor;
     Alcotest.test_case "quantum interleaves" `Quick test_quantum_interleaves_work;

@@ -215,10 +215,7 @@ let test_schedule_log_round_trip () =
   Sched.set_schedule_control replay schedule;
   Sched.set_record_schedule replay true;
   Sched.run replay program;
-  check_bool "replay records the same schedule" true
-    (Sched.recorded_schedule replay = schedule);
-  check_bool "no divergence" false (Sched.control_diverged replay);
-  check_int "all decisions consumed" 0 (Sched.schedule_control_remaining replay);
+  check_bool "replay is faithful" true (Sched.replay_faithful replay schedule);
   check_int "same final clock" (Sched.final_time sim) (Sched.final_time replay)
 
 (* {2 Pinned multi-runnable run}
@@ -417,8 +414,7 @@ let test_pinned_fault_digest () =
   check_int "one wakeup" 1 (counter "sched.wakeups");
   let schedule = Sched.recorded_schedule sim in
   let replay_digest, replay_seen, replay = run_faulted (Some schedule) in
-  check_bool "replay did not diverge" false (Sched.control_diverged replay);
-  check_int "replay consumed every decision" 0 (Sched.schedule_control_remaining replay);
+  check_bool "replay is faithful" true (Sched.replay_faithful replay schedule);
   Alcotest.(check (list bool)) "replay faults hit their targets" seen replay_seen;
   Alcotest.(check string) "replay reproduces the run" digest replay_digest;
   Alcotest.(check string) "fault-path digest" "e09170c85ddd25e01e92ba81e85e01aa" digest
